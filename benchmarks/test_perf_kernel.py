@@ -134,15 +134,14 @@ def test_event_kernel_speedup():
     assert speedup >= 2.0, f"event kernel only {speedup:.2f}x faster than naive"
 
 
-def _timed_busy(mesh, iterations, compile_dispatch=True, rounds=1):
-    """Best-of-*rounds* wall time for the busy-stencil workload on *mesh*
-    with dispatch compilation on or off.  Returns ``(elapsed, metrics)``."""
+def _timed_busy(mesh, iterations, rounds=1):
+    """Best-of-*rounds* wall time for the busy-stencil workload on *mesh*.
+    Returns ``(elapsed, metrics)``."""
     best = None
     for _ in range(rounds):
         experiment = (
             ExperimentBuilder()
             .workload("busy-stencil", iterations=iterations, mesh=list(mesh))
-            .override("sim.compile_dispatch", compile_dispatch)
             .build()
         )
         start = time.perf_counter()
@@ -154,54 +153,41 @@ def _timed_busy(mesh, iterations, compile_dispatch=True, rounds=1):
 
 
 def test_busy_dispatch_throughput(benchmark):
-    """Busy-heavy throughput: dispatch compilation on vs off on a 4x4x1 mesh.
+    """Busy-heavy issue-stage throughput on a 4x4x1 mesh.
 
     Every cluster issues on (almost) every cycle, so the event kernel cannot
-    sleep anything -- this measures raw per-tick execution cost, which is
-    exactly what the precompiled dispatch path (repro.cluster.dispatch)
-    optimises.  The >= 2x floor is the CI acceptance gate; the measured
-    speedup (recorded in the trajectory) is ~4x.
+    sleep anything -- this measures the raw per-tick cost of running the
+    issue stage's compiled plans (repro.cluster.dispatch).  The number is
+    recorded in the trajectory; there is no floor, because the interpreted
+    issue stage it used to be compared against no longer exists.
     """
     mesh, iterations = (4, 4, 1), 200
-    off_elapsed, off_metrics = _timed_busy(mesh, iterations, compile_dispatch=False)
 
     def run_compiled():
-        return _timed_busy(mesh, iterations, compile_dispatch=True)
+        return _timed_busy(mesh, iterations)
 
-    on_elapsed, on_metrics = benchmark.pedantic(
+    elapsed, metrics = benchmark.pedantic(
         run_compiled, rounds=1, iterations=1, warmup_rounds=0
     )
-    assert on_metrics == off_metrics, "dispatch compilation changed results"
-    assert on_metrics["verified"], "busy-stencil checksum mismatch"
+    assert metrics["verified"], "busy-stencil checksum mismatch"
 
-    cycles = on_metrics["cycles"]
-    on_cps = cycles / on_elapsed
-    off_cps = cycles / off_elapsed
-    speedup = on_cps / off_cps
+    cycles = metrics["cycles"]
+    cycles_per_second = cycles / elapsed
     benchmark.extra_info["simulated_cycles"] = cycles
-    benchmark.extra_info["compiled_cycles_per_second"] = round(on_cps)
-    benchmark.extra_info["interpreted_cycles_per_second"] = round(off_cps)
-    benchmark.extra_info["speedup_vs_interpreted"] = round(speedup, 2)
+    benchmark.extra_info["compiled_cycles_per_second"] = round(cycles_per_second)
 
     record_trajectory(
         "busy_dispatch",
         mesh="4x4x1",
         iterations=iterations,
         simulated_cycles=cycles,
-        compiled_cycles_per_second=round(on_cps),
-        interpreted_cycles_per_second=round(off_cps),
-        speedup_vs_interpreted=round(speedup, 2),
+        compiled_cycles_per_second=round(cycles_per_second),
     )
 
     report("Busy-heavy dispatch throughput (4x4x1 register stencil)", [
         f"simulated cycles        {cycles}",
-        f"interpreted dispatch    {off_cps:>12.0f} cycles/s",
-        f"compiled dispatch       {on_cps:>12.0f} cycles/s",
-        f"speedup                 {speedup:>12.2f}x",
+        f"compiled dispatch       {cycles_per_second:>12.0f} cycles/s",
     ])
-    assert speedup >= 2.0, (
-        f"compiled dispatch only {speedup:.2f}x faster than interpreted"
-    )
 
 
 def test_mesh_scaling_matrix():

@@ -36,9 +36,8 @@ Subcommands:
   ``record -> RunResult -> record`` round-trip byte-identically.
 * ``repro fuzz [--seed N] [--runs K] [--shrink] [--repro-dir D]
   [--knob k=v ...]`` — differential fuzzing (``docs/fuzzing.md``): each
-  seeded generated program must be bit-identical across event/naive
-  kernels x compiled dispatch on/off and across a mid-run snapshot
-  round-trip; failures shrink to a minimal program and are written as
+  seeded generated program must be bit-identical across the event and
+  naive kernels and across a mid-run snapshot round-trip; failures shrink to a minimal program and are written as
   replayable repro files (``repro fuzz --replay FILE``).
 
 All workload execution goes through the typed :mod:`repro.api` facade.

@@ -1,56 +1,88 @@
-"""Precompiled instruction dispatch for the cluster issue stage.
+"""Instruction semantics of the cluster issue stage, compiled once per program.
 
-The interpreted issue path (:meth:`repro.cluster.cluster.Cluster` with
-``sim.compile_dispatch = False``) re-derives the same facts about an
-instruction on every cycle it is considered: which registers its operands
-name, whether each is a queue/identity/plain register, which executor its
-opcode selects, what its stall reason strings are.  None of that depends on
-machine state -- only on the instruction and the (cluster, slot) it is
-resident in -- so this module resolves it once, when a program is first
-issued from, into a :class:`CompiledInstruction` plan per program counter:
+The synchronization stage (Sections 3.1 and 3.2 of the paper) holds each
+resident H-Thread's next instruction until its operands are present and the
+resources it needs are free, then issues every operation of one ready
+instruction.  None of the facts that decision needs -- which registers the
+operands name, which opcode semantics apply, what the stall-reason strings
+say -- depend on machine state, only on the instruction and the V-Thread
+slot it is resident in.  This module resolves them once, when a program is
+first issued from, into one :class:`CompiledInstruction` plan per program
+counter, and :class:`~repro.cluster.cluster.Cluster` runs nothing else:
 
-* ``steps`` -- the readiness checks of
-  :meth:`~repro.cluster.cluster.Cluster._instruction_ready`, in the same
-  order and with the stall-reason strings precomputed, as ``(kind, arg,
-  reason)`` triples over flat register-file offsets
-  (:meth:`~repro.cluster.regfile.RegisterSet.flat_offset`) and bound
-  hardware-queue objects;
-* per-operation ``readers`` -- constant/register-offset/queue operand
-  sources, with identity registers (``nid``/``cid``/``vid``/``zero``)
-  folded to constants;
-* per-operation ``executor`` closures with the opcode dispatch, destination
-  offsets, latencies and trace strings bound at compile time.
+* ``steps`` -- the readiness checks, as ``(kind, arg, reason)`` triples in
+  the order the stage tests them: per operation, its source scoreboard bits
+  (``CHECK_FULL``) and its destinations' in-flight writes
+  (``CHECK_PENDING``), for a SEND the message-composition registers it
+  launches (Section 4.1) and the network send credit (``CHECK_SEND``); then
+  the depth of every hardware queue the instruction reads
+  (``CHECK_QUEUE``).  Register checks index the flat register-file arrays
+  (:meth:`~repro.cluster.regfile.RegisterSet.flat_offset`).  Evaluating
+  the steps has no side effects, so the event kernel's sleep check
+  (:meth:`~repro.cluster.cluster.Cluster.idle_profile`) runs the same
+  steps as the issue scan.
+* per-operation ``readers`` -- constant, register-offset, queue or identity
+  operand sources;
+* per-operation ``executor`` closures with the opcode semantics,
+  destination offsets, latencies and trace strings bound at compile time.
 
-Plans are **derived state**: they are cached per (cluster, slot) keyed on
-the :class:`~repro.isa.program.Program` object identity, never serialised
-into snapshots, and rebuilt on first issue after a restore (a restore
-installs freshly decoded ``Program`` objects, so the identity check misses).
-Any instruction the compiler cannot prove it handles bit-exactly -- sends,
-remote sources, out-of-range references, opcodes without value semantics --
-gets a ``None`` plan and goes down the interpreted path, which also raises
-the exact errors malformed programs are documented to raise.  The
-differential gate is ``tests/integration/test_dispatch_equivalence.py``.
+A malformed instruction still compiles.  A fault the stage would detect
+while checking readiness (a remote register as a source, a register beyond
+the configured file, a SEND whose length is not an immediate) becomes a
+``CHECK_RAISE`` step at the position of the failing check; a fault found
+while executing (``empty`` or a load targeting a remote register, a label
+as a branch condition) is raised by the executor.  Either way
+:class:`SimulationError` fires on the cycle the thread reaches the
+instruction.
+
+Plans are **derived state**: they are cached per (cluster, slot), never
+serialised into snapshots, and rebuilt on first issue after a restore (a
+restore installs freshly decoded :class:`~repro.isa.program.Program`
+objects).  Plans bind nothing cluster-specific -- hardware queues are
+resolved by name through the executing cluster, node and cluster identities
+are read at run time -- so one plan list serves every cluster with the same
+register layout (see ``_SHARED_PLANS``).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.cluster.functional_units import OperandError, value_evaluator
 from repro.core.config import EVENT_SLOT, EXCEPTION_SLOT
 from repro.isa.instruction import Instruction
 from repro.isa.operations import LabelRef, Operation, SYNC_CONDITIONS, Unit
 from repro.isa.program import Program
-from repro.isa.registers import RegFile, RegisterRef
-from repro.memory.guarded_pointer import ProtectionError
+from repro.isa.registers import NUM_MC_REGS, RegFile, RegisterRef
+from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
+from repro.memory.page_table import BlockStatus
 from repro.memory.requests import MemOpKind, MemRequest
 
-# Reader modes: (mode, arg) per source operand.  Plans never bind
-# cluster-specific objects or identities -- queues are resolved by name
-# through the executing cluster's binding cache and nid/cid are read from
-# the executing cluster at runtime -- so one compiled plan serves every
-# cluster with the same register layout (see ``_SHARED_PLANS``).
+
+@dataclass
+class RegWrite:
+    """A register write travelling over the C-Switch (inter-cluster register
+    writes, global-CC broadcasts, memory-system responses and privileged
+    ``xregwr`` writes)."""
+
+    vthread: int
+    ref: RegisterRef
+    value: object
+    #: Clear one pending-write reservation on arrival (set for writes that
+    #: complete an operation issued by the destination thread, e.g. load
+    #: responses and handler ``xregwr`` completions of faulted loads).
+    clear_pending: bool = False
+    #: Human-readable origin, for traces.
+    origin: str = ""
+
+
+class SimulationError(Exception):
+    """Raised for malformed programs (e.g. a remote register used as a source)."""
+
+
+# Reader modes: (mode, arg) per source operand.
 READ_CONST = 0    # arg is the value (immediates, labels, folded vid/zero)
 READ_REG = 1      # arg is a flat register-file offset
 READ_QUEUE = 2    # arg is the queue name; pop one word (raises if unreadable)
@@ -60,12 +92,14 @@ READ_CID = 4      # executing cluster's id
 # Readiness-step kinds: (kind, arg, reason) per check.
 CHECK_FULL = 0     # arg is a flat offset; stall unless full
 CHECK_PENDING = 1  # arg is a flat offset; stall while a write is in flight
-CHECK_MEMPORT = 2  # arg unused; stall unless the memory port is free
+CHECK_SEND = 2     # arg is the message priority; stall unless the node can send
 CHECK_QUEUE = 3    # arg is (queue_name, needed_words); stall while underfull
+CHECK_RAISE = 4    # arg is the SimulationError message of a malformed instruction
 
-_UNIT_INDEX = {Unit.IALU: 0, Unit.MEM: 1, Unit.FPU: 2}
-#: Fold order of the per-unit fast counters (matches ``_UNIT_INDEX``).
-UNIT_VALUES = (Unit.IALU.value, Unit.MEM.value, Unit.FPU.value)
+#: Function-unit names in ascending order: the index space of the cluster's
+#: per-unit operation counts, and the order they are reported in.
+UNIT_VALUES = tuple(sorted(unit.value for unit in Unit))
+_UNIT_INDEX = {Unit(value): index for index, value in enumerate(UNIT_VALUES)}
 
 
 class CompiledOp:
@@ -92,19 +126,18 @@ class CompiledInstruction:
         self.instruction = instruction
 
 
-#: Shared plan lists, keyed by Program object (weakly) then by
-#: ``(slot, regfile layout_key)``.  A program whose every instruction
-#: compiles without binding cluster-specific state (hardware queues, folded
-#: node/cluster identity constants, memory ports, inter-cluster writes)
+class _Malformed(Exception):
+    """Compile-time signal: the readiness check being compiled can never
+    pass; its message becomes the instruction's ``CHECK_RAISE`` step."""
+
+
 #: Shared plan lists, keyed by Program object identity then by ``(slot,
-#: regfile layout_key)``.  Compiled plans bind nothing cluster-specific --
-#: queues are resolved by name at runtime and node/cluster identities are
-#: read from the executing cluster -- so the same Program loaded into many
-#: clusters (every SPMD workload, every runtime handler) compiles once and
-#: is shared.  On an NxN mesh this collapses the plan footprint touched per
-#: simulated cycle by ``4 x N x N``, which is what keeps the busy-heavy
-#: per-node-tick throughput flat as the mesh grows (the host working set
-#: would otherwise blow out the CPU cache).
+#: regfile layout_key)``.  The same Program loaded into many clusters (every
+#: SPMD workload, every runtime handler) compiles once and is shared.  On an
+#: NxN mesh this collapses the plan footprint touched per simulated cycle by
+#: ``4 x N x N``, which is what keeps the busy-heavy per-node-tick
+#: throughput flat as the mesh grows (the host working set would otherwise
+#: blow out the CPU cache).
 #:
 #: Keyed by ``id(program)`` (Program defines ``__eq__`` but not ``__hash__``)
 #: with a weakref that both validates identity against id reuse and evicts
@@ -113,168 +146,133 @@ _SHARED_PLANS: dict = {}
 
 
 def compile_program(program: Optional[Program], cluster,
-                    slot: int) -> List[Optional[CompiledInstruction]]:
-    """Compile every instruction of *program* for one (cluster, slot).
-
-    Returns one plan (or None = interpreted fallback) per program counter.
-    """
+                    slot: int) -> List[CompiledInstruction]:
+    """Compile every instruction of *program* for one (cluster, slot): one
+    plan per program counter."""
     if program is None:
         return []
-    share_key = (slot, cluster.contexts[slot].registers.layout_key)
+    layout = cluster.contexts[slot].registers
+    share_key = (slot, layout.layout_key)
     cache_key = id(program)
     entry = _SHARED_PLANS.get(cache_key)
-    per_program = None
     if entry is not None and entry[0]() is program:
         per_program = entry[1]
-        shared = per_program.get(share_key)
-        if shared is not None:
-            return shared
-    plans: List[Optional[CompiledInstruction]] = []
-    shareable = True
-    for pc in range(len(program)):
+    else:
         try:
-            plan = _compile_instruction(program[pc], cluster, slot)
-        except Exception:
-            # Anything the compiler trips over runs interpreted instead; a
-            # surprise is not provably cluster-independent, so don't share.
-            plan, shareable = None, False
-        plans.append(plan)
-    if shareable:
-        if per_program is None:
-            try:
-                ref = weakref.ref(
-                    program, lambda _ref, _key=cache_key: _SHARED_PLANS.pop(_key, None)
-                )
-            except TypeError:
-                return plans  # non-weakrefable program; just don't share
-            per_program = {}
-            _SHARED_PLANS[cache_key] = (ref, per_program)
+            ref = weakref.ref(
+                program, lambda _ref, _key=cache_key: _SHARED_PLANS.pop(_key, None)
+            )
+        except TypeError:  # non-weakrefable program; just don't share
+            return [_compile_instruction(instruction, layout, slot) for instruction in program]
+        per_program = {}
+        _SHARED_PLANS[cache_key] = (ref, per_program)
+    plans = per_program.get(share_key)
+    if plans is None:
+        plans = [_compile_instruction(instruction, layout, slot) for instruction in program]
         per_program[share_key] = plans
     return plans
 
 
-def _compile_instruction(instruction: Instruction, cluster,
-                         slot: int) -> Optional[CompiledInstruction]:
-    operations = instruction.operations
-    if not operations:
-        return None
-    layout = cluster.contexts[slot].registers
+def _compile_instruction(instruction: Instruction, layout, slot: int) -> CompiledInstruction:
+    steps = []
+    try:
+        ops, unit_idx = _compile_operations(instruction, layout, slot, steps)
+    except _Malformed as malformed:
+        steps.append((CHECK_RAISE, str(malformed), ""))
+        return CompiledInstruction(tuple(steps), (), (), instruction)
+    return CompiledInstruction(tuple(steps), ops, unit_idx, instruction)
 
-    steps: List[Tuple[int, object, str]] = []
+
+def _register_offset(layout, ref: RegisterRef, instruction: Instruction) -> int:
+    offset = layout.flat_offset(ref)
+    if offset is None:
+        raise _Malformed(_out_of_range(ref, instruction))
+    return offset
+
+
+def _compile_operations(instruction: Instruction, layout, slot: int, steps: list):
+    """Append the readiness steps of *instruction* to *steps* and return its
+    ``(ops, unit_idx)``; raises :class:`_Malformed` at a check that can never
+    pass."""
     queue_needs = {}
     compiled_ops = []
     unit_idx = []
-
-    for op in operations:
-        # -- readiness (must mirror Cluster._instruction_ready exactly) -------
+    for op in instruction.operations:
+        readers = []
         for src in op.srcs:
             if not isinstance(src, RegisterRef):
-                continue
-            if src.is_queue:
+                # Immediates and LabelRefs pass through unchanged.
+                readers.append((READ_CONST, src))
+            elif src.is_queue:
                 queue_needs[src.name] = queue_needs.get(src.name, 0) + 1
+                readers.append((READ_QUEUE, src.name))
             elif src.is_identity:
-                continue
+                if src.name == "nid":
+                    readers.append((READ_NID, None))
+                elif src.name == "cid":
+                    readers.append((READ_CID, None))
+                else:  # vid / zero fold to plan-wide constants
+                    readers.append((READ_CONST, slot if src.name == "vid" else 0))
             elif src.is_remote:
-                return None  # the interpreted readiness check raises
+                raise _Malformed(
+                    f"remote register {src} cannot be used as a source operand "
+                    f"(instruction {instruction})"
+                )
             else:
-                offset = layout.flat_offset(src)
-                if offset is None:
-                    return None
+                offset = _register_offset(layout, src, instruction)
                 steps.append((CHECK_FULL, offset, f"operand {src} empty"))
+                readers.append((READ_REG, offset))
         for dest in op.dests:
             if dest.is_remote or dest.file is RegFile.GCC:
                 continue
-            offset = layout.flat_offset(dest)
-            if offset is None:
-                return None
-            steps.append((CHECK_PENDING, offset,
+            steps.append((CHECK_PENDING, _register_offset(layout, dest, instruction),
                           f"destination {dest} has a write in flight"))
         if op.opcode.is_send:
-            return None  # send readiness depends on immediates and credits
-        if op.opcode.is_memory:
-            steps.append((CHECK_MEMPORT, None, "memory port busy"))
-
-        # -- operand readers ---------------------------------------------------
-        readers = []
-        for src in op.srcs:
-            if isinstance(src, RegisterRef):
-                if src.is_queue:
-                    # Resolved by name through the executing cluster's queue
-                    # binding cache; a missing queue raises at execution time
-                    # exactly like the interpreted read.
-                    readers.append((READ_QUEUE, src.name))
-                elif src.is_identity:
-                    if src.name == "nid":
-                        readers.append((READ_NID, None))
-                    elif src.name == "cid":
-                        readers.append((READ_CID, None))
-                    else:  # vid / zero fold to plan-wide constants
-                        readers.append((READ_CONST, slot if src.name == "vid" else 0))
-                elif src.is_remote:
-                    return None
-                else:
-                    offset = layout.flat_offset(src)
-                    if offset is None:
-                        return None
-                    readers.append((READ_REG, offset))
-            else:
-                # Immediates and LabelRefs pass through unchanged.
-                readers.append((READ_CONST, src))
+            executor = _compile_send(op, layout, instruction, steps)
+        else:
+            executor = _compile_executor(op, layout, instruction)
 
         privilege_msg = None
         if op.opcode.privileged and slot not in (EVENT_SLOT, EXCEPTION_SLOT):
             privilege_msg = (
                 f"privileged operation {op.opcode.name!r} issued from user slot {slot}"
             )
-
-        executor = _compile_executor(op, cluster, slot, layout)
-        if executor is None:
-            return None
-
         compiled_ops.append(CompiledOp(tuple(readers), privilege_msg, executor))
         unit_idx.append(_UNIT_INDEX[op.unit])
 
     for name, count in queue_needs.items():
         # The executing cluster resolves the name each check; a cluster
-        # without the queue skips the check (execution raises instead),
-        # matching the interpreted readiness scan.
+        # without the queue skips the check and the read raises instead.
         steps.append((CHECK_QUEUE, (name, count), f"{name} queue empty"))
-
-    return CompiledInstruction(tuple(steps), tuple(compiled_ops),
-                               tuple(unit_idx), instruction)
+    return tuple(compiled_ops), tuple(unit_idx)
 
 
 # ---------------------------------------------------------------------------
 # Executors.  Each is a closure ``run(cluster, context, values, cycle)``
-# returning the next PC for taken control transfers and None otherwise,
-# mirroring Cluster._execute_operation case by case.
+# returning the next PC for taken control transfers and None otherwise.
 # ---------------------------------------------------------------------------
 
-def _compile_executor(op: Operation, cluster, slot: int, layout):
-    # Deferred: repro.cluster.cluster imports this module at its top level.
-    from repro.cluster.cluster import _SYSTEM_EXECUTORS, SimulationError  # noqa: PLC0415
-
+def _compile_executor(op: Operation, layout, instruction: Instruction):
     name = op.opcode.name
     if name == "nop":
         return _exec_nop
     if name == "mark":
         return _exec_mark
     if name == "empty":
-        return _make_empty(op, layout)
+        return _make_empty(op, layout, instruction)
     if name == "halt":
         return _exec_halt
     if op.opcode.is_branch:
-        return _make_branch(op, SimulationError)
-    if op.opcode.is_send:
-        return None
+        return _make_branch(op)
     if op.opcode.is_memory:
-        return _make_memory(op, layout)
-    system_fn = _SYSTEM_EXECUTORS.get(name)
-    if system_fn is not None:
-        return _make_system(system_fn, op)
+        return _make_memory(op, layout, instruction)
+    if name in _SYSTEM_EFFECTS:
+        return _make_effect(_SYSTEM_EFFECTS[name])
+    if name in _SYSTEM_RESULTS:
+        return _make_result(op, _SYSTEM_RESULTS[name], layout)
     evaluator = value_evaluator(name)
     if evaluator is None:
-        return None  # interpreted path raises "no value semantics"
+        return _make_unknown(name)
     return _make_value(op, evaluator, layout)
 
 
@@ -288,14 +286,24 @@ def _exec_mark(cluster, context, values, cycle):
     return None
 
 
-def _make_empty(op: Operation, layout):
+def _out_of_range(ref: RegisterRef, instruction: Instruction) -> str:
+    return f"register {ref} out of range (instruction {instruction})"
+
+
+def _make_empty(op: Operation, layout, instruction: Instruction):
+    # Local destinations outside the GCC file were range-checked by their
+    # CHECK_PENDING steps; a remote or out-of-range GCC destination raises
+    # after the destinations before it have been emptied.
     offsets = []
+    error = None
     for dest in op.dests:
         if dest.is_remote:
-            return None  # interpreted path raises SimulationError
+            error = "empty cannot target a remote register"
+            break
         offset = layout.flat_offset(dest)
         if offset is None:
-            return None
+            error = _out_of_range(dest, instruction)
+            break
         offsets.append(offset)
     offsets = tuple(offsets)
 
@@ -303,6 +311,8 @@ def _make_empty(op: Operation, layout):
         full = context.registers._full
         for offset in offsets:
             full[offset] = False
+        if error is not None:
+            raise SimulationError(error)
         return None
     return run
 
@@ -313,7 +323,7 @@ def _exec_halt(cluster, context, values, cycle):
     return context.pc
 
 
-def _make_branch(op: Operation, simulation_error):
+def _make_branch(op: Operation):
     name = op.opcode.name
     target = op.target
     if name == "jmp":
@@ -331,17 +341,39 @@ def _make_branch(op: Operation, simulation_error):
     def run(cluster, context, values, cycle):
         condition = values[0]
         if isinstance(condition, LabelRef):
-            raise simulation_error(label_msg)
+            raise SimulationError(label_msg)
         taken = (not condition) if invert else bool(condition)
         if taken:
             if target is None:
-                raise simulation_error(untargeted_msg)
+                raise SimulationError(untargeted_msg)
             return target
         return None
     return run
 
 
-def _make_memory(op: Operation, layout):
+def _effective_address(cluster, context, address_operand, offset,
+                       is_store: bool, physical: bool) -> int:
+    """The address a memory operation accesses: a guarded pointer plus offset
+    (permission- and segment-checked), or a plain integer where protection
+    allows one (Section 2's guarded pointers)."""
+    offset = int(offset) if not isinstance(offset, LabelRef) else 0
+    if isinstance(address_operand, GuardedPointer):
+        target = address_operand.address + offset
+        required = PointerPermission.WRITE if is_store else PointerPermission.READ
+        address_operand.check(required, target)
+        return target
+    if (
+        cluster.node.protection_enabled
+        and not physical
+        and context.slot not in (EVENT_SLOT, EXCEPTION_SLOT)
+    ):
+        raise ProtectionError(
+            "memory access through a non-pointer address with protection enabled"
+        )
+    return int(address_operand) + offset
+
+
+def _make_memory(op: Operation, layout, instruction: Instruction):
     name = op.opcode.name
     physical = name in ("pld", "pst")
     is_store = op.opcode.is_store
@@ -350,16 +382,16 @@ def _make_memory(op: Operation, layout):
 
     dest = op.dest if not is_store else None
     dest_offset = None
-    is_fp = False
-    request_dest = None
+    error = None
     if dest is not None:
         if dest.is_remote:
-            return None  # interpreted path raises SimulationError
-        dest_offset = layout.flat_offset(dest)
-        if dest_offset is None:
-            return None
-        is_fp = dest.file is RegFile.FP
-        request_dest = dest.local()
+            error = "loads cannot target a remote register"
+        else:
+            dest_offset = layout.flat_offset(dest)
+            if dest_offset is None:
+                error = _out_of_range(dest, instruction)
+    is_fp = dest is not None and dest.file is RegFile.FP
+    request_dest = dest.local() if dest is not None else None
     has_offset_operand = len(op.srcs) > (2 if is_store else 1)
 
     def run(cluster, context, values, cycle):
@@ -371,8 +403,8 @@ def _make_memory(op: Operation, layout):
             store_value = None
             address_operand = values[0]
             offset = values[1] if has_offset_operand else 0
-        address = cluster._effective_address(context, address_operand, offset,
-                                             is_store, physical)
+        address = _effective_address(cluster, context, address_operand, offset,
+                                     is_store, physical)
         request = MemRequest(
             kind=kind,
             address=address,
@@ -387,7 +419,9 @@ def _make_memory(op: Operation, layout):
             issue_cycle=cycle,
             req_id=cluster.node.request_ids(),
         )
-        if dest is not None:
+        if error is not None:
+            raise SimulationError(error)
+        if dest_offset is not None:
             registers = context.registers
             registers._full[dest_offset] = False
             registers._pending[dest_offset] += 1
@@ -399,10 +433,71 @@ def _make_memory(op: Operation, layout):
     return run
 
 
-def _make_system(system_fn, op: Operation):
+def _compile_send(op: Operation, layout, instruction: Instruction, steps: list):
+    """Append a SEND's readiness steps -- every message-composition register
+    of the body full, then a send credit at the message's priority -- and
+    return its executor (Section 4.1)."""
+    length = op.srcs[2] if len(op.srcs) >= 3 else None
+    if isinstance(length, bool) or not isinstance(length, int):
+        raise _Malformed(f"send length must be an immediate (instruction {instruction})")
+    body_offsets = []
+    for index in range(length):
+        offset = None
+        if index < NUM_MC_REGS:
+            offset = layout.flat_offset(RegisterRef(RegFile.MC, index))
+        if offset is None:
+            raise _Malformed(f"register m{index} out of range (instruction {instruction})")
+        steps.append((CHECK_FULL, offset, f"message-composition register m{index} empty"))
+        body_offsets.append(offset)
+    physical = op.opcode.name == "sendp"
+    if len(op.srcs) >= 4 and isinstance(op.srcs[3], int):
+        priority = int(op.srcs[3])
+    else:
+        priority = 1 if physical else 0
+    steps.append((CHECK_SEND, priority, "network output busy or out of send credits"))
+    body_offsets = tuple(body_offsets)
+
     def run(cluster, context, values, cycle):
-        system_fn(cluster, context, op, values, cycle)
+        registers = context.registers
+        registers.reads += length
+        stored = registers._values
+        body = [stored[offset] for offset in body_offsets]
+        dip = int(values[1])
+        cluster.node.send_message(
+            cycle=cycle,
+            cluster=cluster.id,
+            vthread=context.slot,
+            dest_address=None if physical else values[0],
+            dip=dip,
+            body=body,
+            priority=priority,
+            physical_node=int(values[0]) if physical else None,
+        )
         return None
+    return run
+
+
+def _make_effect(effect):
+    def run(cluster, context, values, cycle):
+        effect(cluster, values, cycle)
+        return None
+    return run
+
+
+def _make_result(op: Operation, produce, layout):
+    actions = _dest_actions(op, layout)
+
+    def run(cluster, context, values, cycle):
+        value = produce(cluster, values)
+        for action in actions:
+            action(cluster, context, value, cycle)
+        return None
+    return run
+
+
+def _make_unknown(name: str):
+    def run(cluster, context, values, cycle):
+        raise OperandError(f"operation {name!r} has no value semantics")
     return run
 
 
@@ -415,8 +510,6 @@ def _make_value(op: Operation, evaluator, layout):
             and op.dests[0].file is not RegFile.GCC):
         dest = op.dests[0]
         dest_offset = layout.flat_offset(dest)
-        if dest_offset is None:
-            return None
 
         def run(cluster, context, values, cycle):
             try:
@@ -431,13 +524,7 @@ def _make_value(op: Operation, evaluator, layout):
             return None
         return run
 
-    actions = []
-    for dest in op.dests:
-        action = _make_dest_action(dest, latency, layout)
-        if action is None:
-            return None
-        actions.append(action)
-    actions = tuple(actions)
+    actions = _dest_actions(op, layout)
 
     def run(cluster, context, values, cycle):
         try:
@@ -450,10 +537,14 @@ def _make_value(op: Operation, evaluator, layout):
     return run
 
 
-def _make_dest_action(dest: RegisterRef, latency: int, layout):
-    # Deferred: repro.cluster.cluster imports this module at its top level.
-    from repro.cluster.cluster import RegWrite  # noqa: PLC0415
+def _dest_actions(op: Operation, layout) -> tuple:
+    """One result-delivery closure ``act(cluster, context, value, cycle)``
+    per destination of a value-producing operation."""
+    latency = max(op.opcode.latency, 1)
+    return tuple(_make_dest_action(dest, latency, layout) for dest in op.dests)
 
+
+def _make_dest_action(dest: RegisterRef, latency: int, layout):
     if dest.file is RegFile.GCC and not dest.is_remote:
         dest_local = dest.local()
         dest_index = dest.index
@@ -487,9 +578,8 @@ def _make_dest_action(dest: RegisterRef, latency: int, layout):
             )
         return act
 
+    # Range-checked by the destination's CHECK_PENDING step.
     dest_offset = layout.flat_offset(dest)
-    if dest_offset is None:
-        return None
 
     def act(cluster, context, value, cycle):
         registers = context.registers
@@ -498,3 +588,40 @@ def _make_dest_action(dest: RegisterRef, latency: int, layout):
         cluster._writebacks.append(
             (cycle + latency, context.slot, dest, value, True, dest_offset))
     return act
+
+
+# -- privileged system operations (Section 4's software runtime) -----------------
+
+def _xregwr(cluster, values, cycle) -> None:
+    cluster.node.xregwr(int(values[0]), values[1], cycle)
+
+
+def _ltlbw(cluster, values, cycle) -> None:
+    va, frame, flags = (int(v) for v in values[:3])
+    cluster.node.memory.install_translation(va, frame, flags)
+
+
+def _bsset(cluster, values, cycle) -> None:
+    cluster.node.memory.set_block_status(int(values[0]), BlockStatus(int(values[1])))
+
+
+def _syncset(cluster, values, cycle) -> None:
+    cluster.node.memory.set_sync_bit_virtual(int(values[0]), int(values[1]))
+
+
+def _ltlbp(cluster, values):
+    return cluster.node.memory.probe_translation(int(values[0]))
+
+
+def _gprobe(cluster, values):
+    return cluster.node.gtlb_node_of(int(values[0]))
+
+
+def _bsget(cluster, values):
+    return cluster.node.memory.get_block_status(int(values[0]))
+
+
+#: System operations executed for their side effect only.
+_SYSTEM_EFFECTS = {"xregwr": _xregwr, "ltlbw": _ltlbw, "bsset": _bsset, "syncset": _syncset}
+#: System operations whose result is written to their destinations.
+_SYSTEM_RESULTS = {"ltlbp": _ltlbp, "gprobe": _gprobe, "bsget": _bsget}

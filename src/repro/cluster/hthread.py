@@ -101,10 +101,6 @@ class HThreadContext:
     def finished(self) -> bool:
         return self.state in (ThreadState.HALTED, ThreadState.IDLE)
 
-    def record_stall(self, reason: str) -> None:
-        self.stall_cycles += 1
-        self.stall_reasons[reason] += 1
-
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 
     def state_dict(self) -> dict:

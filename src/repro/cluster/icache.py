@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.config import ClusterConfig
-from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.snapshot.values import decode_value, encode_value
 
@@ -29,7 +28,8 @@ class InstructionCache:
         self.config = config or ClusterConfig()
         self.name = name
         self._programs: Dict[int, Program] = {}
-        # Statistics
+        # Statistics: instruction fetches, counted by the cluster's issue
+        # stage each time it examines a resident H-Thread's next instruction.
         self.fetches = 0
 
     # -- loading -----------------------------------------------------------------
@@ -47,28 +47,6 @@ class InstructionCache:
 
     def program(self, slot: int) -> Optional[Program]:
         return self._programs.get(slot)
-
-    # -- fetch -------------------------------------------------------------------
-
-    def fetch(self, slot: int, pc: int) -> Optional[Instruction]:
-        """Fetch the instruction at *pc* for V-Thread *slot*.
-
-        Returns None when the slot has no program or the PC has run off the
-        end of the program (which the cluster treats as an implicit halt).
-        """
-        instruction = self.peek(slot, pc)
-        if instruction is not None:
-            self.fetches += 1
-        return instruction
-
-    def peek(self, slot: int, pc: int) -> Optional[Instruction]:
-        """Like :meth:`fetch` but without counting the access -- used by the
-        event kernel's readiness dry-run, which must not perturb the fetch
-        statistics the real issue stage will accrue."""
-        program = self._programs.get(slot)
-        if program is None or pc < 0 or pc >= len(program):
-            return None
-        return program[pc]
 
     # -- capacity ----------------------------------------------------------------
 

@@ -22,7 +22,7 @@ not visible to software.
 
 Storage is struct-of-arrays: all five register files live in single flat
 ``values``/``full``/``pending`` lists with per-file base offsets.  The issue
-stage's compiled dispatch plans (:mod:`repro.cluster.dispatch`) resolve a
+stage's compiled plans (:mod:`repro.cluster.dispatch`) resolve a
 :class:`~repro.isa.registers.RegisterRef` to its flat offset once at
 compile time and then index the flat lists directly on every cycle; the
 reference-taking methods below remain the API for everything off the hot
@@ -85,10 +85,12 @@ class RegisterSet:
         return self._base[ref.file] + ref.index
 
     def flat_offset(self, ref: RegisterRef) -> Optional[int]:
-        """Flat offset of *ref*, or None when the reference cannot be resolved
-        statically (special/remote/out of range) -- dispatch-compiler helper;
-        a None sends the instruction down the interpreted path, which raises
-        the same error the nested lookup would have."""
+        """Flat offset of *ref*, or None when *ref* names no register of this
+        set (a special or remote register, or an index beyond the configured
+        file).  The dispatch compiler resolves operands with it; a None for
+        a local register compiles to a ``SimulationError`` that names the
+        instruction.  Writebacks restored from a snapshot are re-resolved
+        with it too."""
         if ref.file is RegFile.SPECIAL or ref.cluster is not None:
             return None
         if ref.index >= self._sizes[ref.file]:

@@ -173,6 +173,8 @@ class SimConfig:
     This selects how the simulator spends *host* time; it has no
     architectural effect -- both kernels produce identical cycle counts and
     statistics (enforced by ``tests/integration/test_kernel_equivalence.py``).
+    The cluster issue stage has a single implementation
+    (:mod:`repro.cluster.dispatch`), so the clock driver is the only choice.
     """
 
     #: ``"event"`` -- the activity-tracked, cycle-skipping kernel of
@@ -181,14 +183,6 @@ class SimConfig:
     #: ``"naive"`` -- the reference loop: tick every node every cycle,
     #: O(cycles x nodes); kept for differential testing.
     kernel: str = "event"
-    #: Precompile each loaded program to bound executors (closures with
-    #: pre-resolved operand offsets and readiness checks) so the issue stage
-    #: skips per-cycle opcode dispatch and operand decoding.  Purely a host
-    #: optimisation: results, statistics, traces and snapshots are bit-exact
-    #: with the interpreted path (``tests/integration/
-    #: test_dispatch_equivalence.py``).  Compiled plans are derived state:
-    #: they are never serialised and are rebuilt after a snapshot restore.
-    compile_dispatch: bool = True
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 ``repro.fuzz`` generates small legal-by-construction multiprogrammed
 workloads (compute, message traffic, remote memory, guarded-pointer faults,
-SECDED bit flips, NACK storms), runs each one under every clock driver the
-simulator has — event vs naive kernel, compiled dispatch on and off — and
+SECDED bit flips, NACK storms), runs each one under both clock drivers the
+simulator has — the event kernel and the naive reference loop — and
 asserts that all observables are bit-identical, including a snapshot
 round-trip at a seeded mid-run cycle.  Failures shrink to a minimal program
 and are dumped to replayable repro files.

@@ -196,13 +196,10 @@ class GeneratedProgram:
 
     # -- machine construction -------------------------------------------------
 
-    def build_machine(
-        self, kernel: str = "event", compile_dispatch: bool = True
-    ) -> MMachine:
+    def build_machine(self, kernel: str = "event") -> MMachine:
         """Build (but do not run) the machine this program describes."""
         config = MachineConfig.small(*self.mesh)
         config.sim.kernel = kernel
-        config.sim.compile_dispatch = compile_dispatch
         apply_overrides(config, dict(self.config_overrides))
         machine = MMachine(config)
         for node, base, pages in self.mappings:

@@ -1,17 +1,17 @@
 """Differential harness: one generated program, every clock driver.
 
-Each generated program runs under the 2x2 grid of simulation back ends —
-event vs naive kernel x compiled dispatch on/off — and every observable the
-repository's equivalence suites guard must be identical: final cycle,
-machine statistics, per-context microarchitectural state including the
-per-reason stall strings, SECDED error counters, and the full event trace.
-A fifth run snapshot-round-trips at a seeded mid-run cycle and must land on
-the same final state (the PR-3 bit-exact-resume guarantee).
+Each generated program runs under both simulation kernels — the event
+kernel and the naive reference loop — and every observable the repository's
+equivalence suites guard must be identical: final cycle, machine
+statistics, per-context microarchitectural state including the per-reason
+stall strings, SECDED error counters, and the full event trace.  A third
+run snapshot-round-trips at a seeded mid-run cycle and must land on the
+same final state (the bit-exact-resume guarantee).
 
 The harness is the fuzzing analogue of
-``tests/integration/test_kernel_equivalence.py`` and
-``test_dispatch_equivalence.py``: those pin hand-picked workloads, this one
-pins whatever :mod:`repro.fuzz.generator` dreams up.
+``tests/integration/test_kernel_equivalence.py``: that suite pins
+hand-picked workloads, this one pins whatever :mod:`repro.fuzz.generator`
+dreams up.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from typing import Callable, Dict, List, Optional
 from repro.core.machine import MMachine
 from repro.fuzz.generator import GeneratedProgram, GeneratorKnobs, generate_program
 
-#: The differential grid: the baseline back end first, then every variant
+#: The differential grid: the baseline kernel first, then every variant
 #: compared against it.
-BASELINE = ("event", True)
-VARIANTS = (("event", False), ("naive", True), ("naive", False))
+BASELINE = "event"
+VARIANTS = ("naive",)
 
 
 def observe(machine: MMachine) -> Dict[str, object]:
@@ -125,7 +125,7 @@ class FuzzOutcome:
         }
 
 
-Mutator = Callable[[MMachine, str, bool], None]
+Mutator = Callable[[MMachine, str], None]
 
 
 def check_program(
@@ -142,29 +142,29 @@ def check_program(
         seed=program.seed, fingerprint=program.fingerprint, threads=len(program.threads)
     )
 
-    def run_grid_point(kernel: str, compile_dispatch: bool) -> Optional[Dict[str, object]]:
-        machine = program.build_machine(kernel=kernel, compile_dispatch=compile_dispatch)
+    def run_grid_point(kernel: str) -> Optional[Dict[str, object]]:
+        machine = program.build_machine(kernel)
         try:
             program.run(machine)
         except TimeoutError as error:
-            outcome.fail(f"run[{kernel},dispatch={compile_dispatch}]", str(error))
+            outcome.fail(f"run[{kernel}]", str(error))
             return None
         if _mutate is not None:
-            _mutate(machine, kernel, compile_dispatch)
+            _mutate(machine, kernel)
         return observe(machine)
 
-    baseline = run_grid_point(*BASELINE)
+    baseline = run_grid_point(BASELINE)
     if baseline is None:
         return outcome
     outcome.cycles = baseline["cycle"]
 
-    for kernel, compile_dispatch in VARIANTS:
-        observed = run_grid_point(kernel, compile_dispatch)
+    for kernel in VARIANTS:
+        observed = run_grid_point(kernel)
         if observed is None:
             continue
         diff = first_difference(baseline, observed)
         if diff is not None:
-            outcome.fail(f"differential[{kernel},dispatch={compile_dispatch}]", diff)
+            outcome.fail(f"differential[{kernel}]", diff)
 
     _check_snapshot_roundtrip(program, baseline, outcome, _mutate)
     return outcome
@@ -181,7 +181,7 @@ def _check_snapshot_roundtrip(
     uninterrupted baseline."""
     final_cycle = int(baseline["cycle"])
     snapshot_cycle = max(1, min(int(final_cycle * program.snapshot_fraction), final_cycle))
-    machine = program.build_machine(*BASELINE)
+    machine = program.build_machine(BASELINE)
     machine.run(snapshot_cycle)
     document = json.loads(json.dumps(machine.snapshot_document()))
     restored = MMachine.from_snapshot(document)
@@ -195,7 +195,7 @@ def _check_snapshot_roundtrip(
     if remaining > 0:
         restored.run(remaining)
     if _mutate is not None:
-        _mutate(restored, "snapshot", True)
+        _mutate(restored, "snapshot")
     diff = first_difference(baseline, observe(restored))
     if diff is not None:
         outcome.fail(f"snapshot[cycle={snapshot_cycle}]", diff)

@@ -174,8 +174,7 @@ class Node:
         )
         self.mswitch_latency = node_config.mswitch_latency
         self.clusters = [
-            Cluster(index, self, config.cluster, node_config,
-                    compile_dispatch=config.sim.compile_dispatch)
+            Cluster(index, self, config.cluster, node_config)
             for index in range(node_config.num_clusters)
         ]
 
@@ -294,12 +293,6 @@ class Node:
             if slot == EXCEPTION_SLOT:
                 return self.exception_queues[cluster_id]
         return None
-
-    def memory_port_available(self, cluster_id: int) -> bool:
-        """Each cluster has one memory-unit port onto the M-Switch; the switch
-        accepts one request per cluster per cycle, which the one-instruction-
-        per-cycle issue limit already guarantees."""
-        return True
 
     def submit_memory_request(self, request: MemRequest, cycle: int) -> None:
         self.memory.submit(request, cycle + self.mswitch_latency)

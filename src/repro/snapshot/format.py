@@ -58,6 +58,24 @@ _SECTIONS = {
     "sim": SimConfig,
 }
 
+#: Config fields that older snapshots carry but this build no longer has,
+#: per section.  They are dropped when a snapshot's config is read.
+#: ``sim.compile_dispatch`` (up to 0.9.0) chose between two implementations
+#: of the issue stage that behaved identically; only one remains.
+_RETIRED_FIELDS = {"sim": ("compile_dispatch",)}
+
+
+def _without_retired_fields(document: Dict[str, object]) -> Dict[str, object]:
+    """A shallow copy of a snapshot config with the retired fields removed."""
+    current = dict(document)
+    for section_name, names in _RETIRED_FIELDS.items():
+        section = current.get(section_name)
+        if isinstance(section, dict) and any(name in section for name in names):
+            current[section_name] = {
+                key: value for key, value in section.items() if key not in names
+            }
+    return current
+
 
 def config_to_dict(config: MachineConfig) -> Dict[str, object]:
     """Serialise a complete :class:`MachineConfig` to plain JSON data."""
@@ -76,6 +94,7 @@ def config_to_dict(config: MachineConfig) -> Dict[str, object]:
 
 def config_from_dict(document: Dict[str, object]) -> MachineConfig:
     """Rebuild a :class:`MachineConfig` from :func:`config_to_dict` output."""
+    document = _without_retired_fields(document)
     sections = {}
     for section_name, section_class in _SECTIONS.items():
         data = dict(document.get(section_name) or {})
@@ -105,6 +124,8 @@ def check_config_matches(config: MachineConfig, document: Dict[str, object]) -> 
     configuration embedded in a snapshot *document*."""
     ours = config_to_dict(config)
     theirs = document.get("config")
+    if isinstance(theirs, dict):
+        theirs = _without_retired_fields(theirs)
     if ours == theirs:
         return
     differences = []

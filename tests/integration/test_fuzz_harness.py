@@ -1,8 +1,7 @@
 """Integration tests for the differential fuzzing harness (`repro.fuzz`).
 
 Three contracts: (1) pinned seed ranges pass the full differential grid —
-event vs naive kernel x compiled dispatch on/off plus a mid-run snapshot
-round-trip; (2) a deliberately injected "kernel bug" (the mutation seam) is
+event vs naive kernel plus a mid-run snapshot round-trip; (2) a deliberately injected "kernel bug" (the mutation seam) is
 *caught* — the harness is not vacuously green; (3) failing programs shrink
 to a minimal reproducer and round-trip through the repro-file format, and
 the ``repro fuzz`` CLI drives all of it.
@@ -45,27 +44,27 @@ class TestMutationCheck:
     """A tampered observation on any grid point must be reported."""
 
     def test_stat_mutation_caught(self):
-        def mutate(machine, kernel, compile_dispatch):
-            if kernel == "naive" and compile_dispatch:
+        def mutate(machine, kernel):
+            if kernel == "naive":
                 machine.nodes[0].clusters[0].contexts[0].instructions_issued += 1
 
         outcome = check_program(generate_program(0), _mutate=mutate)
         assert not outcome.ok
         stages = [failure["stage"] for failure in outcome.failures]
-        assert stages == ["differential[naive,dispatch=True]"]
+        assert stages == ["differential[naive]"]
 
     def test_trace_mutation_caught(self):
-        def mutate(machine, kernel, compile_dispatch):
-            if kernel == "event" and not compile_dispatch:
+        def mutate(machine, kernel):
+            if kernel == "naive":
                 machine.tracer.events.pop()
 
         outcome = check_program(generate_program(2), _mutate=mutate)
         assert not outcome.ok
-        assert outcome.failures[0]["stage"] == "differential[event,dispatch=False]"
+        assert outcome.failures[0]["stage"] == "differential[naive]"
         assert "trace" in outcome.failures[0]["detail"]
 
     def test_snapshot_mutation_caught(self):
-        def mutate(machine, kernel, compile_dispatch):
+        def mutate(machine, kernel):
             if kernel == "snapshot":
                 machine.nodes[0].clusters[0].contexts[0].stall_cycles += 1
 
@@ -73,18 +72,14 @@ class TestMutationCheck:
         assert not outcome.ok
         assert outcome.failures[0]["stage"].startswith("snapshot[")
 
-    def test_every_naive_grid_point_is_actually_run(self):
+    def test_every_grid_point_is_actually_run(self):
         seen = []
 
-        def mutate(machine, kernel, compile_dispatch):
-            seen.append((kernel, compile_dispatch))
+        def mutate(machine, kernel):
+            seen.append(kernel)
 
         check_program(generate_program(0), _mutate=mutate)
-        assert ("event", True) in seen
-        assert ("event", False) in seen
-        assert ("naive", True) in seen
-        assert ("naive", False) in seen
-        assert ("snapshot", True) in seen
+        assert seen == ["event", "naive", "snapshot"]
 
 
 class TestFirstDifference:
@@ -176,7 +171,7 @@ class TestCampaign:
         real_check = harness_module.check_program
 
         def sabotaged(program, _mutate=None):
-            def mutate(machine, kernel, compile_dispatch):
+            def mutate(machine, kernel):
                 if kernel == "naive":
                     machine.nodes[0].clusters[0].contexts[0].instructions_issued += 1
 

@@ -7,7 +7,8 @@ full trace) together with the snapshot's machine state.  The digests in
 ``issue_goldens.json`` were recorded from the interpreted issue stage before
 it was removed (see the file's ``provenance`` note), so any change to
 instruction semantics, stall strings, statistics or snapshot layout shows
-up here as a digest mismatch.
+up here as a digest mismatch.  Each cluster's by-unit/by-slot counter pairs
+are hashed as the snapshot emits them, in ascending key order.
 
 Cases:
 
@@ -44,21 +45,11 @@ FAULT_HEAVY_KNOBS = GeneratorKnobs(
 )
 
 
-def _sorted_issue_counters(state: Dict[str, object]) -> Dict[str, object]:
-    """Sort each cluster's by-unit/by-slot counter pairs by key: their order
-    depends on when the issue stage last folded its counters."""
-    for node in state["nodes"]:
-        for cluster in node["clusters"]:
-            for key in ("operations_by_unit", "issue_by_slot"):
-                cluster[key] = sorted(cluster[key], key=lambda pair: pair[0])
-    return state
-
-
 def machine_digest(machine: MMachine) -> str:
     """sha256 of the machine's observable outcome plus its snapshot state."""
     document = {
         "observe": observe(machine),
-        "machine": _sorted_issue_counters(machine.snapshot_document()["machine"]),
+        "machine": machine.snapshot_document()["machine"],
     }
     payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

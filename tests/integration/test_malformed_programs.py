@@ -70,17 +70,17 @@ CASES = (
         "register-out-of-range",
         "add i3, i12, #1",
         {"num_int_regs": 8},
-        "IndexError",
-        "register i12 out of range",
+        "SimulationError",
+        "register i12 out of range (instruction add i3, i12, #1)",
         14,
     ),
     (
         "send-register-length",
         "send i1, i1, i1",
         {},
-        "TimeoutError",
-        "user threads did not finish within 200 cycles",
-        200,
+        "SimulationError",
+        "send length must be an immediate (instruction send i1, i1, i1)",
+        14,
     ),
 )
 

@@ -1,10 +1,9 @@
-"""Mid-run guarded-pointer violations must fault cleanly on every back end.
+"""Mid-run guarded-pointer violations must fault cleanly under both kernels.
 
 The existing protection tests fault on the very first instruction under the
-default event kernel only.  This file drives the full grid — event vs naive
-kernel x compiled dispatch on/off — with violations raised *mid-run* (after
-a warm-up loop has issued real work, so the compiled-dispatch plan cache is
-hot) and checks the clean-fault contract everywhere: the violating context
+default event kernel only.  This file drives both kernels — event and
+naive — with violations raised *mid-run* (after a warm-up loop has issued
+real work, so the slot's compiled plans are hot) and checks the clean-fault contract everywhere: the violating context
 parks in FAULTED, an ``exception`` trace event is recorded, innocent
 threads keep running to completion, and the machine winds down to
 quiescence instead of wedging.
@@ -18,12 +17,7 @@ from repro.fuzz.generator import VIOLATION_MODES, ThreadSpec, render_thread
 
 HEAP = 0x10000
 
-GRID = [
-    ("event", True),
-    ("event", False),
-    ("naive", True),
-    ("naive", False),
-]
+KERNELS = ["event", "naive"]
 
 #: A warm-up loop that does real guarded-pointer work before violating:
 #: the violation happens mid-run, not on the first fetched instruction.
@@ -51,11 +45,10 @@ loop:   ld i3, i1, #1
 """
 
 
-def protected_machine(kernel, compile_dispatch):
+def protected_machine(kernel):
     config = MachineConfig.single_node()
     config.runtime.protection_enabled = True
     config.sim.kernel = kernel
-    config.sim.compile_dispatch = compile_dispatch
     machine = MMachine(config)
     machine.map_on_node(0, HEAP, num_pages=1)
     machine.write_word(HEAP + 1, 5)
@@ -68,9 +61,9 @@ def exception_events(machine):
 
 
 class TestMidRunViolationGrid:
-    @pytest.mark.parametrize("kernel, compile_dispatch", GRID)
-    def test_mid_run_fault_is_clean(self, kernel, compile_dispatch):
-        machine = protected_machine(kernel, compile_dispatch)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_mid_run_fault_is_clean(self, kernel):
+        machine = protected_machine(kernel)
         rw = GuardedPointer(HEAP, 9, PointerPermission.rw())
         # i2 holds a plain integer: the final ld faults under protection.
         machine.load_hthread(
@@ -88,10 +81,10 @@ class TestMidRunViolationGrid:
         assert machine.register_value(0, 0, 1, "i5") == 50
         assert len(exception_events(machine)) == 1
 
-    @pytest.mark.parametrize("kernel, compile_dispatch", GRID)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("mode", VIOLATION_MODES)
-    def test_every_violation_mode_faults(self, kernel, compile_dispatch, mode):
-        machine = protected_machine(kernel, compile_dispatch)
+    def test_every_violation_mode_faults(self, kernel, mode):
+        machine = protected_machine(kernel)
         thread = ThreadSpec(
             node=0,
             slot=0,
@@ -106,16 +99,16 @@ class TestMidRunViolationGrid:
         assert machine.nodes[0].context(0, 0).state is ThreadState.FAULTED
         assert len(exception_events(machine)) == 1
 
-    @pytest.mark.parametrize("kernel, compile_dispatch", GRID)
-    def test_faulted_grid_points_agree(self, kernel, compile_dispatch):
-        """Every grid point reports the identical fault cycle and trace."""
-        machine = protected_machine(kernel, compile_dispatch)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_faulted_grid_points_agree(self, kernel):
+        """Both kernels report the identical fault cycle and trace."""
+        machine = protected_machine(kernel)
         rw = GuardedPointer(HEAP, 9, PointerPermission.rw())
         machine.load_hthread(
             0, 0, 0, MID_RUN_VIOLATION, registers={"i1": rw, "i2": HEAP}
         )
         machine.run_until_quiescent(max_cycles=5000)
-        reference = protected_machine("event", True)
+        reference = protected_machine("event")
         reference.load_hthread(
             0, 0, 0, MID_RUN_VIOLATION, registers={"i1": rw, "i2": HEAP}
         )
@@ -127,10 +120,10 @@ class TestMidRunViolationGrid:
 
 
 class TestFaultedMachineKeepsWorking:
-    @pytest.mark.parametrize("kernel, compile_dispatch", GRID)
-    def test_new_work_after_fault(self, kernel, compile_dispatch):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_new_work_after_fault(self, kernel):
         """A fault must not wedge the node: freshly loaded work still runs."""
-        machine = protected_machine(kernel, compile_dispatch)
+        machine = protected_machine(kernel)
         machine.load_hthread(0, 0, 0, "ld i5, i1\nhalt", registers={"i1": HEAP})
         machine.run_until_quiescent(max_cycles=2000)
         assert machine.nodes[0].context(0, 0).state is ThreadState.FAULTED

@@ -175,14 +175,6 @@ class TestRegisterSet:
 
 
 class TestInstructionCache:
-    def test_fetch(self):
-        icache = InstructionCache()
-        program = assemble("add i1, i1, #1\nhalt")
-        icache.load(0, program)
-        assert icache.fetch(0, 0) is program[0]
-        assert icache.fetch(0, 5) is None
-        assert icache.fetch(1, 0) is None
-
     def test_capacity_enforced(self):
         config = ClusterConfig(icache_words=8, words_per_instruction=4)
         icache = InstructionCache(config)
