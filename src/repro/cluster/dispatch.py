@@ -152,20 +152,13 @@ def compile_program(program: Optional[Program], cluster,
     if program is None:
         return []
     layout = cluster.contexts[slot].registers
-    share_key = (slot, layout.layout_key)
     cache_key = id(program)
     entry = _SHARED_PLANS.get(cache_key)
-    if entry is not None and entry[0]() is program:
-        per_program = entry[1]
-    else:
-        try:
-            ref = weakref.ref(
-                program, lambda _ref, _key=cache_key: _SHARED_PLANS.pop(_key, None)
-            )
-        except TypeError:  # non-weakrefable program; just don't share
-            return [_compile_instruction(instruction, layout, slot) for instruction in program]
-        per_program = {}
-        _SHARED_PLANS[cache_key] = (ref, per_program)
+    if entry is None or entry[0]() is not program:
+        ref = weakref.ref(program, lambda _ref, _key=cache_key: _SHARED_PLANS.pop(_key, None))
+        entry = _SHARED_PLANS[cache_key] = (ref, {})
+    per_program = entry[1]
+    share_key = (slot, layout.layout_key)
     plans = per_program.get(share_key)
     if plans is None:
         plans = [_compile_instruction(instruction, layout, slot) for instruction in program]
@@ -267,7 +260,7 @@ def _compile_executor(op: Operation, layout, instruction: Instruction):
     if op.opcode.is_memory:
         return _make_memory(op, layout, instruction)
     if name in _SYSTEM_EFFECTS:
-        return _make_effect(_SYSTEM_EFFECTS[name])
+        return _SYSTEM_EFFECTS[name]
     if name in _SYSTEM_RESULTS:
         return _make_result(op, _SYSTEM_RESULTS[name], layout)
     evaluator = value_evaluator(name)
@@ -477,13 +470,6 @@ def _compile_send(op: Operation, layout, instruction: Instruction, steps: list):
     return run
 
 
-def _make_effect(effect):
-    def run(cluster, context, values, cycle):
-        effect(cluster, values, cycle)
-        return None
-    return run
-
-
 def _make_result(op: Operation, produce, layout):
     actions = _dest_actions(op, layout)
 
@@ -592,20 +578,20 @@ def _make_dest_action(dest: RegisterRef, latency: int, layout):
 
 # -- privileged system operations (Section 4's software runtime) -----------------
 
-def _xregwr(cluster, values, cycle) -> None:
+def _exec_xregwr(cluster, context, values, cycle):
     cluster.node.xregwr(int(values[0]), values[1], cycle)
 
 
-def _ltlbw(cluster, values, cycle) -> None:
+def _exec_ltlbw(cluster, context, values, cycle):
     va, frame, flags = (int(v) for v in values[:3])
     cluster.node.memory.install_translation(va, frame, flags)
 
 
-def _bsset(cluster, values, cycle) -> None:
+def _exec_bsset(cluster, context, values, cycle):
     cluster.node.memory.set_block_status(int(values[0]), BlockStatus(int(values[1])))
 
 
-def _syncset(cluster, values, cycle) -> None:
+def _exec_syncset(cluster, context, values, cycle):
     cluster.node.memory.set_sync_bit_virtual(int(values[0]), int(values[1]))
 
 
@@ -621,7 +607,12 @@ def _bsget(cluster, values):
     return cluster.node.memory.get_block_status(int(values[0]))
 
 
-#: System operations executed for their side effect only.
-_SYSTEM_EFFECTS = {"xregwr": _xregwr, "ltlbw": _ltlbw, "bsset": _bsset, "syncset": _syncset}
+#: Executors of the system operations run for their side effect only.
+_SYSTEM_EFFECTS = {
+    "xregwr": _exec_xregwr,
+    "ltlbw": _exec_ltlbw,
+    "bsset": _exec_bsset,
+    "syncset": _exec_syncset,
+}
 #: System operations whose result is written to their destinations.
 _SYSTEM_RESULTS = {"ltlbp": _ltlbp, "gprobe": _gprobe, "bsget": _bsget}
