@@ -58,23 +58,19 @@ _SECTIONS = {
     "sim": SimConfig,
 }
 
-#: Config fields that older snapshots carry but this build no longer has,
-#: per section.  They are dropped when a snapshot's config is read.
 #: ``sim.compile_dispatch`` (up to 0.9.0) chose between two implementations
-#: of the issue stage that behaved identically; only one remains.
-_RETIRED_FIELDS = {"sim": ("compile_dispatch",)}
+#: of the issue stage that behaved identically; only one remains.  Snapshots
+#: that carry the field still load: it is dropped when their config is read.
+_RETIRED_SIM_FIELD = "compile_dispatch"
 
 
-def _without_retired_fields(document: Dict[str, object]) -> Dict[str, object]:
-    """A shallow copy of a snapshot config with the retired fields removed."""
-    current = dict(document)
-    for section_name, names in _RETIRED_FIELDS.items():
-        section = current.get(section_name)
-        if isinstance(section, dict) and any(name in section for name in names):
-            current[section_name] = {
-                key: value for key, value in section.items() if key not in names
-            }
-    return current
+def _without_retired_field(document: Dict[str, object]) -> Dict[str, object]:
+    """A snapshot config *document* without the retired ``sim`` field."""
+    sim = document.get("sim")
+    if not isinstance(sim, dict) or _RETIRED_SIM_FIELD not in sim:
+        return document
+    sim = {key: value for key, value in sim.items() if key != _RETIRED_SIM_FIELD}
+    return dict(document, sim=sim)
 
 
 def config_to_dict(config: MachineConfig) -> Dict[str, object]:
@@ -94,7 +90,7 @@ def config_to_dict(config: MachineConfig) -> Dict[str, object]:
 
 def config_from_dict(document: Dict[str, object]) -> MachineConfig:
     """Rebuild a :class:`MachineConfig` from :func:`config_to_dict` output."""
-    document = _without_retired_fields(document)
+    document = _without_retired_field(document)
     sections = {}
     for section_name, section_class in _SECTIONS.items():
         data = dict(document.get(section_name) or {})
@@ -125,7 +121,7 @@ def check_config_matches(config: MachineConfig, document: Dict[str, object]) -> 
     ours = config_to_dict(config)
     theirs = document.get("config")
     if isinstance(theirs, dict):
-        theirs = _without_retired_fields(theirs)
+        theirs = _without_retired_field(theirs)
     if ours == theirs:
         return
     differences = []
