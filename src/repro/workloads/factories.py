@@ -691,9 +691,9 @@ def busy_stencil(
     Every cluster runs the same three-point smoothing loop entirely in
     registers: no loads, no stores, no messages, no idle cycles.  Because an
     instruction issues on every cluster on (almost) every cycle, the event
-    kernel's idle-cycle skipping cannot help, so this workload measures raw
-    per-tick interpreter cost -- it is the busy-heavy benchmark behind
-    ``BENCH_kernel.json`` and the dispatch-compilation speedup gate.
+    kernel's idle-cycle skipping cannot help, so this workload measures the
+    raw per-tick cost of the issue stage -- it is the busy-heavy benchmark
+    behind ``BENCH_kernel.json``'s ``busy_dispatch`` and ``mesh_scaling``.
     """
     machine = _machine(mesh, kernel)
     num_clusters = machine.config.node.num_clusters
