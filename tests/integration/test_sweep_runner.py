@@ -6,9 +6,12 @@ import os
 
 import pytest
 
+from repro.api import VERIFICATION_FAILED, get_workload, unregister, workload
 from repro.cli import main
 from repro.sweep import SweepRunner, SweepSpec, AxesGroup, validate_results
-from repro.sweep.runner import RESULTS_FILENAME, RUNS_DIRNAME
+from repro.sweep.runner import RESULTS_FILENAME, RUNS_DIRNAME, execute_run
+from repro.sweep.schema import SCHEMA_VERSION
+from repro.sweep.spec import RunSpec
 
 
 def _tiny_spec():
@@ -124,6 +127,54 @@ class TestRunnerCore:
     def test_zero_jobs_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             SweepRunner(results_dir=str(tmp_path), jobs=0)
+
+
+def _unverified():
+    return {"verified": False, "cycles": 3}
+
+
+def _raises():
+    raise RuntimeError("boom")
+
+
+#: (workload, temporary factory or None, tags, status, metrics or None for
+#: the registered workload's own, last line of ``error`` or None).
+RECORD_CASES = [
+    ("area-model", None, {"figure": "t"}, "ok", None, None),
+    ("tmp-unverified", _unverified, {}, "failed",
+     {"verified": False, "cycles": 3}, VERIFICATION_FAILED),
+    ("tmp-raises", _raises, {}, "failed", {}, "RuntimeError: boom"),
+]
+
+
+@pytest.mark.parametrize("name,factory,tags,status,metrics,error", RECORD_CASES,
+                         ids=["ok", "unverified", "raises"])
+def test_execute_run_record(name, factory, tags, status, metrics, error):
+    """The whole record ``execute_run`` returns, bar its wall time."""
+    spec = RunSpec(name, {}, dict(tags))
+    if factory is not None:
+        workload(name)(factory)
+    try:
+        record = execute_run(spec)
+    finally:
+        if factory is not None:
+            unregister(name)
+    del record["wall_seconds"]
+    if "error" in record:
+        record["error"] = record["error"].rstrip().splitlines()[-1]
+    expected = {
+        "schema_version": SCHEMA_VERSION,
+        "run_id": spec.run_id,
+        "workload": name,
+        "params": {},
+        "status": status,
+        "metrics": get_workload(name).call({}) if metrics is None else metrics,
+    }
+    if error is not None:
+        expected["error"] = error
+    if tags:
+        expected["tags"] = tags
+    assert record == expected
 
 
 class TestCliSweep:
