@@ -1,31 +1,31 @@
 """Shared fixtures/utilities for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (or an
-ablation called out in DESIGN.md) and prints the corresponding rows next to
-the paper's published values, so running
+Every benchmark regenerates one of the paper's tables or figures (or one of
+the ablations the ``paper-figures`` sweep also runs, see docs/sweeps.md) and
+prints the corresponding rows next to the paper's published values, so
+running
 
     pytest benchmarks/ --benchmark-only -s
 
-produces a paper-vs-measured report (EXPERIMENTS.md is written from the same
-numbers).
+produces a paper-vs-measured report.  The same comparison for a sweep is the
+report ``repro report`` renders (the smoke sweep's is committed under
+docs/reports/smoke/); docs/architecture.md maps the modules to the paper.
 
 The machine-driving benchmarks execute their scenarios through the shared
-workload factories (:mod:`repro.workloads.factories`) — the same code path
-``repro sweep paper-figures`` uses — so sweep results and pytest results
-report identical cycle counts.  Set ``REPRO_RECORD_DIR`` to a directory to
-additionally emit one schema-valid JSON record per benchmark run, mergeable
-with sweep output.
+workload factories (:mod:`repro.workloads.factories`) and ``Experiment.run``
+— the same code path ``repro sweep paper-figures`` uses — so sweep results
+and pytest results report identical cycle counts.  Set ``REPRO_RECORD_DIR``
+to a directory to additionally emit one schema-valid JSON record per
+benchmark run, mergeable with sweep output.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
-from repro.api.result import RunResult
-from repro.api.workload import get_workload
+from repro.api.experiment import run_workload
 from repro.report.trajectory import append_session
 from repro.sweep.runner import store_record
 
@@ -73,23 +73,14 @@ def run_and_record(workload: str, **params):
 
     This is the entry point the benchmark files use, so a pytest run and a
     ``repro sweep`` run of the same (workload, params) execute the same code
-    (both go through the typed ``repro.api`` registry, and the emitted
-    record is the serialised ``RunResult`` form).
+    (both run an ``Experiment``, and the emitted record is the serialised
+    ``RunResult`` form).
     """
-    start = time.perf_counter()
-    metrics = get_workload(workload).call(params)
-    elapsed = time.perf_counter() - start
+    result = run_workload(workload, params, tags={"harness": "pytest-benchmarks"})
     record_dir = os.environ.get("REPRO_RECORD_DIR")
     if record_dir:
-        result = RunResult.from_metrics(
-            workload=workload,
-            params=params,
-            metrics=metrics,
-            wall_seconds=elapsed,
-            tags={"harness": "pytest-benchmarks"},
-        )
         store_record(result.to_record(), record_dir)
-    return metrics
+    return result.metrics
 
 
 @pytest.fixture

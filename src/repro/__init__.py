@@ -43,7 +43,6 @@ from repro.api import (
     Experiment,
     ExperimentBuilder,
     Provenance,
-    ReproDeprecationWarning,
     RunResult,
     Workload,
     WorkloadSpec,
@@ -79,7 +78,6 @@ __all__ = [
     "Experiment",
     "ExperimentBuilder",
     "Provenance",
-    "ReproDeprecationWarning",
     "RunResult",
     "Workload",
     "WorkloadSpec",

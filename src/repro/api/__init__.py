@@ -17,10 +17,9 @@ configure a machine, bind a workload, run, measure::
         result = experiment.run()
 
 Everything here is re-exported from the top-level ``repro`` package; see
-``docs/api.md`` for the walkthrough and the old->new migration table.
+``docs/api.md`` for the walkthrough.
 """
 
-from repro.api.deprecation import ReproDeprecationWarning, reset_warnings
 from repro.api.experiment import Experiment, ExperimentBuilder, Probe, run_workload
 from repro.api.result import (
     VERIFICATION_FAILED,
@@ -29,7 +28,6 @@ from repro.api.result import (
     roundtrip_problems,
 )
 from repro.api.workload import (
-    LegacyRegistry,
     Metrics,
     Workload,
     WorkloadSpec,
@@ -62,9 +60,6 @@ __all__ = [
     "workload_defaults",
     "workload_names",
     "workload_specs",
-    "LegacyRegistry",
-    "ReproDeprecationWarning",
-    "reset_warnings",
     "apply_overrides",
     "override_keys",
     "validate_override_key",

@@ -349,7 +349,9 @@ def run_workload(
         result = run_workload("stencil", kind="27pt", n_hthreads=4)
         assert result.verified
     """
-    spec = get_workload(ref) if isinstance(ref, str) else ref
     merged = dict(params or {})
     merged.update(kwparams)
-    return spec.run(merged, tags=tags)
+    builder = Experiment.builder().workload(ref).params(**merged)
+    if tags:
+        builder.tag(**tags)
+    return builder.build().run()

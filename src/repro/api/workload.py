@@ -11,8 +11,7 @@ followed.  This module gives that contract a first-class shape:
   introspected parameter defaults, a generated params dataclass, a
   description and the paper-section tag it reproduces;
 * :func:`workload` is the decorator that builds and (by default) registers
-  a spec — it replaces the bare ``WORKLOADS`` dict registry while the old
-  surface stays importable as a deprecated adapter view.
+  a spec.
 
 Lookup functions (:func:`get_workload`, :func:`workload_names`,
 :func:`workload_defaults`) lazily import the built-in factory module, so
@@ -22,25 +21,8 @@ the registry is populated on first use without an import cycle.
 from __future__ import annotations
 
 import inspect
-import time
 from dataclasses import dataclass, field, make_dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    MutableMapping,
-    Optional,
-    Protocol,
-    Tuple,
-    Type,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.api.result import RunResult
+from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Tuple, Type
 
 Metrics = Dict[str, object]
 
@@ -164,30 +146,14 @@ class WorkloadSpec:
         """Run the workload with a params mapping and return its raw metrics."""
         return self.func(**dict(params or {}))
 
-    def run(
-        self,
-        params: Optional[Mapping[str, object]] = None,
-        tags: Optional[Mapping[str, str]] = None,
-    ) -> "RunResult":
-        """Run the workload and wrap the outcome as a timed ``RunResult``."""
-
-        from repro.api.result import RunResult  # noqa: PLC0415
-
-        merged = dict(params or {})
-        self.validate_params(merged)
-        start = time.perf_counter()
-        metrics = self.call(merged)
-        return RunResult.from_metrics(
-            workload=self.name,
-            params=merged,
-            metrics=metrics,
-            wall_seconds=time.perf_counter() - start,
-            tags=tags,
-        )
-
 
 def register_spec(spec: WorkloadSpec, replace: bool = False) -> WorkloadSpec:
-    """Add *spec* to the registry; duplicate names raise unless *replace*."""
+    """Add *spec* to the registry; duplicate names raise unless *replace*.
+
+    The built-in workloads load first, so a name that clashes with one of
+    them is rejected here rather than when the built-ins are next looked up.
+    """
+    _ensure_builtins()
     if not replace and spec.name in _REGISTRY:
         raise ValueError(f"duplicate workload name {spec.name!r}")
     _REGISTRY[spec.name] = spec
@@ -258,55 +224,3 @@ def workload_specs() -> List[WorkloadSpec]:
     """All registered specs, sorted by name."""
     _ensure_builtins()
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-class LegacyRegistry(MutableMapping):
-    """``name -> bare callable`` adapter view of the typed registry.
-
-    This is what ``repro.workloads.factories.WORKLOADS`` now is: reads
-    return the raw factory function (so old introspection code keeps
-    working), writes adapt the callable into a :class:`WorkloadSpec` — which
-    keeps ``monkeypatch.setitem(WORKLOADS, ...)``-style test seams working.
-    A spec displaced by a write is remembered, and writing its original
-    function back restores it (metadata included), so a patch/undo cycle is
-    lossless.
-    """
-
-    def __init__(self) -> None:
-        #: ``name -> spec`` displaced by a write, for lossless undo.
-        self._displaced: Dict[str, WorkloadSpec] = {}
-
-    def __getitem__(self, name: str) -> Callable[..., Metrics]:
-        _ensure_builtins()
-        return _REGISTRY[name].func
-
-    def __setitem__(self, name: str, func: Callable[..., Metrics]) -> None:
-        _ensure_builtins()
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing.func is func:
-            return
-        displaced = self._displaced.get(name)
-        if displaced is not None and displaced.func is func:
-            _REGISTRY[name] = self._displaced.pop(name)
-            return
-        if existing is not None and name not in self._displaced:
-            self._displaced[name] = existing
-        register_spec(WorkloadSpec.from_callable(name, func), replace=True)
-
-    def __delitem__(self, name: str) -> None:
-        _ensure_builtins()
-        removed = _REGISTRY.pop(name)
-        # Remember the removed spec so a delete/undo cycle (what
-        # monkeypatch.delitem does) restores it with metadata intact.
-        self._displaced.setdefault(name, removed)
-
-    def __iter__(self) -> Iterator[str]:
-        _ensure_builtins()
-        return iter(_REGISTRY)
-
-    def __len__(self) -> int:
-        _ensure_builtins()
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:
-        return f"LegacyRegistry({sorted(self)!r})"

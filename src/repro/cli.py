@@ -55,7 +55,7 @@ import sys
 import tempfile
 from typing import Dict, List, Optional, Sequence
 
-from repro.api.experiment import run_workload
+from repro.api.experiment import Experiment, run_workload
 from repro.api.result import roundtrip_problems
 from repro.api.workload import get_workload, workload_names, workload_specs
 from repro.sweep.runner import SweepRunner
@@ -527,14 +527,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("repro run: --trace-chunk-events needs --trace-dir", file=sys.stderr)
         return 2
     try:
+        builder = Experiment.builder().workload(args.workload).params(**params)
         if args.trace_dir is not None:
-            from repro.api.experiment import Experiment  # noqa: PLC0415
-
-            builder = Experiment.builder().workload(args.workload, **params)
             builder.trace(args.trace_dir, chunk_events=args.trace_chunk_events)
-            result = builder.build().run()
-        else:
-            result = run_workload(args.workload, params)
+        result = builder.build().run()
     except (KeyError, TypeError, ValueError) as error:
         message = error.args[0] if error.args else error
         print(f"repro run: {message}", file=sys.stderr)

@@ -11,9 +11,9 @@ than a single overwritten measurement:
      "sessions": [{"repro_version": "0.5.0", "python": "3.11.7",
                    "benchmarks": {"kernel_throughput": {"...": 1}}}]}
 
-Schema-1 files (a single session document with a top-level ``benchmarks``
-mapping) are converted to one session on the first append.  The module is
-runnable for CI gating::
+A file that does not hold a schema-2 document (missing, unreadable, or of
+another schema) starts a fresh trajectory on the next append.  The module
+is runnable for CI gating::
 
     python -m repro.report.trajectory BENCH_kernel.json --require-nonempty
 
@@ -96,19 +96,6 @@ def make_session(benchmarks: Dict[str, Dict[str, object]]) -> Dict[str, object]:
     return session
 
 
-def _convert_schema1(document: Dict[str, object]) -> List[Dict[str, object]]:
-    """A schema-1 file was one session document; keep it as history."""
-    benchmarks = document.get("benchmarks")
-    if not isinstance(benchmarks, dict) or not benchmarks:
-        return []
-    session = {
-        "repro_version": str(document.get("repro_version", "unknown")),
-        "python": str(document.get("python", "unknown")),
-        "benchmarks": benchmarks,
-    }
-    return [] if validate_session(session) else [session]
-
-
 def load_sessions(path: str) -> List[Dict[str, object]]:
     """The existing sessions of *path* (empty for missing/unusable files)."""
     try:
@@ -116,14 +103,12 @@ def load_sessions(path: str) -> List[Dict[str, object]]:
             document = json.load(handle)
     except (OSError, json.JSONDecodeError):
         return []
-    if not isinstance(document, dict):
+    if not isinstance(document, dict) or document.get("schema_version") != SCHEMA_VERSION:
         return []
-    if document.get("schema_version") == SCHEMA_VERSION:
-        sessions = document.get("sessions")
-        if isinstance(sessions, list):
-            return [s for s in sessions if not validate_session(s)]
+    sessions = document.get("sessions")
+    if not isinstance(sessions, list):
         return []
-    return _convert_schema1(document)
+    return [s for s in sessions if not validate_session(s)]
 
 
 def append_session(
@@ -133,8 +118,8 @@ def append_session(
 ) -> Dict[str, object]:
     """Append one session for *benchmarks* to *path*; returns the document.
 
-    The file is created when missing and converted when schema-1; only the
-    newest *max_sessions* sessions are kept.
+    The file is created when missing or unusable; only the newest
+    *max_sessions* sessions are kept.
     """
     sessions = load_sessions(path)
     sessions.append(make_session(benchmarks))

@@ -16,10 +16,11 @@ with the traceback; the sweep keeps going, the merged manifest still lists
 every run, and :meth:`SweepRunner.run` reports the failure count so the CLI
 can exit nonzero while leaving a partial-results manifest behind.
 
-Runs execute through the typed facade: each worker builds a
-:class:`repro.api.result.RunResult` and serialises it at the process
-boundary, so the on-disk records are exactly the ``RunResult`` interchange
-form the report subsystem parses back.
+Runs execute through the typed facade: each worker runs an
+:class:`repro.api.experiment.Experiment` and serialises its
+:class:`repro.api.result.RunResult` at the process boundary, so the on-disk
+records are exactly the ``RunResult`` interchange form the report subsystem
+parses back.
 """
 
 from __future__ import annotations
@@ -50,30 +51,6 @@ RUNS_DIRNAME = "runs"
 CHECKPOINTS_DIRNAME = "checkpoints"
 
 
-def record_from_metrics(
-    spec: RunSpec,
-    metrics: Dict[str, object],
-    wall_seconds: float,
-    tags: Optional[Dict[str, str]] = None,
-) -> Dict[str, object]:
-    """The (schema-valid) record for a completed workload run.
-
-    Shared by the sweep runner and the pytest benchmark harness so that both
-    map ``verified`` to the record status the same way; the record is the
-    serialised form of a :class:`~repro.api.result.RunResult`.
-    """
-    from repro.api.result import RunResult  # noqa: PLC0415
-
-    return RunResult.from_metrics(
-        workload=spec.workload,
-        params=spec.params,
-        metrics=metrics,
-        wall_seconds=wall_seconds,
-        tags=tags if tags is not None else spec.tags,
-        run_id=spec.run_id,
-    ).to_record()
-
-
 def store_record(record: Dict[str, object], directory: str) -> str:
     """Write one record to ``<directory>/<run_id>.json``; returns the path."""
     os.makedirs(directory, exist_ok=True)
@@ -91,7 +68,8 @@ def execute_run(
 ) -> Dict[str, object]:
     """Execute one run in-process and return its (schema-valid) record.
 
-    Record construction is inside the try as well: a factory returning
+    The run is an :class:`~repro.api.experiment.Experiment`; record
+    construction is inside the try as well, so a factory returning
     schema-invalid metrics (e.g. a non-scalar value) yields a failed record
     like any other workload error, not an aborted sweep.
 
@@ -101,34 +79,30 @@ def execute_run(
     (:mod:`repro.snapshot.checkpoint`).  Once the run produces a record the
     checkpoints are deleted -- they only serve killed runs.
     """
+    from repro.api.experiment import Experiment  # noqa: PLC0415
+    from repro.api.result import RunResult  # noqa: PLC0415
+
     start = time.perf_counter()
-    resumed_from = None
+    result: Optional[RunResult] = None
     try:
-        workload = get_workload(spec.workload)
-        if checkpoint_every is not None and checkpoint_dir is not None:
-            from repro.snapshot.checkpoint import checkpoint_context  # noqa: PLC0415
-
-            with checkpoint_context(checkpoint_dir, every=checkpoint_every) as policy:
-                metrics = workload.call(spec.params)
-            if policy.resumes:
-                resumed_from = policy.resumes[0][1]
-        else:
-            metrics = workload.call(spec.params)
-        record = record_from_metrics(spec, metrics, time.perf_counter() - start)
+        result = Experiment(
+            get_workload(spec.workload),
+            spec.params,
+            tags=spec.tags,
+            checkpoint_dir=checkpoint_dir if checkpoint_every is not None else None,
+            checkpoint_every=checkpoint_every,
+        ).run()
+        record = result.to_record()
     except Exception:
-        from repro.api.result import RunResult  # noqa: PLC0415
-
         record = RunResult.from_error(
             workload=spec.workload,
             params=spec.params,
             error=traceback.format_exc(limit=20),
             wall_seconds=time.perf_counter() - start,
-            tags=spec.tags,
+            # A resumed run whose metrics fail the schema keeps its resume tag.
+            tags=result.tags if result is not None else spec.tags,
             run_id=spec.run_id,
         ).to_record()
-    if resumed_from is not None:
-        record["tags"] = dict(record.get("tags") or {})
-        record["tags"]["resumed_from_cycle"] = str(resumed_from)
     if checkpoint_dir is not None:
         shutil.rmtree(checkpoint_dir, ignore_errors=True)
     return record

@@ -7,10 +7,8 @@ Figure 6, and microbenchmark accesses for Table 1 / Figure 9.  This package
 generates those kernels as MAP assembly plus the data placement and expected
 results needed to verify them.
 
-The registry surface re-exported here (``WORKLOADS``, ``register``,
-``run_workload``, ``workload_params``, ``workload_names``) is the
-deprecated pre-:mod:`repro.api` dialect — it keeps working bit-exactly but
-warns once per process; new code should use the typed facade
+The named paper-figure workloads live in :mod:`repro.workloads.factories`
+and are looked up and run through the typed facade
 (``from repro import workload, run_workload, get_workload``).
 """
 
@@ -29,20 +27,8 @@ from repro.workloads.microbench import (
     compute_loop_program,
 )
 from repro.workloads.synthetic import many_to_one_store_programs, uniform_traffic_programs
-from repro.workloads.factories import (
-    WORKLOADS,
-    register,
-    run_workload,
-    workload_names,
-    workload_params,
-)
 
 __all__ = [
-    "WORKLOADS",
-    "register",
-    "run_workload",
-    "workload_names",
-    "workload_params",
     "Grid3D",
     "StencilWorkload",
     "SEVEN_POINT_OFFSETS",

@@ -22,94 +22,21 @@ Conventions:
   factories report ``cycles`` (simulated cycles) and ``verified`` (the
   workload's own correctness check); analytic factories (area model, GTLB
   mapping, Table 1) report their own headline numbers.
-
-The pre-``repro.api`` module surface (``WORKLOADS``, :func:`register`,
-:func:`run_workload`, :func:`workload_params`, :func:`workload_names`)
-remains importable as deprecated, bit-exact shims over the typed registry;
-new code should use :mod:`repro.api` instead.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.api.deprecation import warn_once
-from repro.api.workload import (
-    LegacyRegistry,
-    WorkloadSpec,
-    get_workload,
-    register_spec,
-    workload,
-)
-from repro.api.workload import workload_defaults as _api_workload_defaults
-from repro.api.workload import workload_names as _api_workload_names
+from repro.api.workload import workload
 from repro.core.config import MachineConfig, apply_overrides
 from repro.core.machine import MMachine
 from repro.isa.assembler import assemble
 
-WorkloadFactory = Callable[..., Dict[str, object]]
-
-#: Deprecated adapter view of the typed registry (``name -> bare callable``);
-#: kept so existing ``WORKLOADS[...]`` reads and test monkeypatching work.
-WORKLOADS = LegacyRegistry()
-
 HEAP = 0x10000
 REGION = 0x40000
-
-
-def register(name: str) -> Callable[[WorkloadFactory], WorkloadFactory]:
-    """Deprecated: register *factory* under *name* (decorator).
-
-    Use the :func:`repro.api.workload` decorator instead, which also records
-    a description and paper-section tag.
-    """
-    warn_once(
-        "workloads.factories.register",
-        "repro.workloads.factories.register is deprecated; "
-        "use the @repro.workload decorator instead",
-    )
-
-    def wrap(factory: WorkloadFactory) -> WorkloadFactory:
-        register_spec(WorkloadSpec.from_callable(name, factory))
-        return factory
-
-    return wrap
-
-
-def workload_names() -> List[str]:
-    """Deprecated: all workload names (use :func:`repro.api.workload_names`)."""
-    warn_once(
-        "workloads.factories.workload_names",
-        "repro.workloads.factories.workload_names is deprecated; "
-        "use repro.api.workload_names instead",
-    )
-    return _api_workload_names()
-
-
-def workload_params(name: str) -> Dict[str, object]:
-    """Deprecated: default parameters of workload *name* (use
-    :func:`repro.api.workload_defaults`)."""
-    warn_once(
-        "workloads.factories.workload_params",
-        "repro.workloads.factories.workload_params is deprecated; "
-        "use repro.api.workload_defaults instead",
-    )
-    return _api_workload_defaults(name)
-
-
-def run_workload(name: str, params: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """Deprecated: run workload *name* with *params* and return its metrics
-    dict (use :func:`repro.api.run_workload`, which returns a typed
-    :class:`~repro.api.result.RunResult`)."""
-    warn_once(
-        "workloads.factories.run_workload",
-        "repro.workloads.factories.run_workload is deprecated; use "
-        "repro.api.run_workload (returns a RunResult; its .metrics is this "
-        "function's return value) instead",
-    )
-    return get_workload(name).call(params)
 
 
 # ---------------------------------------------------------------------------

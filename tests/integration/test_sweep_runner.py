@@ -105,16 +105,23 @@ class TestRunnerCore:
         resumed = SweepRunner(results_dir=str(tmp_path), jobs=1, log=_quiet)
         assert resumed.run(_tiny_spec()).executed == 0
 
-    def test_schema_invalid_metrics_become_a_failed_record(self, tmp_path, monkeypatch):
+    def test_schema_invalid_metrics_become_a_failed_record(self, tmp_path):
         """A factory returning non-scalar metrics yields a failed record and
         a partial manifest, not an aborted sweep."""
-        from repro.workloads import factories
 
-        monkeypatch.setitem(
-            factories.WORKLOADS, "area-model", lambda **kw: {"counts": [1, 2, 3]}
-        )
+        @workload("tmp-non-scalar")
+        def non_scalar():
+            return {"counts": [1, 2, 3]}
+
+        spec = SweepSpec(name="mixed", groups=[
+            AxesGroup("area-model"),
+            AxesGroup("tmp-non-scalar"),
+        ])
         runner = SweepRunner(results_dir=str(tmp_path), jobs=1, log=_quiet)
-        result = runner.run(_tiny_spec())
+        try:
+            result = runner.run(spec)
+        finally:
+            unregister("tmp-non-scalar")
         assert len(result.failed) == 1
         assert "not a JSON scalar" in result.failed[0]["error"]
         assert (tmp_path / RESULTS_FILENAME).exists()

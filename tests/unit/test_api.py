@@ -7,6 +7,9 @@ checkpointing).
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +35,8 @@ from repro.core.config import (
 )
 from repro.sweep.schema import SCHEMA_VERSION
 from repro.sweep.spec import RunSpec
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +137,24 @@ class TestWorkloadRegistry:
                 """Clashes with the built-in stencil."""
                 return {}
 
+    def test_duplicate_of_unloaded_builtin_rejected(self):
+        """In a fresh process the built-ins are not loaded yet; registering
+        one of their names must still fail at the decorator, leaving the
+        built-in intact."""
+        script = (
+            "from repro.api import get_workload, workload\n"
+            "try:\n"
+            "    workload('stencil')(lambda: {})\n"
+            "except ValueError:\n"
+            "    print(get_workload('stencil').section)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "Figure 5"
+
     def test_unregistered_spec_stays_local(self):
         @workload("tmp-local", register=False)
         def local(n: int = 2):
@@ -153,58 +176,6 @@ class TestWorkloadRegistry:
         spec = get_workload("stencil")
         with pytest.raises(ValueError, match="'bogus'; valid: kind, n_hthreads"):
             spec.validate_params({"bogus": 1})
-
-    def test_legacy_registry_view_stays_in_sync(self):
-        from repro.workloads.factories import WORKLOADS
-
-        assert WORKLOADS["stencil"] is get_workload("stencil").func
-        assert "stencil" in WORKLOADS
-        assert len(WORKLOADS) == len(workload_names())
-
-    def test_legacy_registry_setitem_roundtrip_preserves_spec(self):
-        from repro.workloads.factories import WORKLOADS
-
-        original = get_workload("stencil")
-        WORKLOADS["stencil"] = original.func  # same func: must be a no-op
-        assert get_workload("stencil") is original
-
-    def test_legacy_registry_patch_undo_restores_metadata(self):
-        """A monkeypatch.setitem/undo cycle must not strip the spec's
-        section/description (the displaced spec is restored verbatim)."""
-        from repro.workloads.factories import WORKLOADS
-
-        original = get_workload("area-model")
-        WORKLOADS["area-model"] = lambda **kw: {"verified": True}
-        assert get_workload("area-model") is not original
-        WORKLOADS["area-model"] = original.func  # what monkeypatch undo does
-        assert get_workload("area-model") is original
-        assert get_workload("area-model").section == "Sections 1/5"
-
-    def test_legacy_registry_delete_undo_restores_metadata(self):
-        """A monkeypatch.delitem/undo cycle must restore the displaced spec
-        (metadata included), like the setitem round-trip does."""
-        from repro.workloads.factories import WORKLOADS
-
-        original = get_workload("area-model")
-        saved_func = WORKLOADS["area-model"]
-        del WORKLOADS["area-model"]
-        assert "area-model" not in workload_names()
-        WORKLOADS["area-model"] = saved_func  # what monkeypatch undo does
-        assert get_workload("area-model") is original
-        assert get_workload("area-model").section == "Sections 1/5"
-
-    def test_legacy_registry_setitem_adapts_callables(self):
-        from repro.workloads.factories import WORKLOADS
-
-        def fake(**kw):
-            return {"verified": True}
-
-        WORKLOADS["tmp-fake"] = fake
-        try:
-            assert get_workload("tmp-fake").func is fake
-        finally:
-            del WORKLOADS["tmp-fake"]
-        assert "tmp-fake" not in workload_names()
 
 
 # ---------------------------------------------------------------------------

@@ -69,18 +69,6 @@ class TestAppend:
         trajectory.append_session(path, {})
         assert len(trajectory.load_sessions(path)) == 1
 
-    def test_converts_schema1_document(self, path):
-        with open(path, "w") as handle:
-            json.dump({
-                "schema_version": 1,
-                "repro_version": "0.4.0",
-                "python": "3.11.7",
-                "benchmarks": {"kernel_throughput": {"speedup_vs_naive": 11.1}},
-            }, handle)
-        document = trajectory.append_session(path, {"kernel": {"speed": 3}})
-        assert len(document["sessions"]) == 2
-        assert document["sessions"][0]["repro_version"] == "0.4.0"
-
     def test_corrupt_file_is_replaced(self, path):
         with open(path, "w") as handle:
             handle.write("{nope")
