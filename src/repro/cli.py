@@ -548,26 +548,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         tracer = Tracer.open(args.trace_dir, machine=args.machine)
+        if args.trace_command == "stats":
+            print(json.dumps(tracer.sink.stats(), indent=2, sort_keys=True))
+            return 0
+        # dump and filter stream event by event: constant memory regardless of
+        # trace size; a corrupt chunk surfaces only when it is reached.
+        events = tracer.iter_filter(category=args.category, node=args.node, since=args.since)
+        printed = 0
+        for event in events:
+            if args.limit is not None and printed >= args.limit:
+                break
+            if args.trace_command == "dump":
+                print(event)
+            else:
+                print(json.dumps(encode_event(event), separators=(",", ":")))
+            printed += 1
     except TraceDirError as error:
         print(f"repro trace: {error}", file=sys.stderr)
         return 2
-    if args.trace_command == "stats":
-        print(json.dumps(tracer.sink.stats(), indent=2, sort_keys=True))
-        return 0
-    # dump and filter stream event by event: constant memory regardless of
-    # trace size.
-    events = tracer.iter_filter(
-        category=args.category, node=args.node, since=args.since
-    )
-    printed = 0
-    for event in events:
-        if args.limit is not None and printed >= args.limit:
-            break
-        if args.trace_command == "dump":
-            print(event)
-        else:
-            print(json.dumps(encode_event(event), separators=(",", ":")))
-        printed += 1
     return 0
 
 

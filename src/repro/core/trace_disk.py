@@ -32,6 +32,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import zlib
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.trace import TraceEvent, _match, decode_event, encode_event
@@ -91,9 +92,12 @@ def _read_index(directory: str) -> Optional[dict]:
     path = os.path.join(directory, TRACE_INDEX_NAME)
     if not os.path.isfile(path):
         return None
-    with open(path, "r", encoding="utf-8") as handle:
-        index = json.load(handle)
-    if index.get("format") != TRACE_FORMAT_NAME:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            index = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise TraceDirError(f"cannot read {path}: {error}") from error
+    if not isinstance(index, dict) or index.get("format") != TRACE_FORMAT_NAME:
         raise TraceDirError(f"{path} is not a {TRACE_FORMAT_NAME} index")
     if index.get("format_version") != TRACE_FORMAT_VERSION:
         raise TraceDirError(
@@ -126,10 +130,15 @@ def _write_chunk(path: str, rows: List[list]) -> None:
 
 
 def _iter_chunk_rows(path: str) -> Iterator[list]:
-    with gzip.open(path, "rt", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                yield json.loads(line)
+    # A chunk cut short by a killed writer or a bad copy surfaces as a
+    # gzip, zlib, decoding or JSON error; all of them name the file.
+    try:
+        with gzip.open(path, "rt", encoding="utf-8") as handle:
+            for line in handle:
+                if line.strip():
+                    yield json.loads(line)
+    except (OSError, EOFError, ValueError, zlib.error) as error:
+        raise TraceDirError(f"cannot read trace chunk {path}: {error}") from error
 
 
 class DiskTraceSink:

@@ -1,6 +1,7 @@
 """Unit tests for the ``repro`` CLI: parsing, list/run/validate commands."""
 
 import json
+import os
 
 import pytest
 
@@ -128,6 +129,18 @@ class TestTraceCommand:
     def test_missing_trace_dir_exits_2(self, tmp_path, capsys):
         assert main(["trace", "stats", str(tmp_path / "absent")]) == 2
         assert "trace" in capsys.readouterr().err
+
+    def test_truncated_chunk_exits_2(self, tmp_path, capsys):
+        trace_dir = self._record_run(tmp_path, capsys)
+        chunk = os.path.join(trace_dir, "machine-0", "chunk-00000.jsonl.gz")
+        with open(chunk, "rb") as handle:
+            data = handle.read()
+        with open(chunk, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        assert main(["trace", "dump", trace_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro trace: ") and chunk in err
+        assert "Traceback" not in err
 
     def test_missing_machine_exits_2(self, tmp_path, capsys):
         trace_dir = self._record_run(tmp_path, capsys)

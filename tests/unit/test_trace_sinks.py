@@ -11,6 +11,7 @@ encode-cache regression.
 import gzip
 import json
 import os
+import re
 
 import pytest
 
@@ -207,6 +208,51 @@ def test_index_rejects_foreign_and_future_formats(tmp_path):
     )
     with pytest.raises(TraceDirError):
         DiskTraceSink(tmp_path, readonly=True)
+
+
+def _truncate_index(directory):
+    path = directory / "index.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _list_index(directory):
+    (directory / "index.json").write_text("[]")
+
+
+def _cut_gzip_stream(directory):
+    path = directory / "chunk-00000.jsonl.gz"
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _cut_last_json_line(directory):
+    path = directory / "chunk-00000.jsonl.gz"
+    with gzip.open(path, "rt") as handle:
+        text = handle.read()
+    with gzip.open(path, "wt") as handle:
+        handle.write(text[:-5])
+
+
+#: (corruption, the file the error must name).
+CORRUPT_TRACES = [
+    (_truncate_index, "index.json"),
+    (_list_index, "index.json"),
+    (_cut_gzip_stream, "chunk-00000.jsonl.gz"),
+    (_cut_last_json_line, "chunk-00000.jsonl.gz"),
+]
+
+
+@pytest.mark.parametrize("corrupt,filename", CORRUPT_TRACES,
+                         ids=["truncated-index", "list-index",
+                              "cut-gzip-stream", "cut-json-line"])
+def test_corrupt_trace_dir_raises_trace_dir_error(tmp_path, corrupt, filename):
+    tracer = Tracer(sink=DiskTraceSink(tmp_path, chunk_events=4))
+    _record_n(tracer, 10)
+    tracer.flush()
+    corrupt(tmp_path)
+    with pytest.raises(TraceDirError, match=re.escape(str(tmp_path / filename))):
+        list(Tracer.open(tmp_path).iter_filter())
 
 
 def test_chunk_lines_are_plain_json(tmp_path):
