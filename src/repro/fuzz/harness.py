@@ -228,13 +228,22 @@ def dump_repro(
 
 
 def load_repro(path: str) -> GeneratedProgram:
-    """Load a repro file; prefers the shrunk program when present."""
+    """Load a repro file; prefers the shrunk program when present.
+
+    A program that does not decode (a wrong type or a missing field
+    anywhere in it) raises ``ValueError`` naming the file.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "program" not in payload:
         raise ValueError(f"{path} is not a fuzz repro file")
     data = payload.get("shrunk") or payload["program"]
-    return GeneratedProgram.from_dict(data)
+    try:
+        return GeneratedProgram.from_dict(data)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(
+            f"{path} holds a malformed fuzz program ({type(error).__name__}: {error})"
+        ) from error
 
 
 def fuzz_many(

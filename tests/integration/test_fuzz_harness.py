@@ -8,6 +8,7 @@ the ``repro fuzz`` CLI drives all of it.
 """
 
 import json
+import re
 
 import pytest
 
@@ -22,6 +23,22 @@ from repro.fuzz import (
     load_repro,
     shrink_program,
 )
+
+
+def _repro_with(**program_changes):
+    program = generate_program(0).to_dict()
+    program.update(program_changes)
+    return {"fuzz_repro": 1, "program": program}
+
+
+#: Repro files whose program does not decode into a ``GeneratedProgram``.
+MALFORMED_REPROS = {
+    "program-int": {"fuzz_repro": 1, "program": 5},
+    "knobs-int": _repro_with(knobs=5),
+    "mesh-int": _repro_with(mesh=5),
+    "thread-int": _repro_with(threads=[5]),
+    "shrunk-list": dict(_repro_with(), shrunk=[1, 2]),
+}
 
 
 class TestDifferentialGrid:
@@ -155,6 +172,13 @@ class TestShrinkAndRepro:
         with pytest.raises(ValueError):
             load_repro(str(path))
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_REPROS))
+    def test_load_repro_rejects_malformed_programs(self, tmp_path, name):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(MALFORMED_REPROS[name]))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_repro(str(path))
+
 
 class TestCampaign:
     def test_fuzz_many_summary(self):
@@ -219,6 +243,13 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["seed"] == 1
+
+    def test_fuzz_cli_replay_malformed_program(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(MALFORMED_REPROS["program-int"]))
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load" in err and "malformed fuzz program" in err
 
     def test_fuzz_cli_replay_missing_file(self, capsys):
         assert main(["fuzz", "--replay", "/nonexistent/repro.json"]) == 2
