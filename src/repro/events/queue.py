@@ -26,14 +26,9 @@ class QueueOverflowError(Exception):
     not check :meth:`HardwareQueue.can_accept` first."""
 
 
-class QueueUnderflowError(QueueOverflowError):
+class QueueUnderflowError(Exception):
     """Raised when popping from an empty queue (or popping a record that is
-    only partially present).
-
-    Subclasses :class:`QueueOverflowError` for backward compatibility:
-    historical code raised the overflow error for both directions, so
-    ``except QueueOverflowError`` continues to catch underflows too.
-    """
+    only partially present)."""
 
 
 class HardwareQueue:

@@ -21,7 +21,12 @@ from repro.core.config import (
 from repro.core.latency_model import LatencyModel, PAPER_REMOTE_READ_STEPS, PAPER_TABLE1
 from repro.core.stats import format_table
 from repro.core.trace import Tracer
-from repro.events.queue import EventQueue, HardwareQueue, QueueOverflowError
+from repro.events.queue import (
+    EventQueue,
+    HardwareQueue,
+    QueueOverflowError,
+    QueueUnderflowError,
+)
 from repro.events.records import EVENT_RECORD_WORDS, EventRecord, EventType
 from repro.isa.assembler import assemble
 from repro.isa.registers import parse_register
@@ -95,8 +100,21 @@ class TestQueuesAndRecords:
         assert queue.overflow_rejections == 1
 
     def test_pop_empty_raises(self):
-        with pytest.raises(QueueOverflowError):
-            HardwareQueue(2).pop_word()
+        def partly_consumed_record():
+            queue = EventQueue(2)
+            assert queue.push_record(EventRecord(event_type=EventType.LTLB_MISS))
+            queue.pop_word()
+            return queue.pop_record
+
+        underflows = {
+            "pop_word, empty queue": HardwareQueue(2).pop_word,
+            "pop_record, empty queue": EventQueue(2).pop_record,
+            "pop_record, partly consumed record": partly_consumed_record(),
+        }
+        for case, pop in underflows.items():
+            with pytest.raises(QueueUnderflowError) as raised:
+                pop()
+            assert not isinstance(raised.value, QueueOverflowError), case
 
     def test_event_record_word_roundtrip(self):
         record = EventRecord(event_type=EventType.LTLB_MISS, address=0x1234, data=55,
