@@ -35,8 +35,9 @@ Or drive a machine by hand::
     machine.run_until_user_done()
     assert machine.read_word(0x10000) == 42
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-vs-measured results.
+See ``docs/architecture.md`` for the system inventory, and the report that
+``repro report`` renders (committed for the smoke sweep under
+``docs/reports/smoke/``) for the paper-vs-measured results.
 """
 
 from repro.api import (
@@ -72,7 +73,7 @@ from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, Prot
 from repro.memory.page_table import BlockStatus
 from repro.runtime.loader import SharedArray, make_shared_array
 
-__version__ = "0.10.0"
+__version__ = "1.0.0"
 
 __all__ = [
     "Experiment",
