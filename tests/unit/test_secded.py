@@ -7,9 +7,19 @@ every region of the codeword (data, Hamming check, overall parity), the
 double-bit detected-uncorrectable path with syndrome accounting, and the
 corrected/detected counters of the `Sdram` model including their snapshot
 round-trip and pre-counter snapshot back-compat.
+
+`_reference_encode` and `_reference_decode` are the positional loops the
+module was first written with, kept here verbatim as the oracle: the codec
+must give the same codeword, the same ``(data, corrected)`` pair and the same
+`SecdedError` message for every input, including ints that no encode
+produces (negative ones, bits above 71), because a restored snapshot can
+carry any int.
 """
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.memory.sdram import Sdram
 from repro.memory.secded import (
@@ -22,6 +32,90 @@ from repro.memory.secded import (
     inject_error,
     secded_decode,
     secded_encode,
+)
+
+_WORD_MASK = (1 << DATA_BITS) - 1
+
+
+def _parity(value: int) -> int:
+    return bin(value).count("1") & 1
+
+
+def _reference_encode(word: int) -> int:
+    """Encode a 64-bit data word into a 72-bit SECDED codeword."""
+    word &= _WORD_MASK
+    codeword = 0
+    for bit_index, position in enumerate(_DATA_POSITIONS):
+        if (word >> bit_index) & 1:
+            codeword |= 1 << position
+    # Hamming check bits.
+    for i, position in enumerate(_CHECK_POSITIONS):
+        covered = 0
+        for pos in range(1, CODEWORD_BITS):
+            if pos & position and (codeword >> pos) & 1:
+                covered ^= 1
+        if covered:
+            codeword |= 1 << position
+    # Overall parity over positions 1..71 stored at position 0.
+    if _parity(codeword >> 1):
+        codeword |= 1
+    return codeword
+
+
+def _reference_decode(codeword: int):
+    """Decode a 72-bit codeword.
+
+    Returns ``(data_word, corrected)`` where *corrected* is True when a
+    single-bit error was found and repaired.
+
+    Raises
+    ------
+    SecdedError
+        When a double-bit error is detected.
+    """
+    syndrome = 0
+    for i, position in enumerate(_CHECK_POSITIONS):
+        covered = 0
+        for pos in range(1, CODEWORD_BITS):
+            if pos & position and (codeword >> pos) & 1:
+                covered ^= 1
+        if covered:
+            syndrome |= position
+    overall = _parity(codeword)
+
+    corrected = False
+    if syndrome != 0 and overall == 1:
+        # Single-bit error at position `syndrome`: correct it.
+        codeword ^= 1 << syndrome
+        corrected = True
+    elif syndrome != 0 and overall == 0:
+        # Non-zero syndrome but even overall parity: two bits flipped.
+        raise SecdedError(f"uncorrectable double-bit error (syndrome {syndrome:#x})")
+    elif syndrome == 0 and overall == 1:
+        # The parity bit itself flipped; data is intact.
+        codeword ^= 1
+        corrected = True
+
+    data = 0
+    for bit_index, position in enumerate(_DATA_POSITIONS):
+        if (codeword >> position) & 1:
+            data |= 1 << bit_index
+    return data, corrected
+
+
+def _outcome(decode, codeword):
+    """What *decode* makes of *codeword*: its result or its error message."""
+    try:
+        return decode(codeword)
+    except SecdedError as error:
+        return "SecdedError", str(error)
+
+
+WORD = st.integers(min_value=0, max_value=_WORD_MASK)
+
+#: 1-3 distinct flips inside the codeword.
+FLIPS = st.lists(
+    st.integers(min_value=0, max_value=CODEWORD_BITS - 1), min_size=1, max_size=3, unique=True
 )
 
 WORDS = [
@@ -49,6 +143,33 @@ class TestCodeGeometry:
     def test_encode_masks_to_64_bits(self):
         assert secded_encode(1 << 64) == secded_encode(0)
         assert secded_encode((1 << 65) | 5) == secded_encode(5)
+
+
+class TestReference:
+    """The codec against the positional loops it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers())
+    def test_encode_matches_reference(self, word):
+        assert secded_encode(word) == _reference_encode(word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(WORD)
+    def test_clean_decode_matches_reference(self, word):
+        codeword = _reference_encode(word)
+        assert _outcome(secded_decode, codeword) == _outcome(_reference_decode, codeword)
+
+    @settings(max_examples=300, deadline=None)
+    @given(WORD, FLIPS)
+    def test_flipped_decode_matches_reference(self, word, flips):
+        codeword = inject_error(_reference_encode(word), flips)
+        assert _outcome(secded_decode, codeword) == _outcome(_reference_decode, codeword)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(), st.integers(min_value=-(1 << 90), max_value=1 << 90)))
+    def test_any_int_decodes_like_reference(self, codeword):
+        # Negative ints and bits above 71: a restored snapshot can hold them.
+        assert _outcome(secded_decode, codeword) == _outcome(_reference_decode, codeword)
 
 
 class TestRoundTrip:
@@ -89,11 +210,15 @@ class TestSingleBitCorrection:
 
 class TestDoubleBitDetection:
     @pytest.mark.parametrize("word", [0, 0xDEADBEEF, (1 << 64) - 1])
-    def test_adjacent_pairs_detected(self, word):
+    def test_every_pair_detected_like_reference(self, word):
         codeword = secded_encode(word)
-        for position in range(CODEWORD_BITS - 1):
-            with pytest.raises(SecdedError):
-                secded_decode(inject_error(codeword, [position, position + 1]))
+        pairs = list(combinations(range(CODEWORD_BITS), 2))
+        assert len(pairs) == 2556
+        for pair in pairs:
+            flipped = inject_error(codeword, pair)
+            expected = _outcome(_reference_decode, flipped)
+            assert expected[0] == "SecdedError", pair
+            assert _outcome(secded_decode, flipped) == expected, pair
 
     def test_parity_plus_data_pair_detected(self):
         # Parity bit + any other bit: non-zero syndrome with even overall
