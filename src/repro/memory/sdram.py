@@ -119,7 +119,8 @@ class Sdram:
     def read_word(self, address: int):
         self._check_address(address)
         self.reads += 1
-        stored = self._words.get(address, 0 if not self.secded_enabled else secded_encode(0))
+        # An unwritten word reads 0: raw storage holds 0 and 0's codeword is 0.
+        stored = self._words.get(address, 0)
         if self.secded_enabled and isinstance(stored, int):
             try:
                 value, corrected = secded_decode(stored)
