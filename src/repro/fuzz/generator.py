@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import MachineConfig, apply_overrides
 from repro.core.machine import MMachine
 from repro.memory.guarded_pointer import PointerPermission, make_pointer
+from repro.memory.secded import CODEWORD_BITS
 from repro.sweep.spec import config_fingerprint
 
 #: Private per-thread heap slices (one page each) start here.
@@ -131,6 +132,25 @@ class ThreadSpec:
         )
 
 
+def _flips(entries, bits: int) -> List[tuple]:
+    """Decode ``(node, vaddr, bit...)`` flip entries with *bits* bits each.
+
+    Raises ``ValueError`` unless every bit lies inside the SECDED codeword
+    and the bits of one entry differ: a flip outside the codeword is not a
+    memory error, and a bit flipped twice cancels out.
+    """
+    flips = [tuple(entry) for entry in entries or []]
+    for flip in flips:
+        if len(flip) != 2 + bits:
+            raise ValueError(f"flip {list(flip)} needs a node, an address and {bits} bit(s)")
+        for bit in flip[2:]:
+            if type(bit) is not int or not 0 <= bit < CODEWORD_BITS:
+                raise ValueError(f"flip bit {bit!r} outside the {CODEWORD_BITS}-bit codeword")
+        if len(set(flip[2:])) != bits:
+            raise ValueError(f"double flip {list(flip)} names bit {flip[2]} twice")
+    return flips
+
+
 @dataclass
 class GeneratedProgram:
     """A complete generated scenario, serialisable for repro files."""
@@ -187,8 +207,8 @@ class GeneratedProgram:
             config_overrides=dict(data.get("config_overrides") or {}),
             mappings=[tuple(entry) for entry in data.get("mappings") or []],
             initial_words=[tuple(entry) for entry in data.get("initial_words") or []],
-            single_flips=[tuple(entry) for entry in data.get("single_flips") or []],
-            double_flips=[tuple(entry) for entry in data.get("double_flips") or []],
+            single_flips=_flips(data.get("single_flips"), bits=1),
+            double_flips=_flips(data.get("double_flips"), bits=2),
             threads=[ThreadSpec.from_dict(t) for t in data.get("threads") or []],
             snapshot_fraction=float(data.get("snapshot_fraction", 0.5)),
             max_cycles=int(data.get("max_cycles", 120_000)),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.memory.secded import SecdedError, secded_decode, secded_encode
+from repro.memory.secded import SecdedError, inject_error, secded_decode, secded_encode
 from repro.snapshot.values import decode_value, encode_value
 
 
@@ -159,16 +159,19 @@ class Sdram:
     # -- fault injection ---------------------------------------------------------
 
     def inject_bit_error(self, address: int, bit_positions: Iterable[int]) -> None:
-        """Flip bits of the stored codeword at *address* (requires SECDED)."""
+        """Flip bits of the stored codeword at *address* (requires SECDED).
+
+        Every position must lie inside the codeword, in
+        ``[0, CODEWORD_BITS)``; otherwise ``ValueError`` is raised and the
+        stored word is left as it was.
+        """
         if not self.secded_enabled:
             raise RuntimeError("bit-error injection requires SECDED-encoded storage")
         self._check_address(address)
-        stored = self._words.get(address, secded_encode(0))
+        stored = self._words.get(address, 0)
         if not isinstance(stored, int):
             raise RuntimeError("cannot inject bit errors into tagged (non-integer) words")
-        for position in bit_positions:
-            stored ^= 1 << position
-        self._words[address] = stored
+        self._words[address] = inject_error(stored, bit_positions)
 
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 

@@ -23,6 +23,7 @@ from repro.fuzz import (
     load_repro,
     shrink_program,
 )
+from repro.fuzz.generator import POISON_BASE, SECDED_BASE
 
 
 def _repro_with(**program_changes):
@@ -38,6 +39,11 @@ MALFORMED_REPROS = {
     "mesh-int": _repro_with(mesh=5),
     "thread-int": _repro_with(threads=[5]),
     "shrunk-list": dict(_repro_with(), shrunk=[1, 2]),
+    # SECDED flips must land inside the 72-bit codeword, and a double flip
+    # must name two different bits (one bit flipped twice cancels out).
+    "flip-bit-80": _repro_with(single_flips=[[0, SECDED_BASE, 80]]),
+    "flip-bit-negative": _repro_with(single_flips=[[0, SECDED_BASE, -1]]),
+    "double-flip-same-bit": _repro_with(double_flips=[[0, POISON_BASE, 7, 7]]),
 }
 
 
@@ -250,6 +256,13 @@ class TestCli:
         assert main(["fuzz", "--replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert "cannot load" in err and "malformed fuzz program" in err
+
+    def test_fuzz_cli_replay_flip_outside_the_codeword(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(MALFORMED_REPROS["flip-bit-80"]))
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load" in err and "outside the 72-bit codeword" in err
 
     def test_fuzz_cli_replay_missing_file(self, capsys):
         assert main(["fuzz", "--replay", "/nonexistent/repro.json"]) == 2

@@ -283,6 +283,18 @@ class TestSdramAccounting:
             sdram.read_word(7)
         assert (sdram.corrected_errors, sdram.detected_errors) == (3, 1)
 
+    @pytest.mark.parametrize("positions", [[72], [80], [-1], [5, 72]])
+    def test_injection_outside_the_codeword_rejected(self, positions):
+        sdram = Sdram(size_words=64)
+        sdram.write_word(3, 777)
+        before = sdram.state_dict()["words"]
+        with pytest.raises(ValueError, match="outside the 72-bit codeword"):
+            sdram.inject_bit_error(3, positions)
+        # Nothing was stored, not even a valid flip named before the bad one.
+        assert sdram.state_dict()["words"] == before
+        assert sdram.read_word(3) == 777
+        assert (sdram.corrected_errors, sdram.detected_errors) == (0, 0)
+
     def test_injection_requires_secded(self):
         sdram = Sdram(size_words=64, secded_enabled=False)
         sdram.write_word(3, 777)
