@@ -17,11 +17,13 @@ issue's acceptance criteria (in practice the ratio is far higher).
 """
 
 import os
+import random
 import time
 
 from conftest import record_trajectory, report
 from repro import MMachine, MachineConfig
 from repro.api import ExperimentBuilder
+from repro.memory.sdram import Sdram
 
 REGION = 0x40000
 REPEATS = 24
@@ -31,6 +33,9 @@ REPEATS = 24
 #: dispatch compilation -- both O(nodes)) amortises identically and the
 #: per-node-tick throughput comparison isolates the per-cycle hot path.
 MESH_MATRIX = ((4, 4, 1, 120), (8, 8, 1, 120), (16, 16, 1, 120))
+
+#: Words written and read back by the SDRAM/SECDED throughput benchmark.
+SDRAM_WORDS = 4096
 
 
 def _remote_read_chain(repeats: int = REPEATS) -> str:
@@ -349,4 +354,42 @@ def test_snapshot_save_restore_overhead(tmp_path):
         f"save              {best_save * 1e3:>10.2f} ms",
         f"restore           {best_restore * 1e3:>10.2f} ms",
         f"snapshot size     {size_bytes:>10d} bytes",
+    ])
+
+
+def test_sdram_secded_throughput():
+    """Memory-layer throughput: SECDED-encoded SDRAM words per second.
+
+    Writes SDRAM_WORDS seeded 64-bit words through one ``Sdram`` with SECDED
+    on, then reads them back, so every write encodes a codeword and every
+    read decodes one (repro/memory/secded.py).  The rates are recorded in
+    the trajectory, not gated: the host's speed drifts by up to 2x, and
+    ``python -m bench`` gates the end-to-end effect on coherent-share-4x4.
+    """
+    rng = random.Random(0)
+    values = [rng.getrandbits(64) for _ in range(SDRAM_WORDS)]
+    sdram = Sdram(secded_enabled=True)
+
+    start = time.perf_counter()
+    for address, value in enumerate(values):
+        sdram.write_word(address, value)
+    write_elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    read_back = [sdram.read_word(address) for address in range(SDRAM_WORDS)]
+    read_elapsed = time.perf_counter() - start
+
+    assert read_back == values
+    assert sdram.corrected_errors == 0
+    write_rate = SDRAM_WORDS / write_elapsed
+    read_rate = SDRAM_WORDS / read_elapsed
+    record_trajectory(
+        "sdram_secded",
+        words=SDRAM_WORDS,
+        write_words_per_second=round(write_rate),
+        read_words_per_second=round(read_rate),
+    )
+    report("SDRAM throughput with SECDED (one Sdram, seeded 64-bit words)", [
+        f"words                   {SDRAM_WORDS}",
+        f"write                   {write_rate:>12.0f} words/s",
+        f"read                    {read_rate:>12.0f} words/s",
     ])
