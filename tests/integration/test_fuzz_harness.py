@@ -44,6 +44,7 @@ MALFORMED_REPROS = {
     "flip-bit-80": _repro_with(single_flips=[[0, SECDED_BASE, 80]]),
     "flip-bit-negative": _repro_with(single_flips=[[0, SECDED_BASE, -1]]),
     "double-flip-same-bit": _repro_with(double_flips=[[0, POISON_BASE, 7, 7]]),
+    "single-flip-two-bits": _repro_with(single_flips=[[0, SECDED_BASE, 3, 4]]),
 }
 
 
