@@ -23,7 +23,7 @@ of the 9 codeword bytes.  An encode is then the XOR of 8 table entries and a
 decode the XOR of 9, plus the overall parity of the whole int and, after a
 single-bit error, one entry of a 128-entry table that maps the syndrome to
 the data bit it names.  The 17 byte tables and the flip table take about
-0.3 MB and about 1 ms to build; ``tests/unit/test_secded.py`` pins both
+0.2 MB and about 1 ms to build; ``tests/unit/test_secded.py`` pins both
 functions to the positional loops, kept there as the reference.
 """
 
