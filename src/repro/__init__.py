@@ -73,7 +73,7 @@ from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, Prot
 from repro.memory.page_table import BlockStatus
 from repro.runtime.loader import SharedArray, make_shared_array
 
-__version__ = "1.0.0"
+__version__ = "1.0.1"
 
 __all__ = [
     "Experiment",
