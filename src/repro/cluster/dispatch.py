@@ -588,7 +588,12 @@ def _exec_ltlbw(cluster, context, values, cycle):
 
 
 def _exec_bsset(cluster, context, values, cycle):
-    cluster.node.memory.set_block_status(int(values[0]), BlockStatus(int(values[1])))
+    # An unmapped address (KeyError) or a status outside the two bits
+    # (ValueError) is a malformed operand, reported with the instruction.
+    try:
+        cluster.node.memory.set_block_status(int(values[0]), BlockStatus(int(values[1])))
+    except (KeyError, ValueError) as exc:
+        raise OperandError(str(exc.args[0])) from exc
 
 
 def _exec_syncset(cluster, context, values, cycle):

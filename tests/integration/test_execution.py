@@ -5,7 +5,9 @@ V-Threads, global CC registers) and exception behaviour."""
 import pytest
 
 from repro import MMachine, MachineConfig, EVENT_SLOT
+from repro.cluster.dispatch import SimulationError
 from repro.cluster.hthread import ThreadState
+from repro.memory.page_table import BlockStatus
 from repro.workloads.microbench import (
     cc_barrier_programs,
     cc_loop_sync_programs,
@@ -291,3 +293,55 @@ wait:       add i2, i2, #1
         machine.run_until_user_done(max_cycles=40000)
         assert machine.register_value(0, 0, 0, "i5") == 1234
         assert machine.nodes[0].memory.sync_faults >= 1
+
+
+class TestPrivilegedOperations:
+    """The privileged operations that no runtime handler issues, run from the
+    event slot with no runtime installed and one page mapped at ``HEAP``."""
+
+    PROGRAM = """
+        nop
+        syncset i1, #1
+        bsset i2, #1
+        bsget i3, i2
+        ltlbp i4, i2
+        ltlbp i5, i6
+        halt
+    """
+    UNMAPPED = 0x900000
+
+    def _machine(self, kernel, program, registers):
+        config = MachineConfig.single_node()
+        config.runtime.shared_memory_mode = "none"
+        config.sim.kernel = kernel
+        machine = MMachine(config)
+        machine.map_on_node(0, HEAP, num_pages=1)
+        machine.load_hthread(0, EVENT_SLOT, 0, program, registers=registers)
+        return machine
+
+    @pytest.mark.parametrize("kernel", ["event", "naive"])
+    def test_operation_table(self, kernel):
+        machine = self._machine(kernel, self.PROGRAM,
+                                {"i1": HEAP + 8, "i2": HEAP, "i6": self.UNMAPPED})
+        memory = machine.nodes[0].memory
+        assert memory.debug_sync_bit(HEAP + 8) == 0
+        assert machine.run_until_quiescent() == 11
+        assert machine.thread_halted(0, EVENT_SLOT, 0)
+        observed = {
+            "syncset: sync bit of HEAP + 8": memory.debug_sync_bit(HEAP + 8),
+            "bsget after bsset #1": machine.register_value(0, EVENT_SLOT, 0, "i3"),
+            "ltlbp of a mapped address": machine.register_value(0, EVENT_SLOT, 0, "i4"),
+            "ltlbp of an unmapped address": machine.register_value(0, EVENT_SLOT, 0, "i5"),
+        }
+        assert observed == {
+            "syncset: sync bit of HEAP + 8": 1,
+            "bsget after bsset #1": BlockStatus.READ_ONLY,
+            "ltlbp of a mapped address": 0,
+            "ltlbp of an unmapped address": -1,
+        }
+        # A bsset on an unmapped address is a malformed operand: it names
+        # the instruction like every other execution-time malformation.
+        machine = self._machine(kernel, "bsset i2, #1\nhalt", {"i2": self.UNMAPPED})
+        with pytest.raises(SimulationError, match=(
+                r"^bsset: no mapping for 0x900000 on node 0 \(instruction bsset i2, #1\)$")):
+            machine.run_until_quiescent()
