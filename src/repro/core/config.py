@@ -247,8 +247,9 @@ class MachineConfig:
             raise ValueError("exception slot outside the V-Thread slot range")
         if self.memory.page_size_words % self.memory.line_size_words:
             raise ValueError("page size must be a whole number of blocks")
-        if any(dim <= 0 for dim in self.network.mesh_shape):
-            raise ValueError("mesh dimensions must be positive")
+        shape = self.network.mesh_shape
+        if len(shape) != 3 or any(not isinstance(dim, int) or dim <= 0 for dim in shape):
+            raise ValueError(f"mesh shape must be three positive ints, got {shape!r}")
         if self.network.max_body_words > self.cluster.num_mc_regs:
             raise ValueError(
                 "message body length cannot exceed the number of message-composition registers"

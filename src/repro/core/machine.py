@@ -80,6 +80,18 @@ def construction_hooks(
             _MACHINE_HOOKS.remove(machine_hook)
 
 
+@contextmanager
+def _malformed(section: str) -> Iterator[None]:
+    """Turn the errors a malformed snapshot *section* raises while it is
+    read into a :class:`SnapshotError` that names the section."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError) as error:
+        raise SnapshotError(
+            f"snapshot {section} section is malformed: {type(error).__name__}: {error}"
+        ) from error
+
+
 class MMachine:
     """A complete M-Machine: nodes, mesh network, runtime and clock."""
 
@@ -413,6 +425,9 @@ class MMachine:
         touched -- the id allocators are machine-owned, so other machines in
         the process are unaffected."""
 
+        cycle = state["cycle"]
+        if type(cycle) is not int or cycle < 0:
+            raise SnapshotError(f"snapshot cycle must be a non-negative int, got {cycle!r}")
         counters = state["id_counters"]
         self.request_ids.load_state(counters["mem_request"])
         self.message_ids.load_state(counters["message"])
@@ -433,7 +448,7 @@ class MMachine:
                     "has no coherence runtime installed"
                 )
             self.runtime.coherence.load_state_dict(coherence_state)
-        self.cycle = state["cycle"]
+        self.cycle = cycle
         # Rebuild the clock driver: all nodes awake, no stale wakeups.
         if self.kernel is not None:
             self.kernel = SimulationKernel(self)
@@ -456,18 +471,21 @@ class MMachine:
     def restore_snapshot(self, document: Dict[str, object]) -> None:
         """Load a snapshot *document* into this machine, refusing with
         :class:`~repro.snapshot.format.ConfigMismatchError` when the
-        machine's configuration differs from the embedded one."""
+        machine's configuration differs from the embedded one and with
+        :class:`SnapshotError` when the machine state is malformed."""
         from repro.snapshot.format import check_config_matches, validate_document  # noqa: PLC0415
 
         validate_document(document)
         check_config_matches(self.config, document)
-        self.load_state_dict(document["machine"])
+        with _malformed("machine"):
+            self.load_state_dict(document["machine"])
 
     @classmethod
     def from_snapshot(cls, source) -> "MMachine":
         """Rebuild a machine from a snapshot: *source* is a path or an
         already-loaded document.  The machine is constructed from the
-        embedded configuration, then the state is loaded into it."""
+        embedded configuration, then the state is loaded into it; a
+        malformed configuration or state raises :class:`SnapshotError`."""
         from repro.snapshot.format import (  # noqa: PLC0415
             config_from_dict,
             read_snapshot,
@@ -478,10 +496,12 @@ class MMachine:
             document = source
             validate_document(document)
         else:
-
             document = read_snapshot(os.fspath(source))
-        machine = cls(config_from_dict(document["config"]))
-        machine.load_state_dict(document["machine"])
+        with _malformed("config"):
+            config = config_from_dict(document["config"])
+        machine = cls(config)
+        with _malformed("machine"):
+            machine.load_state_dict(document["machine"])
         return machine
 
     # ------------------------------------------------------------------ statistics

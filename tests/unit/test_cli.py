@@ -345,3 +345,15 @@ class TestSnapshotResumeCommands:
     def test_resume_unreadable_snapshot_exits_2(self, tmp_path, capsys):
         assert main(["resume", str(tmp_path / "absent.json")]) == 2
         assert "cannot read snapshot" in capsys.readouterr().err
+
+    def test_resume_malformed_snapshot_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        assert main(["snapshot", "ping-pong", "--param", "rounds=4", "--at-cycle", "40",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        document = json.loads(path.read_text())
+        del document["machine"]["nodes"][0]["clusters"]
+        path.write_text(json.dumps(document))
+        assert main(["resume", str(path)]) == 2
+        assert "repro resume: snapshot machine section is malformed: KeyError" in (
+            capsys.readouterr().err)

@@ -29,6 +29,9 @@ from repro.snapshot import (
 )
 from repro.snapshot.format import validate_document
 
+#: Marks a document field that a malformed-document case deletes.
+DELETE = object()
+
 
 def roundtrip(value):
     # Force a real JSON round trip so int keys / tuples cannot leak through.
@@ -204,6 +207,40 @@ class TestFileFormat:
         document["machine"]["nodes"] = []
         with pytest.raises(SnapshotError):
             machine.load_state_dict(document["machine"])
+
+    @pytest.mark.parametrize("path, value, error", [
+        pytest.param(("machine", "nodes"), DELETE, "machine section is malformed: KeyError",
+                     id="nodes-missing"),
+        pytest.param(("machine", "nodes", 0, "clusters"), DELETE,
+                     "machine section is malformed: KeyError", id="clusters-missing"),
+        pytest.param(("machine", "nodes"), {"0": {}}, "machine section is malformed: TypeError",
+                     id="nodes-not-a-list"),
+        pytest.param(("machine", "cycle"), "20", "cycle must be a non-negative int",
+                     id="cycle-not-an-int"),
+        pytest.param(("config", "network", "mesh_shape"), [2, 2],
+                     "config section is malformed: ValueError: mesh shape", id="mesh-2d"),
+        pytest.param(("config", "network", "mesh_shape"), [2, -1, 1],
+                     "config section is malformed: ValueError: mesh shape",
+                     id="mesh-negative"),
+    ])
+    def test_malformed_document_raises_snapshot_error(self, path, value, error):
+        document = json.loads(json.dumps(self._machine().snapshot_document()))
+        *parents, last = path
+        target = document
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        with pytest.raises(SnapshotError, match=error):
+            MMachine.from_snapshot(document)
+
+    def test_restore_snapshot_rejects_malformed_state(self):
+        document = json.loads(json.dumps(self._machine().snapshot_document()))
+        del document["machine"]["nodes"][0]["clusters"]
+        with pytest.raises(SnapshotError, match="machine section is malformed: KeyError"):
+            MMachine(MachineConfig.single_node()).restore_snapshot(document)
 
     def test_from_snapshot_restores_architectural_state(self):
         machine = self._machine()
