@@ -10,7 +10,7 @@ import pytest
 from conftest import report
 from repro import MMachine, MachineConfig
 from repro.analysis.timeline import extract_remote_access_timeline
-from repro.core.latency_model import PAPER_REMOTE_READ_STEPS, PAPER_TABLE1
+from repro.report.expected import PAPER_REMOTE_READ_STEPS, PAPER_TABLE1
 
 REGION = 0x40000
 

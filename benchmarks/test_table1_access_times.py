@@ -15,8 +15,8 @@ import pytest
 
 from conftest import report, run_and_record
 from repro.analysis.latency import SCENARIOS
-from repro.core.latency_model import PAPER_TABLE1
 from repro.core.stats import format_table
+from repro.report.expected import PAPER_TABLE1
 
 
 def _measure_all():

@@ -67,11 +67,9 @@ from repro.core.config import (
 from repro.core.machine import MMachine
 from repro.core.stats import MachineStats, format_table
 from repro.core.area_model import AreaModel, TechnologyPoint, TECH_1993, TECH_1996
-from repro.core.latency_model import LatencyModel, PAPER_TABLE1, PAPER_REMOTE_READ_STEPS
 from repro.isa import Program, assemble, AssemblyError
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.memory.page_table import BlockStatus
-from repro.runtime.loader import SharedArray, make_shared_array
 
 __version__ = "1.0.1"
 
@@ -103,9 +101,6 @@ __all__ = [
     "TechnologyPoint",
     "TECH_1993",
     "TECH_1996",
-    "LatencyModel",
-    "PAPER_TABLE1",
-    "PAPER_REMOTE_READ_STEPS",
     "Program",
     "assemble",
     "AssemblyError",
@@ -113,7 +108,5 @@ __all__ = [
     "PointerPermission",
     "ProtectionError",
     "BlockStatus",
-    "SharedArray",
-    "make_shared_array",
     "__version__",
 ]

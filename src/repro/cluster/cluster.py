@@ -146,15 +146,6 @@ class Cluster:
     # ------------------------------------------------------------------ queries
 
     @property
-    def busy(self) -> bool:
-        """True while any resident H-Thread has not halted or writebacks are
-        outstanding."""
-        return (
-            any(ctx.state is _RUNNABLE for ctx in self.contexts)
-            or bool(self._writebacks)
-        )
-
-    @property
     def user_threads_finished(self) -> bool:
         return all(
             ctx.finished

@@ -173,10 +173,6 @@ def evaluate_operation(operation: Operation, source_values: List[object]):
         raise OperandError(f"bad operands for {name}: {source_values!r}") from exc
 
 
-def has_value_semantics(name: str) -> bool:
-    return name in _INT_EVAL or name in _FP_EVAL
-
-
 def value_evaluator(name: str):
     """The evaluator callable for *name*, or None when the opcode has no
     value semantics (used by the dispatch compiler to resolve the opcode

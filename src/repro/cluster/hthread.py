@@ -94,10 +94,6 @@ class HThreadContext:
         return self.state is ThreadState.RUNNABLE
 
     @property
-    def is_resident(self) -> bool:
-        return self.state is not ThreadState.IDLE
-
-    @property
     def finished(self) -> bool:
         return self.state in (ThreadState.HALTED, ThreadState.IDLE)
 

@@ -42,9 +42,6 @@ class InstructionCache:
                 f"capacity is {self.config.icache_words}"
             )
 
-    def unload(self, slot: int) -> None:
-        self._programs.pop(slot, None)
-
     def program(self, slot: int) -> Optional[Program]:
         return self._programs.get(slot)
 

@@ -1,6 +1,6 @@
 """Core package: machine configuration, the top-level machine model,
-statistics, and the analytical area/latency models used by the paper's
-technology argument."""
+statistics, and the analytical area model used by the paper's technology
+argument."""
 
 from repro.core.config import (
     ClusterConfig,
@@ -13,7 +13,6 @@ from repro.core.config import (
 from repro.core.machine import MMachine
 from repro.core.stats import MachineStats
 from repro.core.area_model import TechnologyPoint, AreaModel
-from repro.core.latency_model import LatencyModel
 
 __all__ = [
     "ClusterConfig",
@@ -26,5 +25,4 @@ __all__ = [
     "MachineStats",
     "TechnologyPoint",
     "AreaModel",
-    "LatencyModel",
 ]

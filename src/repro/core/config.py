@@ -131,8 +131,6 @@ class NodeConfig:
 
     num_clusters: int = NUM_CLUSTERS
     num_vthread_slots: int = NUM_VTHREAD_SLOTS
-    event_slot: int = EVENT_SLOT
-    exception_slot: int = EXCEPTION_SLOT
     #: Capacity of each asynchronous event queue, in records.
     event_queue_records: int = 64
     #: Capacity of each per-cluster synchronous-exception queue, in records.
@@ -241,9 +239,9 @@ class MachineConfig:
         """Sanity-check structural parameters; raises ValueError on nonsense."""
         if self.node.num_clusters <= 0:
             raise ValueError("a MAP chip needs at least one cluster")
-        if self.node.event_slot >= self.node.num_vthread_slots:
+        if EVENT_SLOT >= self.node.num_vthread_slots:
             raise ValueError("event slot outside the V-Thread slot range")
-        if self.node.exception_slot >= self.node.num_vthread_slots:
+        if EXCEPTION_SLOT >= self.node.num_vthread_slots:
             raise ValueError("exception slot outside the V-Thread slot range")
         if self.memory.page_size_words % self.memory.line_size_words:
             raise ValueError("page size must be a whole number of blocks")

@@ -75,9 +75,6 @@ class HardwareQueue:
         self.max_occupancy = max(self.max_occupancy, len(self._words))
         return True
 
-    def push_word(self, word: int) -> bool:
-        return self.push_words([word])
-
     def pop_word(self) -> int:
         if not self._words:
             raise QueueUnderflowError(f"pop from empty queue {self.name!r}")

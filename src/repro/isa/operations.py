@@ -372,13 +372,6 @@ class Operation:
     def dest(self) -> Optional[RegisterRef]:
         return self.dests[0] if self.dests else None
 
-    def register_sources(self) -> List[RegisterRef]:
-        """Source operands that are registers."""
-        return [s for s in self.srcs if isinstance(s, RegisterRef)]
-
-    def register_dests(self) -> List[RegisterRef]:
-        return list(self.dests)
-
     def __str__(self) -> str:
         parts = []
         for dest in self.dests:

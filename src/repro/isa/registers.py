@@ -157,10 +157,6 @@ class RegisterRef:
         """True for the read-only identity registers (``nid``/``cid``/``vid``/``zero``)."""
         return self.is_special and not SPECIAL_REGISTERS[self.name]["queue"]
 
-    @property
-    def is_float(self) -> bool:
-        return self.file is RegFile.FP
-
     # -- formatting -------------------------------------------------------------
 
     def __str__(self) -> str:

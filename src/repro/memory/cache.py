@@ -101,9 +101,6 @@ class InterleavedCache:
         """Bank a word access must use (port arbitration)."""
         return address % self.num_banks
 
-    def line_base(self, address: int) -> int:
-        return address - (address % self.line_size_words)
-
     def _set_and_tag(self, address: int) -> Tuple[int, int]:
         line_number = address // self.line_size_words
         return line_number % self.num_sets, line_number // self.num_sets

@@ -78,9 +78,6 @@ class Ltlb:
             return True
         return False
 
-    def invalidate_all(self) -> None:
-        self._entries.clear()
-
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 
     def state_dict(self) -> dict:

@@ -134,9 +134,6 @@ class MemorySystem:
             bank = self.cache.bank_of(request.address)
             self._bank_queues[bank].append((arrival_cycle, request))
 
-    def bank_queue_depth(self, bank: int) -> int:
-        return len(self._bank_queues[bank])
-
     # -------------------------------------------------------------------- tick
 
     def tick(self, cycle: int) -> List[MemResponse]:

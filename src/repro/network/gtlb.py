@@ -116,8 +116,7 @@ class GtlbEntry:
         """Pack into the Figure 8 bit layout.
 
         The fields exceed 64 bits in total, so the packed entry occupies two
-        words; this method returns the combined integer and
-        :meth:`pack_words` splits it.
+        words; this method returns them as one combined integer.
         """
         if self.base_page >= (1 << VIRTUAL_PAGE_BITS):
             raise ValueError("virtual page number does not fit the 42-bit field")
@@ -129,10 +128,6 @@ class GtlbEntry:
         for e in self.extent:
             value = (value << EXTENT_BITS) | (e & ((1 << EXTENT_BITS) - 1))
         return value
-
-    def pack_words(self) -> Tuple[int, int]:
-        packed = self.pack()
-        return (packed >> 64) & ((1 << 64) - 1), packed & ((1 << 64) - 1)
 
     @classmethod
     def unpack(cls, value: int, page_size_words: int = 512) -> "GtlbEntry":

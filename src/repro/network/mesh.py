@@ -196,9 +196,5 @@ class MeshNetwork:
             return None
         return min(flight.deliver_cycle for flight in self._in_flight)
 
-    @property
-    def average_latency(self) -> float:
-        return self.total_latency / self.messages_delivered if self.messages_delivered else 0.0
-
     def __repr__(self) -> str:
         return f"MeshNetwork(shape={self.shape}, in_flight={self.in_flight})"

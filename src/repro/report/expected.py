@@ -1,5 +1,11 @@
 """The paper's published values, with per-metric acceptance bands.
 
+This module is the single home of the numbers the paper publishes: Table 1's
+access times and the Section 4.2 remote-read step costs
+(:data:`PAPER_TABLE1`, :data:`PAPER_REMOTE_READ_STEPS`), the Figure 5
+static depths (:data:`PAPER_DEPTHS`), and the paper values of the
+expectation catalog below.  Renderers and benchmarks import them from here.
+
 Every expectation names a measured quantity (a metric of one sweep record, a
 ratio between two records that differ in one parameter, or a ratio between
 two metrics of the same record), the paper's published value where one
@@ -22,6 +28,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+
+#: Table 1 of the paper: access times in cycles, per scenario and access kind.
+PAPER_TABLE1: Dict[str, Dict[str, int]] = {
+    "local_cache_hit": {"read": 3, "write": 2},
+    "local_cache_miss": {"read": 13, "write": 19},
+    "local_ltlb_miss": {"read": 61, "write": 67},
+    "remote_cache_hit": {"read": 138, "write": 74},
+    "remote_cache_miss": {"read": 154, "write": 90},
+    "remote_ltlb_miss": {"read": 202, "write": 138},
+}
+
+#: The remote-read step breakdown of Section 4.2 (cycles per step).
+PAPER_REMOTE_READ_STEPS: Dict[str, int] = {
+    "cache_miss_detect": 2,
+    "ltlb_miss_event": 2,
+    "local_handler": 48,
+    "request_network": 5,
+    "remote_handler": 29,
+    "reply_network": 5,
+    "reply_decode": 41,
+}
 
 #: The paper's published static instruction depths (Figure 5 / Section 3.1).
 #: Single source for both the rendered Figure 5 table/chart and the fig5/*
@@ -86,41 +113,42 @@ class RecordRatioExpectation:
 
 
 def _table1_expectations() -> Tuple[object, ...]:
-    # (scenario, kind) -> (paper value, lo, hi).  The hardware-only rows are
-    # exact; the handler-dominated rows carry the known offset of this
-    # repository's shorter handlers (roughly 0.4-0.85x the paper's counts).
+    # (scenario, kind) -> (lo, hi).  The hardware-only rows are exact; the
+    # handler-dominated rows carry the known offset of this repository's
+    # shorter handlers (roughly 0.4-0.85x the paper's counts).
     bands = {
-        ("local_cache_hit", "read"): (3, 3, 3),
-        ("local_cache_hit", "write"): (2, 2, 2),
-        ("local_cache_miss", "read"): (13, 13, 13),
-        ("local_cache_miss", "write"): (19, 19, 19),
-        ("local_ltlb_miss", "read"): (61, 31, 80),
-        ("local_ltlb_miss", "write"): (67, 34, 87),
-        ("remote_cache_hit", "read"): (138, 35, 166),
-        ("remote_cache_hit", "write"): (74, 19, 89),
-        ("remote_cache_miss", "read"): (154, 39, 185),
-        ("remote_cache_miss", "write"): (90, 23, 108),
-        ("remote_ltlb_miss", "read"): (202, 51, 243),
-        ("remote_ltlb_miss", "write"): (138, 35, 166),
+        ("local_cache_hit", "read"): (3, 3),
+        ("local_cache_hit", "write"): (2, 2),
+        ("local_cache_miss", "read"): (13, 13),
+        ("local_cache_miss", "write"): (19, 19),
+        ("local_ltlb_miss", "read"): (31, 80),
+        ("local_ltlb_miss", "write"): (34, 87),
+        ("remote_cache_hit", "read"): (35, 166),
+        ("remote_cache_hit", "write"): (19, 89),
+        ("remote_cache_miss", "read"): (39, 185),
+        ("remote_cache_miss", "write"): (23, 108),
+        ("remote_ltlb_miss", "read"): (51, 243),
+        ("remote_ltlb_miss", "write"): (35, 166),
     }
     expectations = []
-    for (scenario, kind), (paper, lo, hi) in bands.items():
+    for (scenario, kind), (lo, hi) in bands.items():
         expectations.append(Expectation(
             key=f"table1/{scenario}/{kind}",
             section="Table 1",
             workload="table1-access-times",
             metric=f"{scenario}_{kind}",
-            paper=paper,
+            paper=PAPER_TABLE1[scenario][kind],
             lo=lo,
             hi=hi,
         ))
+    remote_hit = PAPER_TABLE1["remote_cache_hit"]
     expectations.append(RecordRatioExpectation(
         key="table1/remote-hit-read-vs-local-ltlb-read",
         section="Table 1",
         workload="table1-access-times",
         num_metric="remote_cache_hit_read",
         den_metric="local_ltlb_miss_read",
-        paper=round(138 / 61, 2),
+        paper=round(remote_hit["read"] / PAPER_TABLE1["local_ltlb_miss"]["read"], 2),
         lo=1.0,
         hi=3.5,
         note="'a remote read that hits in the cache is only about twice as "
@@ -132,7 +160,7 @@ def _table1_expectations() -> Tuple[object, ...]:
         workload="table1-access-times",
         num_metric="remote_cache_hit_write",
         den_metric="remote_cache_hit_read",
-        paper=round(74 / 138, 2),
+        paper=round(remote_hit["write"] / remote_hit["read"], 2),
         lo=0.1,
         hi=0.99,
         note="remote writes complete without the reply-decode tail",
@@ -281,7 +309,7 @@ def _catalog() -> Tuple[object, ...]:
             workload="remote-access-timeline",
             metric="total_cycles",
             params={"kind": "read"},
-            paper=138,
+            paper=PAPER_TABLE1["remote_cache_hit"]["read"],
             lo=35,
             hi=166,
             note="same band as the Table 1 remote cache-hit read",
@@ -292,7 +320,7 @@ def _catalog() -> Tuple[object, ...]:
             workload="remote-access-timeline",
             metric="total_cycles",
             params={"kind": "write"},
-            paper=74,
+            paper=PAPER_TABLE1["remote_cache_hit"]["write"],
             lo=19,
             hi=89,
             note="same band as the Table 1 remote cache-hit write",

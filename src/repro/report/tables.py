@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.latency_model import PAPER_TABLE1
 from repro.analysis.latency import SCENARIOS
+from repro.report.expected import PAPER_TABLE1
 from repro.report.manifest import Manifest, RunRecord
 from repro.report.svg import format_value, grouped_bar_chart
 

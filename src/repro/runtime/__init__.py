@@ -30,13 +30,7 @@ from repro.core.config import (
 )
 from repro.runtime.asm_handlers import AsmRuntimePrograms, build_asm_runtime
 from repro.runtime.coherence import CoherenceRuntime
-from repro.runtime.layout import RuntimeEnvironment, pack_return_info, unpack_return_info
-from repro.runtime.loader import (
-    SharedArray,
-    make_shared_array,
-    setup_interleaved_heap,
-    setup_private_heap,
-)
+from repro.runtime.layout import RuntimeEnvironment
 from repro.runtime.native import SyncStatusFaultHandler
 
 __all__ = [
@@ -45,12 +39,6 @@ __all__ = [
     "AsmRuntimePrograms",
     "build_asm_runtime",
     "CoherenceRuntime",
-    "SharedArray",
-    "make_shared_array",
-    "setup_interleaved_heap",
-    "setup_private_heap",
-    "pack_return_info",
-    "unpack_return_info",
 ]
 
 

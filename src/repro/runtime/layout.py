@@ -51,11 +51,3 @@ class RuntimeEnvironment:
             return self.dips[name]
         except KeyError:
             raise KeyError(f"no DIP named {name!r} in the installed runtime") from None
-
-
-def pack_return_info(node_id: int, regspec: int) -> int:
-    return (node_id << RETURN_NODE_SHIFT) | (regspec & RETURN_REGSPEC_MASK)
-
-
-def unpack_return_info(info: int):
-    return info >> RETURN_NODE_SHIFT, info & RETURN_REGSPEC_MASK

@@ -16,8 +16,7 @@ The subsystem has four layers:
 The state itself is captured through the uniform ``state_dict()`` /
 ``load_state_dict()`` contract implemented by every stateful component (see
 :mod:`repro.core.component`); ``MMachine.save_snapshot`` /
-``MMachine.from_snapshot`` are the top-level entry points, re-exported here
-as :func:`save` / :func:`restore`.
+``MMachine.from_snapshot`` are the top-level entry points.
 
 Restore is bit-exact: running to cycle C, snapshotting, restoring in a fresh
 process and running to completion produces the same final cycle count,
@@ -58,19 +57,5 @@ __all__ = [
     "write_snapshot",
     "fan_out",
     "fan_out_parallel",
-    "save",
-    "restore",
 ]
 
-
-def save(machine, path: str) -> str:
-    """Snapshot *machine* to *path* (``MMachine.save_snapshot``)."""
-    return machine.save_snapshot(path)
-
-
-def restore(source):
-    """Rebuild a machine from a snapshot path or document
-    (``MMachine.from_snapshot``)."""
-    from repro.core.machine import MMachine  # noqa: PLC0415
-
-    return MMachine.from_snapshot(source)

@@ -142,10 +142,6 @@ class CheckpointRuntime:
             self._next_due = cycle + policy.every
 
 
-def active_policy() -> Optional[CheckpointPolicy]:
-    return _ACTIVE
-
-
 def attach_machine(machine) -> Optional[CheckpointRuntime]:
     """Called by ``MMachine.__init__``: attach the machine to the active
     policy, or return None when checkpointing is off (the common case)."""

@@ -25,7 +25,7 @@ import dataclasses
 import gzip
 import json
 import os
-from typing import Dict
+from typing import Dict, FrozenSet
 
 from repro.core.config import (
     ClusterConfig,
@@ -58,19 +58,29 @@ _SECTIONS = {
     "sim": SimConfig,
 }
 
-#: ``sim.compile_dispatch`` (up to 0.9.0) chose between two implementations
-#: of the issue stage that behaved identically; only one remains.  Snapshots
-#: that carry the field still load: it is dropped when their config is read.
-_RETIRED_SIM_FIELD = "compile_dispatch"
+#: Config fields that older versions wrote and this one no longer has, per
+#: section.  Snapshots that carry them still load: they are dropped when
+#: their config is read.
+#:
+#: * ``sim.compile_dispatch`` (up to 0.9.0) chose between two implementations
+#:   of the issue stage that behaved identically; only one remains.
+#: * ``node.event_slot`` / ``node.exception_slot`` (up to 1.0.1) were read by
+#:   nothing but validation; the slots are the constants ``EVENT_SLOT`` and
+#:   ``EXCEPTION_SLOT``.
+_RETIRED_FIELDS: Dict[str, FrozenSet[str]] = {
+    "sim": frozenset({"compile_dispatch"}),
+    "node": frozenset({"event_slot", "exception_slot"}),
+}
 
 
-def _without_retired_field(document: Dict[str, object]) -> Dict[str, object]:
-    """A snapshot config *document* without the retired ``sim`` field."""
-    sim = document.get("sim")
-    if not isinstance(sim, dict) or _RETIRED_SIM_FIELD not in sim:
-        return document
-    sim = {key: value for key, value in sim.items() if key != _RETIRED_SIM_FIELD}
-    return dict(document, sim=sim)
+def _without_retired_fields(document: Dict[str, object]) -> Dict[str, object]:
+    """A snapshot config *document* without the retired fields."""
+    for section_name, retired in _RETIRED_FIELDS.items():
+        section = document.get(section_name)
+        if isinstance(section, dict) and not retired.isdisjoint(section):
+            section = {key: value for key, value in section.items() if key not in retired}
+            document = dict(document, **{section_name: section})
+    return document
 
 
 def config_to_dict(config: MachineConfig) -> Dict[str, object]:
@@ -90,7 +100,7 @@ def config_to_dict(config: MachineConfig) -> Dict[str, object]:
 
 def config_from_dict(document: Dict[str, object]) -> MachineConfig:
     """Rebuild a :class:`MachineConfig` from :func:`config_to_dict` output."""
-    document = _without_retired_field(document)
+    document = _without_retired_fields(document)
     sections = {}
     for section_name, section_class in _SECTIONS.items():
         data = dict(document.get(section_name) or {})
@@ -121,7 +131,7 @@ def check_config_matches(config: MachineConfig, document: Dict[str, object]) -> 
     ours = config_to_dict(config)
     theirs = document.get("config")
     if isinstance(theirs, dict):
-        theirs = _without_retired_field(theirs)
+        theirs = _without_retired_fields(theirs)
     if ours == theirs:
         return
     differences = []

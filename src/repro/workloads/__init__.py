@@ -3,9 +3,10 @@
 The paper's evaluation uses small hand-scheduled kernels: the 7-point and
 27-point stencil smoothing operators of Figure 5 (instruction-level
 parallelism across H-Threads), the CC-register loop synchronisation of
-Figure 6, and microbenchmark accesses for Table 1 / Figure 9.  This package
+Figure 6, and the message floods of the throttling ablation.  This package
 generates those kernels as MAP assembly plus the data placement and expected
-results needed to verify them.
+results needed to verify them; the Table 1 / Figure 9 access probes live in
+:mod:`repro.analysis.latency`.
 
 The named paper-figure workloads live in :mod:`repro.workloads.factories`
 and are looked up and run through the typed facade
@@ -23,10 +24,9 @@ from repro.workloads.microbench import (
     cc_loop_sync_programs,
     cc_barrier_programs,
     dependent_load_chain_program,
-    independent_load_program,
     compute_loop_program,
 )
-from repro.workloads.synthetic import many_to_one_store_programs, uniform_traffic_programs
+from repro.workloads.synthetic import many_to_one_store_programs
 
 __all__ = [
     "Grid3D",
@@ -37,8 +37,6 @@ __all__ = [
     "cc_loop_sync_programs",
     "cc_barrier_programs",
     "dependent_load_chain_program",
-    "independent_load_program",
     "compute_loop_program",
     "many_to_one_store_programs",
-    "uniform_traffic_programs",
 ]

@@ -8,7 +8,7 @@ integration tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
@@ -134,18 +134,6 @@ def dependent_load_chain_program(chain_loads: int, result_register: str = "i5") 
     return assemble("\n".join(lines), name=f"dep-chain-{chain_loads}")
 
 
-def independent_load_program(num_loads: int, stride: int = 1) -> Program:
-    """Issue *num_loads* independent loads from ``i1 + k*stride``; sums the
-    values into ``i5``.  Exposes memory bandwidth rather than latency."""
-    lines = ["; independent load stream", "mov i5, #0"]
-    for index in range(num_loads):
-        register = f"i{6 + (index % 4)}"
-        lines.append(f"ld {register}, i1, #{index * stride}")
-        lines.append(f"add i5, i5, {register}")
-    lines.append("halt")
-    return assemble("\n".join(lines), name=f"indep-loads-{num_loads}")
-
-
 def compute_loop_program(iterations: int, result_register: str = "i5") -> Program:
     """A purely arithmetic loop (no memory), used to measure single-thread
     issue behaviour under the different thread-selection policies."""
@@ -162,17 +150,6 @@ loop:
     halt
 """
     return assemble(source, name=f"compute-loop-{iterations}")
-
-
-def store_value_program(value_register_setup: Optional[int] = None) -> Program:
-    """``st i6, i1`` then halt; used by the Table 1 store-latency measurements.
-    ``i1`` holds the address and ``i6`` the value."""
-    return assemble("st i6, i1\nhalt", name="single-store")
-
-
-def load_value_program(result_register: str = "i5") -> Program:
-    """``ld i5, i1`` then halt; used by the Table 1 load-latency measurements."""
-    return assemble(f"ld {result_register}, i1\nhalt", name="single-load")
 
 
 def build_pointer_chain(length: int, base_address: int, stride: int = 8) -> List[Tuple[int, int]]:

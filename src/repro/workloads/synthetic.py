@@ -1,8 +1,7 @@
 """Synthetic communication workloads.
 
 Used by the throttling ablation (many producers flooding one consumer, which
-exercises the return-to-sender protocol of Section 4.1) and by network
-stress tests (uniformly distributed remote stores).
+exercises the return-to-sender protocol of Section 4.1).
 """
 
 from __future__ import annotations
@@ -58,29 +57,6 @@ def many_to_one_store_programs(
             num_messages=words_per_sender,
             stride=1,
             value_base=10_000 * (sender + 1),
-        )
-    return programs
-
-
-def uniform_traffic_programs(
-    num_nodes: int,
-    words_per_node: int,
-    region_base: int,
-    region_words_per_node: int,
-    store_dip: int,
-) -> Dict[int, Program]:
-    """Each node stores into the slice of an interleaved region homed on the
-    next node (a ring of remote stores), producing uniform link load."""
-    programs = {}
-    for node in range(num_nodes):
-        target_node = (node + 1) % num_nodes
-        base = region_base + target_node * region_words_per_node
-        programs[node] = remote_store_sender_program(
-            dest_address=base,
-            store_dip=store_dip,
-            num_messages=words_per_node,
-            stride=1,
-            value_base=100_000 * (node + 1),
         )
     return programs
 

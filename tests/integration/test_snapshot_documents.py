@@ -7,9 +7,10 @@ Two contracts of the on-disk snapshot document beyond the state it restores:
   uninterrupted run's -- including the order of every counter's pairs,
   which must not depend on when statistics were last read.
 * Snapshots and checkpoints written by 0.9.0 carry the retired
-  ``sim.compile_dispatch`` config key.  They still restore, and resume into
-  an existing machine, with the key dropped; setting the key as a config
-  override is an unknown-key error.
+  ``sim.compile_dispatch`` config key, and those written by 1.0.1 the
+  retired ``node.event_slot`` and ``node.exception_slot`` keys.  They still
+  restore, and resume into an existing machine, with the keys dropped;
+  setting a retired key as a config override is an unknown-key error.
 """
 
 import json
@@ -59,16 +60,26 @@ def test_resumed_run_document_is_byte_equal(seed):
 
 
 # ---------------------------------------------------------------------------
-# The retired sim.compile_dispatch key
+# Retired config keys
 # ---------------------------------------------------------------------------
 
 SEED = 4
 
+#: ``(section, retired fields)`` as older versions wrote them: 0.9.0 the
+#: ``sim.compile_dispatch`` knob (ids ``True``/``False``, its two values),
+#: 1.0.1 the node's event and exception slot numbers.
+OLD_CONFIGS = [
+    pytest.param("sim", {"compile_dispatch": True}, id="True"),
+    pytest.param("sim", {"compile_dispatch": False}, id="False"),
+    pytest.param("node", {"event_slot": 4, "exception_slot": 5}, id="slots-1.0.1"),
+]
 
-def _old_document(machine: MMachine, value: bool) -> dict:
-    """*machine*'s snapshot as 0.9.0 wrote it: same layout, plus the key."""
+
+def _old_document(machine: MMachine, section: str, fields: dict) -> dict:
+    """*machine*'s snapshot as an older version wrote it: same layout, plus
+    the retired *fields* in config *section*."""
     document = json.loads(json.dumps(machine.snapshot_document()))
-    document["config"]["sim"]["compile_dispatch"] = value
+    document["config"][section].update(fields)
     return document
 
 
@@ -78,35 +89,35 @@ def reference():
     return machine.cycle, _document_bytes(machine)
 
 
-@pytest.mark.parametrize("value", [True, False])
-def test_old_snapshot_restores(reference, value):
+@pytest.mark.parametrize("section, fields", OLD_CONFIGS)
+def test_old_snapshot_restores(reference, section, fields):
     final_cycle, expected = reference
     machine = generate_program(SEED).build_machine("event")
     machine.run(final_cycle // 2)
-    restored = MMachine.from_snapshot(_old_document(machine, value))
-    assert "compile_dispatch" not in restored.snapshot_document()["config"]["sim"]
+    restored = MMachine.from_snapshot(_old_document(machine, section, fields))
+    assert set(fields).isdisjoint(restored.snapshot_document()["config"][section])
     restored.run(final_cycle - restored.cycle)
     assert _document_bytes(restored) == expected
 
 
-@pytest.mark.parametrize("value", [True, False])
-def test_old_snapshot_resumes_into_existing_machine(reference, value):
+@pytest.mark.parametrize("section, fields", OLD_CONFIGS)
+def test_old_snapshot_resumes_into_existing_machine(reference, section, fields):
     final_cycle, expected = reference
     source = generate_program(SEED).build_machine("event")
     source.run(final_cycle // 2)
     target = generate_program(SEED).build_machine("event")
-    target.restore_snapshot(_old_document(source, value))
+    target.restore_snapshot(_old_document(source, section, fields))
     target.run(final_cycle - target.cycle)
     assert _document_bytes(target) == expected
 
 
-@pytest.mark.parametrize("value", [True, False])
-def test_old_checkpoint_resumes(reference, value, tmp_path):
+@pytest.mark.parametrize("section, fields", OLD_CONFIGS)
+def test_old_checkpoint_resumes(reference, section, fields, tmp_path):
     final_cycle, expected = reference
     source = generate_program(SEED).build_machine("event")
     source.run(final_cycle // 2)
     with open(tmp_path / "machine-0.json", "w", encoding="utf-8") as handle:
-        json.dump(_old_document(source, value), handle)
+        json.dump(_old_document(source, section, fields), handle)
     with checkpoint_context(str(tmp_path)) as policy:
         machine = generate_program(SEED).build_machine("event")
         machine.run(final_cycle - final_cycle // 2)
@@ -120,3 +131,12 @@ def test_retired_key_is_an_unknown_override():
     program = generate_program(SEED)
     with pytest.raises(ValueError, match=r"valid sim\.\* keys: sim\.kernel"):
         apply_overrides(program.build_machine("event").config, {"sim.compile_dispatch": True})
+
+
+@pytest.mark.parametrize("key", ["node.event_slot", "node.exception_slot"])
+def test_retired_slot_keys_are_unknown_overrides(key):
+    with pytest.raises(ValueError, match=r"unknown config override .*valid node\.\* keys"):
+        ExperimentBuilder().override(key, 4)
+    program = generate_program(SEED)
+    with pytest.raises(ValueError, match=r"unknown config override .*valid node\.\* keys"):
+        apply_overrides(program.build_machine("event").config, {key: 4})

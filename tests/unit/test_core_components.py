@@ -1,6 +1,7 @@
 """Unit tests for the remaining building blocks: crossbars, event queues,
 register files, the instruction cache, functional units, issue policies,
-configuration validation, the tracer/stats and the analytical models."""
+configuration validation, the tracer/stats, the area model and the paper's
+Table 1 values."""
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.core.config import (
     NUM_CLUSTERS,
     NUM_VTHREAD_SLOTS,
 )
-from repro.core.latency_model import LatencyModel, PAPER_REMOTE_READ_STEPS, PAPER_TABLE1
 from repro.core.stats import format_table
 from repro.core.trace import Tracer
 from repro.events.queue import (
@@ -31,6 +31,7 @@ from repro.events.records import EVENT_RECORD_WORDS, EventRecord, EventType
 from repro.isa.assembler import assemble
 from repro.isa.registers import parse_register
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
+from repro.report.expected import PAPER_REMOTE_READ_STEPS, PAPER_TABLE1
 from repro.switches.crossbar import BROADCAST, Crossbar
 
 
@@ -334,7 +335,7 @@ class TestConfig:
         config = MachineConfig()
         assert config.node.num_clusters == NUM_CLUSTERS == 4
         assert config.node.num_vthread_slots == NUM_VTHREAD_SLOTS == 6
-        assert config.node.event_slot == 4 and config.node.exception_slot == 5
+        assert EVENT_SLOT == 4 and EXCEPTION_SLOT == 5
         assert config.memory.cache_banks == 4
         assert config.memory.cache_banks * config.memory.bank_size_words == 16384  # 32 KB
         assert config.memory.page_size_words == 512
@@ -436,20 +437,3 @@ class TestLatencyModel:
         assert PAPER_TABLE1["local_cache_hit"]["read"] == 3
         assert PAPER_TABLE1["remote_ltlb_miss"]["read"] == 202
         assert sum(PAPER_REMOTE_READ_STEPS.values()) == 132
-
-    def test_predictions_monotone(self):
-        predicted = LatencyModel(MachineConfig.small(2, 1, 1)).predict()
-        assert predicted["local_cache_hit"]["read"] < predicted["local_cache_miss"]["read"]
-        assert predicted["local_cache_miss"]["read"] < predicted["local_ltlb_miss"]["read"]
-        assert predicted["local_ltlb_miss"]["read"] < predicted["remote_cache_hit"]["read"]
-        assert predicted["remote_cache_hit"]["read"] < predicted["remote_ltlb_miss"]["read"]
-        assert predicted["remote_cache_hit"]["write"] < predicted["remote_cache_hit"]["read"]
-
-    def test_local_hit_matches_paper_exactly(self):
-        predicted = LatencyModel(MachineConfig.small(2, 1, 1)).predict()
-        assert predicted["local_cache_hit"] == PAPER_TABLE1["local_cache_hit"]
-
-    def test_ratio_table(self):
-        ratios = LatencyModel.ratio_table({"local_cache_hit": {"read": 6, "write": 2}})
-        assert ratios["local_cache_hit"]["read"] == pytest.approx(2.0)
-        assert ratios["local_cache_hit"]["write"] == pytest.approx(1.0)

@@ -10,7 +10,6 @@ from repro.network.gtlb import GlobalDestinationTable, Gtlb, GtlbEntry
 from repro.network.interface import NetworkInterface
 from repro.network.mesh import MeshNetwork, coords_to_id, id_to_coords
 from repro.network.message import Message, MessageKind
-from repro.network.router import Router, dimension_order_path, next_hop
 
 
 class TestGtlbEntry:
@@ -118,24 +117,24 @@ class TestRouting:
         with pytest.raises(ValueError):
             id_to_coords(16, (4, 2, 2))
 
-    def test_next_hop_dimension_order(self):
-        port, coords = next_hop((0, 0, 0), (2, 1, 0))
-        assert port == "+x" and coords == (1, 0, 0)
-        port, coords = next_hop((2, 0, 0), (2, 1, 0))
-        assert port == "+y" and coords == (2, 1, 0)
-        port, coords = next_hop((2, 1, 0), (2, 1, 0))
-        assert port == "eject"
-
-    def test_path_length_is_manhattan_distance(self):
-        path = dimension_order_path((0, 0, 0), (2, 1, 3))
-        assert len(path) == 1 + 2 + 1 + 3
-
-    def test_router_statistics(self):
-        router = Router((0, 0, 0))
-        router.route((1, 0, 0))
-        router.route((0, 0, 0))
-        assert router.port_traffic["+x"] == 1
-        assert router.port_traffic["eject"] == 1
+    def test_route_is_dimension_order(self):
+        shape = (3, 2, 4)
+        mesh = MeshNetwork(NetworkConfig(mesh_shape=shape))
+        source = coords_to_id((0, 0, 0), shape)
+        dest = coords_to_id((2, 1, 3), shape)
+        hops = [
+            (id_to_coords(a, shape), id_to_coords(b, shape))
+            for a, b in mesh.route(source, dest)
+        ]
+        assert hops == [
+            ((0, 0, 0), (1, 0, 0)),
+            ((1, 0, 0), (2, 0, 0)),
+            ((2, 0, 0), (2, 1, 0)),
+            ((2, 1, 0), (2, 1, 1)),
+            ((2, 1, 1), (2, 1, 2)),
+            ((2, 1, 2), (2, 1, 3)),
+        ]
+        assert mesh.route(dest, dest) == []
 
 
 class TestMesh:
