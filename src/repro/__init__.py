@@ -71,7 +71,7 @@ from repro.isa import Program, assemble, AssemblyError
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.memory.page_table import BlockStatus
 
-__version__ = "1.0.1"
+__version__ = "2.0.0"
 
 __all__ = [
     "Experiment",
