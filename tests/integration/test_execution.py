@@ -339,9 +339,14 @@ class TestPrivilegedOperations:
             "ltlbp of a mapped address": 0,
             "ltlbp of an unmapped address": -1,
         }
-        # A bsset on an unmapped address is a malformed operand: it names
-        # the instruction like every other execution-time malformation.
-        machine = self._machine(kernel, "bsset i2, #1\nhalt", {"i2": self.UNMAPPED})
-        with pytest.raises(SimulationError, match=(
-                r"^bsset: no mapping for 0x900000 on node 0 \(instruction bsset i2, #1\)$")):
-            machine.run_until_quiescent()
+        # A bsset on an unmapped address or with a status outside the two
+        # bits is a malformed operand: it names the instruction like every
+        # other execution-time malformation.
+        for instruction, address, message in (
+            ("bsset i2, #1", self.UNMAPPED, "bsset: no mapping for 0x900000 on node 0"),
+            ("bsset i2, #7", HEAP, "7 is not a valid BlockStatus"),
+        ):
+            machine = self._machine(kernel, instruction + "\nhalt", {"i2": address})
+            with pytest.raises(SimulationError) as caught:
+                machine.run_until_quiescent()
+            assert str(caught.value) == f"{message} (instruction {instruction})"
