@@ -86,7 +86,7 @@ def _malformed(section: str) -> Iterator[None]:
     read into a :class:`SnapshotError` that names the section."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, IndexError) as error:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as error:
         raise SnapshotError(
             f"snapshot {section} section is malformed: {type(error).__name__}: {error}"
         ) from error

@@ -217,6 +217,8 @@ class TestFileFormat:
                      id="nodes-not-a-list"),
         pytest.param(("machine", "cycle"), "20", "cycle must be a non-negative int",
                      id="cycle-not-an-int"),
+        pytest.param(("machine", "nodes", 0, "page_table", "entries", 0, 1), "x",
+                     "machine section is malformed: AttributeError", id="lpt-entry-not-an-entry"),
         pytest.param(("config", "network", "mesh_shape"), [2, 2],
                      "config section is malformed: ValueError: mesh shape", id="mesh-2d"),
         pytest.param(("config", "network", "mesh_shape"), [2, -1, 1],
