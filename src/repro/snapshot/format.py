@@ -79,7 +79,7 @@ def _without_retired_fields(document: Dict[str, object]) -> Dict[str, object]:
         section = document.get(section_name)
         if isinstance(section, dict) and not retired.isdisjoint(section):
             section = {key: value for key, value in section.items() if key not in retired}
-            document = dict(document, **{section_name: section})
+            document = {**document, section_name: section}
     return document
 
 
