@@ -117,16 +117,17 @@ class TestRouting:
         with pytest.raises(ValueError):
             id_to_coords(16, (4, 2, 2))
 
-    def test_route_is_dimension_order(self):
-        shape = (3, 2, 4)
+    @staticmethod
+    def _route_coords(shape, source, dest):
         mesh = MeshNetwork(NetworkConfig(mesh_shape=shape))
-        source = coords_to_id((0, 0, 0), shape)
-        dest = coords_to_id((2, 1, 3), shape)
-        hops = [
+        return [
             (id_to_coords(a, shape), id_to_coords(b, shape))
-            for a, b in mesh.route(source, dest)
+            for a, b in mesh.route(coords_to_id(source, shape), coords_to_id(dest, shape))
         ]
-        assert hops == [
+
+    def test_next_hop_dimension_order(self):
+        shape = (3, 2, 4)
+        assert self._route_coords(shape, (0, 0, 0), (2, 1, 3)) == [
             ((0, 0, 0), (1, 0, 0)),
             ((1, 0, 0), (2, 0, 0)),
             ((2, 0, 0), (2, 1, 0)),
@@ -134,7 +135,14 @@ class TestRouting:
             ((2, 1, 1), (2, 1, 2)),
             ((2, 1, 2), (2, 1, 3)),
         ]
-        assert mesh.route(dest, dest) == []
+        assert self._route_coords(shape, (2, 1, 3), (2, 1, 3)) == []
+
+    def test_path_length_is_manhattan_distance(self):
+        shape = (3, 2, 4)
+        path = self._route_coords(shape, (0, 0, 0), (2, 1, 3))
+        assert len(path) == 2 + 1 + 3
+        path = self._route_coords(shape, (2, 0, 3), (0, 1, 1))
+        assert len(path) == 2 + 1 + 2
 
 
 class TestMesh:
