@@ -16,7 +16,12 @@ Cases:
 * ``fault-heavy-N`` -- generated program N with the fault-heavy knobs of
   ``tests/integration/test_fuzz_harness.py``;
 * ``scenario-<run id>`` -- every event-kernel run of the ``scenario-matrix``
-  sweep spec, one digest per machine the workload constructs.
+  sweep spec, one digest per machine the workload constructs;
+* ``policy-<policy>-<workload>`` -- workloads with several runnable slots
+  per cluster run under the ``round-robin`` and ``hep`` issue policies,
+  which the scenario matrix (all ``event-priority``) never selects;
+* ``fuzz-rr-N`` -- generated program N with the default generator knobs
+  under the ``round-robin`` issue policy.
 
 The digest computation is plain Python with no pytest dependency, so it can
 be checked on interpreters without pytest::
@@ -39,9 +44,19 @@ from repro.sweep import get_spec
 GOLDENS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "issue_goldens.json")
 
 FUZZ_SEEDS = range(25)
+ROUND_ROBIN_SEEDS = range(10)
 FAULT_HEAVY_SEEDS = range(3)
 FAULT_HEAVY_KNOBS = GeneratorKnobs(
     mesh=(2, 2, 1), max_threads=8, fault_density=0.6, nack_storm=True
+)
+POLICIES = ("round-robin", "hep")
+#: Workloads that keep several slots of one cluster runnable at once and run
+#: to ``run_until_user_done``: four stencil H-Threads, four pointer-chasing
+#: V-Threads, and message handlers beside user threads.
+POLICY_WORKLOADS = (
+    ("stencil", {"kind": "7pt", "n_hthreads": 4}),
+    ("vthread-interleave", {"num_threads": 4}),
+    ("ping-pong", {"rounds": 8}),
 )
 
 
@@ -55,9 +70,11 @@ def machine_digest(machine: MMachine) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _fuzz_case(seed: int, knobs=None) -> Callable[[], List[MMachine]]:
+def _fuzz_case(seed: int, knobs=None, policy=None) -> Callable[[], List[MMachine]]:
     def run() -> List[MMachine]:
         program = generate_program(seed, knobs)
+        if policy is not None:
+            program.config_overrides["cluster.issue_policy"] = policy
         machine = program.build_machine("event")
         program.run(machine)
         return [machine]
@@ -65,10 +82,15 @@ def _fuzz_case(seed: int, knobs=None) -> Callable[[], List[MMachine]]:
     return run
 
 
-def _scenario_case(workload: str, params: Dict[str, object]) -> Callable[[], List[MMachine]]:
+def _scenario_case(workload: str, params: Dict[str, object],
+                   policy=None) -> Callable[[], List[MMachine]]:
+    def set_policy(config) -> None:
+        config.cluster.issue_policy = policy
+
     def run() -> List[MMachine]:
         machines: List[MMachine] = []
-        with construction_hooks(machine_hook=machines.append):
+        with construction_hooks(config_hook=set_policy if policy else None,
+                                machine_hook=machines.append):
             get_workload(workload).call(dict(params))
         return machines
 
@@ -85,6 +107,11 @@ def cases() -> Dict[str, Callable[[], List[MMachine]]]:
     for run in get_spec("scenario-matrix").expand():
         if run.params.get("kernel") == "event":
             table[f"scenario-{run.run_id}"] = _scenario_case(run.workload, run.params)
+    for policy in POLICIES:
+        for workload, params in POLICY_WORKLOADS:
+            table[f"policy-{policy}-{workload}"] = _scenario_case(workload, params, policy)
+    for seed in ROUND_ROBIN_SEEDS:
+        table[f"fuzz-rr-{seed}"] = _fuzz_case(seed, policy="round-robin")
     return table
 
 

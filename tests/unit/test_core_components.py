@@ -19,6 +19,7 @@ from repro.core.config import (
     NUM_CLUSTERS,
     NUM_VTHREAD_SLOTS,
 )
+from repro.core.machine import MMachine
 from repro.core.stats import format_table
 from repro.core.trace import Tracer
 from repro.events.queue import (
@@ -33,6 +34,11 @@ from repro.isa.registers import parse_register
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.report.expected import PAPER_REMOTE_READ_STEPS, PAPER_TABLE1
 from repro.switches.crossbar import BROADCAST, Crossbar
+from repro.workloads.microbench import (
+    build_pointer_chain,
+    compute_loop_program,
+    dependent_load_chain_program,
+)
 
 
 class TestCrossbar:
@@ -300,6 +306,69 @@ class TestIssuePolicies:
         assert make_issue_policy(ClusterConfig(issue_policy="hep"), 6).name == "hep"
         with pytest.raises(ValueError):
             make_issue_policy(ClusterConfig(issue_policy="bogus"), 6)
+
+
+class TestIssueScan:
+    """The synchronization stage sees every thread-state change made between
+    cycles, whichever kernel drives the clock."""
+
+    STRAIGHT = "add i2, i1, #1\nadd i3, i1, #2\nadd i4, i1, #3\nhalt"
+
+    @staticmethod
+    def _machine(kernel: str = "event", policy: str = "event-priority") -> MMachine:
+        config = MachineConfig.single_node()
+        config.sim.kernel = kernel
+        config.cluster.issue_policy = policy
+        return MMachine(config)
+
+    @pytest.mark.parametrize("kernel", ["event", "naive"])
+    def test_resumed_thread_is_scanned_on_the_next_cycle(self, kernel):
+        machine = self._machine(kernel)
+        context = machine.load_hthread(0, 0, 0, self.STRAIGHT, registers={"i1": 1})
+        cluster = machine.node(0).clusters[0]
+        machine.step()
+        context.fault()
+        machine.step()
+        assert (context.pc, cluster.idle_cycles) == (1, 1)
+        context.resume()
+        machine.step()
+        assert (context.pc, context.instructions_issued) == (2, 2)
+
+    @pytest.mark.parametrize("kernel", ["event", "naive"])
+    def test_program_loaded_beside_a_running_thread_issues_next_cycle(self, kernel):
+        machine = self._machine(kernel)
+        running = machine.load_hthread(0, 0, 0, compute_loop_program(20))
+        machine.step()
+        assert running.instructions_issued == 1
+        loaded = machine.load_hthread(0, 1, 0, self.STRAIGHT, registers={"i1": 1})
+        machine.step()
+        # Slot 0 issued last, so the round-robin pointer offers slot 1 first.
+        assert (loaded.instructions_issued, running.instructions_issued) == (1, 1)
+
+    def _interleaved(self) -> MMachine:
+        machine = self._machine(policy="round-robin")
+        machine.map_on_node(0, 0x10000, num_pages=4)
+        for address, value in build_pointer_chain(32, 0x10000, stride=16):
+            machine.write_word(address, value)
+        machine.load_hthread(0, 0, 0, compute_loop_program(12))
+        for slot, loads in ((1, 6), (2, 9), (3, 12)):
+            machine.load_hthread(0, slot, 0, dependent_load_chain_program(loads),
+                                 registers={"i1": 0x10000})
+        return machine
+
+    def test_round_robin_restored_mid_run_matches_the_uninterrupted_run(self):
+        reference = self._interleaved()
+        reference.run_until_user_done()
+        interrupted = self._interleaved()
+        interrupted.run(40)
+        restored = MMachine.from_snapshot(interrupted.snapshot_document())
+        restored.run_until_user_done()
+        expected, actual = (machine.node(0).clusters[0] for machine in (reference, restored))
+        assert len(expected.issue_by_slot) == 4
+        assert actual.issue_by_slot == expected.issue_by_slot
+        assert ([context.stall_cycles for context in actual.contexts]
+                == [context.stall_cycles for context in expected.contexts])
+        assert restored.cycle == reference.cycle
 
 
 class TestHThreadContext:
