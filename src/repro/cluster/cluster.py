@@ -24,14 +24,21 @@ Instruction semantics live in :mod:`repro.cluster.dispatch`, which compiles
 each resident program once into :class:`~repro.cluster.dispatch.CompiledInstruction`
 plans (readiness steps over flat register offsets, operand readers and
 executors).  The issue scan and the event kernel's sleep check
-(:meth:`Cluster.idle_profile`) both evaluate those plans.  Plans are derived
-state, cached per slot and never serialised: loading a program or restoring
-a snapshot drops the slot's plans, and the next use recompiles them.
+(:meth:`Cluster.idle_profile`) both evaluate those plans through
+:meth:`Cluster._stall_reason`.  Plans are derived state, cached per slot and
+never serialised: loading a program or restoring a snapshot drops the slot's
+plans, and the next use recompiles them.
+
+The issue scan keeps two more pieces of derived state: the slots whose
+H-Thread is runnable, with the issue policy's scan orders filtered to them,
+and each slot's queue-name bindings.  Every thread-state change calls the
+context's ``on_state_change`` hook, which drops the runnable-slot cache;
+a restore drops the queue bindings.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import dispatch
 from repro.cluster.dispatch import (
@@ -101,6 +108,13 @@ class Cluster:
         ]
         self.icache = InstructionCache(self.config, name=f"n{getattr(node, 'node_id', '?')}c{cluster_id}")
         self.policy = make_issue_policy(self.config, num_slots)
+        #: Runnable slots in ascending order, and per policy scan key the
+        #: policy's order filtered to them (derived state, dropped by every
+        #: thread-state change; see :meth:`_refresh_runnable`).
+        self._runnable: Optional[Tuple[int, ...]] = None
+        self._scan_orders: List[Tuple[int, ...]] = []
+        for context in self.contexts:
+            context.on_state_change = self._drop_runnable
         #: In-flight local writebacks as ``(due_cycle, slot, ref, value,
         #: clear_pending, flat_offset)`` tuples (plain tuples, not objects:
         #: the issue stage appends one per value-producing operation).
@@ -168,22 +182,29 @@ class Cluster:
     # --------------------------------------------------------------- writebacks
 
     def apply_writebacks(self, cycle: int) -> None:
-        if not self._writebacks:
+        writebacks = self._writebacks
+        if not writebacks:
             return
-        remaining = []
+        remaining = None
         contexts = self.contexts
-        for wb in self._writebacks:
-            if wb[0] <= cycle:
-                registers = contexts[wb[1]].registers
-                offset = wb[5]
-                registers.writes += 1
-                registers._values[offset] = wb[3]
-                registers._full[offset] = True
-                if registers._pending[offset] > 0:
-                    registers._pending[offset] -= 1
-            else:
-                remaining.append(wb)
-        self._writebacks = remaining
+        for wb in writebacks:
+            if wb[0] > cycle:
+                if remaining is None:
+                    remaining = [wb]
+                else:
+                    remaining.append(wb)
+                continue
+            registers = contexts[wb[1]].registers
+            offset = wb[5]
+            registers.writes += 1
+            registers._values[offset] = wb[3]
+            registers._full[offset] = True
+            if registers._pending[offset] > 0:
+                registers._pending[offset] -= 1
+        if remaining is None:
+            writebacks.clear()
+        else:
+            self._writebacks = remaining
 
     def receive(self, write: RegWrite, cycle: int) -> None:
         """Apply a register write delivered by the C-Switch."""
@@ -208,6 +229,21 @@ class Cluster:
         self._plans[slot] = plans
         return plans
 
+    def _drop_runnable(self) -> None:
+        """``on_state_change`` hook of every context of this cluster."""
+        self._runnable = None
+
+    def _refresh_runnable(self) -> Tuple[int, ...]:
+        """Recompute the runnable slots and the scan orders filtered to them."""
+        runnable = tuple(
+            context.slot for context in self.contexts if context.state is _RUNNABLE
+        )
+        self._runnable = runnable
+        self._scan_orders = [
+            tuple(slot for slot in order if slot in runnable) for order in self.policy.orders
+        ]
+        return runnable
+
     def _queue_binding(self, slot: int, name: str):
         """The hardware queue *name* resolves to for *slot* (None when the
         queue is not readable here), memoized per slot."""
@@ -222,7 +258,12 @@ class Cluster:
     def _stall_reason(self, context: HThreadContext, steps) -> Optional[str]:
         """Reason of the first readiness step *context* fails, or None when
         the instruction can issue.  Raises :class:`SimulationError` at a
-        malformed instruction's raise step.  Side-effect free."""
+        malformed instruction's raise step.  Side-effect free.
+
+        This is the only code that evaluates readiness steps: the issue scan
+        and the event kernel's sleep check both call it.  It runs for every
+        visit of every runnable slot, so the queue check reads the slot's
+        queue cache and the queue's word deque directly."""
         registers = context.registers
         for kind, arg, reason in steps:
             if kind == CHECK_FULL:
@@ -232,8 +273,11 @@ class Cluster:
                 if registers._pending[arg]:
                     return reason
             elif kind == CHECK_QUEUE:
-                queue = self._queue_binding(context.slot, arg[0])
-                if queue is not None and len(queue) < arg[1]:
+                try:
+                    queue = self._queue_cache[context.slot][arg[0]]
+                except KeyError:
+                    queue = self._queue_binding(context.slot, arg[0])
+                if queue is not None and len(queue._words) < arg[1]:
                     return reason
             elif kind == CHECK_SEND:
                 if not self.node.can_send(arg):
@@ -244,17 +288,21 @@ class Cluster:
 
     def issue(self, cycle: int) -> bool:
         """Run the synchronization stage for one cycle; returns True if an
-        instruction issued."""
-        contexts = self.contexts
-        resident = [ctx.slot for ctx in contexts if ctx.state is _RUNNABLE]
-        if not resident:
+        instruction issued.
+
+        The scan visits the runnable slots in the policy's order for this
+        cycle.  Only the visited slot can change state during a scan (an
+        implicit halt), so the order taken at the start stays valid."""
+        runnable = self._runnable
+        if runnable is None:
+            runnable = self._refresh_runnable()
+        if not runnable:
             self.idle_cycles += 1
             return False
+        contexts = self.contexts
         all_plans = self._plans
-        for slot in self.policy.order_cached(cycle, tuple(resident)):
+        for slot in self._scan_orders[self.policy.scan_key(cycle)]:
             context = contexts[slot]
-            if context.state is not _RUNNABLE:
-                continue
             plans = all_plans[slot]
             if plans is None:
                 plans = self._slot_plans(slot)
@@ -296,9 +344,8 @@ class Cluster:
         registers = context.registers
         stored = registers._values
         try:
-            ops = plan.ops
-            operands = []
-            for cop in ops:
+            calls = []
+            for cop in plan.ops:
                 if cop.privilege_msg is not None:
                     raise ProtectionError(cop.privilege_msg)
                 values = []
@@ -319,10 +366,10 @@ class Cluster:
                                 f"register {arg!r} is not readable from "
                                 f"cluster {self.id} slot {context.slot}")
                         values.append(queue.pop_word())
-                operands.append(values)
+                calls.append((cop.executor, values))
             next_pc = pc + 1
-            for cop, values in zip(ops, operands):
-                outcome_pc = cop.executor(self, context, values, cycle)
+            for executor, values in calls:
+                outcome_pc = executor(self, context, values, cycle)
                 if outcome_pc is not None:
                     next_pc = outcome_pc
             if context.state is _RUNNABLE:
@@ -358,13 +405,15 @@ class Cluster:
         counts, no stall records): the profile is replayed in bulk by
         :meth:`account_idle_cycles` when the node wakes.
         """
+        runnable = self._runnable
+        if runnable is None:
+            runnable = self._refresh_runnable()
         stalled = []
-        for context in self.contexts:
-            if context.state is not _RUNNABLE:
-                continue
-            plans = self._plans[context.slot]
+        for slot in runnable:
+            context = self.contexts[slot]
+            plans = self._plans[slot]
             if plans is None:
-                plans = self._slot_plans(context.slot)
+                plans = self._slot_plans(slot)
             pc = context.pc
             if pc < 0 or pc >= len(plans):
                 return None

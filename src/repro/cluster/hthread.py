@@ -4,6 +4,10 @@ An H-Thread is the instruction stream of one V-Thread slot on one cluster.
 Its architectural state (program counter, register file with scoreboard) is
 resident in the cluster; a stalled H-Thread "consumes no resources other
 than the thread slot that holds its state" (Section 3.2).
+
+Every change of a context's :class:`ThreadState` goes through this module
+and calls the context's ``on_state_change`` hook, which the owning cluster
+uses to keep its runnable-slot cache current.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cluster.regfile import RegisterSet
 from repro.core.config import ClusterConfig
@@ -54,6 +58,9 @@ class HThreadContext:
     issue_cycles: int = 0
     start_cycle: Optional[int] = None
     halt_cycle: Optional[int] = None
+    #: Called after every change of :attr:`state` (installed by the owning
+    #: cluster; wiring, not state, so never serialised or compared).
+    on_state_change: Optional[Callable[[], None]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.registers is None:
@@ -61,11 +68,16 @@ class HThreadContext:
 
     # -- lifecycle ---------------------------------------------------------------
 
+    def _set_state(self, state: ThreadState) -> None:
+        self.state = state
+        if self.on_state_change is not None:
+            self.on_state_change()
+
     def load(self, program: Program, initial_registers: Optional[dict] = None,
              entry: Optional[str] = None) -> None:
         self.program = program
         self.pc = program.label_address(entry) if entry else 0
-        self.state = ThreadState.RUNNABLE
+        self._set_state(ThreadState.RUNNABLE)
         self.instructions_issued = 0
         self.operations_issued = 0
         self.stall_cycles = 0
@@ -76,16 +88,16 @@ class HThreadContext:
             self.registers.set_initial(initial_registers)
 
     def halt(self, cycle: Optional[int] = None) -> None:
-        self.state = ThreadState.HALTED
+        self._set_state(ThreadState.HALTED)
         self.halt_cycle = cycle
 
     def fault(self) -> None:
-        self.state = ThreadState.FAULTED
+        self._set_state(ThreadState.FAULTED)
 
     def resume(self) -> None:
         """Used by an exception handler to restart a faulted thread."""
         if self.state is ThreadState.FAULTED:
-            self.state = ThreadState.RUNNABLE
+            self._set_state(ThreadState.RUNNABLE)
 
     # -- queries -----------------------------------------------------------------
 
@@ -117,7 +129,7 @@ class HThreadContext:
     def load_state_dict(self, state: dict) -> None:
         self.program = decode_value(state["program"])
         self.pc = state["pc"]
-        self.state = ThreadState(state["state"])
+        self._set_state(ThreadState(state["state"]))
         self.registers.load_state_dict(state["registers"])
         self.instructions_issued = state["instructions_issued"]
         self.operations_issued = state["operations_issued"]

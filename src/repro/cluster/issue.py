@@ -23,6 +23,13 @@ The paper does not fix the selection policy, so the simulator offers three:
     ``len(resident)``-th cycle only if it is that slot's turn -- used by the
     ablation that shows why zero-cost interleaving preserves single-thread
     performance while barrel scheduling does not.
+
+Each policy's order over *all* slots depends only on one small integer, its
+*scan key*: the round-robin pointer, or for the barrel the cycle residue.
+Residency only filters that order (the rotation key ``(slot - pointer) %
+num_slots`` does not depend on which other slots are resident), so a
+policy precomputes one order per key value in :attr:`IssuePolicy.orders`
+and the issue stage filters it by its runnable slots.
 """
 
 from __future__ import annotations
@@ -40,29 +47,24 @@ class IssuePolicy:
     def __init__(self, num_slots: int):
         self.num_slots = num_slots
         self._rr_pointer = 0
-        self._order_cache = {}
+        #: Scan order over every slot, indexed by :meth:`scan_key`.
+        self.orders = tuple(tuple(self._order(key)) for key in range(num_slots))
+
+    def _order(self, key: int) -> List[int]:
+        """Every slot, in the order offered the issue slot under *key*."""
+        raise NotImplementedError
+
+    def _rotated(self, slots: Sequence[int], pointer: int) -> List[int]:
+        return sorted(slots, key=lambda slot: (slot - pointer) % self.num_slots)
+
+    def scan_key(self, cycle: int) -> int:
+        """Index into :attr:`orders` of this cycle's scan order."""
+        return self._rr_pointer
 
     def candidate_order(self, cycle: int, resident_slots: Sequence[int]) -> List[int]:
         """Return slot indices in the order they should be offered the issue
         slot this cycle."""
-        raise NotImplementedError
-
-    def order_cached(self, cycle: int, resident_key: tuple) -> List[int]:
-        """Memoised :meth:`candidate_order`.
-
-        The order depends only on the round-robin pointer and the resident-slot
-        set (plus the cycle residue for the HEP barrel, which overrides this),
-        so the issue stage can reuse it instead of re-sorting every cycle.
-        Callers must not mutate the returned list.
-        """
-        key = (self._rr_pointer, resident_key)
-        order = self._order_cache.get(key)
-        if order is None:
-            if len(self._order_cache) > 1024:
-                self._order_cache.clear()
-            order = self.candidate_order(cycle, resident_key)
-            self._order_cache[key] = order
-        return order
+        return [slot for slot in self.orders[self.scan_key(cycle)] if slot in resident_slots]
 
     def issued(self, slot: int) -> None:
         """Feedback that *slot* issued this cycle (used to advance pointers)."""
@@ -82,17 +84,10 @@ class EventPriorityPolicy(IssuePolicy):
 
     name = "event-priority"
 
-    def candidate_order(self, cycle: int, resident_slots: Sequence[int]) -> List[int]:
-        order = []
-        if EXCEPTION_SLOT in resident_slots:
-            order.append(EXCEPTION_SLOT)
-        if EVENT_SLOT in resident_slots:
-            order.append(EVENT_SLOT)
-        user = [slot for slot in resident_slots if slot not in (EVENT_SLOT, EXCEPTION_SLOT)]
-        if user:
-            rotated = sorted(user, key=lambda slot: (slot - self._rr_pointer) % self.num_slots)
-            order.extend(rotated)
-        return order
+    def _order(self, key: int) -> List[int]:
+        handlers = [EXCEPTION_SLOT, EVENT_SLOT]
+        user = [slot for slot in range(self.num_slots) if slot not in handlers]
+        return handlers + self._rotated(user, key)
 
 
 class RoundRobinPolicy(IssuePolicy):
@@ -100,8 +95,8 @@ class RoundRobinPolicy(IssuePolicy):
 
     name = "round-robin"
 
-    def candidate_order(self, cycle: int, resident_slots: Sequence[int]) -> List[int]:
-        return sorted(resident_slots, key=lambda slot: (slot - self._rr_pointer) % self.num_slots)
+    def _order(self, key: int) -> List[int]:
+        return self._rotated(range(self.num_slots), key)
 
 
 class HepBarrelPolicy(IssuePolicy):
@@ -114,19 +109,11 @@ class HepBarrelPolicy(IssuePolicy):
 
     name = "hep"
 
-    def candidate_order(self, cycle: int, resident_slots: Sequence[int]) -> List[int]:
-        turn = cycle % self.num_slots
-        return [turn] if turn in resident_slots else []
+    def _order(self, key: int) -> List[int]:
+        return [key]
 
-    def order_cached(self, cycle: int, resident_key: tuple) -> List[int]:
-        key = (cycle % self.num_slots, resident_key)
-        order = self._order_cache.get(key)
-        if order is None:
-            if len(self._order_cache) > 1024:
-                self._order_cache.clear()
-            order = self.candidate_order(cycle, resident_key)
-            self._order_cache[key] = order
-        return order
+    def scan_key(self, cycle: int) -> int:
+        return cycle % self.num_slots
 
     def issued(self, slot: int) -> None:  # the barrel rotates with the clock
         pass
