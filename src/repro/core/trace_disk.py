@@ -118,14 +118,20 @@ def _write_index(directory: str, index: dict) -> None:
     os.replace(tmp_path, path)
 
 
+#: Compact encoder of chunk rows, built once: ``json.dumps`` with
+#: non-default separators builds a new encoder on every call.
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _write_chunk(path: str, rows: List[list]) -> None:
     tmp_path = path + ".tmp"
-    # mtime=0 keeps chunk bytes deterministic for identical event streams.
+    encode = _ROW_ENCODER.encode
+    payload = "".join([encode(row) + "\n" for row in rows]).encode("utf-8")
+    # mtime=0 keeps chunk bytes deterministic for identical event streams;
+    # one write hands the compressor the whole chunk at once.
     with open(tmp_path, "wb") as raw:
         with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as handle:
-            for row in rows:
-                handle.write(json.dumps(row, separators=(",", ":")).encode("utf-8"))
-                handle.write(b"\n")
+            handle.write(payload)
     os.replace(tmp_path, path)
 
 

@@ -98,6 +98,35 @@ def test_disk_sink_chunk_bytes_are_deterministic(tmp_path):
     assert chunks["a"] == chunks["b"]
 
 
+def _write_chunk_per_line(path, rows):
+    """The chunk writer as it was first written -- one encoder and two
+    compressor writes per row -- kept as the byte-level reference."""
+    with open(path, "wb") as raw:
+        with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as handle:
+            for row in rows:
+                handle.write(json.dumps(row, separators=(",", ":")).encode("utf-8"))
+                handle.write(b"\n")
+
+
+def test_disk_sink_chunk_bytes_match_the_per_line_writer(tmp_path):
+    tracer = Tracer(sink=DiskTraceSink(tmp_path / "t", chunk_events=64))
+    for i in range(200):
+        tracer.record(i, i % 3, "send", msg=i, dest=i % 5, priority=i % 2)
+        tracer.record(i, i % 3, "reg_write", reg=f"i{i % 16}", origin="memory")
+    tracer.flush()
+    chunks = json.loads((tmp_path / "t" / "index.json").read_text())["chunks"]
+    assert len(chunks) == 7
+    (tmp_path / "ref").mkdir()
+    for chunk in chunks:
+        path = tmp_path / "t" / chunk["file"]
+        with gzip.open(path, "rt", encoding="utf-8") as handle:
+            rows = [json.loads(line) for line in handle]
+        # Same file name: the gzip header records the name written to.
+        reference = tmp_path / "ref" / (chunk["file"] + ".tmp")
+        _write_chunk_per_line(reference, rows)
+        assert path.read_bytes() == reference.read_bytes()
+
+
 def test_disk_sink_fresh_append_wipes_previous_run(tmp_path):
     first = Tracer(sink=DiskTraceSink(tmp_path, chunk_events=2))
     _record_n(first, 6)
