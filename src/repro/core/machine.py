@@ -335,6 +335,19 @@ class MMachine:
         finally:
             self.tracer.flush()
 
+    def _busy(self, issued: int) -> bool:
+        """The naive run loops' quiescence predicate for the cycle just
+        stepped: something issued or is still in flight, or some node's
+        issue stage can make progress next cycle.  The last clause matters
+        under the HEP barrel, where a ready thread can wait for its turn
+        longer than the settle window."""
+        return (
+            issued > 0
+            or self.mesh.busy
+            or any(node.has_pending_work or node.idle_issue_profile() is None
+                   for node in self.nodes)
+        )
+
     def run_until_quiescent(self, max_cycles: int = 100_000, settle_cycles: int = 4) -> int:
         """Run until nothing has issued and nothing is in flight anywhere for
         *settle_cycles* consecutive cycles."""
@@ -347,12 +360,7 @@ class MMachine:
             quiet = 0
             while self.cycle < limit:
                 issued = self.step()
-                busy = (
-                    issued > 0
-                    or self.mesh.busy
-                    or any(node.has_pending_work for node in self.nodes)
-                )
-                quiet = 0 if busy else quiet + 1
+                quiet = 0 if self._busy(issued) else quiet + 1
                 if quiet >= settle_cycles:
                     return self.cycle
             raise TimeoutError(f"machine did not quiesce within {max_cycles} cycles")
@@ -372,12 +380,7 @@ class MMachine:
             while self.cycle < limit:
                 issued = self.step()
                 users_done = all(node.user_threads_finished for node in self.nodes)
-                busy = (
-                    issued > 0
-                    or self.mesh.busy
-                    or any(node.has_pending_work for node in self.nodes)
-                )
-                if users_done and not busy:
+                if users_done and not self._busy(issued):
                     quiet += 1
                 else:
                     quiet = 0

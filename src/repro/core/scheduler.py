@@ -228,11 +228,13 @@ class SimulationKernel:
 
     def _machine_busy(self, issued: int) -> bool:
         """The naive loops' quiescence predicate, with sleeping nodes served
-        from their frozen flags."""
+        from their frozen flags (a sleeping node's issue stage cannot make
+        progress: it went to sleep with an idle profile)."""
         if issued > 0 or self.mesh.busy or self._sleeping_pending > 0:
             return True
         asleep = self._asleep
-        return any(node.has_pending_work for node in self.nodes if not asleep[node.node_id])
+        return any(node.has_pending_work or node.idle_issue_profile() is None
+                   for node in self.nodes if not asleep[node.node_id])
 
     def _users_done(self) -> bool:
         if self._sleeping_users_unfinished > 0:

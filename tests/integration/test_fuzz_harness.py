@@ -13,6 +13,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.cluster.hthread import ThreadState
 from repro.fuzz import (
     GeneratorKnobs,
     check_program,
@@ -54,6 +55,21 @@ class TestDifferentialGrid:
         outcome = check_program(generate_program(seed))
         assert outcome.ok, outcome.failures
         assert outcome.cycles > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hep_programs_run_every_user_thread_to_the_end(self, seed):
+        # The 4-cycle settle window is shorter than the 6-slot barrel, so a
+        # ready thread waiting for its turn must not read as quiescence.
+        program = generate_program(seed)
+        program.config_overrides["cluster.issue_policy"] = "hep"
+        for kernel in ("event", "naive"):
+            machine = program.build_machine(kernel)
+            program.run(machine)
+            states = {machine.node(thread.node).context(thread.slot, thread.cluster).state
+                      for thread in program.threads}
+            assert states <= {ThreadState.HALTED, ThreadState.FAULTED}, kernel
+        outcome = check_program(program)
+        assert outcome.ok, outcome.failures
 
     def test_fault_heavy_knobs_pass(self):
         knobs = GeneratorKnobs(
