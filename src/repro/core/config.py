@@ -71,6 +71,18 @@ class ClusterConfig:
     enforce_gcc_pairs: bool = True
 
 
+#: ``ClusterConfig`` fields that size structures and must be positive ints.
+_CLUSTER_POSITIVE_INTS = (
+    "num_int_regs",
+    "num_fp_regs",
+    "num_cc_regs",
+    "num_gcc_regs",
+    "num_mc_regs",
+    "icache_words",
+    "words_per_instruction",
+)
+
+
 @dataclass
 class MemoryConfig:
     """On-chip cache, LTLB, page table and SDRAM parameters."""
@@ -248,6 +260,14 @@ class MachineConfig:
         shape = self.network.mesh_shape
         if len(shape) != 3 or any(not isinstance(dim, int) or dim <= 0 for dim in shape):
             raise ValueError(f"mesh shape must be three positive ints, got {shape!r}")
+        for name in _CLUSTER_POSITIVE_INTS:
+            value = getattr(self.cluster, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"cluster.{name} must be a positive int, got {value!r}")
+        if type(self.cluster.enforce_gcc_pairs) is not bool:
+            raise ValueError(
+                f"cluster.enforce_gcc_pairs must be a bool, got {self.cluster.enforce_gcc_pairs!r}"
+            )
         if self.network.max_body_words > self.cluster.num_mc_regs:
             raise ValueError(
                 "message body length cannot exceed the number of message-composition registers"

@@ -357,3 +357,15 @@ class TestSnapshotResumeCommands:
         assert main(["resume", str(path)]) == 2
         assert "repro resume: snapshot machine section is malformed: KeyError" in (
             capsys.readouterr().err)
+
+    def test_resume_malformed_cluster_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        assert main(["snapshot", "ping-pong", "--param", "rounds=4", "--at-cycle", "40",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        document = json.loads(path.read_text())
+        document["config"]["cluster"]["icache_words"] = -1
+        path.write_text(json.dumps(document))
+        assert main(["resume", str(path)]) == 2
+        assert ("repro resume: snapshot config section is malformed: ValueError: "
+                "cluster.icache_words must be a positive int, got -1") in capsys.readouterr().err

@@ -224,6 +224,15 @@ class TestFileFormat:
         pytest.param(("config", "network", "mesh_shape"), [2, -1, 1],
                      "config section is malformed: ValueError: mesh shape",
                      id="mesh-negative"),
+        *[pytest.param(("config", "cluster", field), value,
+                       f"config section is malformed: ValueError: cluster.{field} must be",
+                       id=f"{field}-{value if type(value) is int else type(value).__name__}")
+          for field, values in (("num_int_regs", ("x", None, 1.5, [1, 2])),
+                                ("num_gcc_regs", ("x", None, 1.5, [1, 2])),
+                                ("icache_words", (-1, 0)),
+                                ("words_per_instruction", (0, -1)),
+                                ("enforce_gcc_pairs", ("x", None)))
+          for value in values],
     ])
     def test_malformed_document_raises_snapshot_error(self, path, value, error):
         document = json.loads(json.dumps(self._machine().snapshot_document()))
