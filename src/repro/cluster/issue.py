@@ -76,7 +76,12 @@ class IssuePolicy:
         return {"rr_pointer": self._rr_pointer}
 
     def load_state_dict(self, state: dict) -> None:
-        self._rr_pointer = state["rr_pointer"]
+        pointer = state["rr_pointer"]
+        # The pointer indexes the order table, so an out-of-range value
+        # from a malformed snapshot is refused here, not at the next issue.
+        if type(pointer) is not int or not 0 <= pointer < self.num_slots:
+            raise ValueError(f"issue-policy pointer must be a slot number, got {pointer!r}")
+        self._rr_pointer = pointer
 
 
 class EventPriorityPolicy(IssuePolicy):

@@ -219,6 +219,9 @@ class TestFileFormat:
                      id="cycle-not-an-int"),
         pytest.param(("machine", "nodes", 0, "page_table", "entries", 0, 1), "x",
                      "machine section is malformed: AttributeError", id="lpt-entry-not-an-entry"),
+        pytest.param(("machine", "nodes", 0, "clusters", 0, "policy", "rr_pointer"), 6,
+                     "machine section is malformed: ValueError: issue-policy pointer",
+                     id="rr-pointer-out-of-range"),
         pytest.param(("config", "network", "mesh_shape"), [2, 2],
                      "config section is malformed: ValueError: mesh shape", id="mesh-2d"),
         pytest.param(("config", "network", "mesh_shape"), [2, -1, 1],
