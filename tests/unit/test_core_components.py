@@ -361,7 +361,11 @@ class TestIssueScan:
         reference.run_until_user_done()
         interrupted = self._interleaved()
         interrupted.run(40)
-        restored = MMachine.from_snapshot(interrupted.snapshot_document())
+        # Restore into a machine that already ran to the end, so that every
+        # cache the issue stage keeps holds stale values.
+        restored = self._interleaved()
+        restored.run_until_user_done()
+        restored.restore_snapshot(interrupted.snapshot_document())
         restored.run_until_user_done()
         expected, actual = (machine.node(0).clusters[0] for machine in (reference, restored))
         assert len(expected.issue_by_slot) == 4
