@@ -1,5 +1,6 @@
 """Acceptance: ``repro sweep paper-figures --jobs 4`` completes, matches the
-benchmarks' cycle counts, and resumes without re-executing anything.
+benchmarks' cycle counts, resumes without re-executing anything, and renders
+the committed ``docs/reports/paper-figures/`` report byte for byte.
 
 The benchmark suite runs its scenarios through the same workload factories
 (``benchmarks/conftest.py::run_and_record``), so equality against fresh
@@ -9,13 +10,22 @@ the simulator is deterministic across process boundaries.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.api import get_workload
 from repro.cli import main
+from repro.report import Manifest, render_report
 from repro.sweep import get_spec, validate_results
 from repro.sweep.runner import RESULTS_FILENAME
+
+#: The full report rendered from this sweep (``report.md`` plus its charts):
+#: every section and all 34 paper checks, which the smoke golden does not
+#: cover.
+GOLDEN_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "..", "docs", "reports", "paper-figures"
+)
 
 #: (workload, params) pairs re-run in-process for the cycle-count comparison;
 #: a representative of every machine-driving figure and ablation.
@@ -81,3 +91,14 @@ def test_reinvocation_skips_all_completed_runs(sweep_results):
     assert document["counts"]["executed"] == 0
     # Identical records to the first invocation (loaded from disk).
     assert document["runs"] == sweep_results["document"]["runs"]
+
+
+def test_report_matches_committed_golden(sweep_results, tmp_path):
+    manifest = Manifest.load(str(sweep_results["results_dir"] / RESULTS_FILENAME))
+    out_dir = tmp_path / "report"
+    render_report(manifest, str(out_dir))
+    names = sorted(os.listdir(out_dir))
+    assert names == sorted(os.listdir(GOLDEN_DIR))
+    for name in names:
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as handle:
+            assert (out_dir / name).read_bytes() == handle.read(), name
