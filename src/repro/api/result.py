@@ -13,8 +13,10 @@ manifests round-trip losslessly through the typed API
 On top of the raw record fields the type exposes the structured views the
 paper pipeline needs: the config :attr:`~RunResult.fingerprint`, headline
 :attr:`~RunResult.cycles`, the :class:`~repro.core.stats.MachineStats`
-summary counters, parsed Figure 9 :attr:`~RunResult.timeline` records, and
-:class:`Provenance` (simulation kernel, seed, resumed-from cycle).
+summary counters, parsed Figure 9 :attr:`~RunResult.timeline` records,
+:attr:`~RunResult.effective_params`, and :class:`Provenance` (simulation
+kernel, seed, resumed-from cycle).  The report (:mod:`repro.report`) holds
+one ``RunResult`` per sweep record and reads these views directly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional
 
 from repro.sweep.schema import (
@@ -215,19 +218,24 @@ class RunResult:
         return {key: self.metrics[key] for key in _SUMMARY_KEYS if key in self.metrics}
 
     @property
-    def timeline(self) -> Optional[List[Dict[str, object]]]:
-        """Parsed milestone timeline records (Figure 9 workloads embed them
-        in ``metrics["timeline"]`` as compact JSON), or None."""
+    def timeline(self) -> Optional[List[list]]:
+        """Parsed milestone timeline rows, ``[cycle, node, label]`` each
+        (Figure 9 workloads embed them in ``metrics["timeline"]`` as compact
+        JSON), or None."""
         raw = self.metrics.get("timeline")
         if not isinstance(raw, str):
             return None
         parsed = json.loads(raw)
         return parsed if isinstance(parsed, list) else None
 
-    @property
+    @cached_property
     def effective_params(self) -> Dict[str, object]:
         """Explicit params overlaid on the workload's registered defaults
-        (falls back to the explicit params for unregistered workloads)."""
+        (falls back to the explicit params for unregistered workloads).
+
+        Computed once per result and kept in the instance ``__dict__``, which
+        equality, :meth:`replace` and :meth:`to_record` do not read; treat
+        it as read-only like ``params``."""
         from repro.api.workload import get_workload  # noqa: PLC0415
 
         try:

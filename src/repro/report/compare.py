@@ -21,7 +21,8 @@ from repro.report.expected import (
     PairRatioExpectation,
     RecordRatioExpectation,
 )
-from repro.report.manifest import Manifest, RunRecord
+from repro.api.result import RunResult
+from repro.report.manifest import Manifest
 from repro.report.svg import format_value
 from repro.report.tables import markdown_table
 
@@ -57,7 +58,7 @@ def _measure_metric(manifest: Manifest, spec: Expectation) -> List[float]:
     return values
 
 
-def _pair_key(record: RunRecord, vary_key: str) -> Tuple[Tuple[str, str], ...]:
+def _pair_key(record: RunResult, vary_key: str) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted(
         (key, repr(value))
         for key, value in record.effective_params.items()

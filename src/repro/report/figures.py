@@ -10,7 +10,6 @@ Gantt-style waterfall reconstructed from the milestone timeline the
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from repro.report.expected import PAPER_DEPTHS
@@ -86,13 +85,13 @@ def build_fig6(manifest: Manifest) -> Optional[Section]:
     values = []
     for key in sorted(sync):
         record = sync[key]
-        rows.append(["2 H-Thread interlocked loop", key[0], record.metric("cycles"),
+        rows.append(["2 H-Thread interlocked loop", key[0], record.metrics["cycles"],
                      record.metrics.get("cycles_per_iteration")])
         labels.append(f"interlocked loop ({key[0]} iters)")
         values.append(record.metrics.get("cycles_per_iteration"))
     for key in sorted(barrier):
         record = barrier[key]
-        rows.append([f"{key[1]} H-Thread CC barrier", key[0], record.metric("cycles"),
+        rows.append([f"{key[1]} H-Thread CC barrier", key[0], record.metrics["cycles"],
                      record.metrics.get("cycles_per_iteration")])
         labels.append(f"{key[1]}-way barrier ({key[0]} iters)")
         values.append(record.metrics.get("cycles_per_iteration"))
@@ -226,16 +225,15 @@ def build_fig9(manifest: Manifest) -> Optional[Section]:
     for key in sorted(records):
         kind = str(key[0])
         record = records[key]
-        encoded = record.metrics.get("timeline")
+        timeline = record.timeline
         lines.append(f"### Remote {kind} ({record.metrics.get('total_cycles')} cycles)")
         lines.append("")
-        if not isinstance(encoded, str):
+        if timeline is None:
             lines.append("Milestone detail was not recorded in this manifest "
                          "(re-run the sweep to embed it).")
             lines.append("")
             continue
-        events = [(int(cycle), int(node), str(label))
-                  for cycle, node, label in json.loads(encoded)]
+        events = [(int(cycle), int(node), str(label)) for cycle, node, label in timeline]
         lines.extend(markdown_table(
             ["cycle", "node", "milestone"],
             [[cycle, node, label] for cycle, node, label in events],

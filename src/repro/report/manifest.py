@@ -3,18 +3,15 @@
 A report is rendered from a *manifest*: the merged ``sweep-results.json``
 written by :class:`~repro.sweep.runner.SweepRunner` (or any file of
 schema-valid records).  :class:`Manifest` loads one from a file path or a
-results directory (falling back to merging ``<dir>/runs/*.json``) and indexes
-the records so section builders can select runs by workload and parameter
-values.
+results directory (falling back to merging ``<dir>/runs/*.json``), parses
+each schema-valid record into a :class:`repro.api.result.RunResult`, and
+lets section builders select runs by workload and parameter values.  The
+builders read ``metrics``, ``effective_params`` and the parsed Figure 9
+``timeline`` straight off each ``RunResult``.
 
 Parameter matching is on *effective* parameters: the record's explicit
 params overlaid on the workload factory's keyword defaults, so a record that
 omitted ``kernel`` still matches ``kernel="event"``.
-
-Records are parsed into typed :class:`repro.api.result.RunResult` values
-(each :class:`RunRecord` carries one), so section builders can consume the
-structured views — summary counters, parsed timelines, provenance — instead
-of re-deriving them from raw dicts.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.result import RunResult
-from repro.api.workload import workload_defaults
 from repro.sweep.runner import RESULTS_FILENAME, RUNS_DIRNAME
 from repro.sweep.schema import validate_record
 
@@ -41,74 +37,13 @@ def _normalise(value: object) -> object:
     return value
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One schema-valid result record plus its effective parameters."""
-
-    record: Dict[str, object]
-    effective_params: Dict[str, object] = field(default_factory=dict)
-    #: The record parsed into the typed interchange form, when built through
-    #: :class:`Manifest` (None only for hand-constructed instances).
-    result: Optional[RunResult] = None
-
-    def to_result(self) -> RunResult:
-        """The typed :class:`RunResult` view of this record."""
-        return self.result if self.result is not None else RunResult.from_record(self.record)
-
-    @property
-    def run_id(self) -> str:
-        return str(self.record["run_id"])
-
-    @property
-    def workload(self) -> str:
-        return str(self.record["workload"])
-
-    @property
-    def params(self) -> Dict[str, object]:
-        return dict(self.record.get("params") or {})
-
-    @property
-    def metrics(self) -> Dict[str, object]:
-        return dict(self.record.get("metrics") or {})
-
-    @property
-    def tags(self) -> Dict[str, str]:
-        return dict(self.record.get("tags") or {})
-
-    @property
-    def ok(self) -> bool:
-        return self.record.get("status") == "ok"
-
-    def metric(self, name: str) -> object:
-        metrics = self.record.get("metrics") or {}
-        if name not in metrics:
-            raise KeyError(f"run {self.run_id!r} has no metric {name!r}")
-        return metrics[name]
-
-    def matches(self, params: Dict[str, object]) -> bool:
-        """Whether every given key/value equals this run's effective value."""
-        for key, value in params.items():
-            if key not in self.effective_params:
-                return False
-            if _normalise(self.effective_params[key]) != _normalise(value):
-                return False
-        return True
-
-
-#: ``workload -> factory keyword defaults`` cache: signature introspection is
-#: identical for every record of a workload, so do it once per manifest load.
-_DEFAULTS_CACHE: Dict[str, Dict[str, object]] = {}
-
-
-def _effective_params(workload: str, params: Dict[str, object]) -> Dict[str, object]:
-    if workload not in _DEFAULTS_CACHE:
-        try:
-            _DEFAULTS_CACHE[workload] = workload_defaults(workload)
-        except KeyError:
-            _DEFAULTS_CACHE[workload] = {}
-    effective = dict(_DEFAULTS_CACHE[workload])
-    effective.update(params)
-    return effective
+def matches(result: RunResult, params: Dict[str, object]) -> bool:
+    """Whether every given key/value equals *result*'s effective value."""
+    effective = result.effective_params
+    return all(
+        key in effective and _normalise(effective[key]) == _normalise(value)
+        for key, value in params.items()
+    )
 
 
 @dataclass
@@ -117,7 +52,7 @@ class Manifest:
 
     source: str
     spec_name: str = ""
-    records: List[RunRecord] = field(default_factory=list)
+    records: List[RunResult] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
 
     @classmethod
@@ -142,15 +77,7 @@ class Manifest:
                     f"runs[{index}]: {problem}" for problem in record_problems
                 )
                 continue
-            manifest.records.append(
-                RunRecord(
-                    record=record,
-                    effective_params=_effective_params(
-                        str(record["workload"]), dict(record.get("params") or {})
-                    ),
-                    result=RunResult.from_record(record),
-                )
-            )
+            manifest.records.append(RunResult.from_record(record))
         manifest.records.sort(key=lambda run: run.run_id)
         return manifest
 
@@ -196,22 +123,15 @@ class Manifest:
 
     # -- queries -----------------------------------------------------------------
 
-    def workloads(self) -> List[str]:
-        return sorted({run.workload for run in self.records})
-
-    def results(self) -> List[RunResult]:
-        """All records as typed :class:`RunResult` values (run-id order)."""
-        return [run.to_result() for run in self.records]
-
-    def find(self, workload: str, **params: object) -> List[RunRecord]:
+    def find(self, workload: str, **params: object) -> List[RunResult]:
         """All ok records of *workload* whose effective params match."""
         return [
             run
             for run in self.records
-            if run.workload == workload and run.ok and run.matches(params)
+            if run.workload == workload and run.ok and matches(run, params)
         ]
 
-    def first(self, workload: str, **params: object) -> Optional[RunRecord]:
+    def first(self, workload: str, **params: object) -> Optional[RunResult]:
         matches = self.find(workload, **params)
         return matches[0] if matches else None
 

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.latency import SCENARIOS
 from repro.report.expected import PAPER_TABLE1
-from repro.report.manifest import Manifest, RunRecord
+from repro.api.result import RunResult
+from repro.report.manifest import Manifest
 from repro.report.svg import format_value, grouped_bar_chart
 
 Charts = List[Tuple[str, str]]
@@ -31,13 +32,13 @@ def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> 
     return lines
 
 
-def dedupe_by(records: Sequence[RunRecord], *keys: str) -> Dict[tuple, RunRecord]:
+def dedupe_by(records: Sequence[RunResult], *keys: str) -> Dict[tuple, RunResult]:
     """Index records by the given effective-param values, first run_id wins.
 
     Collapses axes the section does not display (e.g. the smoke sweep's
     ``kernel`` axis, which by kernel equivalence cannot change the metrics).
     """
-    indexed: Dict[tuple, RunRecord] = {}
+    indexed: Dict[tuple, RunResult] = {}
     for record in records:  # records are sorted by run_id already
         key = tuple(record.effective_params.get(k) for k in keys)
         indexed.setdefault(key, record)
@@ -167,11 +168,11 @@ def _build_a1(manifest: Manifest) -> Optional[Section]:
     baseline = by_threads.get(1)
     rows = []
     for threads in sorted(by_threads):
-        cycles = by_threads[threads].metric("cycles")
+        cycles = by_threads[threads].metrics["cycles"]
         speedup = "-"
         if baseline is not None:
             speedup = format_value(
-                round(threads * baseline.metric("cycles") / cycles, 2)
+                round(threads * baseline.metrics["cycles"] / cycles, 2)
             )
         rows.append([threads, cycles, speedup])
     lines = [
@@ -190,7 +191,7 @@ def _build_a1(manifest: Manifest) -> Optional[Section]:
             grouped_bar_chart(
                 "A1: pointer-chasing V-Threads on one cluster",
                 [f"{t} thread{'s' if t > 1 else ''}" for t in threads],
-                [("total cycles", [by_threads[t].metric("cycles") for t in threads])],
+                [("total cycles", [by_threads[t].metrics["cycles"] for t in threads])],
                 y_label="cycles",
             ),
         ))
@@ -203,7 +204,7 @@ def _build_a2(manifest: Manifest) -> Optional[Section]:
         return None
     by_policy = {str(key[0]): record for key, record in records.items()}
     policies = sorted(by_policy)
-    rows = [[policy, by_policy[policy].metric("cycles")] for policy in policies]
+    rows = [[policy, by_policy[policy].metrics["cycles"]] for policy in policies]
     lines = [
         "### A2: thread-selection policy (Section 3.4)",
         "",
@@ -220,7 +221,7 @@ def _build_a2(manifest: Manifest) -> Optional[Section]:
             grouped_bar_chart(
                 "A2: one arithmetic loop under each issue policy",
                 policies,
-                [("cycles", [by_policy[policy].metric("cycles") for policy in policies])],
+                [("cycles", [by_policy[policy].metrics["cycles"] for policy in policies])],
                 y_label="cycles",
             ),
         ))
@@ -237,7 +238,7 @@ def _build_a3(manifest: Manifest) -> Optional[Section]:
         rows.append([
             str(key[0]),
             key[1],
-            record.metric("cycles"),
+            record.metrics["cycles"],
             record.metrics.get("messages", "-"),
         ])
     lines = [
@@ -258,7 +259,7 @@ def _build_a3(manifest: Manifest) -> Optional[Section]:
             series.append((
                 mode,
                 [
-                    records[(mode, repeat)].metric("cycles")
+                    records[(mode, repeat)].metrics["cycles"]
                     if (mode, repeat) in records else None
                     for repeat in repeats
                 ],
@@ -293,7 +294,7 @@ def _build_a4(manifest: Manifest) -> Optional[Section]:
             record = floods[key]
             rows.append([
                 f"1-to-1 flood, {key[2]} msgs, {key[0]} credits, {key[1]}-word queue",
-                record.metric("cycles"),
+                record.metrics["cycles"],
                 record.metrics.get("nacks", "-"),
                 record.metrics.get("retransmissions", "-"),
                 record.metrics.get("max_queue_words", "-"),
@@ -308,7 +309,7 @@ def _build_a4(manifest: Manifest) -> Optional[Section]:
             record = many[key]
             rows.append([
                 f"many-to-1 flood, {key[0]}-word consumer queue",
-                record.metric("cycles"),
+                record.metrics["cycles"],
                 record.metrics.get("nacks", "-"),
                 record.metrics.get("retransmissions", "-"),
                 record.metrics.get("max_queue_words", "-"),

@@ -33,10 +33,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - lazy at runtime (import cycle)
-    from repro.api.result import RunResult
+from typing import Callable, Dict, List, Optional
 
 from repro.api.workload import get_workload, workload_names
 from repro.sweep.schema import (  # noqa: F401  (VERIFICATION_FAILED re-exported)
@@ -135,13 +132,6 @@ class SweepResult:
     @property
     def ok(self) -> bool:
         return not self.failed
-
-    @property
-    def results(self) -> List["RunResult"]:
-        """The records parsed back into typed :class:`RunResult` values."""
-        from repro.api.result import RunResult  # noqa: PLC0415
-
-        return [RunResult.from_record(record) for record in self.records]
 
 
 class SweepRunner:

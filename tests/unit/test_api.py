@@ -230,6 +230,20 @@ class TestRunResult:
         assert result.timeline == records
         assert self._result().timeline is None
 
+    def test_effective_params_is_computed_once_outside_the_fields(self):
+        result, fresh = self._result(), self._result()
+        assert result.effective_params is result.effective_params
+        assert result.effective_params["kind"] == "7pt"
+        assert result.effective_params["kernel"] == "event"
+        # The cached value is not a field: equality, replace and records ignore it.
+        assert result == fresh
+        assert "effective_params" not in result.replace(wall_seconds=1.0).__dict__
+        assert result.to_record() == fresh.to_record()
+
+    def test_effective_params_falls_back_for_unregistered_workloads(self):
+        result = RunResult.from_metrics("not-registered", {"n": 3}, {})
+        assert result.effective_params == {"n": 3}
+
     def test_provenance_kernel_from_effective_params(self):
         # stencil defaults kernel="event"; the explicit params omit it.
         provenance = self._result().provenance

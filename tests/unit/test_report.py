@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro import cli
+from repro.api.result import RunResult
 from repro.report.compare import FAIL, OK, SKIPPED, delta_table, evaluate, failures
 from repro.report.manifest import Manifest, ManifestError
 from repro.report.render import build_markdown, render_report
@@ -213,6 +214,17 @@ class TestManifest:
         assert not manifest.find("stencil", kind="7pt", kernel="naive")
         # mesh defaults compare list-vs-tuple insensitively.
         assert manifest.find("stencil", mesh=[1, 1, 1])
+
+    def test_records_are_run_results_in_run_id_order(self, manifest):
+        assert all(isinstance(run, RunResult) for run in manifest.records)
+        run_ids = [run.run_id for run in manifest.records]
+        assert run_ids == sorted(run_ids)
+
+    def test_find_unregistered_workload_matches_explicit_params(self, sample_records):
+        records = sample_records + [_record("not-registered", {"size": [2, 2]}, {"cycles": 1})]
+        manifest = Manifest.from_document(_document(records))
+        assert manifest.find("not-registered", size=(2, 2))
+        assert not manifest.find("not-registered", kernel="event")
 
     def test_find_excludes_failed_records(self, sample_records):
         records = sample_records + [
