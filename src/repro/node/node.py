@@ -442,7 +442,9 @@ class Node:
         """True when anything inside the node is still in flight (used by the
         machine's quiescence detector together with issue counts).  Every
         native handler exposes an explicit ``busy`` property
-        (:class:`~repro.runtime.native.NativeHandler`)."""
+        (:class:`~repro.runtime.native.NativeHandler`).  A cluster writeback
+        counts too: ``div``, ``mod`` and ``fdiv`` results land later than the
+        quiescence settle window."""
         return (
             self.memory.busy
             or bool(self._pending_events)
@@ -453,6 +455,7 @@ class Node:
             or not self.event_queue_ltlb.is_empty
             or self.net.busy
             or any(handler.busy for handler in self.native_handlers)
+            or any(cluster._writebacks for cluster in self.clusters)
         )
 
     # ------------------------------------------------------- kernel scheduling

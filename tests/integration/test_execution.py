@@ -238,6 +238,28 @@ class TestIntraNodeParallelism:
         assert run("hep") > 2 * run("event-priority")
 
 
+class TestLongLatencyQuiescence:
+    """``div`` and ``mod`` take 8 cycles and ``fdiv`` 10, longer than the
+    quiescence settle window: the run waits for the result to land."""
+
+    @pytest.mark.parametrize("program, registers, dest, expected, cycle", [
+        ("div i3, i1, i2\nadd i4, i3, #1\nhalt", {"i1": 7, "i2": 2}, "i4", 4, 14),
+        ("mod i3, i1, i2\nadd i4, i3, #1\nhalt", {"i1": 7, "i2": 2}, "i4", 2, 14),
+        ("fdiv f3, f1, f2\nfadd f4, f3, #1.0\nhalt", {"f1": 7.0, "f2": 2.0}, "f4", 4.5, 17),
+    ], ids=["div", "mod", "fdiv"])
+    @pytest.mark.parametrize("kernel", ["event", "naive"])
+    def test_run_until_quiescent_waits_for_the_result(
+        self, kernel, program, registers, dest, expected, cycle
+    ):
+        config = MachineConfig.single_node()
+        config.sim.kernel = kernel
+        machine = MMachine(config)
+        machine.load_hthread(0, 0, 0, program, registers=registers)
+        assert machine.run_until_quiescent() == cycle
+        assert machine.nodes[0].context(0, 0).state is ThreadState.HALTED
+        assert machine.register_value(0, 0, 0, dest) == expected
+
+
 class TestExceptions:
     def test_divide_by_zero_faults_thread(self):
         machine = single_node()
