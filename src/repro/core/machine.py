@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from repro.core.config import MachineConfig
 from repro.core.ids import IdSource
-from repro.core.scheduler import SimulationKernel
+from repro.core.scheduler import SETTLE_CYCLES, SimulationKernel
 from repro.core.stats import MachineStats
 from repro.core.trace import Tracer, sink_for_config
 from repro.isa.assembler import assemble
@@ -295,9 +295,9 @@ class MMachine:
             self._checkpoint.on_cycle(self)
         return issued
 
-    def run(self, max_cycles: int, until: Optional[Callable[["MMachine"], bool]] = None) -> int:
-        """Run for at most *max_cycles* more cycles, stopping early when
-        *until* (if given) returns True.  Returns the cycle count reached.
+    def run(self, max_cycles: int) -> int:
+        """Run for *max_cycles* more cycles; returns the cycle count reached.
+        :meth:`run_until` stops on a predicate instead.
 
         Every ``run*`` method flushes the tracer on exit (even on timeout),
         so a disk-backed trace is always complete and readable afterwards;
@@ -307,12 +307,10 @@ class MMachine:
             self._checkpoint.on_run_start(self)
         try:
             if self.kernel is not None:
-                return self.kernel.run(max_cycles, until)
+                return self.kernel.run(max_cycles)
             limit = self.cycle + max_cycles
             while self.cycle < limit:
                 self.step()
-                if until is not None and until(self):
-                    break
             return self.cycle
         finally:
             self.tracer.flush()
@@ -348,33 +346,33 @@ class MMachine:
                    for node in self.nodes)
         )
 
-    def run_until_quiescent(self, max_cycles: int = 100_000, settle_cycles: int = 4) -> int:
+    def run_until_quiescent(self, max_cycles: int = 100_000) -> int:
         """Run until nothing has issued and nothing is in flight anywhere for
-        *settle_cycles* consecutive cycles."""
+        :data:`~repro.core.scheduler.SETTLE_CYCLES` consecutive cycles."""
         if self._checkpoint is not None:
             self._checkpoint.on_run_start(self)
         try:
             if self.kernel is not None:
-                return self.kernel.run_until_quiescent(max_cycles, settle_cycles)
+                return self.kernel.run_until_quiescent(max_cycles)
             limit = self.cycle + max_cycles
             quiet = 0
             while self.cycle < limit:
                 issued = self.step()
                 quiet = 0 if self._busy(issued) else quiet + 1
-                if quiet >= settle_cycles:
+                if quiet >= SETTLE_CYCLES:
                     return self.cycle
             raise TimeoutError(f"machine did not quiesce within {max_cycles} cycles")
         finally:
             self.tracer.flush()
 
-    def run_until_user_done(self, max_cycles: int = 100_000, settle_cycles: int = 4) -> int:
+    def run_until_user_done(self, max_cycles: int = 100_000) -> int:
         """Run until every user H-Thread has halted and the machine is
         otherwise quiescent (handlers drained, network idle)."""
         if self._checkpoint is not None:
             self._checkpoint.on_run_start(self)
         try:
             if self.kernel is not None:
-                return self.kernel.run_until_user_done(max_cycles, settle_cycles)
+                return self.kernel.run_until_user_done(max_cycles)
             limit = self.cycle + max_cycles
             quiet = 0
             while self.cycle < limit:
@@ -384,7 +382,7 @@ class MMachine:
                     quiet += 1
                 else:
                     quiet = 0
-                if quiet >= settle_cycles:
+                if quiet >= SETTLE_CYCLES:
                     return self.cycle
             raise TimeoutError(f"user threads did not finish within {max_cycles} cycles")
         finally:

@@ -41,6 +41,10 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional
 
+#: Consecutive quiet cycles after which ``run_until_quiescent`` and
+#: ``run_until_user_done`` return, in both clock drivers.
+SETTLE_CYCLES = 4
+
 
 class SimulationKernel:
     """Activity-tracked, cycle-skipping scheduler for one
@@ -251,13 +255,13 @@ class SimulationKernel:
     # are constant and the outcome of stepping through the span can be
     # computed in closed form -- the clock jumps instead.
 
-    def run(self, max_cycles: int, until: Optional[Callable] = None) -> int:
+    def run(self, max_cycles: int) -> int:
         machine = self.machine
         self.wake_all()
         limit = machine.cycle + max_cycles
         num_nodes = len(self.nodes)
         while machine.cycle < limit:
-            if until is None and self._num_asleep == num_nodes:
+            if self._num_asleep == num_nodes:
                 cycle = machine.cycle
                 next_event = self._next_event()
                 if next_event is None or next_event > cycle:
@@ -266,16 +270,6 @@ class SimulationKernel:
                         machine._checkpoint.on_cycle(machine)
                     continue
             self._step()
-            # *until* may be cycle-dependent, so spans are never skipped
-            # past it: with a predicate the loop steps every cycle (each
-            # step is O(awake nodes), zero when all are asleep).  The lazy
-            # idle accounting is settled first so a predicate reading
-            # statistics of a sleeping node sees the naive loop's counters.
-            if until is not None:
-                if self._num_asleep:
-                    self.sync()
-                if until(machine):
-                    break
         self.sync()
         return machine.cycle
 
@@ -296,7 +290,7 @@ class SimulationKernel:
             f"condition not reached within {max_cycles} cycles (cycle {machine.cycle})"
         )
 
-    def run_until_quiescent(self, max_cycles: int = 100_000, settle_cycles: int = 4) -> int:
+    def run_until_quiescent(self, max_cycles: int = 100_000) -> int:
         machine = self.machine
         self.wake_all()
         limit = machine.cycle + max_cycles
@@ -312,7 +306,7 @@ class SimulationKernel:
                         quiet = 0
                         machine.cycle = horizon
                     else:
-                        target = cycle + (settle_cycles - quiet)
+                        target = cycle + (SETTLE_CYCLES - quiet)
                         if target <= horizon:
                             machine.cycle = target
                             self.sync()
@@ -324,13 +318,13 @@ class SimulationKernel:
                     continue
             issued = self._step()
             quiet = 0 if self._machine_busy(issued) else quiet + 1
-            if quiet >= settle_cycles:
+            if quiet >= SETTLE_CYCLES:
                 self.sync()
                 return machine.cycle
         self.sync()
         raise TimeoutError(f"machine did not quiesce within {max_cycles} cycles")
 
-    def run_until_user_done(self, max_cycles: int = 100_000, settle_cycles: int = 4) -> int:
+    def run_until_user_done(self, max_cycles: int = 100_000) -> int:
         machine = self.machine
         self.wake_all()
         limit = machine.cycle + max_cycles
@@ -344,7 +338,7 @@ class SimulationKernel:
                     horizon = min(next_event, limit) if next_event is not None else limit
                     busy = self.mesh.busy or self._sleeping_pending > 0
                     if self._sleeping_users_unfinished == 0 and not busy:
-                        target = cycle + (settle_cycles - quiet)
+                        target = cycle + (SETTLE_CYCLES - quiet)
                         if target <= horizon:
                             machine.cycle = target
                             self.sync()
@@ -361,7 +355,7 @@ class SimulationKernel:
                 quiet += 1
             else:
                 quiet = 0
-            if quiet >= settle_cycles:
+            if quiet >= SETTLE_CYCLES:
                 self.sync()
                 return machine.cycle
         self.sync()

@@ -68,7 +68,6 @@ class CheckpointPolicy:
         every: Optional[int] = None,
         snapshot_at: Optional[int] = None,
         stop_after_snapshot: bool = False,
-        compress: bool = False,
     ):
         if every is not None and every <= 0:
             raise ValueError("checkpoint interval must be positive")
@@ -76,7 +75,6 @@ class CheckpointPolicy:
         self.every = every
         self.snapshot_at = snapshot_at
         self.stop_after_snapshot = stop_after_snapshot
-        self.compress = compress
         self._next_ordinal = 0
         self._snapshot_done = False
         #: ``(ordinal, cycle)`` log of saves, for tests and runner logging.
@@ -85,8 +83,7 @@ class CheckpointPolicy:
         self.resumes: List[Tuple[int, int]] = []
 
     def path_for(self, ordinal: int) -> str:
-        suffix = ".json.gz" if self.compress else ".json"
-        return os.path.join(self.directory, f"machine-{ordinal}{suffix}")
+        return os.path.join(self.directory, f"machine-{ordinal}.json")
 
     def attach(self, machine) -> "CheckpointRuntime":
         ordinal = self._next_ordinal
@@ -156,7 +153,6 @@ def checkpoint_context(
     every: Optional[int] = None,
     snapshot_at: Optional[int] = None,
     stop_after_snapshot: bool = False,
-    compress: bool = False,
 ):
     """Activate a :class:`CheckpointPolicy` for machines constructed inside
     the ``with`` block; yields the policy."""
@@ -168,7 +164,6 @@ def checkpoint_context(
         every=every,
         snapshot_at=snapshot_at,
         stop_after_snapshot=stop_after_snapshot,
-        compress=compress,
     )
     _ACTIVE = policy
     try:

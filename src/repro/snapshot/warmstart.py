@@ -6,17 +6,16 @@ any number of measurement runs (locally or across worker processes -- the
 snapshot file is self-contained, so any machine that can read it can run a
 measurement leg).
 
-The simulator is deterministic, so identical drives of the same snapshot
-produce identical results; measurement legs differ by the *drive* they apply
-(how far to run, what to measure), which is exactly how a sweep shards one
-long timeline into restartable segments.
+The simulator is deterministic, so every leg restored from the same
+snapshot produces the same result: :func:`fan_out` runs each one to user
+completion with :func:`default_drive`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.api.result import RunResult
 from repro.snapshot.format import read_snapshot
@@ -79,14 +78,9 @@ def _restore(document):
     return MMachine.from_snapshot(document)
 
 
-def fan_out(
-    source,
-    runs: int,
-    drive: Optional[Callable] = None,
-    max_cycles: int = 1_000_000,
-) -> List[Dict[str, object]]:
+def fan_out(source, runs: int, max_cycles: int = 1_000_000) -> List[Dict[str, object]]:
     """Restore the snapshot *source* (path or document) *runs* times and
-    apply *drive* (default :func:`default_drive`) to each restored machine.
+    apply :func:`default_drive` to each restored machine.
 
     Every leg restores from the same document, so legs are independent: this
     is the in-process form of handing the snapshot file to *runs* workers.
@@ -94,14 +88,7 @@ def fan_out(
     if runs < 1:
         raise ValueError("fan-out needs at least one run")
     document = read_snapshot(source) if isinstance(source, str) else source
-    results = []
-    for _ in range(runs):
-        machine = _restore(document)
-        if drive is not None:
-            results.append(drive(machine))
-        else:
-            results.append(default_drive(machine, max_cycles=max_cycles))
-    return results
+    return [default_drive(_restore(document), max_cycles=max_cycles) for _ in range(runs)]
 
 
 def _fan_out_worker(payload) -> Dict[str, object]:
@@ -115,7 +102,7 @@ def fan_out_parallel(
     path: str, runs: int, jobs: int = 1, max_cycles: int = 1_000_000
 ) -> List[Dict[str, object]]:
     """Like :func:`fan_out` but over a worker-process pool (``jobs=1`` runs
-    inline); only the default drive is supported, as drives must pickle."""
+    inline)."""
     if jobs <= 1:
         return fan_out(path, runs, max_cycles=max_cycles)
     payloads = [(path, max_cycles)] * runs
