@@ -202,16 +202,18 @@ def test_mesh_scaling_matrix():
     super-linear in machine size (a per-cycle scan of all nodes, a shared
     structure that grows with the mesh), the larger meshes fall off a cliff.
 
-    The gate compares 8x8 against 16x16 rather than 4x4 against 16x16: a
-    4x4 machine (~1.5 MB of Python objects) fits the host's L2 cache while
-    the larger meshes do not, so the 4x4 point enjoys a one-off memory-
-    latency bonus of roughly 1.6-1.9x that has nothing to do with
-    algorithmic scaling (per-node-tick *call counts* are identical across
-    the matrix; only per-call latency changes).  8x8 (~6 MB) and 16x16
-    (~20 MB) both live beyond L2, so their comparison isolates genuine
-    super-linearity -- before cross-cluster dispatch-plan sharing this
-    segment showed a 45% drop, now it is within a few percent.  The full
-    matrix including the 4x4 point is still recorded in the trajectory."""
+    The gate compares 8x8 against 16x16, where the drop is.  Measured on a
+    2-vCPU Intel Xeon VM under CPython 3.11.7 (medians of 4 runs, each
+    normalised by reference passes), 4x4 runs about as fast as 8x8 (64.5k
+    vs 64.8k node-ticks/s), so the small end shows no host-cache bonus,
+    and 16x16 runs about 20% below 8x8 (51.1k).  Per-node-tick *call
+    counts* are identical across the matrix; at 16x16 the per-call time of
+    every ``Node.tick`` phase rises by 20-60%, so the drop is the per-node
+    working set outgrowing the host caches, not a phase whose work grows
+    with the mesh.  The 30% gate leaves room for that drop and still catches
+    genuine super-linearity -- before cross-cluster dispatch-plan sharing
+    this segment showed a 45% drop.  The full matrix including the 4x4
+    point is recorded in the trajectory."""
     matrix = {}
     for mesh_x, mesh_y, mesh_z, iterations in MESH_MATRIX:
         num_nodes = mesh_x * mesh_y * mesh_z

@@ -18,11 +18,13 @@ The paper does not fix the selection policy, so the simulator offers three:
 
 ``hep``
     Barrel scheduling in the style of HEP/MASA (Section 3.4's comparison):
-    slots take strict turns among *resident* threads, so with a single
-    resident thread an instruction can issue at most every
-    ``len(resident)``-th cycle only if it is that slot's turn -- used by the
-    ablation that shows why zero-cost interleaving preserves single-thread
-    performance while barrel scheduling does not.
+    the issue turn rotates over *all* six slots with the clock
+    (``cycle % num_slots``), whether or not a slot holds a thread, so a
+    single resident thread issues at most every sixth cycle, on its slot's
+    turn.  The ablation uses it to show why zero-cost interleaving preserves
+    single-thread performance while barrel scheduling does not: with one
+    resident thread the ``issue-policy`` workload takes 408 cycles under
+    ``event-priority`` and 2,423 (5.9x) under ``hep``.
 
 Each policy's order over *all* slots depends only on one small integer, its
 *scan key*: the round-robin pointer, or for the barrel the cycle residue.

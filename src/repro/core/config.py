@@ -62,8 +62,9 @@ class ClusterConfig:
     #: Thread-selection policy of the synchronization stage:
     #: ``"event-priority"`` (exception slot, then event slot, then user slots
     #: round-robin) or ``"round-robin"`` (pure round-robin over all slots) or
-    #: ``"hep"`` (forced round-robin over *resident* slots even when only one
-    #: thread is ready, modelling HEP/MASA-style barrel scheduling for the
+    #: ``"hep"`` (the issue turn rotates over *all* slots with the clock,
+    #: whether or not a slot holds a thread, even when only one thread is
+    #: ready, modelling HEP/MASA-style barrel scheduling for the
     #: single-thread-performance ablation of Section 3.4).
     issue_policy: str = "event-priority"
     #: Enforce the global-CC pairing rule: cluster ``k`` may broadcast only to
