@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.api.result import RunResult
 from repro.report.expected import (
     EXPECTATIONS,
     Expectation,
     PairRatioExpectation,
     RecordRatioExpectation,
 )
-from repro.api.result import RunResult
 from repro.report.manifest import Manifest
 from repro.report.svg import format_value
 from repro.report.tables import markdown_table

@@ -132,8 +132,8 @@ class Manifest:
         ]
 
     def first(self, workload: str, **params: object) -> Optional[RunResult]:
-        matches = self.find(workload, **params)
-        return matches[0] if matches else None
+        found = self.find(workload, **params)
+        return found[0] if found else None
 
     def counts(self) -> Tuple[int, int]:
         """``(ok, failed)`` record counts."""

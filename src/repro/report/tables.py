@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.latency import SCENARIOS
-from repro.report.expected import PAPER_TABLE1
 from repro.api.result import RunResult
+from repro.report.expected import PAPER_TABLE1
 from repro.report.manifest import Manifest
 from repro.report.svg import format_value, grouped_bar_chart
 
