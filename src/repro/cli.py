@@ -424,22 +424,24 @@ def _cmd_list() -> int:
 
 
 def _cmd_info() -> int:
-    from repro import MachineConfig, __version__  # noqa: PLC0415
+    from repro import NUM_CLUSTERS, NUM_VTHREAD_SLOTS, MachineConfig, __version__  # noqa: PLC0415
+    from repro.memory import PAGE_SIZE_WORDS, InterleavedCache, Sdram  # noqa: PLC0415
     from repro.snapshot.format import SNAPSHOT_SCHEMA_VERSION, config_to_dict  # noqa: PLC0415
 
     config = MachineConfig()
     mesh = config.network.mesh_shape
+    cache = InterleavedCache()
     payload = {
         "version": __version__,
         "snapshot_schema_version": SNAPSHOT_SCHEMA_VERSION,
         "defaults": {
             "mesh_shape": list(mesh),
             "num_nodes": config.num_nodes,
-            "clusters_per_node": config.node.num_clusters,
-            "vthread_slots": config.node.num_vthread_slots,
-            "cache_words": config.memory.cache_banks * config.memory.bank_size_words,
-            "sdram_words": config.memory.sdram_size_words,
-            "page_size_words": config.memory.page_size_words,
+            "clusters_per_node": NUM_CLUSTERS,
+            "vthread_slots": NUM_VTHREAD_SLOTS,
+            "cache_words": cache.num_banks * cache.bank_size_words,
+            "sdram_words": Sdram().size_words,
+            "page_size_words": PAGE_SIZE_WORDS,
             "kernel": config.sim.kernel,
             "shared_memory_mode": config.runtime.shared_memory_mode,
         },

@@ -62,7 +62,7 @@ from repro.core.config import (
     ClusterConfig,
     EVENT_SLOT,
     EXCEPTION_SLOT,
-    NodeConfig,
+    NUM_VTHREAD_SLOTS,
 )
 from repro.events.records import EventRecord, EventType
 from repro.isa.program import Program
@@ -90,24 +90,16 @@ def _residue_count(start: int, count: int, residue: int, modulus: int) -> int:
 class Cluster:
     """One of the four execution clusters of a MAP chip."""
 
-    def __init__(
-        self,
-        cluster_id: int,
-        node,
-        config: Optional[ClusterConfig] = None,
-        node_config: Optional[NodeConfig] = None,
-    ):
+    def __init__(self, cluster_id: int, node, config: Optional[ClusterConfig] = None):
         self.id = cluster_id
         self.node = node
         self.config = config or ClusterConfig()
-        self.node_config = node_config or NodeConfig()
-        num_slots = self.node_config.num_vthread_slots
         self.contexts: List[HThreadContext] = [
-            HThreadContext(slot=slot, cluster_id=cluster_id, config=self.config)
-            for slot in range(num_slots)
+            HThreadContext(slot=slot, cluster_id=cluster_id)
+            for slot in range(NUM_VTHREAD_SLOTS)
         ]
-        self.icache = InstructionCache(self.config, name=f"n{getattr(node, 'node_id', '?')}c{cluster_id}")
-        self.policy = make_issue_policy(self.config, num_slots)
+        self.icache = InstructionCache(name=f"n{getattr(node, 'node_id', '?')}c{cluster_id}")
+        self.policy = make_issue_policy(self.config, NUM_VTHREAD_SLOTS)
         #: Runnable slots in ascending order, and per policy scan key the
         #: policy's order filtered to them (derived state, dropped by every
         #: thread-state change; see :meth:`_refresh_runnable`).
@@ -123,11 +115,11 @@ class Cluster:
         self._writebacks: List[tuple] = []
         #: Per-slot compiled plans (derived state, never serialised; see
         #: :meth:`_slot_plans`).
-        self._plans: List[Optional[list]] = [None] * num_slots
+        self._plans: List[Optional[list]] = [None] * NUM_VTHREAD_SLOTS
         #: Per-slot queue-name -> hardware-queue bindings (derived state;
         #: compiled plans carry queue *names* so they stay cluster-neutral
         #: and shareable, and this cache makes the per-cycle resolution O(1)).
-        self._queue_cache: List[dict] = [dict() for _ in range(num_slots)]
+        self._queue_cache: List[dict] = [dict() for _ in range(NUM_VTHREAD_SLOTS)]
         # Statistics.  Operations per function unit (indexed like
         # dispatch.UNIT_VALUES) and instructions per slot are flat counts;
         # the dict views are built on read.
@@ -137,7 +129,7 @@ class Cluster:
         self.no_ready_cycles = 0
         self.exceptions_raised = 0
         self._unit_counts = [0] * len(UNIT_VALUES)
-        self._slot_counts = [0] * num_slots
+        self._slot_counts = [0] * NUM_VTHREAD_SLOTS
 
     # ------------------------------------------------------------------ loading
 

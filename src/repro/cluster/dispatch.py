@@ -27,8 +27,8 @@ counter, and :class:`~repro.cluster.cluster.Cluster` runs nothing else:
   destination offsets, latencies and trace strings bound at compile time.
 
 A malformed instruction still compiles.  A fault the stage would detect
-while checking readiness (a remote register as a source, a register beyond
-the configured file, a SEND whose length is not an immediate) becomes a
+while checking readiness (a remote register as a source, a special
+register as a destination, a SEND whose length is not an immediate) becomes a
 ``CHECK_RAISE`` step at the position of the failing check; a fault found
 while executing (``empty`` or a load targeting a remote register, a label
 as a branch condition) is raised by the executor.  Either way
@@ -40,8 +40,8 @@ serialised into snapshots, and rebuilt on first issue after a restore (a
 restore installs freshly decoded :class:`~repro.isa.program.Program`
 objects).  Plans bind nothing cluster-specific -- hardware queues are
 resolved by name through the executing cluster, node and cluster identities
-are read at run time -- so one plan list serves every cluster with the same
-register layout (see ``_SHARED_PLANS``).
+are read at run time -- so one plan list serves every cluster (see
+``_SHARED_PLANS``).
 """
 
 from __future__ import annotations
@@ -131,13 +131,13 @@ class _Malformed(Exception):
     pass; its message becomes the instruction's ``CHECK_RAISE`` step."""
 
 
-#: Shared plan lists, keyed by Program object identity then by ``(slot,
-#: regfile layout_key)``.  The same Program loaded into many clusters (every
-#: SPMD workload, every runtime handler) compiles once and is shared.  On an
-#: NxN mesh this collapses the plan footprint touched per simulated cycle by
-#: ``4 x N x N``, which is what keeps the busy-heavy per-node-tick
-#: throughput flat as the mesh grows (the host working set would otherwise
-#: blow out the CPU cache).
+#: Shared plan lists, keyed by Program object identity then by slot (every
+#: register set has the same layout).  The same Program loaded into many
+#: clusters (every SPMD workload, every runtime handler) compiles once and
+#: is shared.  On an NxN mesh this collapses the plan footprint touched per
+#: simulated cycle by ``4 x N x N``, which is what keeps the busy-heavy
+#: per-node-tick throughput flat as the mesh grows (the host working set
+#: would otherwise blow out the CPU cache).
 #:
 #: Keyed by ``id(program)`` (Program defines ``__eq__`` but not ``__hash__``)
 #: with a weakref that both validates identity against id reuse and evicts
@@ -158,11 +158,10 @@ def compile_program(program: Optional[Program], cluster,
         ref = weakref.ref(program, lambda _ref, _key=cache_key: _SHARED_PLANS.pop(_key, None))
         entry = _SHARED_PLANS[cache_key] = (ref, {})
     per_program = entry[1]
-    share_key = (slot, layout.layout_key)
-    plans = per_program.get(share_key)
+    plans = per_program.get(slot)
     if plans is None:
         plans = [_compile_instruction(instruction, layout, slot) for instruction in program]
-        per_program[share_key] = plans
+        per_program[slot] = plans
     return plans
 
 
@@ -435,11 +434,9 @@ def _compile_send(op: Operation, layout, instruction: Instruction, steps: list):
         raise _Malformed(f"send length must be an immediate (instruction {instruction})")
     body_offsets = []
     for index in range(length):
-        offset = None
-        if index < NUM_MC_REGS:
-            offset = layout.flat_offset(RegisterRef(RegFile.MC, index))
-        if offset is None:
+        if index >= NUM_MC_REGS:
             raise _Malformed(f"register m{index} out of range (instruction {instruction})")
+        offset = layout.flat_offset(RegisterRef(RegFile.MC, index))
         steps.append((CHECK_FULL, offset, f"message-composition register m{index} empty"))
         body_offsets.append(offset)
     physical = op.opcode.name == "sendp"
@@ -537,13 +534,12 @@ def _make_dest_action(dest: RegisterRef, latency: int, layout):
 
         def act(cluster, context, value, cycle):
             cluster_id = cluster.id
-            if cluster.config.enforce_gcc_pairs:
-                allowed = (2 * cluster_id, 2 * cluster_id + 1)
-                if dest_index not in allowed:
-                    raise ProtectionError(
-                        f"cluster {cluster_id} may only broadcast to "
-                        f"gcc{allowed[0]}/gcc{allowed[1]}, not gcc{dest_index}"
-                    )
+            allowed = (2 * cluster_id, 2 * cluster_id + 1)
+            if dest_index not in allowed:
+                raise ProtectionError(
+                    f"cluster {cluster_id} may only broadcast to "
+                    f"gcc{allowed[0]}/gcc{allowed[1]}, not gcc{dest_index}"
+                )
             cluster.node.cswitch_broadcast(
                 RegWrite(vthread=context.slot, ref=dest_local, value=value,
                          origin=f"gcc-broadcast c{cluster_id}"),

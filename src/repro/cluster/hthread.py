@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cluster.regfile import RegisterSet
-from repro.core.config import ClusterConfig
 from repro.isa.program import Program
 from repro.snapshot.values import (
     decode_counter,
@@ -45,8 +44,7 @@ class HThreadContext:
 
     slot: int
     cluster_id: int
-    config: ClusterConfig = field(default_factory=ClusterConfig)
-    registers: RegisterSet = None
+    registers: RegisterSet = field(default_factory=RegisterSet)
     program: Optional[Program] = None
     pc: int = 0
     state: ThreadState = ThreadState.IDLE
@@ -61,10 +59,6 @@ class HThreadContext:
     #: Called after every change of :attr:`state` (installed by the owning
     #: cluster; wiring, not state, so never serialised or compared).
     on_state_change: Optional[Callable[[], None]] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.registers is None:
-            self.registers = RegisterSet(self.config)
 
     # -- lifecycle ---------------------------------------------------------------
 

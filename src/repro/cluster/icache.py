@@ -12,9 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.config import ClusterConfig
 from repro.isa.program import Program
 from repro.snapshot.values import decode_value, encode_value
+
+#: Instruction-cache capacity in words (1 KW = 8 KB per the paper).
+ICACHE_WORDS = 1024
+#: Words one 3-wide instruction is assumed to occupy in the I-cache.
+WORDS_PER_INSTRUCTION = 4
 
 
 class CapacityError(Exception):
@@ -24,8 +28,7 @@ class CapacityError(Exception):
 class InstructionCache:
     """Always-hit instruction cache holding one program per V-Thread slot."""
 
-    def __init__(self, config: ClusterConfig = None, name: str = "icache"):
-        self.config = config or ClusterConfig()
+    def __init__(self, name: str = "icache"):
         self.name = name
         self._programs: Dict[int, Program] = {}
         # Statistics: instruction fetches, counted by the cluster's issue
@@ -36,10 +39,10 @@ class InstructionCache:
 
     def load(self, slot: int, program: Program) -> None:
         self._programs[slot] = program
-        if self.words_used > self.config.icache_words:
+        if self.words_used > ICACHE_WORDS:
             raise CapacityError(
                 f"{self.name}: resident programs need {self.words_used} words, "
-                f"capacity is {self.config.icache_words}"
+                f"capacity is {ICACHE_WORDS}"
             )
 
     def program(self, slot: int) -> Optional[Program]:
@@ -50,13 +53,13 @@ class InstructionCache:
     @property
     def words_used(self) -> int:
         return sum(
-            len(program) * self.config.words_per_instruction
+            len(program) * WORDS_PER_INSTRUCTION
             for program in self._programs.values()
         )
 
     @property
     def utilisation(self) -> float:
-        return self.words_used / self.config.icache_words if self.config.icache_words else 0.0
+        return self.words_used / ICACHE_WORDS
 
     # -- snapshot (repro.snapshot state_dict contract) ----------------------------
 

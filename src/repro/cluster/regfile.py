@@ -34,41 +34,33 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.config import ClusterConfig
-from repro.isa.registers import RegFile, RegisterRef, parse_register
+from repro.isa.registers import FILE_SIZES, RegFile, RegisterRef, parse_register
 from repro.snapshot.values import decode_value, encode_value
 
 #: Fixed file layout order of the flat arrays (also the serialisation order).
 FILE_ORDER = (RegFile.INT, RegFile.FP, RegFile.CC, RegFile.GCC, RegFile.MC)
 
+#: Each file's first offset in the flat arrays, and their length.
+_BASE = {file: sum(FILE_SIZES[before] for before in FILE_ORDER[:position])
+         for position, file in enumerate(FILE_ORDER)}
+_TOTAL = sum(FILE_SIZES.values())
+
 
 class RegisterSet:
-    """The registers of one H-Thread context (one V-Thread slot on one cluster)."""
+    """The registers of one H-Thread context (one V-Thread slot on one cluster).
 
-    def __init__(self, config: ClusterConfig = None):
-        config = config or ClusterConfig()
-        self._sizes = {
-            RegFile.INT: config.num_int_regs,
-            RegFile.FP: config.num_fp_regs,
-            RegFile.CC: config.num_cc_regs,
-            RegFile.GCC: config.num_gcc_regs,
-            RegFile.MC: config.num_mc_regs,
-        }
-        self._base: Dict[RegFile, int] = {}
-        total = 0
-        for file in FILE_ORDER:
-            self._base[file] = total
-            total += self._sizes[file]
-        self._total = total
-        #: Layout fingerprint: register sets with equal keys resolve every
-        #: RegisterRef to the same flat offset (dispatch plan-sharing key).
-        self.layout_key = tuple(self._sizes[file] for file in FILE_ORDER)
-        self._values = [0] * total
-        fp_base = self._base[RegFile.FP]
-        for index in range(self._sizes[RegFile.FP]):
+    Every register set has the same layout, so a
+    :class:`~repro.isa.registers.RegisterRef` resolves to the same flat
+    offset in all of them.
+    """
+
+    def __init__(self):
+        self._values = [0] * _TOTAL
+        fp_base = _BASE[RegFile.FP]
+        for index in range(FILE_SIZES[RegFile.FP]):
             self._values[fp_base + index] = 0.0
-        self._full = [True] * total
-        self._pending = [0] * total
+        self._full = [True] * _TOTAL
+        self._pending = [0] * _TOTAL
         # Statistics
         self.reads = 0
         self.writes = 0
@@ -76,26 +68,21 @@ class RegisterSet:
     # -- checks ------------------------------------------------------------------
 
     def _check(self, ref: RegisterRef) -> int:
-        """Resolve *ref* to its flat offset, validating it as the original
-        nested lookup did."""
+        """Resolve *ref* to its flat offset.  A :class:`RegisterRef` is
+        always within its file, so only special registers are refused."""
         if ref.is_special:
             raise ValueError(f"special register {ref} is not stored in the register file")
-        if ref.index >= self._sizes[ref.file]:
-            raise IndexError(f"register {ref} out of range")
-        return self._base[ref.file] + ref.index
+        return _BASE[ref.file] + ref.index
 
     def flat_offset(self, ref: RegisterRef) -> Optional[int]:
         """Flat offset of *ref*, or None when *ref* names no register of this
-        set (a special or remote register, or an index beyond the configured
-        file).  The dispatch compiler resolves operands with it; a None for
-        a local register compiles to a ``SimulationError`` that names the
-        instruction.  Writebacks restored from a snapshot are re-resolved
-        with it too."""
+        set (a special or remote register).  The dispatch compiler resolves
+        operands with it; a None for a special destination compiles to a
+        ``SimulationError`` that names the instruction.  Writebacks restored
+        from a snapshot are re-resolved with it too."""
         if ref.file is RegFile.SPECIAL or ref.cluster is not None:
             return None
-        if ref.index >= self._sizes[ref.file]:
-            return None
-        return self._base[ref.file] + ref.index
+        return _BASE[ref.file] + ref.index
 
     # -- values ------------------------------------------------------------------
 
@@ -153,16 +140,16 @@ class RegisterSet:
         """Dump all register values (debug helper)."""
         result = {}
         for file in FILE_ORDER:
-            base = self._base[file]
-            for index in range(self._sizes[file]):
+            base = _BASE[file]
+            for index in range(FILE_SIZES[file]):
                 result[f"{file.value}{index}"] = self._values[base + index]
         return result
 
     # -- snapshot (repro.snapshot state_dict contract) ----------------------------
 
     def _file_slice(self, flat, file: RegFile):
-        base = self._base[file]
-        return flat[base:base + self._sizes[file]]
+        base = _BASE[file]
+        return flat[base:base + FILE_SIZES[file]]
 
     def state_dict(self) -> Dict[str, object]:
         return {
@@ -180,8 +167,8 @@ class RegisterSet:
     def load_state_dict(self, state: Dict[str, object]) -> None:
         def load_file(flat, file_name, items, convert):
             file = RegFile[file_name]
-            base = self._base[file]
-            size = self._sizes[file]
+            base = _BASE[file]
+            size = FILE_SIZES[file]
             if len(items) != size:
                 raise ValueError(
                     f"snapshot has {len(items)} {file.name} registers, "

@@ -1,18 +1,22 @@
 """Machine configuration.
 
-All structural and timing parameters of the simulated M-Machine live here as
-plain dataclasses so that tests, benchmarks and ablations can build machines
-that differ in exactly one parameter.  The defaults reproduce the machine
-described in the paper:
+:class:`MachineConfig` holds what workloads, sweeps and the experiment
+builder vary: the mesh shape, the issue policy, the message-queue capacity,
+send credits and retransmission interval, the runtime mode and protection,
+the simulation kernel and the trace sink.  ``node.num_clusters`` and
+``memory.page_size_words`` stay readable but accept only their constants.
 
-* a bidirectional 3-D mesh of nodes (Figure 1);
-* each node a MAP chip with four 64-bit three-issue clusters, a four-bank
-  32 KB on-chip cache, an external memory interface to 1 MW (8 MB) of SDRAM,
-  a GTLB, and the network interfaces and router (Figure 2);
-* six resident V-Thread slots per node: four user slots, one event slot and
-  one exception slot (Section 3.2);
-* pages of 512 words, eight-word cache/coherence blocks, two block-status
-  bits per block (Sections 2 and 4.3).
+The rest is the one machine the paper evaluates: a 3-D mesh of MAP chips
+(Figures 1 and 2), each with four three-issue clusters, six resident
+V-Thread slots (Section 3.2), a four-bank 32 KB cache and 1 MW of SDRAM,
+with 512-word pages of eight-word blocks (Sections 2 and 4.3).  Its
+structure and timing are constants or component defaults next to the code
+that uses them: the register files and cluster count in
+:mod:`repro.isa.registers`, the I-cache in :mod:`repro.cluster.icache`,
+the cache, LTLB, page table and SDRAM in :mod:`repro.memory`, the network
+latencies in :mod:`repro.network.mesh`, the queues and switches in
+:mod:`repro.node.node` and :mod:`repro.switches.crossbar`, and the
+native-handler costs in :mod:`repro.runtime.native`.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple, Type
 
+from repro.isa.registers import NUM_CLUSTERS
+
 # ---------------------------------------------------------------------------
 # Architectural constants (fixed by the paper's description of the MAP chip).
 # ---------------------------------------------------------------------------
 
-#: Clusters per MAP chip.
-NUM_CLUSTERS = 4
 #: Resident V-Thread slots per node.
 NUM_VTHREAD_SLOTS = 6
 #: User V-Thread slots (slots 0..3).
@@ -47,18 +51,8 @@ EVENT_CLUSTER_MSG_P1 = 3
 
 @dataclass
 class ClusterConfig:
-    """Per-cluster structure and issue behaviour."""
+    """Per-cluster issue behaviour."""
 
-    num_int_regs: int = 16
-    num_fp_regs: int = 16
-    num_cc_regs: int = 4
-    num_gcc_regs: int = 8
-    num_mc_regs: int = 8
-    #: Instruction-cache capacity in words (1 KW = 8 KB per the paper); the
-    #: cache model is always-hit but the loader checks capacity.
-    icache_words: int = 1024
-    #: Words one 3-wide instruction is assumed to occupy in the I-cache.
-    words_per_instruction: int = 4
     #: Thread-selection policy of the synchronization stage:
     #: ``"event-priority"`` (exception slot, then event slot, then user slots
     #: round-robin) or ``"round-robin"`` (pure round-robin over all slots) or
@@ -67,66 +61,24 @@ class ClusterConfig:
     #: ready, modelling HEP/MASA-style barrel scheduling for the
     #: single-thread-performance ablation of Section 3.4).
     issue_policy: str = "event-priority"
-    #: Enforce the global-CC pairing rule: cluster ``k`` may broadcast only to
-    #: gcc ``2k`` and ``2k+1``.
-    enforce_gcc_pairs: bool = True
-
-
-#: ``ClusterConfig`` fields that size structures and must be positive ints.
-_CLUSTER_POSITIVE_INTS = (
-    "num_int_regs",
-    "num_fp_regs",
-    "num_cc_regs",
-    "num_gcc_regs",
-    "num_mc_regs",
-    "icache_words",
-    "words_per_instruction",
-)
 
 
 @dataclass
 class MemoryConfig:
-    """On-chip cache, LTLB, page table and SDRAM parameters."""
+    """Memory parameters read by code outside the simulator."""
 
-    cache_banks: int = 4
-    bank_size_words: int = 4096
-    line_size_words: int = 8
-    cache_associativity: int = 2
-    ltlb_entries: int = 64
+    #: Words per page; only ``PAGE_SIZE_WORDS`` of
+    #: :mod:`repro.memory.page_table` is accepted.
     page_size_words: int = 512
-    lpt_entries: int = 1024
-    sdram_size_words: int = 1 << 20
-    sdram_row_activate: int = 5
-    sdram_cas: int = 2
-    sdram_cycles_per_word: int = 1
-    sdram_row_size_words: int = 1024
-    secded_enabled: bool = True
-    #: Cache-bank access latency (the 3-cycle load hit of the paper is
-    #: M-Switch traversal + bank access + C-Switch traversal).
-    bank_latency: int = 1
-    mif_latency: int = 1
-    ltlb_latency: int = 1
-    fill_latency: int = 1
-    #: Cycles to format and enqueue an asynchronous event record
-    #: (Section 4.2 step 2: "LTLB miss occurs, enqueueing an event (2 cycles)").
-    event_enqueue_latency: int = 2
 
 
 @dataclass
 class NetworkConfig:
-    """3-D mesh network and network-interface parameters."""
+    """3-D mesh shape and network-interface flow control."""
 
     #: Mesh dimensions (X, Y, Z).  The paper's prototype target is a 3-D mesh;
     #: small examples use e.g. (2, 1, 1).
     mesh_shape: Tuple[int, int, int] = (2, 2, 2)
-    #: Per-hop router latency (cycles).
-    router_latency: int = 1
-    #: Channel (link) traversal latency.
-    channel_latency: int = 1
-    #: Cycles from SEND issue to the head flit entering the router.
-    inject_latency: int = 1
-    #: Cycles from router ejection to the message appearing in the queue.
-    eject_latency: int = 1
     #: Capacity of each priority's register-mapped message queue, in words.
     message_queue_words: int = 128
     #: Return-to-sender throttling: number of outstanding unacknowledged
@@ -134,24 +86,14 @@ class NetworkConfig:
     send_credits: int = 16
     #: Cycles between retransmission attempts of returned (NACKed) messages.
     retransmit_interval: int = 32
-    #: Maximum message body length in words (bounded by the MC register count).
-    max_body_words: int = 8
 
 
 @dataclass
 class NodeConfig:
-    """Per-node structural parameters."""
+    """Per-node structure read by code outside the simulator."""
 
+    #: Clusters per MAP chip; only ``NUM_CLUSTERS`` is accepted.
     num_clusters: int = NUM_CLUSTERS
-    num_vthread_slots: int = NUM_VTHREAD_SLOTS
-    #: Capacity of each asynchronous event queue, in records.
-    event_queue_records: int = 64
-    #: Capacity of each per-cluster synchronous-exception queue, in records.
-    exception_queue_records: int = 16
-    #: C-Switch and M-Switch transfer budgets.
-    switch_transfers_per_cycle: int = 4
-    mswitch_latency: int = 1
-    cswitch_latency: int = 1
 
 
 @dataclass
@@ -169,12 +111,6 @@ class RuntimeConfig:
     #: ``"coherent"`` -- Section 4.3 software DRAM caching with block-status
     #:                    bits (native handlers).
     shared_memory_mode: str = "remote"
-    #: Cycle cost charged per native-handler invocation step (used only by the
-    #: coherence runtime, whose handlers the paper does not specify in code).
-    native_handler_dispatch_cycles: int = 6
-    native_handler_cycles_per_word: int = 1
-    #: Retry interval for the default synchronizing-fault handler.
-    sync_fault_retry_cycles: int = 24
 
 
 @dataclass
@@ -249,38 +185,58 @@ class MachineConfig:
         return cls.small(1, 1, 1)
 
     def validate(self) -> None:
-        """Sanity-check structural parameters; raises ValueError on nonsense."""
-        if self.node.num_clusters <= 0:
-            raise ValueError("a MAP chip needs at least one cluster")
-        if EVENT_SLOT >= self.node.num_vthread_slots:
-            raise ValueError("event slot outside the V-Thread slot range")
-        if EXCEPTION_SLOT >= self.node.num_vthread_slots:
-            raise ValueError("exception slot outside the V-Thread slot range")
-        if self.memory.page_size_words % self.memory.line_size_words:
-            raise ValueError("page size must be a whole number of blocks")
+        """Check every field's type and range; raises ValueError naming the
+        first bad field, or an attribute that is not a field."""
+        # The memory package imports this module through repro.snapshot.
+        from repro.memory.page_table import PAGE_SIZE_WORDS  # noqa: PLC0415
+
+        _check_attributes("config", self)
+        for section in _SECTIONS:
+            _check_attributes(f"config.{section}", getattr(self, section))
+        if type(self.node.num_clusters) is not int or self.node.num_clusters != NUM_CLUSTERS:
+            raise ValueError(
+                f"node.num_clusters must be {NUM_CLUSTERS}, got {self.node.num_clusters!r}"
+            )
+        page_size = self.memory.page_size_words
+        if type(page_size) is not int or page_size != PAGE_SIZE_WORDS:
+            raise ValueError(
+                f"memory.page_size_words must be {PAGE_SIZE_WORDS}, got {page_size!r}"
+            )
         shape = self.network.mesh_shape
         if len(shape) != 3 or any(not isinstance(dim, int) or dim <= 0 for dim in shape):
             raise ValueError(f"mesh shape must be three positive ints, got {shape!r}")
-        for name in _CLUSTER_POSITIVE_INTS:
-            value = getattr(self.cluster, name)
+        for name, value in (
+            ("network.message_queue_words", self.network.message_queue_words),
+            ("network.send_credits", self.network.send_credits),
+            ("network.retransmit_interval", self.network.retransmit_interval),
+            ("trace_chunk_events", self.trace_chunk_events),
+        ):
             if type(value) is not int or value <= 0:
-                raise ValueError(f"cluster.{name} must be a positive int, got {value!r}")
-        if type(self.cluster.enforce_gcc_pairs) is not bool:
-            raise ValueError(
-                f"cluster.enforce_gcc_pairs must be a bool, got {self.cluster.enforce_gcc_pairs!r}"
-            )
-        if self.network.max_body_words > self.cluster.num_mc_regs:
-            raise ValueError(
-                "message body length cannot exceed the number of message-composition registers"
-            )
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        for name, value in (
+            ("runtime.protection_enabled", self.runtime.protection_enabled),
+            ("trace_enabled", self.trace_enabled),
+        ):
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        if self.trace_dir is not None and not isinstance(self.trace_dir, str):
+            raise ValueError(f"trace_dir must be None or a string, got {self.trace_dir!r}")
         if self.runtime.shared_memory_mode not in ("none", "remote", "coherent"):
             raise ValueError(f"unknown shared-memory mode {self.runtime.shared_memory_mode!r}")
         if self.cluster.issue_policy not in ("event-priority", "round-robin", "hep"):
             raise ValueError(f"unknown issue policy {self.cluster.issue_policy!r}")
         if self.sim.kernel not in ("event", "naive"):
             raise ValueError(f"unknown simulation kernel {self.sim.kernel!r}")
-        if self.trace_chunk_events <= 0:
-            raise ValueError("trace_chunk_events must be a positive event count")
+
+
+def _check_attributes(name: str, section: object) -> None:
+    """Refuse an attribute of *section* that is not one of its fields: the
+    dataclasses have no slots, so assigning a removed or misspelt field
+    would otherwise do nothing."""
+    known = {spec.name for spec in fields(section)}
+    for attr in vars(section):
+        if attr not in known:
+            raise ValueError(f"{name} has no field {attr!r}")
 
 
 # ---------------------------------------------------------------------------

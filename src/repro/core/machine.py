@@ -27,6 +27,7 @@ from repro.core.trace import Tracer, sink_for_config
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.isa.registers import parse_register
+from repro.memory.page_table import PAGE_SIZE_WORDS
 from repro.network.gtlb import GlobalDestinationTable, GtlbEntry
 from repro.network.mesh import MeshNetwork, coords_to_id, id_to_coords
 from repro.node.node import Node
@@ -155,7 +156,7 @@ class MMachine:
 
     @property
     def page_size(self) -> int:
-        return self.config.memory.page_size_words
+        return PAGE_SIZE_WORDS
 
     def map_region(
         self,

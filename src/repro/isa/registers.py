@@ -40,15 +40,17 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+#: Register-file sizes of one H-Thread context: the assembler refuses any
+#: other index and :class:`~repro.cluster.regfile.RegisterSet` sizes its
+#: files from them.
 NUM_INT_REGS = 16
 NUM_FP_REGS = 16
 NUM_CC_REGS = 4
 NUM_GCC_REGS = 8
 NUM_MC_REGS = 8
 
-#: Number of clusters on a MAP chip (fixed by the architecture; kept here so
-#: the ISA layer can validate ``c<k>.<reg>`` references without importing the
-#: hardware configuration).
+#: Number of clusters on a MAP chip (fixed by the architecture): the bound
+#: of ``c<k>.<reg>`` references, and the cluster count of every node.
 NUM_CLUSTERS = 4
 
 
@@ -76,7 +78,8 @@ SPECIAL_REGISTERS = {
     "zero": {"writable": False, "queue": False},
 }
 
-_FILE_SIZES = {
+#: Registers per file.
+FILE_SIZES = {
     RegFile.INT: NUM_INT_REGS,
     RegFile.FP: NUM_FP_REGS,
     RegFile.CC: NUM_CC_REGS,
@@ -127,7 +130,7 @@ class RegisterRef:
             if self.name not in SPECIAL_REGISTERS:
                 raise ValueError(f"unknown special register {self.name!r}")
         else:
-            size = _FILE_SIZES[self.file]
+            size = FILE_SIZES[self.file]
             if not 0 <= self.index < size:
                 raise ValueError(
                     f"register index {self.index} out of range for "

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from repro.memory.page_table import BLOCK_SIZE_WORDS
 from repro.snapshot.values import decode_value, encode_value
 
 
@@ -62,7 +64,7 @@ class InterleavedCache:
         self,
         num_banks: int = 4,
         bank_size_words: int = 4096,
-        line_size_words: int = 8,
+        line_size_words: int = BLOCK_SIZE_WORDS,
         associativity: int = 2,
         name: str = "cache",
     ):

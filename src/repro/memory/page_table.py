@@ -39,6 +39,8 @@ BLOCKS_PER_PAGE = PAGE_SIZE_WORDS // BLOCK_SIZE_WORDS
 
 #: Number of 64-bit words one packed LPT entry occupies in the memory image.
 LPT_ENTRY_WORDS = 4
+#: Slots of a node's direct-mapped LPT memory image.
+LPT_ENTRIES = 1024
 
 
 class BlockStatus(enum.IntEnum):
@@ -159,7 +161,7 @@ class LocalPageTable:
         of the LPT region is known.
     """
 
-    def __init__(self, num_entries: int = 1024, page_size: int = PAGE_SIZE_WORDS):
+    def __init__(self, num_entries: int = LPT_ENTRIES, page_size: int = PAGE_SIZE_WORDS):
         if num_entries & (num_entries - 1):
             raise ValueError("the LPT image is direct mapped; num_entries must be a power of two")
         self.num_entries = num_entries

@@ -30,7 +30,7 @@ class SdramTiming:
     """Timing parameters of the SDRAM and its controller (in MAP cycles)."""
 
     #: Cycles to precharge the open row and activate a new one.
-    row_activate: int = 4
+    row_activate: int = 5
     #: Column access latency once the row is open.
     cas: int = 2
     #: Cycles per additional word of a burst transfer.

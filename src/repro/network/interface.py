@@ -20,6 +20,7 @@ from typing import List, Optional, Set, Tuple
 
 from repro.core.config import NetworkConfig
 from repro.events.queue import HardwareQueue
+from repro.isa.registers import NUM_MC_REGS
 from repro.memory.guarded_pointer import GuardedPointer, ProtectionError
 from repro.network.gtlb import Gtlb
 from repro.network.mesh import MeshNetwork, coords_to_id
@@ -125,10 +126,10 @@ class NetworkInterface:
         packetized and reassembled with very low overhead") and still occupy
         the network for their full length.
         """
-        if not allow_long and len(body) > self.config.max_body_words:
+        if not allow_long and len(body) > NUM_MC_REGS:
             raise ProtectionError(
                 f"message body of {len(body)} words exceeds the maximum of "
-                f"{self.config.max_body_words}"
+                f"{NUM_MC_REGS}"
             )
         if physical_node is None:
             dest_node = self.translate_destination(dest_address)

@@ -4,7 +4,7 @@ Messages are routed in dimension order (X, then Y, then Z), one hop per
 router.  The model is message-granular rather than flit-granular: a message
 occupies each link of its path for ``length_words`` cycles (wormhole-like
 pipelining is approximated by letting the head advance one hop per
-``router_latency + channel_latency`` cycles while each traversed link stays
+``ROUTER_LATENCY + CHANNEL_LATENCY`` cycles while each traversed link stays
 busy for the message length), which captures the two effects that matter for
 the paper's evaluation -- the ~5-cycle neighbour delivery latency of
 Section 4.2 and contention when many messages share a link.
@@ -20,6 +20,15 @@ from repro.network.message import Message
 from repro.snapshot.values import decode_value, encode_value
 
 Coords = Tuple[int, int, int]
+
+#: Cycles from SEND issue to the head flit entering the router.
+INJECT_LATENCY = 1
+#: Per-hop router latency.
+ROUTER_LATENCY = 1
+#: Channel (link) traversal latency.
+CHANNEL_LATENCY = 1
+#: Cycles from router ejection to the message appearing in the queue.
+EJECT_LATENCY = 1
 
 
 def coords_to_id(coords: Coords, shape: Coords) -> int:
@@ -114,8 +123,7 @@ class MeshNetwork:
         """Inject a message; returns the cycle at which it will be delivered
         to the destination node's input interface."""
         self.messages_injected += 1
-        cfg = self.config
-        time = cycle + cfg.inject_latency
+        time = cycle + INJECT_LATENCY
         path = self.route(message.source_node, message.dest_node)
         for link in path:
             free_at = self._link_free.get(link, 0)
@@ -123,8 +131,8 @@ class MeshNetwork:
             self.link_contention_cycles += max(0, free_at - time)
             # The link stays busy while the message body streams through it.
             self._link_free[link] = depart + max(message.length_words, 1)
-            time = depart + cfg.router_latency + cfg.channel_latency
-        deliver_cycle = time + cfg.eject_latency
+            time = depart + ROUTER_LATENCY + CHANNEL_LATENCY
+        deliver_cycle = time + EJECT_LATENCY
         self._in_flight.append(_InFlight(message=message, deliver_cycle=deliver_cycle))
         self.total_hops += len(path)
         return deliver_cycle

@@ -15,7 +15,7 @@ it drives them in a fixed phase order each cycle:
 7. advance the network interface (retransmission of returned messages).
 
 Because writebacks and deliveries precede issue, result latencies observed by
-dependent instructions match the configured unit/switch latencies exactly.
+dependent instructions match the unit and switch latencies exactly.
 """
 
 from __future__ import annotations
@@ -35,25 +35,34 @@ from repro.core.config import (
 from repro.events.queue import EventQueue, HardwareQueue
 from repro.events.records import EventRecord, EventType
 from repro.isa.program import Program
-from repro.isa.registers import unpack_regspec
+from repro.isa.registers import NUM_CLUSTERS, unpack_regspec
 from repro.memory.cache import InterleavedCache
 from repro.memory.ltlb import Ltlb
 from repro.memory.memory_system import MemorySystem
 from repro.memory.page_table import (
-    BLOCK_SIZE_WORDS,
+    BLOCKS_PER_PAGE,
     BlockStatus,
     LocalPageTable,
     LptEntry,
+    LPT_ENTRIES,
     LPT_ENTRY_WORDS,
+    PAGE_SIZE_WORDS,
 )
 from repro.memory.requests import MemRequest
-from repro.memory.sdram import Sdram, SdramTiming
+from repro.memory.sdram import Sdram
 from repro.network.gtlb import GlobalDestinationTable, Gtlb
 from repro.network.interface import NetworkInterface
 from repro.network.mesh import MeshNetwork, coords_to_id
 from repro.network.message import Message
 from repro.snapshot.values import SnapshotError, decode_value, encode_value
 from repro.switches.crossbar import BROADCAST, Crossbar
+
+#: Capacity of each asynchronous event queue, in records.
+EVENT_QUEUE_RECORDS = 64
+#: Capacity of each per-cluster synchronous-exception queue, in records.
+EXCEPTION_QUEUE_RECORDS = 16
+#: Cycles a memory request spends crossing the M-Switch.
+MSWITCH_LATENCY = 1
 
 
 class Node:
@@ -83,44 +92,17 @@ class Node:
             from repro.memory.requests import _request_ids as request_ids  # noqa: PLC0415
         self.request_ids = request_ids
 
-        memory_config = config.memory
-        node_config = config.node
         network_config = config.network
 
         # --- memory subsystem -------------------------------------------------
-        self.sdram = Sdram(
-            size_words=memory_config.sdram_size_words,
-            timing=SdramTiming(
-                row_activate=memory_config.sdram_row_activate,
-                cas=memory_config.sdram_cas,
-                cycles_per_word=memory_config.sdram_cycles_per_word,
-                row_size_words=memory_config.sdram_row_size_words,
-            ),
-            secded_enabled=memory_config.secded_enabled,
-            name=f"sdram{node_id}",
-        )
-        self.cache = InterleavedCache(
-            num_banks=memory_config.cache_banks,
-            bank_size_words=memory_config.bank_size_words,
-            line_size_words=memory_config.line_size_words,
-            associativity=memory_config.cache_associativity,
-            name=f"cache{node_id}",
-        )
-        self.ltlb = Ltlb(
-            num_entries=memory_config.ltlb_entries,
-            page_size=memory_config.page_size_words,
-            name=f"ltlb{node_id}",
-        )
-        self.page_table = LocalPageTable(
-            num_entries=memory_config.lpt_entries,
-            page_size=memory_config.page_size_words,
-        )
+        self.sdram = Sdram(name=f"sdram{node_id}")
+        self.cache = InterleavedCache(name=f"cache{node_id}")
+        self.ltlb = Ltlb(name=f"ltlb{node_id}")
+        self.page_table = LocalPageTable()
         #: Physical word address of the memory-resident LPT image (at the top
         #: of the node's SDRAM); the assembly LTLB-miss handler walks it with
         #: physical loads.
-        self.lpt_phys_base = (
-            memory_config.sdram_size_words - memory_config.lpt_entries * LPT_ENTRY_WORDS
-        )
+        self.lpt_phys_base = self.sdram.size_words - LPT_ENTRIES * LPT_ENTRY_WORDS
         self.page_table.attach_writeback(self._write_lpt_image)
         self.memory = MemorySystem(
             node_id,
@@ -128,27 +110,20 @@ class Node:
             self.ltlb,
             self.page_table,
             self.sdram,
-            bank_latency=memory_config.bank_latency,
-            mif_latency=memory_config.mif_latency,
-            ltlb_latency=memory_config.ltlb_latency,
-            fill_latency=memory_config.fill_latency,
-            event_enqueue_latency=memory_config.event_enqueue_latency,
             event_sink=self.schedule_event,
             tracer=tracer,
         )
 
         # --- queues -----------------------------------------------------------
-        self.event_queue_sync = EventQueue(node_config.event_queue_records,
-                                           name=f"n{node_id}-evq-sync")
-        self.event_queue_ltlb = EventQueue(node_config.event_queue_records,
-                                           name=f"n{node_id}-evq-ltlb")
+        self.event_queue_sync = EventQueue(EVENT_QUEUE_RECORDS, name=f"n{node_id}-evq-sync")
+        self.event_queue_ltlb = EventQueue(EVENT_QUEUE_RECORDS, name=f"n{node_id}-evq-ltlb")
         self.msg_queue_p0 = HardwareQueue(network_config.message_queue_words,
                                           name=f"n{node_id}-msgq-p0")
         self.msg_queue_p1 = HardwareQueue(network_config.message_queue_words,
                                           name=f"n{node_id}-msgq-p1")
         self.exception_queues = [
-            EventQueue(node_config.exception_queue_records, name=f"n{node_id}-excq-c{c}")
-            for c in range(node_config.num_clusters)
+            EventQueue(EXCEPTION_QUEUE_RECORDS, name=f"n{node_id}-excq-c{c}")
+            for c in range(NUM_CLUSTERS)
         ]
         self._pending_events: List[Tuple[int, EventRecord]] = []
 
@@ -166,17 +141,8 @@ class Node:
         )
 
         # --- execution ------------------------------------------------------------
-        self.cswitch = Crossbar(
-            num_outputs=node_config.num_clusters,
-            latency=node_config.cswitch_latency,
-            max_transfers_per_cycle=node_config.switch_transfers_per_cycle,
-            name=f"n{node_id}-cswitch",
-        )
-        self.mswitch_latency = node_config.mswitch_latency
-        self.clusters = [
-            Cluster(index, self, config.cluster, node_config)
-            for index in range(node_config.num_clusters)
-        ]
+        self.cswitch = Crossbar(num_outputs=NUM_CLUSTERS, name=f"n{node_id}-cswitch")
+        self.clusters = [Cluster(index, self, config.cluster) for index in range(NUM_CLUSTERS)]
 
         #: Native (Python) runtime handlers attached to this node; each is an
         #: object with ``tick(node, cycle)``.
@@ -184,7 +150,7 @@ class Node:
 
         # --- physical memory allocation -------------------------------------------
         self._next_frame = 0
-        self._max_frames = self.lpt_phys_base // memory_config.page_size_words
+        self._max_frames = self.lpt_phys_base // PAGE_SIZE_WORDS
 
         # Statistics
         self.events_enqueued = 0
@@ -221,12 +187,11 @@ class Node:
         """Create a local mapping for *virtual_page* (loader / runtime API)."""
         if frame is None:
             frame = self.allocate_frame()
-        blocks = self.config.memory.page_size_words // BLOCK_SIZE_WORDS
         entry = LptEntry(
             virtual_page=virtual_page,
             physical_frame=frame,
             writable=writable,
-            block_status=[block_status] * blocks,
+            block_status=[block_status] * BLOCKS_PER_PAGE,
         )
         self.page_table.insert(entry)
         if preload_ltlb:
@@ -295,7 +260,7 @@ class Node:
         return None
 
     def submit_memory_request(self, request: MemRequest, cycle: int) -> None:
-        self.memory.submit(request, cycle + self.mswitch_latency)
+        self.memory.submit(request, cycle + MSWITCH_LATENCY)
 
     def can_send(self, priority: int) -> bool:
         return self.net.can_send(priority)

@@ -58,7 +58,7 @@ def install_runtime(machine) -> RuntimeEnvironment:
 def _install_remote_runtime(machine) -> RuntimeEnvironment:
     """Section 4.2: assembly handlers in the event V-Thread of every node."""
     lpt_base = machine.nodes[0].lpt_phys_base
-    programs = build_asm_runtime(machine.config, lpt_base)
+    programs = build_asm_runtime(lpt_base)
     environment = RuntimeEnvironment(
         mode="remote",
         dips=dict(programs.dips),
@@ -72,9 +72,7 @@ def _install_remote_runtime(machine) -> RuntimeEnvironment:
         node.load_hthread(EVENT_SLOT, EVENT_CLUSTER_LTLB, programs.ltlb_handler)
         node.load_hthread(EVENT_SLOT, EVENT_CLUSTER_MSG_P0, programs.message_p0_handler)
         node.load_hthread(EVENT_SLOT, EVENT_CLUSTER_MSG_P1, programs.message_p1_handler)
-        sync_handler = SyncStatusFaultHandler(
-            node, machine.config.runtime, node.event_queue_sync
-        )
+        sync_handler = SyncStatusFaultHandler(node, node.event_queue_sync)
         node.native_handlers.append(sync_handler)
         environment.native_handlers[node.node_id] = [sync_handler]
         if machine.config.runtime.protection_enabled:

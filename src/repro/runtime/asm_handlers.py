@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.config import MachineConfig
 from repro.events.records import INFO_IS_STORE_SHIFT, INFO_REGSPEC_MASK
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
-from repro.memory.page_table import LPT_ENTRY_WORDS
+from repro.memory.page_table import LPT_ENTRIES, LPT_ENTRY_WORDS, PAGE_SIZE_WORDS
 from repro.runtime.layout import RETURN_NODE_SHIFT, RETURN_REGSPEC_MASK
 
 
@@ -152,11 +151,11 @@ unmapped:
 """
 
 
-def build_asm_runtime(config: MachineConfig, lpt_phys_base: int) -> AsmRuntimePrograms:
+def build_asm_runtime(lpt_phys_base: int) -> AsmRuntimePrograms:
     """Assemble the three event-V-Thread handler programs for a machine.
 
-    All nodes share the same configuration, hence the same LPT image base, so
-    a single set of programs is loaded on every node.
+    All nodes have the same SDRAM, hence the same LPT image base, so a
+    single set of programs is loaded on every node.
     """
     p1_program = assemble(message_p1_source(), name="runtime-msg-p1")
     reply_dip = p1_program.label_address("reply_load")
@@ -165,8 +164,8 @@ def build_asm_runtime(config: MachineConfig, lpt_phys_base: int) -> AsmRuntimePr
     remote_store_dip = p0_program.label_address("remote_store")
     remote_load_dip = p0_program.label_address("remote_load")
 
-    page_shift = (config.memory.page_size_words - 1).bit_length()
-    lpt_slot_mask = config.memory.lpt_entries - 1
+    page_shift = (PAGE_SIZE_WORDS - 1).bit_length()
+    lpt_slot_mask = LPT_ENTRIES - 1
     ltlb_program = assemble(
         ltlb_miss_source(
             page_shift=page_shift,

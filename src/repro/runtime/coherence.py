@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import RuntimeConfig
 from repro.events.records import EventRecord
 from repro.memory.page_table import BLOCK_SIZE_WORDS, BlockStatus, block_base, page_of
 from repro.memory.requests import MemRequest
@@ -108,7 +107,6 @@ class CoherenceRuntime:
 
     def __init__(self, machine):
         self.machine = machine
-        self.config: RuntimeConfig = machine.config.runtime
         self.directories: Dict[int, Dict[int, DirectoryEntry]] = {
             node.node_id: {} for node in machine.nodes
         }
@@ -130,15 +128,14 @@ class CoherenceRuntime:
         handlers: Dict[int, list] = {}
         for node in self.machine.nodes:
             node_handlers = [
-                CoherentLtlbHandler(node, self.config, node.event_queue_ltlb, self),
+                CoherentLtlbHandler(node, node.event_queue_ltlb, self),
                 SyncStatusFaultHandler(
                     node,
-                    self.config,
                     node.event_queue_sync,
                     on_block_status=_BlockStatusCallback(self, node),
                 ),
-                CoherentRequestHandler(node, self.config, node.msg_queue_p0, self),
-                CoherentReplyHandler(node, self.config, node.msg_queue_p1, self),
+                CoherentRequestHandler(node, node.msg_queue_p0, self),
+                CoherentReplyHandler(node, node.msg_queue_p1, self),
             ]
             node.native_handlers.extend(node_handlers)
             handlers[node.node_id] = node_handlers
@@ -495,15 +492,15 @@ class CoherentLtlbHandler(EventNativeHandler):
     arrived block is marked valid" (Section 4.3).
     """
 
-    def __init__(self, node, runtime_config, queue, runtime: CoherenceRuntime):
-        super().__init__(node, runtime_config, queue, name=f"coherent-ltlb-n{node.node_id}")
+    def __init__(self, node, queue, runtime: CoherenceRuntime):
+        super().__init__(node, queue, name=f"coherent-ltlb-n{node.node_id}")
         self.runtime = runtime
         self.remote_pages_mapped = 0
 
     def handle(self, record: EventRecord, cycle: int) -> int:
         node = self.node
         request = record.extra.get("request")
-        page = page_of(record.address, node.config.memory.page_size_words)
+        page = page_of(record.address)
         entry = node.page_table.lookup_page(page)
         cost = self.dispatch_cost(words_touched=2)
         if entry is not None:
@@ -541,8 +538,8 @@ class CoherentRequestHandler(MessageNativeHandler):
     """Priority-0 protocol messages: block requests arriving at the home node
     and invalidations arriving at sharers."""
 
-    def __init__(self, node, runtime_config, queue, runtime: CoherenceRuntime):
-        super().__init__(node, runtime_config, queue, COHERENCE_BODY_LENGTHS_P0,
+    def __init__(self, node, queue, runtime: CoherenceRuntime):
+        super().__init__(node, queue, COHERENCE_BODY_LENGTHS_P0,
                          name=f"coherent-req-n{node.node_id}")
         self.runtime = runtime
 
@@ -566,8 +563,8 @@ class CoherentReplyHandler(MessageNativeHandler):
     """Priority-1 protocol messages: block data arriving at a requester and
     invalidation acknowledgements arriving at the home node."""
 
-    def __init__(self, node, runtime_config, queue, runtime: CoherenceRuntime):
-        super().__init__(node, runtime_config, queue, COHERENCE_BODY_LENGTHS_P1,
+    def __init__(self, node, queue, runtime: CoherenceRuntime):
+        super().__init__(node, queue, COHERENCE_BODY_LENGTHS_P1,
                          name=f"coherent-reply-n{node.node_id}")
         self.runtime = runtime
 

@@ -19,18 +19,23 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core.config import RuntimeConfig
 from repro.events.queue import EventQueue, HardwareQueue
 from repro.events.records import EventRecord, EventType
 from repro.snapshot.values import SnapshotError, decode_value, encode_value
+
+#: Cycles charged per native-handler invocation, plus the cost per word
+#: touched (the paper does not specify the coherence handlers in code).
+NATIVE_HANDLER_DISPATCH_CYCLES = 6
+NATIVE_HANDLER_CYCLES_PER_WORD = 1
+#: Back-off before the default synchronizing-fault handler retries.
+SYNC_FAULT_RETRY_CYCLES = 24
 
 
 class NativeHandler:
     """Base class: a handler bound to one hardware queue of one node."""
 
-    def __init__(self, node, runtime_config: RuntimeConfig, name: str = "native"):
+    def __init__(self, node, name: str = "native"):
         self.node = node
-        self.runtime_config = runtime_config
         self.name = name
         self.busy_until = -1
         self.invocations = 0
@@ -86,10 +91,7 @@ class NativeHandler:
     # -- cost helpers ----------------------------------------------------------------
 
     def dispatch_cost(self, words_touched: int = 0) -> int:
-        return (
-            self.runtime_config.native_handler_dispatch_cycles
-            + self.runtime_config.native_handler_cycles_per_word * words_touched
-        )
+        return NATIVE_HANDLER_DISPATCH_CYCLES + NATIVE_HANDLER_CYCLES_PER_WORD * words_touched
 
     def trace(self, cycle: int, category: str, **info) -> None:
         self.node.trace(cycle, category, handler=self.name, **info)
@@ -123,8 +125,8 @@ class NativeHandler:
 class EventNativeHandler(NativeHandler):
     """A native handler that consumes :class:`EventRecord` objects."""
 
-    def __init__(self, node, runtime_config: RuntimeConfig, queue: EventQueue, name: str):
-        super().__init__(node, runtime_config, name)
+    def __init__(self, node, queue: EventQueue, name: str):
+        super().__init__(node, name)
         self.queue = queue
 
     def has_queued_work(self) -> bool:
@@ -149,15 +151,8 @@ class MessageNativeHandler(NativeHandler):
     function of the DIP, supplied by the ``body_lengths`` table.
     """
 
-    def __init__(
-        self,
-        node,
-        runtime_config: RuntimeConfig,
-        queue: HardwareQueue,
-        body_lengths: Dict[int, int],
-        name: str,
-    ):
-        super().__init__(node, runtime_config, name)
+    def __init__(self, node, queue: HardwareQueue, body_lengths: Dict[int, int], name: str):
+        super().__init__(node, name)
         self.queue = queue
         self.body_lengths = body_lengths
         self.unknown_dips = 0
@@ -211,9 +206,9 @@ class SyncStatusFaultHandler(EventNativeHandler):
     when a coherence runtime installed one, and is an error otherwise.
     """
 
-    def __init__(self, node, runtime_config: RuntimeConfig, queue: EventQueue,
+    def __init__(self, node, queue: EventQueue,
                  on_block_status: Optional[Callable[[EventRecord, int], int]] = None):
-        super().__init__(node, runtime_config, queue, name=f"sync-status-n{node.node_id}")
+        super().__init__(node, queue, name=f"sync-status-n{node.node_id}")
         self.on_block_status = on_block_status
         self.retries = 0
         self._deferred: List[tuple] = []
@@ -245,7 +240,7 @@ class SyncStatusFaultHandler(EventNativeHandler):
             request = record.extra.get("request")
             if request is None:
                 return self.dispatch_cost()
-            retry_at = cycle + self.runtime_config.sync_fault_retry_cycles
+            retry_at = cycle + SYNC_FAULT_RETRY_CYCLES
             self._deferred.append((retry_at, request))
             self.trace(cycle, "handler_sync_retry", address=record.address, retry_at=retry_at)
             return self.dispatch_cost(words_touched=1)

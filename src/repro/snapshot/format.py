@@ -25,17 +25,10 @@ import dataclasses
 import gzip
 import json
 import os
-from typing import Dict, FrozenSet
+from typing import Dict
 
-from repro.core.config import (
-    ClusterConfig,
-    MachineConfig,
-    MemoryConfig,
-    NetworkConfig,
-    NodeConfig,
-    RuntimeConfig,
-    SimConfig,
-)
+from repro.core.config import _SECTIONS, _TOP_LEVEL_KEYS, NUM_VTHREAD_SLOTS, MachineConfig
+from repro.isa import registers
 from repro.snapshot.values import SnapshotError
 
 #: Format marker of a snapshot document.
@@ -49,37 +42,103 @@ class ConfigMismatchError(SnapshotError):
     differs from the one the snapshot was taken with."""
 
 
-_SECTIONS = {
-    "cluster": ClusterConfig,
-    "memory": MemoryConfig,
-    "network": NetworkConfig,
-    "node": NodeConfig,
-    "runtime": RuntimeConfig,
-    "sim": SimConfig,
-}
+#: Marks a retired field that never changed the machine: any value is dropped.
+_ANY_VALUE = object()
 
-#: Config fields that older versions wrote and this one no longer has, per
-#: section.  Snapshots that carry them still load: they are dropped when
-#: their config is read.
-#:
-#: * ``sim.compile_dispatch`` (up to 0.9.0) chose between two implementations
-#:   of the issue stage that behaved identically; only one remains.
-#: * ``node.event_slot`` / ``node.exception_slot`` (up to 1.0.1) were read by
-#:   nothing but validation; the slots are the constants ``EVENT_SLOT`` and
-#:   ``EXCEPTION_SLOT``.
-_RETIRED_FIELDS: Dict[str, FrozenSet[str]] = {
-    "sim": frozenset({"compile_dispatch"}),
-    "node": frozenset({"event_slot", "exception_slot"}),
-}
+
+def _retired_fields() -> Dict[str, Dict[str, object]]:
+    """Config fields that older versions wrote and this one no longer has,
+    per section, each with the one value this build runs.
+
+    ``sim.compile_dispatch`` (up to 0.9.0) and ``node.event_slot`` /
+    ``node.exception_slot`` (up to 1.0.1) never changed the machine, so any
+    value is dropped.  The rest (up to 3.0.0) sized or timed the machine;
+    they are now constants, or defaults of the components built here.
+    """
+    # These modules import this one through repro.snapshot.
+    from repro import memory  # noqa: PLC0415
+    from repro.cluster import icache  # noqa: PLC0415
+    from repro.network import mesh  # noqa: PLC0415
+    from repro.node import node  # noqa: PLC0415
+    from repro.runtime import native  # noqa: PLC0415
+    from repro.switches.crossbar import Crossbar  # noqa: PLC0415
+
+    system = memory.MemorySystem(0, memory.InterleavedCache(), memory.Ltlb(),
+                                 memory.LocalPageTable(), memory.Sdram())
+    cache, sdram, cswitch = system.cache, system.sdram, Crossbar(registers.NUM_CLUSTERS)
+    return {
+        "cluster": {
+            "num_int_regs": registers.NUM_INT_REGS,
+            "num_fp_regs": registers.NUM_FP_REGS,
+            "num_cc_regs": registers.NUM_CC_REGS,
+            "num_gcc_regs": registers.NUM_GCC_REGS,
+            "num_mc_regs": registers.NUM_MC_REGS,
+            "icache_words": icache.ICACHE_WORDS,
+            "words_per_instruction": icache.WORDS_PER_INSTRUCTION,
+            "enforce_gcc_pairs": True,
+        },
+        "memory": {
+            "cache_banks": cache.num_banks,
+            "bank_size_words": cache.bank_size_words,
+            "line_size_words": cache.line_size_words,
+            "cache_associativity": cache.associativity,
+            "ltlb_entries": system.ltlb.num_entries,
+            "lpt_entries": system.page_table.num_entries,
+            "sdram_size_words": sdram.size_words,
+            "sdram_row_activate": sdram.timing.row_activate,
+            "sdram_cas": sdram.timing.cas,
+            "sdram_cycles_per_word": sdram.timing.cycles_per_word,
+            "sdram_row_size_words": sdram.timing.row_size_words,
+            "secded_enabled": sdram.secded_enabled,
+            "bank_latency": system.bank_latency,
+            "mif_latency": system.mif_latency,
+            "ltlb_latency": system.ltlb_latency,
+            "fill_latency": system.fill_latency,
+            "event_enqueue_latency": system.event_enqueue_latency,
+        },
+        "network": {
+            "router_latency": mesh.ROUTER_LATENCY,
+            "channel_latency": mesh.CHANNEL_LATENCY,
+            "inject_latency": mesh.INJECT_LATENCY,
+            "eject_latency": mesh.EJECT_LATENCY,
+            "max_body_words": registers.NUM_MC_REGS,
+        },
+        "node": {
+            "num_vthread_slots": NUM_VTHREAD_SLOTS,
+            "event_queue_records": node.EVENT_QUEUE_RECORDS,
+            "exception_queue_records": node.EXCEPTION_QUEUE_RECORDS,
+            "switch_transfers_per_cycle": cswitch.max_transfers_per_cycle,
+            "mswitch_latency": node.MSWITCH_LATENCY,
+            "cswitch_latency": cswitch.latency,
+            "event_slot": _ANY_VALUE,
+            "exception_slot": _ANY_VALUE,
+        },
+        "runtime": {
+            "native_handler_dispatch_cycles": native.NATIVE_HANDLER_DISPATCH_CYCLES,
+            "native_handler_cycles_per_word": native.NATIVE_HANDLER_CYCLES_PER_WORD,
+            "sync_fault_retry_cycles": native.SYNC_FAULT_RETRY_CYCLES,
+        },
+        "sim": {"compile_dispatch": _ANY_VALUE},
+    }
 
 
 def _without_retired_fields(document: Dict[str, object]) -> Dict[str, object]:
-    """A snapshot config *document* without the retired fields."""
-    for section_name, retired in _RETIRED_FIELDS.items():
+    """A snapshot config *document* without the retired fields.  Raises
+    ``ValueError`` naming a retired field that holds another value than the
+    one this build runs."""
+    for section_name, retired in _retired_fields().items():
         section = document.get(section_name)
-        if isinstance(section, dict) and not retired.isdisjoint(section):
-            section = {key: value for key, value in section.items() if key not in retired}
-            document = {**document, section_name: section}
+        if not isinstance(section, dict) or retired.keys().isdisjoint(section):
+            continue
+        for name, value in section.items():
+            expected = retired.get(name, _ANY_VALUE)
+            if expected is not _ANY_VALUE and (type(value), value) != (type(expected), expected):
+                raise ValueError(
+                    f"{section_name}.{name} must be {expected!r}, the value this "
+                    f"build runs, got {value!r}"
+                )
+        section = {key: value for key, value in section.items() if key not in retired}
+        document = {**document, section_name: section}
     return document
 
 
@@ -92,9 +151,8 @@ def config_to_dict(config: MachineConfig) -> Dict[str, object]:
             if isinstance(value, tuple):
                 section[key] = list(value)
         document[section_name] = section
-    document["trace_enabled"] = config.trace_enabled
-    document["trace_dir"] = config.trace_dir
-    document["trace_chunk_events"] = config.trace_chunk_events
+    for key in _TOP_LEVEL_KEYS:
+        document[key] = getattr(config, key)
     return document
 
 
@@ -114,13 +172,8 @@ def config_from_dict(document: Dict[str, object]) -> MachineConfig:
         if section_name == "network" and "mesh_shape" in data:
             data["mesh_shape"] = tuple(data["mesh_shape"])
         sections[section_name] = section_class(**data)
-    trace_dir = document.get("trace_dir")
-    config = MachineConfig(
-        trace_enabled=bool(document.get("trace_enabled", True)),
-        trace_dir=None if trace_dir is None else str(trace_dir),
-        trace_chunk_events=int(document.get("trace_chunk_events", 4096)),
-        **sections,
-    )
+    top_level = {key: document[key] for key in _TOP_LEVEL_KEYS if key in document}
+    config = MachineConfig(**sections, **top_level)
     config.validate()
     return config
 
@@ -131,13 +184,16 @@ def check_config_matches(config: MachineConfig, document: Dict[str, object]) -> 
     ours = config_to_dict(config)
     theirs = document.get("config")
     if isinstance(theirs, dict):
-        theirs = _without_retired_fields(theirs)
+        try:
+            theirs = _without_retired_fields(theirs)
+        except ValueError as error:
+            raise ConfigMismatchError(
+                f"snapshot was taken on a differently-configured machine ({error})"
+            ) from error
     if ours == theirs:
         return
     differences = []
-    for section_name in list(_SECTIONS) + [
-        "trace_enabled", "trace_dir", "trace_chunk_events"
-    ]:
+    for section_name in list(_SECTIONS) + list(_TOP_LEVEL_KEYS):
         if ours.get(section_name) != (theirs or {}).get(section_name):
             differences.append(section_name)
     raise ConfigMismatchError(

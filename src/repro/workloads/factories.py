@@ -31,7 +31,7 @@ import random
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api.workload import workload
-from repro.core.config import MachineConfig, apply_overrides
+from repro.core.config import NUM_CLUSTERS, MachineConfig, apply_overrides
 from repro.core.machine import MMachine
 from repro.isa.assembler import assemble
 
@@ -48,15 +48,12 @@ def _machine(
     mesh: Sequence[int] = (1, 1, 1),
     kernel: str = "event",
     shared_memory_mode: Optional[str] = None,
-    trace_enabled: Optional[bool] = None,
     **config_overrides: object,
 ) -> MMachine:
     config = MachineConfig.small(*tuple(mesh))
     config.sim.kernel = kernel
     if shared_memory_mode is not None:
         config.runtime.shared_memory_mode = shared_memory_mode
-    if trace_enabled is not None:
-        config.trace_enabled = trace_enabled
     apply_overrides(config, config_overrides)
     return MMachine(config)
 
@@ -623,7 +620,6 @@ def busy_stencil(
     behind ``BENCH_kernel.json``'s ``busy_dispatch`` and ``mesh_scaling``.
     """
     machine = _machine(mesh, kernel)
-    num_clusters = machine.config.node.num_clusters
     program = f"""
         mov i1, #3
         mov i2, #5
@@ -647,7 +643,7 @@ loop:   add i5, i1, i2
     # meshes and skew the mesh-scaling benchmark.
     assembled = assemble(program, name="busy-stencil")
     for node in range(machine.num_nodes):
-        for cluster in range(num_clusters):
+        for cluster in range(NUM_CLUSTERS):
             machine.load_hthread(node, 0, cluster, assembled)
     machine.run_until_user_done(max_cycles=max_cycles)
 
@@ -661,7 +657,7 @@ loop:   add i5, i1, i2
         verified=all(
             machine.register_value(node, 0, cluster, "i7") == checksum
             for node in range(machine.num_nodes)
-            for cluster in range(num_clusters)
+            for cluster in range(NUM_CLUSTERS)
         ),
         iterations=iterations,
         checksum=checksum,

@@ -67,14 +67,6 @@ CASES = (
         14,
     ),
     (
-        "register-out-of-range",
-        "add i3, i12, #1",
-        {"num_int_regs": 8},
-        "SimulationError",
-        "register i12 out of range (instruction add i3, i12, #1)",
-        14,
-    ),
-    (
         "send-register-length",
         "send i1, i1, i1",
         {},

@@ -368,4 +368,5 @@ class TestSnapshotResumeCommands:
         path.write_text(json.dumps(document))
         assert main(["resume", str(path)]) == 2
         assert ("repro resume: snapshot config section is malformed: ValueError: "
-                "cluster.icache_words must be a positive int, got -1") in capsys.readouterr().err
+                "cluster.icache_words must be 1024, the value this build runs, "
+                "got -1") in capsys.readouterr().err

@@ -7,7 +7,12 @@ import pytest
 
 from repro.cluster.functional_units import ArithmeticFault, OperandError, evaluate_operation
 from repro.cluster.hthread import HThreadContext, ThreadState
-from repro.cluster.icache import CapacityError, InstructionCache
+from repro.cluster.icache import (
+    ICACHE_WORDS,
+    WORDS_PER_INSTRUCTION,
+    CapacityError,
+    InstructionCache,
+)
 from repro.cluster.issue import EventPriorityPolicy, HepBarrelPolicy, RoundRobinPolicy, make_issue_policy
 from repro.cluster.regfile import RegisterSet
 from repro.core.area_model import AreaModel, TECH_1993, TECH_1996
@@ -30,7 +35,8 @@ from repro.events.queue import (
 )
 from repro.events.records import EVENT_RECORD_WORDS, EventRecord, EventType
 from repro.isa.assembler import assemble
-from repro.isa.registers import parse_register
+from repro.isa.registers import NUM_GCC_REGS, parse_register
+from repro.memory import BLOCK_SIZE_WORDS, PAGE_SIZE_WORDS, InterleavedCache, Sdram
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.report.expected import PAPER_REMOTE_READ_STEPS, PAPER_TABLE1
 from repro.switches.crossbar import BROADCAST, Crossbar
@@ -201,9 +207,9 @@ class TestRegisterSet:
 
 class TestInstructionCache:
     def test_capacity_enforced(self):
-        config = ClusterConfig(icache_words=8, words_per_instruction=4)
-        icache = InstructionCache(config)
-        icache.load(0, assemble("nop\nnop"))
+        icache = InstructionCache()
+        icache.load(0, assemble("nop\n" * (ICACHE_WORDS // WORDS_PER_INSTRUCTION)))
+        assert icache.words_used == ICACHE_WORDS
         with pytest.raises(CapacityError):
             icache.load(1, assemble("nop"))
 
@@ -407,16 +413,17 @@ class TestConfig:
         4 KW, 512-word pages, 1 MW of SDRAM per node."""
         config = MachineConfig()
         assert config.node.num_clusters == NUM_CLUSTERS == 4
-        assert config.node.num_vthread_slots == NUM_VTHREAD_SLOTS == 6
+        assert NUM_VTHREAD_SLOTS == 6
         assert EVENT_SLOT == 4 and EXCEPTION_SLOT == 5
-        assert config.memory.cache_banks == 4
-        assert config.memory.cache_banks * config.memory.bank_size_words == 16384  # 32 KB
-        assert config.memory.page_size_words == 512
-        assert config.memory.line_size_words == 8
-        assert config.memory.sdram_size_words == 1 << 20
-        assert config.cluster.num_gcc_regs == 8          # four pairs
+        cache = InterleavedCache()
+        assert cache.num_banks == 4
+        assert cache.num_banks * cache.bank_size_words == 16384  # 32 KB
+        assert config.memory.page_size_words == PAGE_SIZE_WORDS == 512
+        assert cache.line_size_words == BLOCK_SIZE_WORDS == 8
+        assert Sdram().size_words == 1 << 20
+        assert NUM_GCC_REGS == 8          # four pairs
         # 12 function units per node: 3 per cluster.
-        assert 3 * config.node.num_clusters == 12
+        assert 3 * NUM_CLUSTERS == 12
 
     def test_num_nodes(self):
         assert MachineConfig.small(2, 2, 2).num_nodes == 8
@@ -436,11 +443,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             config.validate()
 
+    @pytest.mark.parametrize("section, attr, value, message", [
+        ("node", "num_clusters", 2, "node.num_clusters must be 4, got 2"),
+        ("memory", "page_size_words", 1024, "memory.page_size_words must be 512, got 1024"),
+        ("cluster", "num_int_regs", 8, "config.cluster has no field 'num_int_regs'"),
+        ("memory", "sdram_cas", 3, "config.memory has no field 'sdram_cas'"),
+    ])
+    def test_machine_refuses_other_structure(self, section, attr, value, message):
+        """The cluster count and page size accept only their constants, and
+        assigning a field that no longer exists fails instead of doing
+        nothing."""
+        config = MachineConfig.single_node()
+        setattr(getattr(config, section), attr, value)
+        with pytest.raises(ValueError, match=message):
+            MMachine(config)
+
     def test_copy_is_independent(self):
         config = MachineConfig()
         clone = config.copy()
-        clone.memory.cache_banks = 2
-        assert config.memory.cache_banks == 4
+        clone.network.send_credits = 2
+        assert config.network.send_credits == 16
 
 
 class TestTracerAndStats:

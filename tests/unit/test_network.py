@@ -8,7 +8,15 @@ from repro.events.queue import HardwareQueue
 from repro.memory.guarded_pointer import ProtectionError
 from repro.network.gtlb import GlobalDestinationTable, Gtlb, GtlbEntry
 from repro.network.interface import NetworkInterface
-from repro.network.mesh import MeshNetwork, coords_to_id, id_to_coords
+from repro.network.mesh import (
+    CHANNEL_LATENCY,
+    EJECT_LATENCY,
+    INJECT_LATENCY,
+    ROUTER_LATENCY,
+    MeshNetwork,
+    coords_to_id,
+    id_to_coords,
+)
 from repro.network.message import Message, MessageKind
 
 
@@ -162,10 +170,7 @@ class TestMesh:
         message = Message(kind=MessageKind.DATA, source_node=0, dest_node=1, body=[1],
                           send_cycle=0)
         deliver = mesh.inject(message, cycle=0)
-        config = mesh.config
-        expected = (config.inject_latency + config.router_latency + config.channel_latency
-                    + config.eject_latency)
-        assert deliver == expected
+        assert deliver == INJECT_LATENCY + ROUTER_LATENCY + CHANNEL_LATENCY + EJECT_LATENCY
         for cycle in range(deliver + 1):
             mesh.tick(cycle)
         assert received and received[0][0] is message

@@ -227,6 +227,12 @@ class TestFileFormat:
         pytest.param(("config", "network", "mesh_shape"), [2, -1, 1],
                      "config section is malformed: ValueError: mesh shape",
                      id="mesh-negative"),
+        pytest.param(("config", "node", "num_clusters"), 2,
+                     "config section is malformed: ValueError: node.num_clusters must be 4",
+                     id="num-clusters-2"),
+        pytest.param(("config", "memory", "page_size_words"), 256,
+                     "config section is malformed: ValueError: memory.page_size_words must be",
+                     id="page-size-256"),
         *[pytest.param(("config", "cluster", field), value,
                        f"config section is malformed: ValueError: cluster.{field} must be",
                        id=f"{field}-{value if type(value) is int else type(value).__name__}")
