@@ -65,7 +65,8 @@ class ClusterConfig:
 
 @dataclass
 class MemoryConfig:
-    """Memory parameters read by code outside the simulator."""
+    """Memory parameters.  The geometry and timing are the defaults of the
+    :mod:`repro.memory` components; only the page size stays readable."""
 
     #: Words per page; only ``PAGE_SIZE_WORDS`` of
     #: :mod:`repro.memory.page_table` is accepted.
@@ -90,7 +91,9 @@ class NetworkConfig:
 
 @dataclass
 class NodeConfig:
-    """Per-node structure read by code outside the simulator."""
+    """Per-node structure.  The V-Thread slots (:data:`NUM_VTHREAD_SLOTS`),
+    queue capacities and switch latencies are constants; only the cluster
+    count stays readable."""
 
     #: Clusters per MAP chip; only ``NUM_CLUSTERS`` is accepted.
     num_clusters: int = NUM_CLUSTERS
