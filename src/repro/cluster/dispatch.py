@@ -50,7 +50,7 @@ import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cluster.functional_units import OperandError, value_evaluator
+from repro.cluster.functional_units import OperandError, evaluate, value_evaluator
 from repro.core.config import EVENT_SLOT, EXCEPTION_SLOT
 from repro.isa.instruction import Instruction
 from repro.isa.operations import LabelRef, Operation, SYNC_CONDITIONS, Unit
@@ -495,10 +495,7 @@ def _make_value(op: Operation, evaluator, layout):
         dest_offset = layout.flat_offset(dest)
 
         def run(cluster, context, values, cycle):
-            try:
-                value = evaluator(values)
-            except (TypeError, IndexError) as exc:
-                raise OperandError(f"bad operands for {name}: {values!r}") from exc
+            value = evaluate(name, evaluator, values)
             registers = context.registers
             registers._full[dest_offset] = False
             registers._pending[dest_offset] += 1
@@ -510,10 +507,7 @@ def _make_value(op: Operation, evaluator, layout):
     actions = _dest_actions(op, layout)
 
     def run(cluster, context, values, cycle):
-        try:
-            value = evaluator(values)
-        except (TypeError, IndexError) as exc:
-            raise OperandError(f"bad operands for {name}: {values!r}") from exc
+        value = evaluate(name, evaluator, values)
         for action in actions:
             action(cluster, context, value, cycle)
         return None

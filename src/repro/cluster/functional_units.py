@@ -167,10 +167,19 @@ def evaluate_operation(operation: Operation, source_values: List[object]):
     evaluator = _INT_EVAL.get(name) or _FP_EVAL.get(name)
     if evaluator is None:
         raise OperandError(f"operation {name!r} has no value semantics")
+    return evaluate(name, evaluator, source_values)
+
+
+def evaluate(name: str, evaluator, values: List[object]):
+    """Apply *evaluator*, the semantics of opcode *name*, to *values*.
+
+    Operands the evaluator cannot combine -- the wrong type or number, a
+    negative shift count, a float with no integer value or an integer no
+    float can hold -- raise :class:`OperandError`."""
     try:
-        return evaluator(source_values)
-    except (TypeError, IndexError) as exc:
-        raise OperandError(f"bad operands for {name}: {source_values!r}") from exc
+        return evaluator(values)
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
+        raise OperandError(f"bad operands for {name}: {values!r}") from exc
 
 
 def value_evaluator(name: str):

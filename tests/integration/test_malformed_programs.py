@@ -103,3 +103,41 @@ def test_malformed_instruction(kernel, instruction, overrides, error, message, c
     assert type(caught.value).__name__ == error
     assert str(caught.value) == message
     assert machine.cycle == cycle
+
+
+#: (case id, instruction, operand registers, operand list of the message).
+#: Each evaluator error -- a negative shift count, a float with no integer
+#: value, an integer no float can hold -- is reported like a wrong operand
+#: type: a SimulationError naming the operands and the instruction.
+BAD_OPERAND_CASES = (
+    ("shl-negative-immediate", "shl i2, i1, #-1", {"i1": 5}, [5, -1]),
+    ("shr-negative-register", "shr i2, i1, i3", {"i1": 5, "i3": -2}, [5, -2]),
+    ("ftoi-infinity", "ftoi i2, f1", {"f1": float("inf")}, [float("inf")]),
+    ("ftoi-nan", "ftoi i2, f1", {"f1": float("nan")}, [float("nan")]),
+    ("itof-huge", "itof f2, i1", {"i1": 2**2000}, [2**2000]),
+)
+
+
+@pytest.mark.parametrize("kernel", ["event", "naive"])
+@pytest.mark.parametrize(
+    "instruction, registers, operands",
+    [case[1:] for case in BAD_OPERAND_CASES],
+    ids=[case[0] for case in BAD_OPERAND_CASES],
+)
+def test_bad_operands_name_the_instruction(kernel, instruction, registers, operands):
+    config = MachineConfig.single_node()
+    config.sim.kernel = kernel
+    machine = MMachine(config)
+    machine.map_on_node(0, REGION, num_pages=1)
+    machine.load_hthread(
+        0, 0, 0, "ld i4, i9\nadd i5, i4, #1\n" + instruction + "\nhalt",
+        registers=dict(registers, i9=REGION),
+    )
+    with pytest.raises(Exception) as caught:
+        machine.run_until_user_done(max_cycles=200)
+    assert type(caught.value).__name__ == "SimulationError"
+    name = instruction.split()[0]
+    assert str(caught.value) == (
+        f"bad operands for {name}: {operands!r} (instruction {instruction})"
+    )
+    assert machine.cycle == 14
