@@ -6,9 +6,11 @@ memory system against a reference model."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import MMachine, MachineConfig
 from repro.isa.assembler import assemble
 from repro.isa.registers import RegFile, RegisterRef, pack_regspec, unpack_regspec
-from repro.cluster.functional_units import evaluate_operation
+from repro.cluster.functional_units import OperandError, evaluate_operation
+from repro.cluster.hthread import ThreadState
 from repro.memory.cache import InterleavedCache
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.memory.ltlb import Ltlb
@@ -153,6 +155,88 @@ class TestAssemblerArithmeticProperties:
             "le": int(a <= b), "gt": int(a > b), "ge": int(a >= b),
         }[mnemonic]
         assert result == reference
+
+
+#: Pointers with small addresses and segments, so that a shift by one stays
+#: small.
+SMALL_POINTERS = st.builds(
+    GuardedPointer,
+    address=st.integers(min_value=0, max_value=130),
+    length_exp=st.integers(min_value=0, max_value=8),
+    permission=st.just(PointerPermission.rw()),
+)
+#: Operands of every kind a register can hold: ints (negative, and beyond 64
+#: bits), bools, floats (inf and nan included) and guarded pointers.
+OPERANDS = st.one_of(
+    st.integers(-(1 << 80), 1 << 80),
+    st.booleans(),
+    st.floats(),
+    SMALL_POINTERS,
+    TestGuardedPointerProperties.pointers,
+)
+#: Shift counts: negative, in range, and far beyond any host's memory (those
+#: raise at once).  Counts between 2**20 and 2**64 are left out, because
+#: the shift would try to allocate gigabytes.
+SHIFT_COUNTS = st.one_of(
+    st.integers(-70, 130),
+    st.integers(1 << 70, 1 << 80),
+    st.booleans(),
+    st.floats(-70.0, 130.0),
+    SMALL_POINTERS,
+)
+
+
+class TestIssueStageArithmeticProperties:
+    """Every integer operation the issue stage has an ``int`` fast path for,
+    run through a one-node machine on operands of every kind: the
+    destination holds exactly what :func:`evaluate_operation` returns, or
+    the run raises the SimulationError naming the instruction, or the thread
+    takes the protection fault the evaluator raised."""
+
+    @staticmethod
+    def _check(instruction: str, operands):
+        operation = assemble(instruction)[0].operations[0]
+        try:
+            expected = evaluate_operation(operation, list(operands))
+            error = None
+        except (OperandError, ProtectionError) as exc:
+            expected, error = None, exc
+        machine = MMachine(MachineConfig.single_node(), install_runtime=False)
+        registers = dict(zip(("i1", "i2"), operands))
+        machine.load_hthread(0, 0, 0, instruction + "\nhalt", registers=registers)
+        if isinstance(error, OperandError):
+            with pytest.raises(Exception) as caught:
+                machine.run_until_quiescent(max_cycles=50)
+            assert type(caught.value).__name__ == "SimulationError"
+            assert str(caught.value) == f"{error} (instruction {instruction})"
+            return
+        machine.run_until_quiescent(max_cycles=50)
+        context = machine.nodes[0].context(0, 0)
+        if error is not None:
+            assert context.state is ThreadState.FAULTED
+            assert machine.nodes[0].clusters[0].exceptions_raised == 1
+            return
+        result = machine.register_value(0, 0, 0, "i3")
+        assert type(result) is type(expected)
+        assert repr(result) == repr(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=OPERANDS, b=OPERANDS)
+    @pytest.mark.parametrize("mnemonic", ["add", "sub", "mul", "and", "or", "xor",
+                                          "eq", "ne", "lt", "le", "gt", "ge"])
+    def test_binary_operation(self, mnemonic, a, b):
+        self._check(f"{mnemonic} i3, i1, i2", (a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=OPERANDS, count=SHIFT_COUNTS)
+    @pytest.mark.parametrize("mnemonic", ["shl", "shr"])
+    def test_shift(self, mnemonic, a, count):
+        self._check(f"{mnemonic} i3, i1, i2", (a, count))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=OPERANDS)
+    def test_mov(self, a):
+        self._check("mov i3, i1", (a,))
 
 
 class TestMemorySystemProperties:
