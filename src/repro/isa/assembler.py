@@ -30,6 +30,7 @@ paper.  Over-committing a slot is an assembly error.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instruction import Instruction
@@ -295,3 +296,16 @@ def assemble(source: str, name: str = "program") -> "Program":
 
     _resolve_labels(instructions, labels)
     return Program(name=name, instructions=instructions, labels=labels, source=source)
+
+
+@lru_cache(maxsize=256)
+def assemble_cached(source: str, name: str) -> "Program":
+    """:func:`assemble`, returning the same :class:`~repro.isa.program.Program`
+    object for the same source and name.
+
+    The runtime's handler programs and the programs a snapshot decodes come
+    from here, so a restored machine shares its programs with the machine
+    it was taken from, and the issue stage compiles each of them once per
+    process (:func:`repro.cluster.dispatch.compile_program` caches by
+    program identity).  Callers must not modify the returned program."""
+    return assemble(source, name=name)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.events.records import INFO_IS_STORE_SHIFT, INFO_REGSPEC_MASK
-from repro.isa.assembler import assemble
+from repro.isa.assembler import assemble_cached
 from repro.isa.program import Program
 from repro.memory.page_table import LPT_ENTRIES, LPT_ENTRY_WORDS, PAGE_SIZE_WORDS
 from repro.runtime.layout import RETURN_NODE_SHIFT, RETURN_REGSPEC_MASK
@@ -155,18 +155,22 @@ def build_asm_runtime(lpt_phys_base: int) -> AsmRuntimePrograms:
     """Assemble the three event-V-Thread handler programs for a machine.
 
     All nodes have the same SDRAM, hence the same LPT image base, so a
-    single set of programs is loaded on every node.
+    single set of programs is loaded on every node.  The programs come from
+    :func:`~repro.isa.assembler.assemble_cached`: every machine built in a
+    process, and every machine restored from a snapshot of one, shares them,
+    and with them their compiled issue plans.  The DIP table is the
+    caller's own.
     """
-    p1_program = assemble(message_p1_source(), name="runtime-msg-p1")
+    p1_program = assemble_cached(message_p1_source(), "runtime-msg-p1")
     reply_dip = p1_program.label_address("reply_load")
 
-    p0_program = assemble(message_p0_source(reply_dip), name="runtime-msg-p0")
+    p0_program = assemble_cached(message_p0_source(reply_dip), "runtime-msg-p0")
     remote_store_dip = p0_program.label_address("remote_store")
     remote_load_dip = p0_program.label_address("remote_load")
 
     page_shift = (PAGE_SIZE_WORDS - 1).bit_length()
     lpt_slot_mask = LPT_ENTRIES - 1
-    ltlb_program = assemble(
+    ltlb_program = assemble_cached(
         ltlb_miss_source(
             page_shift=page_shift,
             lpt_slot_mask=lpt_slot_mask,
@@ -174,7 +178,7 @@ def build_asm_runtime(lpt_phys_base: int) -> AsmRuntimePrograms:
             remote_load_dip=remote_load_dip,
             remote_store_dip=remote_store_dip,
         ),
-        name="runtime-ltlb-miss",
+        "runtime-ltlb-miss",
     )
 
     return AsmRuntimePrograms(

@@ -26,7 +26,6 @@ this never changes behaviour.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Dict, List, Optional
 
 #: Reserved key marking a tagged (non-plain-JSON) value.
@@ -35,13 +34,6 @@ TAG = "__snap__"
 
 class SnapshotError(Exception):
     """Raised for malformed, unsupported or mismatched snapshot data."""
-
-
-@lru_cache(maxsize=256)
-def _assemble_cached(source: str, name: str):
-    from repro.isa.assembler import assemble  # noqa: PLC0415
-
-    return assemble(source, name=name)
 
 
 def encode_value(value) -> object:
@@ -224,6 +216,7 @@ def decode_value(encoded) -> object:
 def _decode_tagged(encoded: Dict[str, object]) -> object:
     from repro.cluster.cluster import RegWrite  # noqa: PLC0415
     from repro.events.records import EventRecord, EventType  # noqa: PLC0415
+    from repro.isa.assembler import AssemblyError, assemble_cached  # noqa: PLC0415
     from repro.isa.operations import LabelRef  # noqa: PLC0415
     from repro.isa.registers import RegFile, RegisterRef  # noqa: PLC0415
     from repro.memory.guarded_pointer import GuardedPointer  # noqa: PLC0415
@@ -255,7 +248,11 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
             name=encoded["name"],
         )
     if tag == "program":
-        return _assemble_cached(encoded["source"], encoded["name"])
+        try:
+            return assemble_cached(encoded["source"], encoded["name"])
+        except AssemblyError as exc:
+            raise SnapshotError(
+                f"program {encoded['name']!r} does not assemble: {exc}") from exc
     if tag == "memreq":
         return MemRequest(
             kind=MemOpKind(encoded["kind"]),

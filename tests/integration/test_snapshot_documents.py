@@ -14,7 +14,8 @@ Two contracts of the on-disk snapshot document beyond the state it restores:
   dropped; a 3.0.0 field that holds another value than this build runs is
   refused, and setting a retired key as a config override is an
   unknown-key error.
-* Every malformed value of a config field fails with ``SnapshotError``.
+* Every malformed value of a config field fails with ``SnapshotError``,
+  and so does a program source that no longer assembles.
 """
 
 import copy
@@ -228,6 +229,36 @@ def test_config_mutants_load_or_raise_snapshot_error(tmp_path, monkeypatch):
                 assert ours == theirs, (path, value)
     assert mutants == 385
     assert loaded == [(("trace_dir",), None), (("trace_dir",), "x")]
+
+
+@pytest.mark.parametrize("source, error", [
+    ("frobnicate i1", "unknown opcode 'frobnicate'"),
+    ("br i1, nowhere", "undefined label 'nowhere'"),
+], ids=["unknown-opcode", "undefined-label"])
+def test_program_that_does_not_assemble_is_refused(source, error, tmp_path, capsys):
+    """A snapshot whose program source no longer assembles raises
+    ``SnapshotError`` naming the program, on both paths that decode one,
+    and ``repro resume`` exits 2."""
+    def build():
+        machine = MMachine(MachineConfig.single_node())
+        machine.load_hthread(0, 0, 0, "add i1, i1, #1\nhalt")
+        return machine
+
+    machine = build()
+    machine.run(2)
+    document = machine.snapshot_document()
+    context = document["machine"]["nodes"][0]["clusters"][0]["contexts"][0]
+    context["program"]["source"] = source
+    named = f"program 'user' does not assemble: {error}"
+    with pytest.raises(SnapshotError, match=named):
+        MMachine.from_snapshot(document)
+    with pytest.raises(SnapshotError, match=named):
+        build().restore_snapshot(document)
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["resume", str(path)]) == 2
+    assert "does not assemble" in capsys.readouterr().err
 
 
 def test_retired_key_is_an_unknown_override():
