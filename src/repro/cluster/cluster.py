@@ -41,20 +41,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import dispatch
-from repro.cluster.dispatch import (
-    CHECK_FULL,
-    CHECK_PENDING,
-    CHECK_QUEUE,
-    CHECK_SEND,
-    READ_CID,
-    READ_CONST,
-    READ_NID,
-    READ_REG,
-    UNIT_VALUES,
-    RegWrite,
-    SimulationError,
-)
-from repro.cluster.functional_units import ArithmeticFault, OperandError
+from repro.cluster.dispatch import UNIT_VALUES, RegWrite, SimulationError
 from repro.cluster.hthread import HThreadContext, ThreadState
 from repro.cluster.icache import InstructionCache
 from repro.cluster.issue import HepBarrelPolicy, make_issue_policy
@@ -66,7 +53,6 @@ from repro.core.config import (
 )
 from repro.events.records import EventRecord, EventType
 from repro.isa.program import Program
-from repro.memory.guarded_pointer import ProtectionError
 from repro.snapshot.values import (
     SnapshotError,
     decode_pairs,
@@ -247,37 +233,6 @@ class Cluster:
             cache[name] = queue
             return queue
 
-    def _stall_reason(self, context: HThreadContext, steps) -> Optional[str]:
-        """Reason of the first readiness step *context* fails, or None when
-        the instruction can issue.  Raises :class:`SimulationError` at a
-        malformed instruction's raise step.  Side-effect free.
-
-        This is the only code that evaluates readiness steps: the issue scan
-        and the event kernel's sleep check both call it.  It runs for every
-        visit of every runnable slot, so the queue check reads the slot's
-        queue cache and the queue's word deque directly."""
-        registers = context.registers
-        for kind, arg, reason in steps:
-            if kind == CHECK_FULL:
-                if not registers._full[arg]:
-                    return reason
-            elif kind == CHECK_PENDING:
-                if registers._pending[arg]:
-                    return reason
-            elif kind == CHECK_QUEUE:
-                try:
-                    queue = self._queue_cache[context.slot][arg[0]]
-                except KeyError:
-                    queue = self._queue_binding(context.slot, arg[0])
-                if queue is not None and len(queue._words) < arg[1]:
-                    return reason
-            elif kind == CHECK_SEND:
-                if not self.node.can_send(arg):
-                    return reason
-            else:  # CHECK_RAISE
-                raise SimulationError(arg)
-        return None
-
     def issue(self, cycle: int) -> bool:
         """Run the synchronization stage for one cycle; returns True if an
         instruction issued.
@@ -306,14 +261,14 @@ class Cluster:
                 continue
             self.icache.fetches += 1
             plan = plans[pc]
-            stall = self._stall_reason(context, plan.steps)
+            stall = plan.check(self, context)
             if stall is not None:
                 context.stall_cycles += 1
                 context.stall_reasons[stall] += 1
                 continue
             if context.start_cycle is None:
                 context.start_cycle = cycle
-            self._execute_plan(context, plan, pc, cycle)
+            plan.fire(self, context, pc, cycle)
             num_ops = plan.num_ops
             unit_counts = self._unit_counts
             for index in plan.unit_idx:
@@ -328,50 +283,6 @@ class Cluster:
 
         self.no_ready_cycles += 1
         return False
-
-    def _execute_plan(self, context: HThreadContext, plan, pc: int, cycle: int) -> None:
-        """Issue one compiled instruction: read the operands of every
-        operation first, then execute the operations in order, then advance
-        the PC (unless an operation halted or faulted the thread)."""
-        registers = context.registers
-        stored = registers._values
-        try:
-            calls = []
-            for cop in plan.ops:
-                if cop.privilege_msg is not None:
-                    raise ProtectionError(cop.privilege_msg)
-                values = []
-                for mode, arg in cop.readers:
-                    if mode == READ_REG:
-                        registers.reads += 1
-                        values.append(stored[arg])
-                    elif mode == READ_CONST:
-                        values.append(arg)
-                    elif mode == READ_NID:
-                        values.append(self.node.node_id)
-                    elif mode == READ_CID:
-                        values.append(self.id)
-                    else:  # READ_QUEUE
-                        queue = self._queue_binding(context.slot, arg)
-                        if queue is None:
-                            raise ProtectionError(
-                                f"register {arg!r} is not readable from "
-                                f"cluster {self.id} slot {context.slot}")
-                        values.append(queue.pop_word())
-                calls.append((cop.executor, values))
-            next_pc = pc + 1
-            for executor, values in calls:
-                outcome_pc = executor(self, context, values, cycle)
-                if outcome_pc is not None:
-                    next_pc = outcome_pc
-            if context.state is _RUNNABLE:
-                context.pc = next_pc
-        except ProtectionError as exc:
-            self._raise_exception(context, EventType.PROTECTION, str(exc), cycle)
-        except ArithmeticFault as exc:
-            self._raise_exception(context, EventType.ARITHMETIC, str(exc), cycle)
-        except OperandError as exc:
-            raise SimulationError(f"{exc} (instruction {plan.instruction})") from exc
 
     # ------------------------------------------------------- kernel scheduling
 
@@ -410,7 +321,7 @@ class Cluster:
             if pc < 0 or pc >= len(plans):
                 return None
             try:
-                reason = self._stall_reason(context, plans[pc].steps)
+                reason = plans[pc].check(self, context)
             except SimulationError:
                 return None
             if reason is None:

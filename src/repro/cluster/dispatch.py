@@ -8,32 +8,49 @@ operands name, which opcode semantics apply, what the stall-reason strings
 say -- depend on machine state, only on the instruction and the V-Thread
 slot it is resident in.  This module resolves them once, when a program is
 first issued from, into one :class:`CompiledInstruction` plan per program
-counter, and :class:`~repro.cluster.cluster.Cluster` runs nothing else:
+counter.  A plan holds two generated Python functions, and
+:class:`~repro.cluster.cluster.Cluster` runs nothing else:
 
-* ``steps`` -- the readiness checks, as ``(kind, arg, reason)`` triples in
-  the order the stage tests them: per operation, its source scoreboard bits
-  (``CHECK_FULL``) and its destinations' in-flight writes
+* ``check(cluster, context)`` returns the reason of the first readiness
+  check that fails, or None when the instruction can issue.  The checks run
+  in the order the stage tests them: per operation, its source scoreboard
+  bits (``CHECK_FULL``) and its destinations' in-flight writes
   (``CHECK_PENDING``), for a SEND the message-composition registers it
   launches (Section 4.1) and the network send credit (``CHECK_SEND``); then
   the depth of every hardware queue the instruction reads
   (``CHECK_QUEUE``).  Register checks index the flat register-file arrays
-  (:meth:`~repro.cluster.regfile.RegisterSet.flat_offset`).  Evaluating
-  the steps has no side effects, so the event kernel's sleep check
-  (:meth:`~repro.cluster.cluster.Cluster.idle_profile`) runs the same
-  steps as the issue scan.
-* per-operation ``readers`` -- constant, register-offset, queue or identity
-  operand sources;
-* per-operation ``executor`` closures with the opcode semantics,
-  destination offsets, latencies and trace strings bound at compile time.
+  (:meth:`~repro.cluster.regfile.RegisterSet.flat_offset`).  ``check`` has
+  no side effects, so the event kernel's sleep check
+  (:meth:`~repro.cluster.cluster.Cluster.idle_profile`) calls it as the
+  issue scan does.
+* ``fire(cluster, context, pc, cycle)`` issues the instruction: it reads
+  every operand of every operation (constants, registers, queues, the node
+  and cluster identities), then executes the operations in order, then
+  advances the PC unless an operation halted or faulted the thread.  Value
+  operations with one local destination, and branches with a resolved
+  target, are written out in line; an integer operation on operands that are
+  all exact ``int`` evaluates its expression from
+  :data:`~repro.cluster.functional_units.INLINE_FORMS` in line too.  Every
+  other operation calls its executor closure, which has the opcode
+  semantics, destination offsets, latencies and trace strings bound.
+
+Both functions are straight-line code generated from the plan's readiness
+``steps`` and per-operation :class:`CompiledOp` records, which the plan
+keeps.  The generated source depends only on the instruction's *shape* --
+its step kinds, operand modes and operation kinds -- and every offset, stall
+string, queue name, executor, latency and branch target is an argument of a
+factory compiled once per shape and process (``_FACTORIES``).  A shape's
+code is compiled under a file name that spells the shape, so tracebacks and
+profiles name the kind of instruction that ran.
 
 A malformed instruction still compiles.  A fault the stage would detect
 while checking readiness (a remote register as a source, a special
 register as a destination, a SEND whose length is not an immediate) becomes a
 ``CHECK_RAISE`` step at the position of the failing check; a fault found
 while executing (``empty`` or a load targeting a remote register, a label
-as a branch condition) is raised by the executor.  Either way
-:class:`SimulationError` fires on the cycle the thread reaches the
-instruction.
+as a branch condition) is raised by the generated code or the executor.
+Either way :class:`SimulationError` fires on the cycle the thread reaches
+the instruction.
 
 Plans are **derived state**: they are cached per (cluster, slot), never
 serialised into snapshots, and rebuilt on first issue after a restore (a
@@ -46,12 +63,21 @@ are read at run time -- so one plan list serves every cluster (see
 
 from __future__ import annotations
 
+import linecache
 import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cluster.functional_units import OperandError, evaluate, value_evaluator
+from repro.cluster.functional_units import (
+    INLINE_FORMS,
+    ArithmeticFault,
+    OperandError,
+    evaluate,
+    value_evaluator,
+)
+from repro.cluster.hthread import ThreadState
 from repro.core.config import EVENT_SLOT, EXCEPTION_SLOT
+from repro.events.records import EventType
 from repro.isa.instruction import Instruction
 from repro.isa.operations import LabelRef, Operation, SYNC_CONDITIONS, Unit
 from repro.isa.program import Program
@@ -96,6 +122,15 @@ CHECK_SEND = 2     # arg is the message priority; stall unless the node can send
 CHECK_QUEUE = 3    # arg is (queue_name, needed_words); stall while underfull
 CHECK_RAISE = 4    # arg is the SimulationError message of a malformed instruction
 
+# Operation kinds of a generated ``fire``: (kind, variant, args) per operation.
+OP_VALUE = "value"  # one local destination; variant is an INLINE_FORMS key or None;
+#                     args are (evaluator, opcode name, latency, dest, dest offset)
+OP_BR = "br"        # branch if the condition is true; args are (label message, target)
+OP_BRZ = "brz"      # branch if the condition is false; args as OP_BR
+OP_NOP = "nop"      # nothing to execute; no args
+OP_CALL = "call"    # call the executor; variant is True when it may return a PC
+OP_DENIED = "deny"  # privileged operation from a user slot: raise before its reads
+
 #: Function-unit names in ascending order: the index space of the cluster's
 #: per-unit operation counts, and the order they are reported in.
 UNIT_VALUES = tuple(sorted(unit.value for unit in Unit))
@@ -103,20 +138,25 @@ _UNIT_INDEX = {Unit(value): index for index, value in enumerate(UNIT_VALUES)}
 
 
 class CompiledOp:
-    """One operation of a compiled instruction."""
+    """One operation of a compiled instruction: its operand ``readers``, the
+    protection message when its slot may not issue it, the ``executor``
+    closure with its semantics, and the ``form`` the generated ``fire``
+    executes it in."""
 
-    __slots__ = ("readers", "privilege_msg", "executor")
+    __slots__ = ("readers", "privilege_msg", "executor", "form")
 
-    def __init__(self, readers, privilege_msg, executor):
+    def __init__(self, readers, privilege_msg, executor, form):
         self.readers = readers
         self.privilege_msg = privilege_msg
         self.executor = executor
+        self.form = form
 
 
 class CompiledInstruction:
-    """One instruction resolved to readiness steps and bound executors."""
+    """One instruction resolved to readiness steps, operations and the
+    generated ``check`` and ``fire`` functions built from them."""
 
-    __slots__ = ("steps", "ops", "num_ops", "unit_idx", "instruction")
+    __slots__ = ("steps", "ops", "num_ops", "unit_idx", "instruction", "check", "fire")
 
     def __init__(self, steps, ops, unit_idx, instruction):
         self.steps = steps
@@ -124,6 +164,8 @@ class CompiledInstruction:
         self.num_ops = len(ops)
         self.unit_idx = unit_idx
         self.instruction = instruction
+        self.check = _check_function(steps)
+        self.fire = _fire_function(ops, instruction)
 
 
 class _Malformed(Exception):
@@ -137,7 +179,9 @@ class _Malformed(Exception):
 #: is shared.  On an NxN mesh this collapses the plan footprint touched per
 #: simulated cycle by ``4 x N x N``, which is what keeps the busy-heavy
 #: per-node-tick throughput flat as the mesh grows (the host working set
-#: would otherwise blow out the CPU cache).
+#: would otherwise blow out the CPU cache).  The runtime's handler programs
+#: come from :func:`~repro.isa.assembler.assemble_cached`, so their plans
+#: are compiled once per process.
 #:
 #: Keyed by ``id(program)`` (Program defines ``__eq__`` but not ``__hash__``)
 #: with a weakref that both validates identity against id reuse and evicts
@@ -229,7 +273,8 @@ def _compile_operations(instruction: Instruction, layout, slot: int, steps: list
             privilege_msg = (
                 f"privileged operation {op.opcode.name!r} issued from user slot {slot}"
             )
-        compiled_ops.append(CompiledOp(tuple(readers), privilege_msg, executor))
+        compiled_ops.append(CompiledOp(tuple(readers), privilege_msg, executor,
+                                       _fire_form(op, layout, executor)))
         unit_idx.append(_UNIT_INDEX[op.unit])
 
     for name, count in queue_needs.items():
@@ -237,6 +282,260 @@ def _compile_operations(instruction: Instruction, layout, slot: int, steps: list
         # without the queue skips the check and the read raises instead.
         steps.append((CHECK_QUEUE, (name, count), f"{name} queue empty"))
     return tuple(compiled_ops), tuple(unit_idx)
+
+
+def _fire_form(op: Operation, layout, executor) -> tuple:
+    """How the generated ``fire`` executes *op*: ``(kind, variant, args)``."""
+    name = op.opcode.name
+    if name == "nop":
+        return (OP_NOP, None, ())
+    if name in (OP_BR, OP_BRZ) and op.target is not None:
+        return (name, None, (f"branch condition of {op} is a label", op.target))
+    evaluator = value_evaluator(name)
+    if (evaluator is not None and len(op.dests) == 1 and not op.dest.is_remote
+            and op.dest.file is not RegFile.GCC):
+        # Range-checked by the destination's CHECK_PENDING step.
+        variant = name if name in INLINE_FORMS else None
+        return (OP_VALUE, variant, (evaluator, name, max(op.opcode.latency, 1), op.dest,
+                                    layout.flat_offset(op.dest)))
+    return (OP_CALL, op.opcode.is_branch, (executor,))
+
+
+# ---------------------------------------------------------------------------
+# Generated code.  A shape is a tuple whose first item names the function
+# ("check" or "fire"); the factory compiled for it takes every value of one
+# instruction as an argument and returns that instruction's function.
+# ---------------------------------------------------------------------------
+
+#: Factories of generated functions, keyed by shape.  Derived state like
+#: ``_SHARED_PLANS``: module-level, filled on first use, never serialised.
+_FACTORIES: dict = {}
+
+_CHECK_NAMES = {CHECK_FULL: "full", CHECK_PENDING: "pending", CHECK_SEND: "send",
+                CHECK_QUEUE: "queue", CHECK_RAISE: "raise"}
+_READ_NAMES = {READ_CONST: "const", READ_REG: "reg", READ_QUEUE: "queue",
+               READ_NID: "nid", READ_CID: "cid"}
+#: Reader modes whose ``arg`` is an argument of the generated factory.
+_READ_ARGS = (READ_CONST, READ_REG, READ_QUEUE)
+
+
+def _unreadable(name: str, cluster, context) -> ProtectionError:
+    return ProtectionError(
+        f"register {name!r} is not readable from cluster {cluster.id} slot {context.slot}")
+
+
+#: Globals of the generated code.
+_GENERATED_GLOBALS = {
+    "SimulationError": SimulationError,
+    "ProtectionError": ProtectionError,
+    "ArithmeticFault": ArithmeticFault,
+    "OperandError": OperandError,
+    "LabelRef": LabelRef,
+    "RUNNABLE": ThreadState.RUNNABLE,
+    "PROTECTION": EventType.PROTECTION,
+    "ARITHMETIC": EventType.ARITHMETIC,
+    "evaluate": evaluate,
+    "unreadable": _unreadable,
+}
+
+
+def _check_function(steps):
+    """The ``check`` function of a plan's readiness *steps*."""
+    args = []
+    for kind, arg, reason in steps:
+        if kind == CHECK_QUEUE:
+            args += [arg[0], arg[1], reason]
+        elif kind == CHECK_RAISE:
+            args.append(arg)
+        else:
+            args += [arg, reason]
+    return _factory(("check",) + tuple(kind for kind, _, _ in steps))(*args)
+
+
+def _fire_function(ops, instruction: Instruction):
+    """The ``fire`` function of a plan's operations *ops*.  The factory takes
+    the operand arguments of every operation, then the execution arguments
+    of every operation, then the instruction."""
+    shape, reads, runs = ["fire"], [], []
+    for cop in ops:
+        if cop.privilege_msg is not None:
+            # The operations before it read their operands; none executes.
+            shape.append((OP_DENIED, (), None))
+            runs = [cop.privilege_msg]
+            break
+        kind, variant, args = cop.form
+        shape.append((kind, tuple(mode for mode, _ in cop.readers), variant))
+        reads += [arg for mode, arg in cop.readers if mode in _READ_ARGS]
+        runs += args
+    return _factory(tuple(shape))(*reads, *runs, instruction)
+
+
+def _factory(shape: tuple):
+    factory = _FACTORIES.get(shape)
+    if factory is None:
+        if shape[0] == "check":
+            params, body = _check_source(shape[1:])
+            function, signature = "check", "cluster, context"
+        else:
+            params, body = _fire_source(shape[1:])
+            function, signature = "fire", "cluster, context, pc, cycle"
+        source = "\n".join(
+            [f"def factory({', '.join(params)}):", f"    def {function}({signature}):"]
+            + [f"        {line}" for line in body]
+            + [f"    return {function}", ""])
+        filename = f"<generated {_shape_name(shape)}>"
+        namespace = dict(_GENERATED_GLOBALS)
+        exec(compile(source, filename, "exec"), namespace)
+        # Lets tracebacks show the generated lines.
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        factory = _FACTORIES[shape] = namespace["factory"]
+    return factory
+
+
+def _shape_name(shape: tuple) -> str:
+    if shape[0] == "check":
+        return " ".join(["check"] + [_CHECK_NAMES[kind] for kind in shape[1:]])
+    words = ["fire"]
+    for kind, modes, variant in shape[1:]:
+        if kind == OP_CALL and variant:
+            kind = "jump"
+        elif kind == OP_VALUE and variant is not None:
+            kind = variant
+        words.append(f"{kind}({','.join(_READ_NAMES[mode] for mode in modes)})")
+    return " ".join(words)
+
+
+def _check_source(kinds: tuple):
+    """Parameters and body of the ``check`` function for step *kinds*."""
+    params, body = [], []
+    if CHECK_FULL in kinds or CHECK_PENDING in kinds:
+        body.append("registers = context.registers")
+    for index, kind in enumerate(kinds):
+        reason = f"r{index}"
+        if kind == CHECK_FULL:
+            params += [f"a{index}", reason]
+            body += [f"if not registers._full[a{index}]:", f"    return {reason}"]
+        elif kind == CHECK_PENDING:
+            params += [f"a{index}", reason]
+            body += [f"if registers._pending[a{index}]:", f"    return {reason}"]
+        elif kind == CHECK_SEND:
+            params += [f"a{index}", reason]
+            body += [f"if not cluster.node.can_send(a{index}):", f"    return {reason}"]
+        elif kind == CHECK_QUEUE:
+            # The slot's queue cache is read directly; a miss binds the name.
+            params += [f"q{index}", f"n{index}", reason]
+            body += ["try:",
+                     f"    queue = cluster._queue_cache[context.slot][q{index}]",
+                     "except KeyError:",
+                     f"    queue = cluster._queue_binding(context.slot, q{index})",
+                     f"if queue is not None and len(queue._words) < n{index}:",
+                     f"    return {reason}"]
+        else:  # CHECK_RAISE
+            params.append(f"m{index}")
+            body.append(f"raise SimulationError(m{index})")
+    body.append("return None")
+    return params, body
+
+
+def _fire_source(ops: tuple):
+    """Parameters and body of the ``fire`` function for operation shapes
+    *ops*: ``(kind, reader modes, variant)`` each."""
+    read_params, run_params, code = [], [], []
+    reads = 0  # register reads not yet added to ``registers.reads``
+    reads_registers = any(READ_REG in modes for _, modes, _ in ops)
+    operands = []
+    for index, (_kind, modes, _variant) in enumerate(ops):
+        names = []
+        for position, mode in enumerate(modes):
+            name = f"v{index}_{position}"
+            if mode == READ_CONST:
+                read_params.append(name)
+            elif mode == READ_REG:
+                read_params.append(f"a{name}")
+                code.append(f"{name} = stored[a{name}]")
+                reads += 1
+            elif mode == READ_NID:
+                code.append(f"{name} = cluster.node.node_id")
+            elif mode == READ_CID:
+                code.append(f"{name} = cluster.id")
+            else:  # READ_QUEUE
+                if reads:
+                    code.append(f"registers.reads += {reads}")
+                    reads = 0
+                read_params.append(f"q{name}")
+                code += [f"queue = cluster._queue_binding(context.slot, q{name})",
+                         "if queue is None:",
+                         f"    raise unreadable(q{name}, cluster, context)",
+                         f"{name} = queue.pop_word()"]
+            names.append(name)
+        operands.append(names)
+    if reads:
+        code.append(f"registers.reads += {reads}")
+
+    denied = bool(ops) and ops[-1][0] == OP_DENIED
+    if denied:
+        run_params.append("denied")
+        code.append("raise ProtectionError(denied)")
+        ops = ()
+    jumps = any(kind in (OP_BR, OP_BRZ) or (kind == OP_CALL and variant)
+                for kind, _, variant in ops)
+    if jumps:
+        code.append("next_pc = pc + 1")
+    for index, (kind, _modes, variant) in enumerate(ops):
+        names = operands[index]
+        values = f"[{', '.join(names)}]"
+        if kind == OP_VALUE:
+            evaluator, name, latency, dest, offset = (f"{letter}{index}" for letter in "enldo")
+            run_params += [evaluator, name, latency, dest, offset]
+            result = f"r{index}"
+            call = f"evaluate({name}, {evaluator}, {values})"
+            if variant is None:
+                code.append(f"{result} = {call}")
+            else:
+                expression, guard = INLINE_FORMS[variant]
+                expression = expression.format(*names)
+                if guard is None:
+                    code.append(f"{result} = {expression}")
+                else:
+                    code += [f"if {guard.format(*names)}:", f"    {result} = {expression}",
+                             "else:", f"    {result} = {call}"]
+            code += [f"registers._full[{offset}] = False",
+                     f"registers._pending[{offset}] += 1",
+                     f"cluster._writebacks.append((cycle + {latency}, context.slot, {dest}, "
+                     f"{result}, True, {offset}))"]
+        elif kind in (OP_BR, OP_BRZ):
+            message, target = f"m{index}", f"t{index}"
+            run_params += [message, target]
+            condition = names[0]
+            code += [f"if isinstance({condition}, LabelRef):",
+                     f"    raise SimulationError({message})",
+                     f"if {'' if kind == OP_BR else 'not '}{condition}:",
+                     f"    next_pc = {target}"]
+        elif kind == OP_CALL:
+            executor = f"x{index}"
+            run_params.append(executor)
+            call = f"{executor}(cluster, context, {values}, cycle)"
+            if variant:
+                code += [f"out = {call}", "if out is not None:", "    next_pc = out"]
+            else:
+                code.append(call)
+    if not denied:
+        code += ["if context.state is RUNNABLE:",
+                 f"    context.pc = {'next_pc' if jumps else 'pc + 1'}"]
+
+    body = []
+    if reads_registers or any(kind == OP_VALUE for kind, _, _ in ops):
+        body.append("registers = context.registers")
+    if reads_registers:
+        body.append("stored = registers._values")
+    body += (["try:"] + [f"    {line}" for line in code]
+             + ["except ProtectionError as exc:",
+                "    cluster._raise_exception(context, PROTECTION, str(exc), cycle)",
+                "except ArithmeticFault as exc:",
+                "    cluster._raise_exception(context, ARITHMETIC, str(exc), cycle)",
+                "except OperandError as exc:",
+                '    raise SimulationError(f"{exc} (instruction {instruction})") from exc'])
+    return read_params + run_params + ["instruction"], body
 
 
 # ---------------------------------------------------------------------------
@@ -486,24 +785,6 @@ def _make_unknown(name: str):
 
 def _make_value(op: Operation, evaluator, layout):
     name = op.opcode.name
-    latency = max(op.opcode.latency, 1)
-
-    # The overwhelmingly common case: exactly one local, non-GCC destination.
-    if (len(op.dests) == 1 and not op.dests[0].is_remote
-            and op.dests[0].file is not RegFile.GCC):
-        dest = op.dests[0]
-        dest_offset = layout.flat_offset(dest)
-
-        def run(cluster, context, values, cycle):
-            value = evaluate(name, evaluator, values)
-            registers = context.registers
-            registers._full[dest_offset] = False
-            registers._pending[dest_offset] += 1
-            cluster._writebacks.append(
-                (cycle + latency, context.slot, dest, value, True, dest_offset))
-            return None
-        return run
-
     actions = _dest_actions(op, layout)
 
     def run(cluster, context, values, cycle):

@@ -15,7 +15,7 @@ check.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.operations import Operation
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission
@@ -118,6 +118,35 @@ _INT_EVAL: Dict[str, Callable[[List[object]], object]] = {
     "lea": _lea,
     "setptr": _setptr,
     "ptrinfo": _ptrinfo,
+}
+
+
+_BOTH_INT = "type({0}) is int and type({1}) is int"
+
+#: In-line Python forms of the commonest integer operations, for the code the
+#: issue stage generates (:mod:`repro.cluster.dispatch`): ``name ->
+#: (expression, guard)`` over the operands ``{0}`` and ``{1}``.  Where the
+#: guard holds, the expression gives exactly what the evaluator above
+#: returns and cannot raise; elsewhere the evaluator runs.  ``mov`` copies
+#: any value.  The other guards admit exact ints only (no bools, floats or
+#: guarded pointers), and the shifts only counts from 0 to 64: a negative
+#: count raises, and so does a left shift too large for the host's memory.
+INLINE_FORMS: Dict[str, Tuple[str, Optional[str]]] = {
+    "mov": ("{0}", None),
+    "add": ("{0} + {1}", _BOTH_INT),
+    "sub": ("{0} - {1}", _BOTH_INT),
+    "mul": ("{0} * {1}", _BOTH_INT),
+    "and": ("{0} & {1}", _BOTH_INT),
+    "or": ("{0} | {1}", _BOTH_INT),
+    "xor": ("{0} ^ {1}", _BOTH_INT),
+    "shl": ("{0} << {1}", _BOTH_INT + " and 0 <= {1} <= 64"),
+    "shr": ("{0} >> {1}", _BOTH_INT + " and 0 <= {1} <= 64"),
+    "eq": ("1 if {0} == {1} else 0", _BOTH_INT),
+    "ne": ("1 if {0} != {1} else 0", _BOTH_INT),
+    "lt": ("1 if {0} < {1} else 0", _BOTH_INT),
+    "le": ("1 if {0} <= {1} else 0", _BOTH_INT),
+    "gt": ("1 if {0} > {1} else 0", _BOTH_INT),
+    "ge": ("1 if {0} >= {1} else 0", _BOTH_INT),
 }
 
 
