@@ -9,7 +9,14 @@ than a single overwritten measurement:
 
     {"schema_version": 2,
      "sessions": [{"repro_version": "0.5.0", "python": "3.11.7",
+                   "host": {"cpu_model": "...", "nproc": 2,
+                            "python": "CPython 3.11.7"},
                    "benchmarks": {"kernel_throughput": {"...": 1}}}]}
+
+The ``host`` object names the machine a session was measured on, with the
+fields ``python -m bench`` stamps on its results, so that sessions from
+different hosts are not compared as if they were one.  Sessions written
+before it existed have none and stay valid.
 
 A file that does not hold a schema-2 document (missing, unreadable, or of
 another schema) starts a fresh trajectory on the next append.  The module
@@ -46,6 +53,12 @@ def validate_session(session: object) -> List[str]:
     for name in ("repro_version", "python"):
         if not isinstance(session.get(name), str):
             problems.append(f"session field {name!r} missing or not a string")
+    if "host" in session:
+        host = session["host"]
+        if not isinstance(host, dict) or not all(
+            isinstance(value, _SCALARS) for value in host.values()
+        ):
+            problems.append("session field 'host' is not an object of JSON scalars")
     benchmarks = session.get("benchmarks")
     if not isinstance(benchmarks, dict):
         return problems + ["session has no 'benchmarks' mapping"]
@@ -81,13 +94,34 @@ def validate_trajectory(document: object) -> List[str]:
     return problems
 
 
+def host_fingerprint() -> Dict[str, object]:
+    """The CPU model, processor count and Python implementation of this
+    host, as ``python -m bench`` records them."""
+    cpu_model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_model": cpu_model,
+        "nproc": os.cpu_count(),
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+    }
+
+
 def make_session(benchmarks: Dict[str, Dict[str, object]]) -> Dict[str, object]:
-    """A session record for *benchmarks* (stamped with version + python)."""
+    """A session record for *benchmarks* (stamped with version, python and
+    host)."""
     from repro import __version__  # noqa: PLC0415
 
     session = {
         "repro_version": __version__,
         "python": platform.python_version(),
+        "host": host_fingerprint(),
         "benchmarks": {name: dict(metrics) for name, metrics in benchmarks.items()},
     }
     problems = validate_session(session)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 
 import pytest
 
@@ -38,6 +39,25 @@ class TestSchema:
         assert trajectory.validate_session({
             "repro_version": "v", "python": "3", "benchmarks": {"k": {"m": [1]}},
         }) != []
+
+    def test_sessions_are_stamped_with_the_host(self):
+        host = trajectory.make_session({"kernel": {"speed": 1}})["host"]
+        assert sorted(host) == ["cpu_model", "nproc", "python"]
+        assert isinstance(host["cpu_model"], str) and host["cpu_model"]
+        assert host["nproc"] == os.cpu_count()
+        assert host["python"].endswith(platform.python_version())
+        assert host["python"].startswith(platform.python_implementation())
+
+    def test_host_is_optional_but_must_be_an_object_of_scalars(self):
+        session = {"repro_version": "4.0.0", "python": "3.11.7",
+                   "benchmarks": {"kernel": {"speed": 1}}}
+        assert trajectory.validate_session(session) == []
+        for host in ({"cpu_model": "x", "nproc": 2, "python": "CPython 3.11.7"}, {}):
+            assert trajectory.validate_session(dict(session, host=host)) == []
+        for host in (None, "x86", ["x", 2], {"nproc": [2]}, {"cpu": {"model": "x"}}):
+            assert trajectory.validate_session(dict(session, host=host)) == [
+                "session field 'host' is not an object of JSON scalars"
+            ]
 
     def test_generated_file_passes_the_ci_gate(self, path):
         # The exact document conftest writes must clear the CI bench gate.
