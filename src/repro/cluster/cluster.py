@@ -22,12 +22,12 @@ Table 1 of the paper.
 
 Instruction semantics live in :mod:`repro.cluster.dispatch`, which compiles
 each resident program once into :class:`~repro.cluster.dispatch.CompiledInstruction`
-plans (readiness steps over flat register offsets, operand readers and
-executors).  The issue scan and the event kernel's sleep check
-(:meth:`Cluster.idle_profile`) both evaluate those plans through
-:meth:`Cluster._stall_reason`.  Plans are derived state, cached per slot and
-never serialised: loading a program or restoring a snapshot drops the slot's
-plans, and the next use recompiles them.
+plans, each holding two generated functions: ``check``, the readiness
+checks, and ``fire``, which issues the instruction.  The issue scan calls
+both; the event kernel's sleep check (:meth:`Cluster.idle_profile`) calls
+``check``, which has no side effects.  Plans are derived state, cached per
+slot and never serialised: loading a program or restoring a snapshot drops
+the slot's plans, and the next use recompiles them.
 
 The issue scan keeps two more pieces of derived state: the slots whose
 H-Thread is runnable, with the issue policy's scan orders filtered to them,
@@ -303,8 +303,8 @@ class Cluster:
         Otherwise returns the frozen per-cycle statistics profile of an
         idle/blocked cycle: ``("idle", ())`` when no H-Thread is runnable,
         or ``("blocked", ((context, stall_reason), ...))`` for the runnable
-        slots the issue scan would visit.  The dry-run evaluates the same
-        plan steps as :meth:`issue` but has no side effects (no fetch
+        slots the issue scan would visit.  The dry-run calls the same
+        generated ``check`` functions as :meth:`issue` but has no side effects (no fetch
         counts, no stall records): the profile is replayed in bulk by
         :meth:`account_idle_cycles` when the node wakes.
         """

@@ -63,7 +63,6 @@ are read at run time -- so one plan list serves every cluster (see
 
 from __future__ import annotations
 
-import linecache
 import weakref
 from dataclasses import dataclass
 from typing import List, Optional
@@ -127,7 +126,6 @@ OP_VALUE = "value"  # one local destination; variant is an INLINE_FORMS key or N
 #                     args are (evaluator, opcode name, latency, dest, dest offset)
 OP_BR = "br"        # branch if the condition is true; args are (label message, target)
 OP_BRZ = "brz"      # branch if the condition is false; args as OP_BR
-OP_NOP = "nop"      # nothing to execute; no args
 OP_CALL = "call"    # call the executor; variant is True when it may return a PC
 OP_DENIED = "deny"  # privileged operation from a user slot: raise before its reads
 
@@ -287,8 +285,6 @@ def _compile_operations(instruction: Instruction, layout, slot: int, steps: list
 def _fire_form(op: Operation, layout, executor) -> tuple:
     """How the generated ``fire`` executes *op*: ``(kind, variant, args)``."""
     name = op.opcode.name
-    if name == "nop":
-        return (OP_NOP, None, ())
     if name in (OP_BR, OP_BRZ) and op.target is not None:
         return (name, None, (f"branch condition of {op} is a label", op.target))
     evaluator = value_evaluator(name)
@@ -386,8 +382,6 @@ def _factory(shape: tuple):
         filename = f"<generated {_shape_name(shape)}>"
         namespace = dict(_GENERATED_GLOBALS)
         exec(compile(source, filename, "exec"), namespace)
-        # Lets tracebacks show the generated lines.
-        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         factory = _FACTORIES[shape] = namespace["factory"]
     return factory
 
