@@ -304,9 +304,9 @@ class Cluster:
         idle/blocked cycle: ``("idle", ())`` when no H-Thread is runnable,
         or ``("blocked", ((context, stall_reason), ...))`` for the runnable
         slots the issue scan would visit.  The dry-run calls the same
-        generated ``check`` functions as :meth:`issue` but has no side effects (no fetch
-        counts, no stall records): the profile is replayed in bulk by
-        :meth:`account_idle_cycles` when the node wakes.
+        generated ``check`` functions as :meth:`issue` but has no side
+        effects (no fetch counts, no stall records): the profile is replayed
+        in bulk by :meth:`account_idle_cycles` when the node wakes.
         """
         runnable = self._runnable
         if runnable is None:
