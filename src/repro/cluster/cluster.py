@@ -199,7 +199,7 @@ class Cluster:
 
         The cache entry is dropped by the only two paths that change a
         slot's resident program: :meth:`load_program` and
-        :meth:`load_state_dict` (a snapshot restore installs freshly decoded
+        :meth:`load_state_dict` (a snapshot restore installs decoded
         ``Program`` objects).  The compiler is called through its module so
         that profiling tools can wrap it.
         """
@@ -421,7 +421,7 @@ class Cluster:
         for context, context_state in zip(self.contexts, state["contexts"]):
             context.load_state_dict(context_state)
         self.icache.load_state_dict(state["icache"])
-        # The restore installed new Program objects: recompile on next use.
+        # The restore installed decoded Program objects: look their plans up again.
         self._plans = [None] * len(self._plans)
         self._queue_cache = [dict() for _ in self._queue_cache]
         self.policy.load_state_dict(state["policy"])

@@ -53,9 +53,10 @@ Either way :class:`SimulationError` fires on the cycle the thread reaches
 the instruction.
 
 Plans are **derived state**: they are cached per (cluster, slot), never
-serialised into snapshots, and rebuilt on first issue after a restore (a
-restore installs freshly decoded :class:`~repro.isa.program.Program`
-objects).  Plans bind nothing cluster-specific -- hardware queues are
+serialised into snapshots, and looked up again on first issue after a
+restore (a restore installs decoded :class:`~repro.isa.program.Program`
+objects, the same objects for a source this process has assembled
+before).  Plans bind nothing cluster-specific -- hardware queues are
 resolved by name through the executing cluster, node and cluster identities
 are read at run time -- so one plan list serves every cluster (see
 ``_SHARED_PLANS``).

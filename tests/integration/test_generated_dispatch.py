@@ -238,7 +238,8 @@ def _observe(machine, node_id, cluster_id, slot):
         registers._values, registers._full, registers._pending, registers.reads,
         repr(cluster._writebacks), context.pc, context.state, cluster.exceptions_raised,
         [list(queue._words) for queue in _queues(node)],
-        [[record.to_words(), record.extra] for record in node.exception_queues[cluster_id]._records],
+        [[record.to_words(), record.extra]
+         for record in node.exception_queues[cluster_id]._records],
         node.memory.state_dict(), node.net.state_dict(), node.cswitch.state_dict(),
         [(event.cycle, event.node, event.category, event.info) for event in machine.tracer],
     )
