@@ -14,7 +14,7 @@ import os
 import tempfile
 
 from repro import MMachine, MachineConfig
-from repro.snapshot import fan_out
+from repro.snapshot.warmstart import fan_out
 
 REGION = 0x40000
 REPEATS = 12

@@ -73,14 +73,6 @@ class Timeline:
         return "\n".join(lines)
 
 
-def timeline_from_records(kind: str, records: List[list]) -> Timeline:
-    """Rebuild a :class:`Timeline` from :meth:`Timeline.to_records` rows."""
-    timeline = Timeline(kind=kind)
-    for cycle, node, label in records:
-        timeline.add(int(cycle), int(node), str(label))
-    return timeline
-
-
 def _first(tracer: Tracer, category: str, node: int, since: int = 0, **match) -> Optional[TraceEvent]:
     # Streamed (iter_filter), so the extraction works out-of-core on a
     # disk-backed trace of an arbitrarily long run.

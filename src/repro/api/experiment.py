@@ -37,8 +37,9 @@ from contextlib import ExitStack
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.result import RunResult
+from repro.api.schema import run_id_for
 from repro.api.workload import WorkloadSpec, get_workload
-from repro.core.config import validate_override_key
+from repro.core.config import apply_overrides, validate_override_key
 from repro.core.machine import MMachine, construction_hooks
 
 #: A probe: called with every machine constructed during ``Experiment.run``.
@@ -274,14 +275,7 @@ class Experiment:
     @property
     def run_id(self) -> str:
         """The deterministic run id of this experiment's configuration."""
-        from repro.sweep.spec import run_id_for  # noqa: PLC0415
-
         return run_id_for(self.spec.name, self.params)
-
-    @property
-    def last_result(self) -> Optional[RunResult]:
-        """The most recent :class:`RunResult`, or None before the first run."""
-        return self.results[-1] if self.results else None
 
     # -- execution ---------------------------------------------------------------
 
@@ -301,6 +295,7 @@ class Experiment:
                 )
             policy = None
             if self.checkpoint_dir is not None:
+                # The snapshot layer is loaded only by checkpointed runs.
                 from repro.snapshot.checkpoint import checkpoint_context  # noqa: PLC0415
 
                 policy = stack.enter_context(
@@ -321,8 +316,6 @@ class Experiment:
         return result
 
     def _apply_overrides(self, config: Any) -> None:
-        from repro.core.config import apply_overrides  # noqa: PLC0415
-
         apply_overrides(config, self.overrides)
 
     def _run_probes(self, machine: MMachine) -> None:

@@ -3,7 +3,7 @@
 Every harness that runs a workload — ``repro run``, the sweep runner, the
 pytest benchmarks, warm-started snapshot legs, the ``Experiment`` facade —
 produces a :class:`RunResult`.  Its serialised form *is* the sweep record
-schema (:mod:`repro.sweep.schema`): :meth:`RunResult.to_record` emits a
+schema (:mod:`repro.api.schema`): :meth:`RunResult.to_record` emits a
 schema-valid record dict byte-compatible with what the sweep runner has
 always written, and :meth:`RunResult.from_record` parses one back, so
 manifests round-trip losslessly through the typed API
@@ -21,19 +21,20 @@ one ``RunResult`` per sweep record and reads these views directly.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional
 
-from repro.sweep.schema import (
+from repro.api.schema import (
     SCHEMA_VERSION,
     VERIFICATION_FAILED,
+    config_fingerprint,
     make_record,
+    run_id_for,
     validate_record,
 )
-from repro.sweep.spec import config_fingerprint, run_id_for
+from repro.api.workload import get_workload
 
 #: Summary counters lifted out of ``metrics`` by :attr:`RunResult.summary`
 #: (the scalar projection of ``MachineStats.summary()`` every
@@ -168,22 +169,6 @@ class RunResult:
             tags=dict(self.tags) if self.tags else None,
         )
 
-    def to_json(self) -> str:
-        """The record as canonical JSON (sorted keys, 2-space indent) — the
-        exact bytes :func:`repro.sweep.runner.store_record` writes, minus the
-        trailing newline."""
-        return json.dumps(self.to_record(), indent=2, sort_keys=True)
-
-    def replace(self, **changes: object) -> "RunResult":
-        """A copy with *changes* applied (``dataclasses.replace``)."""
-        return dataclasses.replace(self, **changes)  # type: ignore
-
-    def with_tags(self, **tags: str) -> "RunResult":
-        """A copy with *tags* merged over the existing tags."""
-        merged = dict(self.tags)
-        merged.update(tags)
-        return self.replace(tags=merged)
-
     # -- structured views --------------------------------------------------------
 
     @property
@@ -233,11 +218,9 @@ class RunResult:
         """Explicit params overlaid on the workload's registered defaults
         (falls back to the explicit params for unregistered workloads).
 
-        Computed once per result and kept in the instance ``__dict__``, which
-        equality, :meth:`replace` and :meth:`to_record` do not read; treat
-        it as read-only like ``params``."""
-        from repro.api.workload import get_workload  # noqa: PLC0415
-
+        Computed once per result and kept in the instance ``__dict__``,
+        which equality, ``dataclasses.replace`` and :meth:`to_record` do not
+        read; treat it as read-only like ``params``."""
         try:
             spec = get_workload(self.workload)
         except KeyError:
@@ -264,7 +247,7 @@ def roundtrip_problems(document: Mapping[str, object]) -> List[str]:
 
     Schema-invalid records are reported as such; a valid record that
     re-serialises differently indicates a drift between
-    :class:`RunResult` and :mod:`repro.sweep.schema` and is a bug.
+    :class:`RunResult` and :mod:`repro.api.schema` and is a bug.
     """
     problems: List[str] = []
     runs = document.get("runs")

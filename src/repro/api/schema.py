@@ -1,20 +1,27 @@
-"""Result-record schema for sweep runs.
+"""The result-record schema and the run identity of one configuration.
 
 Every run — whether executed by ``repro sweep``, by a benchmark under
 pytest, or by hand — is recorded as one JSON object with the same shape, so
 results from different harnesses can be merged and compared.  A record is
 the serialised form of a :class:`repro.api.result.RunResult` (see
-``RunResult.to_record``/``from_record`` for the typed view; this module
-stays dependency-free so workers can validate without importing the
-facade).  Validation is hand-rolled (the simulator is pure stdlib);
-``repro validate`` and the CI ``sweep-smoke`` job both go through
-:func:`validate_results`, and ``repro validate --roundtrip`` additionally
-checks that every record survives the ``record -> RunResult -> record``
-round-trip byte-identically.
+``RunResult.to_record``/``from_record`` for the typed view).  This module
+imports nothing from ``repro``, so it sits below both the result type that
+writes records and the sweep and report that read them; ``repro.sweep``
+re-exports the record functions.  Validation is hand-rolled (the simulator
+is pure stdlib); ``repro validate`` and the CI ``sweep-smoke`` job both go
+through :func:`validate_results`, and ``repro validate --roundtrip``
+additionally checks that every record survives the
+``record -> RunResult -> record`` round-trip byte-identically.
+
+A run's identity is a pure function of its workload and explicit
+parameters: :func:`run_id_for` names its record file and
+:func:`config_fingerprint` is the hash in that name.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, List, Optional, Sequence
 
 #: Bump when the record shape changes incompatibly.
@@ -38,6 +45,36 @@ _REQUIRED_FIELDS = {
 _STATUSES = ("ok", "failed")
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
+
+
+def _slug(value: object) -> str:
+    """A filesystem-safe fragment for one parameter value."""
+    text = str(value)
+    if isinstance(value, (list, tuple)):
+        text = "x".join(str(item) for item in value)
+    return "".join(ch if (ch.isalnum() or ch in "._-") else "-" for ch in text)
+
+
+def _canonical(params: Dict[str, object]) -> str:
+    return json.dumps(params, sort_keys=True, separators=(",", ":"), default=str)
+
+
+def config_fingerprint(workload: str, params: Dict[str, object]) -> str:
+    """The 8-hex-digit digest of one ``(workload, params)`` configuration.
+
+    This is the hash suffix of :attr:`repro.sweep.RunSpec.run_id` and the
+    ``fingerprint`` of a :class:`repro.api.RunResult`: equal fingerprints
+    mean the same workload ran with the same explicit parameters.
+    """
+    return hashlib.sha256((workload + _canonical(params)).encode()).hexdigest()[:8]
+
+
+def run_id_for(workload: str, params: Dict[str, object]) -> str:
+    """The deterministic run id of one ``(workload, params)`` pair."""
+    parts = [workload]
+    for key in sorted(params):
+        parts.append(f"{key}-{_slug(params[key])}")
+    return "_".join(parts)[:96] + "_" + config_fingerprint(workload, params)
 
 
 def make_record(

@@ -52,7 +52,7 @@ def _ensure_builtins() -> None:
     global _BUILTINS_LOADED
     if not _BUILTINS_LOADED:
         _BUILTINS_LOADED = True
-        import repro.workloads.factories  # noqa: F401  (registers on import)
+        import repro.workloads.factories  # noqa: F401, PLC0415  (registers on import)
 
 
 def _signature_defaults(func: Callable[..., Metrics]) -> Dict[str, object]:

@@ -55,11 +55,24 @@ import sys
 import tempfile
 from typing import Dict, List, Optional, Sequence
 
+from repro import NUM_CLUSTERS, NUM_VTHREAD_SLOTS, MachineConfig, __version__
 from repro.api.experiment import Experiment, run_workload
 from repro.api.result import roundtrip_problems
+from repro.api.schema import validate_results
 from repro.api.workload import get_workload, workload_names, workload_specs
+from repro.core.trace import Tracer, encode_event
+from repro.core.trace_disk import TraceDirError
+from repro.memory import PAGE_SIZE_WORDS, InterleavedCache, Sdram
+from repro.snapshot import SnapshotError
+from repro.snapshot.checkpoint import SnapshotTaken, checkpoint_context
+from repro.snapshot.format import (
+    SNAPSHOT_SCHEMA_VERSION,
+    config_to_dict,
+    read_snapshot,
+    write_snapshot,
+)
+from repro.snapshot.warmstart import fan_out_parallel
 from repro.sweep.runner import SweepRunner
-from repro.sweep.schema import validate_results
 from repro.sweep.spec import SweepSpec
 from repro.sweep.specs import builtin_spec_names, get_spec
 
@@ -87,8 +100,6 @@ def parse_params(pairs: Sequence[str]) -> Dict[str, object]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro import __version__  # noqa: PLC0415
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Run and sweep M-Machine reproduction experiments.",
@@ -424,10 +435,6 @@ def _cmd_list() -> int:
 
 
 def _cmd_info() -> int:
-    from repro import NUM_CLUSTERS, NUM_VTHREAD_SLOTS, MachineConfig, __version__  # noqa: PLC0415
-    from repro.memory import PAGE_SIZE_WORDS, InterleavedCache, Sdram  # noqa: PLC0415
-    from repro.snapshot.format import SNAPSHOT_SCHEMA_VERSION, config_to_dict  # noqa: PLC0415
-
     config = MachineConfig()
     mesh = config.network.mesh_shape
     cache = InterleavedCache()
@@ -452,8 +459,6 @@ def _cmd_info() -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from repro.snapshot.checkpoint import SnapshotTaken, checkpoint_context  # noqa: PLC0415
-
     try:
         params = parse_params(args.param)
     except argparse.ArgumentTypeError as error:
@@ -481,8 +486,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        from repro.snapshot.format import read_snapshot, write_snapshot  # noqa: PLC0415
-
         document = read_snapshot(policy_path)
         write_snapshot(document, args.out)
     payload = {
@@ -496,9 +499,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    from repro.snapshot import SnapshotError  # noqa: PLC0415
-    from repro.snapshot.warmstart import fan_out_parallel  # noqa: PLC0415
-
     if args.fanout < 1 or args.jobs < 1:
         print("repro resume: --fanout and --jobs must be >= 1", file=sys.stderr)
         return 2
@@ -545,9 +545,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core.trace import Tracer, encode_event  # noqa: PLC0415
-    from repro.core.trace_disk import TraceDirError  # noqa: PLC0415
-
     try:
         tracer = Tracer.open(args.trace_dir, machine=args.machine)
         if args.trace_command == "stats":

@@ -51,15 +51,15 @@ from repro.core.config import (
     EXCEPTION_SLOT,
     NUM_VTHREAD_SLOTS,
 )
-from repro.events.records import EventRecord, EventType
-from repro.isa.program import Program
-from repro.snapshot.values import (
+from repro.core.values import (
     SnapshotError,
     decode_pairs,
     decode_value,
     encode_pairs,
     encode_value,
 )
+from repro.events.records import EventRecord, EventType
+from repro.isa.program import Program
 
 _RUNNABLE = ThreadState.RUNNABLE
 

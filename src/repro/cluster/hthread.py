@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cluster.regfile import RegisterSet
-from repro.isa.program import Program
-from repro.snapshot.values import (
+from repro.core.values import (
     decode_counter,
     decode_value,
     encode_counter,
     encode_value,
 )
+from repro.isa.program import Program
 
 
 class ThreadState(enum.Enum):
@@ -94,10 +94,6 @@ class HThreadContext:
             self._set_state(ThreadState.RUNNABLE)
 
     # -- queries -----------------------------------------------------------------
-
-    @property
-    def is_runnable(self) -> bool:
-        return self.state is ThreadState.RUNNABLE
 
     @property
     def finished(self) -> bool:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.core.values import decode_value, encode_value
 from repro.isa.program import Program
-from repro.snapshot.values import decode_value, encode_value
 
 #: Instruction-cache capacity in words (1 KW = 8 KB per the paper).
 ICACHE_WORDS = 1024

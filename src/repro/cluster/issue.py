@@ -63,11 +63,6 @@ class IssuePolicy:
         """Index into :attr:`orders` of this cycle's scan order."""
         return self._rr_pointer
 
-    def candidate_order(self, cycle: int, resident_slots: Sequence[int]) -> List[int]:
-        """Return slot indices in the order they should be offered the issue
-        slot this cycle."""
-        return [slot for slot in self.orders[self.scan_key(cycle)] if slot in resident_slots]
-
     def issued(self, slot: int) -> None:
         """Feedback that *slot* issued this cycle (used to advance pointers)."""
         self._rr_pointer = (slot + 1) % self.num_slots

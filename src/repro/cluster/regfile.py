@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.core.values import decode_value, encode_value
 from repro.isa.registers import FILE_SIZES, RegFile, RegisterRef, parse_register
-from repro.snapshot.values import decode_value, encode_value
 
 #: Fixed file layout order of the flat arrays (also the serialisation order).
 FILE_ORDER = (RegFile.INT, RegFile.FP, RegFile.CC, RegFile.GCC, RegFile.MC)
@@ -110,22 +110,12 @@ class RegisterSet:
     def set_full(self, ref: RegisterRef) -> None:
         self._full[self._check(ref)] = True
 
-    def set_empty(self, ref: RegisterRef) -> None:
-        self._full[self._check(ref)] = False
-
     # -- pending writes ----------------------------------------------------------
-
-    def mark_pending(self, ref: RegisterRef) -> None:
-        self._pending[self._check(ref)] += 1
 
     def clear_pending(self, ref: RegisterRef) -> None:
         offset = self._check(ref)
         if self._pending[offset] > 0:
             self._pending[offset] -= 1
-
-    def is_pending(self, ref: RegisterRef) -> bool:
-        return self._pending[self._check(ref)] > 0
-
     # -- bulk helpers ------------------------------------------------------------
 
     def set_initial(self, assignments: Dict[str, object]) -> None:

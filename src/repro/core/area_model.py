@@ -71,10 +71,6 @@ TECH_1993 = TechnologyPoint(year=1993, feature_size_um=0.5, chip_area_mlambda2=3
 TECH_1996 = TechnologyPoint(year=1996, feature_size_um=0.35, chip_area_mlambda2=10000.0,
                             system_memory_mbytes=256)
 
-#: Annual growth rates quoted from Hennessy & Jouppi.
-CHIP_AREA_GROWTH_PER_YEAR = 0.50
-GATE_SPEED_GROWTH_PER_YEAR = 0.20
-
 
 class AreaModel:
     """Recomputes the paper's area and peak-performance/area claims."""
@@ -157,22 +153,3 @@ class AreaModel:
             "cluster_fraction_of_node": self.cluster_fraction_of_node,
             "uniprocessor_fraction_of_system": self.processor_area / u_area,
         }
-
-    # -- technology scaling ------------------------------------------------------------
-
-    @staticmethod
-    def scale_chip_area(base_area: float, years: float,
-                        growth: float = CHIP_AREA_GROWTH_PER_YEAR) -> float:
-        """Scale a chip area forward by *years* at the quoted growth rate."""
-        return base_area * (1.0 + growth) ** years
-
-    @staticmethod
-    def processor_fraction_over_time(start: TechnologyPoint, years: int) -> Dict[int, float]:
-        """Processor fraction of the chip, year by year, as chips grow 50%/yr
-        while the processor stays the same size (the trend motivating the
-        M-Machine's increased processor/memory ratio)."""
-        result = {}
-        for offset in range(years + 1):
-            area = AreaModel.scale_chip_area(start.chip_area_mlambda2, offset)
-            result[start.year + offset] = PROCESSOR_AREA_MLAMBDA2 / area
-        return result

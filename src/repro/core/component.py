@@ -83,7 +83,7 @@ class StatefulComponent(Protocol):
        a freshly-constructed, identically-configured machine.
     2. **Plain data.**  The returned dict must be JSON-compatible.  Domain
        values (guarded pointers, event records, messages, requests, register
-       writes, programs) go through :func:`repro.snapshot.values.encode_value`;
+       writes, programs) go through :func:`repro.core.values.encode_value`;
        mappings whose iteration order matters (and all non-string-keyed
        mappings) are stored as ordered ``[key, value]`` pair lists.
     3. **Exact inversion.**  ``load_state_dict(state_dict())`` on a

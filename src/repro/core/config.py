@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.isa.registers import NUM_CLUSTERS
+from repro.memory.page_table import PAGE_SIZE_WORDS
 
 # ---------------------------------------------------------------------------
 # Architectural constants (fixed by the paper's description of the MAP chip).
@@ -190,9 +191,6 @@ class MachineConfig:
     def validate(self) -> None:
         """Check every field's type and range; raises ValueError naming the
         first bad field, or an attribute that is not a field."""
-        # The memory package imports this module through repro.snapshot.
-        from repro.memory.page_table import PAGE_SIZE_WORDS  # noqa: PLC0415
-
         _check_attributes("config", self)
         for section in _SECTIONS:
             _check_attributes(f"config.{section}", getattr(self, section))

@@ -19,11 +19,13 @@ import os
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.cluster.hthread import ThreadState
 from repro.core.config import MachineConfig
 from repro.core.ids import IdSource
 from repro.core.scheduler import SETTLE_CYCLES, SimulationKernel
 from repro.core.stats import MachineStats
 from repro.core.trace import Tracer, sink_for_config
+from repro.core.values import SnapshotError
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.isa.registers import parse_register
@@ -31,8 +33,6 @@ from repro.memory.page_table import PAGE_SIZE_WORDS
 from repro.network.gtlb import GlobalDestinationTable, GtlbEntry
 from repro.network.mesh import MeshNetwork, coords_to_id, id_to_coords
 from repro.node.node import Node
-from repro.snapshot.checkpoint import attach_machine
-from repro.snapshot.values import SnapshotError
 
 ProgramLike = Union[Program, str]
 
@@ -46,10 +46,11 @@ def _as_program(program: ProgramLike, name: str = "program") -> Program:
 #: Construction hooks (see :func:`construction_hooks`).  Config hooks run on
 #: the resolved :class:`MachineConfig` before it is validated and before any
 #: component is built; machine hooks run on the fully-constructed machine.
-#: Workload factories build their machines internally, so this is how the
+#: Workload factories build their machines internally, so this is the one
+#: way to act on machines the caller never sees being constructed: the
 #: ``repro.api`` experiment builder applies config overrides and attaches
-#: probes to machines it never sees being constructed — the same underneath
-#: pattern :mod:`repro.snapshot.checkpoint` uses for its policy.
+#: probes with it, and :func:`repro.snapshot.checkpoint.checkpoint_context`
+#: attaches its policy.
 _CONFIG_HOOKS: List[Callable[[MachineConfig], None]] = []
 _MACHINE_HOOKS: List[Callable[["MMachine"], None]] = []
 
@@ -126,6 +127,8 @@ class MMachine:
         self.cycle = 0
         self.runtime = None
         if install_runtime and self.config.runtime.shared_memory_mode != "none":
+            # The handlers are compiled on the first machine that installs
+            # them, not by every import of the simulator.
             from repro.runtime import install_runtime as _install  # noqa: PLC0415
 
             self.runtime = _install(self)
@@ -134,9 +137,9 @@ class MMachine:
         self.kernel: Optional[SimulationKernel] = None
         if self.config.sim.kernel == "event":
             self.kernel = SimulationKernel(self)
-        #: Per-machine checkpoint runtime, or None when no checkpoint policy
-        #: is active (see :mod:`repro.snapshot.checkpoint`).
-        self._checkpoint = attach_machine(self)
+        #: Per-machine checkpoint runtime, set by the machine hook of an
+        #: active checkpoint policy (see :mod:`repro.snapshot.checkpoint`).
+        self._checkpoint = None
         for machine_hook in _MACHINE_HOOKS:
             machine_hook(self)
 
@@ -275,8 +278,6 @@ class MMachine:
         return context.registers.is_full(parse_register(register))
 
     def thread_halted(self, node_id: int, slot: int, cluster: int) -> bool:
-        from repro.cluster.hthread import ThreadState  # noqa: PLC0415
-
         return self.nodes[node_id].context(slot, cluster).state is ThreadState.HALTED
 
     # ------------------------------------------------------------------- execution

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.snapshot.values import decode_value, encode_value
+from repro.core.values import decode_value, encode_value
 
 #: Every trace category the simulator can emit, as documented in
 #: ``docs/traces.md``.  This is a stable interface: analyses and tests may

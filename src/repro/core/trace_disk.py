@@ -36,6 +36,7 @@ import zlib
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.trace import TraceEvent, _match, decode_event, encode_event
+from repro.core.values import SnapshotError
 
 TRACE_INDEX_NAME = "index.json"
 TRACE_FORMAT_NAME = "repro-trace"
@@ -104,7 +105,63 @@ def _read_index(directory: str) -> Optional[dict]:
             f"{path} has format_version {index.get('format_version')!r}; "
             f"this build reads version {TRACE_FORMAT_VERSION}"
         )
+    problem = _index_problem(index)
+    if problem is not None:
+        raise TraceDirError(f"{path} is malformed: {problem}")
     return index
+
+
+def _is_count(value: object) -> bool:
+    """Whether *value* is a non-negative ``int`` (``bool`` excluded)."""
+    return type(value) is int and value >= 0
+
+
+def _histogram_problem(histogram: object, events: int) -> Optional[str]:
+    if not isinstance(histogram, dict):
+        return "is not an object"
+    for key, count in histogram.items():
+        if not _is_count(count) or count == 0:
+            return f"counts {count!r} events for {key!r}"
+    if sum(histogram.values()) != events:
+        return f"counts {sum(histogram.values())} events, not {events}"
+    return None
+
+
+def _index_problem(index: dict) -> Optional[str]:
+    """The first field of a trace index that is malformed or disagrees with
+    the others, or None.  Readers rely on every one of them: the chunk
+    files, their event counts, and the cycle ranges and histograms that
+    filtered reads and ``stats`` use instead of reading the chunks."""
+    chunk_events = index.get("chunk_events")
+    if not _is_count(chunk_events) or chunk_events == 0:
+        return f"chunk_events is {chunk_events!r}, not a positive int"
+    chunks = index.get("chunks")
+    if not isinstance(chunks, list):
+        return f"chunks is {chunks!r}, not a list"
+    for ordinal, chunk in enumerate(chunks):
+        where = f"chunks[{ordinal}]"
+        if not isinstance(chunk, dict):
+            return f"{where} is {chunk!r}, not an object"
+        expected_file = f"chunk-{ordinal:05d}.jsonl.gz"
+        if chunk.get("file") != expected_file:
+            return f"{where}.file is {chunk.get('file')!r}, not {expected_file!r}"
+        events = chunk.get("events")
+        if not _is_count(events) or events == 0:
+            return f"{where}.events is {events!r}, not a positive int"
+        first, last = chunk.get("first_cycle"), chunk.get("last_cycle")
+        if not (_is_count(first) and _is_count(last) and first <= last):
+            return f"{where} spans cycles {first!r} to {last!r}"
+        for field in ("categories", "nodes"):
+            problem = _histogram_problem(chunk.get(field), events)
+            if problem is not None:
+                return f"{where}.{field} {problem}"
+        if not all(key.isdecimal() for key in chunk["nodes"]):
+            return f"{where}.nodes has a key that is not a node number"
+    total = index.get("total_events")
+    flushed = sum(chunk["events"] for chunk in chunks)
+    if not _is_count(total) or total != flushed:
+        return f"total_events is {total!r}, but the chunks hold {flushed} events"
+    return None
 
 
 def _write_index(directory: str, index: dict) -> None:
@@ -285,8 +342,25 @@ class DiskTraceSink:
                 continue
             if since is not None and chunk["last_cycle"] < since:
                 continue
-            for row in _iter_chunk_rows(os.path.join(self.directory, chunk["file"])):
-                event = decode_event(row)
+            path = os.path.join(self.directory, chunk["file"])
+            # A chunk holds at most chunk_events rows, so it is read and
+            # decoded whole and checked against the index before any of its
+            # events is yielded: a short, padded or garbled chunk is never
+            # read as a trace.
+            rows = list(_iter_chunk_rows(path))
+            if len(rows) != chunk["events"]:
+                raise TraceDirError(
+                    f"trace chunk {path} holds {len(rows)} events, but "
+                    f"{TRACE_INDEX_NAME} counts {chunk['events']}"
+                )
+            try:
+                events = [decode_event(row) for row in rows]
+            except (AttributeError, KeyError, TypeError, ValueError, SnapshotError) as error:
+                raise TraceDirError(
+                    f"cannot read trace chunk {path}: malformed row "
+                    f"({type(error).__name__}: {error})"
+                ) from error
+            for event in events:
                 if _match(event, category, node, since):
                     yield event
         for event in self._tail:

@@ -25,8 +25,17 @@ this never changes behaviour.
 
 from __future__ import annotations
 
+import enum
 import math
+from collections import Counter
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Dict, List, Optional
+
+from repro.isa.assembler import AssemblyError, assemble_cached
+from repro.isa.operations import LabelRef
+from repro.isa.program import Program
+from repro.isa.registers import RegFile, RegisterRef
 
 #: Reserved key marking a tagged (non-plain-JSON) value.
 TAG = "__snap__"
@@ -77,32 +86,49 @@ def encode_value(value) -> object:
     return _encode_object(value)
 
 
-def _encode_int(value: int) -> object:
-    import enum  # noqa: PLC0415
+@lru_cache(maxsize=None)
+def _records() -> SimpleNamespace:
+    """The record classes of the packages that import this codec.
 
+    ``repro.cluster``, ``repro.events``, ``repro.memory`` and
+    ``repro.network`` import this module while they load, so their classes
+    are imported here on the first encode or decode that needs one."""
+    from repro.cluster.cluster import RegWrite  # noqa: PLC0415
+    from repro.events.records import EventRecord, EventType  # noqa: PLC0415
+    from repro.memory.guarded_pointer import GuardedPointer  # noqa: PLC0415
+    from repro.memory.page_table import BlockStatus, LptEntry  # noqa: PLC0415
+    from repro.memory.requests import MemOpKind, MemRequest, MemResponse  # noqa: PLC0415
+    from repro.network.gtlb import GtlbEntry  # noqa: PLC0415
+    from repro.network.message import Message, MessageKind  # noqa: PLC0415
+
+    return SimpleNamespace(
+        BlockStatus=BlockStatus,
+        EventRecord=EventRecord,
+        EventType=EventType,
+        GtlbEntry=GtlbEntry,
+        GuardedPointer=GuardedPointer,
+        LptEntry=LptEntry,
+        MemOpKind=MemOpKind,
+        MemRequest=MemRequest,
+        MemResponse=MemResponse,
+        Message=Message,
+        MessageKind=MessageKind,
+        RegWrite=RegWrite,
+    )
+
+
+def _encode_int(value: int) -> object:
     if isinstance(value, enum.IntEnum):
         # BlockStatus (and any future IntEnum) round-trips through its class.
-        from repro.memory.page_table import BlockStatus  # noqa: PLC0415
-
-        if isinstance(value, BlockStatus):
+        if isinstance(value, _records().BlockStatus):
             return {TAG: "blockstatus", "value": int(value)}
         return int(value)
     return value
 
 
 def _encode_object(value) -> Dict[str, object]:
-    from repro.cluster.cluster import RegWrite  # noqa: PLC0415
-    from repro.events.records import EventRecord  # noqa: PLC0415
-    from repro.isa.operations import LabelRef  # noqa: PLC0415
-    from repro.isa.program import Program  # noqa: PLC0415
-    from repro.isa.registers import RegisterRef  # noqa: PLC0415
-    from repro.memory.guarded_pointer import GuardedPointer  # noqa: PLC0415
-    from repro.memory.page_table import LptEntry  # noqa: PLC0415
-    from repro.memory.requests import MemRequest, MemResponse  # noqa: PLC0415
-    from repro.network.gtlb import GtlbEntry  # noqa: PLC0415
-    from repro.network.message import Message  # noqa: PLC0415
-
-    if isinstance(value, GuardedPointer):
+    records = _records()
+    if isinstance(value, records.GuardedPointer):
         return {TAG: "gptr", "word": value.encode()}
     if isinstance(value, LabelRef):
         return {TAG: "label", "name": value.name}
@@ -116,7 +142,7 @@ def _encode_object(value) -> Dict[str, object]:
         }
     if isinstance(value, Program):
         return {TAG: "program", "name": value.name, "source": value.source}
-    if isinstance(value, MemRequest):
+    if isinstance(value, records.MemRequest):
         return {
             TAG: "memreq",
             "kind": value.kind.value,
@@ -132,7 +158,7 @@ def _encode_object(value) -> Dict[str, object]:
             "issue_cycle": value.issue_cycle,
             "req_id": value.req_id,
         }
-    if isinstance(value, MemResponse):
+    if isinstance(value, records.MemResponse):
         return {
             TAG: "memresp",
             "request": encode_value(value.request),
@@ -140,7 +166,7 @@ def _encode_object(value) -> Dict[str, object]:
             "ready_cycle": value.ready_cycle,
             "faulted": value.faulted,
         }
-    if isinstance(value, EventRecord):
+    if isinstance(value, records.EventRecord):
         return {
             TAG: "event",
             "event_type": int(value.event_type),
@@ -156,7 +182,7 @@ def _encode_object(value) -> Dict[str, object]:
             "cycle": value.cycle,
             "extra": encode_value(value.extra),
         }
-    if isinstance(value, Message):
+    if isinstance(value, records.Message):
         return {
             TAG: "msg",
             "kind": value.kind.value,
@@ -170,7 +196,7 @@ def _encode_object(value) -> Dict[str, object]:
             "returned": encode_value(value.returned),
             "msg_id": value.msg_id,
         }
-    if isinstance(value, RegWrite):
+    if isinstance(value, records.RegWrite):
         return {
             TAG: "regwrite",
             "vthread": value.vthread,
@@ -179,7 +205,7 @@ def _encode_object(value) -> Dict[str, object]:
             "clear_pending": value.clear_pending,
             "origin": value.origin,
         }
-    if isinstance(value, LptEntry):
+    if isinstance(value, records.LptEntry):
         return {
             TAG: "lpt",
             "virtual_page": value.virtual_page,
@@ -187,7 +213,7 @@ def _encode_object(value) -> Dict[str, object]:
             "writable": value.writable,
             "block_status": [int(status) for status in value.block_status],
         }
-    if isinstance(value, GtlbEntry):
+    if isinstance(value, records.GtlbEntry):
         return {
             TAG: "gtlb",
             "base_page": value.base_page,
@@ -214,17 +240,7 @@ def decode_value(encoded) -> object:
 
 
 def _decode_tagged(encoded: Dict[str, object]) -> object:
-    from repro.cluster.cluster import RegWrite  # noqa: PLC0415
-    from repro.events.records import EventRecord, EventType  # noqa: PLC0415
-    from repro.isa.assembler import AssemblyError, assemble_cached  # noqa: PLC0415
-    from repro.isa.operations import LabelRef  # noqa: PLC0415
-    from repro.isa.registers import RegFile, RegisterRef  # noqa: PLC0415
-    from repro.memory.guarded_pointer import GuardedPointer  # noqa: PLC0415
-    from repro.memory.page_table import BlockStatus, LptEntry  # noqa: PLC0415
-    from repro.memory.requests import MemOpKind, MemRequest, MemResponse  # noqa: PLC0415
-    from repro.network.gtlb import GtlbEntry  # noqa: PLC0415
-    from repro.network.message import Message, MessageKind  # noqa: PLC0415
-
+    records = _records()
     tag = encoded[TAG]
     if tag == "float":
         return float(encoded["repr"])
@@ -235,11 +251,11 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
     if tag == "dict":
         return {decode_value(key): decode_value(item) for key, item in encoded["items"]}
     if tag == "gptr":
-        return GuardedPointer.decode(encoded["word"])
+        return records.GuardedPointer.decode(encoded["word"])
     if tag == "label":
         return LabelRef(encoded["name"])
     if tag == "blockstatus":
-        return BlockStatus(encoded["value"])
+        return records.BlockStatus(encoded["value"])
     if tag == "reg":
         return RegisterRef(
             file=RegFile[encoded["file"]],
@@ -254,8 +270,8 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
             raise SnapshotError(
                 f"program {encoded['name']!r} does not assemble: {exc}") from exc
     if tag == "memreq":
-        return MemRequest(
-            kind=MemOpKind(encoded["kind"]),
+        return records.MemRequest(
+            kind=records.MemOpKind(encoded["kind"]),
             address=encoded["address"],
             data=decode_value(encoded["data"]),
             dest=decode_value(encoded["dest"]),
@@ -269,15 +285,15 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
             req_id=encoded["req_id"],
         )
     if tag == "memresp":
-        return MemResponse(
+        return records.MemResponse(
             request=decode_value(encoded["request"]),
             value=decode_value(encoded["value"]),
             ready_cycle=encoded["ready_cycle"],
             faulted=encoded["faulted"],
         )
     if tag == "event":
-        return EventRecord(
-            event_type=EventType(encoded["event_type"]),
+        return records.EventRecord(
+            event_type=records.EventType(encoded["event_type"]),
             address=encoded["address"],
             data=encoded["data"],
             regspec=encoded["regspec"],
@@ -291,8 +307,8 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
             extra=decode_value(encoded["extra"]),
         )
     if tag == "msg":
-        return Message(
-            kind=MessageKind(encoded["kind"]),
+        return records.Message(
+            kind=records.MessageKind(encoded["kind"]),
             source_node=encoded["source_node"],
             dest_node=encoded["dest_node"],
             priority=encoded["priority"],
@@ -304,7 +320,7 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
             msg_id=encoded["msg_id"],
         )
     if tag == "regwrite":
-        return RegWrite(
+        return records.RegWrite(
             vthread=encoded["vthread"],
             ref=decode_value(encoded["ref"]),
             value=decode_value(encoded["value"]),
@@ -312,14 +328,14 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
             origin=encoded["origin"],
         )
     if tag == "lpt":
-        return LptEntry(
+        return records.LptEntry(
             virtual_page=encoded["virtual_page"],
             physical_frame=encoded["physical_frame"],
             writable=encoded["writable"],
-            block_status=[BlockStatus(status) for status in encoded["block_status"]],
+            block_status=[records.BlockStatus(status) for status in encoded["block_status"]],
         )
     if tag == "gtlb":
-        return GtlbEntry(
+        return records.GtlbEntry(
             base_page=encoded["base_page"],
             page_group_length=encoded["page_group_length"],
             start_node=tuple(encoded["start_node"]),
@@ -346,8 +362,6 @@ def encode_counter(counter) -> List[List[object]]:
 
 
 def decode_counter(pairs):
-    from collections import Counter  # noqa: PLC0415
-
     counter: Counter = Counter()
     for key, value in pairs:
         counter[decode_value(key)] = value

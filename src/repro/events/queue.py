@@ -16,14 +16,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
+from repro.core.values import decode_value, encode_value
 from repro.events.records import EventRecord
-from repro.snapshot.values import decode_value, encode_value
 from repro.events.records import EVENT_RECORD_WORDS
-
-
-class QueueOverflowError(Exception):
-    """Raised when a push would exceed a queue's capacity and the caller did
-    not check :meth:`HardwareQueue.can_accept` first."""
 
 
 class QueueUnderflowError(Exception):

@@ -68,7 +68,6 @@ INFO_CLUSTER_SHIFT = 25        # 3 bits
 INFO_IS_FP_SHIFT = 28          # 1 bit: destination register is floating point
 
 _SYNC_CODE = {"x": 0, "f": 1, "e": 2}
-_SYNC_NAME = {value: key for key, value in _SYNC_CODE.items()}
 
 
 @dataclass
@@ -110,25 +109,6 @@ class EventRecord:
     def to_words(self) -> List[int]:
         """Pack the record into the 4-word representation read via ``evq``."""
         return [int(self.event_type), self.address, self.data, self.info_word()]
-
-    @classmethod
-    def from_words(cls, words: List[int]) -> "EventRecord":
-        """Rebuild a record from its packed representation (used in tests)."""
-        if len(words) != EVENT_RECORD_WORDS:
-            raise ValueError(f"expected {EVENT_RECORD_WORDS} words, got {len(words)}")
-        type_word, address, data, info = words
-        return cls(
-            event_type=EventType(type_word),
-            address=address,
-            data=data,
-            regspec=info & INFO_REGSPEC_MASK,
-            is_store=bool((info >> INFO_IS_STORE_SHIFT) & 1),
-            sync_pre=_SYNC_NAME[(info >> INFO_SYNC_PRE_SHIFT) & 0x3],
-            sync_post=_SYNC_NAME[(info >> INFO_SYNC_POST_SHIFT) & 0x3],
-            vthread=(info >> INFO_VTHREAD_SHIFT) & 0xF,
-            cluster=(info >> INFO_CLUSTER_SHIFT) & 0x7,
-            is_fp=bool((info >> INFO_IS_FP_SHIFT) & 1),
-        )
 
     def __str__(self) -> str:
         kind = "store" if self.is_store else "load"

@@ -27,11 +27,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.schema import config_fingerprint
 from repro.core.config import MachineConfig, apply_overrides
 from repro.core.machine import MMachine
 from repro.memory.guarded_pointer import PointerPermission, make_pointer
 from repro.memory.secded import CODEWORD_BITS
-from repro.sweep.spec import config_fingerprint
 
 #: Private per-thread heap slices (one page each) start here.
 HEAP_BASE = 0x10000

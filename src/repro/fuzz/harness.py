@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.machine import MMachine
 from repro.fuzz.generator import GeneratedProgram, GeneratorKnobs, generate_program
+from repro.fuzz.shrink import shrink_program
 
 #: The differential grid: the baseline kernel first, then every variant
 #: compared against it.
@@ -259,8 +260,6 @@ def fuzz_many(
     Returns a JSON-safe campaign summary.  On failure, the offending program
     (optionally shrunk first) is dumped to ``repro_dir/fuzz-seed-N.json``.
     """
-    from repro.fuzz.shrink import shrink_program  # noqa: PLC0415 - import cycle
-
     emit = log if log is not None else (lambda message: None)
     summary: Dict[str, object] = {
         "seed": seed,
@@ -285,7 +284,7 @@ def fuzz_many(
         entry = outcome.to_dict()
         shrunk = None
         if shrink:
-            shrunk = shrink_program(program)
+            shrunk = shrink_program(program, lambda candidate: not check_program(candidate).ok)
             entry["shrunk_threads"] = len(shrunk.threads)
             emit(
                 f"seed {current_seed}: shrunk {len(program.threads)} -> "

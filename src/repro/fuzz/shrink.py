@@ -18,7 +18,7 @@ evaluation costs five full simulations.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.fuzz.generator import GeneratedProgram
 
@@ -34,31 +34,25 @@ def _clone(program: GeneratedProgram) -> GeneratedProgram:
     return GeneratedProgram.from_dict(copy.deepcopy(program.to_dict()))
 
 
-def _default_predicate(program: GeneratedProgram) -> bool:
-    from repro.fuzz.harness import check_program  # noqa: PLC0415 - import cycle
-
-    return not check_program(program).ok
-
-
 def shrink_program(
     program: GeneratedProgram,
-    is_failing: Optional[Callable[[GeneratedProgram], bool]] = None,
+    is_failing: Callable[[GeneratedProgram], bool],
     max_rounds: int = 8,
 ) -> GeneratedProgram:
     """Return the smallest variant of *program* for which *is_failing* holds.
 
-    ``is_failing`` defaults to "the differential harness reports a failure".
-    If the input program does not satisfy the predicate it is returned
-    unchanged (there is nothing to reproduce).
+    The differential harness passes "the harness reports a failure" (see
+    :func:`repro.fuzz.harness.fuzz_many`).  If the input program does not
+    satisfy the predicate it is returned unchanged (there is nothing to
+    reproduce).
     """
-    predicate = is_failing if is_failing is not None else _default_predicate
     evaluations = [0]
 
     def still_fails(candidate: GeneratedProgram) -> bool:
         if evaluations[0] >= _MAX_EVALUATIONS:
             return False
         evaluations[0] += 1
-        return predicate(candidate)
+        return is_failing(candidate)
 
     if not still_fails(program):
         return program

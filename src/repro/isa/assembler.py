@@ -41,6 +41,7 @@ from repro.isa.operations import (
     OpClass,
     Unit,
 )
+from repro.isa.program import Program
 from repro.isa.registers import RegisterRef, is_register, parse_register
 
 
@@ -263,7 +264,7 @@ def _resolve_labels(instructions: List[Instruction], labels: Dict[str, int]) -> 
                         break
 
 
-def assemble(source: str, name: str = "program") -> "Program":
+def assemble(source: str, name: str = "program") -> Program:
     """Assemble *source* into a :class:`~repro.isa.program.Program`.
 
     Raises
@@ -272,8 +273,6 @@ def assemble(source: str, name: str = "program") -> "Program":
         For unknown opcodes, malformed operands, slot over-commitment,
         undefined labels or duplicate labels.
     """
-    from repro.isa.program import Program  # noqa: PLC0415
-
     instructions: List[Instruction] = []
     labels: Dict[str, int] = {}
     pending_labels: List[Tuple[str, int]] = []
@@ -299,7 +298,7 @@ def assemble(source: str, name: str = "program") -> "Program":
 
 
 @lru_cache(maxsize=256)
-def assemble_cached(source: str, name: str) -> "Program":
+def assemble_cached(source: str, name: str) -> Program:
     """:func:`assemble`, returning the same :class:`~repro.isa.program.Program`
     object for the same source and name.
 

@@ -48,17 +48,6 @@ class Instruction:
     def operations(self) -> List[Operation]:
         return list(self.ops.values())
 
-    def op_in(self, unit: Unit) -> Optional[Operation]:
-        return self.ops.get(unit)
-
-    @property
-    def has_branch(self) -> bool:
-        return any(op.opcode.is_branch for op in self.ops.values())
-
-    @property
-    def has_memory(self) -> bool:
-        return any(op.opcode.is_memory or op.opcode.is_send for op in self.ops.values())
-
     @property
     def is_empty(self) -> bool:
         return not self.ops

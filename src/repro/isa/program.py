@@ -41,16 +41,6 @@ class Program:
             raise KeyError(f"label {label!r} not defined in program {self.name!r}") from None
 
     @property
-    def static_length(self) -> int:
-        """Number of (3-wide) instructions in the program.
-
-        This is the "static depth of the instruction sequence" metric used in
-        Section 3.1 / Figure 5 of the paper when comparing single- and
-        multi-H-Thread schedules of the stencil kernels.
-        """
-        return len(self.instructions)
-
-    @property
     def operation_count(self) -> int:
         """Total number of operations across all instructions."""
         return sum(len(instr) for instr in self.instructions)

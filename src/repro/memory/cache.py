@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.values import decode_value, encode_value
 from repro.memory.page_table import BLOCK_SIZE_WORDS
-from repro.snapshot.values import decode_value, encode_value
 
 
 @dataclass

@@ -184,9 +184,3 @@ def make_pointer(base: int, size_words: int, permission: PointerPermission) -> G
     return GuardedPointer(base, length_exp, permission)
 
 
-def pointer_value(value) -> int:
-    """Return the integer address of *value*, which may be a plain integer or
-    a :class:`GuardedPointer`."""
-    if isinstance(value, GuardedPointer):
-        return value.address
-    return int(value)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
+from repro.core.values import decode_value, encode_value
 from repro.memory.page_table import LptEntry, PAGE_SIZE_WORDS, page_of
-from repro.snapshot.values import decode_value, encode_value
 
 
 class Ltlb:

@@ -33,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.core.values import decode_value, encode_value
 from repro.events.records import EventRecord, EventType
 from repro.isa.registers import pack_regspec
 from repro.memory.cache import InterleavedCache
@@ -47,7 +48,6 @@ from repro.memory.page_table import (
 )
 from repro.memory.requests import MemRequest, MemResponse
 from repro.memory.sdram import Sdram
-from repro.snapshot.values import decode_value, encode_value
 
 
 #: Flags accepted by the privileged ``ltlbw`` operation.

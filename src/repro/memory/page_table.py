@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
-from repro.snapshot.values import decode_value, encode_value
+from repro.core.values import decode_value, encode_value
 
 #: Words per page (Section 2: "Pages are 512 words (64 8-word cache blocks)").
 PAGE_SIZE_WORDS = 512

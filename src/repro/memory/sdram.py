@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
+from repro.core.values import decode_value, encode_value
 from repro.memory.secded import SecdedError, inject_error, secded_decode, secded_encode
-from repro.snapshot.values import decode_value, encode_value
 
 
 @dataclass
@@ -152,9 +152,6 @@ class Sdram:
     def set_sync_bit(self, address: int, value: int) -> None:
         self._check_address(address)
         self._sync_bits[address] = int(bool(value))
-
-    def pointer_tag(self, address: int) -> bool:
-        return self._pointer_tags.get(address, False)
 
     # -- fault injection ---------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-from repro.snapshot.values import decode_value, encode_value
+from repro.core.values import decode_value, encode_value
 
 #: Bit widths of the packed GDT/GTLB entry (Figure 8).
 VIRTUAL_PAGE_BITS = 42

@@ -19,13 +19,13 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from repro.core.config import NetworkConfig
+from repro.core.values import decode_optional_set, decode_value, encode_optional_set, encode_value
 from repro.events.queue import HardwareQueue
 from repro.isa.registers import NUM_MC_REGS
 from repro.memory.guarded_pointer import GuardedPointer, ProtectionError
 from repro.network.gtlb import Gtlb
 from repro.network.mesh import MeshNetwork, coords_to_id
-from repro.network.message import Message, MessageKind
-from repro.snapshot.values import decode_optional_set, decode_value, encode_optional_set, encode_value
+from repro.network.message import Message, MessageKind, _message_ids
 
 
 class NetworkInterface:
@@ -51,9 +51,7 @@ class NetworkInterface:
         #: Message-id allocator, shared machine-wide so numbering is
         #: per-machine deterministic (falls back to the module source for
         #: interfaces built standalone in tests).
-        if message_ids is None:
-            from repro.network.message import _message_ids as message_ids  # noqa: PLC0415
-        self.message_ids = message_ids
+        self.message_ids = _message_ids if message_ids is None else message_ids
         #: Send credits: return-buffer slots reserved for unacknowledged
         #: priority-0 messages.
         self.credits = config.send_credits
@@ -246,10 +244,6 @@ class NetworkInterface:
         if not self._retransmit:
             return None
         return min(retry_cycle for retry_cycle, _ in self._retransmit)
-
-    @property
-    def credits_in_use(self) -> int:
-        return self.config.send_credits - self.credits
 
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import NetworkConfig
+from repro.core.values import decode_value, encode_value
 from repro.network.message import Message
-from repro.snapshot.values import decode_value, encode_value
 
 Coords = Tuple[int, int, int]
 
@@ -111,11 +111,6 @@ class MeshNetwork:
                 )
                 current = next_coords
         return path
-
-    def hop_count(self, source: int, dest: int) -> int:
-        a = id_to_coords(source, self.shape)
-        b = id_to_coords(dest, self.shape)
-        return sum(abs(x - y) for x, y in zip(a, b))
 
     # -- injection / delivery ------------------------------------------------------
 

@@ -32,6 +32,7 @@ from repro.core.config import (
     EXCEPTION_SLOT,
     MachineConfig,
 )
+from repro.core.values import SnapshotError, decode_value, encode_value
 from repro.events.queue import EventQueue, HardwareQueue
 from repro.events.records import EventRecord, EventType
 from repro.isa.program import Program
@@ -48,13 +49,12 @@ from repro.memory.page_table import (
     LPT_ENTRY_WORDS,
     PAGE_SIZE_WORDS,
 )
-from repro.memory.requests import MemRequest
+from repro.memory.requests import MemRequest, _request_ids
 from repro.memory.sdram import Sdram
 from repro.network.gtlb import GlobalDestinationTable, Gtlb
 from repro.network.interface import NetworkInterface
 from repro.network.mesh import MeshNetwork, coords_to_id
 from repro.network.message import Message
-from repro.snapshot.values import SnapshotError, decode_value, encode_value
 from repro.switches.crossbar import BROADCAST, Crossbar
 
 #: Capacity of each asynchronous event queue, in records.
@@ -88,9 +88,7 @@ class Node:
         #: Memory-request id allocator, shared machine-wide so numbering is
         #: per-machine deterministic (falls back to the module source for
         #: nodes built standalone in tests).
-        if request_ids is None:
-            from repro.memory.requests import _request_ids as request_ids  # noqa: PLC0415
-        self.request_ids = request_ids
+        self.request_ids = _request_ids if request_ids is None else request_ids
 
         network_config = config.network
 

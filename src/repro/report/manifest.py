@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.result import RunResult
+from repro.api.schema import validate_record
 from repro.sweep.runner import RESULTS_FILENAME, RUNS_DIRNAME
-from repro.sweep.schema import validate_record
 
 
 class ManifestError(ValueError):

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.latency import SCENARIOS
 from repro.api.result import RunResult
-from repro.report.expected import PAPER_TABLE1
+from repro.report.expected import PAPER_TABLE1, paper_value
 from repro.report.manifest import Manifest
 from repro.report.svg import format_value, grouped_bar_chart
 
@@ -59,8 +59,6 @@ def ratio(measured: object, paper: object) -> str:
 
 def build_area_model(manifest: Manifest) -> Optional[Section]:
     """The silicon-area / peak-performance headline numbers."""
-    from repro.report.expected import paper_value  # noqa: PLC0415
-
     record = manifest.first("area-model")
     if record is None:
         return None

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.values import decode_value, encode_value
 from repro.events.records import EventRecord
 from repro.memory.page_table import BLOCK_SIZE_WORDS, BlockStatus, block_base, page_of
 from repro.memory.requests import MemRequest
@@ -49,7 +50,6 @@ from repro.runtime.native import (
     MessageNativeHandler,
     SyncStatusFaultHandler,
 )
-from repro.snapshot.values import decode_value, encode_value
 
 #: Body lengths (in words) of the coherence protocol messages.
 COHERENCE_BODY_LENGTHS_P0 = {

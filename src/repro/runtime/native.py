@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from repro.core.values import SnapshotError, decode_value, encode_value
 from repro.events.queue import EventQueue, HardwareQueue
 from repro.events.records import EventRecord, EventType
-from repro.snapshot.values import SnapshotError, decode_value, encode_value
 
 #: Cycles charged per native-handler invocation, plus the cost per word
 #: touched (the paper does not specify the coherence handlers in code).

@@ -1,17 +1,24 @@
 """Deterministic checkpoint/restore of complete machine state.
 
-The subsystem has four layers:
+The package has two modules, above the simulator it saves:
 
-* :mod:`repro.snapshot.values` -- a tagged JSON codec for every value the
-  simulator can hold (guarded pointers, event records, in-flight messages,
-  memory requests, register writes, assembled programs, ...);
 * :mod:`repro.snapshot.format` -- the versioned, self-describing snapshot
   document (schema version + complete ``MachineConfig`` + machine state)
   and its atomic file I/O;
 * :mod:`repro.snapshot.checkpoint` -- periodic ``--checkpoint-every``
-  checkpointing and resume-on-restart for workload runs;
-* :mod:`repro.snapshot.warmstart` -- fan one checkpointed post-warm-up
-  state out to multiple measurement runs.
+  checkpointing and resume-on-restart for workload runs.
+
+Two more pieces live elsewhere, because of what they import:
+
+* the tagged JSON codec for every value the simulator can hold (guarded
+  pointers, event records, in-flight messages, memory requests, register
+  writes, assembled programs, ...) is :mod:`repro.core.values`, at the
+  bottom of the simulator, since every stateful component encodes with it;
+  ``SnapshotError``, ``encode_value`` and ``decode_value`` are re-exported
+  here;
+* :mod:`repro.snapshot.warmstart` fans one checkpointed post-warm-up state
+  out to multiple measurement runs; it builds ``RunResult``\\ s, so it sits
+  with the drivers above :mod:`repro.api` and is imported by its own path.
 
 The state itself is captured through the uniform ``state_dict()`` /
 ``load_state_dict()`` contract implemented by every stateful component (see
@@ -26,6 +33,7 @@ statistics and trace as the uninterrupted run, under both the ``event`` and
 
 from __future__ import annotations
 
+from repro.core.values import SnapshotError, decode_value, encode_value
 from repro.snapshot.checkpoint import (
     CheckpointPolicy,
     SnapshotTaken,
@@ -39,8 +47,6 @@ from repro.snapshot.format import (
     read_snapshot,
     write_snapshot,
 )
-from repro.snapshot.values import SnapshotError, decode_value, encode_value
-from repro.snapshot.warmstart import fan_out, fan_out_parallel
 
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
@@ -55,7 +61,4 @@ __all__ = [
     "decode_value",
     "read_snapshot",
     "write_snapshot",
-    "fan_out",
-    "fan_out_parallel",
 ]
-

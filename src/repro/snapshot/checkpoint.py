@@ -3,8 +3,9 @@
 Workload factories build their machine, perform deterministic setup and run
 it to completion inside one function call, so checkpointing cannot be bolted
 on from the outside.  This module threads it *underneath* instead: while a
-:class:`CheckpointPolicy` is active (see :func:`checkpoint_context`), every
-:class:`~repro.core.machine.MMachine` that is constructed attaches a small
+:class:`CheckpointPolicy` is active (see :func:`checkpoint_context`), its
+construction hook (:func:`~repro.core.machine.construction_hooks`) gives
+every :class:`~repro.core.machine.MMachine` that is constructed a small
 per-machine runtime which
 
 * **saves** a snapshot of the machine every ``every`` simulated cycles
@@ -43,10 +44,8 @@ import os
 from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
+from repro.core.machine import _MACHINE_HOOKS, construction_hooks
 from repro.snapshot.format import read_snapshot
-
-#: The active policy; machines attach to it at construction time.
-_ACTIVE: Optional["CheckpointPolicy"] = None
 
 
 class SnapshotTaken(Exception):
@@ -85,10 +84,11 @@ class CheckpointPolicy:
     def path_for(self, ordinal: int) -> str:
         return os.path.join(self.directory, f"machine-{ordinal}.json")
 
-    def attach(self, machine) -> "CheckpointRuntime":
-        ordinal = self._next_ordinal
+    def attach(self, machine) -> None:
+        """Machine hook: give *machine* the next ordinal and its own
+        :class:`CheckpointRuntime`."""
+        machine._checkpoint = CheckpointRuntime(self, machine, self._next_ordinal)
         self._next_ordinal += 1
-        return CheckpointRuntime(self, machine, ordinal)
 
 
 class CheckpointRuntime:
@@ -139,14 +139,6 @@ class CheckpointRuntime:
             self._next_due = cycle + policy.every
 
 
-def attach_machine(machine) -> Optional[CheckpointRuntime]:
-    """Called by ``MMachine.__init__``: attach the machine to the active
-    policy, or return None when checkpointing is off (the common case)."""
-    if _ACTIVE is None:
-        return None
-    return _ACTIVE.attach(machine)
-
-
 @contextmanager
 def checkpoint_context(
     directory: str,
@@ -154,10 +146,11 @@ def checkpoint_context(
     snapshot_at: Optional[int] = None,
     stop_after_snapshot: bool = False,
 ):
-    """Activate a :class:`CheckpointPolicy` for machines constructed inside
-    the ``with`` block; yields the policy."""
-    global _ACTIVE
-    if _ACTIVE is not None:
+    """Attach a :class:`CheckpointPolicy` to every machine constructed
+    inside the ``with`` block, through
+    :func:`~repro.core.machine.construction_hooks`; yields the policy."""
+    if any(isinstance(getattr(hook, "__self__", None), CheckpointPolicy)
+           for hook in _MACHINE_HOOKS):
         raise RuntimeError("a checkpoint policy is already active")
     policy = CheckpointPolicy(
         directory,
@@ -165,8 +158,5 @@ def checkpoint_context(
         snapshot_at=snapshot_at,
         stop_after_snapshot=stop_after_snapshot,
     )
-    _ACTIVE = policy
-    try:
+    with construction_hooks(machine_hook=policy.attach):
         yield policy
-    finally:
-        _ACTIVE = None

@@ -27,9 +27,15 @@ import json
 import os
 from typing import Dict
 
+from repro import memory
+from repro.cluster import icache
 from repro.core.config import _SECTIONS, _TOP_LEVEL_KEYS, NUM_VTHREAD_SLOTS, MachineConfig
+from repro.core.values import SnapshotError
 from repro.isa import registers
-from repro.snapshot.values import SnapshotError
+from repro.network import mesh
+from repro.node import node
+from repro.runtime import native
+from repro.switches.crossbar import Crossbar
 
 #: Format marker of a snapshot document.
 FORMAT_NAME = "repro-mmachine-snapshot"
@@ -55,14 +61,6 @@ def _retired_fields() -> Dict[str, Dict[str, object]]:
     value is dropped.  The rest (up to 3.0.0) sized or timed the machine;
     they are now constants, or defaults of the components built here.
     """
-    # These modules import this one through repro.snapshot.
-    from repro import memory  # noqa: PLC0415
-    from repro.cluster import icache  # noqa: PLC0415
-    from repro.network import mesh  # noqa: PLC0415
-    from repro.node import node  # noqa: PLC0415
-    from repro.runtime import native  # noqa: PLC0415
-    from repro.switches.crossbar import Crossbar  # noqa: PLC0415
-
     system = memory.MemorySystem(0, memory.InterleavedCache(), memory.Ltlb(),
                                  memory.LocalPageTable(), memory.Sdram())
     cache, sdram, cswitch = system.cache, system.sdram, Crossbar(registers.NUM_CLUSTERS)

@@ -18,6 +18,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.api.result import RunResult
+from repro.core.machine import MMachine
 from repro.snapshot.format import read_snapshot
 
 #: Workload name stamped on warm-start measurement-leg results.
@@ -72,12 +73,6 @@ def default_drive(machine, max_cycles: int = 1_000_000) -> Dict[str, object]:
     }
 
 
-def _restore(document):
-    from repro.core.machine import MMachine  # noqa: PLC0415
-
-    return MMachine.from_snapshot(document)
-
-
 def fan_out(source, runs: int, max_cycles: int = 1_000_000) -> List[Dict[str, object]]:
     """Restore the snapshot *source* (path or document) *runs* times and
     apply :func:`default_drive` to each restored machine.
@@ -88,13 +83,16 @@ def fan_out(source, runs: int, max_cycles: int = 1_000_000) -> List[Dict[str, ob
     if runs < 1:
         raise ValueError("fan-out needs at least one run")
     document = read_snapshot(source) if isinstance(source, str) else source
-    return [default_drive(_restore(document), max_cycles=max_cycles) for _ in range(runs)]
+    return [
+        default_drive(MMachine.from_snapshot(document), max_cycles=max_cycles)
+        for _ in range(runs)
+    ]
 
 
 def _fan_out_worker(payload) -> Dict[str, object]:
     """Top-level (picklable) pool entry point: one measurement leg."""
     path, max_cycles = payload
-    machine = _restore(read_snapshot(path))
+    machine = MMachine.from_snapshot(read_snapshot(path))
     return default_drive(machine, max_cycles=max_cycles)
 
 

@@ -35,12 +35,10 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.api.experiment import Experiment
+from repro.api.result import RunResult
+from repro.api.schema import SCHEMA_VERSION, validate_record
 from repro.api.workload import get_workload, workload_names
-from repro.sweep.schema import (  # noqa: F401  (VERIFICATION_FAILED re-exported)
-    SCHEMA_VERSION,
-    VERIFICATION_FAILED,
-    validate_record,
-)
 from repro.sweep.spec import RunSpec, SweepSpec
 
 RESULTS_FILENAME = "sweep-results.json"
@@ -76,9 +74,6 @@ def execute_run(
     (:mod:`repro.snapshot.checkpoint`).  Once the run produces a record the
     checkpoints are deleted -- they only serve killed runs.
     """
-    from repro.api.experiment import Experiment  # noqa: PLC0415
-    from repro.api.result import RunResult  # noqa: PLC0415
-
     start = time.perf_counter()
     result: Optional[RunResult] = None
     try:

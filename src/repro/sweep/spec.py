@@ -22,41 +22,12 @@ available::
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
-
-def _slug(value: object) -> str:
-    """A filesystem-safe fragment for one parameter value."""
-    text = str(value)
-    if isinstance(value, (list, tuple)):
-        text = "x".join(str(item) for item in value)
-    return "".join(ch if (ch.isalnum() or ch in "._-") else "-" for ch in text)
-
-
-def _canonical(params: Dict[str, object]) -> str:
-    return json.dumps(params, sort_keys=True, separators=(",", ":"), default=str)
-
-
-def config_fingerprint(workload: str, params: Dict[str, object]) -> str:
-    """The 8-hex-digit digest of one ``(workload, params)`` configuration.
-
-    This is the hash suffix of :attr:`RunSpec.run_id` and the
-    ``fingerprint`` of a :class:`repro.api.RunResult`: equal fingerprints
-    mean the same workload ran with the same explicit parameters.
-    """
-    return hashlib.sha256((workload + _canonical(params)).encode()).hexdigest()[:8]
-
-
-def run_id_for(workload: str, params: Dict[str, object]) -> str:
-    """The deterministic run id of one ``(workload, params)`` pair."""
-    parts = [workload]
-    for key in sorted(params):
-        parts.append(f"{key}-{_slug(params[key])}")
-    return "_".join(parts)[:96] + "_" + config_fingerprint(workload, params)
+from repro.api.schema import run_id_for
 
 
 @dataclass(frozen=True)
@@ -155,10 +126,6 @@ class SweepSpec:
                     for key, value in run.tags.items():
                         seen[run.run_id].tags.setdefault(key, value)
         return runs
-
-    @property
-    def run_ids(self) -> List[str]:
-        return [run.run_id for run in self.expand()]
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.snapshot.values import decode_value, encode_value
+from repro.core.values import decode_value, encode_value
 
 #: Destination value meaning "all output ports".
 BROADCAST = -1

@@ -30,10 +30,25 @@ import json
 import random
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.analysis.latency import SCENARIOS, AccessLatencyHarness
+from repro.analysis.timeline import extract_remote_access_timeline
 from repro.api.workload import workload
+from repro.cluster.hthread import ThreadState
+from repro.core.area_model import TECH_1993, TECH_1996, AreaModel
 from repro.core.config import NUM_CLUSTERS, MachineConfig, apply_overrides
 from repro.core.machine import MMachine
 from repro.isa.assembler import assemble
+from repro.memory.secded import SecdedError
+from repro.network.gtlb import GlobalDestinationTable, Gtlb, GtlbEntry
+from repro.workloads.microbench import (
+    build_pointer_chain,
+    cc_barrier_programs,
+    cc_loop_sync_programs,
+    compute_loop_program,
+    dependent_load_chain_program,
+)
+from repro.workloads.stencil import make_stencil_workload
+from repro.workloads.synthetic import many_to_one_store_programs, remote_store_sender_program
 
 HEAP = 0x10000
 REGION = 0x40000
@@ -87,8 +102,6 @@ def stencil(
     max_cycles: int = 30000,
 ) -> Dict[str, object]:
     """The Figure 5 stencil smoothing kernel on one node of a mesh."""
-    from repro.workloads.stencil import make_stencil_workload  # noqa: PLC0415
-
     machine = _machine(mesh, kernel)
     machine.map_on_node(0, HEAP, num_pages=16)
     workload = make_stencil_workload(kind=kind, n_hthreads=n_hthreads)
@@ -116,8 +129,6 @@ def cc_sync(
     max_cycles: int = 100000,
 ) -> Dict[str, object]:
     """The two-H-Thread interlocked loop of Figure 6."""
-    from repro.workloads.microbench import cc_loop_sync_programs  # noqa: PLC0415
-
     machine = _machine(mesh, kernel)
     machine.load_vthread(0, 0, cc_loop_sync_programs(iterations))
     machine.run_until_user_done(max_cycles=max_cycles)
@@ -142,8 +153,6 @@ def cc_barrier(
     max_cycles: int = 400000,
 ) -> Dict[str, object]:
     """The 4-way CC-register barrier extension of Figure 6."""
-    from repro.workloads.microbench import cc_barrier_programs  # noqa: PLC0415
-
     machine = _machine(mesh, kernel)
     machine.load_vthread(0, 0, cc_barrier_programs(iterations, clusters))
     machine.run_until_user_done(max_cycles=max_cycles)
@@ -209,8 +218,6 @@ def message_stream(
     max_cycles: int = 200000,
 ) -> Dict[str, object]:
     """Sustained rate of a stream of remote-store messages."""
-    from repro.workloads.synthetic import remote_store_sender_program  # noqa: PLC0415
-
     machine = _machine(mesh, kernel)
     far = _far_node(machine)
     machine.map_on_node(far, REGION, num_pages=1)
@@ -308,8 +315,6 @@ def gtlb_mapping(
     page_size_words: int = 512,
 ) -> Dict[str, object]:
     """Page-group interleaving spread and GTLB translation hit rate."""
-    from repro.network.gtlb import GlobalDestinationTable, Gtlb, GtlbEntry  # noqa: PLC0415
-
     entry = GtlbEntry(
         base_page=0,
         page_group_length=num_pages,
@@ -349,8 +354,6 @@ def remote_access_timeline(
     max_cycles: int = 10000,
 ) -> Dict[str, object]:
     """Milestone timeline of a single remote read or write (Figure 9)."""
-    from repro.analysis.timeline import extract_remote_access_timeline  # noqa: PLC0415
-
     if kind not in ("read", "write"):
         raise ValueError("kind must be 'read' or 'write'")
     machine = _machine(mesh, kernel)
@@ -388,8 +391,6 @@ def remote_access_timeline(
 @workload("table1-access-times", section="Table 1")
 def table1_access_times() -> Dict[str, object]:
     """All twelve Table 1 access-time measurements."""
-    from repro.analysis.latency import SCENARIOS, AccessLatencyHarness  # noqa: PLC0415
-
     harness = AccessLatencyHarness()
     results = harness.measure_all()
     metrics: Dict[str, object] = {"verified": set(results) == set(SCENARIOS)}
@@ -413,8 +414,6 @@ def vthread_interleave(
     max_cycles: int = 100000,
 ) -> Dict[str, object]:
     """Pointer-chasing V-Threads sharing one cluster (latency tolerance)."""
-    from repro.workloads.microbench import build_pointer_chain, dependent_load_chain_program  # noqa: PLC0415
-
     machine = _machine(mesh, kernel)
     machine.map_on_node(0, HEAP, num_pages=4)
     for address, value in build_pointer_chain(32, HEAP, stride=16):
@@ -443,8 +442,6 @@ def issue_policy(
     max_cycles: int = 100000,
 ) -> Dict[str, object]:
     """A single arithmetic loop under a thread-selection policy (A2)."""
-    from repro.workloads.microbench import compute_loop_program  # noqa: PLC0415
-
     machine = _machine(mesh, kernel, **{"cluster.issue_policy": policy})
     machine.load_hthread(0, 0, 0, compute_loop_program(iterations))
     machine.run_until_user_done(max_cycles=max_cycles)
@@ -532,8 +529,6 @@ def flood(
     max_cycles: int = 400000,
 ) -> Dict[str, object]:
     """One producer floods the far corner with remote-store messages."""
-    from repro.workloads.synthetic import remote_store_sender_program  # noqa: PLC0415
-
     machine = _machine(
         mesh,
         kernel,
@@ -569,8 +564,6 @@ def many_to_one_flood(
     max_cycles: int = 400000,
 ) -> Dict[str, object]:
     """Several producers flood one consumer (return-to-sender stress)."""
-    from repro.workloads.synthetic import many_to_one_store_programs  # noqa: PLC0415
-
     machine = _machine(
         mesh,
         kernel,
@@ -673,8 +666,6 @@ loop:   add i5, i1, i2
 @workload("area-model", section="Sections 1/5")
 def area_model(num_nodes: int = 32) -> Dict[str, object]:
     """The silicon-area / peak-performance comparison of Sections 1 and 5."""
-    from repro.core.area_model import AreaModel, TECH_1993, TECH_1996  # noqa: PLC0415
-
     model = AreaModel()
     comparison = model.comparison(num_nodes=num_nodes)
     return {
@@ -708,7 +699,6 @@ def multitenant_timeshare(
     slot with a private address-space slice — the multiprogrammed operating
     point the paper's Section 3.2 multithreading argument is about.
     """
-    from repro.cluster.hthread import ThreadState  # noqa: PLC0415
     from repro.fuzz.generator import GeneratorKnobs, generate_program  # noqa: PLC0415
 
     knobs = GeneratorKnobs(
@@ -750,7 +740,6 @@ def protection_storm(
     event, the clean thread must finish, and the machine must go quiescent —
     the "protection faults are cheap and contained" claim of Section 4.4.
     """
-    from repro.cluster.hthread import ThreadState  # noqa: PLC0415
     from repro.fuzz.generator import (  # noqa: PLC0415
         HEAP_BASE,
         VIOLATION_MODES,
@@ -856,7 +845,6 @@ def secded_soak(
         GeneratorKnobs,
         ThreadSpec,
     )
-    from repro.memory.secded import SecdedError  # noqa: PLC0415
 
     if single_flips > words:
         raise ValueError("cannot single-flip more words than are read")
@@ -942,8 +930,6 @@ def nack_flood(
     return-to-sender throttling claim of Section 3.1 under sustained
     pressure rather than a transient burst.
     """
-    from repro.workloads.synthetic import many_to_one_store_programs  # noqa: PLC0415
-
     machine = _machine(
         mesh,
         kernel,

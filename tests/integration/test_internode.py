@@ -74,7 +74,8 @@ class TestMessagePassing:
         machine.load_hthread(0, 0, 0, remote_store_sender_program(REGION, dip, 20))
         machine.run_until_user_done(max_cycles=60000)
         assert all(machine.read_word(REGION + i) != 0 for i in range(20))
-        assert machine.nodes[0].net.credits_in_use == 0
+        net = machine.nodes[0].net
+        assert net.credits == net.config.send_credits
 
     def test_small_queue_causes_nack_and_retransmission(self):
         machine = two_node_machine(message_queue_words=6, send_credits=8,

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro import Experiment, MMachine, MachineConfig
 from repro.snapshot.checkpoint import SnapshotTaken, checkpoint_context
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import AxesGroup, RunSpec, SweepSpec
@@ -70,6 +71,77 @@ class TestRunnerResume:
     def test_rejects_non_positive_interval(self, tmp_path):
         with pytest.raises(ValueError):
             SweepRunner(str(tmp_path), checkpoint_every=0)
+
+
+class TestAttachContract:
+    """Which machines a checkpoint policy attaches to, and in what order."""
+
+    #: Table 1 builds one machine per (scenario, read/write) cell.
+    WORKLOAD = "table1-access-times"
+    MACHINES = 12
+
+    def _run(self, directory, machines, restored):
+        def probe(machine):
+            ordinal = len(machines)
+            machines.append(machine)
+            inner = machine.restore_snapshot
+
+            def restore_snapshot(document):
+                restored.append((ordinal, document["machine"]["cycle"]))
+                return inner(document)
+
+            machine.restore_snapshot = restore_snapshot
+
+        with (
+            Experiment.builder()
+            .workload(self.WORKLOAD)
+            .override("network.send_credits", 3)
+            .probe(probe)
+            .checkpoint(directory, every=1)
+            .build()
+        ) as experiment:
+            return experiment.run()
+
+    def test_every_machine_checkpoints_and_resumes_from_its_own_file(self, tmp_path):
+        directory = str(tmp_path)
+        machines, restored = [], []
+        cold = self._run(directory, machines, restored)
+        assert cold.ok and cold.provenance.resumed_from_cycle is None
+        assert len(machines) == self.MACHINES, "the probe missed a machine"
+        assert all(m.config.network.send_credits == 3 for m in machines)
+        assert restored == []
+        names = sorted(os.listdir(directory), key=lambda name: int(name[8:-5]))
+        assert names == [f"machine-{n}.json" for n in range(self.MACHINES)]
+        saved = []
+        for name in names:
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                saved.append(json.load(handle)["machine"]["cycle"])
+
+        machines, restored = [], []
+        warm = self._run(directory, machines, restored)
+        assert warm.ok and warm.provenance.resumed_from_cycle == saved[0]
+        assert len(machines) == self.MACHINES
+        assert restored == list(enumerate(saved))
+
+    def test_nested_policy_is_refused(self, tmp_path):
+        with checkpoint_context(str(tmp_path / "outer")) as outer:
+            with pytest.raises(RuntimeError, match="already active"):
+                with checkpoint_context(str(tmp_path / "inner")):
+                    pass
+            machine = MMachine(MachineConfig.single_node())
+        assert machine._checkpoint is not None
+        assert machine._checkpoint.policy is outer
+
+    def test_machine_built_after_the_block_saves_nothing(self, tmp_path):
+        directory = tmp_path / "checkpoints"
+        with checkpoint_context(str(directory), every=1):
+            inside = MMachine(MachineConfig.single_node())
+        after = MMachine(MachineConfig.single_node())
+        assert inside._checkpoint is not None
+        assert after._checkpoint is None
+        after.load_hthread(0, 0, 0, "add i2, i2, #1\nhalt")
+        after.run_until_user_done()
+        assert not directory.exists() or not os.listdir(directory)
 
 
 class TestKillAndResume:

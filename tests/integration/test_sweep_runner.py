@@ -10,7 +10,7 @@ from repro.api import VERIFICATION_FAILED, get_workload, unregister, workload
 from repro.cli import main
 from repro.sweep import SweepRunner, SweepSpec, AxesGroup, validate_results
 from repro.sweep.runner import RESULTS_FILENAME, RUNS_DIRNAME, execute_run
-from repro.sweep.schema import SCHEMA_VERSION
+from repro.api.schema import SCHEMA_VERSION
 from repro.sweep.spec import RunSpec
 
 

@@ -1,6 +1,6 @@
 """End-to-end guarantees of the disk trace sink on real runs.
 
-Three properties that together make ``--trace-dir`` safe for
+Four properties that together make ``--trace-dir`` safe for
 million-cycle runs (scaled down here to event-count-equivalent sizes so
 the suite stays fast):
 
@@ -12,15 +12,24 @@ the suite stays fast):
 * a snapshot taken mid-run round-trips the disk sink: a machine rebuilt
   from the snapshot appends to the same trace directory, truncating any
   post-snapshot chunks, and the final stream is byte-identical to an
-  uninterrupted run.
+  uninterrupted run;
+* a corrupt trace directory is refused with a ``TraceDirError`` naming the
+  file, on every read: no field of the index and no cut or padded chunk
+  escapes as another exception or reads as a different trace.
 """
 
+import copy
+import gzip
 import json
+import shutil
 
-from repro import MMachine, MachineConfig
+import pytest
+
+from repro import Experiment, MMachine, MachineConfig
 from repro.analysis.latency import measure_load_latency
 from repro.analysis.timeline import extract_remote_access_timeline
 from repro.core.trace import Tracer, encode_event
+from repro.core.trace_disk import TraceDirError
 
 REGION = 0x40000
 
@@ -145,3 +154,133 @@ def test_snapshot_resume_appends_to_same_trace(tmp_path):
     assert resumed.cycle == reference.cycle
     resumed_stream = _stream(Tracer.open(tmp_path / "run"))
     assert resumed_stream == reference_stream
+
+
+#: Values each container and leaf of a trace index is set to in turn.
+INDEX_MUTANT_VALUES = (None, "x", [], {}, -1, 1.5, [1, 2])
+
+
+@pytest.fixture(scope="module")
+def stencil_trace(tmp_path_factory):
+    """Machine 0's trace of busy-stencil on a 2x2 mesh: one chunk of 16
+    events."""
+    base = tmp_path_factory.mktemp("stencil-trace")
+    with (
+        Experiment.builder()
+        .workload("busy-stencil", mesh=[2, 2, 1], iterations=2)
+        .override("trace_dir", str(base))
+        .override("trace_chunk_events", 64)
+        .build()
+    ) as experiment:
+        assert experiment.run().ok
+    directory = base / "machine-0"
+    index = json.loads((directory / "index.json").read_text())
+    assert [chunk["events"] for chunk in index["chunks"]] == [16]
+    return directory, index
+
+
+def _index_paths(node, prefix=()):
+    """The path of every container and leaf below the top of *node*."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _index_paths(value, prefix + (key,))
+
+
+def _reads(directory):
+    """Everything a reader takes from a trace directory: the whole stream,
+    every filtered stream (filters skip chunks by the index), and the
+    stats."""
+    tracer = Tracer.open(directory)
+    everything = _stream(tracer)
+    reads = {"all": everything, "stats": tracer.sink.stats()}
+    del reads["stats"]["trace_dir"]
+    rows = [json.loads(row) for row in everything]
+    for category in sorted({row[2] for row in rows}):
+        reads[f"category={category}"] = _stream_of(tracer.iter_filter(category=category))
+    for node in sorted({row[1] for row in rows}):
+        reads[f"node={node}"] = _stream_of(tracer.iter_filter(node=node))
+    since = max(row[0] for row in rows)
+    reads[f"since={since}"] = _stream_of(tracer.iter_filter(since=since))
+    return reads
+
+
+def _stream_of(events):
+    return [json.dumps(encode_event(event), sort_keys=True) for event in events]
+
+
+def _drop_last_row(path):
+    with gzip.open(path, "rt") as handle:
+        lines = handle.read().splitlines(True)
+    with gzip.open(path, "wt") as handle:
+        handle.write("".join(lines[:-1]))
+
+
+def _repeat_last_row(path):
+    with gzip.open(path, "rt") as handle:
+        lines = handle.read().splitlines(True)
+    with gzip.open(path, "wt") as handle:
+        handle.write("".join(lines + lines[-1:]))
+
+
+def _replace_first_row(row):
+    def replace(path):
+        with gzip.open(path, "rt") as handle:
+            lines = handle.read().splitlines(True)
+        with gzip.open(path, "wt") as handle:
+            handle.write("".join([json.dumps(row) + "\n"] + lines[1:]))
+    return replace
+
+
+#: Chunk corruptions: cut to nothing, cut mid-stream, a row short, a row
+#: over, a row that is not ``[cycle, node, category, info]``, and a row whose
+#: info carries an unknown codec tag.
+CHUNK_MUTANTS = {
+    "empty": lambda path: path.write_bytes(b""),
+    "half": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "row-short": _drop_last_row,
+    "row-over": _repeat_last_row,
+    "row-not-a-row": _replace_first_row([1, 2]),
+    "row-unknown-tag": _replace_first_row([25, 0, "halt", {"__snap__": "nope"}]),
+}
+
+
+def test_corrupt_index_fields_and_chunks_are_refused(stencil_trace, tmp_path):
+    source, index = stencil_trace
+    expected = _reads(source)
+    mutants = []
+    for path in _index_paths(index):
+        for value in INDEX_MUTANT_VALUES:
+            mutant = copy.deepcopy(index)
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            mutants.append((f"index{list(path)}={value!r}", "index.json", mutant, None))
+    chunk_file = index["chunks"][0]["file"]
+    for name, cut in CHUNK_MUTANTS.items():
+        mutants.append((f"chunk {name}", chunk_file, index, cut))
+    assert len(mutants) == 17 * len(INDEX_MUTANT_VALUES) + len(CHUNK_MUTANTS)
+
+    escaped, silent = [], []
+    for ordinal, (name, named_file, mutant, cut) in enumerate(mutants):
+        directory = tmp_path / f"mutant-{ordinal}"
+        shutil.copytree(source, directory)
+        (directory / "index.json").write_text(json.dumps(mutant))
+        if cut is not None:
+            cut(directory / chunk_file)
+        try:
+            reads = _reads(directory)
+        except TraceDirError as error:
+            if str(directory / named_file) not in str(error):
+                escaped.append(f"{name}: error names no {named_file}: {error}")
+            continue
+        except Exception as error:  # any other exception is an escape
+            escaped.append(f"{name}: {type(error).__name__}: {error}")
+            continue
+        if reads != expected:
+            differ = sorted(key for key in reads if reads[key] != expected.get(key))
+            silent.append(f"{name}: {differ}")
+    assert escaped == [], f"{len(escaped)} of {len(mutants)} mutants escape"
+    assert silent == [], f"{len(silent)} of {len(mutants)} mutants read silently"

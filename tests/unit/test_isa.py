@@ -164,21 +164,21 @@ class TestAssembler:
     def test_simple_program(self):
         program = assemble("add i1, i2, i3\nhalt")
         assert len(program) == 2
-        assert program[0].op_in(Unit.IALU).name == "add"
+        assert program[0].ops[Unit.IALU].name == "add"
 
     def test_three_wide_instruction(self):
         program = assemble("add i1, i2, #1 | ld f2, i3 | fadd f1, f2, f3")
         instr = program[0]
         assert len(instr) == 3
-        assert instr.op_in(Unit.IALU).name == "add"
-        assert instr.op_in(Unit.MEM).name == "ld"
-        assert instr.op_in(Unit.FPU).name == "fadd"
+        assert instr.ops[Unit.IALU].name == "add"
+        assert instr.ops[Unit.MEM].name == "ld"
+        assert instr.ops[Unit.FPU].name == "fadd"
 
     def test_two_integer_ops_use_memory_unit(self):
         program = assemble("add i1, i2, #1 | sub i3, i4, #2")
         instr = program[0]
-        assert instr.op_in(Unit.IALU).name == "add"
-        assert instr.op_in(Unit.MEM).name == "sub"
+        assert instr.ops[Unit.IALU].name == "add"
+        assert instr.ops[Unit.MEM].name == "sub"
 
     def test_slot_overcommit_rejected(self):
         with pytest.raises(AssemblyError):
@@ -195,13 +195,13 @@ loop:   add i1, i1, #1
         halt
 """)
         assert program.labels["loop"] == 0
-        branch = program[1].op_in(Unit.IALU)
+        branch = program[1].ops[Unit.IALU]
         assert branch.target == 0
 
     def test_label_on_own_line(self):
         program = assemble("start:\n  add i1, i1, #1\n  jmp start")
         assert program.labels["start"] == 0
-        assert program[1].op_in(Unit.IALU).target == 0
+        assert program[1].ops[Unit.IALU].target == 0
 
     def test_undefined_label_rejected(self):
         with pytest.raises(AssemblyError):
@@ -231,24 +231,24 @@ loop:   add i1, i1, #1
 
     def test_immediates(self):
         program = assemble("mov i1, #42\nmov i2, #-7\nmov i3, #0x1f\nfmov f1, #2.5")
-        assert program[0].op_in(Unit.IALU).srcs == [42]
-        assert program[1].op_in(Unit.IALU).srcs == [-7]
-        assert program[2].op_in(Unit.IALU).srcs == [31]
-        assert program[3].op_in(Unit.FPU).srcs == [2.5]
+        assert program[0].ops[Unit.IALU].srcs == [42]
+        assert program[1].ops[Unit.IALU].srcs == [-7]
+        assert program[2].ops[Unit.IALU].srcs == [31]
+        assert program[3].ops[Unit.FPU].srcs == [2.5]
 
     def test_bare_integer_immediate(self):
         program = assemble("mov i1, 5")
-        assert program[0].op_in(Unit.IALU).srcs == [5]
+        assert program[0].ops[Unit.IALU].srcs == [5]
 
     def test_store_has_no_destination(self):
         program = assemble("st i1, i2, #4")
-        op = program[0].op_in(Unit.MEM)
+        op = program[0].ops[Unit.MEM]
         assert op.dests == []
         assert len(op.srcs) == 3
 
     def test_empty_lists_all_destinations(self):
         program = assemble("empty f1, f2, gcc3")
-        op = program[0].op_in(Unit.IALU)
+        op = program[0].ops[Unit.IALU]
         assert [str(d) for d in op.dests] == ["f1", "f2", "gcc3"]
 
     def test_queue_register_cannot_be_destination(self):
@@ -261,12 +261,12 @@ loop:   add i1, i1, #1
 
     def test_remote_register_destination(self):
         program = assemble("fadd c1.f2, f3, f4")
-        dest = program[0].op_in(Unit.FPU).dests[0]
+        dest = program[0].ops[Unit.FPU].dests[0]
         assert dest.cluster == 1
 
     def test_send_operands(self):
         program = assemble("send i1, #3, #2, #0")
-        op = program[0].op_in(Unit.MEM)
+        op = program[0].ops[Unit.MEM]
         assert op.opcode.is_send
         assert op.srcs[1:] == [3, 2, 0]
 
@@ -276,9 +276,9 @@ loop:   add i1, i1, #1
         assert "loop:" in text
         assert "add" in text
 
-    def test_static_length_and_operation_count(self):
+    def test_length_and_operation_count(self):
         program = assemble("add i1, i1, #1 | fadd f1, f1, f2\nhalt")
-        assert program.static_length == 2
+        assert len(program.instructions) == 2
         assert program.operation_count == 3
 
     def test_label_at_end_points_past_last_instruction(self):
@@ -299,11 +299,6 @@ class TestInstruction:
         with pytest.raises(ValueError):
             instr.add(Operation(opcode=OPCODES["sub"]), Unit.IALU)
 
-    def test_has_branch_and_memory(self):
-        program = assemble("ld i1, i2 | br cc0, 0")
-        assert program[0].has_branch
-        assert program[0].has_memory
-
     def test_operation_str_includes_immediates(self):
-        op = assemble("add i1, i2, #5")[0].op_in(Unit.IALU)
+        op = assemble("add i1, i2, #5")[0].ops[Unit.IALU]
         assert "#5" in str(op)

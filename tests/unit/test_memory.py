@@ -10,7 +10,6 @@ from repro.memory.guarded_pointer import (
     PointerPermission,
     ProtectionError,
     make_pointer,
-    pointer_value,
 )
 from repro.memory.ltlb import Ltlb
 from repro.memory.memory_system import LTLB_FLAG_BLOCKS_VALID, LTLB_FLAG_WRITABLE, MemorySystem
@@ -126,8 +125,8 @@ class TestSdram:
         sdram.write_word(2, pointer)
         assert sdram.read_word(1) == 2.5
         assert sdram.read_word(2) == pointer
-        assert sdram.pointer_tag(2)
-        assert not sdram.pointer_tag(1)
+        assert sdram._pointer_tags.get(2)
+        assert not sdram._pointer_tags.get(1)
 
 
 class TestGuardedPointer:
@@ -167,10 +166,6 @@ class TestGuardedPointer:
         pointer = make_pointer(base=100, size_words=50, permission=PointerPermission.rw())
         assert pointer.contains(100)
         assert pointer.contains(149)
-
-    def test_pointer_value_helper(self):
-        assert pointer_value(42) == 42
-        assert pointer_value(GuardedPointer(7, 2, PointerPermission.READ)) == 7
 
     def test_int_conversion(self):
         pointer = GuardedPointer(0x55, 2, PointerPermission.READ)

@@ -158,11 +158,6 @@ class TestMesh:
         config = NetworkConfig(mesh_shape=shape)
         return MeshNetwork(config)
 
-    def test_hop_count(self):
-        mesh = self._mesh()
-        assert mesh.hop_count(0, 3) == 2
-        assert mesh.hop_count(0, 0) == 0
-
     def test_message_delivery_latency(self):
         mesh = self._mesh()
         received = []

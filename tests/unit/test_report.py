@@ -17,7 +17,7 @@ from repro.report.svg import (
     grouped_bar_chart,
     nice_ceiling,
 )
-from repro.sweep.schema import SCHEMA_VERSION, make_record
+from repro.api.schema import SCHEMA_VERSION, make_record
 
 
 def _record(workload, params, metrics, run_id=None, status="ok", tags=None):

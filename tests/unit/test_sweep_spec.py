@@ -107,7 +107,7 @@ class TestSpecFiles:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_dict()))
         loaded = SweepSpec.from_file(str(path))
-        assert loaded.run_ids == spec.run_ids
+        assert loaded.expand() == spec.expand()
 
     def test_yaml_file(self, tmp_path):
         yaml = pytest.importorskip("yaml")
