@@ -15,7 +15,7 @@ the trace, using the paper's completion definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.config import MachineConfig
 from repro.core.machine import MMachine
@@ -88,24 +88,16 @@ def measure_store_latency(tracer: Tracer, issue_node: int, home_node: int, addre
 class AccessLatencyHarness:
     """Builds one fresh two-node machine per scenario and measures it."""
 
-    base_config: Optional[MachineConfig] = None
     region_base: int = 0x40000
     access_offset: int = 8
     max_cycles: int = 20_000
     #: Filled by :meth:`measure_all`.
     results: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
-    def _make_config(self) -> MachineConfig:
-        if self.base_config is not None:
-            config = self.base_config.copy()
-        else:
-            config = MachineConfig.small(2, 1, 1)
+    def _build_machine(self, scenario: str) -> MMachine:
+        config = MachineConfig.small(2, 1, 1)
         config.runtime.shared_memory_mode = "remote"
         config.trace_enabled = True
-        return config
-
-    def _build_machine(self, scenario: str) -> MMachine:
-        config = self._make_config()
         machine = MMachine(config)
         remote = scenario.startswith("remote")
         preload_ltlb = not scenario.endswith("ltlb_miss")

@@ -22,7 +22,7 @@ config-override keys (:func:`repro.core.config.validate_override_key`) —
 so a typo fails at build time, not as a dead attribute on a live machine.
 
 Because workload factories construct their machines internally, builder
-features that need the machine itself (config overrides, probes) are
+features that need the machine itself (config overrides, disk traces, probes) are
 threaded underneath via :func:`repro.core.machine.construction_hooks`, the
 same pattern the checkpoint subsystem uses: every ``MMachine`` built while
 ``run()`` is executing has the overrides applied to its config before
@@ -31,6 +31,7 @@ validation and each probe called on the constructed machine.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from contextlib import ExitStack
@@ -68,6 +69,8 @@ class ExperimentBuilder:
         self._probes: List[Probe] = []
         self._tags: Dict[str, str] = {}
         self._seed: Optional[int] = None
+        self._trace_dir: Optional[str] = None
+        self._trace_chunk_events: Optional[int] = None
         self._checkpoint_dir: Optional[str] = None
         self._checkpoint_every: Optional[int] = None
 
@@ -147,9 +150,9 @@ class ExperimentBuilder:
     def trace(
         self, directory: str, chunk_events: Optional[int] = None
     ) -> "ExperimentBuilder":
-        """Stream each machine's trace to a ``machine-N`` subdirectory of
-        *directory* (chunked JSONL+gzip, see ``docs/traces.md``) instead of
-        holding it in memory — bounded RSS on million-cycle runs.
+        """Stream the trace of the N-th machine each run builds, from 0, to
+        ``machine-N`` of *directory* (chunked JSONL+gzip, see
+        ``docs/traces.md``) instead of holding it in memory — bounded RSS.
 
         *chunk_events* sets the events-per-chunk buffer size (default
         4096); smaller chunks mean finer-grained index skipping and a lower
@@ -157,9 +160,8 @@ class ExperimentBuilder:
         """
         if chunk_events is not None and chunk_events <= 0:
             raise ValueError("chunk_events must be a positive event count")
-        self._overrides["trace_dir"] = os.fspath(directory)
-        if chunk_events is not None:
-            self._overrides["trace_chunk_events"] = int(chunk_events)
+        self._trace_dir = os.fspath(directory)
+        self._trace_chunk_events = None if chunk_events is None else int(chunk_events)
         return self
 
     def checkpoint(
@@ -217,6 +219,8 @@ class ExperimentBuilder:
             overrides=dict(self._overrides),
             probes=list(self._probes),
             tags=tags,
+            trace_dir=self._trace_dir,
+            trace_chunk_events=self._trace_chunk_events,
             checkpoint_dir=self._checkpoint_dir,
             checkpoint_every=self._checkpoint_every,
         )
@@ -238,6 +242,8 @@ class Experiment:
         overrides: Optional[Dict[str, object]] = None,
         probes: Optional[List[Probe]] = None,
         tags: Optional[Dict[str, str]] = None,
+        trace_dir: Optional[str] = None,
+        trace_chunk_events: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
     ) -> None:
@@ -246,6 +252,8 @@ class Experiment:
         self.overrides = dict(overrides or {})
         self.probes = list(probes or [])
         self.tags = dict(tags or {})
+        self.trace_dir = trace_dir
+        self.trace_chunk_events = trace_chunk_events
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self._closed = False
@@ -286,6 +294,11 @@ class Experiment:
         start = time.perf_counter()
         resumed_from: Optional[int] = None
         with ExitStack() as stack:
+            if self.trace_dir is not None:
+                # Installed first, so that probes see the disk sink.
+                stack.enter_context(
+                    construction_hooks(machine_hook=self._stream_traces(self.trace_dir))
+                )
             if self.overrides or self.probes:
                 stack.enter_context(
                     construction_hooks(
@@ -314,6 +327,11 @@ class Experiment:
         )
         self.results.append(result)
         return result
+
+    def _stream_traces(self, trace_dir: str) -> Callable[[MMachine], None]:
+        ordinals = itertools.count()
+        return lambda machine: machine.tracer.stream_to(
+            os.path.join(trace_dir, f"machine-{next(ordinals)}"), self.trace_chunk_events)
 
     def _apply_overrides(self, config: Any) -> None:
         apply_overrides(config, self.overrides)

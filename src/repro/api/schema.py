@@ -117,6 +117,8 @@ def validate_record(record: object) -> List[str]:
             problems.append(f"missing field {name!r}")
         elif not isinstance(record[name], types) or isinstance(record[name], bool):
             problems.append(f"field {name!r} has type {type(record[name]).__name__}")
+    if "tags" in record and not isinstance(record["tags"], dict):
+        problems.append(f"field 'tags' has type {type(record['tags']).__name__}")
     if problems:
         return problems
     if record["schema_version"] != SCHEMA_VERSION:

@@ -8,8 +8,8 @@ followed.  This module gives that contract a first-class shape:
 * :class:`Workload` is the structural protocol a workload callable
   satisfies;
 * :class:`WorkloadSpec` wraps one workload with its registry name,
-  introspected parameter defaults, a generated params dataclass, a
-  description and the paper-section tag it reproduces;
+  introspected parameter defaults, a description and the paper-section tag
+  it reproduces;
 * :func:`workload` is the decorator that builds and (by default) registers
   a spec.
 
@@ -21,8 +21,8 @@ the registry is populated on first use without an import cycle.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, make_dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol
 
 Metrics = Dict[str, object]
 
@@ -64,22 +64,9 @@ def _signature_defaults(func: Callable[..., Metrics]) -> Dict[str, object]:
     }
 
 
-def _params_dataclass(name: str, defaults: Mapping[str, object]) -> Type[Any]:
-    """A frozen dataclass type with one defaulted field per parameter."""
-    specs: List[Tuple[str, type, Any]] = []
-    for key, default in defaults.items():
-        field_type = type(default) if default is not None else object
-        if isinstance(default, (list, dict, set)):
-            specs.append((key, field_type, field(default_factory=lambda d=default: type(d)(d))))
-        else:
-            specs.append((key, field_type, field(default=default)))
-    class_name = "".join(part.capitalize() for part in name.replace("_", "-").split("-"))
-    return make_dataclass(f"{class_name}Params", specs, frozen=True)
-
-
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """One registered workload: callable plus metadata and typed params."""
+    """One registered workload: its callable, defaults and metadata."""
 
     name: str
     func: Callable[..., Metrics]
@@ -87,10 +74,6 @@ class WorkloadSpec:
     description: str = ""
     #: Which part of the paper the workload reproduces (e.g. ``"Figure 5"``).
     section: str = ""
-    #: Generated frozen dataclass of the workload's parameters; constructing
-    #: it type-checks nothing but *name*-checks everything (unknown parameter
-    #: names raise ``TypeError`` at construction time).
-    params_type: Type[Any] = object
 
     def __call__(self, **params: Any) -> Metrics:
         """Run the underlying callable directly (satisfies :class:`Workload`)."""
@@ -108,14 +91,12 @@ class WorkloadSpec:
         if description is None:
             doc = inspect.getdoc(func) or ""
             description = doc.splitlines()[0].strip() if doc else ""
-        defaults = _signature_defaults(func)
         return cls(
             name=name,
             func=func,
-            defaults=defaults,
+            defaults=_signature_defaults(func),
             description=description,
             section=section,
-            params_type=_params_dataclass(name, defaults),
         )
 
     def param_names(self) -> List[str]:
@@ -131,10 +112,6 @@ class WorkloadSpec:
                 f"workload {self.name!r} has no parameter(s) "
                 f"{', '.join(repr(name) for name in unknown)}; valid: {valid}"
             )
-
-    def make_params(self, **params: Any) -> Any:
-        """An instance of :attr:`params_type` with *params* applied."""
-        return self.params_type(**params)
 
     def effective_params(self, params: Mapping[str, object]) -> Dict[str, object]:
         """The explicit *params* overlaid on this workload's defaults."""

@@ -3,7 +3,9 @@
 :class:`MachineConfig` holds what workloads, sweeps and the experiment
 builder vary: the mesh shape, the issue policy, the message-queue capacity,
 send credits and retransmission interval, the runtime mode and protection,
-the simulation kernel and the trace sink.  ``node.num_clusters`` and
+the simulation kernel and whether the trace is on.  Where a run's trace is
+kept is not part of the machine: :meth:`repro.core.trace.Tracer.stream_to`
+and ``Experiment.trace`` choose it per machine.  ``node.num_clusters`` and
 ``memory.page_size_words`` stay readable but accept only their constants.
 
 The rest is the one machine the paper evaluates: a 3-D mesh of MAP chips
@@ -21,8 +23,8 @@ native-handler costs in :mod:`repro.runtime.native`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Mapping, Optional, Tuple, Type
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Mapping, Tuple, Type
 
 from repro.isa.registers import NUM_CLUSTERS
 from repro.memory.page_table import PAGE_SIZE_WORDS
@@ -149,33 +151,11 @@ class MachineConfig:
     #: Collect a detailed trace (required by the Figure 9 timeline analysis;
     #: cheap enough to leave on by default).
     trace_enabled: bool = True
-    #: When set, each machine streams its trace to a ``machine-N``
-    #: subdirectory of this path (chunked JSONL+gzip, see ``docs/traces.md``)
-    #: instead of holding events in memory — bounded RSS on long runs.
-    trace_dir: Optional[str] = None
-    #: Events per on-disk trace chunk (buffer high-water mark per machine).
-    trace_chunk_events: int = 4096
 
     @property
     def num_nodes(self) -> int:
         x, y, z = self.network.mesh_shape
         return x * y * z
-
-    def copy(self, **overrides) -> "MachineConfig":
-        """Return a deep-ish copy with selected sub-configs replaced."""
-        return MachineConfig(
-            cluster=overrides.get("cluster", replace(self.cluster)),
-            memory=overrides.get("memory", replace(self.memory)),
-            network=overrides.get("network", replace(self.network)),
-            node=overrides.get("node", replace(self.node)),
-            runtime=overrides.get("runtime", replace(self.runtime)),
-            sim=overrides.get("sim", replace(self.sim)),
-            trace_enabled=overrides.get("trace_enabled", self.trace_enabled),
-            trace_dir=overrides.get("trace_dir", self.trace_dir),
-            trace_chunk_events=overrides.get(
-                "trace_chunk_events", self.trace_chunk_events
-            ),
-        )
 
     @classmethod
     def small(cls, nodes_x: int = 2, nodes_y: int = 1, nodes_z: int = 1) -> "MachineConfig":
@@ -210,7 +190,6 @@ class MachineConfig:
             ("network.message_queue_words", self.network.message_queue_words),
             ("network.send_credits", self.network.send_credits),
             ("network.retransmit_interval", self.network.retransmit_interval),
-            ("trace_chunk_events", self.trace_chunk_events),
         ):
             if type(value) is not int or value <= 0:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
@@ -220,8 +199,6 @@ class MachineConfig:
         ):
             if type(value) is not bool:
                 raise ValueError(f"{name} must be a bool, got {value!r}")
-        if self.trace_dir is not None and not isinstance(self.trace_dir, str):
-            raise ValueError(f"trace_dir must be None or a string, got {self.trace_dir!r}")
         if self.runtime.shared_memory_mode not in ("none", "remote", "coherent"):
             raise ValueError(f"unknown shared-memory mode {self.runtime.shared_memory_mode!r}")
         if self.cluster.issue_policy not in ("event-priority", "round-robin", "hep"):
@@ -260,12 +237,12 @@ _SECTIONS: Dict[str, Type[object]] = {
 }
 
 #: Top-level ``MachineConfig`` attributes addressable without a section.
-_TOP_LEVEL_KEYS: Tuple[str, ...] = ("trace_enabled", "trace_dir", "trace_chunk_events")
+_TOP_LEVEL_KEYS: Tuple[str, ...] = ("trace_enabled",)
 
 
 def override_keys() -> List[str]:
-    """Every valid dotted override key, sorted (``"section.attr"`` plus the
-    top-level trace keys)."""
+    """Every valid dotted override key, sorted (``"section.attr"`` plus
+    ``trace_enabled``)."""
     keys = list(_TOP_LEVEL_KEYS)
     for section, section_type in _SECTIONS.items():
         keys.extend(f"{section}.{spec.name}" for spec in fields(section_type))

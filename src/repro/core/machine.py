@@ -24,7 +24,7 @@ from repro.core.config import MachineConfig
 from repro.core.ids import IdSource
 from repro.core.scheduler import SETTLE_CYCLES, SimulationKernel
 from repro.core.stats import MachineStats
-from repro.core.trace import Tracer, sink_for_config
+from repro.core.trace import Tracer
 from repro.core.values import SnapshotError
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
@@ -48,7 +48,7 @@ def _as_program(program: ProgramLike, name: str = "program") -> Program:
 #: component is built; machine hooks run on the fully-constructed machine.
 #: Workload factories build their machines internally, so this is the one
 #: way to act on machines the caller never sees being constructed: the
-#: ``repro.api`` experiment builder applies config overrides and attaches
+#: ``repro.api`` experiment builder applies config overrides, disk traces and
 #: probes with it, and :func:`repro.snapshot.checkpoint.checkpoint_context`
 #: attaches its policy.
 _CONFIG_HOOKS: List[Callable[[MachineConfig], None]] = []
@@ -102,7 +102,7 @@ class MMachine:
         for config_hook in _CONFIG_HOOKS:
             config_hook(self.config)
         self.config.validate()
-        self.tracer = Tracer(self.config.trace_enabled, sink=sink_for_config(self.config))
+        self.tracer = Tracer(self.config.trace_enabled)
         self.gdt = GlobalDestinationTable()
         self.mesh = MeshNetwork(self.config.network)
         #: Machine-owned id allocators: request/message numbering is a pure
@@ -474,12 +474,14 @@ class MMachine:
     def restore_snapshot(self, document: Dict[str, object]) -> None:
         """Load a snapshot *document* into this machine, refusing with
         :class:`~repro.snapshot.format.ConfigMismatchError` when the
-        machine's configuration differs from the embedded one and with
-        :class:`SnapshotError` when the machine state is malformed."""
-        from repro.snapshot.format import check_config_matches, validate_document  # noqa: PLC0415
+        machine's configuration or trace location differs from the
+        snapshot's and with :class:`SnapshotError` when the machine state is
+        malformed."""
+        from repro.snapshot import format as snapshot_format  # noqa: PLC0415
 
-        validate_document(document)
-        check_config_matches(self.config, document)
+        snapshot_format.validate_document(document)
+        snapshot_format.check_config_matches(self.config, document)
+        snapshot_format.check_trace_matches(self.tracer.sink, document)
         with _malformed("machine"):
             self.load_state_dict(document["machine"])
 

@@ -17,8 +17,9 @@ Storage is pluggable behind a sink object:
   ``state_dict`` shape.
 * :class:`repro.core.trace_disk.DiskTraceSink` streams events to an
   append-only chunked JSONL+gzip directory with a per-chunk category/node
-  index, keeping trace memory bounded on million-cycle runs.  Selected by
-  setting ``MachineConfig.trace_dir``.
+  index, keeping trace memory bounded on million-cycle runs.  Selected per
+  machine with :meth:`Tracer.stream_to`, which ``Experiment.trace`` calls
+  for every machine a run builds.
 
 Every query goes through :meth:`Tracer.iter_filter`, a streaming iterator
 that works identically over both sinks (the disk sink uses its index to
@@ -135,9 +136,6 @@ class MemoryTraceSink:
     def flush(self) -> None:
         pass
 
-    def close(self) -> None:
-        pass
-
     def clear(self) -> None:
         self.events.clear()
         self._encoded = []
@@ -181,10 +179,9 @@ class Tracer:
     """Collects :class:`TraceEvent` records for later analysis.
 
     The tracer is a thin facade over a sink object; pass ``sink`` to select
-    storage (default: :class:`MemoryTraceSink`).  Use
-    :func:`sink_for_config` to build the sink a :class:`MachineConfig`
-    asks for, and :meth:`Tracer.open` to attach read-only to a trace
-    directory a previous run left on disk.
+    storage (default: :class:`MemoryTraceSink`).  Use :meth:`stream_to` to
+    move a live tracer to a disk directory, and :meth:`Tracer.open` to
+    attach read-only to a trace directory a previous run left on disk.
     """
 
     def __init__(self, enabled: bool = True, sink=None):
@@ -202,6 +199,19 @@ class Tracer:
     def sink(self):
         """The storage sink behind this tracer."""
         return self._sink
+
+    def stream_to(self, directory, chunk_events: Optional[int] = None) -> None:
+        """Keep this tracer's events, those recorded so far included, in the
+        disk trace directory *directory*, *chunk_events* per chunk (default
+        4096).  The first event written replaces what the directory held."""
+        from repro.core.trace_disk import DEFAULT_CHUNK_EVENTS, DiskTraceSink  # noqa: PLC0415
+
+        if chunk_events is None:
+            chunk_events = DEFAULT_CHUNK_EVENTS
+        recorded, self._sink = self._sink, DiskTraceSink(directory, chunk_events=chunk_events)
+        for event in recorded.iter_events():
+            self._sink.append(event)
+        self._rebind()
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -269,9 +279,6 @@ class Tracer:
         complete and readable after the run."""
         self._sink.flush()
 
-    def close(self) -> None:
-        self._sink.close()
-
     def __len__(self) -> int:
         return len(self._sink)
 
@@ -311,9 +318,9 @@ class Tracer:
     def open(cls, path, machine: int = 0) -> "Tracer":
         """Attach read-only to a trace directory on disk (out-of-core
         analysis of a finished run).  *path* may be a machine trace
-        directory (holding ``index.json``) or the ``trace_dir`` a run was
-        given, in which case the *machine*-th machine of that run is
-        opened."""
+        directory (holding ``index.json``) or the directory a run was given
+        with ``Experiment.trace``, in which case the *machine*-th machine of
+        that run is opened."""
         from repro.core.trace_disk import DiskTraceSink, resolve_trace_dir  # noqa: PLC0415
 
         sink = DiskTraceSink(resolve_trace_dir(path, machine), readonly=True)
@@ -329,18 +336,3 @@ class Tracer:
                 lines.append(str(event))
         return "\n".join(lines)
 
-
-def sink_for_config(config):
-    """The sink a :class:`MachineConfig` asks for: a
-    :class:`~repro.core.trace_disk.DiskTraceSink` under a fresh
-    ``machine-N`` subdirectory of ``config.trace_dir`` when set, else None
-    (the Tracer's default memory sink)."""
-    trace_dir = getattr(config, "trace_dir", None)
-    if not trace_dir:
-        return None
-    from repro.core.trace_disk import DiskTraceSink, machine_trace_dir  # noqa: PLC0415
-
-    return DiskTraceSink(
-        machine_trace_dir(trace_dir),
-        chunk_events=getattr(config, "trace_chunk_events", 4096),
-    )

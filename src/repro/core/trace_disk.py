@@ -5,7 +5,7 @@ directory of gzip-compressed JSONL chunks plus one ``index.json``, so a
 million-cycle run holds at most one chunk of events in memory.  The layout
 (documented in ``docs/traces.md``) is::
 
-    <trace_dir>/machine-<N>/        one directory per machine of the run
+    <trace_dir>/machine-<N>/        one per machine of a run, in build order
         index.json                  format tag + per-chunk summaries
         chunk-00000.jsonl.gz        chunk_events encoded rows, one per line
         chunk-00001.jsonl.gz
@@ -46,22 +46,6 @@ DEFAULT_CHUNK_EVENTS = 4096
 
 class TraceDirError(RuntimeError):
     """A trace directory is missing, inconsistent, or used incorrectly."""
-
-
-# Machines created in one process against the same trace_dir get successive
-# machine-N subdirectories; a fresh process (e.g. a resumed run) starts at
-# machine-0 again, matching construction order — the same ordinal scheme the
-# checkpoint subsystem uses for its machine-N.json files.
-_DIR_ORDINALS: Dict[str, int] = {}
-
-
-def machine_trace_dir(base_dir: str) -> str:
-    """Allocate the next ``machine-N`` subdirectory of *base_dir* for a
-    newly-constructed machine (process-local, by construction order)."""
-    key = os.path.abspath(os.fspath(base_dir))
-    ordinal = _DIR_ORDINALS.get(key, 0)
-    _DIR_ORDINALS[key] = ordinal + 1
-    return os.path.join(os.fspath(base_dir), f"machine-{ordinal}")
 
 
 def resolve_trace_dir(path, machine: int = 0) -> str:
@@ -207,7 +191,7 @@ def _iter_chunk_rows(path: str) -> Iterator[list]:
 class DiskTraceSink:
     """Sink that appends events to chunked JSONL+gzip files under one
     machine trace directory.  See the module docstring for layout and
-    lifecycle; select it per-run via ``MachineConfig.trace_dir``."""
+    lifecycle; a machine attaches it with ``Tracer.stream_to``."""
 
     kind = "disk"
 
@@ -302,9 +286,6 @@ class DiskTraceSink:
         _write_index(self.directory, self._index)
         self._tail = []
         self._encoded_tail = []
-
-    def close(self) -> None:
-        self.flush()
 
     def clear(self) -> None:
         if self.readonly:

@@ -12,6 +12,10 @@ builders read ``metrics``, ``effective_params`` and the parsed Figure 9
 Parameter matching is on *effective* parameters: the record's explicit
 params overlaid on the workload factory's keyword defaults, so a record that
 omitted ``kernel`` still matches ``kernel="event"``.
+
+The section builders trust what they read: :func:`_report_problems` checks
+each record once, on load, and a record they could not read is listed in
+:attr:`Manifest.problems` and left out, as a schema-invalid one is.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.api.result import RunResult
 from repro.api.schema import validate_record
+from repro.api.workload import get_workload, workload_names
 from repro.sweep.runner import RESULTS_FILENAME, RUNS_DIRNAME
 
 
@@ -35,6 +40,45 @@ def _normalise(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return tuple(_normalise(item) for item in value)
     return value
+
+
+def _json_kind(value: object) -> str:
+    """The JSON type of *value*, with ints and floats both ``number``."""
+    kinds = ((bool, "boolean"), ((int, float), "number"), (str, "string"),
+             ((list, tuple), "array"), (dict, "object"))
+    return next((kind for types, kind in kinds if isinstance(value, types)), "null")
+
+
+#: The metrics that are not numbers: the verdict, the Figure 9 timeline
+#: (JSON text) and two echoed labels.
+_LABEL_METRICS = {"verified": "boolean", "timeline": "string", "mode": "string", "policy": "string"}
+
+
+def _report_problems(run: RunResult) -> List[str]:
+    """What the report cannot read in the ok record *run* of a registered
+    workload (it reads no other): a param of another JSON type than its
+    default, a metric that is not a number but for the labels above, no
+    ``cycles`` from a workload that takes a ``kernel``, or a malformed
+    ``timeline``."""
+    if not run.ok or run.workload not in workload_names():
+        return []
+    spec = get_workload(run.workload)
+    problems = [f"param {name!r} is {value!r}, not a {_json_kind(spec.defaults[name])}"
+                for name, value in run.params.items()
+                if name in spec.defaults and _json_kind(value) != _json_kind(spec.defaults[name])]
+    problems += [f"metric {name!r} is {value!r}, not a {_LABEL_METRICS.get(name, 'number')}"
+                 for name, value in run.metrics.items()
+                 if _json_kind(value) != _LABEL_METRICS.get(name, "number")]
+    if "kernel" in spec.defaults and "cycles" not in run.metrics:
+        problems.append("metric 'cycles' is missing")
+    try:
+        rows = run.timeline or []
+    except ValueError:
+        rows = [None]
+    if any(not isinstance(row, list) or list(map(_json_kind, row)) != ["number", "number", "string"]
+           for row in rows):
+        problems.append("metric 'timeline' is not a JSON list of [cycle, node, label] rows")
+    return problems
 
 
 def matches(result: RunResult, params: Dict[str, object]) -> bool:
@@ -72,12 +116,15 @@ class Manifest:
         manifest = cls(source=source, spec_name=spec_name)
         for index, record in enumerate(raw):
             record_problems = validate_record(record)
+            if not record_problems:
+                run = RunResult.from_record(record)
+                record_problems = _report_problems(run)
             if record_problems:
                 manifest.problems.extend(
                     f"runs[{index}]: {problem}" for problem in record_problems
                 )
                 continue
-            manifest.records.append(RunResult.from_record(record))
+            manifest.records.append(run)
         manifest.records.sort(key=lambda run: run.run_id)
         return manifest
 

@@ -32,10 +32,10 @@ are encoded incrementally (the tracer caches encoded events between saves),
 but writing the document is still proportional to total state size — so
 pick ``every`` as a small multiple of how many cycles of progress you can
 afford to lose, not smaller.  With a disk-backed trace
-(``MachineConfig.trace_dir``, see ``docs/traces.md``) the snapshot carries
-only the trace file path, chunk offsets and unflushed tail, so checkpoint
-size stays bounded on long runs and a resumed run appends to the same
-trace files.
+(``Experiment.trace``, see ``docs/traces.md``) the snapshot carries only
+the trace file path, chunk offsets and unflushed tail, so checkpoint size
+stays bounded on long runs and a resumed run appends to the same trace
+files; a machine whose trace is kept elsewhere is refused.
 """
 
 from __future__ import annotations

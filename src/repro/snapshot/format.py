@@ -14,8 +14,9 @@ The embedded configuration makes the file free-standing: ``restore`` builds
 a fresh machine from it and then loads the state, so no wiring (callbacks,
 handler objects, switch topology) ever needs to be serialised.  Loading a
 snapshot *into* an existing machine (the checkpoint-resume path) first
-verifies that the machine's configuration equals the embedded one and
-refuses with :class:`ConfigMismatchError` otherwise — resuming a run on a
+verifies that the machine's configuration equals the embedded one, and its
+trace location the one the tracer state records, and refuses with
+:class:`ConfigMismatchError` otherwise — resuming a run on a
 differently-shaped machine would silently corrupt the simulation.
 """
 
@@ -25,7 +26,7 @@ import dataclasses
 import gzip
 import json
 import os
-from typing import Dict
+from typing import Any, Dict
 
 from repro import memory
 from repro.cluster import icache
@@ -50,6 +51,10 @@ class ConfigMismatchError(SnapshotError):
 
 #: Marks a retired field that never changed the machine: any value is dropped.
 _ANY_VALUE = object()
+
+#: Top-level config keys up to 5.0.0 wrote, dropped whatever their value:
+#: where the trace went, which the tracer state records.
+_RETIRED_TOP_LEVEL_KEYS = ("trace_dir", "trace_chunk_events")
 
 
 def _retired_fields() -> Dict[str, Dict[str, object]]:
@@ -121,9 +126,12 @@ def _retired_fields() -> Dict[str, Dict[str, object]]:
 
 
 def _without_retired_fields(document: Dict[str, object]) -> Dict[str, object]:
-    """A snapshot config *document* without the retired fields.  Raises
-    ``ValueError`` naming a retired field that holds another value than the
-    one this build runs."""
+    """A snapshot config *document* without the retired fields and keys.
+    Raises ``ValueError`` naming a retired field that holds another value
+    than the one this build runs."""
+    document = {
+        key: value for key, value in document.items() if key not in _RETIRED_TOP_LEVEL_KEYS
+    }
     for section_name, retired in _retired_fields().items():
         section = document.get(section_name)
         if not isinstance(section, dict) or retired.keys().isdisjoint(section):
@@ -157,6 +165,9 @@ def config_to_dict(config: MachineConfig) -> Dict[str, object]:
 def config_from_dict(document: Dict[str, object]) -> MachineConfig:
     """Rebuild a :class:`MachineConfig` from :func:`config_to_dict` output."""
     document = _without_retired_fields(document)
+    unknown = sorted(set(document) - set(_SECTIONS) - set(_TOP_LEVEL_KEYS))
+    if unknown:
+        raise SnapshotError(f"snapshot config has unknown keys: {unknown} (schema mismatch?)")
     sections = {}
     for section_name, section_class in _SECTIONS.items():
         data = dict(document.get(section_name) or {})
@@ -188,6 +199,9 @@ def check_config_matches(config: MachineConfig, document: Dict[str, object]) -> 
             raise ConfigMismatchError(
                 f"snapshot was taken on a differently-configured machine ({error})"
             ) from error
+        unknown = sorted(set(theirs) - set(_SECTIONS) - set(_TOP_LEVEL_KEYS))
+        if unknown:
+            raise ConfigMismatchError(f"snapshot config has unknown keys: {unknown}")
     if ours == theirs:
         return
     differences = []
@@ -198,6 +212,27 @@ def check_config_matches(config: MachineConfig, document: Dict[str, object]) -> 
         "snapshot was taken on a differently-configured machine "
         f"(differing sections: {', '.join(differences) or 'document malformed'})"
     )
+
+
+def _trace_location(kind: object, directory: object, chunk_events: object) -> str:
+    return f"{directory!r} ({chunk_events}-event chunks)" if kind == "disk" else "memory"
+
+
+def check_trace_matches(sink: Any, document: Dict[str, Any]) -> None:
+    """Raise :class:`ConfigMismatchError` unless the trace *sink* of the
+    machine a snapshot *document* is loaded into keeps its events where the
+    snapshot's tracer state does, so that a resume never splits a run's
+    trace over two places.  A malformed tracer state is left to the load."""
+    state = document["machine"].get("tracer")
+    if not isinstance(state, dict):
+        return
+    theirs = _trace_location(state.get("sink"), state.get("trace_dir"), state.get("chunk_events"))
+    ours = _trace_location(sink.kind, getattr(sink, "directory", None),
+                           getattr(sink, "chunk_events", None))
+    if ours != theirs:
+        raise ConfigMismatchError(
+            f"snapshot's trace is in {theirs}, but this machine's trace is in {ours}"
+        )
 
 
 def make_document(config: MachineConfig, machine_state: Dict[str, object]) -> Dict[str, object]:

@@ -930,34 +930,11 @@ def nack_flood(
     return-to-sender throttling claim of Section 3.1 under sustained
     pressure rather than a transient burst.
     """
-    machine = _machine(
-        mesh,
-        kernel,
-        **{
-            "network.message_queue_words": queue_words,
-            "network.retransmit_interval": retransmit_interval,
-        },
+    metrics = many_to_one_flood(
+        senders=senders, messages_each=messages_each, queue_words=queue_words,
+        retransmit_interval=retransmit_interval, mesh=mesh, kernel=kernel, max_cycles=max_cycles,
     )
-    if senders >= machine.num_nodes:
-        raise ValueError("need one node per sender plus the consumer")
-    machine.map_on_node(0, REGION, num_pages=1)
-    dip = machine.runtime.dip("remote_store")
-    programs = many_to_one_store_programs(senders, messages_each, REGION, dip)
-    for sender, program in programs.items():
-        machine.load_hthread(sender + 1, 0, 0, program)
-    machine.run_until_user_done(max_cycles=max_cycles)
-    total = senders * messages_each
-    nacks = sum(node.net.nacks_received for node in machine.nodes)
-    retransmissions = sum(node.net.retransmissions for node in machine.nodes)
-    metrics = _base_metrics(machine)
-    metrics.update(
-        verified=(
-            all(machine.read_word(REGION + i) != 0 for i in range(total))
-            and nacks > 0
-            and retransmissions > 0
-        ),
-        nacks=nacks,
-        retransmissions=retransmissions,
-        max_queue_words=machine.nodes[0].msg_queue_p0.max_occupancy,
+    metrics["verified"] = (
+        metrics["verified"] and metrics["nacks"] > 0 and metrics["retransmissions"] > 0
     )
     return metrics

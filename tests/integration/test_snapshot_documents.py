@@ -8,14 +8,16 @@ Two contracts of the on-disk snapshot document beyond the state it restores:
   which must not depend on when statistics were last read.
 * Snapshots and checkpoints written by 0.9.0 carry the retired
   ``sim.compile_dispatch`` config key, those written by 1.0.1 the retired
-  ``node.event_slot`` and ``node.exception_slot`` keys, and those written
-  by 3.0.0 39 fields that are now constants or component defaults.  They
-  still restore, and resume into an existing machine, with the keys
+  ``node.event_slot`` and ``node.exception_slot`` keys, those written by
+  3.0.0 39 fields that are now constants or component defaults, and those
+  written up to 5.0.0 the top-level ``trace_dir`` and ``trace_chunk_events``.
+  They still restore, and resume into an existing machine, with the keys
   dropped; a 3.0.0 field that holds another value than this build runs is
   refused, and setting a retired key as a config override is an
   unknown-key error.
 * Every malformed value of a config field fails with ``SnapshotError``,
-  and so does a program source that no longer assembles.
+  and so does a program source that no longer assembles or an unknown
+  top-level config key.
 """
 
 import copy
@@ -94,15 +96,20 @@ RETIRED_3_0_0 = {
                 "sync_fault_retry_cycles": 24},
 }
 
+#: The top-level trace keys that versions up to 5.0.0 wrote, as a run whose
+#: traces stayed in memory wrote them.
+RETIRED_TRACE_KEYS = {"trace_dir": None, "trace_chunk_events": 4096}
+
 #: ``{section: retired fields}`` as older versions wrote them: 0.9.0 the
 #: ``sim.compile_dispatch`` knob (ids ``True``/``False``, its two values),
 #: 1.0.1 the node's event and exception slot numbers, 3.0.0 the machine's
-#: fixed structure and timing.
+#: fixed structure and timing, and up to 5.0.0 the top-level trace keys.
 OLD_CONFIGS = [
     pytest.param({"sim": {"compile_dispatch": True}}, id="True"),
     pytest.param({"sim": {"compile_dispatch": False}}, id="False"),
     pytest.param({"node": {"event_slot": 4, "exception_slot": 5}}, id="slots-1.0.1"),
-    pytest.param(RETIRED_3_0_0, id="3.0.0"),
+    pytest.param({**RETIRED_3_0_0, **RETIRED_TRACE_KEYS}, id="3.0.0"),
+    pytest.param(RETIRED_TRACE_KEYS, id="5.0.0"),
 ]
 
 #: A 3.0.0 field at a value this build does not run.
@@ -111,10 +118,13 @@ OTHER_MACHINE = {"memory": {"sdram_cas": 3}}
 
 def _old_document(machine: MMachine, retired: dict) -> dict:
     """*machine*'s snapshot as an older version wrote it: same layout, plus
-    the *retired* fields of each config section."""
+    the *retired* fields of each config section and top-level keys."""
     document = json.loads(json.dumps(machine.snapshot_document()))
-    for section, fields in retired.items():
-        document["config"][section].update(fields)
+    for key, value in retired.items():
+        if isinstance(value, dict):
+            document["config"][key].update(value)
+        else:
+            document["config"][key] = value
     return document
 
 
@@ -135,8 +145,8 @@ def test_old_snapshot_restores(reference, retired):
     final_cycle, expected = reference
     restored = MMachine.from_snapshot(_old_document(_half_run(final_cycle), retired))
     config = restored.snapshot_document()["config"]
-    for section, fields in retired.items():
-        assert set(fields).isdisjoint(config[section])
+    for key, value in retired.items():
+        assert set(value).isdisjoint(config[key]) if isinstance(value, dict) else key not in config
     restored.run(final_cycle - restored.cycle)
     assert _document_bytes(restored) == expected
 
@@ -201,13 +211,13 @@ def _config_leaves(config: dict):
                 yield from ((key, name, index) for index in range(len(item)))
 
 
-def test_config_mutants_load_or_raise_snapshot_error(tmp_path, monkeypatch):
+def test_config_mutants_load_or_raise_snapshot_error():
     """Each leaf of a one-node 3.0.0 snapshot's config set to each
     malformed value either raises ``SnapshotError`` or loads a config that
-    agrees with the mutated document; only a string or None ``trace_dir``
-    loads."""
-    monkeypatch.chdir(tmp_path)  # a string trace_dir creates that directory
-    base = _old_document(MMachine(MachineConfig.single_node()), RETIRED_3_0_0)
+    agrees with the mutated document; only the retired trace keys load,
+    whatever their value."""
+    base = _old_document(MMachine(MachineConfig.single_node()),
+                         {**RETIRED_3_0_0, **RETIRED_TRACE_KEYS})
     mutants, loaded = 0, []
     for path in _config_leaves(base["config"]):
         for value in MUTANT_VALUES:
@@ -228,7 +238,18 @@ def test_config_mutants_load_or_raise_snapshot_error(tmp_path, monkeypatch):
                     theirs = {name: theirs[name] for name in ours}
                 assert ours == theirs, (path, value)
     assert mutants == 385
-    assert loaded == [(("trace_dir",), None), (("trace_dir",), "x")]
+    assert loaded == [((key,), value) for key in RETIRED_TRACE_KEYS for value in MUTANT_VALUES]
+
+
+def test_unknown_top_level_config_key_is_refused_by_name(reference):
+    """A top-level config key this build does not know is refused, and
+    named, on both paths that read a snapshot's config."""
+    final_cycle, _ = reference
+    document = _old_document(_half_run(final_cycle), {"bogus": 1})
+    with pytest.raises(SnapshotError, match=r"unknown keys: \['bogus'\]"):
+        MMachine.from_snapshot(document)
+    with pytest.raises(ConfigMismatchError, match=r"unknown keys: \['bogus'\]"):
+        generate_program(SEED).build_machine("event").restore_snapshot(document)
 
 
 @pytest.mark.parametrize("source, error", [

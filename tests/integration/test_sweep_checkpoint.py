@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro import Experiment, MMachine, MachineConfig
+from repro.core.trace import Tracer
 from repro.snapshot.checkpoint import SnapshotTaken, checkpoint_context
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import AxesGroup, RunSpec, SweepSpec
@@ -122,6 +123,31 @@ class TestAttachContract:
         assert warm.ok and warm.provenance.resumed_from_cycle == saved[0]
         assert len(machines) == self.MACHINES
         assert restored == list(enumerate(saved))
+
+    def test_trace_and_checkpoint_number_machines_alike(self, tmp_path):
+        """Machine N of a run streams its trace to ``machine-N`` of the
+        trace directory and saves ``machine-N.json`` of the checkpoint
+        directory, and its checkpoints record that trace directory."""
+        traces, checkpoints = tmp_path / "trace", tmp_path / "checkpoints"
+        machines = []
+        with (
+            Experiment.builder()
+            .workload(self.WORKLOAD)
+            .probe(machines.append)
+            .trace(str(traces))
+            .checkpoint(str(checkpoints), every=1)
+            .build()
+        ) as experiment:
+            assert experiment.run().ok
+        assert len(machines) == self.MACHINES, "the probe missed a machine"
+        for ordinal, machine in enumerate(machines):
+            trace_dir = str(traces / f"machine-{ordinal}")
+            checkpoint = checkpoints / f"machine-{ordinal}.json"
+            assert machine.tracer.sink.directory == trace_dir
+            assert machine._checkpoint.path == str(checkpoint)
+            saved = json.loads(checkpoint.read_text())["machine"]["tracer"]
+            assert saved["trace_dir"] == trace_dir
+            assert len(Tracer.open(trace_dir)) == len(machine.tracer)
 
     def test_nested_policy_is_refused(self, tmp_path):
         with checkpoint_context(str(tmp_path / "outer")) as outer:

@@ -95,6 +95,7 @@ def test_reinvocation_skips_all_completed_runs(sweep_results):
 
 def test_report_matches_committed_golden(sweep_results, tmp_path):
     manifest = Manifest.load(str(sweep_results["results_dir"] / RESULTS_FILENAME))
+    assert manifest.problems == []
     out_dir = tmp_path / "report"
     render_report(manifest, str(out_dir))
     names = sorted(os.listdir(out_dir))

@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import get_workload
 from repro.cli import main
+from repro.report import Manifest
 from repro.sweep import get_spec, validate_results
 from repro.sweep.runner import RESULTS_FILENAME
 from repro.sweep.spec import RunSpec
@@ -95,6 +96,7 @@ def test_family_sweep_completes(sweep_results):
     assert validate_results(document) == []
     assert document["counts"]["failed"] == 0
     assert document["counts"]["total"] == 8
+    assert Manifest.from_document(document).problems == []
 
 
 def test_family_sweep_matches_in_process_runs(sweep_results):

@@ -1,6 +1,6 @@
 """End-to-end guarantees of the disk trace sink on real runs.
 
-Four properties that together make ``--trace-dir`` safe for
+Five properties that together make ``--trace-dir`` safe for
 million-cycle runs (scaled down here to event-count-equivalent sizes so
 the suite stays fast):
 
@@ -13,6 +13,10 @@ the suite stays fast):
   from the snapshot appends to the same trace directory, truncating any
   post-snapshot chunks, and the final stream is byte-identical to an
   uninterrupted run;
+* each run numbers its machines' trace directories from 0, as checkpoints
+  do, so a rerun replaces its traces; a checkpoint resumes only into the
+  trace location its tracer state records, and one written up to 5.0.0,
+  with the trace keys in its config, still restores;
 * a corrupt trace directory is refused with a ``TraceDirError`` naming the
   file, on every read: no field of the index and no cut or padded chunk
   escapes as another exception or reads as a different trace.
@@ -21,6 +25,8 @@ the suite stays fast):
 import copy
 import gzip
 import json
+import os
+import re
 import shutil
 
 import pytest
@@ -30,6 +36,7 @@ from repro.analysis.latency import measure_load_latency
 from repro.analysis.timeline import extract_remote_access_timeline
 from repro.core.trace import Tracer, encode_event
 from repro.core.trace_disk import TraceDirError
+from repro.snapshot import ConfigMismatchError
 
 REGION = 0x40000
 
@@ -44,11 +51,9 @@ def _stream(tracer):
 def _message_stream_machine(count, trace_dir=None, chunk_events=128):
     from repro.workloads.synthetic import remote_store_sender_program
 
-    config = MachineConfig.small(2, 1, 1)
+    machine = MMachine(MachineConfig.small(2, 1, 1))
     if trace_dir is not None:
-        config.trace_dir = str(trace_dir)
-        config.trace_chunk_events = chunk_events
-    machine = MMachine(config)
+        machine.tracer.stream_to(trace_dir, chunk_events)
     far = machine.num_nodes - 1
     machine.map_on_node(far, REGION, num_pages=1)
     dip = machine.runtime.dip("remote_store")
@@ -83,11 +88,9 @@ def test_long_streaming_run_matches_memory_run(tmp_path):
 
 
 def _remote_read_machine(trace_dir=None):
-    config = MachineConfig.small(2, 1, 1)
+    machine = MMachine(MachineConfig.small(2, 1, 1))
     if trace_dir is not None:
-        config.trace_dir = str(trace_dir)
-        config.trace_chunk_events = 32
-    machine = MMachine(config)
+        machine.tracer.stream_to(trace_dir, 32)
     machine.map_on_node(1, REGION, num_pages=1)
     machine.write_word(REGION, 11)
     machine.load_hthread(0, 0, 0, "ld i5, i1\nhalt", registers={"i1": REGION})
@@ -156,6 +159,113 @@ def test_snapshot_resume_appends_to_same_trace(tmp_path):
     assert resumed_stream == reference_stream
 
 
+def _busy_stencil_machines(trace_dir=None, runs=1):
+    """The machines of *runs* runs of one busy-stencil experiment."""
+    machines = []
+    builder = (
+        Experiment.builder()
+        .workload("busy-stencil", mesh=[2, 1, 1], iterations=8)
+        .probe(machines.append)
+    )
+    if trace_dir is not None:
+        builder.trace(str(trace_dir), chunk_events=64)
+    with builder.build() as experiment:
+        for _ in range(runs):
+            assert experiment.run().ok
+    return machines
+
+
+def test_each_run_numbers_its_machines_from_zero(tmp_path):
+    """Every run of an experiment numbers its machines from 0, as the
+    checkpoint policy does: two runs leave one trace directory,
+    ``machine-0``, holding one run's events, and ``Tracer.open`` reads
+    it."""
+    [reference] = _busy_stencil_machines()
+    machines = _busy_stencil_machines(tmp_path, runs=2)
+    assert os.listdir(tmp_path) == ["machine-0"]
+    directory = str(tmp_path / "machine-0")
+    assert [machine.tracer.sink.directory for machine in machines] == [directory] * 2
+    assert _stream(Tracer.open(tmp_path)) == _stream(reference.tracer)
+
+
+#: A coherent-runtime run that a 50-cycle interval checkpoints mid-run.
+RESUMED_WORKLOAD = ("remote-memory", {"mode": "coherent", "repeats": 4})
+
+
+def _checkpointed_run(trace_dir=None, checkpoints=None, every=None, chunk_events=16):
+    name, params = RESUMED_WORKLOAD
+    builder = Experiment.builder().workload(name, **params)
+    if trace_dir is not None:
+        builder.trace(str(trace_dir), chunk_events=chunk_events)
+    if checkpoints is not None:
+        builder.checkpoint(str(checkpoints), every=every)
+    with builder.build() as experiment:
+        return experiment.run()
+
+
+def test_resume_refuses_a_trace_kept_elsewhere(tmp_path):
+    """A checkpoint of a run traced to A resumes only into A.  Resumed with
+    the trace in B, or in memory, the run's trace would be split over two
+    places, so both raise ``ConfigMismatchError``; resumed into A, the run
+    ends with the trace of an uninterrupted run."""
+    checkpoints = tmp_path / "checkpoints"
+    first = _checkpointed_run(tmp_path / "a", checkpoints, every=50)
+    assert first.ok and first.provenance.resumed_from_cycle is None
+    saved = json.loads((checkpoints / "machine-0.json").read_text())["machine"]["cycle"]
+    for trace_dir in (tmp_path / "b", None):
+        with pytest.raises(ConfigMismatchError):
+            _checkpointed_run(trace_dir, checkpoints)
+    resumed = _checkpointed_run(tmp_path / "a", checkpoints)
+    assert resumed.provenance.resumed_from_cycle == saved
+    assert resumed.metrics == first.metrics
+    assert _checkpointed_run(tmp_path / "uninterrupted").metrics == first.metrics
+    assert _stream(Tracer.open(tmp_path / "a")) == _stream(Tracer.open(tmp_path / "uninterrupted"))
+
+
+def test_resume_refusal_names_both_trace_locations(tmp_path):
+    """A refused resume says where each side keeps its trace."""
+    source = _message_stream_machine(8, trace_dir=tmp_path / "a", chunk_events=4)
+    source.run(100)
+    document = source.snapshot_document()
+    elsewhere = _message_stream_machine(8, trace_dir=tmp_path / "b", chunk_events=4)
+    in_memory = _message_stream_machine(8)
+    a, b = (re.escape(repr(str(tmp_path / name))) for name in "ab")
+    with pytest.raises(ConfigMismatchError, match=(
+        rf"snapshot's trace is in {a} \(4-event chunks\), "
+        rf"but this machine's trace is in {b} \(4-event chunks\)"
+    )):
+        elsewhere.restore_snapshot(document)
+    with pytest.raises(ConfigMismatchError, match=r"this machine's trace is in memory$"):
+        in_memory.restore_snapshot(document)
+    with pytest.raises(ConfigMismatchError, match=r"snapshot's trace is in memory,"):
+        elsewhere.restore_snapshot(in_memory.snapshot_document())
+
+
+def test_5_0_0_checkpoint_of_a_disk_traced_run_restores(tmp_path):
+    """Up to 5.0.0 a snapshot's config also said where the run's traces
+    went (``trace_dir``, ``trace_chunk_events``).  Such a checkpoint of a
+    disk-traced run restores through ``from_snapshot`` and resumes a run,
+    attached to the directory its tracer state records."""
+    checkpoints = tmp_path / "checkpoints"
+    first = _checkpointed_run(tmp_path / "a", checkpoints, every=50, chunk_events=64)
+    path = checkpoints / "machine-0.json"
+    document = json.loads(path.read_text())
+    document["config"].update(trace_dir=str(tmp_path / "a"), trace_chunk_events=64)
+    path.write_text(json.dumps(document))
+    state = document["machine"]
+
+    restored = MMachine.from_snapshot(str(path))
+    assert restored.cycle == state["cycle"]
+    assert restored.tracer.sink.directory == str(tmp_path / "a" / "machine-0")
+    assert len(restored.tracer) == state["tracer"]["flushed_events"] + len(state["tracer"]["tail"])
+
+    resumed = _checkpointed_run(tmp_path / "a", checkpoints, chunk_events=64)
+    assert resumed.provenance.resumed_from_cycle == state["cycle"]
+    assert resumed.metrics == first.metrics
+    _checkpointed_run(tmp_path / "uninterrupted", chunk_events=64)
+    assert _stream(Tracer.open(tmp_path / "a")) == _stream(Tracer.open(tmp_path / "uninterrupted"))
+
+
 #: Values each container and leaf of a trace index is set to in turn.
 INDEX_MUTANT_VALUES = (None, "x", [], {}, -1, 1.5, [1, 2])
 
@@ -168,8 +278,7 @@ def stencil_trace(tmp_path_factory):
     with (
         Experiment.builder()
         .workload("busy-stencil", mesh=[2, 2, 1], iterations=2)
-        .override("trace_dir", str(base))
-        .override("trace_chunk_events", 64)
+        .trace(str(base), chunk_events=64)
         .build()
     ) as experiment:
         assert experiment.run().ok

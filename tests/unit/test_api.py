@@ -166,13 +166,6 @@ class TestWorkloadRegistry:
         assert "tmp-local" not in workload_names()
         assert local(n=3) == {"n": 3}
 
-    def test_params_dataclass_name_checks(self):
-        spec = get_workload("ping-pong")
-        params = spec.make_params(rounds=4)
-        assert params.rounds == 4
-        with pytest.raises(TypeError):
-            spec.make_params(bogus=1)
-
     def test_validate_params_lists_valid_names(self):
         spec = get_workload("stencil")
         with pytest.raises(ValueError, match="'bogus'; valid: kind, n_hthreads"):

@@ -472,12 +472,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             MMachine(config)
 
-    def test_copy_is_independent(self):
-        config = MachineConfig()
-        clone = config.copy()
-        clone.network.send_credits = 2
-        assert config.network.send_credits == 16
-
 
 class TestTracerAndStats:
     def test_tracer_filter_and_first(self):

@@ -18,12 +18,7 @@ import pytest
 from repro.core import trace as trace_module
 from repro.core import trace_disk as trace_disk_module
 from repro.core.trace import MemoryTraceSink, Tracer, decode_event, encode_event
-from repro.core.trace_disk import (
-    DiskTraceSink,
-    TraceDirError,
-    machine_trace_dir,
-    resolve_trace_dir,
-)
+from repro.core.trace_disk import DiskTraceSink, TraceDirError, resolve_trace_dir
 
 
 def _record_n(tracer, n, category="mem_issue", node=0, start_cycle=0):
@@ -215,17 +210,37 @@ def test_disk_sink_stats(tmp_path):
     assert tracer.sink.stats()["compressed_bytes"] > 0
 
 
-def test_machine_trace_dir_ordinals_and_resolve(tmp_path):
+def test_resolve_trace_dir(tmp_path):
     base = tmp_path / "run"
-    first, second = machine_trace_dir(base), machine_trace_dir(base)
-    assert os.path.basename(first) == "machine-0"
-    assert os.path.basename(second) == "machine-1"
+    first = os.path.join(base, "machine-0")
     tracer = Tracer(sink=DiskTraceSink(first, chunk_events=2))
     _record_n(tracer, 2)
     assert resolve_trace_dir(base) == first
     assert resolve_trace_dir(first) == first
     with pytest.raises(TraceDirError):
         resolve_trace_dir(base, machine=1)  # machine-1 never wrote
+
+
+def test_stream_to_moves_the_trace_inside_the_same_tracer(tmp_path):
+    """``stream_to`` swaps the sink of the tracer the nodes hold, keeps the
+    bound ``record`` working, and moves the events recorded so far."""
+    tracer = Tracer()
+    record = tracer.record
+    _record_n(tracer, 3)
+    tracer.stream_to(tmp_path, chunk_events=2)
+    record(3, 0, "halt", cluster=0, slot=0)
+    assert tracer.sink.kind == "disk"
+    assert (tracer.sink.directory, tracer.sink.chunk_events) == (str(tmp_path), 2)
+    tracer.flush()
+    cycles = [event.cycle for event in Tracer.open(tmp_path).iter_filter()]
+    assert cycles == [0, 1, 2, 3]
+
+
+def test_stream_to_defaults_to_4096_event_chunks(tmp_path):
+    tracer = Tracer()
+    tracer.stream_to(tmp_path)
+    assert tracer.sink.chunk_events == 4096
+    assert not os.path.exists(tmp_path / "index.json")  # nothing recorded yet
 
 
 def test_index_rejects_foreign_and_future_formats(tmp_path):
