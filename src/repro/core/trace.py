@@ -303,10 +303,7 @@ class Tracer:
         if state.get("sink") == "disk":
             from repro.core.trace_disk import DiskTraceSink  # noqa: PLC0415
 
-            if not isinstance(self._sink, DiskTraceSink):
-                self._sink = DiskTraceSink(
-                    state["trace_dir"], chunk_events=state["chunk_events"]
-                )
+            self._sink = DiskTraceSink(state["trace_dir"], chunk_events=state["chunk_events"])
             self._sink.restore(state)
         else:
             if not isinstance(self._sink, MemoryTraceSink):

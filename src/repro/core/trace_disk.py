@@ -410,14 +410,12 @@ class DiskTraceSink:
         }
 
     def restore(self, state: dict) -> None:
-        """Attach at the snapshot's offsets: re-point to the snapshot's
-        directory, drop any chunks flushed after the snapshot was taken,
-        and reload the unflushed tail, so the resumed run appends exactly
-        where the snapshotted run stood."""
-        directory = os.fspath(state["trace_dir"])
-        self.directory = directory
-        self.chunk_events = int(state["chunk_events"])
-        self.readonly = False
+        """Attach at the snapshot's offsets: drop any chunks flushed after
+        the snapshot was taken, and reload the unflushed tail, so the
+        resumed run appends exactly where the snapshotted run stood.  The
+        sink is one :meth:`Tracer.load_state_dict` built on the snapshot's
+        directory and chunk size."""
+        directory = self.directory
         flushed_chunks = state["flushed_chunks"]
         index = _read_index(directory)
         if flushed_chunks > 0:

@@ -178,9 +178,8 @@ def test_disk_sink_restore_repoints_to_snapshot_directory(tmp_path):
     origin = Tracer(sink=DiskTraceSink(tmp_path / "origin", chunk_events=2))
     _record_n(origin, 3)
     state = origin.state_dict()
-    # A machine restored from the snapshot constructs its sink somewhere
-    # else (the next machine-N ordinal); restore must re-point it at the
-    # snapshot's own directory.
+    # A tracer whose sink is somewhere else attaches to the snapshot's own
+    # directory.
     resumed = Tracer(sink=DiskTraceSink(tmp_path / "elsewhere", chunk_events=2))
     resumed.load_state_dict(state)
     assert resumed.sink.directory == str(tmp_path / "origin")
