@@ -330,8 +330,12 @@ class Experiment:
 
     def _stream_traces(self, trace_dir: str) -> Callable[[MMachine], None]:
         ordinals = itertools.count()
-        return lambda machine: machine.tracer.stream_to(
-            os.path.join(trace_dir, f"machine-{next(ordinals)}"), self.trace_chunk_events)
+
+        def stream(machine: MMachine) -> None:
+            directory = os.path.join(trace_dir, f"machine-{next(ordinals)}")
+            machine.tracer.stream_to(directory, self.trace_chunk_events)
+
+        return stream
 
     def _apply_overrides(self, config: Any) -> None:
         apply_overrides(config, self.overrides)
