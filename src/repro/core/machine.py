@@ -5,12 +5,12 @@
 thread-loading API used by examples, tests and benchmarks, installs the
 software runtime (Section 4.2/4.3 handlers) and drives the global clock.
 
-Two clock drivers are available, selected by ``MachineConfig.sim.kernel``:
-the **event kernel** (default, :mod:`repro.core.scheduler`) tracks which
+The clock is advanced by one of two driver objects in
+:mod:`repro.core.scheduler`, chosen once from ``MachineConfig.sim.kernel``
+and held as ``machine.kernel``: the **event kernel** (default) tracks which
 nodes can make progress and skips everything else, and the **naive loop**
-(the reference implementation kept inline below) ticks every node every
-cycle.  Both produce identical cycle counts and statistics; the naive loop
-is retained for differential testing.
+ticks every node every cycle.  Both produce identical cycle counts and
+statistics; the naive loop is retained for differential testing.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 from repro.cluster.hthread import ThreadState
 from repro.core.config import MachineConfig
 from repro.core.ids import IdSource
-from repro.core.scheduler import SETTLE_CYCLES, SimulationKernel
+from repro.core.scheduler import DRIVERS, ClockDriver
 from repro.core.stats import MachineStats
 from repro.core.trace import Tracer
 from repro.core.values import SnapshotError
@@ -132,11 +132,8 @@ class MMachine:
             from repro.runtime import install_runtime as _install  # noqa: PLC0415
 
             self.runtime = _install(self)
-        #: The event-driven clock driver, or None when the reference loop is
-        #: selected (``config.sim.kernel == "naive"``).
-        self.kernel: Optional[SimulationKernel] = None
-        if self.config.sim.kernel == "event":
-            self.kernel = SimulationKernel(self)
+        #: The clock driver selected by ``config.sim.kernel``.
+        self.kernel: ClockDriver = DRIVERS[self.config.sim.kernel](self)
         #: Per-machine checkpoint runtime, set by the machine hook of an
         #: active checkpoint policy (see :mod:`repro.snapshot.checkpoint`).
         self._checkpoint = None
@@ -285,110 +282,43 @@ class MMachine:
     def step(self) -> int:
         """Advance the whole machine by one cycle; returns the number of
         instructions issued across all nodes."""
-        if self.kernel is not None:
-            return self.kernel.step()
-        cycle = self.cycle
-        self.mesh.tick(cycle)
-        issued = 0
-        for node in self.nodes:
-            issued += node.tick(cycle)
-        self.cycle += 1
+        return self.kernel.step()
+
+    @contextmanager
+    def _running(self) -> Iterator[ClockDriver]:
+        """The frame of every ``run*`` method: the first run may resume from
+        a checkpoint (which replaces the clock driver), and the tracer is
+        flushed on exit, even on timeout, so a disk-backed trace is always
+        complete and readable afterwards (a no-op for the in-memory sink)."""
         if self._checkpoint is not None:
-            self._checkpoint.on_cycle(self)
-        return issued
+            self._checkpoint.on_run_start(self)
+        try:
+            yield self.kernel
+        finally:
+            self.tracer.flush()
 
     def run(self, max_cycles: int) -> int:
         """Run for *max_cycles* more cycles; returns the cycle count reached.
-        :meth:`run_until` stops on a predicate instead.
-
-        Every ``run*`` method flushes the tracer on exit (even on timeout),
-        so a disk-backed trace is always complete and readable afterwards;
-        the flush is a no-op for the default in-memory sink.
-        """
-        if self._checkpoint is not None:
-            self._checkpoint.on_run_start(self)
-        try:
-            if self.kernel is not None:
-                return self.kernel.run(max_cycles)
-            limit = self.cycle + max_cycles
-            while self.cycle < limit:
-                self.step()
-            return self.cycle
-        finally:
-            self.tracer.flush()
+        :meth:`run_until` stops on a predicate instead."""
+        with self._running() as kernel:
+            return kernel.run(max_cycles)
 
     def run_until(self, predicate: Callable[["MMachine"], bool], max_cycles: int = 100_000) -> int:
         """Run until *predicate* holds; raises TimeoutError if it never does."""
-        if self._checkpoint is not None:
-            self._checkpoint.on_run_start(self)
-        try:
-            if self.kernel is not None:
-                return self.kernel.run_until(predicate, max_cycles)
-            limit = self.cycle + max_cycles
-            while self.cycle < limit:
-                self.step()
-                if predicate(self):
-                    return self.cycle
-            raise TimeoutError(
-                f"condition not reached within {max_cycles} cycles (cycle {self.cycle})"
-            )
-        finally:
-            self.tracer.flush()
-
-    def _busy(self, issued: int) -> bool:
-        """The naive run loops' quiescence predicate for the cycle just
-        stepped: something issued or is still in flight, or some node's
-        issue stage can make progress next cycle.  The last clause matters
-        under the HEP barrel, where a ready thread can wait for its turn
-        longer than the settle window."""
-        return (
-            issued > 0
-            or self.mesh.busy
-            or any(node.has_pending_work or node.idle_issue_profile() is None
-                   for node in self.nodes)
-        )
+        with self._running() as kernel:
+            return kernel.run_until(predicate, max_cycles)
 
     def run_until_quiescent(self, max_cycles: int = 100_000) -> int:
         """Run until nothing has issued and nothing is in flight anywhere for
         :data:`~repro.core.scheduler.SETTLE_CYCLES` consecutive cycles."""
-        if self._checkpoint is not None:
-            self._checkpoint.on_run_start(self)
-        try:
-            if self.kernel is not None:
-                return self.kernel.run_until_quiescent(max_cycles)
-            limit = self.cycle + max_cycles
-            quiet = 0
-            while self.cycle < limit:
-                issued = self.step()
-                quiet = 0 if self._busy(issued) else quiet + 1
-                if quiet >= SETTLE_CYCLES:
-                    return self.cycle
-            raise TimeoutError(f"machine did not quiesce within {max_cycles} cycles")
-        finally:
-            self.tracer.flush()
+        with self._running() as kernel:
+            return kernel.run_until_settled(max_cycles, users=False)
 
     def run_until_user_done(self, max_cycles: int = 100_000) -> int:
         """Run until every user H-Thread has halted and the machine is
         otherwise quiescent (handlers drained, network idle)."""
-        if self._checkpoint is not None:
-            self._checkpoint.on_run_start(self)
-        try:
-            if self.kernel is not None:
-                return self.kernel.run_until_user_done(max_cycles)
-            limit = self.cycle + max_cycles
-            quiet = 0
-            while self.cycle < limit:
-                issued = self.step()
-                users_done = all(node.user_threads_finished for node in self.nodes)
-                if users_done and not self._busy(issued):
-                    quiet += 1
-                else:
-                    quiet = 0
-                if quiet >= SETTLE_CYCLES:
-                    return self.cycle
-            raise TimeoutError(f"user threads did not finish within {max_cycles} cycles")
-        finally:
-            self.tracer.flush()
+        with self._running() as kernel:
+            return kernel.run_until_settled(max_cycles, users=True)
 
     # ------------------------------------------------------------------- snapshot
 
@@ -403,8 +333,7 @@ class MMachine:
         waking all nodes, so a restored machine starting all-awake continues
         bit-exactly.
         """
-        if self.kernel is not None:
-            self.kernel.sync()
+        self.kernel.sync()
         return {
             "cycle": self.cycle,
             "id_counters": {
@@ -453,8 +382,7 @@ class MMachine:
             self.runtime.coherence.load_state_dict(coherence_state)
         self.cycle = cycle
         # Rebuild the clock driver: all nodes awake, no stale wakeups.
-        if self.kernel is not None:
-            self.kernel = SimulationKernel(self)
+        self.kernel = type(self.kernel)(self)
 
     def snapshot_document(self) -> Dict[str, object]:
         """The machine as a self-describing snapshot document (schema
@@ -512,10 +440,9 @@ class MMachine:
     # ------------------------------------------------------------------ statistics
 
     def stats(self) -> MachineStats:
-        if self.kernel is not None:
-            # Settle the kernel's lazy idle accounting so sleeping nodes
-            # report exactly the counters the naive loop would have.
-            self.kernel.sync()
+        # Settle the event kernel's lazy idle accounting so sleeping nodes
+        # report exactly the counters the naive loop would have.
+        self.kernel.sync()
         return MachineStats(cycles=self.cycle, node_stats=[node.stats() for node in self.nodes])
 
     def __repr__(self) -> str:

@@ -1,28 +1,33 @@
-"""The event-driven simulation kernel.
+"""The clock drivers: the naive reference loop and the event kernel.
 
-The naive loop in :class:`~repro.core.machine.MMachine` costs
-``O(cycles x nodes)`` host time: every node, cluster, memory system and
-handler is ticked on every cycle even when a whole node is idle waiting for
-a remote reply.  This kernel makes the same simulation cost ``O(work)``:
+:class:`~repro.core.machine.MMachine` advances its clock through one
+:class:`ClockDriver`, chosen once from ``MachineConfig.sim.kernel`` (see
+:data:`DRIVERS`) and held as ``machine.kernel``.  Both drivers produce
+identical cycle counts, statistics and traces:
 
-* **Activity ledger.**  Every node is either *awake* (ticked each cycle,
-  exactly like the naive loop) or *asleep*.  A node is put to sleep only
-  when a real tick proves there is nothing it can do: it issued nothing, no
-  cluster has a ready instruction, and no internal machinery (switch
-  transfers, writebacks, memory pipeline, event formatting, native
-  handlers, retransmissions) has work due on the next cycle.
+* :class:`NaiveKernel` (``"naive"``) is the reference.  It ticks the mesh
+  and every node on every cycle, so a run costs ``O(cycles x nodes)`` host
+  time, and it decides quiescence by asking every node.
+* :class:`SimulationKernel` (``"event"``, the default) makes the same
+  simulation cost ``O(work)``:
 
-* **Scheduled wakeups.**  A sleeping node with *future-dated* internal work
-  (a memory response completing at cycle ``t``, a handler busy until ``t``,
-  a NACK retransmission backed off until ``t``, ...) declares the earliest
-  such cycle through the :class:`~repro.core.component.SimComponent`
-  protocol and is woken exactly then.  Mesh deliveries -- the only way one
-  node can affect another -- wake the destination node via the
-  :class:`~repro.core.component.MeshObserver` hook.
-
-* **Cycle skipping.**  When every node is asleep, the clock jumps straight
-  to the next scheduled wakeup or mesh delivery instead of stepping one
-  cycle at a time.
+  * **Activity ledger.**  Every node is either *awake* (ticked each cycle,
+    exactly like the naive loop) or *asleep*.  A node is put to sleep only
+    when a real tick proves there is nothing it can do: it issued nothing,
+    no cluster has a ready instruction, and no internal machinery (switch
+    transfers, writebacks, memory pipeline, event formatting, native
+    handlers, retransmissions) has work due on the next cycle.
+  * **Scheduled wakeups.**  A sleeping node with *future-dated* internal
+    work (a memory response completing at cycle ``t``, a handler busy until
+    ``t``, a NACK retransmission backed off until ``t``, ...) declares the
+    earliest such cycle through the
+    :class:`~repro.core.component.SimComponent` protocol and is woken
+    exactly then.  Mesh deliveries -- the only way one node can affect
+    another -- wake the destination node via the
+    :class:`~repro.core.component.MeshObserver` hook.
+  * **Cycle skipping.**  When every node is asleep, the clock jumps straight
+    to the next scheduled wakeup or mesh delivery instead of stepping one
+    cycle at a time.
 
 Equivalence with the naive loop is bit-exact, including statistics: the
 naive loop's issue stage accrues ``idle_cycles`` / ``no_ready_cycles`` /
@@ -39,21 +44,128 @@ workload class.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Type
 
 #: Consecutive quiet cycles after which ``run_until_quiescent`` and
 #: ``run_until_user_done`` return, in both clock drivers.
 SETTLE_CYCLES = 4
 
 
-class SimulationKernel:
-    """Activity-tracked, cycle-skipping scheduler for one
-    :class:`~repro.core.machine.MMachine`."""
+class ClockDriver:
+    """The interface ``MMachine`` drives its clock through.
+
+    Every method advances ``machine.cycle``; the run methods return the
+    cycle reached.  ``run_until_settled`` serves both ``run_until_quiescent``
+    (``users=False``) and ``run_until_user_done`` (``users=True``): it
+    returns once nothing has issued and nothing has been in flight for
+    :data:`SETTLE_CYCLES` consecutive cycles, and with *users* every user
+    H-Thread must have finished too.
+    """
 
     def __init__(self, machine):
         self.machine = machine
         self.mesh = machine.mesh
         self.nodes = machine.nodes
+        #: Node ticks performed (a diagnostic; no architectural effect).
+        self.node_ticks = 0
+
+    def step(self) -> int:
+        """Advance one cycle; returns the instructions issued in it."""
+        raise NotImplementedError
+
+    def run(self, max_cycles: int) -> int:
+        raise NotImplementedError
+
+    def run_until(self, predicate: Callable, max_cycles: int) -> int:
+        raise NotImplementedError
+
+    def run_until_settled(self, max_cycles: int, users: bool) -> int:
+        raise NotImplementedError
+
+    def sync(self) -> None:
+        """Bring lazily kept statistics up to the current cycle, so that they
+        read exactly as if every node had been ticked every cycle."""
+
+    def _advance_to(self, cycle: int) -> None:
+        """Set the clock and let an attached checkpoint policy act on it."""
+        machine = self.machine
+        machine.cycle = cycle
+        if machine._checkpoint is not None:
+            machine._checkpoint.on_cycle(machine)
+
+    def _condition_timeout(self, max_cycles: int) -> TimeoutError:
+        return TimeoutError(
+            f"condition not reached within {max_cycles} cycles (cycle {self.machine.cycle})"
+        )
+
+    @staticmethod
+    def _settle_timeout(max_cycles: int, users: bool) -> TimeoutError:
+        if users:
+            return TimeoutError(f"user threads did not finish within {max_cycles} cycles")
+        return TimeoutError(f"machine did not quiesce within {max_cycles} cycles")
+
+
+class NaiveKernel(ClockDriver):
+    """The reference clock driver: the mesh and every node tick on every
+    cycle, so ``node_ticks`` is always cycles run times nodes."""
+
+    def step(self) -> int:
+        cycle = self.machine.cycle
+        self.mesh.tick(cycle)
+        issued = 0
+        for node in self.nodes:
+            issued += node.tick(cycle)
+        self.node_ticks += len(self.nodes)
+        self._advance_to(cycle + 1)
+        return issued
+
+    def run(self, max_cycles: int) -> int:
+        machine = self.machine
+        limit = machine.cycle + max_cycles
+        while machine.cycle < limit:
+            self.step()
+        return machine.cycle
+
+    def run_until(self, predicate: Callable, max_cycles: int) -> int:
+        machine = self.machine
+        limit = machine.cycle + max_cycles
+        while machine.cycle < limit:
+            self.step()
+            if predicate(machine):
+                return machine.cycle
+        raise self._condition_timeout(max_cycles)
+
+    def _settled(self, issued: int, users: bool) -> bool:
+        """The reference settle predicate for the cycle just stepped: with
+        *users*, every user H-Thread has finished; nothing issued or is in
+        flight; and no node's issue stage can make progress next cycle.  The
+        last clause matters under the HEP barrel, where a ready thread can
+        wait for its turn longer than the settle window."""
+        if users and not all(node.user_threads_finished for node in self.nodes):
+            return False
+        return not (
+            issued > 0
+            or self.mesh.busy
+            or any(node.has_pending_work or node.idle_issue_profile() is None
+                   for node in self.nodes)
+        )
+
+    def run_until_settled(self, max_cycles: int, users: bool) -> int:
+        machine = self.machine
+        limit = machine.cycle + max_cycles
+        quiet = 0
+        while machine.cycle < limit:
+            quiet = quiet + 1 if self._settled(self.step(), users) else 0
+            if quiet >= SETTLE_CYCLES:
+                return machine.cycle
+        raise self._settle_timeout(max_cycles, users)
+
+
+class SimulationKernel(ClockDriver):
+    """The event kernel: activity-tracked and cycle-skipping."""
+
+    def __init__(self, machine):
+        super().__init__(machine)
         num_nodes = len(self.nodes)
 
         #: Per-node sleep flag; every node starts awake.
@@ -87,7 +199,6 @@ class SimulationKernel:
         self.mesh.attach_observer(self)
 
         # Diagnostics (reported by benchmarks; no architectural effect).
-        self.node_ticks = 0
         self.cycles_skipped = 0
 
     # ------------------------------------------------------------- mesh observer
@@ -176,7 +287,7 @@ class SimulationKernel:
     # ------------------------------------------------------------------ stepping
 
     def step(self) -> int:
-        """Public single-step: equivalent to the naive ``MMachine.step``.
+        """Public single-step: equivalent to the naive ``step``.
 
         External code may have mutated the machine (loaded threads, written
         memory) since the last step, so every node is conservatively woken;
@@ -186,8 +297,7 @@ class SimulationKernel:
 
     def _step(self) -> int:
         """Advance one cycle, ticking only awake nodes."""
-        machine = self.machine
-        cycle = machine.cycle
+        cycle = self.machine.cycle
         wakeups = self._wakeups
         if wakeups:
             shift = self._wakeup_shift
@@ -214,25 +324,29 @@ class SimulationKernel:
             issued += node_issued
             if node_issued == 0:
                 self._maybe_sleep(node, cycle)
-        machine.cycle = cycle + 1
-        if machine._checkpoint is not None:
-            machine._checkpoint.on_cycle(machine)
+        self._advance_to(cycle + 1)
         return issued
 
     # ----------------------------------------------------------- frozen-span logic
 
-    def _next_event(self) -> Optional[int]:
-        """The next cycle at which anything in the machine can happen while
-        every node is asleep: a scheduled wakeup or a mesh delivery."""
+    def _frozen_until(self, limit: int) -> Optional[int]:
+        """When every node is asleep and nothing is due at the current
+        cycle, the machine state is frozen until the next scheduled wakeup
+        or mesh delivery: the cycle that span ends at, capped at *limit*.
+        None when the machine is not frozen."""
+        if self._num_asleep != len(self.nodes):
+            return None
         next_cycle = (self._wakeups[0] >> self._wakeup_shift) if self._wakeups else None
         delivery = self.mesh.next_delivery_cycle()
         if delivery is not None and (next_cycle is None or delivery < next_cycle):
             next_cycle = delivery
-        return next_cycle
+        if next_cycle is None:
+            return limit
+        return min(next_cycle, limit) if next_cycle > self.machine.cycle else None
 
     def _machine_busy(self, issued: int) -> bool:
-        """The naive loops' quiescence predicate, with sleeping nodes served
-        from their frozen flags (a sleeping node's issue stage cannot make
+        """The naive loop's busy clauses, with sleeping nodes served from
+        their frozen flags (a sleeping node's issue stage cannot make
         progress: it went to sleep with an idle profile)."""
         if issued > 0 or self.mesh.busy or self._sleeping_pending > 0:
             return True
@@ -247,33 +361,31 @@ class SimulationKernel:
         return all(node.user_threads_finished for node in self.nodes
                    if not asleep[node.node_id])
 
+    def _settled(self, issued: int, users: bool) -> bool:
+        """The naive loop's settle predicate for the cycle just stepped."""
+        return (not users or self._users_done()) and not self._machine_busy(issued)
+
     # ------------------------------------------------------------------ run loops
     #
-    # Each loop mirrors the corresponding naive MMachine loop cycle for
-    # cycle.  Whenever every node is asleep and nothing is due at the
-    # current cycle the machine state is frozen, so the loop's predicates
-    # are constant and the outcome of stepping through the span can be
-    # computed in closed form -- the clock jumps instead.
+    # Each loop mirrors the naive driver's loop cycle for cycle.  In a frozen
+    # span the loop's predicates are constant, so the outcome of stepping
+    # through the span can be computed in closed form -- the clock jumps
+    # instead.
 
     def run(self, max_cycles: int) -> int:
         machine = self.machine
         self.wake_all()
         limit = machine.cycle + max_cycles
-        num_nodes = len(self.nodes)
         while machine.cycle < limit:
-            if self._num_asleep == num_nodes:
-                cycle = machine.cycle
-                next_event = self._next_event()
-                if next_event is None or next_event > cycle:
-                    machine.cycle = min(next_event, limit) if next_event is not None else limit
-                    if machine._checkpoint is not None:
-                        machine._checkpoint.on_cycle(machine)
-                    continue
-            self._step()
+            horizon = self._frozen_until(limit)
+            if horizon is None:
+                self._step()
+            else:
+                self._advance_to(horizon)
         self.sync()
         return machine.cycle
 
-    def run_until(self, predicate: Callable, max_cycles: int = 100_000) -> int:
+    def run_until(self, predicate: Callable, max_cycles: int) -> int:
         machine = self.machine
         self.wake_all()
         limit = machine.cycle + max_cycles
@@ -286,80 +398,32 @@ class SimulationKernel:
                 self.sync()
             if predicate(machine):
                 return machine.cycle
-        raise TimeoutError(
-            f"condition not reached within {max_cycles} cycles (cycle {machine.cycle})"
-        )
+        raise self._condition_timeout(max_cycles)
 
-    def run_until_quiescent(self, max_cycles: int = 100_000) -> int:
+    def run_until_settled(self, max_cycles: int, users: bool) -> int:
         machine = self.machine
         self.wake_all()
         limit = machine.cycle + max_cycles
-        num_nodes = len(self.nodes)
         quiet = 0
         while machine.cycle < limit:
-            cycle = machine.cycle
-            if self._num_asleep == num_nodes:
-                next_event = self._next_event()
-                if next_event is None or next_event > cycle:
-                    horizon = min(next_event, limit) if next_event is not None else limit
-                    if self.mesh.busy or self._sleeping_pending > 0:
-                        quiet = 0
-                        machine.cycle = horizon
-                    else:
-                        target = cycle + (SETTLE_CYCLES - quiet)
-                        if target <= horizon:
-                            machine.cycle = target
-                            self.sync()
-                            return machine.cycle
-                        quiet += horizon - cycle
-                        machine.cycle = horizon
-                    if machine._checkpoint is not None:
-                        machine._checkpoint.on_cycle(machine)
-                    continue
-            issued = self._step()
-            quiet = 0 if self._machine_busy(issued) else quiet + 1
-            if quiet >= SETTLE_CYCLES:
-                self.sync()
-                return machine.cycle
-        self.sync()
-        raise TimeoutError(f"machine did not quiesce within {max_cycles} cycles")
-
-    def run_until_user_done(self, max_cycles: int = 100_000) -> int:
-        machine = self.machine
-        self.wake_all()
-        limit = machine.cycle + max_cycles
-        num_nodes = len(self.nodes)
-        quiet = 0
-        while machine.cycle < limit:
-            cycle = machine.cycle
-            if self._num_asleep == num_nodes:
-                next_event = self._next_event()
-                if next_event is None or next_event > cycle:
-                    horizon = min(next_event, limit) if next_event is not None else limit
-                    busy = self.mesh.busy or self._sleeping_pending > 0
-                    if self._sleeping_users_unfinished == 0 and not busy:
-                        target = cycle + (SETTLE_CYCLES - quiet)
-                        if target <= horizon:
-                            machine.cycle = target
-                            self.sync()
-                            return machine.cycle
-                        quiet += horizon - cycle
-                    else:
-                        quiet = 0
-                    machine.cycle = horizon
-                    if machine._checkpoint is not None:
-                        machine._checkpoint.on_cycle(machine)
-                    continue
-            issued = self._step()
-            if self._users_done() and not self._machine_busy(issued):
-                quiet += 1
-            else:
+            horizon = self._frozen_until(limit)
+            if horizon is None:
+                quiet = quiet + 1 if self._settled(self._step(), users) else 0
+            elif not self._settled(0, users):
                 quiet = 0
+                self._advance_to(horizon)
+            elif machine.cycle + SETTLE_CYCLES - quiet <= horizon:
+                # Settled for the whole span: the window closes inside it.
+                machine.cycle += SETTLE_CYCLES - quiet
+                quiet = SETTLE_CYCLES
+            else:
+                quiet += horizon - machine.cycle
+                self._advance_to(horizon)
             if quiet >= SETTLE_CYCLES:
                 self.sync()
                 return machine.cycle
         self.sync()
-        raise TimeoutError(f"user threads did not finish within {max_cycles} cycles")
+        raise self._settle_timeout(max_cycles, users)
 
     # ---------------------------------------------------------------- diagnostics
 
@@ -372,3 +436,7 @@ class SimulationKernel:
             f"SimulationKernel({len(self.nodes)} nodes, {self.awake_nodes} awake, "
             f"{self.cycles_skipped} node-cycles skipped)"
         )
+
+
+#: The clock driver for each ``MachineConfig.sim.kernel`` value.
+DRIVERS: Dict[str, Type[ClockDriver]] = {"event": SimulationKernel, "naive": NaiveKernel}

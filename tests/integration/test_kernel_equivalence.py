@@ -16,6 +16,7 @@ under both kernels, and compares everything observable.
 import pytest
 
 from repro import MMachine, MachineConfig
+from repro.core.scheduler import NaiveKernel, SimulationKernel
 from repro.workloads.stencil import make_stencil_workload
 from repro.workloads.synthetic import (
     expected_many_to_one_values,
@@ -272,10 +273,51 @@ class TestKernelMechanics:
         assert machine.kernel is not None
         assert machine.config.sim.kernel == "event"
 
-    def test_naive_kernel_has_no_scheduler(self):
-        config = MachineConfig.small(1, 1, 1)
-        config.sim.kernel = "naive"
-        assert MMachine(config).kernel is None
+    def test_naive_kernel_ticks_every_node_every_cycle(self):
+        """The reference driver never skips: its node ticks are always
+        cycles times nodes, the count the event kernel is measured against."""
+        machine = MMachine(_config(shape=(2, 2, 1), kernel="naive"))
+        machine.map_on_node(3, REGION, num_pages=1)
+        machine.write_word(REGION, 1)
+        machine.load_hthread(0, 0, 0, "ld i5, i1\nhalt", registers={"i1": REGION})
+        machine.step()
+        machine.run_until_quiescent(max_cycles=10000)
+        machine.run(7)
+        assert isinstance(machine.kernel, NaiveKernel)
+        assert machine.kernel.node_ticks == machine.cycle * machine.num_nodes
+
+    @pytest.mark.parametrize("kernel, driver", [("naive", NaiveKernel),
+                                                ("event", SimulationKernel)])
+    def test_restore_rebuilds_the_same_driver(self, kernel, driver):
+        machine = MMachine(_config(kernel=kernel))
+        machine.load_hthread(0, 0, 0, "mov i2, #7\nhalt")
+        machine.run_until_user_done(max_cycles=1000)
+        restored = MMachine.from_snapshot(machine.snapshot_document())
+        assert type(restored.kernel) is driver
+        machine.restore_snapshot(machine.snapshot_document())
+        assert type(machine.kernel) is driver
+
+    def test_settle_loops_differ_only_in_user_threads(self):
+        """``run_until_quiescent`` and ``run_until_user_done`` share one
+        settle loop per driver; the one difference is whether user threads
+        must have finished.  A user thread blocked forever on an empty
+        register leaves the machine quiet after five cycles, but never
+        done."""
+        blocked = "empty i2\nadd i1, i2, i2\nhalt"
+        machines = {}
+        for kernel in KERNELS:
+            quiescent = MMachine(_config(kernel=kernel))
+            quiescent.load_hthread(0, 0, 0, blocked)
+            assert quiescent.run_until_quiescent(max_cycles=300) == 5
+            user_done = MMachine(_config(kernel=kernel))
+            user_done.load_hthread(0, 0, 0, blocked)
+            with pytest.raises(TimeoutError) as raised:
+                user_done.run_until_user_done(max_cycles=300)
+            assert str(raised.value) == "user threads did not finish within 300 cycles"
+            assert user_done.cycle == 300
+            machines[kernel] = (quiescent, user_done)
+        for naive, event in zip(machines["naive"], machines["event"]):
+            _compare_machines(naive, event)
 
     def test_invalid_kernel_rejected(self):
         config = MachineConfig.small(1, 1, 1)
