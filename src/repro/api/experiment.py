@@ -50,6 +50,11 @@ WorkloadRef = Union[str, WorkloadSpec]
 
 _KERNELS = ("event", "naive")
 
+#: Config keys a workload that takes the named parameter sets itself: an
+#: override of one would run a machine its parameters and run id do not
+#: describe.
+_PARAM_KEYS: Dict[str, str] = {"sim.kernel": "kernel", "network.mesh_shape": "mesh"}
+
 
 class ExperimentBuilder:
     """Accumulates an experiment definition; ``build()`` freezes it.
@@ -185,6 +190,12 @@ class ExperimentBuilder:
 
     def _resolved_params(self, spec: WorkloadSpec) -> Dict[str, object]:
         """Merge builder-level mesh/kernel into the explicit params."""
+        for key, name in _PARAM_KEYS.items():
+            if key in self._overrides and name in spec.defaults:
+                raise ValueError(
+                    f"workload {spec.name!r} takes a {name!r} parameter, which "
+                    f"sets {key}; use .{name}() instead of overriding {key!r}"
+                )
         params = dict(self._params)
         for name, value in (("mesh", self._mesh), ("kernel", self._kernel)):
             if value is None:

@@ -470,7 +470,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-snapshot-") as staging:
         try:
             policy_path: Optional[str] = None
-            with checkpoint_context(staging, snapshot_at=args.at_cycle, stop_after_snapshot=True):
+            with checkpoint_context(staging, snapshot_at=args.at_cycle):
                 try:
                     get_workload(args.workload).call(params)
                 except SnapshotTaken as taken:

@@ -16,7 +16,12 @@ produced by :func:`repro.core.trace.encode_event` — the same incremental
 encoding the snapshot cache uses, so appending a chunk is O(new events).
 The index records per-chunk event counts, cycle ranges and category/node
 histograms; :meth:`DiskTraceSink.iter_events` uses those to skip whole
-chunks on filtered reads.
+chunks on filtered reads.  A chunk's cycle range is the lowest and highest
+cycle of its events, not the cycles of its first and last event: the
+simulator records some events ahead of the cycle they are stamped with (a
+cache-miss store's ``store_complete``), so a chunk is not in cycle order.
+Because readers trust those summaries, the index carries a CRC-32 of
+itself and is refused when it does not match.
 
 Lifecycle.  A freshly-constructed writable sink is *pending*: it has not
 decided between starting fresh and resuming.  The first ``append`` wipes
@@ -40,7 +45,9 @@ from repro.core.values import SnapshotError
 
 TRACE_INDEX_NAME = "index.json"
 TRACE_FORMAT_NAME = "repro-trace"
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
+#: The index field holding the CRC-32 of the rest of the index.
+TRACE_INDEX_CRC = "crc32"
 DEFAULT_CHUNK_EVENTS = 4096
 
 
@@ -88,6 +95,12 @@ def _read_index(directory: str) -> Optional[dict]:
         raise TraceDirError(
             f"{path} has format_version {index.get('format_version')!r}; "
             f"this build reads version {TRACE_FORMAT_VERSION}"
+        )
+    stored_crc, crc = index.pop(TRACE_INDEX_CRC, None), _index_crc(index)
+    if stored_crc != crc:
+        raise TraceDirError(
+            f"{path} fails its checksum: {TRACE_INDEX_CRC} is {stored_crc!r}, "
+            f"but the index sums to {crc}"
         )
     problem = _index_problem(index)
     if problem is not None:
@@ -148,13 +161,21 @@ def _index_problem(index: dict) -> Optional[str]:
     return None
 
 
+def _index_crc(index: dict) -> int:
+    """CRC-32 of *index* (without its CRC field) as canonical JSON: sorted
+    keys and compact separators."""
+    canonical = json.dumps(index, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(canonical.encode("utf-8"))
+
+
 def _write_index(directory: str, index: dict) -> None:
     # Atomic write-then-rename, same discipline as snapshot documents: a
     # reader (or a killed run's resume) never sees a half-written index.
     path = os.path.join(directory, TRACE_INDEX_NAME)
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(index, handle, indent=1, sort_keys=True)
+        json.dump({**index, TRACE_INDEX_CRC: _index_crc(index)}, handle,
+                  indent=1, sort_keys=True)
         handle.write("\n")
     os.replace(tmp_path, path)
 
@@ -274,11 +295,12 @@ class DiskTraceSink:
             categories[event.category] = categories.get(event.category, 0) + 1
             node_key = str(event.node)
             nodes[node_key] = nodes.get(node_key, 0) + 1
+        cycles = [event.cycle for event in self._tail]
         self._index["chunks"].append({
             "file": filename,
             "events": len(self._tail),
-            "first_cycle": self._tail[0].cycle,
-            "last_cycle": self._tail[-1].cycle,
+            "first_cycle": min(cycles),
+            "last_cycle": max(cycles),
             "categories": categories,
             "nodes": nodes,
         })
@@ -359,17 +381,12 @@ class DiskTraceSink:
         chunks = self._flushed_chunks()
         categories: Dict[str, int] = {}
         nodes: Dict[str, int] = {}
-        first_cycle: Optional[int] = None
-        last_cycle: Optional[int] = None
         compressed_bytes = 0
         for chunk in chunks:
             for name, count in chunk["categories"].items():
                 categories[name] = categories.get(name, 0) + count
             for name, count in chunk["nodes"].items():
                 nodes[name] = nodes.get(name, 0) + count
-            if first_cycle is None:
-                first_cycle = chunk["first_cycle"]
-            last_cycle = chunk["last_cycle"]
             path = os.path.join(self.directory, chunk["file"])
             if os.path.isfile(path):
                 compressed_bytes += os.path.getsize(path)
@@ -377,16 +394,18 @@ class DiskTraceSink:
             categories[event.category] = categories.get(event.category, 0) + 1
             node_key = str(event.node)
             nodes[node_key] = nodes.get(node_key, 0) + 1
-            if first_cycle is None:
-                first_cycle = event.cycle
-            last_cycle = event.cycle
+        # Events are not recorded in cycle order, so the range is the
+        # lowest and highest cycle over every chunk and the tail.
+        tail_cycles = [event.cycle for event in self._tail]
+        lows = [chunk["first_cycle"] for chunk in chunks] + tail_cycles
+        highs = [chunk["last_cycle"] for chunk in chunks] + tail_cycles
         return {
             "trace_dir": self.directory,
             "events": len(self),
             "chunks": len(chunks),
             "chunk_events": self.chunk_events,
-            "first_cycle": first_cycle,
-            "last_cycle": last_cycle,
+            "first_cycle": min(lows, default=None),
+            "last_cycle": max(highs, default=None),
             "compressed_bytes": compressed_bytes,
             "categories": {name: categories[name] for name in sorted(categories)},
             "nodes": {name: nodes[name] for name in sorted(nodes, key=int)},

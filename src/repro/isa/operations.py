@@ -26,9 +26,9 @@ Each opcode carries:
     V-Thread slots; issuing one from a user slot raises a protection
     exception.
 
-The latencies are configuration defaults; the cluster model reads them from
-:class:`repro.core.config.ClusterConfig` which is initialised from this
-table.
+The latencies are fixed: the cluster's dispatch plans
+(:mod:`repro.cluster.dispatch`) read them from this table, and no
+configuration key changes them.
 """
 
 from __future__ import annotations

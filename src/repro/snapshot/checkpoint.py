@@ -23,8 +23,8 @@ gets an ordinal in construction order and its own checkpoint file, which is
 deterministic across the original and the resumed process.
 
 ``snapshot_at`` mode (used by ``repro snapshot``) saves one snapshot when
-the clock first reaches the requested cycle and, when ``stop_after_snapshot``
-is set, aborts the run by raising :class:`SnapshotTaken`.
+the clock first reaches the requested cycle and ends the run by raising
+:class:`SnapshotTaken`.
 
 Cost model: a save serialises the complete machine state.  With the default
 in-memory trace sink that includes the full trace — newly recorded events
@@ -66,14 +66,12 @@ class CheckpointPolicy:
         directory: str,
         every: Optional[int] = None,
         snapshot_at: Optional[int] = None,
-        stop_after_snapshot: bool = False,
     ):
         if every is not None and every <= 0:
             raise ValueError("checkpoint interval must be positive")
         self.directory = directory
         self.every = every
         self.snapshot_at = snapshot_at
-        self.stop_after_snapshot = stop_after_snapshot
         self._next_ordinal = 0
         self._snapshot_done = False
         #: ``(ordinal, cycle)`` log of saves, for tests and runner logging.
@@ -131,8 +129,7 @@ class CheckpointRuntime:
             policy._snapshot_done = True
             machine.save_snapshot(self.path)
             policy.saves.append((self.ordinal, cycle))
-            if policy.stop_after_snapshot:
-                raise SnapshotTaken(self.path, cycle)
+            raise SnapshotTaken(self.path, cycle)
         if self._next_due is not None and cycle >= self._next_due:
             machine.save_snapshot(self.path)
             policy.saves.append((self.ordinal, cycle))
@@ -144,7 +141,6 @@ def checkpoint_context(
     directory: str,
     every: Optional[int] = None,
     snapshot_at: Optional[int] = None,
-    stop_after_snapshot: bool = False,
 ):
     """Attach a :class:`CheckpointPolicy` to every machine constructed
     inside the ``with`` block, through
@@ -152,11 +148,6 @@ def checkpoint_context(
     if any(isinstance(getattr(hook, "__self__", None), CheckpointPolicy)
            for hook in _MACHINE_HOOKS):
         raise RuntimeError("a checkpoint policy is already active")
-    policy = CheckpointPolicy(
-        directory,
-        every=every,
-        snapshot_at=snapshot_at,
-        stop_after_snapshot=stop_after_snapshot,
-    )
+    policy = CheckpointPolicy(directory, every=every, snapshot_at=snapshot_at)
     with construction_hooks(machine_hook=policy.attach):
         yield policy

@@ -38,6 +38,7 @@ from repro.core.area_model import TECH_1993, TECH_1996, AreaModel
 from repro.core.config import NUM_CLUSTERS, MachineConfig, apply_overrides
 from repro.core.machine import MMachine
 from repro.isa.assembler import assemble
+from repro.memory.page_table import PAGE_SIZE_WORDS
 from repro.memory.secded import SecdedError
 from repro.network.gtlb import GlobalDestinationTable, Gtlb, GtlbEntry
 from repro.workloads.microbench import (
@@ -71,6 +72,17 @@ def _machine(
         config.runtime.shared_memory_mode = shared_memory_mode
     apply_overrides(config, config_overrides)
     return MMachine(config)
+
+
+def _check_fits_page(workload: str, what: str, words: int) -> None:
+    """Refuse a message count whose remote stores, one word each, overrun
+    the one page *workload* maps for them."""
+    if words > PAGE_SIZE_WORDS:
+        raise ValueError(
+            f"{workload} stores one word per message into one "
+            f"{PAGE_SIZE_WORDS}-word page: {what} must be at most "
+            f"{PAGE_SIZE_WORDS}, got {words}"
+        )
 
 
 def _far_node(machine: MMachine) -> int:
@@ -218,6 +230,7 @@ def message_stream(
     max_cycles: int = 200000,
 ) -> Dict[str, object]:
     """Sustained rate of a stream of remote-store messages."""
+    _check_fits_page("message-stream", "count", count)
     machine = _machine(mesh, kernel)
     far = _far_node(machine)
     machine.map_on_node(far, REGION, num_pages=1)
@@ -529,6 +542,7 @@ def flood(
     max_cycles: int = 400000,
 ) -> Dict[str, object]:
     """One producer floods the far corner with remote-store messages."""
+    _check_fits_page("flood", "messages", messages)
     machine = _machine(
         mesh,
         kernel,
@@ -564,6 +578,7 @@ def many_to_one_flood(
     max_cycles: int = 400000,
 ) -> Dict[str, object]:
     """Several producers flood one consumer (return-to-sender stress)."""
+    _check_fits_page("many-to-one-flood", "senders x messages_each", senders * messages_each)
     machine = _machine(
         mesh,
         kernel,

@@ -3,7 +3,10 @@ message passing (Figure 7), transparent remote memory access via the event
 V-Thread handlers (Section 4.2), throttling, and the software DRAM-caching /
 coherence layer (Section 4.3)."""
 
-from repro import MMachine, MachineConfig, BlockStatus
+import pytest
+
+from repro import BlockStatus, MMachine, MachineConfig
+from repro.api import get_workload
 from repro.analysis.timeline import extract_remote_access_timeline
 from repro.workloads.synthetic import (
     expected_many_to_one_values,
@@ -85,6 +88,29 @@ class TestMessagePassing:
         machine.load_hthread(0, 0, 0, remote_store_sender_program(REGION, dip, 12))
         machine.run_until_user_done(max_cycles=120000)
         assert all(machine.read_word(REGION + i) != 0 for i in range(12))
+
+    #: (workload, parameters that store 512 words and their cycles, the
+    #: same workload storing 513 words).
+    ONE_PAGE_FLOODS = [
+        ("message-stream", {"count": 512}, 3594, {"count": 513}),
+        ("flood", {"messages": 512}, 3594, {"messages": 513}),
+        ("many-to-one-flood", {"senders": 2, "messages_each": 256}, 2109,
+         {"senders": 3, "messages_each": 171}),
+        ("nack-flood", {"senders": 2, "messages_each": 256}, 2065,
+         {"senders": 3, "messages_each": 171}),
+    ]
+
+    @pytest.mark.parametrize("name, fits, cycles, overruns", ONE_PAGE_FLOODS,
+                             ids=[case[0] for case in ONE_PAGE_FLOODS])
+    def test_flood_workloads_refuse_the_513th_word(self, name, fits, cycles, overruns):
+        """Each flood stores one word per message into the one page it maps:
+        a 513th word is refused by name instead of running until the cycle
+        limit, and a full page runs as before."""
+        spec = get_workload(name)
+        with pytest.raises(ValueError, match="at most 512, got 513"):
+            spec.call(overruns)
+        metrics = spec.call(fits)
+        assert (metrics["cycles"], metrics["verified"]) == (cycles, True)
 
     def test_illegal_dip_faults_sender_when_protected(self):
         config = MachineConfig.small(2, 1, 1)

@@ -29,8 +29,7 @@ SPEC = SweepSpec(
 def _interrupt_run(checkpoint_dir: str, at_cycle: int) -> None:
     """Produce the on-disk state of a run killed at *at_cycle*: a checkpoint
     file, no result record."""
-    with checkpoint_context(checkpoint_dir, snapshot_at=at_cycle,
-                            stop_after_snapshot=True):
+    with checkpoint_context(checkpoint_dir, snapshot_at=at_cycle):
         with pytest.raises(SnapshotTaken):
             get_workload(RUN.workload).call(RUN.params)
 

@@ -28,6 +28,7 @@ import json
 import os
 import re
 import shutil
+import zlib
 
 import pytest
 
@@ -270,6 +271,14 @@ def test_5_0_0_checkpoint_of_a_disk_traced_run_restores(tmp_path):
 INDEX_MUTANT_VALUES = (None, "x", [], {}, -1, 1.5, [1, 2])
 
 
+def _with_fresh_crc(index):
+    """*index* with its ``crc32`` recomputed as ``docs/traces.md`` defines
+    it, so that a reader gets past the checksum to the field checks."""
+    body = {key: value for key, value in index.items() if key != "crc32"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return {**body, "crc32": zlib.crc32(canonical.encode("utf-8"))}
+
+
 @pytest.fixture(scope="module")
 def stencil_trace(tmp_path_factory):
     """Machine 0's trace of busy-stencil on a 2x2 mesh: one chunk of 16
@@ -366,11 +375,15 @@ def test_corrupt_index_fields_and_chunks_are_refused(stencil_trace, tmp_path):
             for key in path[:-1]:
                 parent = parent[key]
             parent[path[-1]] = value
+            # A CRC mutant keeps its stale CRC; every other field mutant
+            # gets a matching one, so the field checks must refuse it.
+            if path != ("crc32",):
+                mutant = _with_fresh_crc(mutant)
             mutants.append((f"index{list(path)}={value!r}", "index.json", mutant, None))
     chunk_file = index["chunks"][0]["file"]
     for name, cut in CHUNK_MUTANTS.items():
         mutants.append((f"chunk {name}", chunk_file, index, cut))
-    assert len(mutants) == 17 * len(INDEX_MUTANT_VALUES) + len(CHUNK_MUTANTS)
+    assert len(mutants) == 18 * len(INDEX_MUTANT_VALUES) + len(CHUNK_MUTANTS)
 
     escaped, silent = [], []
     for ordinal, (name, named_file, mutant, cut) in enumerate(mutants):
@@ -393,3 +406,53 @@ def test_corrupt_index_fields_and_chunks_are_refused(stencil_trace, tmp_path):
             silent.append(f"{name}: {differ}")
     assert escaped == [], f"{len(escaped)} of {len(mutants)} mutants escape"
     assert silent == [], f"{len(silent)} of {len(mutants)} mutants read silently"
+
+
+# ------------------------------------------------- index summaries readers trust
+
+
+def test_since_reads_keep_events_recorded_ahead_of_their_cycle(tmp_path):
+    """A chunk's cycle range covers every event in it, although the
+    simulator records a cache-miss store's ``store_complete`` ahead of
+    events of earlier cycles: a ``since`` read skips no chunk that holds a
+    matching event, live or reopened."""
+    memory = _message_stream_machine(8)
+    memory.run_until_user_done(max_cycles=10_000)
+    disk = _message_stream_machine(8, trace_dir=tmp_path / "t", chunk_events=8)
+    disk.run_until_user_done(max_cycles=10_000)
+    for tracer in (disk.tracer, Tracer.open(tmp_path / "t")):
+        for since in range(disk.cycle + 1):
+            expected = _stream_of(memory.tracer.iter_filter(since=since))
+            assert _stream_of(tracer.iter_filter(since=since)) == expected, since
+
+
+def test_a_machine_restores_its_own_snapshot_in_small_chunks(tmp_path):
+    reference = _message_stream_machine(8)
+    reference.run(100)
+    reference.run_until_user_done(max_cycles=10_000)
+    machine = _message_stream_machine(8, trace_dir=tmp_path / "t", chunk_events=4)
+    machine.run(100)
+    restored = MMachine.from_snapshot(machine.snapshot_document())
+    assert restored.cycle == 100
+    restored.run_until_user_done(max_cycles=10_000)
+    assert restored.cycle == reference.cycle
+    assert _stream(Tracer.open(tmp_path / "t")) == _stream(reference.tracer)
+
+
+def test_a_flipped_bit_in_the_index_is_refused(tmp_path):
+    """Filtered reads skip chunks by the index's histograms, so a corrupt
+    histogram would read short without an error; the index's CRC-32
+    refuses it instead."""
+    with (
+        Experiment.builder()
+        .workload("message-stream", count=32)
+        .trace(str(tmp_path), chunk_events=16)
+        .build()
+    ) as experiment:
+        assert experiment.run().ok
+    path = tmp_path / "machine-0" / "index.json"
+    assert "cache_hit" in json.loads(path.read_text())["chunks"][0]["categories"]
+    # "t" (0x74) to "u" (0x75): one bit, in chunk 0's category key.
+    path.write_text(path.read_text().replace('"cache_hit"', '"cache_hiu"', 1))
+    with pytest.raises(TraceDirError, match=re.escape(f"{path} fails its checksum")):
+        list(Tracer.open(tmp_path).iter_filter(category="cache_hit"))

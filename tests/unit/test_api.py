@@ -9,6 +9,7 @@ checkpointing).
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -289,6 +290,22 @@ class TestExperimentBuilder:
             Experiment.builder().mesh(0, 1, 1)
         with pytest.raises(ValueError, match="unknown simulation kernel"):
             Experiment.builder().kernel("quantum")
+
+    @pytest.mark.parametrize("key, value, method", [
+        ("sim.kernel", "naive", ".kernel()"),
+        ("network.mesh_shape", (4, 4, 1), ".mesh()"),
+    ])
+    def test_override_of_a_workload_parameter_rejected_at_build(self, key, value, method):
+        """An override would run a machine that the recorded kernel, mesh
+        and run id do not describe."""
+        builder = (Experiment.builder().workload("cc-sync", iterations=5, mesh=[2, 1, 1])
+                   .override(key, value))
+        with pytest.raises(ValueError, match=re.escape(method)):
+            builder.build()
+
+    def test_kernel_override_allowed_where_no_parameter_sets_it(self):
+        experiment = Experiment.builder().workload("area-model").override("sim.kernel", "naive")
+        assert experiment.build().overrides == {"sim.kernel": "naive"}
 
     def test_unknown_override_key_rejected_eagerly(self):
         with pytest.raises(ValueError, match="unknown config override"):

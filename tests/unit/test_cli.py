@@ -142,6 +142,23 @@ class TestTraceCommand:
         assert err.startswith("repro trace: ") and chunk in err
         assert "Traceback" not in err
 
+    def test_stats_of_chunks_recorded_out_of_cycle_order(self, tmp_path, capsys):
+        """A cache-miss store's ``store_complete`` is recorded before events
+        of earlier cycles, so 8-event chunks of this run are not in cycle
+        order; each chunk's range is its lowest and highest cycle."""
+        trace_dir = str(tmp_path / "trace")
+        assert main(["run", "message-stream", "--param", "count=8",
+                     "--trace-dir", trace_dir, "--trace-chunk-events", "8"]) == 0
+        capsys.readouterr()
+        assert main(["trace", "stats", trace_dir]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert main(["trace", "filter", trace_dir]) == 0
+        cycles = [json.loads(line)[0]
+                  for line in capsys.readouterr().out.strip().splitlines()]
+        assert cycles != sorted(cycles)
+        assert len(cycles) == stats["events"]
+        assert (stats["first_cycle"], stats["last_cycle"]) == (min(cycles), max(cycles))
+
     def test_missing_machine_exits_2(self, tmp_path, capsys):
         trace_dir = self._record_run(tmp_path, capsys)
         assert main(["trace", "stats", trace_dir, "--machine", "7"]) == 2
