@@ -54,12 +54,12 @@ SETTLE_CYCLES = 4
 class ClockDriver:
     """The interface ``MMachine`` drives its clock through.
 
-    Every method advances ``machine.cycle``; the run methods return the
-    cycle reached.  ``run_until_settled`` serves both ``run_until_quiescent``
-    (``users=False``) and ``run_until_user_done`` (``users=True``): it
-    returns once nothing has issued and nothing has been in flight for
-    :data:`SETTLE_CYCLES` consecutive cycles, and with *users* every user
-    H-Thread must have finished too.
+    ``step`` and the run methods advance ``machine.cycle``; the run methods
+    return the cycle reached.  ``run_until_settled`` serves both
+    ``run_until_quiescent`` (``users=False``) and ``run_until_user_done``
+    (``users=True``): it returns once nothing has issued and nothing has
+    been in flight for :data:`SETTLE_CYCLES` consecutive cycles, and with
+    *users* every user H-Thread must have finished too.
     """
 
     def __init__(self, machine):
