@@ -96,7 +96,8 @@ def _read_index(directory: str) -> Optional[dict]:
             f"{path} has format_version {index.get('format_version')!r}; "
             f"this build reads version {TRACE_FORMAT_VERSION}"
         )
-    stored_crc, crc = index.pop(TRACE_INDEX_CRC, None), _index_crc(index)
+    stored_crc = index.pop(TRACE_INDEX_CRC, None)
+    crc = _index_crc(index)
     if stored_crc != crc:
         raise TraceDirError(
             f"{path} fails its checksum: {TRACE_INDEX_CRC} is {stored_crc!r}, "
@@ -162,8 +163,8 @@ def _index_problem(index: dict) -> Optional[str]:
 
 
 def _index_crc(index: dict) -> int:
-    """CRC-32 of *index* (without its CRC field) as canonical JSON: sorted
-    keys and compact separators."""
+    """CRC-32 of *index*, which holds no CRC field, as canonical JSON:
+    sorted keys and compact separators."""
     canonical = json.dumps(index, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(canonical.encode("utf-8"))
 
