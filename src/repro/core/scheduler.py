@@ -414,6 +414,7 @@ class SimulationKernel(ClockDriver):
                 self._advance_to(horizon)
             elif machine.cycle + SETTLE_CYCLES - quiet <= horizon:
                 # Settled for the whole span: the window closes inside it.
+                # The clock is set without the checkpoint hook here.
                 machine.cycle += SETTLE_CYCLES - quiet
                 quiet = SETTLE_CYCLES
             else:
