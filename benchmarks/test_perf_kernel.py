@@ -18,12 +18,20 @@ issue's acceptance criteria (in practice the ratio is far higher).
 
 import os
 import random
+import sys
 import time
 
 from conftest import record_trajectory, report
 from repro import MMachine, MachineConfig
 from repro.api import ExperimentBuilder
+from repro.core.machine import construction_hooks
 from repro.memory.sdram import Sdram
+
+#: ``checks_per_issue`` is counted with the wrapper of the parking test's
+#: structural count.
+sys.path.insert(0, os.path.normpath(
+    os.path.join(os.path.dirname(__file__), os.pardir, "tests", "integration")))
+from test_parking import counting_checks  # noqa: E402
 
 REGION = 0x40000
 REPEATS = 24
@@ -157,6 +165,18 @@ def _timed_busy(mesh, iterations, rounds=1):
     return best
 
 
+def _checks_per_issue(mesh, iterations):
+    """Readiness checks (``check`` calls) per issued instruction on the
+    busy-stencil workload, counted in an untimed run."""
+    machines = []
+    with counting_checks() as calls, construction_hooks(machine_hook=machines.append):
+        ExperimentBuilder().workload("busy-stencil", iterations=iterations,
+                                     mesh=list(mesh)).build().run()
+    issued = sum(cluster.instructions_issued for machine in machines
+                 for node in machine.nodes for cluster in node.clusters)
+    return calls[0] / issued
+
+
 def test_busy_dispatch_throughput(benchmark):
     """Busy-heavy issue-stage throughput on a 4x4x1 mesh.
 
@@ -164,7 +184,10 @@ def test_busy_dispatch_throughput(benchmark):
     sleep anything -- this measures the raw per-tick cost of running the
     issue stage's compiled plans (repro.cluster.dispatch).  The number is
     recorded in the trajectory; there is no floor, because the interpreted
-    issue stage it used to be compared against no longer exists.
+    issue stage it used to be compared against no longer exists.  Beside it
+    the trajectory records ``checks_per_issue``, a count that does not
+    depend on the host: 1.75 while the scan re-checked every stalled handler
+    thread on every visit, 1.00 once stalled threads park.
     """
     mesh, iterations = (4, 4, 1), 200
 
@@ -178,8 +201,10 @@ def test_busy_dispatch_throughput(benchmark):
 
     cycles = metrics["cycles"]
     cycles_per_second = cycles / elapsed
+    checks_per_issue = round(_checks_per_issue(mesh, iterations), 4)
     benchmark.extra_info["simulated_cycles"] = cycles
     benchmark.extra_info["compiled_cycles_per_second"] = round(cycles_per_second)
+    benchmark.extra_info["checks_per_issue"] = checks_per_issue
 
     record_trajectory(
         "busy_dispatch",
@@ -187,11 +212,13 @@ def test_busy_dispatch_throughput(benchmark):
         iterations=iterations,
         simulated_cycles=cycles,
         compiled_cycles_per_second=round(cycles_per_second),
+        checks_per_issue=checks_per_issue,
     )
 
     report("Busy-heavy dispatch throughput (4x4x1 register stencil)", [
         f"simulated cycles        {cycles}",
         f"compiled dispatch       {cycles_per_second:>12.0f} cycles/s",
+        f"checks per issue        {checks_per_issue:>12.4f}",
     ])
 
 

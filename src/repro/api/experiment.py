@@ -42,13 +42,12 @@ from repro.api.schema import run_id_for
 from repro.api.workload import WorkloadSpec, get_workload
 from repro.core.config import apply_overrides, validate_override_key
 from repro.core.machine import MMachine, construction_hooks
+from repro.core.scheduler import DRIVERS
 
 #: A probe: called with every machine constructed during ``Experiment.run``.
 Probe = Callable[[MMachine], None]
 
 WorkloadRef = Union[str, WorkloadSpec]
-
-_KERNELS = ("event", "naive")
 
 #: Config keys a workload that takes the named parameter sets itself: an
 #: override of one would run a machine its parameters and run id do not
@@ -110,8 +109,8 @@ class ExperimentBuilder:
 
     def kernel(self, name: str) -> "ExperimentBuilder":
         """Select the simulation kernel (``"event"`` or ``"naive"``)."""
-        if name not in _KERNELS:
-            raise ValueError(f"unknown simulation kernel {name!r}; valid: {', '.join(_KERNELS)}")
+        if name not in DRIVERS:
+            raise ValueError(f"unknown simulation kernel {name!r}; valid: {', '.join(DRIVERS)}")
         self._kernel = name
         return self
 

@@ -29,11 +29,19 @@ both; the event kernel's sleep check (:meth:`Cluster.idle_profile`) calls
 slot and never serialised: loading a program or restoring a snapshot drops
 the slot's plans, and the next use recompiles them.
 
-The issue scan keeps two more pieces of derived state: the slots whose
-H-Thread is runnable, with the issue policy's scan orders filtered to them,
-and each slot's queue-name bindings.  Every thread-state change calls the
-context's ``on_state_change`` hook, which drops the runnable-slot cache;
-a restore drops the queue bindings.
+The issue scan keeps three more pieces of derived state: the slots whose
+H-Thread is runnable, with the issue policy's scan orders filtered to them;
+each slot's queue-name bindings; and the parks.  When ``check`` stalls a
+thread on a reason its plan lists in ``parks`` (an empty operand register
+or an underfull hardware queue), the scan counts that visit as usual and
+parks the context on the failed condition.  Later visits and idle profiles
+re-test only that condition; the first visit that finds it passing ends the
+park and runs ``check`` again.  Only the thread's own issue empties its
+registers or adds a pending write, and a parked thread issues nothing, so
+``check`` would have returned the parked reason on every visit the park
+absorbs.  Every thread-state change calls the context's
+``on_state_change`` hook, which drops the runnable-slot cache, and drops
+the context's park; a restore drops the queue bindings.
 """
 
 from __future__ import annotations
@@ -250,6 +258,16 @@ class Cluster:
         all_plans = self._plans
         for slot in self._scan_orders[self.policy.scan_key(cycle)]:
             context = contexts[slot]
+            parked_on = context.parked_on
+            if parked_on is not None:
+                # A parked thread's PC and plans are unchanged since it parked.
+                on_queue, target, arg = parked_on
+                if (len(target) < arg) if on_queue else (not target[arg]):
+                    self.icache.fetches += 1
+                    context.stall_cycles += 1
+                    context.parked_visits += 1
+                    continue
+                context.unpark()
             plans = all_plans[slot]
             if plans is None:
                 plans = self._slot_plans(slot)
@@ -265,6 +283,9 @@ class Cluster:
             if stall is not None:
                 context.stall_cycles += 1
                 context.stall_reasons[stall] += 1
+                park = plan.parks.get(stall)
+                if park is not None:
+                    self._park(context, stall, park)
                 continue
             if context.start_cycle is None:
                 context.start_cycle = cycle
@@ -283,6 +304,16 @@ class Cluster:
 
         self.no_ready_cycles += 1
         return False
+
+    def _park(self, context: HThreadContext, reason: str, park: tuple) -> None:
+        """Park *context* on the condition its plan's park table names for
+        *reason*: a queue's word deque, or its register set's full bits."""
+        queue_name, arg = park
+        if queue_name is None:
+            context.park(reason, (False, context.registers._full, arg))
+        else:
+            queue = self._queue_binding(context.slot, queue_name)
+            context.park(reason, (True, queue._words, arg))
 
     # ------------------------------------------------------- kernel scheduling
 
@@ -303,10 +334,11 @@ class Cluster:
         Otherwise returns the frozen per-cycle statistics profile of an
         idle/blocked cycle: ``("idle", ())`` when no H-Thread is runnable,
         or ``("blocked", ((context, stall_reason), ...))`` for the runnable
-        slots the issue scan would visit.  The dry-run calls the same
-        generated ``check`` functions as :meth:`issue` but has no side
-        effects (no fetch counts, no stall records): the profile is replayed
-        in bulk by :meth:`account_idle_cycles` when the node wakes.
+        slots the issue scan would visit.  The dry-run re-tests a parked
+        thread's condition and calls the same generated ``check`` functions
+        as :meth:`issue` for the others, but has no side effects (no fetch
+        counts, no stall records, no parks made or ended): the profile is
+        replayed in bulk by :meth:`account_idle_cycles` when the node wakes.
         """
         runnable = self._runnable
         if runnable is None:
@@ -314,6 +346,12 @@ class Cluster:
         stalled = []
         for slot in runnable:
             context = self.contexts[slot]
+            parked_on = context.parked_on
+            if parked_on is not None:
+                on_queue, target, arg = parked_on
+                if (len(target) < arg) if on_queue else (not target[arg]):
+                    stalled.append((context, context.parked_reason))
+                    continue
             plans = self._plans[slot]
             if plans is None:
                 plans = self._slot_plans(slot)

@@ -22,7 +22,7 @@ counter.  A plan holds two generated Python functions, and
   (:meth:`~repro.cluster.regfile.RegisterSet.flat_offset`).  ``check`` has
   no side effects, so the event kernel's sleep check
   (:meth:`~repro.cluster.cluster.Cluster.idle_profile`) calls it as the
-  issue scan does.
+  issue scan does, for every thread that is not parked.
 * ``fire(cluster, context, pc, cycle)`` issues the instruction: it reads
   every operand of every operation (constants, registers, queues, the node
   and cluster identities), then executes the operations in order, then
@@ -33,6 +33,15 @@ counter.  A plan holds two generated Python functions, and
   :data:`~repro.cluster.functional_units.INLINE_FORMS` in line too.  Every
   other operation calls its executor closure, which has the opcode
   semantics, destination offsets, latencies and trace strings bound.
+
+A plan also carries ``parks``, a table from each stall reason the issue
+scan may park a thread on to what it waits for: a ``CHECK_FULL`` step's
+register offset, or a ``CHECK_QUEUE`` step's queue name and word count.  A
+reason parks only when every step before its first occurrence is a register
+step, because only the thread's own issue empties its registers or adds a
+pending write, so those steps keep passing while the parked thread issues
+nothing; a send credit or an earlier queue can be taken by others, so no
+reason after a ``CHECK_SEND``, ``CHECK_QUEUE`` or ``CHECK_RAISE`` parks.
 
 Both functions are straight-line code generated from the plan's readiness
 ``steps`` and per-operation :class:`CompiledOp` records, which the plan
@@ -152,10 +161,12 @@ class CompiledOp:
 
 
 class CompiledInstruction:
-    """One instruction resolved to readiness steps, operations and the
-    generated ``check`` and ``fire`` functions built from them."""
+    """One instruction resolved to readiness steps, operations, the
+    generated ``check`` and ``fire`` functions built from them, and the
+    table of stall reasons it may park on."""
 
-    __slots__ = ("steps", "ops", "num_ops", "unit_idx", "instruction", "check", "fire")
+    __slots__ = ("steps", "ops", "num_ops", "unit_idx", "instruction", "check", "fire",
+                 "parks")
 
     def __init__(self, steps, ops, unit_idx, instruction):
         self.steps = steps
@@ -165,6 +176,23 @@ class CompiledInstruction:
         self.instruction = instruction
         self.check = _check_function(steps)
         self.fire = _fire_function(ops, instruction)
+        self.parks = _park_table(steps)
+
+
+def _park_table(steps) -> dict:
+    """Stall reason -> ``(queue name, words needed)`` for a ``CHECK_QUEUE``
+    step, or ``(None, flat offset)`` for a ``CHECK_FULL`` step, for every
+    reason whose first step follows only register steps."""
+    parks = {}
+    for kind, arg, reason in steps:
+        if kind == CHECK_FULL:
+            parks.setdefault(reason, (None, arg))
+        elif kind == CHECK_QUEUE:
+            parks.setdefault(reason, arg)
+            break
+        elif kind != CHECK_PENDING:
+            break
+    return parks
 
 
 class _Malformed(Exception):

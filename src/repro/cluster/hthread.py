@@ -8,6 +8,17 @@ than the thread slot that holds its state" (Section 3.2).
 Every change of a context's :class:`ThreadState` goes through this module
 and calls the context's ``on_state_change`` hook, which the owning cluster
 uses to keep its runnable-slot cache current.
+
+The issue scan parks a stalled context on the one condition it waits for
+(an empty operand register or an underfull hardware queue, see
+:meth:`~repro.cluster.cluster.Cluster.issue`); the context holds that park.
+While parked, the scan counts each visit in ``parked_visits`` instead of in
+:attr:`HThreadContext.stall_reasons`, which is a property that folds the
+pending visits into its ``Counter`` whenever it is read, so every reader
+sees the same counts as if each visit had been recorded there.  Parks are
+derived state: never serialised, never compared, and dropped (their visits
+folded) by every thread-state change, which includes loading a program and
+restoring a snapshot.
 """
 
 from __future__ import annotations
@@ -59,13 +70,41 @@ class HThreadContext:
     #: Called after every change of :attr:`state` (installed by the owning
     #: cluster; wiring, not state, so never serialised or compared).
     on_state_change: Optional[Callable[[], None]] = field(default=None, repr=False, compare=False)
+    #: The park (derived state): None, or ``(on_queue, target, arg)`` -- a
+    #: queue's word deque and the words needed, or the register set's full
+    #: bits and a flat offset -- with the stall reason it stands for and the
+    #: visits not yet folded into :attr:`stall_reasons`.
+    parked_on: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    parked_reason: str = field(default="", init=False, repr=False, compare=False)
+    parked_visits: int = field(default=0, init=False, repr=False, compare=False)
 
     # -- lifecycle ---------------------------------------------------------------
 
     def _set_state(self, state: ThreadState) -> None:
         self.state = state
+        if self.parked_on is not None:
+            self.unpark()
         if self.on_state_change is not None:
             self.on_state_change()
+
+    # -- parking -----------------------------------------------------------------
+
+    def park(self, reason: str, condition: tuple) -> None:
+        """Park on *condition* (see :attr:`parked_on`), which failed with
+        stall *reason* at a visit already counted in :attr:`stall_reasons`."""
+        self.parked_on = condition
+        self.parked_reason = reason
+
+    def unpark(self) -> None:
+        """End the park, folding its visits into :attr:`stall_reasons`."""
+        self._fold_parked_visits()
+        self.parked_on = None
+
+    def _fold_parked_visits(self) -> None:
+        visits = self.parked_visits
+        if visits:
+            self.parked_visits = 0
+            self._stall_reasons[self.parked_reason] += visits
 
     def load(self, program: Program, initial_registers: Optional[dict] = None,
              entry: Optional[str] = None) -> None:
@@ -134,3 +173,20 @@ class HThreadContext:
             f"HThread(slot={self.slot}, cluster={self.cluster_id}, state={self.state.value}, "
             f"pc={self.pc}, issued={self.instructions_issued})"
         )
+
+
+def _stall_reasons(context: HThreadContext) -> Counter:
+    context._fold_parked_visits()
+    return context._stall_reasons
+
+
+def _set_stall_reasons(context: HThreadContext, reasons: Counter) -> None:
+    context._stall_reasons = reasons
+
+
+# ``stall_reasons`` stays a dataclass field, so ``__init__``, ``__eq__`` and
+# ``__repr__`` include it, but is read through this property, which folds a
+# parked context's pending visits first.
+HThreadContext.stall_reasons = property(  # type: ignore[assignment]
+    _stall_reasons, _set_stall_reasons,
+    doc="Stall cycles per reason string, parked visits included.")

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Tuple, Type
 
+from repro.core.scheduler import DRIVERS
 from repro.isa.registers import NUM_CLUSTERS
 from repro.memory.page_table import PAGE_SIZE_WORDS
 
@@ -203,7 +204,7 @@ class MachineConfig:
             raise ValueError(f"unknown shared-memory mode {self.runtime.shared_memory_mode!r}")
         if self.cluster.issue_policy not in ("event-priority", "round-robin", "hep"):
             raise ValueError(f"unknown issue policy {self.cluster.issue_policy!r}")
-        if self.sim.kernel not in ("event", "naive"):
+        if self.sim.kernel not in DRIVERS:
             raise ValueError(f"unknown simulation kernel {self.sim.kernel!r}")
 
 

@@ -60,6 +60,13 @@ class ClockDriver:
     (``users=True``): it returns once nothing has issued and nothing has
     been in flight for :data:`SETTLE_CYCLES` consecutive cycles, and with
     *users* every user H-Thread must have finished too.
+
+    An attached checkpoint policy acts on the clock through
+    :meth:`_on_cycle`.  ``step``, ``run`` and ``run_until`` call it on every
+    cycle they reach; ``run_until_settled`` only on a cycle whose count of
+    quiet cycles is 0.  No snapshot records that count, so a run resumed from
+    a cycle inside a settle window would count the window again from 0 and
+    end later than the run it resumes.
     """
 
     def __init__(self, machine):
@@ -86,10 +93,9 @@ class ClockDriver:
         """Bring lazily kept statistics up to the current cycle, so that they
         read exactly as if every node had been ticked every cycle."""
 
-    def _advance_to(self, cycle: int) -> None:
-        """Set the clock and let an attached checkpoint policy act on it."""
+    def _on_cycle(self) -> None:
+        """Let an attached checkpoint policy act on the current cycle."""
         machine = self.machine
-        machine.cycle = cycle
         if machine._checkpoint is not None:
             machine._checkpoint.on_cycle(machine)
 
@@ -110,13 +116,19 @@ class NaiveKernel(ClockDriver):
     cycle, so ``node_ticks`` is always cycles run times nodes."""
 
     def step(self) -> int:
+        issued = self._step()
+        self._on_cycle()
+        return issued
+
+    def _step(self) -> int:
+        """Advance one cycle, without the checkpoint hook."""
         cycle = self.machine.cycle
         self.mesh.tick(cycle)
         issued = 0
         for node in self.nodes:
             issued += node.tick(cycle)
         self.node_ticks += len(self.nodes)
-        self._advance_to(cycle + 1)
+        self.machine.cycle = cycle + 1
         return issued
 
     def run(self, max_cycles: int) -> int:
@@ -155,8 +167,10 @@ class NaiveKernel(ClockDriver):
         limit = machine.cycle + max_cycles
         quiet = 0
         while machine.cycle < limit:
-            quiet = quiet + 1 if self._settled(self.step(), users) else 0
-            if quiet >= SETTLE_CYCLES:
+            quiet = quiet + 1 if self._settled(self._step(), users) else 0
+            if quiet == 0:
+                self._on_cycle()
+            elif quiet >= SETTLE_CYCLES:
                 return machine.cycle
         raise self._settle_timeout(max_cycles, users)
 
@@ -293,10 +307,13 @@ class SimulationKernel(ClockDriver):
         memory) since the last step, so every node is conservatively woken;
         run loops use :meth:`_step` directly and rely on wakeups instead."""
         self.wake_all()
-        return self._step()
+        issued = self._step()
+        self._on_cycle()
+        return issued
 
     def _step(self) -> int:
-        """Advance one cycle, ticking only awake nodes."""
+        """Advance one cycle, ticking only awake nodes, without the
+        checkpoint hook."""
         cycle = self.machine.cycle
         wakeups = self._wakeups
         if wakeups:
@@ -324,7 +341,7 @@ class SimulationKernel(ClockDriver):
             issued += node_issued
             if node_issued == 0:
                 self._maybe_sleep(node, cycle)
-        self._advance_to(cycle + 1)
+        self.machine.cycle = cycle + 1
         return issued
 
     # ----------------------------------------------------------- frozen-span logic
@@ -381,7 +398,8 @@ class SimulationKernel(ClockDriver):
             if horizon is None:
                 self._step()
             else:
-                self._advance_to(horizon)
+                machine.cycle = horizon
+            self._on_cycle()
         self.sync()
         return machine.cycle
 
@@ -391,6 +409,7 @@ class SimulationKernel(ClockDriver):
         limit = machine.cycle + max_cycles
         while machine.cycle < limit:
             self._step()
+            self._on_cycle()
             if self._num_asleep:
                 # Settle lazy idle accounting so predicates that read node
                 # statistics (not just architectural state) match the naive
@@ -411,16 +430,17 @@ class SimulationKernel(ClockDriver):
                 quiet = quiet + 1 if self._settled(self._step(), users) else 0
             elif not self._settled(0, users):
                 quiet = 0
-                self._advance_to(horizon)
+                machine.cycle = horizon
             elif machine.cycle + SETTLE_CYCLES - quiet <= horizon:
                 # Settled for the whole span: the window closes inside it.
-                # The clock is set without the checkpoint hook here.
                 machine.cycle += SETTLE_CYCLES - quiet
                 quiet = SETTLE_CYCLES
             else:
                 quiet += horizon - machine.cycle
-                self._advance_to(horizon)
-            if quiet >= SETTLE_CYCLES:
+                machine.cycle = horizon
+            if quiet == 0:
+                self._on_cycle()
+            elif quiet >= SETTLE_CYCLES:
                 self.sync()
                 return machine.cycle
         self.sync()

@@ -169,6 +169,54 @@ class TestAttachContract:
         assert not directory.exists() or not os.listdir(directory)
 
 
+REMOTE_WORD = 0x40000
+
+
+def _remote_load(kernel: str) -> MMachine:
+    """Node 0 of a 2x1x1 mesh loads a word homed on node 1.  The run ends at
+    cycle 73 on both drivers; cycles 70-73 are its settle window."""
+    config = MachineConfig.small(2, 1, 1)
+    config.sim.kernel = kernel
+    machine = MMachine(config)
+    machine.map_on_node(1, REMOTE_WORD, num_pages=1)
+    machine.write_word(REMOTE_WORD, 3)
+    machine.load_hthread(0, 0, 0, "ld i5, i1\nhalt", registers={"i1": REMOTE_WORD})
+    return machine
+
+
+class TestSettleWindow:
+    """No snapshot records how many quiet cycles a settle loop has counted,
+    so the settle loops save only on a cycle whose count is 0: a run resumed
+    from inside its last settle window would count the window again and end
+    later than the run it resumes."""
+
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
+    @pytest.mark.parametrize("every", [1, 3, 70])
+    def test_resumed_run_ends_with_the_uninterrupted_run(self, tmp_path, kernel, every):
+        uninterrupted = _remote_load(kernel)
+        uninterrupted.run_until_user_done()
+        assert uninterrupted.cycle == 73
+        with checkpoint_context(str(tmp_path), every=every) as policy:
+            _remote_load(kernel).run_until_user_done()
+        assert [cycle for _, cycle in policy.saves if cycle >= 70] == []
+        with checkpoint_context(str(tmp_path), every=every):
+            resumed = _remote_load(kernel)
+            resumed.run_until_user_done()
+        assert resumed.cycle == 73
+        assert resumed.stats() == uninterrupted.stats()
+        assert resumed.state_dict() == uninterrupted.state_dict()
+
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
+    def test_snapshot_cycle_inside_the_last_window_is_never_reached(self, tmp_path, kernel):
+        """``repro snapshot --at-cycle 72`` reports that the run finished
+        before cycle 72, on both drivers."""
+        with checkpoint_context(str(tmp_path), snapshot_at=72) as policy:
+            machine = _remote_load(kernel)
+            machine.run_until_user_done()
+        assert machine.cycle == 73
+        assert policy.saves == []
+
+
 class TestKillAndResume:
     """The real thing: a sweep subprocess is SIGKILLed mid-run and a second
     invocation finishes from the latest mid-run checkpoint."""

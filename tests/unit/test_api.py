@@ -36,6 +36,7 @@ from repro.core.config import (
     validate_override_key,
 )
 from repro.api.schema import SCHEMA_VERSION
+from repro.core import scheduler
 from repro.sweep.spec import RunSpec
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -290,6 +291,24 @@ class TestExperimentBuilder:
             Experiment.builder().mesh(0, 1, 1)
         with pytest.raises(ValueError, match="unknown simulation kernel"):
             Experiment.builder().kernel("quantum")
+
+    def test_kernel_names_are_the_clock_drivers(self, monkeypatch):
+        """The builder and ``MachineConfig.validate`` accept exactly the keys
+        of ``scheduler.DRIVERS``, a driver added there included."""
+        monkeypatch.setitem(scheduler.DRIVERS, "stepped", scheduler.NaiveKernel)
+        config = MachineConfig.single_node()
+        for name in scheduler.DRIVERS:
+            Experiment.builder().kernel(name)
+            config.sim.kernel = name
+            config.validate()
+        with pytest.raises(ValueError) as refused:
+            Experiment.builder().kernel("quantum")
+        assert str(refused.value) == (
+            "unknown simulation kernel 'quantum'; valid: event, naive, stepped")
+        config.sim.kernel = "quantum"
+        with pytest.raises(ValueError) as refused:
+            config.validate()
+        assert str(refused.value) == "unknown simulation kernel 'quantum'"
 
     @pytest.mark.parametrize("key, value, method", [
         ("sim.kernel", "naive", ".kernel()"),
