@@ -97,14 +97,13 @@ class HThreadContext:
 
     def unpark(self) -> None:
         """End the park, folding its visits into :attr:`stall_reasons`."""
-        self._fold_parked_visits()
+        if self.parked_visits:
+            self._fold_parked_visits()
         self.parked_on = None
 
     def _fold_parked_visits(self) -> None:
-        visits = self.parked_visits
-        if visits:
-            self.parked_visits = 0
-            self._stall_reasons[self.parked_reason] += visits
+        self._stall_reasons[self.parked_reason] += self.parked_visits
+        self.parked_visits = 0
 
     def load(self, program: Program, initial_registers: Optional[dict] = None,
              entry: Optional[str] = None) -> None:
@@ -176,7 +175,8 @@ class HThreadContext:
 
 
 def _stall_reasons(context: HThreadContext) -> Counter:
-    context._fold_parked_visits()
+    if context.parked_visits:
+        context._fold_parked_visits()
     return context._stall_reasons
 
 
