@@ -293,8 +293,8 @@ class TestExperimentBuilder:
             Experiment.builder().kernel("quantum")
 
     def test_kernel_names_are_the_clock_drivers(self, monkeypatch):
-        """The builder and ``MachineConfig.validate`` accept exactly the keys
-        of ``scheduler.DRIVERS``, a driver added there included."""
+        """``ExperimentBuilder.kernel`` and ``MachineConfig.validate`` accept
+        exactly the keys of ``scheduler.DRIVERS``, one added there included."""
         monkeypatch.setitem(scheduler.DRIVERS, "stepped", scheduler.NaiveKernel)
         config = MachineConfig.single_node()
         for name in scheduler.DRIVERS:
