@@ -4,8 +4,7 @@ and prove the resumed run is bit-exact.
 Builds a two-node machine running a chain of dependent remote reads, runs it
 halfway, snapshots it to a file, restores the snapshot into a brand-new
 machine (as a fresh process would), finishes both, and compares final cycle
-counts and statistics.  Also demonstrates the warm-start fan-out: the same
-snapshot driven by several measurement runs.  Run with::
+counts and statistics.  Run with::
 
     python examples/checkpoint_resume.py
 """
@@ -14,7 +13,6 @@ import os
 import tempfile
 
 from repro import MMachine, MachineConfig
-from repro.snapshot.warmstart import fan_out
 
 REGION = 0x40000
 REPEATS = 12
@@ -73,15 +71,6 @@ def main() -> None:
     assert restored.stats().summary() == machine.stats().summary()
     assert restored.register_value(0, 0, 0, "i5") == 5 * REPEATS
     print("resumed run is bit-exact (same final cycle, same statistics)")
-
-    # --- warm-start fan-out --------------------------------------------------
-    # One warmed-up state, several measurement runs: every leg restores the
-    # same snapshot, so the warm-up cost is paid exactly once.
-    legs = fan_out(snapshot_path, runs=3)
-    for index, leg in enumerate(legs):
-        print(f"measurement leg {index}: cycles {leg['resumed_from_cycle']}"
-              f" -> {leg['cycles']}")
-    assert legs[0] == legs[1] == legs[2]
 
     # Restoring into a differently-configured machine is refused.
     from repro.snapshot import ConfigMismatchError, read_snapshot

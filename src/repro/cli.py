@@ -16,9 +16,8 @@ Subcommands:
   (host-side cost, for tuning the simulator itself).
 * ``repro snapshot WORKLOAD --at-cycle C --out FILE`` — run a workload's
   machine to cycle C, save a snapshot, and stop.
-* ``repro resume SNAPSHOT [--fanout K]`` — restore a snapshot (in this
-  fresh process) and run it to completion; with ``--fanout`` the same
-  warmed-up state is fanned out to K measurement runs.
+* ``repro resume SNAPSHOT [--max-cycles N]`` — restore a snapshot (in
+  this fresh process) and run it to completion.
 * ``repro sweep SPEC [--jobs N] [--results-dir D] [--force] [--dry-run]
   [--checkpoint-every N] [--report]`` — expand a built-in spec (or
   ``--spec-file``) and fan the runs out over a worker pool; completed runs
@@ -55,7 +54,7 @@ import sys
 import tempfile
 from typing import Dict, List, Optional, Sequence
 
-from repro import NUM_CLUSTERS, NUM_VTHREAD_SLOTS, MachineConfig, __version__
+from repro import NUM_CLUSTERS, NUM_VTHREAD_SLOTS, MMachine, MachineConfig, __version__
 from repro.api.experiment import Experiment, run_workload
 from repro.api.result import roundtrip_problems
 from repro.api.schema import validate_results
@@ -71,7 +70,6 @@ from repro.snapshot.format import (
     read_snapshot,
     write_snapshot,
 )
-from repro.snapshot.warmstart import fan_out_parallel
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec
 from repro.sweep.specs import builtin_spec_names, get_spec
@@ -204,24 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="cycle budget for the resumed run (default 1000000)",
     )
-    resume.add_argument(
-        "--fanout",
-        type=int,
-        default=1,
-        metavar="K",
-        help=(
-            "warm-start mode: fan the snapshot out to K measurement runs "
-            "(default 1)"
-        ),
-    )
-    resume.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for --fanout (default 1: run inline)",
-    )
 
     sweep = subparsers.add_parser(
         "sweep", help="expand a sweep spec and run it on a worker pool"
@@ -235,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--spec-file",
         default=None,
-        help="load the spec from a JSON (or YAML, if PyYAML is installed) file",
+        help="load the spec from a JSON file",
     )
     sweep.add_argument(
         "--jobs",
@@ -499,22 +479,23 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    if args.fanout < 1 or args.jobs < 1:
-        print("repro resume: --fanout and --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
-        results = fan_out_parallel(
-            args.snapshot, args.fanout, jobs=args.jobs, max_cycles=args.max_cycles
-        )
+        machine = MMachine.from_snapshot(args.snapshot)
+        start_cycle = machine.cycle
+        machine.run_until_user_done(max_cycles=args.max_cycles)
     except SnapshotError as error:
         print(f"repro resume: {error}", file=sys.stderr)
         return 2
     except TimeoutError as error:
         print(f"repro resume: {error}", file=sys.stderr)
         return 1
-    payload = {"snapshot": args.snapshot, "runs": results}
-    if args.fanout == 1:
-        payload.update(results[0])
+    payload = {
+        "snapshot": args.snapshot,
+        "resumed_from_cycle": start_cycle,
+        "cycles": machine.cycle,
+        "measured_cycles": machine.cycle - start_cycle,
+        "summary": machine.stats().summary(),
+    }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

@@ -16,9 +16,9 @@ While parked, the scan counts each visit in ``parked_visits`` instead of in
 :attr:`HThreadContext.stall_reasons`, which is a property that folds the
 pending visits into its ``Counter`` whenever it is read, so every reader
 sees the same counts as if each visit had been recorded there.  Parks are
-derived state: never serialised, never compared, and dropped (their visits
-folded) by every thread-state change, which includes loading a program and
-restoring a snapshot.
+derived state: never serialised, and dropped (their visits folded) by every
+thread-state change, which includes loading a program and restoring a
+snapshot.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ class ThreadState(enum.Enum):
     FAULTED = "faulted"
 
 
-@dataclass
+@dataclass(eq=False)
 class HThreadContext:
-    """State of one H-Thread (one V-Thread slot on one cluster)."""
+    """State of one H-Thread (one V-Thread slot on one cluster).  Contexts
+    compare by identity."""
 
     slot: int
     cluster_id: int
@@ -68,15 +69,15 @@ class HThreadContext:
     start_cycle: Optional[int] = None
     halt_cycle: Optional[int] = None
     #: Called after every change of :attr:`state` (installed by the owning
-    #: cluster; wiring, not state, so never serialised or compared).
-    on_state_change: Optional[Callable[[], None]] = field(default=None, repr=False, compare=False)
+    #: cluster; wiring, not state, so never serialised).
+    on_state_change: Optional[Callable[[], None]] = field(default=None, repr=False)
     #: The park (derived state): None, or ``(on_queue, target, arg)`` -- a
     #: queue's word deque and the words needed, or the register set's full
     #: bits and a flat offset -- with the stall reason it stands for and the
     #: visits not yet folded into :attr:`stall_reasons`.
-    parked_on: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    parked_reason: str = field(default="", init=False, repr=False, compare=False)
-    parked_visits: int = field(default=0, init=False, repr=False, compare=False)
+    parked_on: Optional[tuple] = field(default=None, init=False, repr=False)
+    parked_reason: str = field(default="", init=False, repr=False)
+    parked_visits: int = field(default=0, init=False, repr=False)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -184,9 +185,9 @@ def _set_stall_reasons(context: HThreadContext, reasons: Counter) -> None:
     context._stall_reasons = reasons
 
 
-# ``stall_reasons`` stays a dataclass field, so ``__init__``, ``__eq__`` and
-# ``__repr__`` include it, but is read through this property, which folds a
-# parked context's pending visits first.
+# ``stall_reasons`` stays a dataclass field, so ``__init__`` and ``__repr__``
+# include it, but is read through this property, which folds a parked
+# context's pending visits first.
 HThreadContext.stall_reasons = property(  # type: ignore[assignment]
     _stall_reasons, _set_stall_reasons,
     doc="Stall cycles per reason string, parked visits included.")

@@ -291,7 +291,6 @@ class MemorySystem:
                 self.event_sink(record, translate_done + self.event_enqueue_latency)
                 self._mif_busy_until = translate_done
                 return
-            word_index = request.address - virtual_base
             if not self._check_sync_precondition(
                 request, self.cache.sync_bit(resident, request.address), cycle
             ):

@@ -15,9 +15,9 @@ provides that software in two flavours selected by
     Native handlers implementing software DRAM caching of remote blocks with
     block-status bits and a home-node directory.
 
-``"none"``
-    No handlers; LTLB misses and faults are left in their queues (useful for
-    unit tests of the hardware mechanisms in isolation).
+A machine configured with ``"none"`` installs no runtime: LTLB misses and
+faults are left in their queues (useful for unit tests of the hardware
+mechanisms in isolation).
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ def install_runtime(machine) -> RuntimeEnvironment:
     """Install the runtime selected by the machine's configuration on every
     node and return the resulting :class:`RuntimeEnvironment`."""
     mode = machine.config.runtime.shared_memory_mode
-    if mode == "none":
-        return RuntimeEnvironment(mode=mode)
     if mode == "remote":
         return _install_remote_runtime(machine)
     if mode == "coherent":
@@ -59,33 +57,20 @@ def _install_remote_runtime(machine) -> RuntimeEnvironment:
     """Section 4.2: assembly handlers in the event V-Thread of every node."""
     lpt_base = machine.nodes[0].lpt_phys_base
     programs = build_asm_runtime(lpt_base)
-    environment = RuntimeEnvironment(
-        mode="remote",
-        dips=dict(programs.dips),
-        programs={
-            "ltlb": programs.ltlb_handler,
-            "msg_p0": programs.message_p0_handler,
-            "msg_p1": programs.message_p1_handler,
-        },
-    )
     for node in machine.nodes:
         node.load_hthread(EVENT_SLOT, EVENT_CLUSTER_LTLB, programs.ltlb_handler)
         node.load_hthread(EVENT_SLOT, EVENT_CLUSTER_MSG_P0, programs.message_p0_handler)
         node.load_hthread(EVENT_SLOT, EVENT_CLUSTER_MSG_P1, programs.message_p1_handler)
-        sync_handler = SyncStatusFaultHandler(node, node.event_queue_sync)
-        node.native_handlers.append(sync_handler)
-        environment.native_handlers[node.node_id] = [sync_handler]
+        node.native_handlers.append(SyncStatusFaultHandler(node, node.event_queue_sync))
         if machine.config.runtime.protection_enabled:
             node.net.register_dips(
                 {programs.dips["remote_store"], programs.dips["remote_load"]}
             )
-    return environment
+    return RuntimeEnvironment(dips=dict(programs.dips))
 
 
 def _install_coherent_runtime(machine) -> RuntimeEnvironment:
     """Section 4.3: native handlers implementing software DRAM caching."""
     coherence = CoherenceRuntime(machine)
-    handlers = coherence.install()
-    environment = RuntimeEnvironment(mode="coherent", native_handlers=handlers)
-    environment.coherence = coherence
-    return environment
+    coherence.install()
+    return RuntimeEnvironment(coherence=coherence)

@@ -31,6 +31,7 @@ native handlers (see :mod:`repro.runtime.native`):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -124,35 +125,23 @@ class CoherenceRuntime:
 
     # ------------------------------------------------------------------ install
 
-    def install(self) -> Dict[int, list]:
-        handlers: Dict[int, list] = {}
+    def install(self) -> None:
         for node in self.machine.nodes:
-            node_handlers = [
+            node.native_handlers.extend([
                 CoherentLtlbHandler(node, node.event_queue_ltlb, self),
                 SyncStatusFaultHandler(
                     node,
                     node.event_queue_sync,
-                    on_block_status=_BlockStatusCallback(self, node),
+                    on_block_status=functools.partial(self.requester_fault, node),
                 ),
                 CoherentRequestHandler(node, node.msg_queue_p0, self),
                 CoherentReplyHandler(node, node.msg_queue_p1, self),
-            ]
-            node.native_handlers.extend(node_handlers)
-            handlers[node.node_id] = node_handlers
-        return handlers
+            ])
 
     # ----------------------------------------------------------- shared helpers
 
     def directory_entry(self, home_id: int, block_va: int) -> DirectoryEntry:
         return self.directories[home_id].setdefault(block_va, DirectoryEntry())
-
-    def read_block(self, node, block_va: int) -> List[object]:
-        """Read a block's current contents at its home or holder, seeing
-        through the on-chip cache."""
-        return node.memory.read_block_virtual(block_va)
-
-    def write_block(self, node, block_va: int, data: List[object]) -> None:
-        node.memory.write_block_virtual(block_va, data)
 
     def send(self, node, cycle: int, dest_node: int, dip: int, address: int,
              body: List[object], priority: int) -> None:
@@ -170,10 +159,6 @@ class CoherenceRuntime:
             check_dip=False,
             allow_long=True,
         )
-
-    def replay(self, node, requests: List[MemRequest], cycle: int) -> None:
-        for request in requests:
-            node.memory.submit(request, cycle)
 
     # --------------------------------------------------------------- home logic
 
@@ -233,9 +218,10 @@ class CoherenceRuntime:
             home_node.memory.set_block_status(block_va, status)
             entry.owner = None
             entry.sharers = {home_id}
-            self.replay(home_node, grant.local_requests, cycle + cost)
+            for request in grant.local_requests:
+                home_node.memory.submit(request, cycle + cost)
         else:
-            data = self.read_block(home_node, block_va)
+            data = home_node.memory.read_block_virtual(block_va)
             self.send(home_node, cycle, grant.requester, DIP_BLOCK_DATA, block_va,
                       [grant.mode] + data, priority=1)
             self.block_fetches += 1
@@ -273,7 +259,7 @@ class CoherenceRuntime:
         cost = 4
         if dirty:
             self.dirty_writebacks += 1
-            self.write_block(home_node, block_va, data)
+            home_node.memory.write_block_virtual(block_va, data)
             cost += BLOCK_SIZE_WORDS
         grant = self.pending_grants[home_id].get(block_va)
         if grant is not None:
@@ -305,11 +291,10 @@ class CoherenceRuntime:
         if pending is not None:
             if request is not None:
                 pending.requests.append(request)
-            if mode == MODE_READ_WRITE and pending.mode == MODE_READ_ONLY:
-                # Upgrade the outstanding fetch; the home will see a second
-                # (write) request once the first completes and this access
-                # faults again, which keeps the protocol simple and correct.
-                pass
+            # A write that finds a read fetch outstanding does not upgrade
+            # it; the home will see a second (write) request once the first
+            # completes and this access faults again, which keeps the
+            # protocol simple and correct.
             return 4
 
         self.pending_fetches[node.node_id][block_va] = PendingFetch(
@@ -324,12 +309,13 @@ class CoherenceRuntime:
         """A requested block arrived: install it and replay the faulting
         accesses."""
         pending = self.pending_fetches[node.node_id].pop(block_va, None)
-        self.write_block(node, block_va, data)
+        node.memory.write_block_virtual(block_va, data)
         status = BlockStatus.READ_WRITE if mode == MODE_READ_WRITE else BlockStatus.READ_ONLY
         node.memory.set_block_status(block_va, status)
         cost = 6 + BLOCK_SIZE_WORDS
         if pending is not None:
-            self.replay(node, pending.requests, cycle + cost)
+            for request in pending.requests:
+                node.memory.submit(request, cycle + cost)
         return cost
 
     def holder_invalidate(self, node, block_va: int, home_id: int, cycle: int) -> int:
@@ -337,7 +323,7 @@ class CoherenceRuntime:
         invalidate, and acknowledge."""
         status = node.memory.get_block_status(block_va)
         dirty = status == int(BlockStatus.DIRTY)
-        data = self.read_block(node, block_va) if dirty else [0] * BLOCK_SIZE_WORDS
+        data = node.memory.read_block_virtual(block_va) if dirty else [0] * BLOCK_SIZE_WORDS
         node.memory.invalidate_block(block_va)
         node.memory.set_block_status(block_va, BlockStatus.INVALID)
         self.send(node, cycle, home_id, DIP_INVAL_ACK, block_va,
@@ -467,18 +453,6 @@ class CoherenceRuntime:
         self.write_upgrades = state["write_upgrades"]
         self.invalidations = state["invalidations"]
         self.dirty_writebacks = state["dirty_writebacks"]
-
-
-class _BlockStatusCallback:
-    """Adapter: plugs the coherence requester logic into the generic
-    sync/status fault handler."""
-
-    def __init__(self, runtime: CoherenceRuntime, node):
-        self.runtime = runtime
-        self.node = node
-
-    def __call__(self, record: EventRecord, cycle: int) -> int:
-        return self.runtime.requester_fault(self.node, record, cycle)
 
 
 class CoherentLtlbHandler(EventNativeHandler):

@@ -13,9 +13,7 @@ hardware model and the handler code:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
-
-from repro.isa.program import Program
+from typing import Dict, Optional
 
 #: Shift used to pack the requesting node id above the 16-bit regspec in the
 #: return-info word of a remote-load request (Section 4.2 step 3).
@@ -34,17 +32,12 @@ DIP_INVAL_ACK = 0x104
 
 @dataclass
 class RuntimeEnvironment:
-    """Everything the rest of the system needs to know about the installed
-    runtime: the handler programs, the DIP table and the mode."""
+    """What the rest of the system reads of the installed runtime: the DIP
+    table of the assembly handlers and the coherence runtime."""
 
-    mode: str
     dips: Dict[str, int] = field(default_factory=dict)
-    programs: Dict[str, Program] = field(default_factory=dict)
-    #: Per-node native handler objects (coherent mode and the sync-fault
-    #: retry handler of remote mode), for tests/statistics.
-    native_handlers: Dict[int, list] = field(default_factory=dict)
     #: The coherence runtime object in ``coherent`` mode (None otherwise).
-    coherence = None
+    coherence: Optional[object] = None
 
     def dip(self, name: str) -> int:
         try:

@@ -8,17 +8,12 @@ The package has two modules, above the simulator it saves:
 * :mod:`repro.snapshot.checkpoint` -- periodic ``--checkpoint-every``
   checkpointing and resume-on-restart for workload runs.
 
-Two more pieces live elsewhere, because of what they import:
-
-* the tagged JSON codec for every value the simulator can hold (guarded
-  pointers, event records, in-flight messages, memory requests, register
-  writes, assembled programs, ...) is :mod:`repro.core.values`, at the
-  bottom of the simulator, since every stateful component encodes with it;
-  ``SnapshotError``, ``encode_value`` and ``decode_value`` are re-exported
-  here;
-* :mod:`repro.snapshot.warmstart` fans one checkpointed post-warm-up state
-  out to multiple measurement runs; it builds ``RunResult``\\ s, so it sits
-  with the drivers above :mod:`repro.api` and is imported by its own path.
+The tagged JSON codec for every value the simulator can hold (guarded
+pointers, event records, in-flight messages, memory requests, register
+writes, assembled programs, ...) lives elsewhere: it is
+:mod:`repro.core.values`, at the bottom of the simulator, since every
+stateful component encodes with it.  ``SnapshotError``, ``encode_value``
+and ``decode_value`` are re-exported here.
 
 The state itself is captured through the uniform ``state_dict()`` /
 ``load_state_dict()`` contract implemented by every stateful component (see

@@ -8,16 +8,12 @@ always yields the same run ids in the same order, which is what makes
 resume (skip runs whose result file already exists) safe.
 
 Specs are plain data and round-trip through dicts, so they can be written
-inline in Python, loaded from JSON, or loaded from YAML when PyYAML is
-available::
+inline in Python or loaded from a JSON file::
 
-    name: quick
-    groups:
-      - workload: stencil
-        params: {max_cycles: 30000}
-        axes:
-          kind: [7pt, 27pt]
-          n_hthreads: [1, 2, 4]
+    {"name": "quick",
+     "groups": [{"workload": "stencil",
+                 "params": {"max_cycles": 30000},
+                 "axes": {"kind": ["7pt", "27pt"], "n_hthreads": [1, 2, 4]}}]}
 """
 
 from __future__ import annotations
@@ -144,24 +140,13 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "SweepSpec":
-        """Load a spec from a JSON or YAML file (YAML needs PyYAML)."""
+        """Load a spec from a JSON file."""
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         try:
             data = json.loads(text)
-        except json.JSONDecodeError:
-            try:
-                import yaml  # noqa: PLC0415
-            except ImportError as error:
-                raise ValueError(
-                    f"{path} is not JSON and PyYAML is not installed for YAML specs"
-                ) from error
-            try:
-                data = yaml.safe_load(text)
-            except yaml.YAMLError as error:
-                raise ValueError(
-                    f"sweep spec {path} is neither valid JSON nor valid YAML"
-                ) from error
+        except json.JSONDecodeError as error:
+            raise ValueError(f"sweep spec {path} is not valid JSON: {error}") from error
         if not isinstance(data, dict):
             raise ValueError(f"sweep spec {path} must contain a mapping")
         return cls.from_dict(data)

@@ -419,6 +419,13 @@ class TestHThreadContext:
         context.resume()
         assert context.state is ThreadState.RUNNABLE
 
+    def test_contexts_compare_by_identity(self):
+        registers = RegisterSet()
+        first = HThreadContext(slot=0, cluster_id=0, registers=registers)
+        second = HThreadContext(slot=0, cluster_id=0, registers=registers)
+        assert first == first and first != second
+        assert len({first, second}) == 2
+
 
 class TestConfig:
     def test_paper_structural_parameters(self):

@@ -8,8 +8,7 @@ imports.  Bottom up, the layers are:
 2. ``repro.snapshot``, which saves and restores the simulator;
 3. ``repro.api``, ``repro.workloads`` and ``repro.analysis``, which build and
    measure machines (the record schema is ``repro.api.schema``);
-4. the drivers ``repro.sweep``, ``repro.report`` and ``repro.fuzz``, and
-   ``repro.snapshot.warmstart``, which builds ``RunResult``\\ s;
+4. the drivers ``repro.sweep``, ``repro.report`` and ``repro.fuzz``;
 5. ``repro.cli`` and the top-level ``repro`` package.
 
 The graph is built with :mod:`ast`, without importing anything.  A module's
@@ -42,7 +41,7 @@ LAYERS = (
      "repro.cluster", "repro.node", "repro.runtime", "repro.core"),
     ("repro.snapshot",),
     ("repro.api", "repro.workloads", "repro.analysis"),
-    ("repro.sweep", "repro.report", "repro.fuzz", "repro.snapshot.warmstart"),
+    ("repro.sweep", "repro.report", "repro.fuzz"),
     ("repro.cli", "repro"),
 )
 
@@ -50,9 +49,9 @@ _RECORD_TYPES = "the codec's record types: their package imports the codec"
 
 #: Every import inside a function in src/repro, as (module, imported
 #: module), with the reason it is not a module-level import: it would close
-#: a cycle, it points up the table, or it defers what only some runs use (an
-#: optional dependency, one CLI subcommand's subsystem, the runtime
-#: handlers, the snapshot layer of a checkpointed experiment).
+#: a cycle, it points up the table, or it defers what only some runs use (one
+#: CLI subcommand's subsystem, the runtime handlers, the snapshot layer of a
+#: checkpointed experiment).
 LAZY_IMPORTS = {
     ("repro.api.workload", "repro.workloads.factories"):
         "cycle: the built-in factories register through repro.api.workload",
@@ -77,7 +76,6 @@ LAZY_IMPORTS = {
     ("repro.report.trajectory", "repro"): "up: reads repro.__version__",
     ("repro.sweep.runner", "repro.report"):
         "cycle: the report's manifest reads the runner's file names",
-    ("repro.sweep.spec", "yaml"): "optional dependency: PyYAML",
     ("repro.workloads.factories", "repro.fuzz.generator"):
         "up: two workloads run fuzz-generated programs",
 }

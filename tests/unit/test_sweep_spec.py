@@ -109,9 +109,7 @@ class TestSpecFiles:
         loaded = SweepSpec.from_file(str(path))
         assert loaded.expand() == spec.expand()
 
-    def test_yaml_file(self, tmp_path):
-        yaml = pytest.importorskip("yaml")
-        del yaml
+    def test_yaml_file_rejected(self, tmp_path):
         path = tmp_path / "spec.yaml"
         path.write_text(
             "name: yamlspec\n"
@@ -120,9 +118,9 @@ class TestSpecFiles:
             "    axes:\n"
             "      kind: [7pt, 27pt]\n"
         )
-        spec = SweepSpec.from_file(str(path))
-        assert spec.name == "yamlspec"
-        assert len(spec.expand()) == 2
+        with pytest.raises(ValueError, match="not valid JSON") as excinfo:
+            SweepSpec.from_file(str(path))
+        assert str(path) in str(excinfo.value)
 
     def test_non_mapping_file_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
