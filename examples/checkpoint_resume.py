@@ -80,6 +80,8 @@ def main() -> None:
         other.restore_snapshot(read_snapshot(snapshot_path))
     except ConfigMismatchError as error:
         print(f"config mismatch correctly refused: {error}")
+    else:
+        raise AssertionError("a snapshot of a 2x1x1 machine restored into a 2x2x1 machine")
 
 
 if __name__ == "__main__":

@@ -87,7 +87,6 @@ class RunResult:
         metrics: Mapping[str, object],
         wall_seconds: float = 0.0,
         tags: Optional[Mapping[str, str]] = None,
-        run_id: Optional[str] = None,
         resumed_from_cycle: Optional[int] = None,
     ) -> "RunResult":
         """Wrap a completed workload's metrics dict.
@@ -108,7 +107,7 @@ class RunResult:
             status=status,
             metrics=dict(metrics),
             wall_seconds=round(float(wall_seconds), 6),
-            run_id=run_id if run_id is not None else run_id_for(workload, params),
+            run_id=run_id_for(workload, params),
             error=None if status == "ok" else VERIFICATION_FAILED,
             tags=merged_tags,
         )

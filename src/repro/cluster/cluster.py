@@ -70,6 +70,7 @@ from repro.events.records import EventRecord, EventType
 from repro.isa.program import Program
 
 _RUNNABLE = ThreadState.RUNNABLE
+_FINISHED = (ThreadState.HALTED, ThreadState.IDLE)
 
 
 def _residue_count(start: int, count: int, residue: int, modulus: int) -> int:
@@ -101,6 +102,12 @@ class Cluster:
         self._scan_orders: List[Tuple[int, ...]] = []
         for context in self.contexts:
             context.on_state_change = self._drop_runnable
+        #: The contexts of the user slots (every slot but the event and
+        #: exception slots), in slot order.
+        self._user_contexts = tuple(
+            context for context in self.contexts
+            if context.slot not in (EVENT_SLOT, EXCEPTION_SLOT)
+        )
         #: In-flight local writebacks as ``(due_cycle, slot, ref, value,
         #: clear_pending, flat_offset)`` tuples (plain tuples, not objects:
         #: the issue stage appends one per value-producing operation).
@@ -147,11 +154,10 @@ class Cluster:
 
     @property
     def user_threads_finished(self) -> bool:
-        return all(
-            ctx.finished
-            for ctx in self.contexts
-            if ctx.slot not in (EVENT_SLOT, EXCEPTION_SLOT)
-        )
+        for context in self._user_contexts:
+            if context.state not in _FINISHED:
+                return False
+        return True
 
     @property
     def operations_by_unit(self) -> Dict[str, int]:
@@ -375,27 +381,34 @@ class Cluster:
         frozen state would have (the state cannot have changed while the
         node slept, so the per-cycle increments are constant -- except under
         the HEP barrel policy, where the scanned slot rotates with the clock
-        and the per-slot counts follow the cycle residues)."""
+        and the per-slot counts follow the cycle residues).
+
+        A context still parked on the profile's reason counts the cycles as
+        parked visits, as :meth:`issue` would have; they fold into
+        ``stall_reasons`` under that reason, which the park's first visit
+        already put there."""
         kind, stalled = profile
         if kind == "idle":
             self.idle_cycles += num_cycles
             return
         self.no_ready_cycles += num_cycles
-        if isinstance(self.policy, HepBarrelPolicy):
-            modulus = self.policy.num_slots
-            for context, reason in stalled:
-                visits = _residue_count(start_cycle, num_cycles, context.slot, modulus)
-                if visits:
-                    self.icache.fetches += visits
-                    context.stall_cycles += visits
-                    context.stall_reasons[reason] += visits
-        else:
-            # event-priority and round-robin scan every runnable slot each
-            # blocked cycle.
-            for context, reason in stalled:
-                self.icache.fetches += num_cycles
-                context.stall_cycles += num_cycles
-                context.stall_reasons[reason] += num_cycles
+        hep = isinstance(self.policy, HepBarrelPolicy)
+        for context, reason in stalled:
+            if hep:
+                visits = _residue_count(start_cycle, num_cycles, context.slot,
+                                        self.policy.num_slots)
+                if not visits:
+                    continue
+            else:
+                # event-priority and round-robin scan every runnable slot
+                # each blocked cycle.
+                visits = num_cycles
+            self.icache.fetches += visits
+            context.stall_cycles += visits
+            if context.parked_on is not None and reason == context.parked_reason:
+                context.parked_visits += visits
+            else:
+                context.stall_reasons[reason] += visits
 
     # -- exceptions ----------------------------------------------------------------
 

@@ -37,7 +37,11 @@ The contract has two rules:
    nor statistics, so the kernel may skip those ticks entirely.  (Per-cycle
    statistics of the *issue* stage -- idle/stall counters -- are the one
    exception, and the kernel reproduces them in bulk via
-   :meth:`repro.node.node.Node.account_idle_cycles`.)
+   :meth:`repro.node.node.Node.account_idle_cycles`.)  The same rule lets
+   an awake node skip a pure phase: :meth:`repro.node.node.Node.tick` calls
+   a component only when the container its tick tests first holds
+   something, and the C-Switch's arbitration pointer, which moves every
+   cycle, is advanced without a delivery.
 """
 
 from __future__ import annotations

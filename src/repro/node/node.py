@@ -16,6 +16,16 @@ it drives them in a fixed phase order each cycle:
 
 Because writebacks and deliveries precede issue, result latencies observed by
 dependent instructions match the unit and switch latencies exactly.
+
+A phase with nothing queued is skipped: each phase first tests the
+container its component's method would test (the switch's queued
+transfers, the writeback lists, the pending event records, the memory
+pipeline's queues, a native handler's bound queue and deferred retries, the
+retransmit list) and calls the method only when it holds something.  A call
+on an empty container would change neither state nor statistics
+(:mod:`repro.core.component`, rule 2), so skipping it is exact.  The order
+of the phases is unchanged, and the C-Switch's arbitration pointer still
+rotates every cycle.
 """
 
 from __future__ import annotations
@@ -324,8 +334,6 @@ class Node:
         self._pending_events.append((at_cycle, record))
 
     def _enqueue_due_events(self, cycle: int) -> None:
-        if not self._pending_events:
-            return
         due = [entry for entry in self._pending_events if entry[0] <= cycle]
         if not due:
             return
@@ -350,42 +358,50 @@ class Node:
     def tick(self, cycle: int) -> int:
         """Advance the node one cycle; returns the number of instructions
         issued (used for quiescence detection)."""
-        # 1. C-Switch deliveries.
-        for dest_cluster, payload in self.cswitch.deliver(cycle):
-            self.clusters[dest_cluster].receive(payload, cycle)
-            if isinstance(payload, RegWrite) and payload.origin:
-                self.trace(cycle, "reg_write", cluster=dest_cluster, slot=payload.vthread,
-                           reg=str(payload.ref), origin=payload.origin)
+        # 1. C-Switch deliveries; the arbitration pointer rotates either way.
+        cswitch = self.cswitch
+        if cswitch._num_pending:
+            for dest_cluster, payload in cswitch.deliver(cycle):
+                self.clusters[dest_cluster].receive(payload, cycle)
+                if isinstance(payload, RegWrite) and payload.origin:
+                    self.trace(cycle, "reg_write", cluster=dest_cluster, slot=payload.vthread,
+                               reg=str(payload.ref), origin=payload.origin)
+        else:
+            cswitch.advance_idle(1)
 
-        # 2. Local writebacks (skip the per-cluster call when nothing is in
-        # flight -- the common case on memory- or message-bound cycles).
+        # 2. Local writebacks.
         for cluster in self.clusters:
             if cluster._writebacks:
                 cluster.apply_writebacks(cycle)
 
         # 3. Events whose hardware formatting delay has elapsed.
-        self._enqueue_due_events(cycle)
+        if self._pending_events:
+            self._enqueue_due_events(cycle)
 
-        # 4. Memory system; its responses return over the C-Switch.
-        for response in self.memory.tick(cycle):
-            if response.dest is not None and not response.faulted:
-                self.cswitch.submit(
-                    response.cluster,
-                    RegWrite(
-                        vthread=response.vthread,
-                        ref=response.dest,
-                        value=response.value,
-                        clear_pending=True,
-                        origin="memory",
-                    ),
-                    cycle,
-                )
-                self.trace(cycle, "mem_response", req=response.request.req_id,
-                           cluster=response.cluster, slot=response.vthread)
+        # 4. Memory system (``memory.busy``, tested in line); its responses
+        # return over the C-Switch.
+        memory = self.memory
+        if memory._pending or memory._mif_queue or any(memory._bank_queues):
+            for response in memory.tick(cycle):
+                if response.dest is not None and not response.faulted:
+                    cswitch.submit(
+                        response.cluster,
+                        RegWrite(
+                            vthread=response.vthread,
+                            ref=response.dest,
+                            value=response.value,
+                            clear_pending=True,
+                            origin="memory",
+                        ),
+                        cycle,
+                    )
+                    self.trace(cycle, "mem_response", req=response.request.req_id,
+                               cluster=response.cluster, slot=response.vthread)
 
-        # 5. Native runtime handlers.
+        # 5. Native runtime handlers with a queued item or a deferred retry.
         for handler in self.native_handlers:
-            handler.tick(self, cycle)
+            if handler.queue._words or handler._deferred:
+                handler.tick(self, cycle)
 
         # 6. Issue.
         issued = 0
@@ -395,7 +411,9 @@ class Node:
         self.instructions_last_cycle = issued
 
         # 7. Network interface housekeeping.
-        self.net.tick(cycle)
+        net = self.net
+        if net._retransmit:
+            net.tick(cycle)
         return issued
 
     # ------------------------------------------------------------------ liveness
@@ -408,18 +426,18 @@ class Node:
         (:class:`~repro.runtime.native.NativeHandler`).  A cluster writeback
         counts too: ``div``, ``mod`` and ``fdiv`` results land later than the
         quiescence settle window."""
-        return (
-            self.memory.busy
-            or bool(self._pending_events)
-            or self.cswitch.pending > 0
-            or not self.msg_queue_p0.is_empty
-            or not self.msg_queue_p1.is_empty
-            or not self.event_queue_sync.is_empty
-            or not self.event_queue_ltlb.is_empty
-            or self.net.busy
-            or any(handler.busy for handler in self.native_handlers)
-            or any(cluster._writebacks for cluster in self.clusters)
-        )
+        if (self.memory.busy or self._pending_events or self.cswitch._num_pending
+                or self.msg_queue_p0._words or self.msg_queue_p1._words
+                or self.event_queue_sync._words or self.event_queue_ltlb._words
+                or self.net.busy):
+            return True
+        for handler in self.native_handlers:
+            if handler.busy:
+                return True
+        for cluster in self.clusters:
+            if cluster._writebacks:
+                return True
+        return False
 
     # ------------------------------------------------------- kernel scheduling
     #
@@ -433,33 +451,57 @@ class Node:
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle after *cycle* at which this node's state changes
-        without external input (a mesh delivery), or None if it never will."""
-        candidates = []
-        ready = self.cswitch.next_ready_cycle()
-        if ready is not None:
-            candidates.append(ready)
+        without external input (a mesh delivery), or None if it never will.
+
+        Only components whose containers hold something are asked, and the
+        answer is ``cycle + 1`` as soon as one of them is due by then: work
+        that was due in the past but rationed by per-cycle bandwidth limits
+        (switch budgets, one bank service per cycle) is due again on the
+        very next cycle."""
+        soon = cycle + 1
+        earliest = None
+        cswitch = self.cswitch
+        if cswitch._num_pending:
+            earliest = cswitch.next_ready_cycle()
+            if earliest <= soon:
+                return soon
+        memory = self.memory
+        if memory.busy:
+            due = memory.next_event_cycle(cycle)
+            if due <= soon:
+                return soon
+            if earliest is None or due < earliest:
+                earliest = due
         for cluster in self.clusters:
-            due = cluster.next_writeback_cycle()
-            if due is not None:
-                candidates.append(due)
+            if cluster._writebacks:
+                due = cluster.next_writeback_cycle()
+                if due <= soon:
+                    return soon
+                if earliest is None or due < earliest:
+                    earliest = due
         if self._pending_events:
-            candidates.append(min(at_cycle for at_cycle, _ in self._pending_events))
-        due = self.memory.next_event_cycle(cycle)
-        if due is not None:
-            candidates.append(due)
+            due = min(at_cycle for at_cycle, _ in self._pending_events)
+            if due <= soon:
+                return soon
+            if earliest is None or due < earliest:
+                earliest = due
         for handler in self.native_handlers:
-            due = handler.next_event_cycle(cycle)
-            if due is not None:
-                candidates.append(due)
-        due = self.net.next_event_cycle(cycle)
-        if due is not None:
-            candidates.append(due)
-        if not candidates:
-            return None
-        # Work that was due in the past but rationed by per-cycle bandwidth
-        # limits (switch budgets, one bank service per cycle) is due again on
-        # the very next cycle.
-        return max(min(candidates), cycle + 1)
+            if handler.queue._words or handler._deferred:
+                due = handler.next_event_cycle(cycle)
+                if due is None:
+                    continue
+                if due <= soon:
+                    return soon
+                if earliest is None or due < earliest:
+                    earliest = due
+        net = self.net
+        if net._retransmit:
+            due = net.next_event_cycle(cycle)
+            if due <= soon:
+                return soon
+            if earliest is None or due < earliest:
+                earliest = due
+        return earliest
 
     def idle_issue_profile(self):
         """One frozen issue-stage profile per cluster, or None if any cluster
@@ -484,7 +526,10 @@ class Node:
 
     @property
     def user_threads_finished(self) -> bool:
-        return all(cluster.user_threads_finished for cluster in self.clusters)
+        for cluster in self.clusters:
+            if not cluster.user_threads_finished:
+                return False
+        return True
 
     # ------------------------------------------------------------------ snapshot
     #

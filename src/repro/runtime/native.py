@@ -17,7 +17,7 @@ mentions but does not specify.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.values import SnapshotError, decode_value, encode_value
 from repro.events.queue import EventQueue, HardwareQueue
@@ -34,8 +34,13 @@ SYNC_FAULT_RETRY_CYCLES = 24
 class NativeHandler:
     """Base class: a handler bound to one hardware queue of one node."""
 
-    def __init__(self, node, name: str = "native"):
+    #: Work held outside the bound queue, as ``(due cycle, item)`` pairs.
+    #: Empty here; a handler that defers work replaces it with a list.
+    _deferred: Sequence[tuple] = ()
+
+    def __init__(self, node, queue: HardwareQueue, name: str = "native"):
         self.node = node
+        self.queue = queue
         self.name = name
         self.busy_until = -1
         self.invocations = 0
@@ -53,15 +58,18 @@ class NativeHandler:
     # ``next_event_cycle`` -- SimComponent contract: the next cycle a tick of
     #                         this handler can have an effect, or None.
     #
-    # Handlers that buffer their own future work (like the synchronizing-
-    # fault retry handler) must override ``busy`` and ``next_event_cycle``;
-    # a handler whose ``tick`` does per-cycle work the kernel cannot see
-    # would violate the contract in :mod:`repro.core.component`.
+    # The node ticks a handler, and asks for its next event, only while the
+    # bound queue holds a word or ``_deferred`` holds an entry: with both
+    # empty, ``tick`` must change nothing.  Handlers that buffer their own
+    # future work (like the synchronizing-fault retry handler) keep it in
+    # ``_deferred`` and override ``next_event_cycle``; a handler whose
+    # ``tick`` does per-cycle work the kernel cannot see would violate the
+    # contract in :mod:`repro.core.component`.
 
     @property
     def busy(self) -> bool:
         """True while the handler holds work outside its hardware queue."""
-        return False
+        return bool(self._deferred)
 
     def has_queued_work(self) -> bool:
         """True when the bound hardware queue has something to consume."""
@@ -123,11 +131,8 @@ class NativeHandler:
 
 
 class EventNativeHandler(NativeHandler):
-    """A native handler that consumes :class:`EventRecord` objects."""
-
-    def __init__(self, node, queue: EventQueue, name: str):
-        super().__init__(node, name)
-        self.queue = queue
+    """A native handler that consumes :class:`EventRecord` objects from an
+    :class:`EventQueue`."""
 
     def has_queued_work(self) -> bool:
         return self.queue.pending_records > 0
@@ -152,8 +157,7 @@ class MessageNativeHandler(NativeHandler):
     """
 
     def __init__(self, node, queue: HardwareQueue, body_lengths: Dict[int, int], name: str):
-        super().__init__(node, name)
-        self.queue = queue
+        super().__init__(node, queue, name)
         self.body_lengths = body_lengths
         self.unknown_dips = 0
 
@@ -212,10 +216,6 @@ class SyncStatusFaultHandler(EventNativeHandler):
         self.on_block_status = on_block_status
         self.retries = 0
         self._deferred: List[tuple] = []
-
-    @property
-    def busy(self) -> bool:
-        return bool(self._deferred)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         queued = super().next_event_cycle(cycle)

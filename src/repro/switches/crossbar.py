@@ -87,14 +87,11 @@ class Crossbar:
         """Deliver up to the per-cycle budget of transfers that are ready.
 
         Returns a list of ``(output_port, payload)`` pairs; a broadcast
-        payload appears once per output port.
+        payload appears once per output port.  The arbitration pointer
+        advances one step per call.  On an empty switch that is all a call
+        does, so a caller that finds :attr:`pending` at 0 may call
+        :meth:`advance_idle` instead.
         """
-        if not self._num_pending:
-            # Empty switch: only the arbitration pointer moves.  This is the
-            # overwhelmingly common case on compute-bound cycles.
-            self._rr_pointer = (self._rr_pointer + 1) % self.num_outputs
-            return []
-
         delivered: List[Tuple[int, object]] = []
         budget = self.max_transfers_per_cycle
         ports_used = set()
@@ -132,7 +129,7 @@ class Crossbar:
             budget -= 1
             self.transfers_delivered += 1
 
-        self._rr_pointer = (self._rr_pointer + 1) % self.num_outputs
+        self.advance_idle(1)
         waiting = 0
         for queue in self._queues.values():
             for transfer in queue:
@@ -163,10 +160,12 @@ class Crossbar:
         return ready
 
     def advance_idle(self, cycles: int) -> None:
-        """Replay the pointer rotation of *cycles* empty :meth:`deliver`
-        calls at once (the event kernel skips those calls wholesale; the
-        round-robin pointer advances every cycle regardless of traffic, so
-        arbitration after a sleep must match the naive loop exactly)."""
+        """Advance the round-robin pointer by *cycles* steps: the pointer's
+        one rotation site.  :meth:`deliver` advances it one step, a node
+        whose switch is empty calls this instead of :meth:`deliver`, and the
+        event kernel replays a sleep's cycles at once.  The pointer advances
+        every cycle regardless of traffic, so arbitration after an empty
+        cycle or a sleep matches the naive loop exactly."""
         self._rr_pointer = (self._rr_pointer + cycles) % self.num_outputs
 
     # -- snapshot (repro.snapshot state_dict contract) -----------------------------

@@ -198,6 +198,13 @@ class TestRunResult:
         result = self._result()
         assert result.run_id == RunSpec("stencil", {"kind": "7pt"}).run_id
 
+    def test_from_error_keeps_the_sweep_run_id(self):
+        """The sweep runner names a failed run by its spec's run id."""
+        failed = RunResult.from_error("stencil", {"kind": "7pt"}, "boom", run_id="r7")
+        assert (failed.status, failed.run_id) == ("failed", "r7")
+        default = RunResult.from_error("stencil", {"kind": "7pt"}, "boom")
+        assert default.run_id == RunSpec("stencil", {"kind": "7pt"}).run_id
+
     def test_fingerprint_is_run_id_suffix(self):
         result = self._result()
         assert result.run_id.endswith("_" + result.fingerprint)

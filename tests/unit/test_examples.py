@@ -13,6 +13,8 @@ import pytest
 
 from pathlib import Path
 
+from repro import MMachine
+
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
@@ -46,3 +48,15 @@ def test_quickstart_uses_the_experiment_facade(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "memory word after the run : 42" in out
     assert "config fingerprint" in out
+
+
+def test_checkpoint_example_fails_when_a_mismatched_restore_is_accepted(
+        monkeypatch, tmp_path, capsys):
+    """The example's last step must fail, not just stay quiet, when
+    ``restore_snapshot`` accepts a snapshot of a differently-configured
+    machine.  Its bit-exact part restores through ``from_snapshot``, which
+    this stub does not touch."""
+    monkeypatch.setattr(MMachine, "restore_snapshot", lambda self, document: None)
+    with pytest.raises(AssertionError, match="restored into a 2x2x1 machine"):
+        _run(EXAMPLES_DIR / "checkpoint_resume.py", monkeypatch, tmp_path)
+    assert "resumed run is bit-exact" in capsys.readouterr().out
