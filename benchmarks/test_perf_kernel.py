@@ -397,7 +397,7 @@ def test_sdram_secded_throughput():
     """
     rng = random.Random(0)
     values = [rng.getrandbits(64) for _ in range(SDRAM_WORDS)]
-    sdram = Sdram(secded_enabled=True)
+    sdram = Sdram()
 
     start = time.perf_counter()
     for address, value in enumerate(values):

@@ -97,7 +97,7 @@ def _malformed(section: str) -> Iterator[None]:
 class MMachine:
     """A complete M-Machine: nodes, mesh network, runtime and clock."""
 
-    def __init__(self, config: Optional[MachineConfig] = None, install_runtime: bool = True):
+    def __init__(self, config: Optional[MachineConfig] = None):
         self.config = config or MachineConfig()
         for config_hook in _CONFIG_HOOKS:
             config_hook(self.config)
@@ -126,7 +126,7 @@ class MMachine:
         ]
         self.cycle = 0
         self.runtime = None
-        if install_runtime and self.config.runtime.shared_memory_mode != "none":
+        if self.config.runtime.shared_memory_mode != "none":
             # The handlers are compiled on the first machine that installs
             # them, not by every import of the simulator.
             from repro.runtime import install_runtime as _install  # noqa: PLC0415

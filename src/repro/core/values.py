@@ -8,7 +8,12 @@ requests, messages, register writes) and references to assembled programs.
 
 This module maps all of them onto plain JSON: scalars pass through, and
 everything else becomes a dict carrying the reserved ``"__snap__"`` tag.
-The encoding is self-describing and loss-free:
+A hardware record (a dataclass) is encoded from its fields in declaration
+order and decoded back by field name, through one table that gives each
+record class its tag and the converters of the few fields whose JSON form
+is not :func:`encode_value`'s (see :func:`_codec`); a field added to a
+record is therefore saved and restored with no edit here.  The encoding is
+self-describing and loss-free:
 
 * ``encode_value(decode_value(x)) == x`` for every encoded document, and
 * ``decode_value(encode_value(v))`` reconstructs an equal value, with
@@ -25,10 +30,12 @@ this never changes behaviour.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from collections import Counter
 from functools import lru_cache
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
@@ -87,12 +94,19 @@ def encode_value(value) -> object:
 
 
 @lru_cache(maxsize=None)
-def _records() -> SimpleNamespace:
-    """The record classes of the packages that import this codec.
+def _codec() -> SimpleNamespace:
+    """The record table, and the tagged classes of the packages that import
+    this codec.
 
     ``repro.cluster``, ``repro.events``, ``repro.memory`` and
     ``repro.network`` import this module while they load, so their classes
-    are imported here on the first encode or decode that needs one."""
+    are imported here on the first encode or decode that needs one.
+
+    ``records`` maps each record class to its tag and, for every field in
+    declaration order (the key order of its tagged dict), to the field's
+    name, encoder and decoder.  The few fields whose JSON form is not
+    :func:`encode_value`'s name their converters below; every other field
+    goes through :func:`encode_value` and :func:`decode_value`."""
     from repro.cluster.cluster import RegWrite  # noqa: PLC0415
     from repro.events.records import EventRecord, EventType  # noqa: PLC0415
     from repro.memory.guarded_pointer import GuardedPointer  # noqa: PLC0415
@@ -101,128 +115,61 @@ def _records() -> SimpleNamespace:
     from repro.network.gtlb import GtlbEntry  # noqa: PLC0415
     from repro.network.message import Message, MessageKind  # noqa: PLC0415
 
+    def each(encode, decode):
+        return (lambda items: [encode(item) for item in items],
+                lambda items: [decode(item) for item in items])
+
+    by_value = attrgetter("value")
+    table = {
+        RegisterRef: ("reg", {"file": (attrgetter("name"), lambda name: RegFile[name])}),
+        MemRequest: ("memreq", {"kind": (by_value, MemOpKind)}),
+        MemResponse: ("memresp", {}),
+        EventRecord: ("event", {"event_type": (int, EventType)}),
+        # The body is decoded item by item, so a body that is not a list is
+        # refused here rather than when the message is delivered.
+        Message: ("msg", {"kind": (by_value, MessageKind),
+                          "body": each(encode_value, decode_value)}),
+        RegWrite: ("regwrite", {}),
+        LptEntry: ("lpt", {"block_status": each(int, BlockStatus)}),
+        GtlbEntry: ("gtlb", {"start_node": (list, tuple), "extent": (list, tuple)}),
+    }
+    records = {
+        cls: (tag, tuple((field.name, *converters.get(field.name, (encode_value, decode_value)))
+                         for field in dataclasses.fields(cls)))
+        for cls, (tag, converters) in table.items()
+    }
     return SimpleNamespace(
         BlockStatus=BlockStatus,
-        EventRecord=EventRecord,
-        EventType=EventType,
-        GtlbEntry=GtlbEntry,
         GuardedPointer=GuardedPointer,
-        LptEntry=LptEntry,
-        MemOpKind=MemOpKind,
-        MemRequest=MemRequest,
-        MemResponse=MemResponse,
-        Message=Message,
-        MessageKind=MessageKind,
-        RegWrite=RegWrite,
+        records=records,
+        tags={tag: (cls, fields) for cls, (tag, fields) in records.items()},
     )
 
 
 def _encode_int(value: int) -> object:
     if isinstance(value, enum.IntEnum):
         # BlockStatus (and any future IntEnum) round-trips through its class.
-        if isinstance(value, _records().BlockStatus):
+        if isinstance(value, _codec().BlockStatus):
             return {TAG: "blockstatus", "value": int(value)}
         return int(value)
     return value
 
 
 def _encode_object(value) -> Dict[str, object]:
-    records = _records()
-    if isinstance(value, records.GuardedPointer):
+    codec = _codec()
+    record = codec.records.get(type(value))
+    if record is not None:
+        tag, fields = record
+        encoded: Dict[str, object] = {TAG: tag}
+        for name, encode, _ in fields:
+            encoded[name] = encode(getattr(value, name))
+        return encoded
+    if isinstance(value, codec.GuardedPointer):
         return {TAG: "gptr", "word": value.encode()}
     if isinstance(value, LabelRef):
         return {TAG: "label", "name": value.name}
-    if isinstance(value, RegisterRef):
-        return {
-            TAG: "reg",
-            "file": value.file.name,
-            "index": value.index,
-            "cluster": value.cluster,
-            "name": value.name,
-        }
     if isinstance(value, Program):
         return {TAG: "program", "name": value.name, "source": value.source}
-    if isinstance(value, records.MemRequest):
-        return {
-            TAG: "memreq",
-            "kind": value.kind.value,
-            "address": value.address,
-            "data": encode_value(value.data),
-            "dest": encode_value(value.dest),
-            "vthread": value.vthread,
-            "cluster": value.cluster,
-            "sync_pre": value.sync_pre,
-            "sync_post": value.sync_post,
-            "physical": value.physical,
-            "is_fp": value.is_fp,
-            "issue_cycle": value.issue_cycle,
-            "req_id": value.req_id,
-        }
-    if isinstance(value, records.MemResponse):
-        return {
-            TAG: "memresp",
-            "request": encode_value(value.request),
-            "value": encode_value(value.value),
-            "ready_cycle": value.ready_cycle,
-            "faulted": value.faulted,
-        }
-    if isinstance(value, records.EventRecord):
-        return {
-            TAG: "event",
-            "event_type": int(value.event_type),
-            "address": value.address,
-            "data": value.data,
-            "regspec": value.regspec,
-            "is_store": value.is_store,
-            "sync_pre": value.sync_pre,
-            "sync_post": value.sync_post,
-            "vthread": value.vthread,
-            "cluster": value.cluster,
-            "is_fp": value.is_fp,
-            "cycle": value.cycle,
-            "extra": encode_value(value.extra),
-        }
-    if isinstance(value, records.Message):
-        return {
-            TAG: "msg",
-            "kind": value.kind.value,
-            "source_node": value.source_node,
-            "dest_node": value.dest_node,
-            "priority": value.priority,
-            "dip": value.dip,
-            "dest_address": value.dest_address,
-            "body": [encode_value(item) for item in value.body],
-            "send_cycle": value.send_cycle,
-            "returned": encode_value(value.returned),
-            "msg_id": value.msg_id,
-        }
-    if isinstance(value, records.RegWrite):
-        return {
-            TAG: "regwrite",
-            "vthread": value.vthread,
-            "ref": encode_value(value.ref),
-            "value": encode_value(value.value),
-            "clear_pending": value.clear_pending,
-            "origin": value.origin,
-        }
-    if isinstance(value, records.LptEntry):
-        return {
-            TAG: "lpt",
-            "virtual_page": value.virtual_page,
-            "physical_frame": value.physical_frame,
-            "writable": value.writable,
-            "block_status": [int(status) for status in value.block_status],
-        }
-    if isinstance(value, records.GtlbEntry):
-        return {
-            TAG: "gtlb",
-            "base_page": value.base_page,
-            "page_group_length": value.page_group_length,
-            "start_node": list(value.start_node),
-            "extent": list(value.extent),
-            "pages_per_node": value.pages_per_node,
-            "page_size_words": value.page_size_words,
-        }
     raise SnapshotError(f"cannot encode value of type {type(value).__name__}: {value!r}")
 
 
@@ -240,7 +187,7 @@ def decode_value(encoded) -> object:
 
 
 def _decode_tagged(encoded: Dict[str, object]) -> object:
-    records = _records()
+    codec = _codec()
     tag = encoded[TAG]
     if tag == "float":
         return float(encoded["repr"])
@@ -251,99 +198,23 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
     if tag == "dict":
         return {decode_value(key): decode_value(item) for key, item in encoded["items"]}
     if tag == "gptr":
-        return records.GuardedPointer.decode(encoded["word"])
+        return codec.GuardedPointer.decode(encoded["word"])
     if tag == "label":
         return LabelRef(encoded["name"])
     if tag == "blockstatus":
-        return records.BlockStatus(encoded["value"])
-    if tag == "reg":
-        return RegisterRef(
-            file=RegFile[encoded["file"]],
-            index=encoded["index"],
-            cluster=encoded["cluster"],
-            name=encoded["name"],
-        )
+        return codec.BlockStatus(encoded["value"])
     if tag == "program":
         try:
             return assemble_cached(encoded["source"], encoded["name"])
         except AssemblyError as exc:
             raise SnapshotError(
                 f"program {encoded['name']!r} does not assemble: {exc}") from exc
-    if tag == "memreq":
-        return records.MemRequest(
-            kind=records.MemOpKind(encoded["kind"]),
-            address=encoded["address"],
-            data=decode_value(encoded["data"]),
-            dest=decode_value(encoded["dest"]),
-            vthread=encoded["vthread"],
-            cluster=encoded["cluster"],
-            sync_pre=encoded["sync_pre"],
-            sync_post=encoded["sync_post"],
-            physical=encoded["physical"],
-            is_fp=encoded["is_fp"],
-            issue_cycle=encoded["issue_cycle"],
-            req_id=encoded["req_id"],
-        )
-    if tag == "memresp":
-        return records.MemResponse(
-            request=decode_value(encoded["request"]),
-            value=decode_value(encoded["value"]),
-            ready_cycle=encoded["ready_cycle"],
-            faulted=encoded["faulted"],
-        )
-    if tag == "event":
-        return records.EventRecord(
-            event_type=records.EventType(encoded["event_type"]),
-            address=encoded["address"],
-            data=encoded["data"],
-            regspec=encoded["regspec"],
-            is_store=encoded["is_store"],
-            sync_pre=encoded["sync_pre"],
-            sync_post=encoded["sync_post"],
-            vthread=encoded["vthread"],
-            cluster=encoded["cluster"],
-            is_fp=encoded["is_fp"],
-            cycle=encoded["cycle"],
-            extra=decode_value(encoded["extra"]),
-        )
-    if tag == "msg":
-        return records.Message(
-            kind=records.MessageKind(encoded["kind"]),
-            source_node=encoded["source_node"],
-            dest_node=encoded["dest_node"],
-            priority=encoded["priority"],
-            dip=encoded["dip"],
-            dest_address=encoded["dest_address"],
-            body=[decode_value(item) for item in encoded["body"]],
-            send_cycle=encoded["send_cycle"],
-            returned=decode_value(encoded["returned"]),
-            msg_id=encoded["msg_id"],
-        )
-    if tag == "regwrite":
-        return records.RegWrite(
-            vthread=encoded["vthread"],
-            ref=decode_value(encoded["ref"]),
-            value=decode_value(encoded["value"]),
-            clear_pending=encoded["clear_pending"],
-            origin=encoded["origin"],
-        )
-    if tag == "lpt":
-        return records.LptEntry(
-            virtual_page=encoded["virtual_page"],
-            physical_frame=encoded["physical_frame"],
-            writable=encoded["writable"],
-            block_status=[records.BlockStatus(status) for status in encoded["block_status"]],
-        )
-    if tag == "gtlb":
-        return records.GtlbEntry(
-            base_page=encoded["base_page"],
-            page_group_length=encoded["page_group_length"],
-            start_node=tuple(encoded["start_node"]),
-            extent=tuple(encoded["extent"]),
-            pages_per_node=encoded["pages_per_node"],
-            page_size_words=encoded["page_size_words"],
-        )
-    raise SnapshotError(f"unknown snapshot value tag {tag!r}")
+    # A corrupt document's tag may be unhashable; it is unknown all the same.
+    record = codec.tags.get(tag) if isinstance(tag, str) else None
+    if record is None:
+        raise SnapshotError(f"unknown snapshot value tag {tag!r}")
+    cls, fields = record
+    return cls(**{name: decode(encoded[name]) for name, _, decode in fields})
 
 
 def encode_pairs(mapping) -> List[List[object]]:

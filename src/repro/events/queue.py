@@ -79,9 +79,6 @@ class HardwareQueue:
     def peek_word(self) -> Optional[int]:
         return self._words[0] if self._words else None
 
-    def clear(self) -> None:
-        self._words.clear()
-
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 
     def state_dict(self) -> dict:

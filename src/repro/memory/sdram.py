@@ -46,17 +46,15 @@ class Sdram:
         self,
         size_words: int = 1 << 20,
         timing: Optional[SdramTiming] = None,
-        secded_enabled: bool = True,
         name: str = "sdram",
     ):
         self.size_words = size_words
         self.timing = timing or SdramTiming()
-        self.secded_enabled = secded_enabled
         self.name = name
-        # Sparse storage: address -> stored value.  When SECDED is enabled the
-        # stored value for integer words is the 72-bit codeword; floats and
-        # guarded pointers are stored as-is (they model tagged words that a
-        # real implementation would serialise).
+        # Sparse storage: address -> stored value.  The stored value of an
+        # integer word is its 72-bit SECDED codeword; floats and guarded
+        # pointers are stored as-is (they model tagged words that a real
+        # implementation would serialise).
         self._words: Dict[int, object] = {}
         self._sync_bits: Dict[int, int] = {}
         self._pointer_tags: Dict[int, bool] = {}
@@ -107,7 +105,7 @@ class Sdram:
     def write_word(self, address: int, value, sync_bit: Optional[int] = None) -> None:
         self._check_address(address)
         self.writes += 1
-        if self.secded_enabled and isinstance(value, int) and not isinstance(value, bool):
+        if isinstance(value, int) and not isinstance(value, bool):
             self._words[address] = secded_encode(value)
             self._pointer_tags[address] = False
         else:
@@ -119,9 +117,9 @@ class Sdram:
     def read_word(self, address: int):
         self._check_address(address)
         self.reads += 1
-        # An unwritten word reads 0: raw storage holds 0 and 0's codeword is 0.
+        # An unwritten word reads 0: 0's codeword is 0.
         stored = self._words.get(address, 0)
-        if self.secded_enabled and isinstance(stored, int):
+        if isinstance(stored, int):
             try:
                 value, corrected = secded_decode(stored)
             except SecdedError:
@@ -156,14 +154,12 @@ class Sdram:
     # -- fault injection ---------------------------------------------------------
 
     def inject_bit_error(self, address: int, bit_positions: Iterable[int]) -> None:
-        """Flip bits of the stored codeword at *address* (requires SECDED).
+        """Flip bits of the stored codeword at *address*.
 
         Every position must lie inside the codeword, in
         ``[0, CODEWORD_BITS)``; otherwise ``ValueError`` is raised and the
         stored word is left as it was.
         """
-        if not self.secded_enabled:
-            raise RuntimeError("bit-error injection requires SECDED-encoded storage")
         self._check_address(address)
         stored = self._words.get(address, 0)
         if not isinstance(stored, int):

@@ -92,7 +92,7 @@ def _retired_fields() -> Dict[str, Dict[str, object]]:
             "sdram_cas": sdram.timing.cas,
             "sdram_cycles_per_word": sdram.timing.cycles_per_word,
             "sdram_row_size_words": sdram.timing.row_size_words,
-            "secded_enabled": sdram.secded_enabled,
+            "secded_enabled": True,
             "bank_latency": system.bank_latency,
             "mif_latency": system.mif_latency,
             "ltlb_latency": system.ltlb_latency,

@@ -349,7 +349,9 @@ def test_exec_runs_once_per_shape(monkeypatch):
     monkeypatch.setattr(dispatch, "exec",
                         lambda code, namespace: calls.append(code) or exec(code, namespace),
                         raising=False)
-    cluster = MMachine(MachineConfig.single_node(), install_runtime=False).nodes[0].clusters[0]
+    config = MachineConfig.single_node()
+    config.runtime.shared_memory_mode = "none"
+    cluster = MMachine(config).nodes[0].clusters[0]
     source = "add i1, i2, i3\nadd i4, i5, i6\nsub i1, i2, #1\nadd i4, i5, i6\nhalt"
     plans = [dispatch.compile_program(assemble(source), cluster, 0) for _ in range(2)]
     assert len(calls) == len(dispatch._FACTORIES) == 6

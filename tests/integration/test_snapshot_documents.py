@@ -1,6 +1,6 @@
 """Snapshot documents: byte-stable across resumes, readable across versions.
 
-Two contracts of the on-disk snapshot document beyond the state it restores:
+Contracts of the on-disk snapshot document beyond the state it restores:
 
 * A run that is snapshotted, restored from JSON and run on to the same
   cycle ends with a ``snapshot_document()`` byte-identical to the
@@ -18,20 +18,30 @@ Two contracts of the on-disk snapshot document beyond the state it restores:
 * Every malformed value of a config field fails with ``SnapshotError``,
   and so does a program source that no longer assembles or an unknown
   top-level config key.
+* Four mid-run snapshots that hold every tagged value kind keep their
+  sha256 digests, and restoring then saving one reproduces its bytes.
+  Every field of their tagged values set to each malformed value, or
+  deleted, either loads or fails with ``SnapshotError``, and exactly the
+  mutants pinned in ``snapshot_record_mutants.json`` load.
 """
 
 import copy
+import hashlib
+import itertools
 import json
+import os
+from collections import Counter
 
 import pytest
 
 from repro import MMachine, MachineConfig
-from repro.api import ExperimentBuilder
+from repro.api import ExperimentBuilder, get_workload
 from repro.cli import main
 from repro.core.config import apply_overrides
+from repro.core.values import TAG
 from repro.fuzz import generate_program
 from repro.snapshot import ConfigMismatchError, SnapshotError, config_to_dict
-from repro.snapshot.checkpoint import checkpoint_context
+from repro.snapshot.checkpoint import SnapshotTaken, checkpoint_context
 
 #: Fuzz seeds whose by-unit/by-slot counter pairs once came out in a
 #: different order after a mid-run resume.
@@ -294,3 +304,116 @@ def test_retired_key_is_an_unknown_override():
             ExperimentBuilder().override(key, False)
         with pytest.raises(ValueError, match=valid):
             apply_overrides(program.build_machine("event").config, {key: True})
+
+
+# ---------------------------------------------------------------------------
+# Tagged values: digest golden and record-field mutants
+# ---------------------------------------------------------------------------
+
+#: ``(workload, cycle)`` of each pinned snapshot, taken with
+#: ``checkpoint_context(dir, snapshot_at=cycle)``, and the sha256 of the
+#: file it writes.
+RECORD_SNAPSHOTS = {
+    ("coherence", 25): "eda02aa371f11cf707a5179da9046b82ae76a1755328249636bfcc03dff7f78a",
+    ("coherence", 60): "b2ae66699695a4594ae637b0d2a7a1aab445e04c326ac32ea9cb67c3cbcddfc7",
+    ("ping-pong", 50): "0747427702b8eb0343c538bc3ce490135630fe0fd215f28214b2dddecce65b7c",
+    ("protection-storm", 40): "6596b32f6bd48a3a9d9ab5e36142706caf1dfd09c3df0459ade5df5d56c6d4af",
+}
+
+#: Every tag the codec writes for a value that is not plain JSON, apart
+#: from ``label``, ``float``, ``tuple``, ``set`` and ``dict``.
+RECORD_TAGS = ("blockstatus", "event", "gptr", "gtlb", "lpt", "memreq", "memresp", "msg",
+               "program", "reg", "regwrite")
+
+#: Mutants per tagged value field: each of ``MUTANT_VALUES``, then deletion.
+MUTANT_COUNT = len(MUTANT_VALUES) + 1
+
+RECORD_MUTANTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                   "snapshot_record_mutants.json")
+
+
+@pytest.fixture(scope="module")
+def record_snapshots(tmp_path_factory):
+    """``{(workload, cycle): snapshot file text}``."""
+    texts = {}
+    for workload, cycle in RECORD_SNAPSHOTS:
+        directory = tmp_path_factory.mktemp(f"{workload}-{cycle}")
+        with checkpoint_context(str(directory), snapshot_at=cycle):
+            with pytest.raises(SnapshotTaken) as taken:
+                get_workload(workload).call({})
+        with open(taken.value.path, encoding="utf-8") as handle:
+            texts[workload, cycle] = handle.read()
+    return texts
+
+
+def _tagged(value):
+    """Every tagged value in a snapshot document, in document order."""
+    if isinstance(value, dict):
+        if TAG in value:
+            yield value
+        for item in value.values():
+            yield from _tagged(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _tagged(item)
+
+
+def record_mutant_loads(texts) -> dict:
+    """``{"<workload>@<cycle> <tag>#<occurrence> <field>": pattern}`` for
+    the first two values of each tag in each snapshot: character *i* of
+    the pattern is ``L`` when the document with the field set to
+    ``MUTANT_VALUES[i]`` (the last: with the field deleted) loads, and
+    ``-`` when it raises ``SnapshotError``.  Any other exception
+    propagates."""
+    loads = {}
+    for (workload, cycle), text in texts.items():
+        seen: Counter = Counter()
+        for index, value in enumerate(_tagged(json.loads(text))):
+            tag, occurrence = value[TAG], seen[value[TAG]]
+            seen[tag] += 1
+            if occurrence >= 2:
+                continue
+            for field in value:
+                if field == TAG:
+                    continue
+                pattern = ""
+                for mutant in range(MUTANT_COUNT):
+                    document = json.loads(text)
+                    record = next(itertools.islice(_tagged(document), index, None))
+                    if mutant < len(MUTANT_VALUES):
+                        record[field] = MUTANT_VALUES[mutant]
+                    else:
+                        del record[field]
+                    try:
+                        MMachine.from_snapshot(document)
+                    except SnapshotError:
+                        pattern += "-"
+                    else:
+                        pattern += "L"
+                loads[f"{workload}@{cycle} {tag}#{occurrence} {field}"] = pattern
+    return loads
+
+
+def test_record_snapshot_digests_and_round_trip(record_snapshots):
+    """The pinned snapshots keep their bytes, hold every record tag
+    between them, and restoring then saving each one reproduces it."""
+    tags = set()
+    for key, text in record_snapshots.items():
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RECORD_SNAPSHOTS[key], key
+        tags.update(value[TAG] for value in _tagged(json.loads(text)))
+        restored = MMachine.from_snapshot(json.loads(text))
+        assert json.dumps(restored.snapshot_document(), separators=(",", ":"),
+                          allow_nan=False) == text, key
+    assert sorted(tags) == list(RECORD_TAGS)
+
+
+def test_record_field_mutants_load_or_raise_snapshot_error(record_snapshots):
+    """Each field of the first two values of each tag, set to each
+    malformed value or deleted, either loads or raises ``SnapshotError``,
+    and exactly the pinned mutants load."""
+    loads = record_mutant_loads(record_snapshots)
+    with open(RECORD_MUTANTS_PATH, encoding="utf-8") as handle:
+        pinned = json.load(handle)["loads"]
+    assert sum(len(pattern) for pattern in loads.values()) == 1816
+    assert sum(pattern.count("L") for pattern in loads.values()) == 1157
+    assert loads == pinned

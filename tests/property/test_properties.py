@@ -201,7 +201,9 @@ class TestIssueStageArithmeticProperties:
             error = None
         except (OperandError, ProtectionError) as exc:
             expected, error = None, exc
-        machine = MMachine(MachineConfig.single_node(), install_runtime=False)
+        config = MachineConfig.single_node()
+        config.runtime.shared_memory_mode = "none"
+        machine = MMachine(config)
         registers = dict(zip(("i1", "i2"), operands))
         machine.load_hthread(0, 0, 0, instruction + "\nhalt", registers=registers)
         if isinstance(error, OperandError):
@@ -250,7 +252,7 @@ class TestMemorySystemProperties:
         regardless of cache fills, evictions and write-backs."""
         cache = InterleavedCache(num_banks=4, bank_size_words=64, line_size_words=8,
                                  associativity=1)
-        sdram = Sdram(size_words=1 << 14, secded_enabled=False)
+        sdram = Sdram(size_words=1 << 14)
         table = LocalPageTable(num_entries=16)
         table.insert(LptEntry(virtual_page=0, physical_frame=0))
         system = MemorySystem(0, cache, Ltlb(), table, sdram)

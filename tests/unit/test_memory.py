@@ -102,7 +102,7 @@ class TestSdram:
         assert sdram.read_block(8, 4) == [1, 2, 3, 4]
 
     def test_secded_correction_and_scrub(self):
-        sdram = Sdram(size_words=64, secded_enabled=True)
+        sdram = Sdram(size_words=64)
         sdram.write_word(3, 777)
         sdram.inject_bit_error(3, [5])
         assert sdram.read_word(3) == 777
@@ -112,7 +112,7 @@ class TestSdram:
         assert sdram.corrected_errors == 1
 
     def test_secded_double_error_raises(self):
-        sdram = Sdram(size_words=64, secded_enabled=True)
+        sdram = Sdram(size_words=64)
         sdram.write_word(3, 777)
         sdram.inject_bit_error(3, [5, 9])
         with pytest.raises(SecdedError):
@@ -377,7 +377,7 @@ class TestCache:
 
 
 def _build_memory_system(tracer=None):
-    sdram = Sdram(size_words=1 << 16, secded_enabled=False)
+    sdram = Sdram(size_words=1 << 16)
     cache = InterleavedCache()
     ltlb = Ltlb()
     table = LocalPageTable(num_entries=64)

@@ -295,12 +295,6 @@ class TestSdramAccounting:
         assert sdram.read_word(3) == 777
         assert (sdram.corrected_errors, sdram.detected_errors) == (0, 0)
 
-    def test_injection_requires_secded(self):
-        sdram = Sdram(size_words=64, secded_enabled=False)
-        sdram.write_word(3, 777)
-        with pytest.raises(RuntimeError):
-            sdram.inject_bit_error(3, [5])
-
     def test_injection_rejects_tagged_words(self):
         sdram = Sdram(size_words=64)
         sdram.write_word(3, 1.5)
