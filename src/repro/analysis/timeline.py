@@ -14,6 +14,12 @@ from typing import List, Optional
 
 from repro.core.trace import TraceEvent, Tracer
 
+#: The node that issues the remote access, and the node that homes its page.
+REQUESTING_NODE = 0
+HOME_NODE = 1
+#: The register a remote read's reply fills.
+DESTINATION_REGISTER = "i5"
+
 
 @dataclass
 class TimelineEvent:
@@ -85,69 +91,66 @@ def _first(tracer: Tracer, category: str, node: int, since: int = 0, **match) ->
 def extract_remote_access_timeline(
     tracer: Tracer,
     kind: str,
-    requesting_node: int = 0,
-    home_node: int = 1,
     address: Optional[int] = None,
-    destination_register: str = "i5",
-    since: int = 0,
 ) -> Timeline:
-    """Rebuild the Figure 9 milestones of a single remote read or write.
+    """Rebuild the Figure 9 milestones of a single remote read or write from
+    ``REQUESTING_NODE`` to ``HOME_NODE``.
 
-    The trace must contain exactly one remote access of the given kind after
-    *since* (the Table 1 harness guarantees this); *address* narrows the
-    store-completion match when supplied.
+    The trace must contain exactly one remote access of the given kind (the
+    Table 1 harness guarantees this); *address* narrows the store-completion
+    match when supplied.
     """
     if kind not in ("read", "write"):
         raise ValueError("kind must be 'read' or 'write'")
     is_store = kind == "write"
     timeline = Timeline(kind=f"remote {kind}")
 
-    issue = _first(tracer, "mem_issue", requesting_node, since, store=is_store, slot=0)
-    timeline.add(issue.cycle if issue else None, requesting_node,
+    issue = _first(tracer, "mem_issue", REQUESTING_NODE, store=is_store, slot=0)
+    timeline.add(issue.cycle if issue else None, REQUESTING_NODE,
                  "STORE issues" if is_store else "LOAD issues")
-    start = issue.cycle if issue else since
+    start = issue.cycle if issue else 0
 
-    miss = _first(tracer, "cache_miss", requesting_node, start)
-    timeline.add(miss.cycle if miss else None, requesting_node, "cache miss detected")
+    miss = _first(tracer, "cache_miss", REQUESTING_NODE, start)
+    timeline.add(miss.cycle if miss else None, REQUESTING_NODE, "cache miss detected")
 
-    ltlb = _first(tracer, "ltlb_miss", requesting_node, start)
-    timeline.add(ltlb.cycle if ltlb else None, requesting_node, "LTLB miss")
+    ltlb = _first(tracer, "ltlb_miss", REQUESTING_NODE, start)
+    timeline.add(ltlb.cycle if ltlb else None, REQUESTING_NODE, "LTLB miss")
 
-    event = _first(tracer, "event_enqueue", requesting_node, start, type="LTLB_MISS")
-    timeline.add(event.cycle if event else None, requesting_node,
+    event = _first(tracer, "event_enqueue", REQUESTING_NODE, start, type="LTLB_MISS")
+    timeline.add(event.cycle if event else None, REQUESTING_NODE,
                  "event record enqueued / start LTLB miss handler")
 
-    request_inject = _first(tracer, "msg_inject", requesting_node, start, priority=0)
-    timeline.add(request_inject.cycle if request_inject else None, requesting_node,
+    request_inject = _first(tracer, "msg_inject", REQUESTING_NODE, start, priority=0)
+    timeline.add(request_inject.cycle if request_inject else None, REQUESTING_NODE,
                  "handler sends %s message (LTLB miss handler completes)" % ("STORE" if is_store else "LOAD"))
 
-    request_deliver = _first(tracer, "msg_deliver", home_node, start, priority=0)
-    timeline.add(request_deliver.cycle if request_deliver else None, home_node,
+    request_deliver = _first(tracer, "msg_deliver", HOME_NODE, start, priority=0)
+    timeline.add(request_deliver.cycle if request_deliver else None, HOME_NODE,
                  "message received / message handler dispatches")
 
-    home_access = _first(tracer, "mem_issue", home_node, start, store=is_store)
-    timeline.add(home_access.cycle if home_access else None, home_node,
+    home_access = _first(tracer, "mem_issue", HOME_NODE, start, store=is_store)
+    timeline.add(home_access.cycle if home_access else None, HOME_NODE,
                  "execute %s" % ("store" if is_store else "load"))
 
     if is_store:
         complete_match = {"address": address} if address is not None else {}
-        complete = _first(tracer, "store_complete", home_node, start, **complete_match)
-        timeline.add(complete.cycle if complete else None, home_node,
+        complete = _first(tracer, "store_complete", HOME_NODE, start, **complete_match)
+        timeline.add(complete.cycle if complete else None, HOME_NODE,
                      "store complete (message handler completes)")
     else:
-        reply_inject = _first(tracer, "msg_inject", home_node, start, priority=1)
-        timeline.add(reply_inject.cycle if reply_inject else None, home_node,
+        reply_inject = _first(tracer, "msg_inject", HOME_NODE, start, priority=1)
+        timeline.add(reply_inject.cycle if reply_inject else None, HOME_NODE,
                      "send reply message (message handler completes)")
-        reply_deliver = _first(tracer, "msg_deliver", requesting_node, start, priority=1)
-        timeline.add(reply_deliver.cycle if reply_deliver else None, requesting_node,
+        reply_deliver = _first(tracer, "msg_deliver", REQUESTING_NODE, start, priority=1)
+        timeline.add(reply_deliver.cycle if reply_deliver else None, REQUESTING_NODE,
                      "reply message received")
         final = None
-        for candidate in tracer.iter_filter("reg_write", node=requesting_node, since=start):
-            if candidate.info.get("reg") == destination_register and \
+        for candidate in tracer.iter_filter("reg_write", node=REQUESTING_NODE, since=start):
+            if candidate.info.get("reg") == DESTINATION_REGISTER and \
                     candidate.info.get("origin") == "xregwr":
                 final = candidate
                 break
-        timeline.add(final.cycle if final else None, requesting_node,
+        timeline.add(final.cycle if final else None, REQUESTING_NODE,
                      "return data to destination register")
 
     return timeline

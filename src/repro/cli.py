@@ -61,7 +61,9 @@ from repro.api.schema import validate_results
 from repro.api.workload import get_workload, workload_names, workload_specs
 from repro.core.trace import Tracer, encode_event
 from repro.core.trace_disk import TraceDirError
-from repro.memory import PAGE_SIZE_WORDS, InterleavedCache, Sdram
+from repro.memory.cache import BANK_SIZE_WORDS, NUM_BANKS
+from repro.memory.page_table import PAGE_SIZE_WORDS
+from repro.memory.sdram import SDRAM_SIZE_WORDS
 from repro.snapshot import SnapshotError
 from repro.snapshot.checkpoint import SnapshotTaken, checkpoint_context
 from repro.snapshot.format import (
@@ -417,7 +419,6 @@ def _cmd_list() -> int:
 def _cmd_info() -> int:
     config = MachineConfig()
     mesh = config.network.mesh_shape
-    cache = InterleavedCache()
     payload = {
         "version": __version__,
         "snapshot_schema_version": SNAPSHOT_SCHEMA_VERSION,
@@ -426,8 +427,8 @@ def _cmd_info() -> int:
             "num_nodes": config.num_nodes,
             "clusters_per_node": NUM_CLUSTERS,
             "vthread_slots": NUM_VTHREAD_SLOTS,
-            "cache_words": cache.num_banks * cache.bank_size_words,
-            "sdram_words": Sdram().size_words,
+            "cache_words": NUM_BANKS * BANK_SIZE_WORDS,
+            "sdram_words": SDRAM_SIZE_WORDS,
             "page_size_words": PAGE_SIZE_WORDS,
             "kernel": config.sim.kernel,
             "shared_memory_mode": config.runtime.shared_memory_mode,

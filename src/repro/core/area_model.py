@@ -15,8 +15,7 @@ The paper's technology argument is quantitative:
   in peak performance per unit area.
 
 This module encodes those numbers as an explicit model so the claims can be
-recomputed (benchmark E7) and perturbed (what-if sweeps in the examples).
-Areas are expressed in Mlambda^2 (10^6 lambda^2).
+recomputed (benchmark E7).  Areas are expressed in Mlambda^2 (10^6 lambda^2).
 """
 
 from __future__ import annotations
@@ -75,35 +74,17 @@ TECH_1996 = TechnologyPoint(year=1996, feature_size_um=0.35, chip_area_mlambda2=
 class AreaModel:
     """Recomputes the paper's area and peak-performance/area claims."""
 
-    def __init__(
-        self,
-        processor_area: float = PROCESSOR_AREA_MLAMBDA2,
-        dram_area_per_mbyte: float = DRAM_AREA_PER_MBYTE_MLAMBDA2,
-        map_chip_area: float = MAP_CHIP_AREA_MLAMBDA2,
-        cluster_fraction: float = MAP_CLUSTER_FRACTION,
-        node_memory_mbytes: int = NODE_MEMORY_MBYTES,
-        clusters_per_node: int = CLUSTERS_PER_NODE,
-        operations_per_cluster: int = OPERATIONS_PER_CLUSTER,
-    ):
-        self.processor_area = processor_area
-        self.dram_area_per_mbyte = dram_area_per_mbyte
-        self.map_chip_area = map_chip_area
-        self.cluster_fraction = cluster_fraction
-        self.node_memory_mbytes = node_memory_mbytes
-        self.clusters_per_node = clusters_per_node
-        self.operations_per_cluster = operations_per_cluster
-
     # -- node-level figures --------------------------------------------------------
 
     @property
     def cluster_area(self) -> float:
         """Area of the four execution clusters of one MAP chip."""
-        return self.map_chip_area * self.cluster_fraction
+        return MAP_CHIP_AREA_MLAMBDA2 * MAP_CLUSTER_FRACTION
 
     @property
     def node_area(self) -> float:
         """Area of one node: the MAP chip plus its SDRAM."""
-        return self.map_chip_area + self.node_memory_mbytes * self.dram_area_per_mbyte
+        return MAP_CHIP_AREA_MLAMBDA2 + NODE_MEMORY_MBYTES * DRAM_AREA_PER_MBYTE_MLAMBDA2
 
     @property
     def cluster_fraction_of_node(self) -> float:
@@ -117,18 +98,18 @@ class AreaModel:
         return num_nodes * self.node_area
 
     def machine_memory_mbytes(self, num_nodes: int) -> int:
-        return num_nodes * self.node_memory_mbytes
+        return num_nodes * NODE_MEMORY_MBYTES
 
     def machine_peak_operations(self, num_nodes: int) -> int:
         """Peak operations per cycle of an M-Machine."""
-        return num_nodes * self.clusters_per_node * self.operations_per_cluster
+        return num_nodes * CLUSTERS_PER_NODE * OPERATIONS_PER_CLUSTER
 
     def uniprocessor_area(self, memory_mbytes: int) -> float:
         """Area of a conventional uniprocessor system with the same memory."""
-        return self.processor_area + memory_mbytes * self.dram_area_per_mbyte
+        return PROCESSOR_AREA_MLAMBDA2 + memory_mbytes * DRAM_AREA_PER_MBYTE_MLAMBDA2
 
     def uniprocessor_peak_operations(self) -> int:
-        return self.operations_per_cluster
+        return OPERATIONS_PER_CLUSTER
 
     # -- the paper's headline comparison ---------------------------------------------
 
@@ -151,5 +132,5 @@ class AreaModel:
             "peak_ratio": peak_ratio,
             "peak_per_area_improvement": peak_ratio / area_ratio,
             "cluster_fraction_of_node": self.cluster_fraction_of_node,
-            "uniprocessor_fraction_of_system": self.processor_area / u_area,
+            "uniprocessor_fraction_of_system": PROCESSOR_AREA_MLAMBDA2 / u_area,
         }

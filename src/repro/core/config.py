@@ -12,11 +12,11 @@ The rest is the one machine the paper evaluates: a 3-D mesh of MAP chips
 (Figures 1 and 2), each with four three-issue clusters, six resident
 V-Thread slots (Section 3.2), a four-bank 32 KB cache and 1 MW of SDRAM,
 with 512-word pages of eight-word blocks (Sections 2 and 4.3).  Its
-structure and timing are constants or component defaults next to the code
-that uses them: the register files and cluster count in
-:mod:`repro.isa.registers`, the I-cache in :mod:`repro.cluster.icache`,
-the cache, LTLB, page table and SDRAM in :mod:`repro.memory`, the network
-latencies in :mod:`repro.network.mesh`, the queues and switches in
+structure and timing are module constants next to the code that uses them:
+the register files and cluster count in :mod:`repro.isa.registers`, the
+I-cache in :mod:`repro.cluster.icache`, the cache, LTLB, page table, SDRAM
+and memory-system latencies in :mod:`repro.memory`, the GTLB and network
+latencies in :mod:`repro.network`, the queues and switches in
 :mod:`repro.node.node` and :mod:`repro.switches.crossbar`, and the
 native-handler costs in :mod:`repro.runtime.native`.
 """
@@ -69,8 +69,8 @@ class ClusterConfig:
 
 @dataclass
 class MemoryConfig:
-    """Memory parameters.  The geometry and timing are the defaults of the
-    :mod:`repro.memory` components; only the page size stays readable."""
+    """Memory parameters.  The geometry and timing are constants of the
+    :mod:`repro.memory` modules; only the page size stays readable."""
 
     #: Words per page; only ``PAGE_SIZE_WORDS`` of
     #: :mod:`repro.memory.page_table` is accepted.

@@ -23,8 +23,8 @@ class IdSource:
 
     __slots__ = ("next_id",)
 
-    def __init__(self, start: int = 0):
-        self.next_id = start
+    def __init__(self):
+        self.next_id = 0
 
     def __call__(self) -> int:
         value = self.next_id

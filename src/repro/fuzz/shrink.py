@@ -28,6 +28,8 @@ _SHRINKABLE_PARAMS = ("iterations", "messages", "words", "repeats")
 #: Upper bound on candidate evaluations per shrink call.  Each evaluation is
 #: five full simulator runs, so this caps shrinking at a few hundred runs.
 _MAX_EVALUATIONS = 60
+#: Upper bound on passes over the three reductions per shrink call.
+_MAX_ROUNDS = 8
 
 
 def _clone(program: GeneratedProgram) -> GeneratedProgram:
@@ -37,7 +39,6 @@ def _clone(program: GeneratedProgram) -> GeneratedProgram:
 def shrink_program(
     program: GeneratedProgram,
     is_failing: Callable[[GeneratedProgram], bool],
-    max_rounds: int = 8,
 ) -> GeneratedProgram:
     """Return the smallest variant of *program* for which *is_failing* holds.
 
@@ -58,7 +59,7 @@ def shrink_program(
         return program
 
     current = _clone(program)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         changed = False
         changed |= _drop_threads(current, still_fails)
         changed |= _shrink_params(current, still_fails)

@@ -9,7 +9,7 @@ Because the banks are *word*-interleaved, an eight-word cache block spans all
 four banks (two words per bank).  The model therefore keeps a single logical
 line store (set-associative over virtual line addresses) and exposes the bank
 structure purely for port arbitration: word address ``a`` must use bank
-``a % num_banks`` and each bank accepts one access per cycle, which is how the
+``a % NUM_BANKS`` and each bank accepts one access per cycle, which is how the
 paper gets four consecutive word accesses per cycle.
 
 The cache is write-back / write-allocate.  Each line carries the physical
@@ -26,10 +26,20 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.values import decode_value, encode_value
 from repro.memory.page_table import BLOCK_SIZE_WORDS
 
+#: Word-interleaved cache banks (Section 2).
+NUM_BANKS = 4
+#: Words per bank: four 4 KW banks make the 32 KB cache.
+BANK_SIZE_WORDS = 4096
+#: Lines per set.
+ASSOCIATIVITY = 2
+#: Sets of ``ASSOCIATIVITY`` eight-word lines; addresses ``NUM_SETS *
+#: BLOCK_SIZE_WORDS`` words apart share a set.
+NUM_SETS = NUM_BANKS * BANK_SIZE_WORDS // BLOCK_SIZE_WORDS // ASSOCIATIVITY
+
 
 @dataclass
 class CacheLine:
-    """One cache line (block) of ``line_size`` words."""
+    """One cache line: a block of ``BLOCK_SIZE_WORDS`` words."""
 
     tag: int
     virtual_base: int
@@ -60,25 +70,7 @@ class EvictedLine:
 class InterleavedCache:
     """A four-bank, word-interleaved, virtually addressed cache."""
 
-    def __init__(
-        self,
-        num_banks: int = 4,
-        bank_size_words: int = 4096,
-        line_size_words: int = BLOCK_SIZE_WORDS,
-        associativity: int = 2,
-        name: str = "cache",
-    ):
-        if line_size_words & (line_size_words - 1):
-            raise ValueError("line size must be a power of two")
-        total_words = num_banks * bank_size_words
-        total_lines = total_words // line_size_words
-        if total_lines % associativity:
-            raise ValueError("cache geometry does not divide into whole sets")
-        self.num_banks = num_banks
-        self.bank_size_words = bank_size_words
-        self.line_size_words = line_size_words
-        self.associativity = associativity
-        self.num_sets = total_lines // associativity
+    def __init__(self, name: str = "cache"):
         self.name = name
         # sets[set_index] -> list of CacheLine
         self._sets: Dict[int, List[CacheLine]] = {}
@@ -95,17 +87,13 @@ class InterleavedCache:
 
     # -- geometry ----------------------------------------------------------------
 
-    @property
-    def capacity_words(self) -> int:
-        return self.num_banks * self.bank_size_words
-
     def bank_of(self, address: int) -> int:
         """Bank a word access must use (port arbitration)."""
-        return address % self.num_banks
+        return address % NUM_BANKS
 
     def _set_and_tag(self, address: int) -> Tuple[int, int]:
-        line_number = address // self.line_size_words
-        return line_number % self.num_sets, line_number // self.num_sets
+        line_number = address // BLOCK_SIZE_WORDS
+        return line_number % NUM_SETS, line_number // NUM_SETS
 
     # -- lookup ------------------------------------------------------------------
 
@@ -167,11 +155,11 @@ class InterleavedCache:
     ) -> Optional[EvictedLine]:
         """Install a line; returns the victim (for write-back) if one was
         evicted dirty, or None."""
-        if len(data) != self.line_size_words:
+        if len(data) != BLOCK_SIZE_WORDS:
             raise ValueError(
-                f"fill data must be {self.line_size_words} words, got {len(data)}"
+                f"fill data must be {BLOCK_SIZE_WORDS} words, got {len(data)}"
             )
-        if virtual_base % self.line_size_words:
+        if virtual_base % BLOCK_SIZE_WORDS:
             raise ValueError("fill address must be line aligned")
         set_index, tag = self._set_and_tag(virtual_base)
         ways = self._sets.setdefault(set_index, [])
@@ -189,7 +177,7 @@ class InterleavedCache:
                 return None
 
         evicted: Optional[EvictedLine] = None
-        if len(ways) >= self.associativity:
+        if len(ways) >= ASSOCIATIVITY:
             victim = min(ways, key=lambda entry: entry.last_used)
             ways.remove(victim)
             self.evictions += 1
@@ -331,6 +319,6 @@ class InterleavedCache:
 
     def __repr__(self) -> str:
         return (
-            f"InterleavedCache({self.name!r}, {self.num_banks}x{self.bank_size_words}W, "
+            f"InterleavedCache({self.name!r}, {NUM_BANKS}x{BANK_SIZE_WORDS}W, "
             f"{self.resident_lines} lines resident)"
         )

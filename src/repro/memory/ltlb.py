@@ -18,17 +18,16 @@ from collections import OrderedDict
 from typing import Optional
 
 from repro.core.values import decode_value, encode_value
-from repro.memory.page_table import LptEntry, PAGE_SIZE_WORDS, page_of
+from repro.memory.page_table import LptEntry, page_of
+
+#: Entries of the LTLB.
+LTLB_ENTRIES = 64
 
 
 class Ltlb:
     """A fully associative, LRU-replaced translation cache."""
 
-    def __init__(self, num_entries: int = 64, page_size: int = PAGE_SIZE_WORDS, name: str = "ltlb"):
-        if num_entries <= 0:
-            raise ValueError("LTLB must have at least one entry")
-        self.num_entries = num_entries
-        self.page_size = page_size
+    def __init__(self, name: str = "ltlb"):
         self.name = name
         self._entries: "OrderedDict[int, LptEntry]" = OrderedDict()
         # Statistics
@@ -42,7 +41,7 @@ class Ltlb:
     def lookup(self, address: int) -> Optional[LptEntry]:
         """Translate a virtual address; None on a miss (which the memory
         system turns into an LTLB-miss event)."""
-        page = page_of(address, self.page_size)
+        page = page_of(address)
         entry = self._entries.get(page)
         if entry is None:
             self.misses += 1
@@ -54,7 +53,7 @@ class Ltlb:
     def probe(self, address: int) -> Optional[LptEntry]:
         """Like :meth:`lookup` but without touching statistics or LRU state
         (used by debug/loader paths)."""
-        return self._entries.get(page_of(address, self.page_size))
+        return self._entries.get(page_of(address))
 
     # -- maintenance -------------------------------------------------------------
 
@@ -65,7 +64,7 @@ class Ltlb:
             self._entries.move_to_end(entry.virtual_page)
             self._entries[entry.virtual_page] = entry
             return None
-        if len(self._entries) >= self.num_entries:
+        if len(self._entries) >= LTLB_ENTRIES:
             _, evicted = self._entries.popitem(last=False)
             self.evictions += 1
         self._entries[entry.virtual_page] = entry
@@ -124,4 +123,4 @@ class Ltlb:
         return self.hits / total if total else 0.0
 
     def __repr__(self) -> str:
-        return f"Ltlb({self.name!r}, {len(self)}/{self.num_entries} entries)"
+        return f"Ltlb({self.name!r}, {len(self)}/{LTLB_ENTRIES} entries)"

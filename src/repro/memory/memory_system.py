@@ -9,22 +9,22 @@ faults and memory-synchronizing faults) toward the event V-Thread
 Timing model
 ------------
 
-All latencies are expressed in MAP cycles and configured by
-:class:`repro.core.config.MemoryConfig`:
+All latencies are expressed in MAP cycles and are the constants below:
 
 * a request arrives from the M-Switch one cycle after issue;
 * each cache bank accepts one access per cycle (bank conflicts delay younger
-  requests); a hit produces its response after ``bank_latency`` cycles --
+  requests); a hit produces its response after ``BANK_LATENCY`` cycles --
   with the M-Switch and C-Switch traversals this yields the paper's
   three-cycle load-hit latency;
 * a miss is forwarded to the external memory interface (one outstanding miss
-  at a time), which spends ``ltlb_latency`` cycles translating, then accesses
-  the SDRAM with its page-mode timing; loads return the critical word first,
-  stores complete only when the whole block has been loaded and merged
-  (which is why the paper's write-miss latency exceeds its read-miss
-  latency);
+  at a time), which spends ``MIF_LATENCY`` cycles accepting it and
+  ``LTLB_LATENCY`` cycles translating, then accesses the SDRAM with its
+  page-mode timing and fills the line ``FILL_LATENCY`` cycles after the
+  data arrives; loads return the critical word first, stores complete only
+  when the whole block has been loaded and merged (which is why the paper's
+  write-miss latency exceeds its read-miss latency);
 * an LTLB miss or a block-status / synchronization fault aborts the request
-  and enqueues an event record ``event_enqueue_latency`` cycles later.
+  and enqueues an event record ``EVENT_ENQUEUE_LATENCY`` cycles later.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.core.values import decode_value, encode_value
 from repro.events.records import EventRecord, EventType
 from repro.isa.registers import pack_regspec
-from repro.memory.cache import InterleavedCache
+from repro.memory.cache import NUM_BANKS, InterleavedCache
 from repro.memory.ltlb import Ltlb
 from repro.memory.page_table import (
     BLOCK_SIZE_WORDS,
+    BLOCKS_PER_PAGE,
     BlockStatus,
     LocalPageTable,
     LptEntry,
@@ -47,8 +48,18 @@ from repro.memory.page_table import (
     page_of,
 )
 from repro.memory.requests import MemRequest, MemResponse
-from repro.memory.sdram import Sdram
+from repro.memory.sdram import CYCLES_PER_WORD, Sdram
 
+#: Cycles a cache bank takes to serve a hit.
+BANK_LATENCY = 1
+#: Cycles the external memory interface takes to accept a miss.
+MIF_LATENCY = 1
+#: Cycles of the LTLB lookup on a miss.
+LTLB_LATENCY = 1
+#: Cycles from the SDRAM's data to the filled line.
+FILL_LATENCY = 1
+#: Cycles from a fault to its event record entering the event queue.
+EVENT_ENQUEUE_LATENCY = 2
 
 #: Flags accepted by the privileged ``ltlbw`` operation.
 LTLB_FLAG_WRITABLE = 0x1
@@ -74,11 +85,6 @@ class MemorySystem:
         page_table: LocalPageTable,
         sdram: Sdram,
         *,
-        bank_latency: int = 1,
-        mif_latency: int = 1,
-        ltlb_latency: int = 1,
-        fill_latency: int = 1,
-        event_enqueue_latency: int = 2,
         event_sink: Optional[Callable[[EventRecord, int], None]] = None,
         tracer=None,
     ):
@@ -87,16 +93,11 @@ class MemorySystem:
         self.ltlb = ltlb
         self.page_table = page_table
         self.sdram = sdram
-        self.bank_latency = bank_latency
-        self.mif_latency = mif_latency
-        self.ltlb_latency = ltlb_latency
-        self.fill_latency = fill_latency
-        self.event_enqueue_latency = event_enqueue_latency
         self.event_sink = event_sink or (lambda record, cycle: None)
         self.tracer = tracer
 
         self._bank_queues: List[Deque[Tuple[int, MemRequest]]] = [
-            deque() for _ in range(cache.num_banks)
+            deque() for _ in range(NUM_BANKS)
         ]
         self._mif_queue: Deque[Tuple[int, MemRequest]] = deque()
         self._mif_busy_until = -1
@@ -140,7 +141,7 @@ class MemorySystem:
         """Advance one cycle; returns responses whose data leaves the memory
         system this cycle (the node forwards them to the C-Switch)."""
         if any(self._bank_queues):
-            for bank_index in range(self.cache.num_banks):
+            for bank_index in range(NUM_BANKS):
                 self._service_bank(bank_index, cycle)
         if self._mif_queue:
             self._service_mif(cycle)
@@ -183,10 +184,10 @@ class MemorySystem:
             # because the line's writability was captured at fill time.
             self.block_status_faults += 1
             record = self._make_record(EventType.BLOCK_STATUS, request, cycle)
-            self.event_sink(record, cycle + self.event_enqueue_latency)
+            self.event_sink(record, cycle + EVENT_ENQUEUE_LATENCY)
             self._trace(cycle, "block_status_fault", address=request.address,
                         req=request.req_id, status="cached-read-only",
-                        event_cycle=cycle + self.event_enqueue_latency)
+                        event_cycle=cycle + EVENT_ENQUEUE_LATENCY)
             return
         if not self._check_sync_precondition(request, self.cache.sync_bit(line, request.address), cycle):
             return
@@ -197,7 +198,7 @@ class MemorySystem:
             entry = self.page_table.lookup(request.address)
             if entry is not None:
                 self._auto_dirty(entry, request.address)
-            completion = cycle + self.bank_latency
+            completion = cycle + BANK_LATENCY
             self.store_completions[request.req_id] = completion
             self._trace(completion, "store_complete", address=request.address,
                         req=request.req_id, where="cache")
@@ -206,9 +207,9 @@ class MemorySystem:
             self._apply_sync_postcondition_line(line, request)
             self._pending.append(
                 _PendingResponse(
-                    ready_cycle=cycle + self.bank_latency,
+                    ready_cycle=cycle + BANK_LATENCY,
                     response=MemResponse(request=request, value=value,
-                                         ready_cycle=cycle + self.bank_latency),
+                                         ready_cycle=cycle + BANK_LATENCY),
                 )
             )
 
@@ -226,13 +227,13 @@ class MemorySystem:
             self._service_physical(request, cycle)
             return
 
-        translate_done = cycle + self.mif_latency + self.ltlb_latency
+        translate_done = cycle + MIF_LATENCY + LTLB_LATENCY
         entry = self.ltlb.lookup(request.address)
         if entry is None:
             # LTLB miss: abort the access and raise an asynchronous event.
             self.ltlb_miss_events += 1
             record = self._make_record(EventType.LTLB_MISS, request, cycle)
-            enqueue_cycle = translate_done + self.event_enqueue_latency
+            enqueue_cycle = translate_done + EVENT_ENQUEUE_LATENCY
             self.event_sink(record, enqueue_cycle)
             self._trace(cycle, "ltlb_miss", address=request.address, req=request.req_id,
                         store=request.is_store, event_cycle=enqueue_cycle)
@@ -245,7 +246,7 @@ class MemorySystem:
             self.block_status_faults += 1
             record = self._make_record(EventType.BLOCK_STATUS, request, cycle)
             record.extra["block_status"] = status
-            enqueue_cycle = translate_done + self.event_enqueue_latency
+            enqueue_cycle = translate_done + EVENT_ENQUEUE_LATENCY
             self.event_sink(record, enqueue_cycle)
             self._trace(cycle, "block_status_fault", address=request.address,
                         req=request.req_id, status=status.name, event_cycle=enqueue_cycle)
@@ -256,7 +257,7 @@ class MemorySystem:
 
     def _service_physical(self, request: MemRequest, cycle: int) -> None:
         latency = self.sdram.access_latency(request.address, 1)
-        done = cycle + self.mif_latency + latency
+        done = cycle + MIF_LATENCY + latency
         if request.is_store:
             self.sdram.write_word(request.address, request.data)
             self.store_completions[request.req_id] = done
@@ -276,7 +277,7 @@ class MemorySystem:
         """Fetch the block containing the request from SDRAM, fill the cache
         and complete the access."""
         virtual_base = block_base(request.address)
-        physical_base = entry.translate(virtual_base, self.page_table.page_size)
+        physical_base = entry.translate(virtual_base)
 
         # Secondary-miss merge: an earlier miss to the same block may have
         # filled the line while this request waited in the memory-interface
@@ -288,7 +289,7 @@ class MemorySystem:
             if request.is_store and not resident.writable:
                 self.block_status_faults += 1
                 record = self._make_record(EventType.BLOCK_STATUS, request, cycle)
-                self.event_sink(record, translate_done + self.event_enqueue_latency)
+                self.event_sink(record, translate_done + EVENT_ENQUEUE_LATENCY)
                 self._mif_busy_until = translate_done
                 return
             if not self._check_sync_precondition(
@@ -296,7 +297,7 @@ class MemorySystem:
             ):
                 self._mif_busy_until = translate_done
                 return
-            done = translate_done + self.bank_latency
+            done = translate_done + BANK_LATENCY
             if request.is_store:
                 self.cache.write_word(resident, request.address, request.data)
                 self._apply_sync_postcondition_line(resident, request)
@@ -316,7 +317,7 @@ class MemorySystem:
             return
 
         block_latency = self.sdram.access_latency(physical_base, BLOCK_SIZE_WORDS)
-        first_word_latency = block_latency - (BLOCK_SIZE_WORDS - 1) * self.sdram.timing.cycles_per_word
+        first_word_latency = block_latency - (BLOCK_SIZE_WORDS - 1) * CYCLES_PER_WORD
 
         data = self.sdram.read_block(physical_base, BLOCK_SIZE_WORDS)
         sync_bits = [self.sdram.sync_bit(physical_base + i) for i in range(BLOCK_SIZE_WORDS)]
@@ -336,12 +337,12 @@ class MemorySystem:
             self._write_back(evicted)
 
         line = self.cache.probe(request.address)
-        fill_done = translate_done + first_word_latency + self.fill_latency
+        fill_done = translate_done + first_word_latency + FILL_LATENCY
 
         if request.is_store:
             # Write-allocate: the store completes once the whole block is
             # resident and the new word merged.
-            complete = translate_done + block_latency + self.fill_latency
+            complete = translate_done + block_latency + FILL_LATENCY
             self.cache.write_word(line, request.address, request.data)
             self._apply_sync_postcondition_line(line, request)
             self._auto_dirty(entry, request.address)
@@ -386,7 +387,7 @@ class MemorySystem:
         self.sync_faults += 1
         record = self._make_record(EventType.SYNC_FAULT, request, cycle)
         record.extra["sync_bit"] = current_bit
-        self.event_sink(record, cycle + self.event_enqueue_latency)
+        self.event_sink(record, cycle + EVENT_ENQUEUE_LATENCY)
         self._trace(cycle, "sync_fault", address=request.address, req=request.req_id,
                     pre=pre, bit=current_bit)
         return False
@@ -429,7 +430,7 @@ class MemorySystem:
         state shared); otherwise a new entry is created with the supplied
         frame and flags and registered in both structures.
         """
-        page = page_of(address, self.page_table.page_size)
+        page = page_of(address)
         entry = self.page_table.lookup_page(page)
         if entry is None:
             status = (
@@ -441,7 +442,7 @@ class MemorySystem:
                 virtual_page=page,
                 physical_frame=frame,
                 writable=bool(flags & LTLB_FLAG_WRITABLE),
-                block_status=[status] * (self.page_table.page_size // BLOCK_SIZE_WORDS),
+                block_status=[status] * BLOCKS_PER_PAGE,
             )
             self.page_table.insert(entry)
         self.ltlb.insert(entry)
@@ -480,7 +481,7 @@ class MemorySystem:
             self.cache.set_sync_bit(line, address, value)
         entry = self.page_table.lookup(address)
         if entry is not None:
-            self.sdram.set_sync_bit(entry.translate(address, self.page_table.page_size), value)
+            self.sdram.set_sync_bit(entry.translate(address), value)
 
     # ------------------------------------------------------ debug / loader API
 
@@ -488,7 +489,7 @@ class MemorySystem:
         entry = self.page_table.lookup(address)
         if entry is None:
             return None
-        return entry.translate(address, self.page_table.page_size)
+        return entry.translate(address)
 
     def debug_read(self, address: int):
         """Read a virtual address for debugging, seeing through the cache."""

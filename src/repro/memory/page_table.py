@@ -58,12 +58,12 @@ class BlockStatus(enum.IntEnum):
         return self in (BlockStatus.READ_WRITE, BlockStatus.DIRTY)
 
 
-def page_of(address: int, page_size: int = PAGE_SIZE_WORDS) -> int:
-    return address // page_size
+def page_of(address: int) -> int:
+    return address // PAGE_SIZE_WORDS
 
 
-def page_offset(address: int, page_size: int = PAGE_SIZE_WORDS) -> int:
-    return address % page_size
+def page_offset(address: int) -> int:
+    return address % PAGE_SIZE_WORDS
 
 
 def block_of(address: int) -> int:
@@ -94,9 +94,9 @@ class LptEntry:
     def set_status(self, address: int, status: BlockStatus) -> None:
         self.block_status[block_of(address)] = status
 
-    def translate(self, address: int, page_size: int = PAGE_SIZE_WORDS) -> int:
+    def translate(self, address: int) -> int:
         """Translate a virtual word address within this page to physical."""
-        return self.physical_frame * page_size + page_offset(address, page_size)
+        return self.physical_frame * PAGE_SIZE_WORDS + page_offset(address)
 
     # -- packed (memory image) form --------------------------------------------
 
@@ -148,24 +148,14 @@ class LptEntry:
 class LocalPageTable:
     """The software-managed local page table of one node.
 
-    Parameters
-    ----------
-    num_entries:
-        Number of slots of the direct-mapped memory image.  The structured
-        table itself is unbounded; the image is what the assembly handler
-        probes, so mappings used by assembly-handled benchmarks must not
-        collide in the image (the loader checks this).
-    writeback:
-        Callback ``(slot_index, words)`` used to mirror changes into the
-        node's memory image; installed by the node once the physical location
-        of the LPT region is known.
+    The table holds one entry per slot of the direct-mapped memory image,
+    ``LPT_ENTRIES`` slots, which is what the assembly handler probes: two
+    pages ``LPT_ENTRIES`` apart share a slot, and :meth:`insert` refuses the
+    second.  The node installs the image mirror with
+    :meth:`attach_writeback` once the image's physical location is known.
     """
 
-    def __init__(self, num_entries: int = LPT_ENTRIES, page_size: int = PAGE_SIZE_WORDS):
-        if num_entries & (num_entries - 1):
-            raise ValueError("the LPT image is direct mapped; num_entries must be a power of two")
-        self.num_entries = num_entries
-        self.page_size = page_size
+    def __init__(self):
         self._entries: Dict[int, LptEntry] = {}
         self._writeback: Optional[Callable[[int, List[int]], None]] = None
         # Statistics
@@ -182,7 +172,7 @@ class LocalPageTable:
 
     def slot_of(self, virtual_page: int) -> int:
         """Slot of the direct-mapped memory image a page maps to."""
-        return virtual_page & (self.num_entries - 1)
+        return virtual_page & (LPT_ENTRIES - 1)
 
     def _mirror(self, entry: LptEntry) -> None:
         if self._writeback is not None:
@@ -197,14 +187,14 @@ class LocalPageTable:
             raise ValueError(
                 f"LPT image collision: virtual pages {existing.virtual_page:#x} and "
                 f"{entry.virtual_page:#x} both map to slot {slot}; "
-                f"increase the LPT size or change the address-space layout"
+                f"change the address-space layout"
             )
         self._entries[slot] = entry
         self._mirror(entry)
 
     def lookup(self, address: int) -> Optional[LptEntry]:
         self.lookups += 1
-        page = page_of(address, self.page_size)
+        page = page_of(address)
         entry = self._entries.get(self.slot_of(page))
         if entry is None or entry.virtual_page != page:
             self.misses += 1

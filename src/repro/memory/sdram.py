@@ -10,51 +10,40 @@ This model provides:
 * per-word metadata: the synchronisation bit and the pointer tag,
 * a page-mode timing model: accesses to the currently open row cost only the
   CAS latency, accesses to another row pay precharge+activate first,
-* optional SECDED encoding of stored words with fault injection hooks for
+* SECDED encoding of stored integer words, with a fault injection hook for
   testing the correction/detection paths.
 
-Physical addresses are word addresses in ``[0, size_words)``.
+Physical addresses are word addresses in ``[0, SDRAM_SIZE_WORDS)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.values import decode_value, encode_value
 from repro.memory.secded import SecdedError, inject_error, secded_decode, secded_encode
 
-
-@dataclass
-class SdramTiming:
-    """Timing parameters of the SDRAM and its controller (in MAP cycles)."""
-
-    #: Cycles to precharge the open row and activate a new one.
-    row_activate: int = 5
-    #: Column access latency once the row is open.
-    cas: int = 2
-    #: Cycles per additional word of a burst transfer.
-    cycles_per_word: int = 1
-    #: Number of words per DRAM row (page-mode reach).
-    row_size_words: int = 1024
+#: Words of SDRAM per node: 1 MW (8 MB).
+SDRAM_SIZE_WORDS = 1 << 20
+#: Cycles to precharge the open row and activate a new one.
+ROW_ACTIVATE_CYCLES = 5
+#: Column access latency once the row is open.
+CAS_CYCLES = 2
+#: Cycles per additional word of a burst transfer.
+CYCLES_PER_WORD = 1
+#: Words per DRAM row (page-mode reach).
+ROW_SIZE_WORDS = 1024
 
 
 class Sdram:
     """Backing DRAM of one node."""
 
-    def __init__(
-        self,
-        size_words: int = 1 << 20,
-        timing: Optional[SdramTiming] = None,
-        name: str = "sdram",
-    ):
-        self.size_words = size_words
-        self.timing = timing or SdramTiming()
+    def __init__(self, name: str = "sdram"):
         self.name = name
         # Sparse storage: address -> stored value.  The stored value of an
-        # integer word is its 72-bit SECDED codeword; floats and guarded
-        # pointers are stored as-is (they model tagged words that a real
-        # implementation would serialise).
+        # integer word (bools included) is its 72-bit SECDED codeword;
+        # floats and guarded pointers are stored as-is (they model tagged
+        # words that a real implementation would serialise).
         self._words: Dict[int, object] = {}
         self._sync_bits: Dict[int, int] = {}
         self._pointer_tags: Dict[int, bool] = {}
@@ -71,14 +60,11 @@ class Sdram:
     # -- address helpers ---------------------------------------------------------
 
     def _check_address(self, address: int) -> None:
-        if not 0 <= address < self.size_words:
+        if not 0 <= address < SDRAM_SIZE_WORDS:
             raise IndexError(
                 f"{self.name}: physical word address {address:#x} outside "
-                f"[0, {self.size_words:#x})"
+                f"[0, {SDRAM_SIZE_WORDS:#x})"
             )
-
-    def _row_of(self, address: int) -> int:
-        return address // self.timing.row_size_words
 
     # -- timing ------------------------------------------------------------------
 
@@ -89,15 +75,15 @@ class Sdram:
         mode of the controller.
         """
         self._check_address(address)
-        row = self._row_of(address)
+        row = address // ROW_SIZE_WORDS
         if row == self._open_row:
             self.row_hits += 1
-            latency = self.timing.cas
+            latency = CAS_CYCLES
         else:
             self.row_misses += 1
-            latency = self.timing.row_activate + self.timing.cas
+            latency = ROW_ACTIVATE_CYCLES + CAS_CYCLES
             self._open_row = row
-        latency += self.timing.cycles_per_word * max(num_words - 1, 0)
+        latency += CYCLES_PER_WORD * max(num_words - 1, 0)
         return latency
 
     # -- data --------------------------------------------------------------------
@@ -105,7 +91,7 @@ class Sdram:
     def write_word(self, address: int, value, sync_bit: Optional[int] = None) -> None:
         self._check_address(address)
         self.writes += 1
-        if isinstance(value, int) and not isinstance(value, bool):
+        if isinstance(value, int):
             self._words[address] = secded_encode(value)
             self._pointer_tags[address] = False
         else:
@@ -207,4 +193,4 @@ class Sdram:
         return len(self._words)
 
     def __repr__(self) -> str:
-        return f"Sdram({self.name!r}, {self.size_words} words, {self.words_in_use} in use)"
+        return f"Sdram({self.name!r}, {SDRAM_SIZE_WORDS} words, {self.words_in_use} in use)"

@@ -29,6 +29,8 @@ LENGTH_BITS = 16
 NODE_COORD_BITS = 6
 PAGES_PER_NODE_BITS = 16
 EXTENT_BITS = 3
+#: Entries of a node's GTLB.
+GTLB_ENTRIES = 16
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -205,13 +207,12 @@ class Gtlb:
     """The per-node GTLB: a small fully-associative cache of GDT entries.
 
     On a miss the hardware consults the backing GDT (in the real machine a
-    software fill; the fill cost is charged as a configurable penalty that
-    callers may add to translation latency).
+    software fill); the fill is counted in :attr:`fills` and costs no
+    cycles.
     """
 
-    def __init__(self, gdt: GlobalDestinationTable, num_entries: int = 16, name: str = "gtlb"):
+    def __init__(self, gdt: GlobalDestinationTable, name: str = "gtlb"):
         self.gdt = gdt
-        self.num_entries = num_entries
         self.name = name
         self._entries: List[GtlbEntry] = []
         # Statistics
@@ -231,7 +232,7 @@ class Gtlb:
         if entry is not None:
             self.fills += 1
             self._entries.insert(0, entry)
-            del self._entries[self.num_entries:]
+            del self._entries[GTLB_ENTRIES:]
         return entry
 
     def node_coords_of(self, address: int) -> Optional[Tuple[int, int, int]]:

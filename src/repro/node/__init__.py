@@ -10,8 +10,8 @@ The paper draws a hardware boundary between the MAP chip (clusters,
 switches, cache banks, memory interface, LTLB, GTLB, network interfaces and
 router) and the off-chip SDRAM (Figure 2).  One ``Node`` models both sides
 because nothing in the paper's evaluation depends on where the boundary
-falls -- only on the latencies across it, which are configured in
-:class:`repro.core.config.MemoryConfig`.
+falls -- only on the latencies across it, which are constants of
+:mod:`repro.memory.memory_system` and :mod:`repro.memory.sdram`.
 """
 
 from repro.node.node import Node

@@ -60,7 +60,7 @@ from repro.memory.page_table import (
     PAGE_SIZE_WORDS,
 )
 from repro.memory.requests import MemRequest, _request_ids
-from repro.memory.sdram import Sdram
+from repro.memory.sdram import SDRAM_SIZE_WORDS, Sdram
 from repro.network.gtlb import GlobalDestinationTable, Gtlb
 from repro.network.interface import NetworkInterface
 from repro.network.mesh import MeshNetwork, coords_to_id
@@ -110,7 +110,7 @@ class Node:
         #: Physical word address of the memory-resident LPT image (at the top
         #: of the node's SDRAM); the assembly LTLB-miss handler walks it with
         #: physical loads.
-        self.lpt_phys_base = self.sdram.size_words - LPT_ENTRIES * LPT_ENTRY_WORDS
+        self.lpt_phys_base = SDRAM_SIZE_WORDS - LPT_ENTRIES * LPT_ENTRY_WORDS
         self.page_table.attach_writeback(self._write_lpt_image)
         self.memory = MemorySystem(
             node_id,
@@ -149,7 +149,7 @@ class Node:
         )
 
         # --- execution ------------------------------------------------------------
-        self.cswitch = Crossbar(num_outputs=NUM_CLUSTERS, name=f"n{node_id}-cswitch")
+        self.cswitch = Crossbar(name=f"n{node_id}-cswitch")
         self.clusters = [Cluster(index, self, config.cluster) for index in range(NUM_CLUSTERS)]
 
         #: Native (Python) runtime handlers attached to this node; each is an
@@ -456,8 +456,8 @@ class Node:
         Only components whose containers hold something are asked, and the
         answer is ``cycle + 1`` as soon as one of them is due by then: work
         that was due in the past but rationed by per-cycle bandwidth limits
-        (switch budgets, one bank service per cycle) is due again on the
-        very next cycle."""
+        (one delivery per switch port, one bank service per cycle) is due
+        again on the very next cycle."""
         soon = cycle + 1
         earliest = None
         cswitch = self.cswitch

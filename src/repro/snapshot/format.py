@@ -28,15 +28,15 @@ import json
 import os
 from typing import Any, Dict
 
-from repro import memory
 from repro.cluster import icache
 from repro.core.config import _SECTIONS, _TOP_LEVEL_KEYS, NUM_VTHREAD_SLOTS, MachineConfig
 from repro.core.values import SnapshotError
 from repro.isa import registers
+from repro.memory import cache, ltlb, memory_system, page_table, sdram
 from repro.network import mesh
 from repro.node import node
 from repro.runtime import native
-from repro.switches.crossbar import Crossbar
+from repro.switches import crossbar
 
 #: Format marker of a snapshot document.
 FORMAT_NAME = "repro-mmachine-snapshot"
@@ -57,72 +57,68 @@ _ANY_VALUE = object()
 _RETIRED_TOP_LEVEL_KEYS = ("trace_dir", "trace_chunk_events")
 
 
-def _retired_fields() -> Dict[str, Dict[str, object]]:
-    """Config fields that older versions wrote and this one no longer has,
-    per section, each with the one value this build runs.
-
-    ``sim.compile_dispatch`` (up to 0.9.0) and ``node.event_slot`` /
-    ``node.exception_slot`` (up to 1.0.1) never changed the machine, so any
-    value is dropped.  The rest (up to 3.0.0) sized or timed the machine;
-    they are now constants, or defaults of the components built here.
-    """
-    system = memory.MemorySystem(0, memory.InterleavedCache(), memory.Ltlb(),
-                                 memory.LocalPageTable(), memory.Sdram())
-    cache, sdram, cswitch = system.cache, system.sdram, Crossbar(registers.NUM_CLUSTERS)
-    return {
-        "cluster": {
-            "num_int_regs": registers.NUM_INT_REGS,
-            "num_fp_regs": registers.NUM_FP_REGS,
-            "num_cc_regs": registers.NUM_CC_REGS,
-            "num_gcc_regs": registers.NUM_GCC_REGS,
-            "num_mc_regs": registers.NUM_MC_REGS,
-            "icache_words": icache.ICACHE_WORDS,
-            "words_per_instruction": icache.WORDS_PER_INSTRUCTION,
-            "enforce_gcc_pairs": True,
-        },
-        "memory": {
-            "cache_banks": cache.num_banks,
-            "bank_size_words": cache.bank_size_words,
-            "line_size_words": cache.line_size_words,
-            "cache_associativity": cache.associativity,
-            "ltlb_entries": system.ltlb.num_entries,
-            "lpt_entries": system.page_table.num_entries,
-            "sdram_size_words": sdram.size_words,
-            "sdram_row_activate": sdram.timing.row_activate,
-            "sdram_cas": sdram.timing.cas,
-            "sdram_cycles_per_word": sdram.timing.cycles_per_word,
-            "sdram_row_size_words": sdram.timing.row_size_words,
-            "secded_enabled": True,
-            "bank_latency": system.bank_latency,
-            "mif_latency": system.mif_latency,
-            "ltlb_latency": system.ltlb_latency,
-            "fill_latency": system.fill_latency,
-            "event_enqueue_latency": system.event_enqueue_latency,
-        },
-        "network": {
-            "router_latency": mesh.ROUTER_LATENCY,
-            "channel_latency": mesh.CHANNEL_LATENCY,
-            "inject_latency": mesh.INJECT_LATENCY,
-            "eject_latency": mesh.EJECT_LATENCY,
-            "max_body_words": registers.NUM_MC_REGS,
-        },
-        "node": {
-            "num_vthread_slots": NUM_VTHREAD_SLOTS,
-            "event_queue_records": node.EVENT_QUEUE_RECORDS,
-            "exception_queue_records": node.EXCEPTION_QUEUE_RECORDS,
-            "switch_transfers_per_cycle": cswitch.max_transfers_per_cycle,
-            "mswitch_latency": node.MSWITCH_LATENCY,
-            "cswitch_latency": cswitch.latency,
-            "event_slot": _ANY_VALUE,
-            "exception_slot": _ANY_VALUE,
-        },
-        "runtime": {
-            "native_handler_dispatch_cycles": native.NATIVE_HANDLER_DISPATCH_CYCLES,
-            "native_handler_cycles_per_word": native.NATIVE_HANDLER_CYCLES_PER_WORD,
-            "sync_fault_retry_cycles": native.SYNC_FAULT_RETRY_CYCLES,
-        },
-        "sim": {"compile_dispatch": _ANY_VALUE},
-    }
+#: Config fields that older versions wrote and this one no longer has, per
+#: section, each with the one value this build runs.
+#:
+#: ``sim.compile_dispatch`` (up to 0.9.0) and ``node.event_slot`` /
+#: ``node.exception_slot`` (up to 1.0.1) never changed the machine, so any
+#: value is dropped.  The rest (up to 3.0.0) sized or timed the machine; they
+#: are now constants of the modules that use them.  The C-Switch's transfer
+#: bound is its one delivery per cluster port.
+_RETIRED_FIELDS: Dict[str, Dict[str, object]] = {
+    "cluster": {
+        "num_int_regs": registers.NUM_INT_REGS,
+        "num_fp_regs": registers.NUM_FP_REGS,
+        "num_cc_regs": registers.NUM_CC_REGS,
+        "num_gcc_regs": registers.NUM_GCC_REGS,
+        "num_mc_regs": registers.NUM_MC_REGS,
+        "icache_words": icache.ICACHE_WORDS,
+        "words_per_instruction": icache.WORDS_PER_INSTRUCTION,
+        "enforce_gcc_pairs": True,
+    },
+    "memory": {
+        "cache_banks": cache.NUM_BANKS,
+        "bank_size_words": cache.BANK_SIZE_WORDS,
+        "line_size_words": page_table.BLOCK_SIZE_WORDS,
+        "cache_associativity": cache.ASSOCIATIVITY,
+        "ltlb_entries": ltlb.LTLB_ENTRIES,
+        "lpt_entries": page_table.LPT_ENTRIES,
+        "sdram_size_words": sdram.SDRAM_SIZE_WORDS,
+        "sdram_row_activate": sdram.ROW_ACTIVATE_CYCLES,
+        "sdram_cas": sdram.CAS_CYCLES,
+        "sdram_cycles_per_word": sdram.CYCLES_PER_WORD,
+        "sdram_row_size_words": sdram.ROW_SIZE_WORDS,
+        "secded_enabled": True,
+        "bank_latency": memory_system.BANK_LATENCY,
+        "mif_latency": memory_system.MIF_LATENCY,
+        "ltlb_latency": memory_system.LTLB_LATENCY,
+        "fill_latency": memory_system.FILL_LATENCY,
+        "event_enqueue_latency": memory_system.EVENT_ENQUEUE_LATENCY,
+    },
+    "network": {
+        "router_latency": mesh.ROUTER_LATENCY,
+        "channel_latency": mesh.CHANNEL_LATENCY,
+        "inject_latency": mesh.INJECT_LATENCY,
+        "eject_latency": mesh.EJECT_LATENCY,
+        "max_body_words": registers.NUM_MC_REGS,
+    },
+    "node": {
+        "num_vthread_slots": NUM_VTHREAD_SLOTS,
+        "event_queue_records": node.EVENT_QUEUE_RECORDS,
+        "exception_queue_records": node.EXCEPTION_QUEUE_RECORDS,
+        "switch_transfers_per_cycle": registers.NUM_CLUSTERS,
+        "mswitch_latency": node.MSWITCH_LATENCY,
+        "cswitch_latency": crossbar.CSWITCH_LATENCY,
+        "event_slot": _ANY_VALUE,
+        "exception_slot": _ANY_VALUE,
+    },
+    "runtime": {
+        "native_handler_dispatch_cycles": native.NATIVE_HANDLER_DISPATCH_CYCLES,
+        "native_handler_cycles_per_word": native.NATIVE_HANDLER_CYCLES_PER_WORD,
+        "sync_fault_retry_cycles": native.SYNC_FAULT_RETRY_CYCLES,
+    },
+    "sim": {"compile_dispatch": _ANY_VALUE},
+}
 
 
 def _without_retired_fields(document: Dict[str, object]) -> Dict[str, object]:
@@ -132,7 +128,7 @@ def _without_retired_fields(document: Dict[str, object]) -> Dict[str, object]:
     document = {
         key: value for key, value in document.items() if key not in _RETIRED_TOP_LEVEL_KEYS
     }
-    for section_name, retired in _retired_fields().items():
+    for section_name, retired in _RETIRED_FIELDS.items():
         section = document.get(section_name)
         if not isinstance(section, dict) or retired.keys().isdisjoint(section):
             continue

@@ -9,8 +9,10 @@ external interfaces (Section 2):
   writes, global condition-code broadcasts) and to return data from the
   memory system.
 
-Both support up to four transfers per cycle.  :class:`~repro.switches.crossbar.Crossbar`
-is the shared model used for both.
+:class:`~repro.switches.crossbar.Crossbar` models the C-Switch.  The
+M-Switch is modelled as a fixed crossing latency (``MSWITCH_LATENCY`` in
+:mod:`repro.node.node`) in front of the cache banks, each of which accepts
+one access per cycle.
 """
 
 from repro.switches.crossbar import Crossbar, Transfer

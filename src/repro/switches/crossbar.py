@@ -1,15 +1,15 @@
-"""A cycle-level crossbar switch model.
+"""The C-Switch: a cycle-level model of the MAP's inter-cluster crossbar.
 
-The model captures the two properties of the MAP switches that matter for
-performance: a fixed traversal latency and a bounded number of transfers per
-cycle (four for both the M-Switch and C-Switch), with at most one delivery
-per destination port per cycle.  Arbitration is FIFO per destination with a
-round-robin scan across destinations so no port can starve another.
+The C-Switch carries register writes between the four clusters and returns
+data from the memory system (Section 2).  The model captures what matters
+for performance: a fixed traversal latency and one delivery per output port
+per cycle, so its bound is its four ports.  Arbitration is FIFO per port,
+with a round-robin scan across ports so no port can starve another.
 
 A transfer destined to :data:`BROADCAST` is delivered to *every* output port
-in the same cycle while consuming a single transfer slot; this models the
-replicated global condition-code registers, which a single C-Switch transfer
-updates on all four clusters (Section 3.1).
+in one cycle and so takes the whole cycle; this models the replicated global
+condition-code registers, which a single C-Switch transfer updates on all
+four clusters (Section 3.1).
 """
 
 from __future__ import annotations
@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.values import decode_value, encode_value
+from repro.isa.registers import NUM_CLUSTERS
 
 #: Destination value meaning "all output ports".
 BROADCAST = -1
+#: Cycles a transfer spends crossing the C-Switch.
+CSWITCH_LATENCY = 1
 
 
 @dataclass
@@ -35,25 +38,12 @@ class Transfer:
 
 
 class Crossbar:
-    """A latency/bandwidth-limited crossbar."""
+    """The C-Switch: one output port per cluster."""
 
-    def __init__(
-        self,
-        num_outputs: int,
-        latency: int = 1,
-        max_transfers_per_cycle: int = 4,
-        name: str = "crossbar",
-    ):
-        if num_outputs <= 0:
-            raise ValueError("crossbar needs at least one output port")
-        if latency < 0:
-            raise ValueError("latency cannot be negative")
-        self.num_outputs = num_outputs
-        self.latency = latency
-        self.max_transfers_per_cycle = max_transfers_per_cycle
+    def __init__(self, name: str = "crossbar"):
         self.name = name
         self._queues: Dict[int, Deque[Transfer]] = {
-            dest: deque() for dest in range(num_outputs)
+            dest: deque() for dest in range(NUM_CLUSTERS)
         }
         self._broadcast_queue: Deque[Transfer] = deque()
         self._rr_pointer = 0
@@ -71,9 +61,9 @@ class Crossbar:
     def submit(self, dest: int, payload: object, cycle: int) -> None:
         """Submit a transfer at *cycle*; it becomes deliverable after the
         switch latency."""
-        if dest != BROADCAST and not 0 <= dest < self.num_outputs:
+        if dest != BROADCAST and not 0 <= dest < NUM_CLUSTERS:
             raise ValueError(f"{self.name}: destination port {dest} out of range")
-        transfer = Transfer(dest=dest, payload=payload, ready_cycle=cycle + self.latency)
+        transfer = Transfer(dest=dest, payload=payload, ready_cycle=cycle + CSWITCH_LATENCY)
         if dest == BROADCAST:
             self._broadcast_queue.append(transfer)
         else:
@@ -84,50 +74,31 @@ class Crossbar:
     # -- delivery ----------------------------------------------------------------
 
     def deliver(self, cycle: int) -> List[Tuple[int, object]]:
-        """Deliver up to the per-cycle budget of transfers that are ready.
+        """Deliver the transfers that are ready.
 
-        Returns a list of ``(output_port, payload)`` pairs; a broadcast
-        payload appears once per output port.  The arbitration pointer
-        advances one step per call.  On an empty switch that is all a call
-        does, so a caller that finds :attr:`pending` at 0 may call
-        :meth:`advance_idle` instead.
+        A ready broadcast takes every output port; otherwise each port
+        delivers its ready head, scanning the ports round-robin.  Returns a
+        list of ``(output_port, payload)`` pairs; a broadcast payload appears
+        once per output port.  The arbitration pointer advances one step per
+        call.  On an empty switch that is all a call does, so a caller that
+        finds :attr:`pending` at 0 may call :meth:`advance_idle` instead.
         """
         delivered: List[Tuple[int, object]] = []
-        budget = self.max_transfers_per_cycle
-        ports_used = set()
-
-        # Broadcasts first: they occupy every output port.
-        while budget > 0 and self._broadcast_queue and not ports_used:
-            head = self._broadcast_queue[0]
-            if head.ready_cycle > cycle:
-                break
-            self._broadcast_queue.popleft()
+        broadcasts = self._broadcast_queue
+        if broadcasts and broadcasts[0].ready_cycle <= cycle:
+            head = broadcasts.popleft()
             self._num_pending -= 1
-            for port in range(self.num_outputs):
-                delivered.append((port, head.payload))
-                ports_used.add(port)
-            budget -= 1
             self.transfers_delivered += 1
-
-        # Unicast transfers, scanning destinations round-robin.
-        for scan in range(self.num_outputs):
-            if budget <= 0:
-                break
-            port = (self._rr_pointer + scan) % self.num_outputs
-            if port in ports_used:
-                continue
-            queue = self._queues[port]
-            if not queue:
-                continue
-            head = queue[0]
-            if head.ready_cycle > cycle:
-                continue
-            queue.popleft()
-            self._num_pending -= 1
-            delivered.append((port, head.payload))
-            ports_used.add(port)
-            budget -= 1
-            self.transfers_delivered += 1
+            delivered = [(port, head.payload) for port in range(NUM_CLUSTERS)]
+        else:
+            for scan in range(NUM_CLUSTERS):
+                port = (self._rr_pointer + scan) % NUM_CLUSTERS
+                queue = self._queues[port]
+                if queue and queue[0].ready_cycle <= cycle:
+                    head = queue.popleft()
+                    self._num_pending -= 1
+                    self.transfers_delivered += 1
+                    delivered.append((port, head.payload))
 
         self.advance_idle(1)
         waiting = 0
@@ -148,7 +119,7 @@ class Crossbar:
     def next_ready_cycle(self) -> Optional[int]:
         """Earliest ``ready_cycle`` of any queued transfer, or None when the
         switch is empty (SimComponent contract; the caller clamps transfers
-        already ready but stalled by the per-cycle budget to the next cycle)."""
+        already ready but queued behind another to the next cycle)."""
         ready = None
         for queue in self._queues.values():
             for transfer in queue:
@@ -166,7 +137,7 @@ class Crossbar:
         event kernel replays a sleep's cycles at once.  The pointer advances
         every cycle regardless of traffic, so arbitration after an empty
         cycle or a sleep matches the naive loop exactly."""
-        self._rr_pointer = (self._rr_pointer + cycles) % self.num_outputs
+        self._rr_pointer = (self._rr_pointer + cycles) % NUM_CLUSTERS
 
     # -- snapshot (repro.snapshot state_dict contract) -----------------------------
 
@@ -216,4 +187,4 @@ class Crossbar:
         return self._num_pending
 
     def __repr__(self) -> str:
-        return f"Crossbar({self.name!r}, {self.num_outputs} outputs, {self.pending} pending)"
+        return f"Crossbar({self.name!r}, {NUM_CLUSTERS} outputs, {self.pending} pending)"

@@ -117,10 +117,10 @@ loop:
 # ---------------------------------------------------------------------------
 
 
-def dependent_load_chain_program(chain_loads: int, result_register: str = "i5") -> Program:
+def dependent_load_chain_program(chain_loads: int) -> Program:
     """Follow a pointer chain in memory: each load's value is the next
     address.  ``i1`` must hold the address of the chain head.  The final
-    pointer value lands in *result_register* and the thread halts.
+    pointer value lands in ``i5`` and the thread halts.
 
     With a single resident thread every load's full latency is exposed; with
     several V-Threads interleaved the cluster issues other threads' work
@@ -129,21 +129,22 @@ def dependent_load_chain_program(chain_loads: int, result_register: str = "i5") 
     lines = ["; dependent (pointer-chasing) load chain", "mov i2, i1"]
     for _ in range(chain_loads):
         lines.append("ld i2, i2")
-    lines.append(f"mov {result_register}, i2")
+    lines.append("mov i5, i2")
     lines.append("halt")
     return assemble("\n".join(lines), name=f"dep-chain-{chain_loads}")
 
 
-def compute_loop_program(iterations: int, result_register: str = "i5") -> Program:
+def compute_loop_program(iterations: int) -> Program:
     """A purely arithmetic loop (no memory), used to measure single-thread
-    issue behaviour under the different thread-selection policies."""
+    issue behaviour under the different thread-selection policies.  ``i5``
+    counts up by 3 per iteration."""
     source = f"""
     ; arithmetic loop
     mov i1, #{iterations}
     mov i2, #0
-    mov {result_register}, #0
+    mov i5, #0
 loop:
-    add {result_register}, {result_register}, #3
+    add i5, i5, #3
     add i2, i2, #1
     lt i3, i2, i1
     br i3, loop

@@ -72,6 +72,23 @@ class Grid3D:
         return dx + self.nx * (dy + self.ny * dz)
 
 
+#: Shape of the residual and solution grids.
+GRID_SHAPE = (4, 4, 4)
+#: The residual grid ``r`` and the solution grid ``u``.
+RESIDUAL_GRID = Grid3D(0x10000, *GRID_SHAPE)
+SOLUTION_GRID = Grid3D(0x11000, *GRID_SHAPE)
+#: The grid point whose ``u`` the kernel updates.
+POINT = (1, 1, 1)
+#: The centre weight ``a`` and the neighbour weight ``b``.
+WEIGHT_A = 0.5
+WEIGHT_B = 0.125
+#: Node and V-Thread slot that run the kernel.
+NODE_ID = 0
+SLOT = 0
+#: Largest difference from the expected value that ``verify`` accepts.
+TOLERANCE = 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Scheduling
 # ---------------------------------------------------------------------------
@@ -103,8 +120,9 @@ class _Slotted:
         return " | ".join(part for part in (self.ialu, self.mem, self.fpu) if part)
 
 
-def _schedule_partial_sum(word_offsets: Sequence[int], base_reg: str = "i1") -> List[_Slotted]:
-    """Schedule loads + accumulation of a set of neighbours into ``_ACC``.
+def _schedule_partial_sum(word_offsets: Sequence[int]) -> List[_Slotted]:
+    """Schedule loads + accumulation of a set of neighbours, relative to the
+    centre address in ``i1``, into ``_ACC``.
 
     Each instruction carries at most one load (memory unit) and one fadd
     (FPU), the way Figure 5 pairs them; after the last accumulation ``_ACC``
@@ -121,7 +139,7 @@ def _schedule_partial_sum(word_offsets: Sequence[int], base_reg: str = "i1") -> 
         return lines
     if len(pending) == 1:
         offset = pending.popleft()
-        lines.append(_Slotted(mem=f"ld f3, {base_reg}, #{offset}"))
+        lines.append(_Slotted(mem=f"ld f3, i1, #{offset}"))
         lines.append(_Slotted(fpu=f"fmov {_ACC}, f3"))
         return lines
 
@@ -131,7 +149,7 @@ def _schedule_partial_sum(word_offsets: Sequence[int], base_reg: str = "i1") -> 
         if pending and free:
             register = free.pop(0)
             offset = pending.popleft()
-            line.mem = f"ld {register}, {base_reg}, #{offset}"
+            line.mem = f"ld {register}, i1, #{offset}"
             newly = register
         if loaded:
             if not acc_live:
@@ -264,19 +282,9 @@ class StencilWorkload:
 
     kind: str
     n_hthreads: int
-    grid_shape: Tuple[int, int, int]
-    point: Tuple[int, int, int]
-    weight_a: float
-    weight_b: float
-    node_id: int
-    slot: int
-    residual_base: int
-    solution_base: int
     programs: Dict[int, Program] = field(default_factory=dict)
     sources: Dict[int, str] = field(default_factory=dict)
     initial_registers: Dict[int, dict] = field(default_factory=dict)
-    residual_grid: Optional[Grid3D] = None
-    solution_grid: Optional[Grid3D] = None
     expected_value: float = 0.0
 
     @property
@@ -298,11 +306,8 @@ class StencilWorkload:
 
     def setup(self, machine: MMachine) -> None:
         """Write the grid data and load the kernel's H-Threads."""
-        rx, ry, rz = self.grid_shape
-        residual = Grid3D(self.residual_base, rx, ry, rz)
-        solution = Grid3D(self.solution_base, rx, ry, rz)
-        self.residual_grid = residual
-        self.solution_grid = solution
+        residual, solution = RESIDUAL_GRID, SOLUTION_GRID
+        rx, ry, rz = GRID_SHAPE
         for z in range(rz):
             for y in range(ry):
                 for x in range(rx):
@@ -313,13 +318,13 @@ class StencilWorkload:
         self.expected_value = self._expected(machine)
         for cluster, program in self.programs.items():
             machine.load_hthread(
-                self.node_id, self.slot, cluster, program,
+                NODE_ID, SLOT, cluster, program,
                 registers=self.initial_registers[cluster],
             )
 
     def _expected(self, machine: MMachine) -> float:
-        x, y, z = self.point
-        residual, solution = self.residual_grid, self.solution_grid
+        x, y, z = POINT
+        residual, solution = RESIDUAL_GRID, SOLUTION_GRID
         offsets = SEVEN_POINT_OFFSETS if self.kind == "7pt" else TWENTY_SEVEN_POINT_OFFSETS
         neighbour_sum = sum(
             machine.read_word(residual.address(x + dx, y + dy, z + dz))
@@ -327,36 +332,23 @@ class StencilWorkload:
         )
         center = machine.read_word(residual.address(x, y, z))
         u_value = machine.read_word(solution.address(x, y, z))
-        return u_value + self.weight_a * center + self.weight_b * neighbour_sum
+        return u_value + WEIGHT_A * center + WEIGHT_B * neighbour_sum
 
     def result(self, machine: MMachine) -> float:
-        x, y, z = self.point
-        return machine.read_word(self.solution_grid.address(x, y, z))
+        return machine.read_word(SOLUTION_GRID.address(*POINT))
 
-    def verify(self, machine: MMachine, tolerance: float = 1e-9) -> bool:
-        return abs(self.result(machine) - self.expected_value) <= tolerance
+    def verify(self, machine: MMachine) -> bool:
+        return abs(self.result(machine) - self.expected_value) <= TOLERANCE
 
 
-def make_stencil_workload(
-    kind: str = "7pt",
-    n_hthreads: int = 1,
-    grid_shape: Tuple[int, int, int] = (4, 4, 4),
-    point: Tuple[int, int, int] = (1, 1, 1),
-    weight_a: float = 0.5,
-    weight_b: float = 0.125,
-    residual_base: int = 0x10000,
-    solution_base: int = 0x11000,
-    node_id: int = 0,
-    slot: int = 0,
-) -> StencilWorkload:
+def make_stencil_workload(kind: str = "7pt", n_hthreads: int = 1) -> StencilWorkload:
     """Generate a stencil kernel for 1, 2 or 4 H-Threads."""
     if kind not in ("7pt", "27pt"):
         raise ValueError("kind must be '7pt' or '27pt'")
     if n_hthreads not in (1, 2, 4):
         raise ValueError("the stencil kernels are scheduled for 1, 2 or 4 H-Threads")
     offsets = SEVEN_POINT_OFFSETS if kind == "7pt" else TWENTY_SEVEN_POINT_OFFSETS
-    grid = Grid3D(residual_base, *grid_shape)
-    word_offsets = [grid.word_offset(offset) for offset in offsets]
+    word_offsets = [RESIDUAL_GRID.word_offset(offset) for offset in offsets]
 
     # Distribute the neighbours over the H-Threads.  Cluster 0 additionally
     # handles the centre point and u, so (with more than one H-Thread) it
@@ -384,23 +376,9 @@ def make_stencil_workload(
             if donor_cycle > 10 * n_hthreads:
                 break
 
-    workload = StencilWorkload(
-        kind=kind,
-        n_hthreads=n_hthreads,
-        grid_shape=grid_shape,
-        point=point,
-        weight_a=weight_a,
-        weight_b=weight_b,
-        node_id=node_id,
-        slot=slot,
-        residual_base=residual_base,
-        solution_base=solution_base,
-    )
-
-    x, y, z = point
-    center_address = grid.address(x, y, z)
-    solution_grid = Grid3D(solution_base, *grid_shape)
-    solution_address = solution_grid.address(x, y, z)
+    workload = StencilWorkload(kind=kind, n_hthreads=n_hthreads)
+    center_address = RESIDUAL_GRID.address(*POINT)
+    solution_address = SOLUTION_GRID.address(*POINT)
 
     store_cluster = n_hthreads - 1
     sources: Dict[int, str] = {}
@@ -421,10 +399,10 @@ def make_stencil_workload(
         workload.programs[cluster] = assemble(
             source, name=f"stencil-{kind}-{n_hthreads}h-c{cluster}"
         )
-        registers = {"i1": center_address, "f1": weight_b}
+        registers = {"i1": center_address, "f1": WEIGHT_B}
         if cluster == 0:
             registers["i2"] = solution_address
-            registers["f2"] = weight_a
+            registers["f2"] = WEIGHT_A
         if cluster == store_cluster:
             registers["i2"] = solution_address
         workload.initial_registers[cluster] = registers

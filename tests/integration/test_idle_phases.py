@@ -9,7 +9,7 @@ the components that hold work (:meth:`Node.tick`,
 compare the guarded phases with themselves.  The methods as they were
 before the guards are kept here as the reference: ``Node.tick`` calling
 every phase on every tick, ``Crossbar.deliver`` with its own empty-switch
-branch, the sync handler's ``tick``, ``Node.next_event_cycle`` asking every
+branch and its old per-cycle budget of four transfers, the sync handler's ``tick``, ``Node.next_event_cycle`` asking every
 component, ``has_pending_work`` and the two ``user_threads_finished``
 predicates built on generators, and ``Cluster.account_idle_cycles``
 counting every blocked cycle through ``stall_reasons``.
@@ -53,6 +53,7 @@ from repro.core.machine import construction_hooks
 from repro.core.trace import encode_event
 from repro.fuzz import generate_program
 from repro.fuzz.harness import observe
+from repro.isa.registers import NUM_CLUSTERS
 from repro.memory.memory_system import MemorySystem
 from repro.network.interface import NetworkInterface
 from repro.node.node import Node
@@ -99,11 +100,13 @@ def reference_tick(self, cycle: int) -> int:
 
 
 def reference_deliver(self, cycle: int):
+    # The budget of four never binds on four ports: the shipped method has
+    # none, and this differential checks that it delivers the same.
     if not self._num_pending:
-        self._rr_pointer = (self._rr_pointer + 1) % self.num_outputs
+        self._rr_pointer = (self._rr_pointer + 1) % NUM_CLUSTERS
         return []
     delivered = []
-    budget = self.max_transfers_per_cycle
+    budget = 4
     ports_used = set()
     while budget > 0 and self._broadcast_queue and not ports_used:
         head = self._broadcast_queue[0]
@@ -111,15 +114,15 @@ def reference_deliver(self, cycle: int):
             break
         self._broadcast_queue.popleft()
         self._num_pending -= 1
-        for port in range(self.num_outputs):
+        for port in range(NUM_CLUSTERS):
             delivered.append((port, head.payload))
             ports_used.add(port)
         budget -= 1
         self.transfers_delivered += 1
-    for scan in range(self.num_outputs):
+    for scan in range(NUM_CLUSTERS):
         if budget <= 0:
             break
-        port = (self._rr_pointer + scan) % self.num_outputs
+        port = (self._rr_pointer + scan) % NUM_CLUSTERS
         if port in ports_used:
             continue
         queue = self._queues[port]
@@ -134,7 +137,7 @@ def reference_deliver(self, cycle: int):
         ports_used.add(port)
         budget -= 1
         self.transfers_delivered += 1
-    self._rr_pointer = (self._rr_pointer + 1) % self.num_outputs
+    self._rr_pointer = (self._rr_pointer + 1) % NUM_CLUSTERS
     waiting = 0
     for queue in self._queues.values():
         for transfer in queue:

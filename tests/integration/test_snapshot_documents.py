@@ -9,7 +9,7 @@ Contracts of the on-disk snapshot document beyond the state it restores:
 * Snapshots and checkpoints written by 0.9.0 carry the retired
   ``sim.compile_dispatch`` config key, those written by 1.0.1 the retired
   ``node.event_slot`` and ``node.exception_slot`` keys, those written by
-  3.0.0 39 fields that are now constants or component defaults, and those
+  3.0.0 39 fields that are now module constants, and those
   written up to 5.0.0 the top-level ``trace_dir`` and ``trace_chunk_events``.
   They still restore, and resume into an existing machine, with the keys
   dropped; a 3.0.0 field that holds another value than this build runs is
@@ -85,8 +85,8 @@ def test_resumed_run_document_is_byte_equal(seed):
 
 SEED = 4
 
-#: The config fields 3.0.0 wrote that are now constants or component
-#: defaults, at the values 3.0.0 wrote.
+#: The config fields 3.0.0 wrote that are now module constants, at the
+#: values 3.0.0 wrote.
 RETIRED_3_0_0 = {
     "cluster": {"num_int_regs": 16, "num_fp_regs": 16, "num_cc_regs": 4, "num_gcc_regs": 8,
                 "num_mc_regs": 8, "icache_words": 1024, "words_per_instruction": 4,

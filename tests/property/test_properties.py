@@ -4,19 +4,21 @@ translation, LPT entry packing, the assembler/functional units, and the
 memory system against a reference model."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import MMachine, MachineConfig
 from repro.isa.assembler import assemble
 from repro.isa.registers import RegFile, RegisterRef, pack_regspec, unpack_regspec
 from repro.cluster.functional_units import OperandError, evaluate_operation
 from repro.cluster.hthread import ThreadState
-from repro.memory.cache import InterleavedCache
+from repro.memory.cache import NUM_SETS, InterleavedCache
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.memory.ltlb import Ltlb
 from repro.memory.memory_system import MemorySystem
 from repro.memory.page_table import (
+    BLOCK_SIZE_WORDS,
     BLOCKS_PER_PAGE,
+    PAGE_SIZE_WORDS,
     BlockStatus,
     LocalPageTable,
     LptEntry,
@@ -242,25 +244,34 @@ class TestIssueStageArithmeticProperties:
 
 
 class TestMemorySystemProperties:
+    #: Words between addresses that share a cache set: 16 pages.
+    SET_STRIDE = NUM_SETS * BLOCK_SIZE_WORDS
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(
-        st.tuples(st.integers(0, 255), st.integers(0, 10_000)),
+        st.tuples(st.integers(0, 3), st.integers(0, 63), st.integers(0, 10_000)),
         min_size=1, max_size=40,
     ))
+    # Three tags on one two-way set: the third store evicts the dirty first
+    # line, so a write-back runs on every test run.
+    @example([(0, 0, 1), (1, 0, 2), (2, 0, 3)])
     def test_store_load_sequence_matches_reference_model(self, operations):
         """Random stores followed by debug reads always match a dict model,
-        regardless of cache fills, evictions and write-backs."""
-        cache = InterleavedCache(num_banks=4, bank_size_words=64, line_size_words=8,
-                                 associativity=1)
-        sdram = Sdram(size_words=1 << 14)
-        table = LocalPageTable(num_entries=16)
-        table.insert(LptEntry(virtual_page=0, physical_frame=0))
-        system = MemorySystem(0, cache, Ltlb(), table, sdram)
-        system.ltlb.insert(table.lookup_page(0))
+        regardless of cache fills, evictions and write-backs.  Addresses
+        ``SET_STRIDE`` apart share a set, so four tags over eight sets
+        force evictions."""
+        table = LocalPageTable()
+        system = MemorySystem(0, InterleavedCache(), Ltlb(), table, Sdram())
+        for tag in range(4):
+            entry = LptEntry(virtual_page=tag * self.SET_STRIDE // PAGE_SIZE_WORDS,
+                             physical_frame=tag)
+            table.insert(entry)
+            system.ltlb.insert(entry)
 
         reference = {}
         cycle = 0
-        for address, value in operations:
+        for tag, offset, value in operations:
+            address = tag * self.SET_STRIDE + offset
             system.submit(MemRequest(kind=MemOpKind.STORE, address=address, data=value),
                           cycle + 1)
             reference[address] = value

@@ -42,7 +42,9 @@ from repro.events.records import (
 )
 from repro.isa.assembler import assemble
 from repro.isa.registers import NUM_GCC_REGS, parse_register
-from repro.memory import BLOCK_SIZE_WORDS, PAGE_SIZE_WORDS, InterleavedCache, Sdram
+from repro.memory import BLOCK_SIZE_WORDS, PAGE_SIZE_WORDS
+from repro.memory.cache import BANK_SIZE_WORDS, NUM_BANKS
+from repro.memory.sdram import SDRAM_SIZE_WORDS
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.report.expected import PAPER_REMOTE_READ_STEPS, PAPER_TABLE1
 from repro.switches.crossbar import BROADCAST, Crossbar
@@ -55,50 +57,71 @@ from repro.workloads.microbench import (
 
 class TestCrossbar:
     def test_latency(self):
-        crossbar = Crossbar(num_outputs=4, latency=1)
+        crossbar = Crossbar()
         crossbar.submit(2, "payload", cycle=0)
         assert crossbar.deliver(0) == []
         assert crossbar.deliver(1) == [(2, "payload")]
 
-    def test_per_cycle_transfer_limit(self):
-        crossbar = Crossbar(num_outputs=8, latency=0, max_transfers_per_cycle=4)
-        for dest in range(8):
-            crossbar.submit(dest, dest, cycle=0)
-        first = crossbar.deliver(0)
-        second = crossbar.deliver(1)
-        assert len(first) == 4
-        assert len(second) == 4
+    def test_one_delivery_per_port_per_cycle(self):
+        crossbar = Crossbar()
+        for dest in range(NUM_CLUSTERS):
+            crossbar.submit(dest, ("first", dest), cycle=0)
+            crossbar.submit(dest, ("second", dest), cycle=0)
+        first = crossbar.deliver(1)
+        second = crossbar.deliver(2)
+        assert sorted(first) == [(dest, ("first", dest)) for dest in range(NUM_CLUSTERS)]
+        assert sorted(second) == [(dest, ("second", dest)) for dest in range(NUM_CLUSTERS)]
+        assert crossbar.contention_stalls == NUM_CLUSTERS
+        assert crossbar.busiest_cycle_transfers == NUM_CLUSTERS
 
     def test_one_delivery_per_destination_per_cycle(self):
-        crossbar = Crossbar(num_outputs=2, latency=0)
+        crossbar = Crossbar()
         crossbar.submit(0, "a", cycle=0)
         crossbar.submit(0, "b", cycle=0)
-        assert [p for _, p in crossbar.deliver(0)] == ["a"]
-        assert [p for _, p in crossbar.deliver(1)] == ["b"]
+        assert [p for _, p in crossbar.deliver(1)] == ["a"]
+        assert [p for _, p in crossbar.deliver(2)] == ["b"]
 
     def test_broadcast_reaches_all_ports(self):
-        crossbar = Crossbar(num_outputs=4, latency=0)
+        crossbar = Crossbar()
         crossbar.submit(BROADCAST, "flag", cycle=0)
-        delivered = crossbar.deliver(0)
+        delivered = crossbar.deliver(1)
         assert sorted(port for port, _ in delivered) == [0, 1, 2, 3]
         assert all(payload == "flag" for _, payload in delivered)
 
+    def test_ready_broadcast_takes_the_cycle_from_ready_unicasts(self):
+        crossbar = Crossbar()
+        crossbar.submit(0, "u0", cycle=0)
+        crossbar.submit(BROADCAST, "flag", cycle=0)
+        crossbar.submit(3, "u3", cycle=0)
+        assert crossbar.deliver(1) == [(port, "flag") for port in range(NUM_CLUSTERS)]
+        assert crossbar.contention_stalls == 2
+        assert sorted(crossbar.deliver(2)) == [(0, "u0"), (3, "u3")]
+        assert crossbar.pending == 0
+
+    def test_unready_broadcast_does_not_hold_back_unicasts(self):
+        crossbar = Crossbar()
+        crossbar.submit(2, "u2", cycle=0)
+        crossbar.submit(BROADCAST, "flag", cycle=1)
+        assert crossbar.deliver(1) == [(2, "u2")]
+        assert crossbar.deliver(2) == [(port, "flag") for port in range(NUM_CLUSTERS)]
+        assert crossbar.contention_stalls == 0
+
     def test_fifo_order_per_destination(self):
-        crossbar = Crossbar(num_outputs=1, latency=0)
+        crossbar = Crossbar()
         for value in range(3):
             crossbar.submit(0, value, cycle=0)
         seen = []
-        for cycle in range(3):
+        for cycle in range(1, 4):
             seen.extend(payload for _, payload in crossbar.deliver(cycle))
         assert seen == [0, 1, 2]
 
     def test_invalid_destination_rejected(self):
-        crossbar = Crossbar(num_outputs=2)
+        crossbar = Crossbar()
         with pytest.raises(ValueError):
-            crossbar.submit(5, "x", cycle=0)
+            crossbar.submit(NUM_CLUSTERS, "x", cycle=0)
 
     def test_pending_count(self):
-        crossbar = Crossbar(num_outputs=2, latency=1)
+        crossbar = Crossbar()
         crossbar.submit(0, "x", 0)
         assert crossbar.pending == 1
         crossbar.deliver(1)
@@ -436,12 +459,11 @@ class TestConfig:
         assert config.node.num_clusters == NUM_CLUSTERS == 4
         assert NUM_VTHREAD_SLOTS == 6
         assert EVENT_SLOT == 4 and EXCEPTION_SLOT == 5
-        cache = InterleavedCache()
-        assert cache.num_banks == 4
-        assert cache.num_banks * cache.bank_size_words == 16384  # 32 KB
+        assert NUM_BANKS == 4
+        assert NUM_BANKS * BANK_SIZE_WORDS == 16384  # 32 KB
         assert config.memory.page_size_words == PAGE_SIZE_WORDS == 512
-        assert cache.line_size_words == BLOCK_SIZE_WORDS == 8
-        assert Sdram().size_words == 1 << 20
+        assert BLOCK_SIZE_WORDS == 8
+        assert SDRAM_SIZE_WORDS == 1 << 20
         assert NUM_GCC_REGS == 8          # four pairs
         # 12 function units per node: 3 per cluster.
         assert 3 * NUM_CLUSTERS == 12

@@ -4,19 +4,20 @@ cache, guarded pointers and the integrated memory system."""
 import pytest
 
 from repro.events.records import EventType
-from repro.memory.cache import InterleavedCache
+from repro.memory.cache import NUM_SETS, InterleavedCache
 from repro.memory.guarded_pointer import (
     GuardedPointer,
     PointerPermission,
     ProtectionError,
     make_pointer,
 )
-from repro.memory.ltlb import Ltlb
+from repro.memory.ltlb import LTLB_ENTRIES, Ltlb
 from repro.memory.memory_system import LTLB_FLAG_BLOCKS_VALID, LTLB_FLAG_WRITABLE, MemorySystem
 from repro.memory.page_table import (
     BLOCK_SIZE_WORDS,
     BLOCKS_PER_PAGE,
     BlockStatus,
+    LPT_ENTRIES,
     LocalPageTable,
     LptEntry,
     PAGE_SIZE_WORDS,
@@ -25,7 +26,7 @@ from repro.memory.page_table import (
     page_of,
 )
 from repro.memory.requests import MemOpKind, MemRequest
-from repro.memory.sdram import Sdram, SdramTiming
+from repro.memory.sdram import CYCLES_PER_WORD, SDRAM_SIZE_WORDS, Sdram
 from repro.memory.secded import (
     CODEWORD_BITS,
     SecdedError,
@@ -62,28 +63,26 @@ class TestSecded:
 
 class TestSdram:
     def test_read_write(self):
-        sdram = Sdram(size_words=1024)
+        sdram = Sdram()
         sdram.write_word(10, 999)
         assert sdram.read_word(10) == 999
         assert sdram.read_word(11) == 0
 
     def test_address_bounds(self):
-        sdram = Sdram(size_words=16)
+        sdram = Sdram()
         with pytest.raises(IndexError):
-            sdram.read_word(16)
+            sdram.read_word(SDRAM_SIZE_WORDS)
         with pytest.raises(IndexError):
             sdram.write_word(-1, 0)
 
     def test_sync_bits(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         assert sdram.sync_bit(5) == 0
         sdram.set_sync_bit(5, 1)
         assert sdram.sync_bit(5) == 1
 
     def test_page_mode_timing(self):
-        sdram = Sdram(size_words=4096, timing=SdramTiming(row_activate=5, cas=2,
-                                                          cycles_per_word=1,
-                                                          row_size_words=512))
+        sdram = Sdram()
         first = sdram.access_latency(0, 1)
         second = sdram.access_latency(8, 1)           # same row: page-mode hit
         far = sdram.access_latency(1024, 1)           # different row
@@ -92,17 +91,17 @@ class TestSdram:
         assert far == 5 + 2
 
     def test_burst_latency_scales_with_words(self):
-        single = Sdram(size_words=4096).access_latency(0, 1)
-        burst = Sdram(size_words=4096).access_latency(0, 8)
-        assert burst == single + 7 * SdramTiming().cycles_per_word
+        single = Sdram().access_latency(0, 1)
+        burst = Sdram().access_latency(0, 8)
+        assert burst == single + 7 * CYCLES_PER_WORD
 
     def test_block_read_write(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_block(8, [1, 2, 3, 4])
         assert sdram.read_block(8, 4) == [1, 2, 3, 4]
 
     def test_secded_correction_and_scrub(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_word(3, 777)
         sdram.inject_bit_error(3, [5])
         assert sdram.read_word(3) == 777
@@ -112,14 +111,14 @@ class TestSdram:
         assert sdram.corrected_errors == 1
 
     def test_secded_double_error_raises(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_word(3, 777)
         sdram.inject_bit_error(3, [5, 9])
         with pytest.raises(SecdedError):
             sdram.read_word(3)
 
     def test_float_and_pointer_words_stored_tagged(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_word(1, 2.5)
         pointer = GuardedPointer(4, 3, PointerPermission.READ)
         sdram.write_word(2, pointer)
@@ -203,7 +202,7 @@ class TestPageTable:
         assert LptEntry.unpack([0, 0, 0, 0]) is None
 
     def test_table_insert_lookup(self):
-        table = LocalPageTable(num_entries=64)
+        table = LocalPageTable()
         entry = LptEntry(virtual_page=7, physical_frame=2)
         table.insert(entry)
         assert table.lookup(7 * PAGE_SIZE_WORDS + 1) is entry
@@ -211,13 +210,13 @@ class TestPageTable:
         assert 7 in table
 
     def test_collision_detected(self):
-        table = LocalPageTable(num_entries=4)
+        table = LocalPageTable()
         table.insert(LptEntry(virtual_page=1, physical_frame=0))
         with pytest.raises(ValueError):
-            table.insert(LptEntry(virtual_page=5, physical_frame=1))  # 5 % 4 == 1
+            table.insert(LptEntry(virtual_page=1 + LPT_ENTRIES, physical_frame=1))
 
     def test_block_status_helpers(self):
-        table = LocalPageTable(num_entries=16)
+        table = LocalPageTable()
         table.insert(LptEntry(virtual_page=0, physical_frame=0))
         table.set_block_status(24, BlockStatus.READ_ONLY)
         assert table.block_status(24) is BlockStatus.READ_ONLY
@@ -225,7 +224,7 @@ class TestPageTable:
 
     def test_writeback_mirror(self):
         written = {}
-        table = LocalPageTable(num_entries=16)
+        table = LocalPageTable()
         table.attach_writeback(lambda slot, words: written.__setitem__(slot, list(words)))
         entry = LptEntry(virtual_page=3, physical_frame=5)
         table.insert(entry)
@@ -233,10 +232,6 @@ class TestPageTable:
         assert written[3][0] == (3 << 1) | 1
         table.remove(3)
         assert written[3] == [0, 0, 0, 0]
-
-    def test_non_power_of_two_size_rejected(self):
-        with pytest.raises(ValueError):
-            LocalPageTable(num_entries=100)
 
     def test_block_status_predicates(self):
         assert BlockStatus.INVALID.allows_read() is False
@@ -250,7 +245,7 @@ class TestLtlb:
         return LptEntry(virtual_page=page, physical_frame=page + 100)
 
     def test_hit_and_miss(self):
-        ltlb = Ltlb(num_entries=4)
+        ltlb = Ltlb()
         ltlb.insert(self._entry(1))
         assert ltlb.lookup(1 * PAGE_SIZE_WORDS + 7) is not None
         assert ltlb.lookup(2 * PAGE_SIZE_WORDS) is None
@@ -258,31 +253,32 @@ class TestLtlb:
         assert ltlb.misses == 1
 
     def test_lru_eviction(self):
-        ltlb = Ltlb(num_entries=2)
-        ltlb.insert(self._entry(1))
-        ltlb.insert(self._entry(2))
+        ltlb = Ltlb()
+        for page in range(1, LTLB_ENTRIES + 1):
+            ltlb.insert(self._entry(page))
+        assert ltlb.evictions == 0
         ltlb.lookup(1 * PAGE_SIZE_WORDS)          # touch page 1
-        ltlb.insert(self._entry(3))               # evicts page 2
+        ltlb.insert(self._entry(LTLB_ENTRIES + 1))  # evicts page 2
         assert 1 in ltlb
         assert 2 not in ltlb
-        assert 3 in ltlb
+        assert LTLB_ENTRIES + 1 in ltlb
         assert ltlb.evictions == 1
 
     def test_invalidate(self):
-        ltlb = Ltlb(num_entries=4)
+        ltlb = Ltlb()
         ltlb.insert(self._entry(5))
         assert ltlb.invalidate(5)
         assert not ltlb.invalidate(5)
         assert ltlb.lookup(5 * PAGE_SIZE_WORDS) is None
 
     def test_probe_does_not_count(self):
-        ltlb = Ltlb(num_entries=4)
+        ltlb = Ltlb()
         ltlb.insert(self._entry(1))
         ltlb.probe(1 * PAGE_SIZE_WORDS)
         assert ltlb.hits == 0 and ltlb.misses == 0
 
     def test_hit_rate(self):
-        ltlb = Ltlb(num_entries=4)
+        ltlb = Ltlb()
         ltlb.insert(self._entry(0))
         ltlb.lookup(0)
         ltlb.lookup(PAGE_SIZE_WORDS)
@@ -316,20 +312,23 @@ class TestCache:
         assert cache.read_word(line, 3) == 99
 
     def test_bank_mapping_is_word_interleaved(self):
-        cache = InterleavedCache(num_banks=4)
+        cache = InterleavedCache()
         assert [cache.bank_of(a) for a in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_eviction_returns_dirty_victim(self):
-        cache = InterleavedCache(num_banks=1, bank_size_words=32, line_size_words=8,
-                                 associativity=1)
+        cache = InterleavedCache()
         line = self._filled(cache, base=0, physical=0)
         cache.write_word(line, 0, 42)
-        # A line mapping to the same (single) set with a different tag.
-        conflicting_base = cache.num_sets * 8
-        evicted = cache.fill(conflicting_base, 512, [0] * 8, [0] * 8)
+        # Lines NUM_SETS blocks apart share a set; the third one evicts the
+        # least recently used of the two ways, the dirty line at 0.
+        stride = NUM_SETS * BLOCK_SIZE_WORDS
+        assert cache.fill(stride, 512, [0] * 8, [0] * 8) is None
+        evicted = cache.fill(2 * stride, 1024, [0] * 8, [0] * 8)
         assert evicted is not None
         assert evicted.dirty
+        assert evicted.virtual_base == 0
         assert evicted.data[0] == 42
+        assert cache.evictions == 1
 
     def test_invalidate_returns_dirty_data(self):
         cache = InterleavedCache()
@@ -377,10 +376,10 @@ class TestCache:
 
 
 def _build_memory_system(tracer=None):
-    sdram = Sdram(size_words=1 << 16)
+    sdram = Sdram()
     cache = InterleavedCache()
     ltlb = Ltlb()
-    table = LocalPageTable(num_entries=64)
+    table = LocalPageTable()
     events = []
     system = MemorySystem(0, cache, ltlb, table, sdram,
                           event_sink=lambda record, cycle: events.append((cycle, record)))

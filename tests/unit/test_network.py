@@ -102,7 +102,7 @@ class TestGdtAndGtlb:
         gdt = GlobalDestinationTable()
         gdt.add(GtlbEntry(base_page=0, page_group_length=4, start_node=(1, 0, 0),
                           extent=(0, 0, 0)))
-        gtlb = Gtlb(gdt, num_entries=2)
+        gtlb = Gtlb(gdt)
         assert gtlb.node_coords_of(100) == (1, 0, 0)
         assert gtlb.misses == 1 and gtlb.fills == 1
         assert gtlb.node_coords_of(200) == (1, 0, 0)

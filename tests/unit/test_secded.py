@@ -21,6 +21,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import MMachine, MachineConfig
 from repro.memory.sdram import Sdram
 from repro.memory.secded import (
     CHECK_BITS,
@@ -251,7 +252,7 @@ class TestInjectError:
 
 class TestSdramAccounting:
     def test_corrected_counter_and_scrub(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_word(3, 777)
         sdram.inject_bit_error(3, [5])
         assert sdram.read_word(3) == 777
@@ -261,7 +262,7 @@ class TestSdramAccounting:
         assert (sdram.corrected_errors, sdram.detected_errors) == (1, 0)
 
     def test_detected_counter_increments_per_failed_read(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_word(3, 777)
         sdram.inject_bit_error(3, [5, 9])
         for attempt in range(1, 3):
@@ -271,7 +272,7 @@ class TestSdramAccounting:
         assert sdram.corrected_errors == 0
 
     def test_mixed_workload_accounting(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         for address in range(8):
             sdram.write_word(address, 1000 + address)
         for address in (1, 4, 6):
@@ -285,7 +286,7 @@ class TestSdramAccounting:
 
     @pytest.mark.parametrize("positions", [[72], [80], [-1], [5, 72]])
     def test_injection_outside_the_codeword_rejected(self, positions):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_word(3, 777)
         before = sdram.state_dict()["words"]
         with pytest.raises(ValueError, match="outside the 72-bit codeword"):
@@ -295,14 +296,33 @@ class TestSdramAccounting:
         assert sdram.read_word(3) == 777
         assert (sdram.corrected_errors, sdram.detected_errors) == (0, 0)
 
+    def test_bools_are_stored_as_codewords(self):
+        sdram = Sdram()
+        sdram.write_word(3, True)
+        sdram.write_word(4, False)
+        assert sdram.read_word(3) == 1 and sdram.read_word(4) == 0
+        assert (sdram.corrected_errors, sdram.detected_errors) == (0, 0)
+
+    def test_bool_written_through_the_machine_loads_unchanged(self):
+        machine = MMachine(MachineConfig.single_node())
+        machine.map_on_node(0, 0x40000)
+        machine.write_word(0x40000, True)
+        machine.write_word(0x40001, False)
+        machine.load_hthread(0, 0, 0, "ld i5, i1\nld i6, i1, #1\nhalt",
+                             registers={"i1": 0x40000})
+        machine.run_until_user_done(max_cycles=10_000)
+        assert machine.register_value(0, 0, 0, "i5") == 1
+        assert machine.register_value(0, 0, 0, "i6") == 0
+        assert machine.nodes[0].sdram.corrected_errors == 0
+
     def test_injection_rejects_tagged_words(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_word(3, 1.5)
         with pytest.raises(RuntimeError):
             sdram.inject_bit_error(3, [5])
 
     def test_counters_survive_snapshot_round_trip(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_word(3, 777)
         sdram.inject_bit_error(3, [1])
         sdram.write_word(4, 888)
@@ -311,7 +331,7 @@ class TestSdramAccounting:
         with pytest.raises(SecdedError):
             sdram.read_word(4)
         state = sdram.state_dict()
-        restored = Sdram(size_words=64)
+        restored = Sdram()
         restored.load_state_dict(state)
         assert restored.corrected_errors == 1
         assert restored.detected_errors == 1
@@ -321,11 +341,11 @@ class TestSdramAccounting:
         assert restored.detected_errors == 2
 
     def test_snapshots_without_detected_counter_still_load(self):
-        sdram = Sdram(size_words=64)
+        sdram = Sdram()
         sdram.write_word(3, 777)
         state = sdram.state_dict()
         del state["detected_errors"]
-        restored = Sdram(size_words=64)
+        restored = Sdram()
         restored.load_state_dict(state)
         assert restored.detected_errors == 0
         assert restored.read_word(3) == 777
