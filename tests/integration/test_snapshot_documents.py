@@ -23,6 +23,9 @@ Contracts of the on-disk snapshot document beyond the state it restores:
   Every field of their tagged values set to each malformed value, or
   deleted, either loads or fails with ``SnapshotError``, and exactly the
   mutants pinned in ``snapshot_record_mutants.json`` load.
+* Two more snapshots hold the untagged records those four lack (C-Switch
+  broadcasts, a pending grant, pending fetches and a queued directory
+  request) and keep their digests and bytes the same way.
 """
 
 import copy
@@ -405,6 +408,71 @@ def test_record_snapshot_digests_and_round_trip(record_snapshots):
         assert json.dumps(restored.snapshot_document(), separators=(",", ":"),
                           allow_nan=False) == text, key
     assert sorted(tags) == list(RECORD_TAGS)
+
+
+def _compact(document) -> str:
+    """A snapshot document as ``write_snapshot`` writes it."""
+    return json.dumps(document, separators=(",", ":"), allow_nan=False)
+
+
+def _coherent_contention() -> MMachine:
+    """A 2x2x1 coherent machine whose nodes 1 and 2 load, and node 3
+    stores to, one block homed on node 0."""
+    config = MachineConfig.small(2, 2, 1)
+    config.runtime.shared_memory_mode = "coherent"
+    machine = MMachine(config)
+    machine.map_on_node(0, 0x40000)
+    for node in (1, 2):
+        machine.load_hthread(node, 0, 0, "nop\nnop\nnop\nld i4, i1\nhalt",
+                             registers={"i1": 0x40000})
+    machine.load_hthread(3, 0, 0, "st i1, i1, #3\nhalt", registers={"i1": 0x40000})
+    return machine
+
+
+#: sha256 of the two snapshots that hold the untagged records the pinned
+#: four lack: C-Switch broadcasts (``cc-barrier`` at cycle 7, taken with
+#: ``checkpoint_context(dir, snapshot_at=7)``), and a pending grant, pending
+#: fetches and a queued directory request (``_coherent_contention`` run to
+#: cycle 62).
+BROADCAST_SNAPSHOT = "0ef9eeb35b23aae66586717aea0166f944cf7acf9c8eb8a0c5318d3605948c70"
+COHERENCE_SNAPSHOT = "e8c719ae62e79e6e071c247fe2c5a4f86b50dca3ccb86e8c4d9f1a1946e59568"
+
+
+def _assert_pinned_round_trip(text: str, digest: str) -> MMachine:
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    restored = MMachine.from_snapshot(json.loads(text))
+    assert _compact(restored.snapshot_document()) == text
+    return restored
+
+
+def test_untagged_record_snapshot_digests_and_round_trip(tmp_path):
+    """Snapshots holding C-Switch broadcast transfers, a pending grant,
+    pending fetches and a queued directory request keep their bytes,
+    restoring then saving each reproduces it, and the coherent one resumes
+    to the cycle the uninterrupted run ends on."""
+    with checkpoint_context(str(tmp_path), snapshot_at=7):
+        with pytest.raises(SnapshotTaken) as taken:
+            get_workload("cc-barrier").call({})
+    with open(taken.value.path, encoding="utf-8") as handle:
+        text = handle.read()
+    _assert_pinned_round_trip(text, BROADCAST_SNAPSHOT)
+    (node,) = json.loads(text)["machine"]["nodes"]
+    assert len(node["cswitch"]["broadcast"]) == 3
+
+    machine = _coherent_contention()
+    machine.run(62)
+    text = _compact(machine.snapshot_document())
+    restored = _assert_pinned_round_trip(text, COHERENCE_SNAPSHOT)
+    coherence = json.loads(text)["machine"]["coherence"]
+
+    def records(section):
+        return [record for _, blocks in coherence[section] for _, record in blocks]
+
+    assert len(records("pending_grants")) == 1
+    assert len(records("pending_fetches")) == 2
+    assert sum(len(entry["queue"]) for entry in records("directories")) == 1
+    assert restored.run_until_user_done(10_000) == 123
+    assert _coherent_contention().run_until_user_done(10_000) == 123
 
 
 def test_record_field_mutants_load_or_raise_snapshot_error(record_snapshots):
