@@ -16,7 +16,7 @@ switching cost while a single runnable thread can issue every cycle.
 from repro.cluster.regfile import RegisterSet
 from repro.cluster.icache import InstructionCache
 from repro.cluster.hthread import HThreadContext, ThreadState
-from repro.cluster.functional_units import evaluate_operation, OperandError
+from repro.cluster.functional_units import OperandError
 from repro.cluster.issue import IssuePolicy, make_issue_policy
 from repro.cluster.cluster import Cluster, RegWrite
 
@@ -25,7 +25,6 @@ __all__ = [
     "InstructionCache",
     "HThreadContext",
     "ThreadState",
-    "evaluate_operation",
     "OperandError",
     "IssuePolicy",
     "make_issue_policy",

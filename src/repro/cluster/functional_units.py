@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa.operations import Operation
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission
 
 
@@ -176,27 +175,6 @@ class ArithmeticFault(Exception):
 
 def _raise_div():
     raise ArithmeticFault("division by zero")
-
-
-def evaluate_operation(operation: Operation, source_values: List[object]):
-    """Compute the result value of a register-producing operation.
-
-    Memory, control, send and system operations are not evaluated here.
-
-    Raises
-    ------
-    OperandError
-        If the opcode has no value semantics or the operands are malformed.
-    ArithmeticFault
-        On division by zero.
-    ProtectionError
-        On guarded-pointer violations (``lea`` leaving its segment).
-    """
-    name = operation.opcode.name
-    evaluator = _INT_EVAL.get(name) or _FP_EVAL.get(name)
-    if evaluator is None:
-        raise OperandError(f"operation {name!r} has no value semantics")
-    return evaluate(name, evaluator, source_values)
 
 
 def evaluate(name: str, evaluator, values: List[object]):

@@ -57,10 +57,6 @@ class InstructionCache:
             for program in self._programs.values()
         )
 
-    @property
-    def utilisation(self) -> float:
-        return self.words_used / ICACHE_WORDS
-
     # -- snapshot (repro.snapshot state_dict contract) ----------------------------
 
     def state_dict(self) -> dict:

@@ -86,17 +86,11 @@ class RegisterSet:
 
     # -- values ------------------------------------------------------------------
 
-    def read(self, ref: RegisterRef):
-        offset = self._check(ref)
-        self.reads += 1
-        return self._values[offset]
-
-    def write(self, ref: RegisterRef, value, *, set_full: bool = True) -> None:
+    def write(self, ref: RegisterRef, value) -> None:
         offset = self._check(ref)
         self.writes += 1
         self._values[offset] = value
-        if set_full:
-            self._full[offset] = True
+        self._full[offset] = True
 
     def peek(self, ref: RegisterRef):
         """Read without statistics (debug/test helper)."""
@@ -106,9 +100,6 @@ class RegisterSet:
 
     def is_full(self, ref: RegisterRef) -> bool:
         return self._full[self._check(ref)]
-
-    def set_full(self, ref: RegisterRef) -> None:
-        self._full[self._check(ref)] = True
 
     # -- pending writes ----------------------------------------------------------
 
@@ -122,18 +113,7 @@ class RegisterSet:
         """Initialise registers from a ``{"i0": 5, "f1": 2.5}`` mapping
         (loader/test helper); marks them full."""
         for name, value in assignments.items():
-            ref = parse_register(name)
-            self.write(ref, value)
-            self.set_full(ref)
-
-    def snapshot(self) -> Dict[str, object]:
-        """Dump all register values (debug helper)."""
-        result = {}
-        for file in FILE_ORDER:
-            base = _BASE[file]
-            for index in range(FILE_SIZES[file]):
-                result[f"{file.value}{index}"] = self._values[base + index]
-        return result
+            self.write(parse_register(name), value)
 
     # -- snapshot (repro.snapshot state_dict contract) ----------------------------
 

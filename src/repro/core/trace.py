@@ -260,13 +260,6 @@ class Tracer:
                 return event
         return None
 
-    def last(self, category: str, **match) -> Optional[TraceEvent]:
-        found = None
-        for event in self._sink.iter_events(category=category):
-            if all(event.info.get(key) == value for key, value in match.items()):
-                found = event
-        return found
-
     def count(self, category: str) -> int:
         return self._sink.count(category)
 
@@ -322,14 +315,3 @@ class Tracer:
 
         sink = DiskTraceSink(resolve_trace_dir(path, machine), readonly=True)
         return cls(enabled=False, sink=sink)
-
-    def dump(self, categories: Optional[Iterable[str]] = None) -> str:
-        """Human-readable dump (debugging aid).  Streams from the sink —
-        bounded memory apart from the returned string itself."""
-        wanted = set(categories) if categories is not None else None
-        lines = []
-        for event in self._sink.iter_events():
-            if wanted is None or event.category in wanted:
-                lines.append(str(event))
-        return "\n".join(lines)
-

@@ -8,12 +8,17 @@ requests, messages, register writes) and references to assembled programs.
 
 This module maps all of them onto plain JSON: scalars pass through, and
 everything else becomes a dict carrying the reserved ``"__snap__"`` tag.
-A hardware record (a dataclass) is encoded from its fields in declaration
-order and decoded back by field name, through one table that gives each
-record class its tag and the converters of the few fields whose JSON form
-is not :func:`encode_value`'s (see :func:`_codec`); a field added to a
-record is therefore saved and restored with no edit here.  The encoding is
-self-describing and loss-free:
+A record (a dataclass) is encoded from its fields in declaration order and
+decoded back by field name, through one field walk
+(:func:`record_fields`, :func:`encode_record`, :func:`decode_record`) that
+names the converters of the few fields whose JSON form is not
+:func:`encode_value`'s; a field added to a record is therefore saved and
+restored with no edit here or in its owner.  The hardware records that can
+sit in a register, a queue or a message carry a tag (see :func:`_codec`);
+the records a component keeps in its own tables (cache lines, C-Switch
+transfers, coherence directory entries and pending operations) are plain
+dicts written by their owner's ``state_dict`` through the same walk.  The
+encoding is self-describing and loss-free:
 
 * ``encode_value(decode_value(x)) == x`` for every encoded document, and
 * ``decode_value(encode_value(v))`` reconstructs an equal value, with
@@ -37,7 +42,7 @@ from collections import Counter
 from functools import lru_cache
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.isa.assembler import AssemblyError, assemble_cached
 from repro.isa.operations import LabelRef
@@ -93,6 +98,32 @@ def encode_value(value) -> object:
     return _encode_object(value)
 
 
+#: One field of a record walk: its name, encoder and decoder.
+RecordField = Tuple[str, Callable[[object], object], Callable[[object], object]]
+
+
+def record_fields(cls, converters: Optional[Mapping[str, Tuple[Callable, Callable]]] = None,
+                  ) -> Tuple[RecordField, ...]:
+    """The field walk of record class *cls*: each dataclass field in
+    declaration order (the key order of its encoded dict) with its encoder
+    and decoder, which are :func:`encode_value` and :func:`decode_value`
+    unless *converters* maps the field's name to another pair."""
+    converters = converters or {}
+    return tuple((field.name, *converters.get(field.name, (encode_value, decode_value)))
+                 for field in dataclasses.fields(cls))
+
+
+def encode_record(value, fields: Tuple[RecordField, ...]) -> Dict[str, object]:
+    """Encode record *value* as a dict of its *fields*, in walk order."""
+    return {name: encode(getattr(value, name)) for name, encode, _ in fields}
+
+
+def decode_record(cls, data: Dict[str, object], fields: Tuple[RecordField, ...]):
+    """Rebuild a *cls* record from a dict that :func:`encode_record` wrote;
+    a missing field raises ``KeyError``."""
+    return cls(**{name: decode(data[name]) for name, _, decode in fields})
+
+
 @lru_cache(maxsize=None)
 def _codec() -> SimpleNamespace:
     """The record table, and the tagged classes of the packages that import
@@ -102,11 +133,10 @@ def _codec() -> SimpleNamespace:
     ``repro.network`` import this module while they load, so their classes
     are imported here on the first encode or decode that needs one.
 
-    ``records`` maps each record class to its tag and, for every field in
-    declaration order (the key order of its tagged dict), to the field's
-    name, encoder and decoder.  The few fields whose JSON form is not
-    :func:`encode_value`'s name their converters below; every other field
-    goes through :func:`encode_value` and :func:`decode_value`."""
+    ``records`` maps each tagged record class to its tag and its
+    :func:`record_fields` walk, whose key order follows the tag in its
+    dict.  The few fields whose JSON form is not :func:`encode_value`'s name
+    their converters below."""
     from repro.cluster.cluster import RegWrite  # noqa: PLC0415
     from repro.events.records import EventRecord, EventType  # noqa: PLC0415
     from repro.memory.guarded_pointer import GuardedPointer  # noqa: PLC0415
@@ -133,11 +163,8 @@ def _codec() -> SimpleNamespace:
         LptEntry: ("lpt", {"block_status": each(int, BlockStatus)}),
         GtlbEntry: ("gtlb", {"start_node": (list, tuple), "extent": (list, tuple)}),
     }
-    records = {
-        cls: (tag, tuple((field.name, *converters.get(field.name, (encode_value, decode_value)))
-                         for field in dataclasses.fields(cls)))
-        for cls, (tag, converters) in table.items()
-    }
+    records = {cls: (tag, record_fields(cls, converters))
+               for cls, (tag, converters) in table.items()}
     return SimpleNamespace(
         BlockStatus=BlockStatus,
         GuardedPointer=GuardedPointer,
@@ -160,10 +187,7 @@ def _encode_object(value) -> Dict[str, object]:
     record = codec.records.get(type(value))
     if record is not None:
         tag, fields = record
-        encoded: Dict[str, object] = {TAG: tag}
-        for name, encode, _ in fields:
-            encoded[name] = encode(getattr(value, name))
-        return encoded
+        return {TAG: tag, **encode_record(value, fields)}
     if isinstance(value, codec.GuardedPointer):
         return {TAG: "gptr", "word": value.encode()}
     if isinstance(value, LabelRef):
@@ -214,7 +238,7 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
     if record is None:
         raise SnapshotError(f"unknown snapshot value tag {tag!r}")
     cls, fields = record
-    return cls(**{name: decode(encoded[name]) for name, _, decode in fields})
+    return decode_record(cls, encoded, fields)
 
 
 def encode_pairs(mapping) -> List[List[object]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.values import decode_value, encode_value
+from repro.core.values import decode_record, encode_record, record_fields
 from repro.memory.page_table import BLOCK_SIZE_WORDS
 
 #: Word-interleaved cache banks (Section 2).
@@ -56,15 +56,8 @@ class CacheLine:
     last_used: int = 0
 
 
-@dataclass
-class EvictedLine:
-    """Information about a line evicted by a fill, for write-back."""
-
-    virtual_base: int
-    physical_base: int
-    data: List[object]
-    sync_bits: List[int]
-    dirty: bool
+#: A snapshot writes each line as a plain dict of its fields.
+_LINE_FIELDS = record_fields(CacheLine)
 
 
 class InterleavedCache:
@@ -152,7 +145,7 @@ class InterleavedCache:
         data: List[object],
         sync_bits: List[int],
         writable: bool = True,
-    ) -> Optional[EvictedLine]:
+    ) -> Optional[CacheLine]:
         """Install a line; returns the victim (for write-back) if one was
         evicted dirty, or None."""
         if len(data) != BLOCK_SIZE_WORDS:
@@ -176,20 +169,14 @@ class InterleavedCache:
                 line.last_used = self._access_counter
                 return None
 
-        evicted: Optional[EvictedLine] = None
+        evicted: Optional[CacheLine] = None
         if len(ways) >= ASSOCIATIVITY:
             victim = min(ways, key=lambda entry: entry.last_used)
             ways.remove(victim)
             self.evictions += 1
             if victim.dirty:
                 self.writebacks += 1
-                evicted = EvictedLine(
-                    virtual_base=victim.virtual_base,
-                    physical_base=victim.physical_base,
-                    data=list(victim.data),
-                    sync_bits=list(victim.sync_bits),
-                    dirty=True,
-                )
+                evicted = victim
         ways.append(
             CacheLine(
                 tag=tag,
@@ -203,9 +190,9 @@ class InterleavedCache:
         )
         return evicted
 
-    def invalidate(self, address: int) -> Optional[EvictedLine]:
-        """Invalidate the line containing *address*; returns write-back info
-        if the line was dirty (used by the software coherence layer)."""
+    def invalidate(self, address: int) -> Optional[CacheLine]:
+        """Invalidate the line containing *address*; returns it, for
+        write-back, if it was dirty (used by the software coherence layer)."""
         set_index, _ = self._set_and_tag(address)
         line = self._find(address)
         if line is None:
@@ -213,31 +200,13 @@ class InterleavedCache:
         self._sets[set_index].remove(line)
         if line.dirty:
             self.writebacks += 1
-            return EvictedLine(
-                virtual_base=line.virtual_base,
-                physical_base=line.physical_base,
-                data=list(line.data),
-                sync_bits=list(line.sync_bits),
-                dirty=True,
-            )
+            return line
         return None
 
-    def flush(self) -> List[EvictedLine]:
-        """Invalidate everything, returning dirty lines for write-back."""
-        dirty = []
-        for ways in self._sets.values():
-            for line in ways:
-                if line.dirty:
-                    self.writebacks += 1
-                    dirty.append(
-                        EvictedLine(
-                            virtual_base=line.virtual_base,
-                            physical_base=line.physical_base,
-                            data=list(line.data),
-                            sync_bits=list(line.sync_bits),
-                            dirty=True,
-                        )
-                    )
+    def flush(self) -> List[CacheLine]:
+        """Invalidate everything, returning the dirty lines for write-back."""
+        dirty = [line for ways in self._sets.values() for line in ways if line.dirty]
+        self.writebacks += len(dirty)
         self._sets.clear()
         return dirty
 
@@ -246,26 +215,8 @@ class InterleavedCache:
     def state_dict(self) -> dict:
 
         return {
-            "sets": [
-                [
-                    set_index,
-                    [
-                        {
-                            "tag": line.tag,
-                            "virtual_base": line.virtual_base,
-                            "physical_base": line.physical_base,
-                            "data": [encode_value(word) for word in line.data],
-                            "sync_bits": list(line.sync_bits),
-                            "valid": line.valid,
-                            "dirty": line.dirty,
-                            "writable": line.writable,
-                            "last_used": line.last_used,
-                        }
-                        for line in ways
-                    ],
-                ]
-                for set_index, ways in self._sets.items()
-            ],
+            "sets": [[set_index, [encode_record(line, _LINE_FIELDS) for line in ways]]
+                     for set_index, ways in self._sets.items()],
             "access_counter": self._access_counter,
             "hits": self.hits,
             "misses": self.misses,
@@ -280,20 +231,7 @@ class InterleavedCache:
     def load_state_dict(self, state: dict) -> None:
 
         self._sets = {
-            set_index: [
-                CacheLine(
-                    tag=line["tag"],
-                    virtual_base=line["virtual_base"],
-                    physical_base=line["physical_base"],
-                    data=[decode_value(word) for word in line["data"]],
-                    sync_bits=list(line["sync_bits"]),
-                    valid=line["valid"],
-                    dirty=line["dirty"],
-                    writable=line["writable"],
-                    last_used=line["last_used"],
-                )
-                for line in ways
-            ]
+            set_index: [decode_record(CacheLine, line, _LINE_FIELDS) for line in ways]
             for set_index, ways in state["sets"]
         }
         self._access_counter = state["access_counter"]

@@ -71,12 +71,6 @@ class Ltlb:
         self.insertions += 1
         return evicted
 
-    def invalidate(self, virtual_page: int) -> bool:
-        if virtual_page in self._entries:
-            del self._entries[virtual_page]
-            return True
-        return False
-
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 
     def state_dict(self) -> dict:

@@ -30,13 +30,12 @@ All latencies are expressed in MAP cycles and are the constants below:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.values import decode_value, encode_value
 from repro.events.records import EventRecord, EventType
 from repro.isa.registers import pack_regspec
-from repro.memory.cache import NUM_BANKS, InterleavedCache
+from repro.memory.cache import NUM_BANKS, CacheLine, InterleavedCache
 from repro.memory.ltlb import Ltlb
 from repro.memory.page_table import (
     BLOCK_SIZE_WORDS,
@@ -68,12 +67,6 @@ LTLB_FLAG_WRITABLE = 0x1
 LTLB_FLAG_BLOCKS_VALID = 0x2
 
 
-@dataclass
-class _PendingResponse:
-    ready_cycle: int
-    response: MemResponse
-
-
 class MemorySystem:
     """Cache banks + LTLB + local page table + SDRAM of one node."""
 
@@ -101,7 +94,7 @@ class MemorySystem:
         ]
         self._mif_queue: Deque[Tuple[int, MemRequest]] = deque()
         self._mif_busy_until = -1
-        self._pending: List[_PendingResponse] = []
+        self._pending: List[MemResponse] = []
 
         # Statistics
         self.requests_accepted = 0
@@ -149,12 +142,12 @@ class MemorySystem:
         if not self._pending:
             return []
         ready: List[MemResponse] = []
-        still_pending: List[_PendingResponse] = []
-        for pending in self._pending:
-            if pending.ready_cycle <= cycle:
-                ready.append(pending.response)
+        still_pending: List[MemResponse] = []
+        for response in self._pending:
+            if response.ready_cycle <= cycle:
+                ready.append(response)
             else:
-                still_pending.append(pending)
+                still_pending.append(response)
         self._pending = still_pending
         return ready
 
@@ -191,27 +184,9 @@ class MemorySystem:
             return
         if not self._check_sync_precondition(request, self.cache.sync_bit(line, request.address), cycle):
             return
-
-        if request.is_store:
-            self.cache.write_word(line, request.address, request.data)
-            self._apply_sync_postcondition_line(line, request)
-            entry = self.page_table.lookup(request.address)
-            if entry is not None:
-                self._auto_dirty(entry, request.address)
-            completion = cycle + BANK_LATENCY
-            self.store_completions[request.req_id] = completion
-            self._trace(completion, "store_complete", address=request.address,
-                        req=request.req_id, where="cache")
-        else:
-            value = self.cache.read_word(line, request.address)
-            self._apply_sync_postcondition_line(line, request)
-            self._pending.append(
-                _PendingResponse(
-                    ready_cycle=cycle + BANK_LATENCY,
-                    response=MemResponse(request=request, value=value,
-                                         ready_cycle=cycle + BANK_LATENCY),
-                )
-            )
+        # Only a store needs the page's entry, to mark its block dirty.
+        entry = self.page_table.lookup(request.address) if request.is_store else None
+        self._complete(line, request, entry, cycle + BANK_LATENCY, "cache")
 
     # ------------------------------------------------ external memory interface
 
@@ -265,11 +240,7 @@ class MemorySystem:
                         req=request.req_id, where="sdram-physical")
         else:
             value = self.sdram.read_word(request.address)
-            self._pending.append(
-                _PendingResponse(ready_cycle=done,
-                                 response=MemResponse(request=request, value=value,
-                                                      ready_cycle=done))
-            )
+            self._pending.append(MemResponse(request=request, value=value, ready_cycle=done))
         self._mif_busy_until = done
 
     def _service_sdram_fill(self, request: MemRequest, entry: LptEntry,
@@ -298,21 +269,7 @@ class MemorySystem:
                 self._mif_busy_until = translate_done
                 return
             done = translate_done + BANK_LATENCY
-            if request.is_store:
-                self.cache.write_word(resident, request.address, request.data)
-                self._apply_sync_postcondition_line(resident, request)
-                self._auto_dirty(entry, request.address)
-                self.store_completions[request.req_id] = done
-                self._trace(done, "store_complete", address=request.address,
-                            req=request.req_id, where="merge")
-            else:
-                value = self.cache.read_word(resident, request.address)
-                self._apply_sync_postcondition_line(resident, request)
-                self._pending.append(
-                    _PendingResponse(ready_cycle=done,
-                                     response=MemResponse(request=request, value=value,
-                                                          ready_cycle=done))
-                )
+            self._complete(resident, request, entry, done, "merge")
             self._mif_busy_until = done
             return
 
@@ -336,31 +293,33 @@ class MemorySystem:
         if evicted is not None:
             self._write_back(evicted)
 
-        line = self.cache.probe(request.address)
-        fill_done = translate_done + first_word_latency + FILL_LATENCY
+        # Write-allocate: a store completes once the whole block is resident
+        # and the new word merged; a load returns the critical word first.
+        latency = block_latency if request.is_store else first_word_latency
+        done = translate_done + latency + FILL_LATENCY
+        self._complete(self.cache.probe(request.address), request, entry, done, "fill")
+        self._mif_busy_until = done
 
-        if request.is_store:
-            # Write-allocate: the store completes once the whole block is
-            # resident and the new word merged.
-            complete = translate_done + block_latency + FILL_LATENCY
-            self.cache.write_word(line, request.address, request.data)
-            self._apply_sync_postcondition_line(line, request)
-            self._auto_dirty(entry, request.address)
-            self.store_completions[request.req_id] = complete
-            self._trace(complete, "store_complete", address=request.address,
-                        req=request.req_id, where="fill")
-            self._mif_busy_until = complete
-        else:
+    def _complete(self, line: CacheLine, request: MemRequest, entry: Optional[LptEntry],
+                  done: int, where: str) -> None:
+        """Complete *request* against the resident *line* at cycle *done*: a
+        load reads its word and queues the response; a store writes its
+        word, marks the block dirty through the page's *entry* (when given)
+        and records its completion, traced as completing at *where*."""
+        if not request.is_store:
             value = self.cache.read_word(line, request.address)
             self._apply_sync_postcondition_line(line, request)
-            self._pending.append(
-                _PendingResponse(ready_cycle=fill_done,
-                                 response=MemResponse(request=request, value=value,
-                                                      ready_cycle=fill_done))
-            )
-            self._mif_busy_until = fill_done
+            self._pending.append(MemResponse(request=request, value=value, ready_cycle=done))
+            return
+        self.cache.write_word(line, request.address, request.data)
+        self._apply_sync_postcondition_line(line, request)
+        if entry is not None:
+            self._auto_dirty(entry, request.address)
+        self.store_completions[request.req_id] = done
+        self._trace(done, "store_complete", address=request.address,
+                    req=request.req_id, where=where)
 
-    def _write_back(self, evicted) -> None:
+    def _write_back(self, evicted: CacheLine) -> None:
         """Write a dirty victim line back to SDRAM and update block status."""
         self.sdram.write_block(evicted.physical_base, evicted.data)
         for offset, bit in enumerate(evicted.sync_bits):
@@ -513,23 +472,12 @@ class MemorySystem:
                 self.cache.set_sync_bit(line, address, sync_bit)
         self.sdram.write_word(physical, value, sync_bit)
 
-    def debug_sync_bit(self, address: int) -> int:
-        line = self.cache.probe(address)
-        if line is not None:
-            return self.cache.sync_bit(line, address)
-        physical = self.translate(address)
-        if physical is None:
-            raise KeyError(f"debug_sync_bit: no mapping for {address:#x}")
-        return self.sdram.sync_bit(physical)
-
-    def invalidate_block(self, address: int) -> Optional[List[object]]:
-        """Invalidate the cache line holding *address*, writing it back first;
-        returns the block data if it was cached, for the coherence layer."""
+    def invalidate_block(self, address: int) -> None:
+        """Invalidate the cache line holding *address*, writing it back first
+        if it was dirty (coherence-layer helper)."""
         evicted = self.cache.invalidate(address)
-        if evicted is not None and evicted.dirty:
+        if evicted is not None:
             self._write_back(evicted)
-            return evicted.data
-        return None
 
     def flush_cache(self) -> None:
         for evicted in self.cache.flush():
@@ -570,10 +518,8 @@ class MemorySystem:
             "mif_queue": [[arrival, encode_value(request)]
                           for arrival, request in self._mif_queue],
             "mif_busy_until": self._mif_busy_until,
-            "pending": [
-                [pending.ready_cycle, encode_value(pending.response)]
-                for pending in self._pending
-            ],
+            "pending": [[response.ready_cycle, encode_value(response)]
+                        for response in self._pending],
             "requests_accepted": self.requests_accepted,
             "loads": self.loads,
             "stores": self.stores,
@@ -594,10 +540,7 @@ class MemorySystem:
             (arrival, decode_value(request)) for arrival, request in state["mif_queue"]
         )
         self._mif_busy_until = state["mif_busy_until"]
-        self._pending = [
-            _PendingResponse(ready_cycle=ready_cycle, response=decode_value(response))
-            for ready_cycle, response in state["pending"]
-        ]
+        self._pending = [decode_value(response) for _, response in state["pending"]]
         self.requests_accepted = state["requests_accepted"]
         self.loads = state["loads"]
         self.stores = state["stores"]
@@ -619,7 +562,7 @@ class MemorySystem:
         if self._mif_queue:
             candidates.append(max(self._mif_queue[0][0], self._mif_busy_until + 1))
         if self._pending:
-            candidates.append(min(pending.ready_cycle for pending in self._pending))
+            candidates.append(min(response.ready_cycle for response in self._pending))
         if not candidates:
             return None
         # Banks and the MIF service one request per tick, so work that was

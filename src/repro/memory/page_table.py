@@ -207,27 +207,6 @@ class LocalPageTable:
             return None
         return entry
 
-    def remove(self, virtual_page: int) -> None:
-        slot = self.slot_of(virtual_page)
-        entry = self._entries.get(slot)
-        if entry is not None and entry.virtual_page == virtual_page:
-            del self._entries[slot]
-            if self._writeback is not None:
-                self._writeback(slot, [0] * LPT_ENTRY_WORDS)
-
-    def set_block_status(self, address: int, status: BlockStatus) -> None:
-        entry = self.lookup(address)
-        if entry is None:
-            raise KeyError(f"no LPT entry for address {address:#x}")
-        entry.set_status(address, status)
-        self._mirror(entry)
-
-    def block_status(self, address: int) -> Optional[BlockStatus]:
-        entry = self.lookup(address)
-        if entry is None:
-            return None
-        return entry.status_of(address)
-
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 
     def state_dict(self) -> dict:
@@ -250,9 +229,6 @@ class LocalPageTable:
         self.misses = state["misses"]
 
     # -- introspection -----------------------------------------------------------
-
-    def entries(self) -> List[LptEntry]:
-        return list(self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)

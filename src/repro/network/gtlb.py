@@ -186,9 +186,6 @@ class GlobalDestinationTable:
                 return entry
         return None
 
-    def entries(self) -> List[GtlbEntry]:
-        return list(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -35,7 +35,13 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.values import decode_value, encode_value
+from repro.core.values import (
+    decode_record,
+    decode_value,
+    encode_record,
+    encode_value,
+    record_fields,
+)
 from repro.events.records import EventRecord
 from repro.memory.page_table import BLOCK_SIZE_WORDS, BlockStatus, block_base, page_of
 from repro.memory.requests import MemRequest
@@ -78,9 +84,9 @@ class DirectoryEntry:
 
     sharers: set = field(default_factory=set)
     owner: Optional[int] = None
+    busy: bool = False
     #: Requests queued while a grant is in progress: (requester, mode, requests)
     queue: List[Tuple[int, int, List[MemRequest]]] = field(default_factory=list)
-    busy: bool = False
 
 
 @dataclass
@@ -100,6 +106,33 @@ class PendingFetch:
 
     mode: int
     requests: List[MemRequest] = field(default_factory=list)
+
+
+#: The field walks a snapshot writes the three record kinds with, as plain
+#: dicts.  A directory entry's sharers are a sorted list on disk, and each
+#: queued request a ``[requester, mode, [request, ...]]`` list.
+_ENTRY_FIELDS = record_fields(DirectoryEntry, {
+    "sharers": (sorted, set),
+    "queue": (lambda queue: [[requester, mode, encode_value(requests)]
+                             for requester, mode, requests in queue],
+              lambda queue: [(requester, mode, decode_value(requests))
+                             for requester, mode, requests in queue]),
+})
+_GRANT_FIELDS = record_fields(PendingGrant)
+_FETCH_FIELDS = record_fields(PendingFetch)
+
+
+def _encode_tables(tables, fields) -> list:
+    """Per-node ``{block_va: record}`` tables as ``[node_id, [[block_va,
+    record dict], ...]]`` pairs."""
+    return [[node_id, [[block_va, encode_record(record, fields)]
+                       for block_va, record in table.items()]]
+            for node_id, table in tables.items()]
+
+
+def _decode_tables(encoded, cls, fields) -> dict:
+    return {node_id: {block_va: decode_record(cls, record, fields) for block_va, record in table}
+            for node_id, table in encoded}
 
 
 class CoherenceRuntime:
@@ -345,64 +378,9 @@ class CoherenceRuntime:
     def state_dict(self) -> dict:
 
         return {
-            "directories": [
-                [
-                    node_id,
-                    [
-                        [
-                            block_va,
-                            {
-                                "sharers": sorted(entry.sharers),
-                                "owner": entry.owner,
-                                "busy": entry.busy,
-                                "queue": [
-                                    [requester, mode,
-                                     [encode_value(request) for request in requests]]
-                                    for requester, mode, requests in entry.queue
-                                ],
-                            },
-                        ]
-                        for block_va, entry in directory.items()
-                    ],
-                ]
-                for node_id, directory in self.directories.items()
-            ],
-            "pending_grants": [
-                [
-                    node_id,
-                    [
-                        [
-                            block_va,
-                            {
-                                "requester": grant.requester,
-                                "mode": grant.mode,
-                                "acks_needed": grant.acks_needed,
-                                "local_requests": [encode_value(request)
-                                                   for request in grant.local_requests],
-                            },
-                        ]
-                        for block_va, grant in grants.items()
-                    ],
-                ]
-                for node_id, grants in self.pending_grants.items()
-            ],
-            "pending_fetches": [
-                [
-                    node_id,
-                    [
-                        [
-                            block_va,
-                            {
-                                "mode": fetch.mode,
-                                "requests": [encode_value(request)
-                                             for request in fetch.requests],
-                            },
-                        ]
-                        for block_va, fetch in fetches.items()
-                    ],
-                ]
-                for node_id, fetches in self.pending_fetches.items()
-            ],
+            "directories": _encode_tables(self.directories, _ENTRY_FIELDS),
+            "pending_grants": _encode_tables(self.pending_grants, _GRANT_FIELDS),
+            "pending_fetches": _encode_tables(self.pending_fetches, _FETCH_FIELDS),
             "block_fetches": self.block_fetches,
             "write_upgrades": self.write_upgrades,
             "invalidations": self.invalidations,
@@ -411,44 +389,10 @@ class CoherenceRuntime:
 
     def load_state_dict(self, state: dict) -> None:
 
-        self.directories = {
-            node_id: {
-                block_va: DirectoryEntry(
-                    sharers=set(entry["sharers"]),
-                    owner=entry["owner"],
-                    busy=entry["busy"],
-                    queue=[
-                        (requester, mode, [decode_value(request) for request in requests])
-                        for requester, mode, requests in entry["queue"]
-                    ],
-                )
-                for block_va, entry in directory
-            }
-            for node_id, directory in state["directories"]
-        }
-        self.pending_grants = {
-            node_id: {
-                block_va: PendingGrant(
-                    requester=grant["requester"],
-                    mode=grant["mode"],
-                    acks_needed=grant["acks_needed"],
-                    local_requests=[decode_value(request)
-                                    for request in grant["local_requests"]],
-                )
-                for block_va, grant in grants
-            }
-            for node_id, grants in state["pending_grants"]
-        }
-        self.pending_fetches = {
-            node_id: {
-                block_va: PendingFetch(
-                    mode=fetch["mode"],
-                    requests=[decode_value(request) for request in fetch["requests"]],
-                )
-                for block_va, fetch in fetches
-            }
-            for node_id, fetches in state["pending_fetches"]
-        }
+        self.directories = _decode_tables(state["directories"], DirectoryEntry, _ENTRY_FIELDS)
+        self.pending_grants = _decode_tables(state["pending_grants"], PendingGrant, _GRANT_FIELDS)
+        self.pending_fetches = _decode_tables(state["pending_fetches"], PendingFetch,
+                                              _FETCH_FIELDS)
         self.block_fetches = state["block_fetches"]
         self.write_upgrades = state["write_upgrades"]
         self.invalidations = state["invalidations"]

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.core.values import decode_value, encode_value
+from repro.core.values import decode_record, encode_record, record_fields
 from repro.isa.registers import NUM_CLUSTERS
 
 #: Destination value meaning "all output ports".
@@ -35,6 +35,10 @@ class Transfer:
     payload: object
     #: First cycle at which the transfer is eligible for delivery.
     ready_cycle: int
+
+
+#: A snapshot writes each transfer as a plain dict of its fields.
+_TRANSFER_FIELDS = record_fields(Transfer)
 
 
 class Crossbar:
@@ -143,11 +147,7 @@ class Crossbar:
 
     def state_dict(self) -> dict:
         def encode_queue(queue):
-            return [
-                {"dest": t.dest, "payload": encode_value(t.payload),
-                 "ready_cycle": t.ready_cycle}
-                for t in queue
-            ]
+            return [encode_record(transfer, _TRANSFER_FIELDS) for transfer in queue]
 
         return {
             "queues": [[dest, encode_queue(queue)]
@@ -162,11 +162,8 @@ class Crossbar:
 
     def load_state_dict(self, state: dict) -> None:
         def decode_queue(encoded):
-            return deque(
-                Transfer(dest=t["dest"], payload=decode_value(t["payload"]),
-                         ready_cycle=t["ready_cycle"])
-                for t in encoded
-            )
+            return deque(decode_record(Transfer, transfer, _TRANSFER_FIELDS)
+                         for transfer in encoded)
 
         for dest, queue in state["queues"]:
             self._queues[dest] = decode_queue(queue)

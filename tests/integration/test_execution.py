@@ -346,11 +346,17 @@ class TestPrivilegedOperations:
         machine = self._machine(kernel, self.PROGRAM,
                                 {"i1": HEAP + 8, "i2": HEAP, "i6": self.UNMAPPED})
         memory = machine.nodes[0].memory
-        assert memory.debug_sync_bit(HEAP + 8) == 0
+
+        def sync_bit():
+            # No access caches the word, so its bit lives in SDRAM only.
+            assert memory.cache.probe(HEAP + 8) is None
+            return memory.sdram.sync_bit(memory.translate(HEAP + 8))
+
+        assert sync_bit() == 0
         assert machine.run_until_quiescent() == 11
         assert machine.thread_halted(0, EVENT_SLOT, 0)
         observed = {
-            "syncset: sync bit of HEAP + 8": memory.debug_sync_bit(HEAP + 8),
+            "syncset: sync bit of HEAP + 8": sync_bit(),
             "bsget after bsset #1": machine.register_value(0, EVENT_SLOT, 0, "i3"),
             "ltlbp of a mapped address": machine.register_value(0, EVENT_SLOT, 0, "i4"),
             "ltlbp of an unmapped address": machine.register_value(0, EVENT_SLOT, 0, "i5"),

@@ -324,3 +324,39 @@ class TestCoherentSharedMemory:
         machine.load_hthread(1, 1, 0, "ld i7, i1\nhalt", registers={"i1": REGION})
         machine.run_until(lambda m: m.register_full(1, 1, 0, "i7"), max_cycles=60000)
         assert machine.register_value(1, 1, 0, "i7") == 42
+
+    @staticmethod
+    def _contended(kernel, loads):
+        """A 2x2x1 coherent machine whose node 1 runs *loads* from the block
+        at ``REGION``, homed on node 0, while node 2 stores word 3 of it."""
+        config = MachineConfig.small(2, 2, 1)
+        config.runtime.shared_memory_mode = "coherent"
+        config.sim.kernel = kernel
+        machine = MMachine(config)
+        machine.map_on_node(0, REGION)
+        machine.load_hthread(1, 0, 0, loads + "\nhalt", registers={"i1": REGION})
+        machine.load_hthread(2, 0, 0, "st i1, i1, #3\nhalt", registers={"i1": REGION})
+        return machine
+
+    @pytest.mark.parametrize("kernel", ["event", "naive"])
+    def test_load_against_store_settles(self, kernel):
+        machine = self._contended(kernel, "ld i4, i1")
+        assert machine.run_until_user_done(max_cycles=20_000) == 86
+        assert machine.register_value(1, 0, 0, "i4") == 0
+        # Node 2 owns the block and holds the stored word.
+        assert machine.nodes[2].memory.debug_read(REGION + 3) == REGION
+
+    @pytest.mark.parametrize("kernel", ["event", "naive"])
+    @pytest.mark.xfail(strict=True, raises=TimeoutError,
+                       reason="known livelock, ROADMAP item 4: the block is recalled "
+                              "before the replayed access completes")
+    def test_two_loads_against_store_settle(self, kernel):
+        """Both threads halt, but the block then moves between nodes 1 and
+        2 for ever, with no dirty write-back: ``requester_block_data``
+        replays the faulting access ``6 + BLOCK_SIZE_WORDS`` cycles after the
+        block arrives, and the other node's request, already in flight,
+        recalls the block inside that window, so neither access completes."""
+        machine = self._contended(kernel, "ld i4, i1\nld i5, i1, #1")
+        machine.run_until_user_done(max_cycles=20_000)
+        assert machine.register_value(1, 0, 0, "i4") == 0
+        assert machine.register_value(1, 0, 0, "i5") == 0

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro import MMachine, MachineConfig
 from repro.isa.assembler import assemble
 from repro.isa.registers import RegFile, RegisterRef, pack_regspec, unpack_regspec
-from repro.cluster.functional_units import OperandError, evaluate_operation
+from repro.cluster.functional_units import OperandError, evaluate, value_evaluator
 from repro.cluster.hthread import ThreadState
 from repro.memory.cache import NUM_SETS, InterleavedCache
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
@@ -147,8 +147,8 @@ class TestAssemblerArithmeticProperties:
            st.sampled_from(["add", "sub", "mul", "and", "or", "xor", "min", "max",
                             "eq", "ne", "lt", "le", "gt", "ge"]))
     def test_assembled_op_matches_python_semantics(self, a, b, mnemonic):
-        operation = assemble(f"{mnemonic} i1, i2, i3")[0].operations[0]
-        result = evaluate_operation(operation, [a, b])
+        name = assemble(f"{mnemonic} i1, i2, i3")[0].operations[0].opcode.name
+        result = evaluate(name, value_evaluator(name), [a, b])
         reference = {
             "add": a + b, "sub": a - b, "mul": a * b,
             "and": a & b, "or": a | b, "xor": a ^ b,
@@ -191,15 +191,15 @@ SHIFT_COUNTS = st.one_of(
 class TestIssueStageArithmeticProperties:
     """Every integer operation the issue stage has an ``int`` fast path for,
     run through a one-node machine on operands of every kind: the
-    destination holds exactly what :func:`evaluate_operation` returns, or
+    destination holds exactly what the opcode's evaluator returns, or
     the run raises the SimulationError naming the instruction, or the thread
     takes the protection fault the evaluator raised."""
 
     @staticmethod
     def _check(instruction: str, operands):
-        operation = assemble(instruction)[0].operations[0]
+        name = assemble(instruction)[0].operations[0].opcode.name
         try:
-            expected = evaluate_operation(operation, list(operands))
+            expected = evaluate(name, value_evaluator(name), list(operands))
             error = None
         except (OperandError, ProtectionError) as exc:
             expected, error = None, exc

@@ -80,8 +80,6 @@ def test_disk_sink_filters_match_memory_sink(tmp_path):
         assert got == expected, kwargs
     assert disk.count("cache_hit") == memory.count("cache_hit")
     assert disk.first("cache_hit", req=7).cycle == memory.first("cache_hit", req=7).cycle
-    assert disk.last("cache_miss").cycle == memory.last("cache_miss").cycle
-    assert disk.dump(["cache_hit"]) == memory.dump(["cache_hit"])
 
 
 def test_disk_sink_chunk_bytes_are_deterministic(tmp_path):
