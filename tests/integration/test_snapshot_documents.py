@@ -26,6 +26,10 @@ Contracts of the on-disk snapshot document beyond the state it restores:
 * Two more snapshots hold the untagged records those four lack (C-Switch
   broadcasts, a pending grant, pending fetches and a queued directory
   request) and keep their digests and bytes the same way.
+* Three more hold the component containers none of those six does (an NI
+  retransmit entry, MIF-queue requests, message-queue words, a half-read
+  event record and a deferred synchronizing-fault retry) and keep their
+  digests and bytes the same way.
 """
 
 import copy
@@ -445,16 +449,22 @@ def _assert_pinned_round_trip(text: str, digest: str) -> MMachine:
     return restored
 
 
+def _workload_snapshot(directory, workload: str, cycle: int) -> str:
+    """The text of *workload*'s snapshot at *cycle*, taken with
+    ``checkpoint_context(directory, snapshot_at=cycle)``."""
+    with checkpoint_context(str(directory), snapshot_at=cycle):
+        with pytest.raises(SnapshotTaken) as taken:
+            get_workload(workload).call({})
+    with open(taken.value.path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def test_untagged_record_snapshot_digests_and_round_trip(tmp_path):
     """Snapshots holding C-Switch broadcast transfers, a pending grant,
     pending fetches and a queued directory request keep their bytes,
     restoring then saving each reproduces it, and the coherent one resumes
     to the cycle the uninterrupted run ends on."""
-    with checkpoint_context(str(tmp_path), snapshot_at=7):
-        with pytest.raises(SnapshotTaken) as taken:
-            get_workload("cc-barrier").call({})
-    with open(taken.value.path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = _workload_snapshot(tmp_path, "cc-barrier", 7)
     _assert_pinned_round_trip(text, BROADCAST_SNAPSHOT)
     (node,) = json.loads(text)["machine"]["nodes"]
     assert len(node["cswitch"]["broadcast"]) == 3
@@ -473,6 +483,80 @@ def test_untagged_record_snapshot_digests_and_round_trip(tmp_path):
     assert sum(len(entry["queue"]) for entry in records("directories")) == 1
     assert restored.run_until_user_done(10_000) == 123
     assert _coherent_contention().run_until_user_done(10_000) == 123
+
+
+def sync_retry_machine() -> MMachine:
+    """One node whose slot-0 ``ld.fe`` finds its word empty and faults; the
+    fault is retried after a back-off until slot 1's ``st.ef``, twelve
+    cycles late, fills the word."""
+    machine = MMachine(MachineConfig.single_node())
+    machine.map_on_node(0, 0x10000, num_pages=1)
+    machine.write_word(0x10000, 0, sync_bit=0)
+    machine.load_hthread(0, 0, 0, "ld.fe i4, i1\nhalt", registers={"i1": 0x10000})
+    machine.load_hthread(0, 1, 0, "nop\n" * 12 + "st.ef i5, i1\nhalt",
+                         registers={"i1": 0x10000, "i5": 9})
+    return machine
+
+
+#: sha256 of three snapshots that hold the component containers the six
+#: above lack: ``nack-flood`` at cycle 21 (an NI retransmit entry, MIF-queue
+#: requests and message-queue words) and ``multitenant-timeshare`` at cycle
+#: 9 (an event record half read from the LTLB event queue), both taken
+#: with ``checkpoint_context(dir, snapshot_at=cycle)``, and
+#: ``sync_retry_machine`` run to cycle 5 (a deferred synchronizing-fault
+#: retry).
+CONTAINER_SNAPSHOTS = {
+    "nack-flood": "d2a52f658aa322e5de4b0312037f28d7ad15d43f8ea578e59545e34e7016bb2e",
+    "multitenant-timeshare":
+        "63030b1197d76ee3b34e849fa79e43dfaac96c98f67cb4508cec552509ce6bf0",
+    "sync-retry": "35a4c43825c48a6ab8025455339b609e6fed2967fbc42aa6c91df05294588acd",
+}
+
+
+def _container_counts(text: str) -> dict:
+    """How many items the containers of :data:`CONTAINER_SNAPSHOTS` hold
+    over all nodes, with the ``(records, head_offset)`` of each event queue
+    that holds a record."""
+    nodes = json.loads(text)["machine"]["nodes"]
+    return {
+        "retransmit": sum(len(node["net"]["retransmit"]) for node in nodes),
+        "mif_queue": sum(len(node["memory"]["mif_queue"]) for node in nodes),
+        "queue_words": sum(len(node[queue]["words"]) for node in nodes
+                           for queue in ("msg_queue_p0", "msg_queue_p1")),
+        "event_records": [(queue, len(node[queue]["records"]), node[queue]["head_offset"])
+                          for node in nodes
+                          for queue in ("event_queue_sync", "event_queue_ltlb")
+                          if node[queue]["records"]],
+        "deferred": sum(len(handler.get("deferred", ())) for node in nodes
+                        for handler in node["native_handlers"]),
+    }
+
+
+def test_component_container_snapshot_digests_and_round_trip(tmp_path):
+    """Snapshots holding an NI retransmit entry, MIF-queue requests,
+    message-queue words, a half-read event record and a deferred
+    synchronizing-fault retry keep their bytes, restoring then saving each
+    reproduces it, and the sync-retry one resumes to the cycle the
+    uninterrupted run ends on."""
+    text = _workload_snapshot(tmp_path / "nack", "nack-flood", 21)
+    _assert_pinned_round_trip(text, CONTAINER_SNAPSHOTS["nack-flood"])
+    assert _container_counts(text) == {"retransmit": 1, "mif_queue": 2, "queue_words": 3,
+                                       "event_records": [], "deferred": 0}
+
+    text = _workload_snapshot(tmp_path / "timeshare", "multitenant-timeshare", 9)
+    _assert_pinned_round_trip(text, CONTAINER_SNAPSHOTS["multitenant-timeshare"])
+    assert _container_counts(text) == {"retransmit": 0, "mif_queue": 1, "queue_words": 2,
+                                       "event_records": [("event_queue_ltlb", 1, 1)],
+                                       "deferred": 0}
+
+    machine = sync_retry_machine()
+    machine.run(5)
+    text = _compact(machine.snapshot_document())
+    restored = _assert_pinned_round_trip(text, CONTAINER_SNAPSHOTS["sync-retry"])
+    assert _container_counts(text) == {"retransmit": 0, "mif_queue": 0, "queue_words": 0,
+                                       "event_records": [], "deferred": 1}
+    assert restored.run_until_user_done(10_000) == 35
+    assert sync_retry_machine().run_until_user_done(10_000) == 35
 
 
 def test_record_field_mutants_load_or_raise_snapshot_error(record_snapshots):
