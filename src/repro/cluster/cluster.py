@@ -59,13 +59,7 @@ from repro.core.config import (
     EXCEPTION_SLOT,
     NUM_VTHREAD_SLOTS,
 )
-from repro.core.values import (
-    SnapshotError,
-    decode_pairs,
-    decode_value,
-    encode_pairs,
-    encode_value,
-)
+from repro.core.values import SnapshotError, decode_value, encode_value, pairs
 from repro.events.records import EventRecord, EventType
 from repro.isa.program import Program
 
@@ -461,10 +455,10 @@ class Cluster:
             ],
             "instructions_issued": self.instructions_issued,
             "operations_issued": self.operations_issued,
-            "operations_by_unit": encode_pairs(self.operations_by_unit),
+            "operations_by_unit": pairs().encode(self.operations_by_unit),
             "idle_cycles": self.idle_cycles,
             "no_ready_cycles": self.no_ready_cycles,
-            "issue_by_slot": encode_pairs(self.issue_by_slot),
+            "issue_by_slot": pairs().encode(self.issue_by_slot),
             "exceptions_raised": self.exceptions_raised,
         }
 
@@ -487,11 +481,11 @@ class Cluster:
         self.instructions_issued = state["instructions_issued"]
         self.operations_issued = state["operations_issued"]
         self._unit_counts = [0] * len(UNIT_VALUES)
-        for unit, count in decode_pairs(state["operations_by_unit"]).items():
+        for unit, count in pairs().decode(state["operations_by_unit"]).items():
             self._unit_counts[UNIT_VALUES.index(unit)] = count
         self.idle_cycles = state["idle_cycles"]
         self.no_ready_cycles = state["no_ready_cycles"]
         self._slot_counts = [0] * len(self._slot_counts)
-        for slot, count in decode_pairs(state["issue_by_slot"]).items():
+        for slot, count in pairs().decode(state["issue_by_slot"]).items():
             self._slot_counts[slot] = count
         self.exceptions_raised = state["exceptions_raised"]

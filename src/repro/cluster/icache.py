@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.values import decode_value, encode_value
+from repro.core.component import StatefulComponent
+from repro.core.values import pairs, state_fields
 from repro.isa.program import Program
 
 #: Instruction-cache capacity in words (1 KW = 8 KB per the paper).
@@ -25,8 +26,10 @@ class CapacityError(Exception):
     """Raised when the programs loaded on a cluster exceed the I-cache size."""
 
 
-class InstructionCache:
+class InstructionCache(StatefulComponent):
     """Always-hit instruction cache holding one program per V-Thread slot."""
+
+    _STATE = state_fields(("_programs", pairs()), "fetches")
 
     def __init__(self, name: str = "icache"):
         self.name = name
@@ -56,20 +59,6 @@ class InstructionCache:
             len(program) * WORDS_PER_INSTRUCTION
             for program in self._programs.values()
         )
-
-    # -- snapshot (repro.snapshot state_dict contract) ----------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "programs": [[slot, encode_value(program)]
-                         for slot, program in self._programs.items()],
-            "fetches": self.fetches,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._programs = {slot: decode_value(program)
-                          for slot, program in state["programs"]}
-        self.fetches = state["fetches"]
 
     def __repr__(self) -> str:
         return f"InstructionCache({self.name!r}, {len(self._programs)} programs, {self.words_used} words)"

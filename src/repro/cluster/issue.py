@@ -38,13 +38,16 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.core.component import StatefulComponent
 from repro.core.config import ClusterConfig, EVENT_SLOT, EXCEPTION_SLOT
+from repro.core.values import state_fields
 
 
-class IssuePolicy:
+class IssuePolicy(StatefulComponent):
     """Base class: decides the order in which ready slots are considered."""
 
     name = "base"
+    _STATE = state_fields("_rr_pointer")
 
     def __init__(self, num_slots: int):
         self.num_slots = num_slots
@@ -69,16 +72,13 @@ class IssuePolicy:
 
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 
-    def state_dict(self) -> dict:
-        return {"rr_pointer": self._rr_pointer}
-
     def load_state_dict(self, state: dict) -> None:
-        pointer = state["rr_pointer"]
+        super().load_state_dict(state)
         # The pointer indexes the order table, so an out-of-range value
         # from a malformed snapshot is refused here, not at the next issue.
+        pointer = self._rr_pointer
         if type(pointer) is not int or not 0 <= pointer < self.num_slots:
             raise ValueError(f"issue-policy pointer must be a slot number, got {pointer!r}")
-        self._rr_pointer = pointer
 
 
 class EventPriorityPolicy(IssuePolicy):

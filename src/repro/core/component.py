@@ -46,7 +46,9 @@ The contract has two rules:
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, Tuple, runtime_checkable
+
+from repro.core.values import StateField
 
 
 @runtime_checkable
@@ -71,12 +73,24 @@ class MeshObserver(Protocol):
         ...
 
 
-@runtime_checkable
-class StatefulComponent(Protocol):
+class StatefulComponent:
     """The snapshot half of the component contract (:mod:`repro.snapshot`).
 
-    Every component that holds mutable simulation state implements this
-    pair.  The rules:
+    A component that holds mutable simulation state subclasses this and
+    names that state once, in its ``_STATE`` table, built by
+    :func:`repro.core.values.state_fields`: one entry per attribute, in
+    snapshot key order, with the converter that writes and reads it.  The
+    one :meth:`state_dict` and the one :meth:`load_state_dict` below walk
+    that table, so an attribute is saved exactly when it is restored.  A
+    subclass extends its parent's table (``_STATE = Parent._STATE +
+    state_fields(...)``), and overrides :meth:`load_state_dict` only to do
+    one more job around the walk: check a value, re-link shared objects,
+    default a key older snapshots lack, or recount derived state.
+
+    Components that load their children in place, in a set order, or
+    rebuild derived state (the thread contexts, register sets, clusters,
+    nodes, the machine and the tracer) keep hand-written methods of the
+    same names.  The rules:
 
     1. **Completeness.**  ``state_dict()`` must capture every piece of state
        that can influence future architectural behaviour *or statistics* --
@@ -84,7 +98,10 @@ class StatefulComponent(Protocol):
        omitted queue does.  Structure that is rebuilt by construction from
        the :class:`~repro.core.config.MachineConfig` (geometry, wiring,
        callbacks, handler objects) is *not* captured; restore always runs on
-       a freshly-constructed, identically-configured machine.
+       a freshly-constructed, identically-configured machine.  So every
+       attribute outside ``_STATE`` must keep its value while the machine
+       runs (``tests/integration/test_state_walk.py`` checks this on every
+       registered workload).
     2. **Plain data.**  The returned dict must be JSON-compatible.  Domain
        values (guarded pointers, event records, messages, requests, register
        writes, programs) go through :func:`repro.core.values.encode_value`;
@@ -98,10 +115,14 @@ class StatefulComponent(Protocol):
        share ``Program`` objects).
     """
 
+    #: The state walk: ``(attribute, key, encode, decode)`` per entry.
+    _STATE: Tuple[StateField, ...] = ()
+
     def state_dict(self) -> dict:
         """This component's complete mutable state as plain JSON data."""
-        ...
+        return {key: encode(getattr(self, name)) for name, key, encode, _ in self._STATE}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`."""
-        ...
+        for name, key, _, decode in self._STATE:
+            setattr(self, name, decode(state[key]))

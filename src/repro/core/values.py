@@ -17,8 +17,16 @@ restored with no edit here or in its owner.  The hardware records that can
 sit in a register, a queue or a message carry a tag (see :func:`_codec`);
 the records a component keeps in its own tables (cache lines, C-Switch
 transfers, coherence directory entries and pending operations) are plain
-dicts written by their owner's ``state_dict`` through the same walk.  The
-encoding is self-describing and loss-free:
+dicts written through the same walk (:func:`record_codec`).
+
+A component's own state is walked the same way: :func:`state_fields` names
+each snapshot attribute of a component class once, with the :class:`Codec`
+that converts it, and :class:`repro.core.component.StatefulComponent` saves
+and restores every attribute from that list.  The converters compose:
+:data:`AS_IS` and :data:`VALUE` for one value, :func:`each` for a list,
+:func:`pairs` for a mapping as ``[key, value]`` pairs, :func:`timed` for
+``(cycle, value)`` tuples and :func:`record_codec` for an untagged record.
+The encoding is self-describing and loss-free:
 
 * ``encode_value(decode_value(x)) == x`` for every encoded document, and
 * ``decode_value(encode_value(v))`` reconstructs an equal value, with
@@ -38,11 +46,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from collections import Counter
 from functools import lru_cache
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.isa.assembler import AssemblyError, assemble_cached
 from repro.isa.operations import LabelRef
@@ -109,8 +116,28 @@ def record_fields(cls, converters: Optional[Mapping[str, Tuple[Callable, Callabl
     and decoder, which are :func:`encode_value` and :func:`decode_value`
     unless *converters* maps the field's name to another pair."""
     converters = converters or {}
-    return tuple((field.name, *converters.get(field.name, (encode_value, decode_value)))
+    return tuple((field.name, *converters.get(field.name, VALUE))
                  for field in dataclasses.fields(cls))
+
+
+#: One entry of a component's state walk: the attribute, its snapshot key,
+#: and its encoder and decoder.
+StateField = Tuple[str, str, Callable[[object], object], Callable[[object], object]]
+
+
+def state_fields(*entries) -> Tuple[StateField, ...]:
+    """The state walk of a component class, in snapshot key order (see
+    :class:`repro.core.component.StatefulComponent`).
+
+    An entry is an attribute name, whose value is plain JSON data stored as
+    it is, or ``(name, codec)`` with the :class:`Codec` that writes and
+    reads it.  The snapshot key is the name without its leading underscore;
+    ``(name, codec, key)`` names another key."""
+    fields = []
+    for entry in entries:
+        name, (encode, decode), *key = (entry, AS_IS) if isinstance(entry, str) else entry
+        fields.append((name, key[0] if key else name.lstrip("_"), encode, decode))
+    return tuple(fields)
 
 
 def encode_record(value, fields: Tuple[RecordField, ...]) -> Dict[str, object]:
@@ -145,10 +172,6 @@ def _codec() -> SimpleNamespace:
     from repro.network.gtlb import GtlbEntry  # noqa: PLC0415
     from repro.network.message import Message, MessageKind  # noqa: PLC0415
 
-    def each(encode, decode):
-        return (lambda items: [encode(item) for item in items],
-                lambda items: [decode(item) for item in items])
-
     by_value = attrgetter("value")
     table = {
         RegisterRef: ("reg", {"file": (attrgetter("name"), lambda name: RegFile[name])}),
@@ -157,10 +180,9 @@ def _codec() -> SimpleNamespace:
         EventRecord: ("event", {"event_type": (int, EventType)}),
         # The body is decoded item by item, so a body that is not a list is
         # refused here rather than when the message is delivered.
-        Message: ("msg", {"kind": (by_value, MessageKind),
-                          "body": each(encode_value, decode_value)}),
+        Message: ("msg", {"kind": (by_value, MessageKind), "body": each()}),
         RegWrite: ("regwrite", {}),
-        LptEntry: ("lpt", {"block_status": each(int, BlockStatus)}),
+        LptEntry: ("lpt", {"block_status": each(Codec(int, BlockStatus))}),
         GtlbEntry: ("gtlb", {"start_node": (list, tuple), "extent": (list, tuple)}),
     }
     records = {cls: (tag, record_fields(cls, converters))
@@ -241,26 +263,55 @@ def _decode_tagged(encoded: Dict[str, object]) -> object:
     return decode_record(cls, encoded, fields)
 
 
-def encode_pairs(mapping) -> List[List[object]]:
-    """Encode a mapping as an order-preserving list of ``[key, value]``
-    pairs (dict iteration order is part of the simulator's determinism)."""
-    return [[encode_value(key), encode_value(value)] for key, value in mapping.items()]
+class Codec(NamedTuple):
+    """How one value of a component's state or of a record is written as
+    JSON (``encode``) and read back (``decode``)."""
+
+    encode: Callable[[object], object]
+    decode: Callable[[object], object]
 
 
-def decode_pairs(pairs) -> Dict[object, object]:
-    return {decode_value(key): decode_value(value) for key, value in pairs}
+def _as_is(value):
+    return value
 
 
-def encode_counter(counter) -> List[List[object]]:
-    """Encode a :class:`collections.Counter` preserving insertion order."""
-    return encode_pairs(counter)
+#: Plain JSON data, stored as it is.
+AS_IS = Codec(_as_is, _as_is)
+#: Any simulator value, through :func:`encode_value` and :func:`decode_value`.
+VALUE = Codec(encode_value, decode_value)
 
 
-def decode_counter(pairs):
-    counter: Counter = Counter()
-    for key, value in pairs:
-        counter[decode_value(key)] = value
-    return counter
+def each(item: Codec = VALUE, into: Callable = list) -> Codec:
+    """A sequence as a list converted item by item, read back into *into*."""
+    encode, decode = item
+    return Codec(lambda items: [encode(value) for value in items],
+                 lambda items: into(decode(value) for value in items))
+
+
+def pairs(value: Codec = VALUE, key: Codec = VALUE, into: Callable = dict) -> Codec:
+    """A mapping as an order-preserving list of ``[key, value]`` pairs (dict
+    iteration order is part of the simulator's determinism), read back into
+    *into*."""
+    encode_key, decode_key = key
+    encode, decode = value
+    return Codec(lambda mapping: [[encode_key(k), encode(v)] for k, v in mapping.items()],
+                 lambda items: into((decode_key(k), decode(v)) for k, v in items))
+
+
+def timed(into: Callable = list) -> Codec:
+    """A sequence of ``(cycle, value)`` tuples as ``[cycle, value]`` lists,
+    the value through the value codec, read back into *into*."""
+    return Codec(lambda items: [[cycle, encode_value(value)] for cycle, value in items],
+                 lambda items: into((cycle, decode_value(value)) for cycle, value in items))
+
+
+def record_codec(cls, converters: Optional[Mapping[str, Tuple[Callable, Callable]]] = None,
+                 ) -> Codec:
+    """An untagged *cls* record as a plain dict of its fields, through the
+    :func:`record_fields` walk."""
+    fields = record_fields(cls, converters)
+    return Codec(lambda value: encode_record(value, fields),
+                 lambda data: decode_record(cls, data, fields))
 
 
 def encode_optional_set(value) -> Optional[List[object]]:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.core.values import decode_value, encode_value
+from repro.core.component import StatefulComponent
+from repro.core.values import Codec, each, state_fields
 from repro.events.records import EventRecord
 from repro.events.records import EVENT_RECORD_WORDS
 
@@ -26,8 +27,11 @@ class QueueUnderflowError(Exception):
     only partially present)."""
 
 
-class HardwareQueue:
+class HardwareQueue(StatefulComponent):
     """A bounded FIFO of 64-bit words with occupancy statistics."""
+
+    _STATE = state_fields(("_words", Codec(list, deque)), "total_pushed", "total_popped",
+                          "max_occupancy", "overflow_rejections")
 
     def __init__(self, capacity_words: int, name: str = "queue"):
         if capacity_words <= 0:
@@ -79,24 +83,6 @@ class HardwareQueue:
     def peek_word(self) -> Optional[int]:
         return self._words[0] if self._words else None
 
-    # -- snapshot (repro.snapshot state_dict contract) ---------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "words": list(self._words),
-            "total_pushed": self.total_pushed,
-            "total_popped": self.total_popped,
-            "max_occupancy": self.max_occupancy,
-            "overflow_rejections": self.overflow_rejections,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._words = deque(state["words"])
-        self.total_pushed = state["total_pushed"]
-        self.total_popped = state["total_popped"]
-        self.max_occupancy = state["max_occupancy"]
-        self.overflow_rejections = state["overflow_rejections"]
-
     def __repr__(self) -> str:
         return f"HardwareQueue({self.name!r}, {len(self._words)}/{self.capacity_words} words)"
 
@@ -112,6 +98,9 @@ class EventQueue(HardwareQueue):
     dropping events, since a real M-Machine sizes the queue to make this
     impossible.
     """
+
+    _STATE = HardwareQueue._STATE + state_fields(
+        ("_records", each(into=deque)), "_head_offset", "records_pushed")
 
     def __init__(self, capacity_records: int, name: str = "event-queue"):
 
@@ -164,20 +153,3 @@ class EventQueue(HardwareQueue):
     @property
     def pending_records(self) -> int:
         return len(self._records)
-
-    # -- snapshot (repro.snapshot state_dict contract) ---------------------------
-
-    def state_dict(self) -> dict:
-
-        state = super().state_dict()
-        state["records"] = [encode_value(record) for record in self._records]
-        state["head_offset"] = self._head_offset
-        state["records_pushed"] = self.records_pushed
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-
-        super().load_state_dict(state)
-        self._records = deque(decode_value(record) for record in state["records"])
-        self._head_offset = state["head_offset"]
-        self.records_pushed = state["records_pushed"]

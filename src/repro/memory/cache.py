@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.values import decode_record, encode_record, record_fields
+from repro.core.component import StatefulComponent
+from repro.core.values import each, pairs, record_codec, state_fields
 from repro.memory.page_table import BLOCK_SIZE_WORDS
 
 #: Word-interleaved cache banks (Section 2).
@@ -56,12 +57,12 @@ class CacheLine:
     last_used: int = 0
 
 
-#: A snapshot writes each line as a plain dict of its fields.
-_LINE_FIELDS = record_fields(CacheLine)
-
-
-class InterleavedCache:
+class InterleavedCache(StatefulComponent):
     """A four-bank, word-interleaved, virtually addressed cache."""
+
+    _STATE = state_fields(
+        ("_sets", pairs(each(record_codec(CacheLine)))), "_access_counter", "hits", "misses",
+        "read_hits", "read_misses", "write_hits", "write_misses", "evictions", "writebacks")
 
     def __init__(self, name: str = "cache"):
         self.name = name
@@ -209,40 +210,6 @@ class InterleavedCache:
         self.writebacks += len(dirty)
         self._sets.clear()
         return dirty
-
-    # -- snapshot (repro.snapshot state_dict contract) -----------------------------
-
-    def state_dict(self) -> dict:
-
-        return {
-            "sets": [[set_index, [encode_record(line, _LINE_FIELDS) for line in ways]]
-                     for set_index, ways in self._sets.items()],
-            "access_counter": self._access_counter,
-            "hits": self.hits,
-            "misses": self.misses,
-            "read_hits": self.read_hits,
-            "read_misses": self.read_misses,
-            "write_hits": self.write_hits,
-            "write_misses": self.write_misses,
-            "evictions": self.evictions,
-            "writebacks": self.writebacks,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-
-        self._sets = {
-            set_index: [decode_record(CacheLine, line, _LINE_FIELDS) for line in ways]
-            for set_index, ways in state["sets"]
-        }
-        self._access_counter = state["access_counter"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.read_hits = state["read_hits"]
-        self.read_misses = state["read_misses"]
-        self.write_hits = state["write_hits"]
-        self.write_misses = state["write_misses"]
-        self.evictions = state["evictions"]
-        self.writebacks = state["writebacks"]
 
     # -- introspection ------------------------------------------------------------
 

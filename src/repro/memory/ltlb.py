@@ -17,15 +17,22 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.core.values import decode_value, encode_value
-from repro.memory.page_table import LptEntry, page_of
+from repro.core.component import StatefulComponent
+from repro.core.values import AS_IS, Codec, decode_value, encode_value, pairs, state_fields
+from repro.memory.page_table import LocalPageTable, LptEntry, page_of
 
 #: Entries of the LTLB.
 LTLB_ENTRIES = 64
 
 
-class Ltlb:
+class Ltlb(StatefulComponent):
     """A fully associative, LRU-replaced translation cache."""
+
+    # LRU order is significant (oldest first, like the OrderedDict).  Entries
+    # are saved by value, and read back as saved for the load to re-link.
+    _STATE = state_fields(
+        ("_entries", pairs(Codec(encode_value, AS_IS.decode), into=OrderedDict)),
+        "hits", "misses", "insertions", "evictions")
 
     def __init__(self, name: str = "ltlb"):
         self.name = name
@@ -73,35 +80,16 @@ class Ltlb:
 
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 
-    def state_dict(self) -> dict:
-
-        return {
-            # LRU order is significant (oldest first, like the OrderedDict).
-            # Entries are stored by value as well as by page number so the
-            # loader can fall back when a page has no LPT entry, but the
-            # normal path re-links the *shared* LPT entry object: the LTLB
-            # caches references, and block-status updates made through the
-            # page table must stay visible after a restore.
-            "entries": [[page, encode_value(entry)]
-                        for page, entry in self._entries.items()],
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-        }
-
-    def load_state_dict(self, state: dict, page_table=None) -> None:
-
-        self._entries = OrderedDict()
-        for page, encoded in state["entries"]:
-            entry = page_table.lookup_page(page) if page_table is not None else None
-            if entry is None:
-                entry = decode_value(encoded)
-            self._entries[page] = entry
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.insertions = state["insertions"]
-        self.evictions = state["evictions"]
+    def load_state_dict(self, state: dict, page_table: LocalPageTable) -> None:
+        """Restore the entries in their LRU order, re-linking the *shared*
+        entry objects of *page_table*: the LTLB caches references, and
+        block-status updates made through the page table must stay visible
+        after a restore.  An entry is decoded from its saved value only
+        when the page table has none for its page."""
+        super().load_state_dict(state)
+        for page, encoded in self._entries.items():
+            entry = page_table.lookup_page(page)
+            self._entries[page] = decode_value(encoded) if entry is None else entry
 
     # -- introspection -----------------------------------------------------------
 

@@ -32,7 +32,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.values import decode_value, encode_value
+from repro.core.component import StatefulComponent
+from repro.core.values import Codec, decode_value, each, encode_value, pairs, state_fields, timed
 from repro.events.records import EventRecord, EventType
 from repro.isa.registers import pack_regspec
 from repro.memory.cache import NUM_BANKS, CacheLine, InterleavedCache
@@ -67,8 +68,22 @@ LTLB_FLAG_WRITABLE = 0x1
 LTLB_FLAG_BLOCKS_VALID = 0x2
 
 
-class MemorySystem:
-    """Cache banks + LTLB + local page table + SDRAM of one node."""
+class MemorySystem(StatefulComponent):
+    """Cache banks + LTLB + local page table + SDRAM of one node.
+
+    Its snapshot holds the in-flight request state only; the cache, LTLB,
+    page table and SDRAM are shared objects the node owns and saves.
+    """
+
+    _STATE = state_fields(
+        ("_bank_queues", each(timed(deque))), ("_mif_queue", timed(deque)), "_mif_busy_until",
+        # A pending response is written beside its ready cycle, which the
+        # load reads from the response itself.
+        ("_pending", Codec(lambda pending: [[response.ready_cycle, encode_value(response)]
+                                            for response in pending],
+                           lambda pending: [decode_value(response) for _, response in pending])),
+        "requests_accepted", "loads", "stores", "sync_faults", "block_status_faults",
+        "ltlb_miss_events", ("store_completions", pairs()))
 
     def __init__(
         self,
@@ -502,53 +517,6 @@ class MemorySystem:
             or bool(self._mif_queue)
             or bool(self._pending)
         )
-
-    # -- snapshot (repro.snapshot state_dict contract) -----------------------
-
-    def state_dict(self) -> dict:
-        """In-flight request state only; the cache, LTLB, page table and
-        SDRAM snapshot themselves (they are shared objects owned by the
-        node)."""
-
-        return {
-            "bank_queues": [
-                [[arrival, encode_value(request)] for arrival, request in queue]
-                for queue in self._bank_queues
-            ],
-            "mif_queue": [[arrival, encode_value(request)]
-                          for arrival, request in self._mif_queue],
-            "mif_busy_until": self._mif_busy_until,
-            "pending": [[response.ready_cycle, encode_value(response)]
-                        for response in self._pending],
-            "requests_accepted": self.requests_accepted,
-            "loads": self.loads,
-            "stores": self.stores,
-            "sync_faults": self.sync_faults,
-            "block_status_faults": self.block_status_faults,
-            "ltlb_miss_events": self.ltlb_miss_events,
-            "store_completions": [[req_id, done]
-                                  for req_id, done in self.store_completions.items()],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-
-        self._bank_queues = [
-            deque((arrival, decode_value(request)) for arrival, request in queue)
-            for queue in state["bank_queues"]
-        ]
-        self._mif_queue = deque(
-            (arrival, decode_value(request)) for arrival, request in state["mif_queue"]
-        )
-        self._mif_busy_until = state["mif_busy_until"]
-        self._pending = [decode_value(response) for _, response in state["pending"]]
-        self.requests_accepted = state["requests_accepted"]
-        self.loads = state["loads"]
-        self.stores = state["stores"]
-        self.sync_faults = state["sync_faults"]
-        self.block_status_faults = state["block_status_faults"]
-        self.ltlb_miss_events = state["ltlb_miss_events"]
-        self.store_completions = {req_id: done
-                                  for req_id, done in state["store_completions"]}
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """SimComponent contract: the earliest cycle after *cycle* at which a

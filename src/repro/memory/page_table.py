@@ -28,7 +28,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
-from repro.core.values import decode_value, encode_value
+
+from repro.core.component import StatefulComponent
+from repro.core.values import pairs, state_fields
 
 #: Words per page (Section 2: "Pages are 512 words (64 8-word cache blocks)").
 PAGE_SIZE_WORDS = 512
@@ -145,7 +147,7 @@ class LptEntry:
         )
 
 
-class LocalPageTable:
+class LocalPageTable(StatefulComponent):
     """The software-managed local page table of one node.
 
     The table holds one entry per slot of the direct-mapped memory image,
@@ -153,7 +155,12 @@ class LocalPageTable:
     pages ``LPT_ENTRIES`` apart share a slot, and :meth:`insert` refuses the
     second.  The node installs the image mirror with
     :meth:`attach_writeback` once the image's physical location is known.
+    A restore rebuilds the structured table *without* mirroring into the
+    memory image: the SDRAM snapshot already holds the image, and mirroring
+    would perturb the SDRAM write statistics.
     """
+
+    _STATE = state_fields(("_entries", pairs()), "lookups", "misses")
 
     def __init__(self):
         self._entries: Dict[int, LptEntry] = {}
@@ -206,27 +213,6 @@ class LocalPageTable:
         if entry is None or entry.virtual_page != virtual_page:
             return None
         return entry
-
-    # -- snapshot (repro.snapshot state_dict contract) ---------------------------
-
-    def state_dict(self) -> dict:
-
-        return {
-            "entries": [[slot, encode_value(entry)]
-                        for slot, entry in self._entries.items()],
-            "lookups": self.lookups,
-            "misses": self.misses,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Rebuild the structured table directly, *without* mirroring into
-        the memory image: the SDRAM snapshot already contains the image, and
-        mirroring here would perturb the SDRAM write statistics."""
-
-        self._entries = {slot: decode_value(entry)
-                         for slot, entry in state["entries"]}
-        self.lookups = state["lookups"]
-        self.misses = state["misses"]
 
     # -- introspection -----------------------------------------------------------
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.values import decode_value, encode_value
+from repro.core.component import StatefulComponent
+from repro.core.values import pairs, state_fields
 from repro.memory.secded import SecdedError, inject_error, secded_decode, secded_encode
 
 #: Words of SDRAM per node: 1 MW (8 MB).
@@ -35,8 +36,14 @@ CYCLES_PER_WORD = 1
 ROW_SIZE_WORDS = 1024
 
 
-class Sdram:
+class Sdram(StatefulComponent):
     """Backing DRAM of one node."""
+
+    # Sparse contents: SECDED codewords are stored verbatim, tagged words
+    # (floats, guarded pointers) through the value codec.
+    _STATE = state_fields(
+        ("_words", pairs()), ("_sync_bits", pairs()), ("_pointer_tags", pairs()), "_open_row",
+        "reads", "writes", "row_hits", "row_misses", "corrected_errors", "detected_errors")
 
     def __init__(self, name: str = "sdram"):
         self.name = name
@@ -154,37 +161,9 @@ class Sdram:
 
     # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 
-    def state_dict(self) -> dict:
-
-        return {
-            # Sparse contents: SECDED codewords are stored verbatim, tagged
-            # words (floats, guarded pointers) through the value codec.
-            "words": [[address, encode_value(value)]
-                      for address, value in self._words.items()],
-            "sync_bits": [[address, bit] for address, bit in self._sync_bits.items()],
-            "pointer_tags": [[address, tag] for address, tag in self._pointer_tags.items()],
-            "open_row": self._open_row,
-            "reads": self.reads,
-            "writes": self.writes,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "corrected_errors": self.corrected_errors,
-            "detected_errors": self.detected_errors,
-        }
-
     def load_state_dict(self, state: dict) -> None:
-
-        self._words = {address: decode_value(value) for address, value in state["words"]}
-        self._sync_bits = {address: bit for address, bit in state["sync_bits"]}
-        self._pointer_tags = {address: tag for address, tag in state["pointer_tags"]}
-        self._open_row = state["open_row"]
-        self.reads = state["reads"]
-        self.writes = state["writes"]
-        self.row_hits = state["row_hits"]
-        self.row_misses = state["row_misses"]
-        self.corrected_errors = state["corrected_errors"]
-        # .get(): snapshots written before the counter existed load fine.
-        self.detected_errors = state.get("detected_errors", 0)
+        # Snapshots written before the counter existed (0.8.0) load with it at 0.
+        super().load_state_dict({"detected_errors": 0, **state})
 
     # -- introspection -----------------------------------------------------------
 

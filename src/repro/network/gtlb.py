@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-from repro.core.values import decode_value, encode_value
+
+from repro.core.component import StatefulComponent
+from repro.core.values import each, state_fields
 
 #: Bit widths of the packed GDT/GTLB entry (Figure 8).
 VIRTUAL_PAGE_BITS = 42
@@ -158,11 +160,13 @@ class GtlbEntry:
         )
 
 
-class GlobalDestinationTable:
+class GlobalDestinationTable(StatefulComponent):
     """The software GDT: the complete list of page-group mappings.
 
     System software owns this table; the GTLB caches its entries.
     """
+
+    _STATE = state_fields(("_entries", each()))
 
     def __init__(self):
         self._entries: List[GtlbEntry] = []
@@ -189,24 +193,19 @@ class GlobalDestinationTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -- snapshot (repro.snapshot state_dict contract) ---------------------------
 
-    def state_dict(self) -> dict:
-
-        return {"entries": [encode_value(entry) for entry in self._entries]}
-
-    def load_state_dict(self, state: dict) -> None:
-
-        self._entries = [decode_value(entry) for entry in state["entries"]]
-
-
-class Gtlb:
+class Gtlb(StatefulComponent):
     """The per-node GTLB: a small fully-associative cache of GDT entries.
 
     On a miss the hardware consults the backing GDT (in the real machine a
     software fill); the fill is counted in :attr:`fills` and costs no
     cycles.
     """
+
+    # MRU-first order is significant (move-to-front LRU).  GtlbEntry is a
+    # frozen value type, so equal entries are interchangeable and no
+    # identity with the GDT needs restoring.
+    _STATE = state_fields(("_entries", each()), "hits", "misses", "fills")
 
     def __init__(self, gdt: GlobalDestinationTable, name: str = "gtlb"):
         self.gdt = gdt
@@ -242,24 +241,3 @@ class Gtlb:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    # -- snapshot (repro.snapshot state_dict contract) ---------------------------
-
-    def state_dict(self) -> dict:
-
-        return {
-            # MRU-first order is significant (move-to-front LRU).  GtlbEntry
-            # is a frozen value type, so equal entries are interchangeable
-            # and no identity with the GDT needs restoring.
-            "entries": [encode_value(entry) for entry in self._entries],
-            "hits": self.hits,
-            "misses": self.misses,
-            "fills": self.fills,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-
-        self._entries = [decode_value(entry) for entry in state["entries"]]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.fills = state["fills"]

@@ -19,7 +19,14 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from repro.core.config import NetworkConfig
-from repro.core.values import decode_optional_set, decode_value, encode_optional_set, encode_value
+from repro.core.component import StatefulComponent
+from repro.core.values import (
+    Codec,
+    decode_optional_set,
+    encode_optional_set,
+    state_fields,
+    timed,
+)
 from repro.events.queue import HardwareQueue
 from repro.isa.registers import NUM_MC_REGS
 from repro.memory.guarded_pointer import GuardedPointer, ProtectionError
@@ -28,8 +35,18 @@ from repro.network.mesh import MeshNetwork, coords_to_id
 from repro.network.message import Message, MessageKind, _message_ids
 
 
-class NetworkInterface:
-    """Combined network input/output interface of one node."""
+class NetworkInterface(StatefulComponent):
+    """Combined network input/output interface of one node.
+
+    The message queues themselves snapshot with the node (they are the
+    node's register-mapped queues); the interface's own state is its
+    credits, the DIP allow-list and the retransmission buffer.
+    """
+
+    _STATE = state_fields(
+        "credits", ("allowed_dips", Codec(encode_optional_set, decode_optional_set)),
+        ("_retransmit", timed()), "messages_sent", "messages_received", "acks_received",
+        "nacks_received", "retransmissions", "enqueue_rejections", "send_stall_cycles")
 
     def __init__(
         self,
@@ -244,40 +261,3 @@ class NetworkInterface:
         if not self._retransmit:
             return None
         return min(retry_cycle for retry_cycle, _ in self._retransmit)
-
-    # -- snapshot (repro.snapshot state_dict contract) ---------------------------
-
-    def state_dict(self) -> dict:
-        """The message queues themselves snapshot with the node (they are the
-        node's register-mapped queues); this covers the interface's own
-        state: credits, the DIP allow-list and the retransmission buffer."""
-
-        return {
-            "credits": self.credits,
-            "allowed_dips": encode_optional_set(self.allowed_dips),
-            "retransmit": [[retry_cycle, encode_value(message)]
-                           for retry_cycle, message in self._retransmit],
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "acks_received": self.acks_received,
-            "nacks_received": self.nacks_received,
-            "retransmissions": self.retransmissions,
-            "enqueue_rejections": self.enqueue_rejections,
-            "send_stall_cycles": self.send_stall_cycles,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-
-        self.credits = state["credits"]
-        self.allowed_dips = decode_optional_set(state["allowed_dips"])
-        self._retransmit = [
-            (retry_cycle, decode_value(message))
-            for retry_cycle, message in state["retransmit"]
-        ]
-        self.messages_sent = state["messages_sent"]
-        self.messages_received = state["messages_received"]
-        self.acks_received = state["acks_received"]
-        self.nacks_received = state["nacks_received"]
-        self.retransmissions = state["retransmissions"]
-        self.enqueue_rejections = state["enqueue_rejections"]
-        self.send_stall_cycles = state["send_stall_cycles"]

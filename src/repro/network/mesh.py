@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import NetworkConfig
-from repro.core.values import decode_value, encode_value
+from repro.core.component import StatefulComponent
+from repro.core.values import Codec, decode_value, encode_value, pairs, state_fields
 from repro.network.message import Message
 
 Coords = Tuple[int, int, int]
@@ -56,8 +57,17 @@ class _InFlight:
     deliver_cycle: int
 
 
-class MeshNetwork:
+class MeshNetwork(StatefulComponent):
     """The 3-D mesh connecting the MAP routers."""
+
+    _STATE = state_fields(
+        # Each in-flight message as a ``[message, deliver_cycle]`` pair.
+        ("_in_flight", Codec(lambda flights: [[encode_value(flight.message), flight.deliver_cycle]
+                                              for flight in flights],
+                             lambda flights: [_InFlight(decode_value(message), deliver_cycle)
+                                              for message, deliver_cycle in flights])),
+        ("_link_free", pairs(key=Codec(list, tuple))), "messages_injected", "messages_delivered",
+        "total_latency", "total_hops", "link_contention_cycles")
 
     def __init__(self, config: Optional[NetworkConfig] = None):
         self.config = config or NetworkConfig()
@@ -152,34 +162,6 @@ class MeshNetwork:
             else:
                 remaining.append(flight)
         self._in_flight = remaining
-
-    # -- snapshot (repro.snapshot state_dict contract) -----------------------------
-
-    def state_dict(self) -> dict:
-
-        return {
-            "in_flight": [[encode_value(flight.message), flight.deliver_cycle]
-                          for flight in self._in_flight],
-            "link_free": [[list(link), free] for link, free in self._link_free.items()],
-            "messages_injected": self.messages_injected,
-            "messages_delivered": self.messages_delivered,
-            "total_latency": self.total_latency,
-            "total_hops": self.total_hops,
-            "link_contention_cycles": self.link_contention_cycles,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-
-        self._in_flight = [
-            _InFlight(message=decode_value(message), deliver_cycle=deliver_cycle)
-            for message, deliver_cycle in state["in_flight"]
-        ]
-        self._link_free = {tuple(link): free for link, free in state["link_free"]}
-        self.messages_injected = state["messages_injected"]
-        self.messages_delivered = state["messages_delivered"]
-        self.total_latency = state["total_latency"]
-        self.total_hops = state["total_hops"]
-        self.link_contention_cycles = state["link_contention_cycles"]
 
     # -- introspection -----------------------------------------------------------
 

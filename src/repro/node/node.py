@@ -42,7 +42,7 @@ from repro.core.config import (
     EXCEPTION_SLOT,
     MachineConfig,
 )
-from repro.core.values import SnapshotError, decode_value, encode_value
+from repro.core.values import SnapshotError, timed
 from repro.events.queue import EventQueue, HardwareQueue
 from repro.events.records import EventRecord, EventType
 from repro.isa.program import Program
@@ -555,8 +555,7 @@ class Node:
             "msg_queue_p0": self.msg_queue_p0.state_dict(),
             "msg_queue_p1": self.msg_queue_p1.state_dict(),
             "exception_queues": [queue.state_dict() for queue in self.exception_queues],
-            "pending_events": [[at_cycle, encode_value(record)]
-                               for at_cycle, record in self._pending_events],
+            "pending_events": timed().encode(self._pending_events),
             "clusters": [cluster.state_dict() for cluster in self.clusters],
             "native_handlers": [handler.state_dict() for handler in self.native_handlers],
             "next_frame": self._next_frame,
@@ -579,8 +578,7 @@ class Node:
         self.msg_queue_p1.load_state_dict(state["msg_queue_p1"])
         for queue, queue_state in zip(self.exception_queues, state["exception_queues"]):
             queue.load_state_dict(queue_state)
-        self._pending_events = [(at_cycle, decode_value(record))
-                                for at_cycle, record in state["pending_events"]]
+        self._pending_events = timed().decode(state["pending_events"])
         for cluster, cluster_state in zip(self.clusters, state["clusters"]):
             cluster.load_state_dict(cluster_state)
         if len(state["native_handlers"]) != len(self.native_handlers):

@@ -35,13 +35,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.values import (
-    decode_record,
-    decode_value,
-    encode_record,
-    encode_value,
-    record_fields,
-)
+from repro.core.component import StatefulComponent
+from repro.core.values import decode_value, encode_value, pairs, record_codec, state_fields
 from repro.events.records import EventRecord
 from repro.memory.page_table import BLOCK_SIZE_WORDS, BlockStatus, block_base, page_of
 from repro.memory.requests import MemRequest
@@ -108,36 +103,29 @@ class PendingFetch:
     requests: List[MemRequest] = field(default_factory=list)
 
 
-#: The field walks a snapshot writes the three record kinds with, as plain
-#: dicts.  A directory entry's sharers are a sorted list on disk, and each
-#: queued request a ``[requester, mode, [request, ...]]`` list.
-_ENTRY_FIELDS = record_fields(DirectoryEntry, {
+#: How a snapshot writes the per-node ``{block_va: record}`` tables of the
+#: three record kinds: ``[node_id, [[block_va, record dict], ...]]`` pairs.
+#: A directory entry's sharers are a sorted list on disk, and each queued
+#: request a ``[requester, mode, [request, ...]]`` list.
+_DIRECTORIES = pairs(pairs(record_codec(DirectoryEntry, {
     "sharers": (sorted, set),
     "queue": (lambda queue: [[requester, mode, encode_value(requests)]
                              for requester, mode, requests in queue],
               lambda queue: [(requester, mode, decode_value(requests))
                              for requester, mode, requests in queue]),
-})
-_GRANT_FIELDS = record_fields(PendingGrant)
-_FETCH_FIELDS = record_fields(PendingFetch)
+})))
+_GRANTS = pairs(pairs(record_codec(PendingGrant)))
+_FETCHES = pairs(pairs(record_codec(PendingFetch)))
 
 
-def _encode_tables(tables, fields) -> list:
-    """Per-node ``{block_va: record}`` tables as ``[node_id, [[block_va,
-    record dict], ...]]`` pairs."""
-    return [[node_id, [[block_va, encode_record(record, fields)]
-                       for block_va, record in table.items()]]
-            for node_id, table in tables.items()]
-
-
-def _decode_tables(encoded, cls, fields) -> dict:
-    return {node_id: {block_va: decode_record(cls, record, fields) for block_va, record in table}
-            for node_id, table in encoded}
-
-
-class CoherenceRuntime:
+class CoherenceRuntime(StatefulComponent):
     """Machine-wide state of the coherence protocol (directories and pending
     operations) plus construction of the per-node native handlers."""
+
+    _STATE = state_fields(
+        ("directories", _DIRECTORIES), ("pending_grants", _GRANTS),
+        ("pending_fetches", _FETCHES), "block_fetches", "write_upgrades", "invalidations",
+        "dirty_writebacks")
 
     def __init__(self, machine):
         self.machine = machine
@@ -373,31 +361,6 @@ class CoherenceRuntime:
             "dirty_writebacks": self.dirty_writebacks,
         }
 
-    # -- snapshot (repro.snapshot state_dict contract) -------------------------
-
-    def state_dict(self) -> dict:
-
-        return {
-            "directories": _encode_tables(self.directories, _ENTRY_FIELDS),
-            "pending_grants": _encode_tables(self.pending_grants, _GRANT_FIELDS),
-            "pending_fetches": _encode_tables(self.pending_fetches, _FETCH_FIELDS),
-            "block_fetches": self.block_fetches,
-            "write_upgrades": self.write_upgrades,
-            "invalidations": self.invalidations,
-            "dirty_writebacks": self.dirty_writebacks,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-
-        self.directories = _decode_tables(state["directories"], DirectoryEntry, _ENTRY_FIELDS)
-        self.pending_grants = _decode_tables(state["pending_grants"], PendingGrant, _GRANT_FIELDS)
-        self.pending_fetches = _decode_tables(state["pending_fetches"], PendingFetch,
-                                              _FETCH_FIELDS)
-        self.block_fetches = state["block_fetches"]
-        self.write_upgrades = state["write_upgrades"]
-        self.invalidations = state["invalidations"]
-        self.dirty_writebacks = state["dirty_writebacks"]
-
 
 class CoherentLtlbHandler(EventNativeHandler):
     """LTLB-miss handler of the coherent runtime.
@@ -409,6 +372,8 @@ class CoherentLtlbHandler(EventNativeHandler):
     physical page, a new page table entry is created and only the newly
     arrived block is marked valid" (Section 4.3).
     """
+
+    _STATE = EventNativeHandler._STATE + state_fields("remote_pages_mapped")
 
     def __init__(self, node, queue, runtime: CoherenceRuntime):
         super().__init__(node, queue, name=f"coherent-ltlb-n{node.node_id}")
@@ -442,14 +407,6 @@ class CoherentLtlbHandler(EventNativeHandler):
             node.memory.submit(request, cycle + cost)
         return cost
 
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["remote_pages_mapped"] = self.remote_pages_mapped
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.remote_pages_mapped = state["remote_pages_mapped"]
 
 
 class CoherentRequestHandler(MessageNativeHandler):

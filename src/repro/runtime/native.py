@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.values import SnapshotError, decode_value, encode_value
+from repro.core.component import StatefulComponent
+from repro.core.values import SnapshotError, state_fields, timed
 from repro.events.queue import EventQueue, HardwareQueue
 from repro.events.records import EventRecord, EventType
 
@@ -31,8 +32,10 @@ NATIVE_HANDLER_CYCLES_PER_WORD = 1
 SYNC_FAULT_RETRY_CYCLES = 24
 
 
-class NativeHandler:
+class NativeHandler(StatefulComponent):
     """Base class: a handler bound to one hardware queue of one node."""
+
+    _STATE = state_fields("name", "busy_until", "invocations", "cycles_busy")
 
     #: Work held outside the bound queue, as ``(due cycle, item)`` pairs.
     #: Empty here; a handler that defers work replaces it with a list.
@@ -107,27 +110,16 @@ class NativeHandler:
     # -- snapshot (repro.snapshot state_dict contract) -------------------------
     #
     # Handlers are rebuilt structurally when the runtime is reinstalled on a
-    # restored machine; only their mutable state is captured here.  Handlers
-    # that buffer deferred work extend these dicts.
-
-    def state_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "busy_until": self.busy_until,
-            "invocations": self.invocations,
-            "cycles_busy": self.cycles_busy,
-        }
+    # restored machine; only their mutable state is captured.  Handlers
+    # that buffer deferred work extend ``_STATE``.
 
     def load_state_dict(self, state: dict) -> None:
         if state["name"] != self.name:
-
             raise SnapshotError(
                 f"native-handler mismatch: snapshot has {state['name']!r}, "
                 f"machine has {self.name!r} (runtime layout changed?)"
             )
-        self.busy_until = state["busy_until"]
-        self.invocations = state["invocations"]
-        self.cycles_busy = state["cycles_busy"]
+        super().load_state_dict(state)
 
 
 class EventNativeHandler(NativeHandler):
@@ -155,6 +147,8 @@ class MessageNativeHandler(NativeHandler):
     Message word layout is ``[DIP, address, body...]``; the body length is a
     function of the DIP, supplied by the ``body_lengths`` table.
     """
+
+    _STATE = NativeHandler._STATE + state_fields("unknown_dips")
 
     def __init__(self, node, queue: HardwareQueue, body_lengths: Dict[int, int], name: str):
         super().__init__(node, queue, name)
@@ -189,14 +183,6 @@ class MessageNativeHandler(NativeHandler):
     def handle_message(self, dip: int, address: int, body: List[object], cycle: int) -> int:
         raise NotImplementedError
 
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["unknown_dips"] = self.unknown_dips
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.unknown_dips = state["unknown_dips"]
 
 
 class SyncStatusFaultHandler(EventNativeHandler):
@@ -209,6 +195,8 @@ class SyncStatusFaultHandler(EventNativeHandler):
     operations).  A block-status fault is delegated to ``on_block_status``
     when a coherence runtime installed one, and is an error otherwise.
     """
+
+    _STATE = EventNativeHandler._STATE + state_fields("retries", ("_deferred", timed()))
 
     def __init__(self, node, queue: EventQueue,
                  on_block_status: Optional[Callable[[EventRecord, int], int]] = None):
@@ -252,18 +240,3 @@ class SyncStatusFaultHandler(EventNativeHandler):
                 f"but no coherence runtime is installed (shared_memory_mode='remote')"
             )
         raise RuntimeError(f"unexpected event {record} on the sync/status queue")
-
-    def state_dict(self) -> dict:
-
-        state = super().state_dict()
-        state["retries"] = self.retries
-        state["deferred"] = [[retry_at, encode_value(request)]
-                             for retry_at, request in self._deferred]
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-
-        super().load_state_dict(state)
-        self.retries = state["retries"]
-        self._deferred = [(retry_at, decode_value(request))
-                          for retry_at, request in state["deferred"]]

@@ -16,9 +16,12 @@ stateful component encodes with it.  ``SnapshotError``, ``encode_value``
 and ``decode_value`` are re-exported here.
 
 The state itself is captured through the uniform ``state_dict()`` /
-``load_state_dict()`` contract implemented by every stateful component (see
-:mod:`repro.core.component`); ``MMachine.save_snapshot`` /
-``MMachine.from_snapshot`` are the top-level entry points.
+``load_state_dict()`` contract of every stateful component (see
+:mod:`repro.core.component`): a leaf component names its snapshot
+attributes once, in a ``_STATE`` table, and one walk saves and restores
+them; the composites (clusters, nodes, the machine) assemble their
+children's states.  ``MMachine.save_snapshot`` / ``MMachine.from_snapshot``
+are the top-level entry points.
 
 Restore is bit-exact: running to cycle C, snapshotting, restoring in a fresh
 process and running to completion produces the same final cycle count,

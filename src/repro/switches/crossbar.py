@@ -18,7 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.core.values import decode_record, encode_record, record_fields
+from repro.core.component import StatefulComponent
+from repro.core.values import each, pairs, record_codec, state_fields
 from repro.isa.registers import NUM_CLUSTERS
 
 #: Destination value meaning "all output ports".
@@ -37,12 +38,18 @@ class Transfer:
     ready_cycle: int
 
 
-#: A snapshot writes each transfer as a plain dict of its fields.
-_TRANSFER_FIELDS = record_fields(Transfer)
+#: A snapshot writes each queued transfer as a plain dict of its fields.
+_TRANSFERS = each(record_codec(Transfer), into=deque)
 
 
-class Crossbar:
+class Crossbar(StatefulComponent):
     """The C-Switch: one output port per cluster."""
+
+    # The queued-transfer count is derived: the load recounts it.
+    _STATE = state_fields(
+        ("_queues", pairs(_TRANSFERS)), ("_broadcast_queue", _TRANSFERS, "broadcast"),
+        "_rr_pointer", "transfers_submitted", "transfers_delivered", "contention_stalls",
+        "busiest_cycle_transfers")
 
     def __init__(self, name: str = "crossbar"):
         self.name = name
@@ -145,37 +152,11 @@ class Crossbar:
 
     # -- snapshot (repro.snapshot state_dict contract) -----------------------------
 
-    def state_dict(self) -> dict:
-        def encode_queue(queue):
-            return [encode_record(transfer, _TRANSFER_FIELDS) for transfer in queue]
-
-        return {
-            "queues": [[dest, encode_queue(queue)]
-                       for dest, queue in self._queues.items()],
-            "broadcast": encode_queue(self._broadcast_queue),
-            "rr_pointer": self._rr_pointer,
-            "transfers_submitted": self.transfers_submitted,
-            "transfers_delivered": self.transfers_delivered,
-            "contention_stalls": self.contention_stalls,
-            "busiest_cycle_transfers": self.busiest_cycle_transfers,
-        }
-
     def load_state_dict(self, state: dict) -> None:
-        def decode_queue(encoded):
-            return deque(decode_record(Transfer, transfer, _TRANSFER_FIELDS)
-                         for transfer in encoded)
-
-        for dest, queue in state["queues"]:
-            self._queues[dest] = decode_queue(queue)
-        self._broadcast_queue = decode_queue(state["broadcast"])
+        super().load_state_dict(state)
         self._num_pending = (
             sum(len(q) for q in self._queues.values()) + len(self._broadcast_queue)
         )
-        self._rr_pointer = state["rr_pointer"]
-        self.transfers_submitted = state["transfers_submitted"]
-        self.transfers_delivered = state["transfers_delivered"]
-        self.contention_stalls = state["contention_stalls"]
-        self.busiest_cycle_transfers = state["busiest_cycle_transfers"]
 
     # -- introspection -----------------------------------------------------------
 

@@ -14,7 +14,8 @@ Contracts of the on-disk snapshot document beyond the state it restores:
   They still restore, and resume into an existing machine, with the keys
   dropped; a 3.0.0 field that holds another value than this build runs is
   refused, and setting a retired key as a config override is an
-  unknown-key error.
+  unknown-key error.  Snapshots written by 0.8.0 lack the SDRAM's
+  ``detected_errors`` counter and restore with it at 0.
 * Every malformed value of a config field fails with ``SnapshotError``,
   and so does a program source that no longer assembles or an unknown
   top-level config key.
@@ -188,6 +189,21 @@ def test_old_checkpoint_resumes(reference, retired, tmp_path):
         machine.run(final_cycle - final_cycle // 2)
     assert policy.resumes == [(0, final_cycle // 2)]
     assert _document_bytes(machine) == expected
+
+
+def test_snapshot_without_detected_errors_restores_it_at_zero(tmp_path):
+    """Snapshots written by 0.8.0 lack the SDRAM's ``detected_errors``
+    counter.  One restores with the counter at 0 and runs on to the cycle
+    the same snapshot with the counter ends on (571 for this ``ping-pong``
+    snapshot, as for one that 0.8.0 wrote)."""
+    text = _workload_snapshot(tmp_path, "ping-pong", 50)
+    document = json.loads(text)
+    for node in document["machine"]["nodes"]:
+        del node["sdram"]["detected_errors"]
+    restored = MMachine.from_snapshot(document)
+    assert [node.sdram.detected_errors for node in restored.nodes] == [0, 0]
+    assert restored.run_until_user_done() == 571
+    assert MMachine.from_snapshot(json.loads(text)).run_until_user_done() == 571
 
 
 def test_snapshot_of_another_machine_is_refused(reference, tmp_path, capsys):
