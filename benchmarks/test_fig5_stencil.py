@@ -12,9 +12,7 @@ import pytest
 
 from conftest import report, run_and_record
 from repro.core.stats import format_table
-
-#: The paper's static depths (Figure 5 and the Section 3.1 text).
-PAPER_DEPTHS = {("7pt", 1): 12, ("7pt", 2): 8, ("27pt", 1): 36, ("27pt", 4): 17}
+from repro.report.expected import PAPER_DEPTHS
 
 
 def _run(kind, n_hthreads):
