@@ -153,7 +153,10 @@ class Crossbar(StatefulComponent):
     # -- snapshot (repro.snapshot state_dict contract) -----------------------------
 
     def load_state_dict(self, state: dict) -> None:
+        queues = self._queues
         super().load_state_dict(state)
+        # A port the snapshot does not list keeps its queue.
+        self._queues = {**queues, **self._queues}
         self._num_pending = (
             sum(len(q) for q in self._queues.values()) + len(self._broadcast_queue)
         )
