@@ -71,7 +71,7 @@ from repro.isa import Program, assemble, AssemblyError
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.memory.page_table import BlockStatus
 
-__version__ = "12.0.0"
+__version__ = "12.1.0"
 
 __all__ = [
     "Experiment",

@@ -59,12 +59,14 @@ from repro.core.config import (
     EXCEPTION_SLOT,
     NUM_VTHREAD_SLOTS,
 )
-from repro.core.values import SnapshotError, decode_value, encode_value, pairs
+from repro.core.values import AS_IS, SnapshotError, decode_value, encode_value, pairs
 from repro.events.records import EventRecord, EventType
 from repro.isa.program import Program
 
 _RUNNABLE = ThreadState.RUNNABLE
 _FINISHED = (ThreadState.HALTED, ThreadState.IDLE)
+#: The per-unit and per-slot issue counts in a snapshot: ``[key, count]`` pairs.
+_COUNTS = pairs(AS_IS)
 
 
 def _residue_count(start: int, count: int, residue: int, modulus: int) -> int:
@@ -455,10 +457,10 @@ class Cluster:
             ],
             "instructions_issued": self.instructions_issued,
             "operations_issued": self.operations_issued,
-            "operations_by_unit": pairs().encode(self.operations_by_unit),
+            "operations_by_unit": _COUNTS.encode(self.operations_by_unit),
             "idle_cycles": self.idle_cycles,
             "no_ready_cycles": self.no_ready_cycles,
-            "issue_by_slot": pairs().encode(self.issue_by_slot),
+            "issue_by_slot": _COUNTS.encode(self.issue_by_slot),
             "exceptions_raised": self.exceptions_raised,
         }
 
@@ -481,11 +483,11 @@ class Cluster:
         self.instructions_issued = state["instructions_issued"]
         self.operations_issued = state["operations_issued"]
         self._unit_counts = [0] * len(UNIT_VALUES)
-        for unit, count in pairs().decode(state["operations_by_unit"]).items():
+        for unit, count in _COUNTS.decode(state["operations_by_unit"]).items():
             self._unit_counts[UNIT_VALUES.index(unit)] = count
         self.idle_cycles = state["idle_cycles"]
         self.no_ready_cycles = state["no_ready_cycles"]
         self._slot_counts = [0] * len(self._slot_counts)
-        for slot, count in pairs().decode(state["issue_by_slot"]).items():
+        for slot, count in _COUNTS.decode(state["issue_by_slot"]).items():
             self._slot_counts[slot] = count
         self.exceptions_raised = state["exceptions_raised"]

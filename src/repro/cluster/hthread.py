@@ -29,8 +29,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cluster.regfile import RegisterSet
-from repro.core.values import decode_value, encode_value, pairs
+from repro.core.values import AS_IS, decode_value, encode_value, pairs
 from repro.isa.program import Program
+
+#: Stall cycles per reason in a snapshot: ``[reason, cycles]`` pairs.
+_REASONS = pairs(AS_IS)
 
 
 class ThreadState(enum.Enum):
@@ -144,7 +147,7 @@ class HThreadContext:
             "instructions_issued": self.instructions_issued,
             "operations_issued": self.operations_issued,
             "stall_cycles": self.stall_cycles,
-            "stall_reasons": pairs().encode(self.stall_reasons),
+            "stall_reasons": _REASONS.encode(self.stall_reasons),
             "issue_cycles": self.issue_cycles,
             "start_cycle": self.start_cycle,
             "halt_cycle": self.halt_cycle,
@@ -158,7 +161,7 @@ class HThreadContext:
         self.instructions_issued = state["instructions_issued"]
         self.operations_issued = state["operations_issued"]
         self.stall_cycles = state["stall_cycles"]
-        self.stall_reasons = Counter(pairs().decode(state["stall_reasons"]))
+        self.stall_reasons = Counter(_REASONS.decode(state["stall_reasons"]))
         self.issue_cycles = state["issue_cycles"]
         self.start_cycle = state["start_cycle"]
         self.halt_cycle = state["halt_cycle"]

@@ -285,24 +285,26 @@ def each(item: Codec = VALUE, into: Callable = list) -> Codec:
     """A sequence as a list converted item by item, read back into *into*."""
     encode, decode = item
     return Codec(lambda items: [encode(value) for value in items],
-                 lambda items: into(decode(value) for value in items))
+                 lambda items: into([decode(value) for value in items]))
 
 
-def pairs(value: Codec = VALUE, key: Codec = VALUE, into: Callable = dict) -> Codec:
+def pairs(value: Codec = VALUE, into: Callable = dict) -> Codec:
     """A mapping as an order-preserving list of ``[key, value]`` pairs (dict
-    iteration order is part of the simulator's determinism), read back into
-    *into*."""
-    encode_key, decode_key = key
+    iteration order is part of the simulator's determinism), its keys (ints
+    or strings) as they are, read back into *into*."""
+    if value is AS_IS:
+        # Plain data needs no call per item.
+        return Codec(lambda mapping: [[key, item] for key, item in mapping.items()], into)
     encode, decode = value
-    return Codec(lambda mapping: [[encode_key(k), encode(v)] for k, v in mapping.items()],
-                 lambda items: into((decode_key(k), decode(v)) for k, v in items))
+    return Codec(lambda mapping: [[key, encode(item)] for key, item in mapping.items()],
+                 lambda items: into({key: decode(item) for key, item in items}))
 
 
 def timed(into: Callable = list) -> Codec:
     """A sequence of ``(cycle, value)`` tuples as ``[cycle, value]`` lists,
     the value through the value codec, read back into *into*."""
     return Codec(lambda items: [[cycle, encode_value(value)] for cycle, value in items],
-                 lambda items: into((cycle, decode_value(value)) for cycle, value in items))
+                 lambda items: into([(cycle, decode_value(value)) for cycle, value in items]))
 
 
 def record_codec(cls, converters: Optional[Mapping[str, Tuple[Callable, Callable]]] = None,

@@ -33,7 +33,16 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.component import StatefulComponent
-from repro.core.values import Codec, decode_value, each, encode_value, pairs, state_fields, timed
+from repro.core.values import (
+    AS_IS,
+    Codec,
+    decode_value,
+    each,
+    encode_value,
+    pairs,
+    state_fields,
+    timed,
+)
 from repro.events.records import EventRecord, EventType
 from repro.isa.registers import pack_regspec
 from repro.memory.cache import NUM_BANKS, CacheLine, InterleavedCache
@@ -83,7 +92,7 @@ class MemorySystem(StatefulComponent):
                                             for response in pending],
                            lambda pending: [decode_value(response) for _, response in pending])),
         "requests_accepted", "loads", "stores", "sync_faults", "block_status_faults",
-        "ltlb_miss_events", ("store_completions", pairs()))
+        "ltlb_miss_events", ("store_completions", pairs(AS_IS)))
 
     def __init__(
         self,

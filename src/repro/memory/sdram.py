@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.component import StatefulComponent
-from repro.core.values import pairs, state_fields
+from repro.core.values import AS_IS, pairs, state_fields
 from repro.memory.secded import SecdedError, inject_error, secded_decode, secded_encode
 
 #: Words of SDRAM per node: 1 MW (8 MB).
@@ -42,8 +42,9 @@ class Sdram(StatefulComponent):
     # Sparse contents: SECDED codewords are stored verbatim, tagged words
     # (floats, guarded pointers) through the value codec.
     _STATE = state_fields(
-        ("_words", pairs()), ("_sync_bits", pairs()), ("_pointer_tags", pairs()), "_open_row",
-        "reads", "writes", "row_hits", "row_misses", "corrected_errors", "detected_errors")
+        ("_words", pairs()), ("_sync_bits", pairs(AS_IS)), ("_pointer_tags", pairs(AS_IS)),
+        "_open_row", "reads", "writes", "row_hits", "row_misses", "corrected_errors",
+        "detected_errors")
 
     def __init__(self, name: str = "sdram"):
         self.name = name

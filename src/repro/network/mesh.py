@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import NetworkConfig
 from repro.core.component import StatefulComponent
-from repro.core.values import Codec, decode_value, encode_value, pairs, state_fields
+from repro.core.values import Codec, decode_value, encode_value, state_fields
 from repro.network.message import Message
 
 Coords = Tuple[int, int, int]
@@ -66,8 +66,10 @@ class MeshNetwork(StatefulComponent):
                                               for flight in flights],
                              lambda flights: [_InFlight(decode_value(message), deliver_cycle)
                                               for message, deliver_cycle in flights])),
-        ("_link_free", pairs(key=Codec(list, tuple))), "messages_injected", "messages_delivered",
-        "total_latency", "total_hops", "link_contention_cycles")
+        ("_link_free", Codec(lambda links: [[list(link), free] for link, free in links.items()],
+                             lambda links: {tuple(link): free for link, free in links})),
+        "messages_injected", "messages_delivered", "total_latency", "total_hops",
+        "link_contention_cycles")
 
     def __init__(self, config: Optional[NetworkConfig] = None):
         self.config = config or NetworkConfig()
