@@ -292,9 +292,6 @@ def pairs(value: Codec = VALUE, into: Callable = dict) -> Codec:
     """A mapping as an order-preserving list of ``[key, value]`` pairs (dict
     iteration order is part of the simulator's determinism), its keys (ints
     or strings) as they are, read back into *into*."""
-    if value is AS_IS:
-        # Plain data needs no call per item.
-        return Codec(lambda mapping: [[key, item] for key, item in mapping.items()], into)
     encode, decode = value
     return Codec(lambda mapping: [[key, encode(item)] for key, item in mapping.items()],
                  lambda items: into({key: decode(item) for key, item in items}))

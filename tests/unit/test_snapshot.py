@@ -256,6 +256,24 @@ class TestFileFormat:
         with pytest.raises(SnapshotError, match=error):
             MMachine.from_snapshot(document)
 
+    @pytest.mark.parametrize("path", [
+        ("sdram", "sync_bits"), ("sdram", "pointer_tags"), ("sdram", "words"),
+        ("memory", "store_completions"), ("clusters", 0, "operations_by_unit"),
+        ("clusters", 0, "contexts", 0, "stall_reasons"),
+    ], ids=lambda path: "/".join(map(str, path)))
+    def test_object_for_a_pair_list_raises_snapshot_error(self, path):
+        """A JSON object where a ``[key, value]`` pair list belongs is
+        refused, not read as a mapping whose string keys no address or
+        counter name matches."""
+        document = json.loads(json.dumps(self._machine().snapshot_document()))
+        *parents, last = path
+        target = document["machine"]["nodes"][0]
+        for key in parents:
+            target = target[key]
+        target[last] = {"65536": 1}
+        with pytest.raises(SnapshotError, match="machine section is malformed: ValueError"):
+            MMachine.from_snapshot(document)
+
     def test_restore_snapshot_rejects_malformed_state(self):
         document = json.loads(json.dumps(self._machine().snapshot_document()))
         del document["machine"]["nodes"][0]["clusters"]
