@@ -131,12 +131,11 @@ def state_fields(*entries) -> Tuple[StateField, ...]:
 
     An entry is an attribute name, whose value is plain JSON data stored as
     it is, or ``(name, codec)`` with the :class:`Codec` that writes and
-    reads it.  The snapshot key is the name without its leading underscore;
-    ``(name, codec, key)`` names another key."""
+    reads it.  The snapshot key is the name without its leading underscore."""
     fields = []
     for entry in entries:
-        name, (encode, decode), *key = (entry, AS_IS) if isinstance(entry, str) else entry
-        fields.append((name, key[0] if key else name.lstrip("_"), encode, decode))
+        name, (encode, decode) = (entry, AS_IS) if isinstance(entry, str) else entry
+        fields.append((name, name.lstrip("_"), encode, decode))
     return tuple(fields)
 
 

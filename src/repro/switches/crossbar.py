@@ -47,7 +47,7 @@ class Crossbar(StatefulComponent):
 
     # The queued-transfer count is derived: the load recounts it.
     _STATE = state_fields(
-        ("_queues", pairs(_TRANSFERS)), ("_broadcast_queue", _TRANSFERS, "broadcast"),
+        ("_queues", pairs(_TRANSFERS)), ("_broadcast", _TRANSFERS),
         "_rr_pointer", "transfers_submitted", "transfers_delivered", "contention_stalls",
         "busiest_cycle_transfers")
 
@@ -56,7 +56,7 @@ class Crossbar(StatefulComponent):
         self._queues: Dict[int, Deque[Transfer]] = {
             dest: deque() for dest in range(NUM_CLUSTERS)
         }
-        self._broadcast_queue: Deque[Transfer] = deque()
+        self._broadcast: Deque[Transfer] = deque()
         self._rr_pointer = 0
         #: Queued-transfer count, maintained incrementally so the per-cycle
         #: empty-switch check and the quiescence detector are O(1).
@@ -76,7 +76,7 @@ class Crossbar(StatefulComponent):
             raise ValueError(f"{self.name}: destination port {dest} out of range")
         transfer = Transfer(dest=dest, payload=payload, ready_cycle=cycle + CSWITCH_LATENCY)
         if dest == BROADCAST:
-            self._broadcast_queue.append(transfer)
+            self._broadcast.append(transfer)
         else:
             self._queues[dest].append(transfer)
         self.transfers_submitted += 1
@@ -95,7 +95,7 @@ class Crossbar(StatefulComponent):
         finds :attr:`pending` at 0 may call :meth:`advance_idle` instead.
         """
         delivered: List[Tuple[int, object]] = []
-        broadcasts = self._broadcast_queue
+        broadcasts = self._broadcast
         if broadcasts and broadcasts[0].ready_cycle <= cycle:
             head = broadcasts.popleft()
             self._num_pending -= 1
@@ -117,7 +117,7 @@ class Crossbar(StatefulComponent):
             for transfer in queue:
                 if transfer.ready_cycle <= cycle:
                     waiting += 1
-        for transfer in self._broadcast_queue:
+        for transfer in self._broadcast:
             if transfer.ready_cycle <= cycle:
                 waiting += 1
         if waiting:
@@ -136,7 +136,7 @@ class Crossbar(StatefulComponent):
             for transfer in queue:
                 if ready is None or transfer.ready_cycle < ready:
                     ready = transfer.ready_cycle
-        for transfer in self._broadcast_queue:
+        for transfer in self._broadcast:
             if ready is None or transfer.ready_cycle < ready:
                 ready = transfer.ready_cycle
         return ready
@@ -158,7 +158,7 @@ class Crossbar(StatefulComponent):
         # A port the snapshot does not list keeps its queue.
         self._queues = {**queues, **self._queues}
         self._num_pending = (
-            sum(len(q) for q in self._queues.values()) + len(self._broadcast_queue)
+            sum(len(q) for q in self._queues.values()) + len(self._broadcast)
         )
 
     # -- introspection -----------------------------------------------------------

@@ -108,11 +108,11 @@ def reference_deliver(self, cycle: int):
     delivered = []
     budget = 4
     ports_used = set()
-    while budget > 0 and self._broadcast_queue and not ports_used:
-        head = self._broadcast_queue[0]
+    while budget > 0 and self._broadcast and not ports_used:
+        head = self._broadcast[0]
         if head.ready_cycle > cycle:
             break
-        self._broadcast_queue.popleft()
+        self._broadcast.popleft()
         self._num_pending -= 1
         for port in range(NUM_CLUSTERS):
             delivered.append((port, head.payload))
@@ -143,7 +143,7 @@ def reference_deliver(self, cycle: int):
         for transfer in queue:
             if transfer.ready_cycle <= cycle:
                 waiting += 1
-    for transfer in self._broadcast_queue:
+    for transfer in self._broadcast:
         if transfer.ready_cycle <= cycle:
             waiting += 1
     if waiting:
