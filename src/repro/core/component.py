@@ -101,7 +101,7 @@ class StatefulComponent:
        a freshly-constructed, identically-configured machine.  So every
        attribute outside ``_STATE`` must keep its value while the machine
        runs (``tests/integration/test_state_walk.py`` checks this on every
-       registered workload).
+       cycle of every registered workload).
     2. **Plain data.**  The returned dict must be JSON-compatible.  Domain
        values (guarded pointers, event records, messages, requests, register
        writes, programs) go through :func:`repro.core.values.encode_value`;

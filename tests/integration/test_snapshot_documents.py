@@ -435,7 +435,7 @@ def _compact(document) -> str:
     return json.dumps(document, separators=(",", ":"), allow_nan=False)
 
 
-def _coherent_contention() -> MMachine:
+def coherent_contention_machine() -> MMachine:
     """A 2x2x1 coherent machine whose nodes 1 and 2 load, and node 3
     stores to, one block homed on node 0."""
     config = MachineConfig.small(2, 2, 1)
@@ -452,8 +452,8 @@ def _coherent_contention() -> MMachine:
 #: sha256 of the two snapshots that hold the untagged records the pinned
 #: four lack: C-Switch broadcasts (``cc-barrier`` at cycle 7, taken with
 #: ``checkpoint_context(dir, snapshot_at=7)``), and a pending grant, pending
-#: fetches and a queued directory request (``_coherent_contention`` run to
-#: cycle 62).
+#: fetches and a queued directory request (``coherent_contention_machine``
+#: run to cycle 62).
 BROADCAST_SNAPSHOT = "0ef9eeb35b23aae66586717aea0166f944cf7acf9c8eb8a0c5318d3605948c70"
 COHERENCE_SNAPSHOT = "e8c719ae62e79e6e071c247fe2c5a4f86b50dca3ccb86e8c4d9f1a1946e59568"
 
@@ -485,7 +485,7 @@ def test_untagged_record_snapshot_digests_and_round_trip(tmp_path):
     (node,) = json.loads(text)["machine"]["nodes"]
     assert len(node["cswitch"]["broadcast"]) == 3
 
-    machine = _coherent_contention()
+    machine = coherent_contention_machine()
     machine.run(62)
     text = _compact(machine.snapshot_document())
     restored = _assert_pinned_round_trip(text, COHERENCE_SNAPSHOT)
@@ -498,7 +498,7 @@ def test_untagged_record_snapshot_digests_and_round_trip(tmp_path):
     assert len(records("pending_fetches")) == 2
     assert sum(len(entry["queue"]) for entry in records("directories")) == 1
     assert restored.run_until_user_done(10_000) == 123
-    assert _coherent_contention().run_until_user_done(10_000) == 123
+    assert coherent_contention_machine().run_until_user_done(10_000) == 123
 
 
 def sync_retry_machine() -> MMachine:
