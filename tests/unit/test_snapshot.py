@@ -265,14 +265,9 @@ class TestFileFormat:
         """A JSON object where a ``[key, value]`` pair list belongs is
         refused, not read as a mapping whose string keys no address or
         counter name matches."""
-        document = json.loads(json.dumps(self._machine().snapshot_document()))
-        *parents, last = path
-        target = document["machine"]["nodes"][0]
-        for key in parents:
-            target = target[key]
-        target[last] = {"65536": 1}
-        with pytest.raises(SnapshotError, match="machine section is malformed: ValueError"):
-            MMachine.from_snapshot(document)
+        self.test_malformed_document_raises_snapshot_error(
+            ("machine", "nodes", 0, *path), {"65536": 1},
+            "machine section is malformed: ValueError")
 
     def test_restore_snapshot_rejects_malformed_state(self):
         document = json.loads(json.dumps(self._machine().snapshot_document()))
