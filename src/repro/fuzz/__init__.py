@@ -4,9 +4,9 @@
 workloads (compute, message traffic, remote memory, guarded-pointer faults,
 SECDED bit flips, NACK storms), runs each one under both clock drivers the
 simulator has — the event kernel and the naive reference loop — and
-asserts that all observables are bit-identical, including a snapshot
-round-trip at a seeded mid-run cycle.  Failures shrink to a minimal program
-and are dumped to replayable repro files.
+asserts that all observables and the snapshot state are bit-identical,
+including a snapshot round-trip at a seeded mid-run cycle.  Failures shrink
+to a minimal program and are dumped to replayable repro files.
 
 Entry points: :func:`generate_program`, :func:`check_program`,
 :func:`fuzz_many`, and the ``repro fuzz`` CLI command.

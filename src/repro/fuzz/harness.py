@@ -4,13 +4,14 @@ Each generated program runs under both simulation kernels — the event
 kernel and the naive reference loop — and every observable the repository's
 equivalence suites guard must be identical: final cycle, machine
 statistics, per-context microarchitectural state including the per-reason
-stall strings, SECDED error counters, and the full event trace.  A third
+stall strings, SECDED error counters, the full event trace and the snapshot
+state (:func:`machine_difference`).  A third
 run snapshot-round-trips at a seeded mid-run cycle and must land on the
 same final state (the bit-exact-resume guarantee).
 
-The harness is the fuzzing analogue of
-``tests/integration/test_kernel_equivalence.py``: that suite pins
-hand-picked workloads, this one pins whatever :mod:`repro.fuzz.generator`
+The harness is the fuzzing analogue of the differential tests: they pin
+the hand-picked scenarios of ``tests/integration/scenarios.py`` through
+the same comparison, this one pins whatever :mod:`repro.fuzz.generator`
 dreams up.
 """
 
@@ -100,6 +101,34 @@ def first_difference(expected: object, actual: object, path: str = "$") -> Optio
     return None
 
 
+def machine_view(machine: MMachine) -> str:
+    """What two runs of one scenario must agree on, as one JSON text:
+    :func:`observe` and the machine's ``state_dict()``."""
+    return json.dumps({"observe": observe(machine), "state": machine.state_dict()},
+                      sort_keys=True)
+
+
+def view_difference(expected: str, actual: str) -> Optional[str]:
+    """The first path at which two :func:`machine_view` texts differ, or
+    None."""
+    if expected == actual:
+        return None
+    return first_difference(json.loads(expected), json.loads(actual)) or "$: texts differ"
+
+
+def machine_difference(expected: MMachine, actual: MMachine) -> Optional[str]:
+    """The first path at which two finished machines differ, or None: their
+    :func:`machine_view`, and their clock drivers' node ticks when both
+    drivers are of one kind.  A machine restored from a snapshot counts node
+    ticks from the restore, so a resumed run is compared with an
+    uninterrupted one by its view alone."""
+    diff = view_difference(machine_view(expected), machine_view(actual))
+    if diff is None and type(expected.kernel) is type(actual.kernel):
+        diff = first_difference(expected.kernel.node_ticks, actual.kernel.node_ticks,
+                                "$.node_ticks")
+    return diff
+
+
 @dataclass
 class FuzzOutcome:
     """Result of the full differential + snapshot check for one program."""
@@ -143,7 +172,7 @@ def check_program(
         seed=program.seed, fingerprint=program.fingerprint, threads=len(program.threads)
     )
 
-    def run_grid_point(kernel: str) -> Optional[Dict[str, object]]:
+    def run_grid_point(kernel: str) -> Optional[MMachine]:
         machine = program.build_machine(kernel)
         try:
             program.run(machine)
@@ -152,18 +181,18 @@ def check_program(
             return None
         if _mutate is not None:
             _mutate(machine, kernel)
-        return observe(machine)
+        return machine
 
     baseline = run_grid_point(BASELINE)
     if baseline is None:
         return outcome
-    outcome.cycles = baseline["cycle"]
+    outcome.cycles = baseline.cycle
 
     for kernel in VARIANTS:
-        observed = run_grid_point(kernel)
-        if observed is None:
+        machine = run_grid_point(kernel)
+        if machine is None:
             continue
-        diff = first_difference(baseline, observed)
+        diff = machine_difference(baseline, machine)
         if diff is not None:
             outcome.fail(f"differential[{kernel}]", diff)
 
@@ -173,14 +202,14 @@ def check_program(
 
 def _check_snapshot_roundtrip(
     program: GeneratedProgram,
-    baseline: Dict[str, object],
+    baseline: MMachine,
     outcome: FuzzOutcome,
     _mutate: Optional[Mutator],
 ) -> None:
     """Snapshot at the seeded mid-run cycle, restore from the JSON document,
     run the exact remaining cycle budget, and compare against the
     uninterrupted baseline."""
-    final_cycle = int(baseline["cycle"])
+    final_cycle = baseline.cycle
     snapshot_cycle = max(1, min(int(final_cycle * program.snapshot_fraction), final_cycle))
     machine = program.build_machine(BASELINE)
     machine.run(snapshot_cycle)
@@ -197,7 +226,7 @@ def _check_snapshot_roundtrip(
         restored.run(remaining)
     if _mutate is not None:
         _mutate(restored, "snapshot")
-    diff = first_difference(baseline, observe(restored))
+    diff = view_difference(machine_view(baseline), machine_view(restored))
     if diff is not None:
         outcome.fail(f"snapshot[cycle={snapshot_cycle}]", diff)
 

@@ -103,6 +103,17 @@ class TestMutationCheck:
         assert outcome.failures[0]["stage"] == "differential[naive]"
         assert "trace" in outcome.failures[0]["detail"]
 
+    def test_state_mutation_caught(self):
+        """A difference that only the machine's snapshot state shows (a
+        cache's LRU clock, which ``observe`` leaves out) is reported."""
+        def mutate(machine, kernel):
+            if kernel == "naive":
+                machine.nodes[0].cache._access_counter += 1
+
+        outcome = check_program(generate_program(0), _mutate=mutate)
+        assert [failure["stage"] for failure in outcome.failures] == ["differential[naive]"]
+        assert outcome.failures[0]["detail"].startswith("$.state.nodes[0].cache.access_counter:")
+
     def test_snapshot_mutation_caught(self):
         def mutate(machine, kernel):
             if kernel == "snapshot":

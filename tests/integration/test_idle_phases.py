@@ -14,54 +14,35 @@ component, ``has_pending_work`` and the two ``user_threads_finished``
 predicates built on generators, and ``Cluster.account_idle_cycles``
 counting every blocked cycle through ``stall_reasons``.
 
-Every scenario runs twice under each clock driver -- once as shipped, once
-with the reference installed on every machine it builds -- and
-``fuzz.harness.observe``, ``state_dict``, the trace and
-``kernel.node_ticks`` must agree:
+Every scenario of ``scenarios.py`` runs twice under each clock driver --
+once as shipped, once with the reference installed on every machine it
+builds or restores -- and the machines it builds must not differ
+(:func:`repro.fuzz.harness.machine_difference`, which compares the node
+ticks too).  Among them: busy-stencil 2x2, where every phase but issue is
+idle; the remote gather and its mid-run resume; ``coherence``'s native
+handlers; the sync handler's deferred retries; ``nack-flood``'s
+retransmissions; vthread-interleave under ``hep``, for the cycle-residue
+branch of ``account_idle_cycles``; and a thread under ``hep`` whose node
+sleeps with a profile whose reason is not its park's.
 
-* busy-stencil 2x2, where every phase but issue is idle;
-* a remote gather (remote mode, 2x2): C-Switch replies, memory and the
-  event kernel's sleep and wake;
-* ``coherence``: the four native coherence handlers;
-* a producer/consumer ``ld.ff``/``st.xf`` pair on one node, whose
-  synchronizing faults go through the sync handler's deferred retries;
-* ``nack-flood``, for the network interface's retransmissions;
-* ping-pong;
-* vthread-interleave under ``hep``, for the cycle-residue branch of
-  ``account_idle_cycles``;
-* a thread under ``hep`` parked on one empty operand whose register fills
-  before its turn while the other operand is still empty, so the node
-  sleeps with a profile whose reason is not the park's;
-* fuzz programs 0-24;
-* a remote gather snapshotted mid-run and resumed.
-
-The module also checks that these scenarios take every guard, and counts
+The module also checks that the scenarios take every guard, and counts
 the calls a busy-stencil run makes into the idle layers.
 """
 
-import json
-import random
-from contextlib import contextmanager
-
 import pytest
 
-from repro import MMachine, MachineConfig
 from repro.api import get_workload
 from repro.cluster.cluster import Cluster, HepBarrelPolicy, RegWrite, _residue_count
 from repro.core.config import EVENT_SLOT, EXCEPTION_SLOT
 from repro.core.machine import construction_hooks
-from repro.core.trace import encode_event
-from repro.fuzz import generate_program
-from repro.fuzz.harness import observe
 from repro.isa.registers import NUM_CLUSTERS
 from repro.memory.memory_system import MemorySystem
 from repro.network.interface import NetworkInterface
 from repro.node.node import Node
 from repro.runtime.native import NativeHandler, SyncStatusFaultHandler
 from repro.switches.crossbar import Crossbar
+from scenarios import SCENARIOS, run_scenario, runs_difference
 
-REGION = 0x40000
-HEAP = 0x10000
 KERNELS = ("naive", "event")
 
 
@@ -248,223 +229,18 @@ REFERENCE = (
 )
 
 
-@contextmanager
-def reference_installed():
-    """Every machine built or restored in the block runs the reference."""
-    with pytest.MonkeyPatch.context() as patch:
-        for owner, name, method in REFERENCE:
-            patch.setattr(owner, name, method)
-        yield
-
-
-# -- running a scenario both ways -----------------------------------------------
-
-
-def _machines(scenario, kernel, reference):
-    """Run *scenario(kernel)*; return every machine it built."""
-    machines = []
-    with construction_hooks(machine_hook=machines.append):
-        if reference:
-            with reference_installed():
-                scenario(kernel)
-        else:
-            scenario(kernel)
-    return machines
-
-
-def _trace(machine):
-    return json.loads(json.dumps([encode_event(event) for event in machine.tracer]))
-
-
-def _state(machine):
-    return json.loads(json.dumps(machine.state_dict()))
-
-
-def _differential(scenario, kernel):
-    shipped = _machines(scenario, kernel, reference=False)
-    reference = _machines(scenario, kernel, reference=True)
-    assert shipped and len(shipped) == len(reference)
-    for machine, expected in zip(shipped, reference):
-        assert machine.kernel.node_ticks == expected.kernel.node_ticks
-        assert observe(machine) == observe(expected)
-        assert _trace(machine) == _trace(expected)
-        assert _state(machine) == _state(expected)
-
-
-# -- scenarios ---------------------------------------------------------------------
-
-
-def busy_stencil(kernel, iterations=12):
-    get_workload("busy-stencil").call({"iterations": iterations, "mesh": [2, 2, 1],
-                                       "kernel": kernel})
-
-
-#: Three dependent remote loads, then a remote store into the element
-#: reached, ``groups`` times.
-GATHER_PROGRAM = """
-        mov i3, #0
-        mov i5, #0
-loop:   ld i4, i4
-        add i5, i5, i4
-        ld i4, i4
-        add i5, i5, i4
-        ld i4, i4
-        add i5, i5, i4
-        add i3, i3, #1
-        st i3, i4, #1
-        lt i6, i3, #{groups}
-        br i6, loop
-        halt
-"""
-
-
-def gather_machine(kernel, groups=2):
-    """A 2x2 remote-mode mesh on which every node walks its own chain of
-    two-word elements placed on the other nodes (loaded, not run)."""
-    config = MachineConfig.small(2, 2, 1)
-    config.runtime.shared_memory_mode = "remote"
-    config.sim.kernel = kernel
-    machine = MMachine(config)
-    page = machine.page_size
-    rng = random.Random(11)
-    for home in range(machine.num_nodes):
-        machine.map_on_node(home, REGION + home * page)
-    used = [0] * machine.num_nodes
-    for node in range(machine.num_nodes):
-        chain = []
-        for _ in range(3 * groups + 1):
-            home = rng.choice([h for h in range(machine.num_nodes) if h != node])
-            chain.append(REGION + home * page + 2 * used[home])
-            used[home] += 1
-        for element, successor in zip(chain, chain[1:]):
-            machine.write_word(element, successor)
-        machine.load_hthread(node, 0, 0, GATHER_PROGRAM.format(groups=groups),
-                             registers={"i4": chain[0]})
-    return machine
-
-
-def remote_gather(kernel):
-    machine = gather_machine(kernel)
-    machine.run_until_user_done(max_cycles=30_000)
-    assert machine.register_value(0, 0, 0, "i3") == 2
-
-
-def coherence(kernel):
-    get_workload("coherence").call({"repeats": 3, "kernel": kernel})
-
-
-def sync_producer_consumer(kernel):
-    """The consumer's ``ld.ff`` faults until the producer's ``st.xf`` sets
-    the word's synchronization bit; the sync handler retries it after its
-    back-off."""
-    config = MachineConfig.single_node()
-    config.sim.kernel = kernel
-    machine = MMachine(config)
-    machine.map_on_node(0, HEAP, num_pages=1)
-    machine.write_word(HEAP + 32, 0, sync_bit=0)
-    machine.load_hthread(0, 0, 0, "ld.ff i5, i1\nhalt", registers={"i1": HEAP + 32})
-    machine.load_hthread(0, 1, 0, """
-        mov i2, #0
-wait:   add i2, i2, #1
-        lt i3, i2, #40
-        br i3, wait
-        st.xf i4, i1
-        halt
-    """, registers={"i1": HEAP + 32, "i4": 1234})
-    machine.run_until_user_done(max_cycles=40_000)
-    assert machine.register_value(0, 0, 0, "i5") == 1234
-    assert machine.nodes[0].native_handlers[0].retries >= 1
-
-
-def nack_flood(kernel):
-    get_workload("nack-flood").call({"messages_each": 6, "kernel": kernel})
-
-
-def ping_pong(kernel):
-    get_workload("ping-pong").call({"rounds": 3, "kernel": kernel})
-
-
-def vthread_interleave_hep(kernel):
-    def config_hook(config):
-        config.cluster.issue_policy = "hep"
-    with construction_hooks(config_hook=config_hook):
-        get_workload("vthread-interleave").call({"num_threads": 3, "chain_loads": 6,
-                                                 "kernel": kernel})
-
-
-def hep_reason_changes_while_parked(kernel):
-    """``add i3, i1, i2`` parks on the local load's ``i1``, which fills
-    between two of the thread's barrel turns; the idle profile then names
-    ``i2``, which a remote load on node 3 fills much later."""
-    config = MachineConfig.small(4, 1, 1)
-    config.runtime.shared_memory_mode = "remote"
-    config.cluster.issue_policy = "hep"
-    config.sim.kernel = kernel
-    machine = MMachine(config)
-    page = machine.page_size
-    machine.map_on_node(0, REGION, num_pages=1)
-    machine.map_on_node(3, REGION + page, num_pages=1)
-    machine.write_word(REGION, 5)
-    machine.write_word(REGION + page, 7)
-    machine.load_hthread(0, 0, 0, """
-        ld i2, i9
-        mov i5, #0
-wait:   add i5, i5, #1
-        lt i6, i5, #8
-        br i6, wait
-        ld i1, i8
-        add i3, i1, i2
-        halt
-    """, registers={"i8": REGION, "i9": REGION + page})
-    machine.run_until_user_done(max_cycles=20_000)
-    assert machine.register_value(0, 0, 0, "i3") == 12
-    reasons = machine.nodes[0].clusters[0].contexts[0].stall_reasons
-    assert reasons["operand i1 empty"] > 0 and reasons["operand i2 empty"] > 0
-
-
-def gather_resumed(kernel):
-    """Snapshot the remote gather at cycle 150, restore the snapshot into a
-    fresh machine and run it to the end."""
-    machine = gather_machine(kernel)
-    machine.run(150)
-    restored = MMachine.from_snapshot(json.loads(json.dumps(machine.snapshot_document())))
-    restored.run_until_user_done(max_cycles=30_000)
-    assert restored.register_value(0, 0, 0, "i3") == 2
-
-
-def fuzz_program(seed):
-    def scenario(kernel):
-        program = generate_program(seed)
-        program.run(program.build_machine(kernel))
-    return scenario
-
-
-SCENARIOS = {
-    "busy-stencil": busy_stencil,
-    "remote-gather": remote_gather,
-    "coherence": coherence,
-    "sync-producer-consumer": sync_producer_consumer,
-    "nack-flood": nack_flood,
-    "ping-pong": ping_pong,
-    "vthread-interleave-hep": vthread_interleave_hep,
-    "hep-reason-changes-while-parked": hep_reason_changes_while_parked,
-    "gather-resumed": gather_resumed,
-}
-
-
 # -- tests -------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_guarded_phases_match_reference(name, kernel):
-    _differential(SCENARIOS[name], kernel)
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("seed", range(25))
-def test_fuzz_program_matches_reference(seed, kernel):
-    _differential(fuzz_program(seed), kernel)
+def test_guarded_phases_match_reference(name, kernel, monkeypatch):
+    shipped = run_scenario(name, kernel)
+    if not shipped:
+        pytest.skip("builds no machine")
+    for owner, attr, method in REFERENCE:
+        monkeypatch.setattr(owner, attr, method)
+    assert runs_difference(run_scenario(name, kernel), shipped) is None
 
 
 def test_scenarios_take_every_guard():
@@ -540,7 +316,7 @@ def test_busy_stencil_skips_the_idle_layers():
                 count(handler, "poll", "poll")
 
     with construction_hooks(machine_hook=instrument):
-        busy_stencil("event", iterations=20)
+        get_workload("busy-stencil").call({"iterations": 20, "mesh": [2, 2, 1]})
     (machine,) = machines
     assert machine.kernel.node_ticks == 828
     assert all(machine.nodes[n].native_handlers for n in range(machine.num_nodes))

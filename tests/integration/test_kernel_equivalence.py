@@ -9,257 +9,38 @@ including the per-cycle idle/stall counters the naive loop accrues on every
 blocked cycle, which the event kernel reconstructs in bulk when it skips
 node ticks.
 
-Every scenario below builds the same machine twice, runs the same workload
-under both kernels, and compares everything observable.
+Every scenario of ``scenarios.py`` runs under both kernels, and the
+machines it builds must not differ
+(:func:`repro.fuzz.harness.machine_difference`).  The kernel mechanics
+below (step loops, ``run(N)``, predicates, settle loops, timeouts) drive
+the clock by hand.
 """
 
 import pytest
 
 from repro import MMachine, MachineConfig
 from repro.core.scheduler import NaiveKernel, SimulationKernel
-from repro.workloads.stencil import make_stencil_workload
-from repro.workloads.synthetic import (
-    expected_many_to_one_values,
-    many_to_one_store_programs,
-    remote_store_sender_program,
-)
+from repro.fuzz.harness import machine_difference
+from scenarios import SCENARIOS, run_scenario, runs_difference
 
-HEAP = 0x10000
 REGION = 0x40000
 
 KERNELS = ("naive", "event")
 
 
-# --------------------------------------------------------------------------- helpers
-
-
-def _compare_machines(naive: MMachine, event: MMachine) -> None:
-    """Assert that two finished machines are observably identical."""
-    assert event.cycle == naive.cycle, "final cycle counts differ"
-
-    naive_stats = naive.stats()
-    event_stats = event.stats()
-    for node_naive, node_event in zip(naive_stats.node_stats, event_stats.node_stats):
-        assert node_event == node_naive, f"node {node_naive['node_id']} stats differ"
-
-    for node_naive, node_event in zip(naive.nodes, event.nodes):
-        # Mesh-interface counters (not all are part of node.stats()).
-        for attribute in ("acks_received", "nacks_received", "retransmissions",
-                          "enqueue_rejections", "credits"):
-            assert getattr(node_event.net, attribute) == getattr(node_naive.net, attribute)
-        # Per-thread microarchitectural state and stall accounting -- the
-        # part the event kernel reconstructs in bulk for skipped cycles.
-        for cluster_naive, cluster_event in zip(node_naive.clusters, node_event.clusters):
-            assert cluster_event.icache.fetches == cluster_naive.icache.fetches
-            for ctx_naive, ctx_event in zip(cluster_naive.contexts, cluster_event.contexts):
-                assert ctx_event.state is ctx_naive.state
-                assert ctx_event.pc == ctx_naive.pc
-                assert ctx_event.instructions_issued == ctx_naive.instructions_issued
-                assert ctx_event.stall_cycles == ctx_naive.stall_cycles
-                assert dict(ctx_event.stall_reasons) == dict(ctx_naive.stall_reasons)
-                assert ctx_event.start_cycle == ctx_naive.start_cycle
-                assert ctx_event.halt_cycle == ctx_naive.halt_cycle
-
-    for attribute in ("messages_injected", "messages_delivered", "total_latency",
-                      "total_hops", "link_contention_cycles"):
-        assert getattr(event.mesh, attribute) == getattr(naive.mesh, attribute)
-
-
-def _run_both(scenario):
-    """Run *scenario(kernel)* under both kernels and compare the machines."""
-    machines = {kernel: scenario(kernel) for kernel in KERNELS}
-    _compare_machines(machines["naive"], machines["event"])
-    return machines
-
-
-def _config(shape=(2, 1, 1), mode="remote", kernel="event", **network_overrides):
+def _config(shape=(2, 1, 1), mode="remote", kernel="event"):
     config = MachineConfig.small(*shape)
     config.runtime.shared_memory_mode = mode
     config.sim.kernel = kernel
-    for key, value in network_overrides.items():
-        setattr(config.network, key, value)
     return config
 
 
-# --------------------------------------------------------------------- workload: stencil
-
-
-class TestStencilEquivalence:
-    """Compute-heavy single-node workloads (Figure 5 kernels)."""
-
-    @pytest.mark.parametrize("kind, n_hthreads", [("7pt", 1), ("7pt", 4), ("27pt", 2)])
-    def test_stencil(self, kind, n_hthreads):
-        def scenario(kernel):
-            machine = MMachine(_config(shape=(1, 1, 1), kernel=kernel))
-            machine.map_on_node(0, HEAP, num_pages=16)
-            workload = make_stencil_workload(kind=kind, n_hthreads=n_hthreads)
-            workload.setup(machine)
-            machine.run_until_user_done(max_cycles=30000)
-            assert workload.verify(machine)
-            return machine
-
-        _run_both(scenario)
-
-    def test_stencil_under_hep_barrel_policy(self):
-        """The HEP barrel rotates the scanned slot with the clock, so the
-        event kernel's bulk stall accounting must follow cycle residues."""
-
-        def scenario(kernel):
-            config = _config(shape=(1, 1, 1), kernel=kernel)
-            config.cluster.issue_policy = "hep"
-            machine = MMachine(config)
-            machine.map_on_node(0, HEAP, num_pages=16)
-            workload = make_stencil_workload(kind="7pt", n_hthreads=2)
-            workload.setup(machine)
-            machine.run_until_user_done(max_cycles=60000)
-            assert workload.verify(machine)
-            return machine
-
-        _run_both(scenario)
-
-
-# ------------------------------------------------------------- workload: message passing
-
-
-class TestMessagePassingEquivalence:
-    """User-level SEND/receive traffic, including NACK/retransmission."""
-
-    def test_ping_pong(self):
-        """Two nodes bouncing remote stores at each other."""
-
-        def scenario(kernel):
-            machine = MMachine(_config(kernel=kernel))
-            machine.map_on_node(0, REGION, num_pages=1)
-            machine.map_on_node(1, REGION + 0x1000, num_pages=1)
-            dip = machine.runtime.dip("remote_store")
-            machine.load_hthread(0, 0, 0, remote_store_sender_program(
-                REGION + 0x1000, dip, 8))
-            machine.load_hthread(1, 0, 0, remote_store_sender_program(
-                REGION, dip, 8, value_base=2000))
-            machine.run_until_user_done(max_cycles=60000)
-            for offset in range(8):
-                assert machine.read_word(REGION + offset) == 2000 + offset
-                assert machine.read_word(REGION + 0x1000 + offset) == 1000 + offset
-            return machine
-
-        _run_both(scenario)
-
-    def test_many_to_one_flood_with_contention(self):
-        def scenario(kernel):
-            machine = MMachine(_config(shape=(2, 2, 1), kernel=kernel))
-            machine.map_on_node(0, REGION, num_pages=1)
-            dip = machine.runtime.dip("remote_store")
-            for sender, program in many_to_one_store_programs(3, 12, REGION, dip).items():
-                machine.load_hthread(sender + 1, 0, 0, program)
-            machine.run_until_user_done(max_cycles=60000)
-            for offset, value in expected_many_to_one_values(3, 12):
-                assert machine.read_word(REGION + offset) == value
-            return machine
-
-        _run_both(scenario)
-
-    def test_small_queue_nack_and_retransmit(self):
-        """Return-to-sender throttling: retransmission back-offs are one of
-        the scheduled-wakeup sources the event kernel must honour exactly.
-        Three producers bursting at one consumer with a tiny queue force
-        NACKs and retransmissions."""
-
-        def scenario(kernel):
-            machine = MMachine(_config(shape=(2, 2, 1), kernel=kernel,
-                                       message_queue_words=6, retransmit_interval=16))
-            machine.map_on_node(0, REGION, num_pages=1)
-            dip = machine.runtime.dip("remote_store")
-            for sender, program in many_to_one_store_programs(3, 8, REGION, dip).items():
-                machine.load_hthread(sender + 1, 0, 0, program)
-            machine.run_until_user_done(max_cycles=120000)
-            for offset, value in expected_many_to_one_values(3, 8):
-                assert machine.read_word(REGION + offset) == value
-            assert sum(node.net.retransmissions for node in machine.nodes) > 0
-            return machine
-
-        _run_both(scenario)
-
-
-# -------------------------------------------------------------- workload: remote memory
-
-
-class TestRemoteMemoryEquivalence:
-    """Section 4.2 transparent remote access -- the idle-heavy class the
-    event kernel exists for: the faulting node sleeps through the whole
-    network round-trip."""
-
-    def test_remote_load(self):
-        def scenario(kernel):
-            machine = MMachine(_config(kernel=kernel))
-            machine.map_on_node(1, REGION, num_pages=1)
-            machine.write_word(REGION + 7, 31415)
-            machine.load_hthread(0, 0, 0, "ld i5, i1\nadd i6, i5, #1\nhalt",
-                                 registers={"i1": REGION + 7})
-            machine.run_until(lambda m: m.thread_halted(0, 0, 0), max_cycles=5000)
-            machine.run_until_quiescent(max_cycles=5000)
-            assert machine.register_value(0, 0, 0, "i6") == 31416
-            return machine
-
-        _run_both(scenario)
-
-    def test_remote_store_with_ltlb_miss(self):
-        def scenario(kernel):
-            machine = MMachine(_config(kernel=kernel))
-            machine.map_on_node(1, REGION, num_pages=1, preload_ltlb=False)
-            machine.load_hthread(0, 0, 0, "st i6, i1\nhalt",
-                                 registers={"i1": REGION + 9, "i6": 2718})
-            machine.run_until_quiescent(max_cycles=10000)
-            assert machine.read_word(REGION + 9) == 2718
-            return machine
-
-        _run_both(scenario)
-
-    def test_fixed_cycle_run_snapshots_identical(self):
-        """run(N) must land on the same intermediate state, not just the
-        same final state."""
-
-        def scenario(kernel):
-            machine = MMachine(_config(kernel=kernel))
-            machine.map_on_node(1, REGION, num_pages=1)
-            machine.write_word(REGION, 5)
-            machine.load_hthread(0, 0, 0, "ld i5, i1\nadd i6, i5, #100\nhalt",
-                                 registers={"i1": REGION})
-            machine.run(40)
-            machine.run(1000)
-            assert machine.cycle == 1040
-            return machine
-
-        _run_both(scenario)
-
-
-# ----------------------------------------------------------- workload: coherent caching
-
-
-class TestCoherentEquivalence:
-    """Section 4.3 software DRAM caching: native handlers with busy charges,
-    directory recalls and invalidation round-trips."""
-
-    def test_read_share_write_upgrade_and_recall(self):
-        def scenario(kernel):
-            machine = MMachine(_config(shape=(4, 1, 1), mode="coherent", kernel=kernel))
-            machine.map_on_node(0, REGION, num_pages=1)
-            machine.write_word(REGION, 5)
-            # Node 1 reads, node 2 writes (invalidating node 1), node 0
-            # recalls the dirty block by reading it back.
-            machine.load_hthread(1, 0, 0, "ld i5, i1\nhalt", registers={"i1": REGION})
-            machine.run_until(lambda m: m.register_full(1, 0, 0, "i5"), max_cycles=30000)
-            machine.load_hthread(2, 0, 0, "st i6, i1\nhalt",
-                                 registers={"i1": REGION, "i6": 42})
-            machine.run_until_quiescent(max_cycles=60000)
-            machine.load_hthread(0, 0, 0, "ld i7, i1\nhalt", registers={"i1": REGION})
-            machine.run_until(lambda m: m.register_full(0, 0, 0, "i7"), max_cycles=60000)
-            assert machine.register_value(0, 0, 0, "i7") == 42
-            machine.run_until_quiescent(max_cycles=60000)
-            return machine
-
-        machines = _run_both(scenario)
-        for machine in machines.values():
-            assert machine.runtime.coherence.invalidations >= 1
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_event_kernel_matches_naive(name):
+    event = run_scenario(name, "event")
+    if not event:
+        pytest.skip("builds no machine")
+    assert runs_difference(run_scenario(name, "naive"), event) is None
 
 
 # ------------------------------------------------------------------- kernel mechanics
@@ -317,7 +98,7 @@ class TestKernelMechanics:
             assert user_done.cycle == 300
             machines[kernel] = (quiescent, user_done)
         for naive, event in zip(machines["naive"], machines["event"]):
-            _compare_machines(naive, event)
+            assert machine_difference(naive, event) is None
 
     def test_invalid_kernel_rejected(self):
         config = MachineConfig.small(1, 1, 1)
@@ -371,8 +152,24 @@ class TestKernelMechanics:
             assert stop == machine.cycle
             return machine
 
-        machines = _run_both(scenario)
-        assert machines["event"].cycle == machines["naive"].cycle
+        assert machine_difference(scenario("naive"), scenario("event")) is None
+
+    def test_fixed_cycle_runs_land_on_the_same_state(self):
+        """run(N) must land on the same intermediate state, not just the
+        same final state."""
+
+        def scenario(kernel):
+            machine = MMachine(_config(kernel=kernel))
+            machine.map_on_node(1, REGION, num_pages=1)
+            machine.write_word(REGION, 5)
+            machine.load_hthread(0, 0, 0, "ld i5, i1\nadd i6, i5, #100\nhalt",
+                                 registers={"i1": REGION})
+            machine.run(40)
+            machine.run(1000)
+            assert machine.cycle == 1040
+            return machine
+
+        assert machine_difference(scenario("naive"), scenario("event")) is None
 
     def test_step_loop_matches_naive(self):
         """Manual step() loops (the public single-cycle API) stay exact even
@@ -389,5 +186,5 @@ class TestKernelMechanics:
                     # Mutate mid-run: load a second thread while nodes idle.
                     machine.load_hthread(1, 0, 0, "mov i2, #7\nhalt")
             machines[kernel] = machine
-        _compare_machines(machines["naive"], machines["event"])
+        assert machine_difference(machines["naive"], machines["event"]) is None
         assert machines["event"].register_value(1, 0, 0, "i2") == 7

@@ -50,6 +50,7 @@ from repro.core.values import TAG
 from repro.fuzz import generate_program
 from repro.snapshot import ConfigMismatchError, SnapshotError, config_to_dict
 from repro.snapshot.checkpoint import SnapshotTaken, checkpoint_context
+from scenarios import coherent_contention_machine, sync_retry_machine
 
 #: Fuzz seeds whose by-unit/by-slot counter pairs once came out in a
 #: different order after a mid-run resume.
@@ -435,20 +436,6 @@ def _compact(document) -> str:
     return json.dumps(document, separators=(",", ":"), allow_nan=False)
 
 
-def coherent_contention_machine() -> MMachine:
-    """A 2x2x1 coherent machine whose nodes 1 and 2 load, and node 3
-    stores to, one block homed on node 0."""
-    config = MachineConfig.small(2, 2, 1)
-    config.runtime.shared_memory_mode = "coherent"
-    machine = MMachine(config)
-    machine.map_on_node(0, 0x40000)
-    for node in (1, 2):
-        machine.load_hthread(node, 0, 0, "nop\nnop\nnop\nld i4, i1\nhalt",
-                             registers={"i1": 0x40000})
-    machine.load_hthread(3, 0, 0, "st i1, i1, #3\nhalt", registers={"i1": 0x40000})
-    return machine
-
-
 #: sha256 of the two snapshots that hold the untagged records the pinned
 #: four lack: C-Switch broadcasts (``cc-barrier`` at cycle 7, taken with
 #: ``checkpoint_context(dir, snapshot_at=7)``), and a pending grant, pending
@@ -499,19 +486,6 @@ def test_untagged_record_snapshot_digests_and_round_trip(tmp_path):
     assert sum(len(entry["queue"]) for entry in records("directories")) == 1
     assert restored.run_until_user_done(10_000) == 123
     assert coherent_contention_machine().run_until_user_done(10_000) == 123
-
-
-def sync_retry_machine() -> MMachine:
-    """One node whose slot-0 ``ld.fe`` finds its word empty and faults; the
-    fault is retried after a back-off until slot 1's ``st.ef``, twelve
-    cycles late, fills the word."""
-    machine = MMachine(MachineConfig.single_node())
-    machine.map_on_node(0, 0x10000, num_pages=1)
-    machine.write_word(0x10000, 0, sync_bit=0)
-    machine.load_hthread(0, 0, 0, "ld.fe i4, i1\nhalt", registers={"i1": 0x10000})
-    machine.load_hthread(0, 1, 0, "nop\n" * 12 + "st.ef i5, i1\nhalt",
-                         registers={"i1": 0x10000, "i5": 9})
-    return machine
 
 
 #: sha256 of three snapshots that hold the component containers the six

@@ -6,10 +6,13 @@ ping-pong, flood, remote-memory, coherence) on a 4x4 mesh, under both the
 
     run to cycle C -> snapshot -> restore in a FRESH PROCESS -> run to end
 
-must equal the uninterrupted run's final cycle count, complete
-``MachineStats`` (summary and per-node dicts) and trace -- event for event,
-including message and request ids, which is why the snapshot carries the id
-allocators.
+must not differ from the uninterrupted run: neither in
+:func:`repro.fuzz.harness.observe` (final cycle, statistics, per-context
+state, the trace event for event, including message and request ids,
+which is why the snapshot carries the id allocators) nor in the machine's
+snapshot state (:func:`repro.fuzz.harness.machine_view`).  The workloads
+come from the registry, and the snapshot is taken as ``repro snapshot``
+takes it, with ``checkpoint_context(snapshot_at=C)``.
 
 All snapshots are written first, then a single helper process restores and
 finishes every one of them (one interpreter start instead of ten).
@@ -22,164 +25,77 @@ import sys
 
 import pytest
 
-from repro import MMachine, MachineConfig
-from repro.workloads.stencil import make_stencil_workload
-from repro.workloads.synthetic import remote_store_sender_program
+from repro import MMachine
+from repro.api import get_workload
+from repro.core.machine import construction_hooks
+from repro.fuzz.harness import machine_view, view_difference
+from repro.snapshot.checkpoint import SnapshotTaken, checkpoint_context
 
-HEAP = 0x10000
-REGION = 0x40000
-MESH = (4, 4, 1)
 MAX_CYCLES = 400_000
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 KERNELS = ["event", "naive"]
-WORKLOADS = ["stencil", "ping-pong", "flood", "remote-memory", "coherence"]
+#: Small parameters of each workload, on a 4x4 mesh.
+WORKLOADS = {
+    "stencil": {"kind": "7pt", "n_hthreads": 2},
+    "ping-pong": {"rounds": 4},
+    "flood": {"messages": 8},
+    "remote-memory": {"repeats": 6},
+    "coherence": {"repeats": 6},
+}
 
 
-def _machine(kernel: str, shared_memory_mode: str = "remote") -> MMachine:
-    # Request/message id allocators are machine-owned, so the reference run,
-    # the snapshotted run and the fresh-process resume all number records
-    # identically without any global resets.
-    config = MachineConfig.small(*MESH)
-    config.sim.kernel = kernel
-    config.runtime.shared_memory_mode = shared_memory_mode
-    return MMachine(config)
+def _params(workload: str, kernel: str) -> dict:
+    return {**WORKLOADS[workload], "mesh": [4, 4, 1], "kernel": kernel}
 
 
-def _build(workload: str, kernel: str) -> MMachine:
-    """Build and load one scenario-matrix workload (small parameters)."""
-    if workload == "stencil":
-        machine = _machine(kernel)
-        machine.map_on_node(0, HEAP, num_pages=16)
-        make_stencil_workload(kind="7pt", n_hthreads=2).setup(machine)
-        return machine
-    if workload == "ping-pong":
-        machine = _machine(kernel)
-        far = machine.num_nodes - 1
-        rounds = 4
-        machine.map_on_node(far, REGION, num_pages=1)
-        machine.map_on_node(0, REGION + 0x1000, num_pages=1)
-        dip = machine.runtime.dip("remote_store")
-        ping, pong = REGION + 8, REGION + 0x1000 + 8
-        machine.write_word(ping, 0)
-        machine.write_word(pong, 0)
-        machine.load_hthread(
-            0, 0, 0,
-            f"""
-            mov i3, #0
-    loop:   add i3, i3, #1
-            mov m0, i3
-            send i1, #{dip}, #1
-    wait:   ld i4, i2
-            lt i5, i4, i3
-            br i5, wait
-            lt i6, i3, #{rounds}
-            br i6, loop
-            halt
-            """,
-            registers={"i1": ping, "i2": pong},
-        )
-        machine.load_hthread(
-            far, 0, 0,
-            f"""
-            mov i3, #0
-    loop:   add i3, i3, #1
-    wait:   ld i4, i2
-            lt i5, i4, i3
-            br i5, wait
-            mov m0, i3
-            send i1, #{dip}, #1
-            lt i6, i3, #{rounds}
-            br i6, loop
-            halt
-            """,
-            registers={"i1": pong, "i2": ping},
-        )
-        return machine
-    if workload == "flood":
-        machine = _machine(kernel)
-        far = machine.num_nodes - 1
-        machine.map_on_node(far, REGION, num_pages=1)
-        dip = machine.runtime.dip("remote_store")
-        machine.load_hthread(0, 0, 0, remote_store_sender_program(REGION, dip, 8))
-        return machine
-    if workload in ("remote-memory", "coherence"):
-        mode = "remote" if workload == "remote-memory" else "coherent"
-        machine = _machine(kernel, shared_memory_mode=mode)
-        far = machine.num_nodes - 1
-        repeats = 6
-        machine.map_on_node(far, REGION, num_pages=1)
-        machine.write_word(REGION, 3)
-        machine.load_hthread(
-            0, 0, 0,
-            f"""
-            mov i3, #0
-            mov i5, #0
-    loop:   ld i4, i1
-            add i5, i5, i4
-            add i3, i3, #1
-            lt i6, i3, #{repeats}
-            br i6, loop
-            halt
-            """,
-            registers={"i1": REGION},
-        )
-        return machine
-    raise AssertionError(f"unknown workload {workload!r}")
+def _run(workload: str, kernel: str) -> MMachine:
+    """Run *workload* to the end; the machine it built."""
+    machines = []
+    with construction_hooks(machine_hook=machines.append):
+        get_workload(workload).call(_params(workload, kernel))
+    (machine,) = machines
+    return machine
 
 
-def _report(machine: MMachine) -> dict:
-    stats = machine.stats()
-    report = {
-        "cycle": machine.cycle,
-        "summary": stats.summary(),
-        "node_stats": stats.node_stats,
-        "trace": [str(event) for event in machine.tracer.events],
-    }
-    # Normalise through JSON (int dict keys become strings, tuples become
-    # lists) so reports compare equal across the process boundary.
-    return json.loads(json.dumps(report))
+def _snapshot(directory, workload: str, kernel: str, cycle: int):
+    """Run *workload* until *cycle* and snapshot it there, as ``repro
+    snapshot`` does; the stopped machine and the snapshot's path."""
+    machines = []
+    with checkpoint_context(str(directory), snapshot_at=cycle), \
+            construction_hooks(machine_hook=machines.append):
+        with pytest.raises(SnapshotTaken) as taken:
+            get_workload(workload).call(_params(workload, kernel))
+    (machine,) = machines
+    return machine, taken.value.path
 
 
 _RESUME_SCRIPT = """\
 import json, sys
 from repro.core.machine import MMachine
+from repro.fuzz.harness import machine_view
 
 for line in sys.stdin:
     job = json.loads(line)
     machine = MMachine.from_snapshot(job["path"])
     machine.run_until_user_done(max_cycles=job["max_cycles"])
-    stats = machine.stats()
-    print(json.dumps({
-        "key": job["key"],
-        "cycle": machine.cycle,
-        "summary": stats.summary(),
-        "node_stats": stats.node_stats,
-        "trace": [str(event) for event in machine.tracer.events],
-    }))
+    print(json.dumps({"key": job["key"], "view": machine_view(machine)}))
 """
 
 
 @pytest.fixture(scope="module")
 def equivalence_results(tmp_path_factory):
     """References, snapshots, and one fresh process that finishes them all."""
-    tmp_path = tmp_path_factory.mktemp("snapshots")
     references = {}
     jobs = []
     for workload in WORKLOADS:
         for kernel in KERNELS:
             key = f"{workload}/{kernel}"
-            reference = _build(workload, kernel)
-            reference.run_until_user_done(max_cycles=MAX_CYCLES)
-            references[key] = _report(reference)
-
-            snapshot_cycle = max(50, reference.cycle // 3)
-            machine = _build(workload, kernel)
-            machine.run(snapshot_cycle)
-            assert machine.cycle == snapshot_cycle
-            path = str(tmp_path / f"{workload}-{kernel}.json")
-            machine.save_snapshot(path)
+            reference = _run(workload, kernel)
+            references[key] = machine_view(reference)
+            directory = tmp_path_factory.mktemp(f"{workload}-{kernel}")
+            _, path = _snapshot(directory, workload, kernel, max(50, reference.cycle // 3))
             jobs.append({"key": key, "path": path, "max_cycles": MAX_CYCLES})
 
     env = dict(os.environ)
@@ -196,7 +112,7 @@ def equivalence_results(tmp_path_factory):
     resumed = {}
     for line in completed.stdout.splitlines():
         result = json.loads(line)
-        resumed[result.pop("key")] = result
+        resumed[result["key"]] = result["view"]
     return references, resumed
 
 
@@ -205,35 +121,28 @@ def equivalence_results(tmp_path_factory):
 def test_fresh_process_resume_is_bit_exact(equivalence_results, workload, kernel):
     references, resumed = equivalence_results
     key = f"{workload}/{kernel}"
-    reference, restored = references[key], resumed[key]
-    assert restored["cycle"] == reference["cycle"]
-    assert restored["summary"] == reference["summary"]
-    assert restored["node_stats"] == reference["node_stats"]
-    assert restored["trace"] == reference["trace"]
+    assert view_difference(references[key], resumed[key]) is None
 
 
-def test_event_and_naive_snapshots_agree():
+def test_event_and_naive_snapshots_agree(tmp_path):
     """Cross-check: the snapshotted state itself (not just the continuation)
     is kernel-independent -- both clock drivers freeze identical machines."""
     docs = {}
     for kernel in KERNELS:
-        machine = _build("ping-pong", kernel)
-        machine.run(200)
-        document = machine.snapshot_document()
-        # The embedded config legitimately differs (sim.kernel); state must not.
-        docs[kernel] = document["machine"]
+        _, path = _snapshot(tmp_path / kernel, "ping-pong", kernel, 200)
+        with open(path, encoding="utf-8") as handle:
+            # The embedded config legitimately differs (sim.kernel); state must not.
+            docs[kernel] = json.load(handle)["machine"]
     assert docs["event"] == docs["naive"]
 
 
-def test_in_process_round_trip_matches_continued_run():
+def test_in_process_round_trip_matches_continued_run(tmp_path):
     """Snapshot + restore in the same process equals simply continuing the
     original machine (the original is not perturbed by being snapshotted)."""
-    machine = _build("remote-memory", "event")
-    machine.run(150)
-    document = json.loads(json.dumps(machine.snapshot_document()))
+    machine, path = _snapshot(tmp_path, "remote-memory", "event", 150)
+    restored = MMachine.from_snapshot(path)
     # Id allocators are machine-owned, so restoring must not perturb the
-    # original: run both machines interleaved and compare at the end.
-    restored = MMachine.from_snapshot(document)
+    # original: run both machines and compare at the end.
     machine.run_until_user_done(max_cycles=MAX_CYCLES)
     restored.run_until_user_done(max_cycles=MAX_CYCLES)
-    assert _report(restored) == _report(machine)
+    assert view_difference(machine_view(machine), machine_view(restored)) is None
