@@ -71,7 +71,6 @@ class Opcode:
     is_memory: bool = False
     is_store: bool = False
     is_send: bool = False
-    reads_queue: bool = False
     description: str = ""
 
     def __str__(self) -> str:
@@ -193,32 +192,25 @@ def _control_ops() -> List[Opcode]:
 
 
 def _memory_ops() -> List[Opcode]:
-    ops = []
-    # Plain and synchronising loads/stores.  The two-letter suffix gives the
-    # precondition and postcondition on the word's synchronisation bit:
-    #   x = don't care / leave unchanged, f = full, e = empty.
-    load_variants = {
-        "ld": ("x", "x", "load word"),
-        "ld.ff": ("f", "f", "load word; requires sync bit full, leaves it full"),
-        "ld.fe": ("f", "e", "load word; requires sync bit full, leaves it empty (consume)"),
-        "ld.xf": ("x", "f", "load word; sets sync bit full"),
-        "ld.xe": ("x", "e", "load word; sets sync bit empty"),
+    # Plain and synchronising loads/stores; their synchronisation-bit
+    # conditions are in SYNC_CONDITIONS.
+    descriptions = {
+        "ld": "load word",
+        "ld.ff": "load word; requires sync bit full, leaves it full",
+        "ld.fe": "load word; requires sync bit full, leaves it empty (consume)",
+        "ld.xf": "load word; sets sync bit full",
+        "ld.xe": "load word; sets sync bit empty",
+        "st": "store word",
+        "st.ef": "store word; requires sync bit empty, sets it full (produce)",
+        "st.xf": "store word; sets sync bit full",
+        "st.xe": "store word; sets sync bit empty",
+        "st.ff": "store word; requires sync bit full, leaves it full",
     }
-    store_variants = {
-        "st": ("x", "x", "store word"),
-        "st.ef": ("e", "f", "store word; requires sync bit empty, sets it full (produce)"),
-        "st.xf": ("x", "f", "store word; sets sync bit full"),
-        "st.xe": ("x", "e", "store word; sets sync bit empty"),
-        "st.ff": ("f", "f", "store word; requires sync bit full, leaves it full"),
-    }
-    for name, (_pre, _post, desc) in load_variants.items():
-        ops.append(
-            _op(name, OpClass.MEM, _MEM_UNITS, 1, is_memory=True, description=desc)
-        )
-    for name, (_pre, _post, desc) in store_variants.items():
-        ops.append(
-            _op(name, OpClass.MEM, _MEM_UNITS, 1, is_memory=True, is_store=True, description=desc)
-        )
+    ops = [
+        _op(name, OpClass.MEM, _MEM_UNITS, 1, is_memory=True, is_store=name.startswith("st"),
+            description=desc)
+        for name, desc in descriptions.items()
+    ]
     ops.append(
         _op("send", OpClass.MEM, _MEM_UNITS, 1, is_send=True,
             description="atomically launch a message: send <dest-va>, <dip>, #<len> [, #<priority>]")
@@ -300,9 +292,10 @@ def _build_opcode_table() -> dict:
 OPCODES = _build_opcode_table()
 
 
-#: Synchronisation-bit pre/post conditions for the load/store variants.
-#: Maps mnemonic -> (precondition, postcondition); conditions are one of
-#: ``"x"`` (don't care / unchanged), ``"f"`` (full) or ``"e"`` (empty).
+#: Synchronisation-bit pre/post conditions for the load/store variants,
+#: the two letters of each mnemonic's suffix.  Maps mnemonic ->
+#: (precondition, postcondition); conditions are one of ``"x"`` (don't
+#: care / unchanged), ``"f"`` (full) or ``"e"`` (empty).
 SYNC_CONDITIONS = {
     "ld": ("x", "x"),
     "ld.ff": ("f", "f"),
