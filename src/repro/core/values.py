@@ -49,7 +49,7 @@ import math
 from functools import lru_cache
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.isa.assembler import AssemblyError, assemble_cached
 from repro.isa.operations import LabelRef
@@ -312,13 +312,15 @@ def record_codec(cls, converters: Optional[Mapping[str, Tuple[Callable, Callable
                  lambda data: decode_record(cls, data, fields))
 
 
-def encode_optional_set(value) -> Optional[List[object]]:
-    if value is None:
-        return None
-    return sorted(encode_value(item) for item in value)
+def _int_set(items) -> set:
+    """A list of ints read back as a set; any other item is refused."""
+    if not all(type(item) is int for item in items):
+        raise SnapshotError(f"a set of ints holds {items!r}")
+    return set(items)
 
 
-def decode_optional_set(encoded) -> Optional[set]:
-    if encoded is None:
-        return None
-    return {decode_value(item) for item in encoded}
+#: A set of ints, as a sorted list.
+INT_SET = Codec(sorted, _int_set)
+#: ``None``, or a set of ints as a sorted list.
+OPTIONAL_INT_SET = Codec(lambda items: None if items is None else sorted(items),
+                         lambda items: None if items is None else _int_set(items))

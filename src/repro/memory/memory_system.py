@@ -36,6 +36,7 @@ from repro.core.component import StatefulComponent
 from repro.core.values import (
     AS_IS,
     Codec,
+    SnapshotError,
     decode_value,
     each,
     encode_value,
@@ -77,6 +78,15 @@ LTLB_FLAG_WRITABLE = 0x1
 LTLB_FLAG_BLOCKS_VALID = 0x2
 
 
+def _pending_response(encoded) -> MemResponse:
+    """A pending response read back from a snapshot; anything else is
+    refused."""
+    response = decode_value(encoded)
+    if not isinstance(response, MemResponse):
+        raise SnapshotError(f"a pending memory response is {encoded!r}")
+    return response
+
+
 class MemorySystem(StatefulComponent):
     """Cache banks + LTLB + local page table + SDRAM of one node.
 
@@ -90,7 +100,8 @@ class MemorySystem(StatefulComponent):
         # load reads from the response itself.
         ("_pending", Codec(lambda pending: [[response.ready_cycle, encode_value(response)]
                                             for response in pending],
-                           lambda pending: [decode_value(response) for _, response in pending])),
+                           lambda pending: [_pending_response(response)
+                                            for _, response in pending])),
         "requests_accepted", "loads", "stores", "sync_faults", "block_status_faults",
         "ltlb_miss_events", ("store_completions", pairs(AS_IS)))
 

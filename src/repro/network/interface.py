@@ -20,13 +20,7 @@ from typing import List, Optional, Set, Tuple
 
 from repro.core.config import NetworkConfig
 from repro.core.component import StatefulComponent
-from repro.core.values import (
-    Codec,
-    decode_optional_set,
-    encode_optional_set,
-    state_fields,
-    timed,
-)
+from repro.core.values import OPTIONAL_INT_SET, state_fields, timed
 from repro.events.queue import HardwareQueue
 from repro.isa.registers import NUM_MC_REGS
 from repro.memory.guarded_pointer import GuardedPointer, ProtectionError
@@ -44,7 +38,7 @@ class NetworkInterface(StatefulComponent):
     """
 
     _STATE = state_fields(
-        "credits", ("allowed_dips", Codec(encode_optional_set, decode_optional_set)),
+        "credits", ("allowed_dips", OPTIONAL_INT_SET),
         ("_retransmit", timed()), "messages_sent", "messages_received", "acks_received",
         "nacks_received", "retransmissions", "enqueue_rejections", "send_stall_cycles")
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.component import StatefulComponent
-from repro.core.values import decode_value, encode_value, pairs, record_codec, state_fields
+from repro.core.values import INT_SET, decode_value, encode_value, pairs, record_codec, state_fields
 from repro.events.records import EventRecord
 from repro.memory.page_table import BLOCK_SIZE_WORDS, BlockStatus, block_base, page_of
 from repro.memory.requests import MemRequest
@@ -108,7 +108,7 @@ class PendingFetch:
 #: A directory entry's sharers are a sorted list on disk, and each queued
 #: request a ``[requester, mode, [request, ...]]`` list.
 _DIRECTORIES = pairs(pairs(record_codec(DirectoryEntry, {
-    "sharers": (sorted, set),
+    "sharers": INT_SET,
     "queue": (lambda queue: [[requester, mode, encode_value(requests)]
                              for requester, mode, requests in queue],
               lambda queue: [(requester, mode, decode_value(requests))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.component import StatefulComponent
-from repro.core.values import each, pairs, record_codec, state_fields
+from repro.core.values import SnapshotError, each, pairs, record_codec, state_fields
 from repro.isa.registers import NUM_CLUSTERS
 
 #: Destination value meaning "all output ports".
@@ -153,10 +153,11 @@ class Crossbar(StatefulComponent):
     # -- snapshot (repro.snapshot state_dict contract) -----------------------------
 
     def load_state_dict(self, state: dict) -> None:
-        queues = self._queues
+        ports = [port for port, _ in state["queues"]]
+        if ports != list(range(NUM_CLUSTERS)):
+            raise SnapshotError(
+                f"C-Switch queues must list ports {list(range(NUM_CLUSTERS))}, got {ports!r}")
         super().load_state_dict(state)
-        # A port the snapshot does not list keeps its queue.
-        self._queues = {**queues, **self._queues}
         self._num_pending = (
             sum(len(q) for q in self._queues.values()) + len(self._broadcast)
         )

@@ -242,6 +242,18 @@ class TestFileFormat:
                                 ("words_per_instruction", (0, -1)),
                                 ("enforce_gcc_pairs", ("x", None)))
           for value in values],
+        pytest.param(("machine", "nodes", 0, "cswitch", "queues"),
+                     [[port, []] for port in (0, 1, 3)],
+                     r"C-Switch queues must list ports \[0, 1, 2, 3\], got \[0, 1, 3\]",
+                     id="cswitch-port-2-missing"),
+        pytest.param(("machine", "nodes", 0, "cswitch", "queues"),
+                     [[port, []] for port in (0, 1, 2, 3, 7)],
+                     r"C-Switch queues must list ports \[0, 1, 2, 3\], got \[0, 1, 2, 3, 7\]",
+                     id="cswitch-port-7"),
+        pytest.param(("machine", "nodes", 0, "net", "allowed_dips"), ["x", 3],
+                     r"a set of ints holds \['x', 3\]", id="allowed-dips-not-ints"),
+        pytest.param(("machine", "nodes", 0, "memory", "pending"), [[25, 3]],
+                     "a pending memory response is 3", id="pending-response-not-a-memresp"),
     ])
     def test_malformed_document_raises_snapshot_error(self, path, value, error):
         document = json.loads(json.dumps(self._machine().snapshot_document()))
@@ -268,6 +280,22 @@ class TestFileFormat:
         self.test_malformed_document_raises_snapshot_error(
             ("machine", "nodes", 0, *path), {"65536": 1},
             "machine section is malformed: ValueError")
+
+    def test_non_int_sharer_raises_snapshot_error(self):
+        """A coherence directory entry whose sharers are not all node ids is
+        refused at load, not when the next save sorts them."""
+        config = MachineConfig.small(2, 1, 1)
+        config.runtime.shared_memory_mode = "coherent"
+        machine = MMachine(config)
+        machine.map_on_node(0, 0x40000)
+        machine.load_hthread(1, 0, 0, "ld i4, i1\nhalt", registers={"i1": 0x40000})
+        machine.run_until_user_done()
+        document = json.loads(json.dumps(machine.snapshot_document()))
+        directories = dict(document["machine"]["coherence"]["directories"])
+        ((_, entry),) = directories[0]
+        entry["sharers"] = [1, "x"]
+        with pytest.raises(SnapshotError, match=r"a set of ints holds \[1, 'x'\]"):
+            MMachine.from_snapshot(document)
 
     def test_restore_snapshot_rejects_malformed_state(self):
         document = json.loads(json.dumps(self._machine().snapshot_document()))
