@@ -16,8 +16,7 @@ Quick start — the typed experiment API (see ``docs/api.md``)::
 
     with (                                              # full builder
         Experiment.builder()
-        .workload("flood", messages=16)
-        .override("network.send_credits", 2)
+        .workload("flood", messages=16, send_credits=2)
         .build()
     ) as experiment:
         result = experiment.run()
@@ -71,7 +70,7 @@ from repro.isa import Program, assemble, AssemblyError
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.memory.page_table import BlockStatus
 
-__version__ = "12.1.0"
+__version__ = "12.2.0"
 
 __all__ = [
     "Experiment",

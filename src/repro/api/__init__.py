@@ -10,8 +10,7 @@ configure a machine, bind a workload, run, measure::
 
     with (                                              # full builder
         Experiment.builder()
-        .workload("flood", messages=16)
-        .override("network.send_credits", 2)
+        .workload("flood", messages=16, send_credits=2)
         .build()
     ) as experiment:
         result = experiment.run()

@@ -20,6 +20,9 @@ The builder validates everything eagerly — unknown workload names, unknown
 parameter names (listed against the workload's signature), unknown dotted
 config-override keys (:func:`repro.core.config.validate_override_key`) —
 so a typo fails at build time, not as a dead attribute on a live machine.
+``build()`` also refuses an override of a key that one of the workload's
+parameters sets (:data:`repro.core.config.PARAM_KEYS`), naming the
+parameter to set instead.
 
 Because workload factories construct their machines internally, builder
 features that need the machine itself (config overrides, disk traces, probes) are
@@ -40,7 +43,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.api.result import RunResult
 from repro.api.schema import run_id_for
 from repro.api.workload import WorkloadSpec, get_workload
-from repro.core.config import apply_overrides, validate_override_key
+from repro.core.config import PARAM_KEYS, apply_overrides, validate_override_key
 from repro.core.machine import MMachine, construction_hooks
 from repro.core.scheduler import DRIVERS
 
@@ -48,12 +51,6 @@ from repro.core.scheduler import DRIVERS
 Probe = Callable[[MMachine], None]
 
 WorkloadRef = Union[str, WorkloadSpec]
-
-#: Config keys a workload that takes the named parameter sets itself: an
-#: override of one would run a machine its parameters and run id do not
-#: describe.
-_PARAM_KEYS: Dict[str, str] = {"sim.kernel": "kernel", "network.mesh_shape": "mesh"}
-
 
 class ExperimentBuilder:
     """Accumulates an experiment definition; ``build()`` freezes it.
@@ -189,11 +186,14 @@ class ExperimentBuilder:
 
     def _resolved_params(self, spec: WorkloadSpec) -> Dict[str, object]:
         """Merge builder-level mesh/kernel into the explicit params."""
-        for key, name in _PARAM_KEYS.items():
+        # An override of a key that a parameter sets would run a machine
+        # that the parameters and run id do not describe.
+        for name, key in PARAM_KEYS.items():
             if key in self._overrides and name in spec.defaults:
+                method = f".{name}()" if name in ("mesh", "kernel") else f".params({name}=...)"
                 raise ValueError(
                     f"workload {spec.name!r} takes a {name!r} parameter, which "
-                    f"sets {key}; use .{name}() instead of overriding {key!r}"
+                    f"sets {key}; use {method} instead of overriding {key!r}"
                 )
         params = dict(self._params)
         for name, value in (("mesh", self._mesh), ("kernel", self._kernel)):

@@ -240,6 +240,19 @@ _SECTIONS: Dict[str, Type[object]] = {
 #: Top-level ``MachineConfig`` attributes addressable without a section.
 _TOP_LEVEL_KEYS: Tuple[str, ...] = ("trace_enabled",)
 
+#: Workload parameters that set a config key, with that key.  A workload
+#: factory sets each key from its parameter, so the experiment builder
+#: refuses an override of the key for a workload that takes the parameter.
+PARAM_KEYS: Dict[str, str] = {
+    "mesh": "network.mesh_shape",
+    "kernel": "sim.kernel",
+    "mode": "runtime.shared_memory_mode",
+    "policy": "cluster.issue_policy",
+    "send_credits": "network.send_credits",
+    "queue_words": "network.message_queue_words",
+    "retransmit_interval": "network.retransmit_interval",
+}
+
 
 def override_keys() -> List[str]:
     """Every valid dotted override key, sorted (``"section.attr"`` plus

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.latency import SCENARIOS, AccessLatencyHarness
 from repro.analysis.timeline import extract_remote_access_timeline
 from repro.api.workload import workload
 from repro.cluster.hthread import ThreadState
 from repro.core.area_model import TECH_1993, TECH_1996, AreaModel
-from repro.core.config import NUM_CLUSTERS, MachineConfig, apply_overrides
+from repro.core.config import NUM_CLUSTERS, PARAM_KEYS, MachineConfig, apply_overrides
 from repro.core.machine import MMachine
 from repro.isa.assembler import assemble
 from repro.memory.page_table import PAGE_SIZE_WORDS
@@ -60,18 +60,12 @@ REGION = 0x40000
 # ---------------------------------------------------------------------------
 
 
-def _machine(
-    mesh: Sequence[int] = (1, 1, 1),
-    kernel: str = "event",
-    shared_memory_mode: Optional[str] = None,
-    **config_overrides: object,
-) -> MMachine:
-    config = MachineConfig.small(*tuple(mesh))
-    config.sim.kernel = kernel
-    if shared_memory_mode is not None:
-        config.runtime.shared_memory_mode = shared_memory_mode
-    apply_overrides(config, config_overrides)
-    return MMachine(config)
+def _machine(mesh: Sequence[int], kernel: str, **params: object) -> MMachine:
+    """A machine whose config keys are set from the workload parameters
+    *mesh*, *kernel* and *params* (:data:`~repro.core.config.PARAM_KEYS`)."""
+    params.update(mesh=tuple(mesh), kernel=kernel)
+    return MMachine(apply_overrides(
+        MachineConfig(), {PARAM_KEYS[name]: value for name, value in params.items()}))
 
 
 def _check_fits_page(workload: str, what: str, words: int) -> None:
@@ -455,7 +449,7 @@ def issue_policy(
     max_cycles: int = 100000,
 ) -> Dict[str, object]:
     """A single arithmetic loop under a thread-selection policy (A2)."""
-    machine = _machine(mesh, kernel, **{"cluster.issue_policy": policy})
+    machine = _machine(mesh, kernel, policy=policy)
     machine.load_hthread(0, 0, 0, compute_loop_program(iterations))
     machine.run_until_user_done(max_cycles=max_cycles)
     metrics = _base_metrics(machine)
@@ -485,7 +479,7 @@ def remote_memory(
     the full remote latency); ``mode="coherent"`` is the Section 4.3 DRAM
     caching runtime (one block fetch, then local speed).
     """
-    machine = _machine(mesh, kernel, shared_memory_mode=mode)
+    machine = _machine(mesh, kernel, mode=mode)
     far = _far_node(machine)
     machine.map_on_node(far, REGION, num_pages=1)
     machine.write_word(REGION, 3)
@@ -543,15 +537,8 @@ def flood(
 ) -> Dict[str, object]:
     """One producer floods the far corner with remote-store messages."""
     _check_fits_page("flood", "messages", messages)
-    machine = _machine(
-        mesh,
-        kernel,
-        **{
-            "network.send_credits": send_credits,
-            "network.message_queue_words": queue_words,
-            "network.retransmit_interval": retransmit_interval,
-        },
-    )
+    machine = _machine(mesh, kernel, send_credits=send_credits, queue_words=queue_words,
+                       retransmit_interval=retransmit_interval)
     far = _far_node(machine)
     machine.map_on_node(far, REGION, num_pages=1)
     dip = machine.runtime.dip("remote_store")
@@ -579,14 +566,8 @@ def many_to_one_flood(
 ) -> Dict[str, object]:
     """Several producers flood one consumer (return-to-sender stress)."""
     _check_fits_page("many-to-one-flood", "senders x messages_each", senders * messages_each)
-    machine = _machine(
-        mesh,
-        kernel,
-        **{
-            "network.message_queue_words": queue_words,
-            "network.retransmit_interval": retransmit_interval,
-        },
-    )
+    machine = _machine(mesh, kernel, queue_words=queue_words,
+                       retransmit_interval=retransmit_interval)
     if senders >= machine.num_nodes:
         raise ValueError("need one node per sender plus the consumer")
     machine.map_on_node(0, REGION, num_pages=1)

@@ -30,6 +30,7 @@ from repro.api import (
     workload_specs,
 )
 from repro.core.config import (
+    PARAM_KEYS,
     MachineConfig,
     apply_overrides,
     override_keys,
@@ -82,12 +83,13 @@ class TestOverrideValidation:
             )
         assert config.network.send_credits == before
 
-    def test_machine_helper_rejects_typoed_key(self):
-        """The old silent-setattr hole: a typo'd key now raises."""
+    def test_machine_helper_rejects_typoed_parameter(self):
+        """The old silent-setattr hole: a typo'd parameter, which sets no
+        config key, raises."""
         from repro.workloads.factories import _machine
 
-        with pytest.raises(ValueError, match="unknown config override"):
-            _machine((1, 1, 1), "event", **{"network.send_credit": 2})
+        with pytest.raises(KeyError, match="send_credit"):
+            _machine((1, 1, 1), "event", send_credit=2)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +319,14 @@ class TestExperimentBuilder:
             config.validate()
         assert str(refused.value) == "unknown simulation kernel 'quantum'"
 
-    @pytest.mark.parametrize("key, value, method", [
-        ("sim.kernel", "naive", ".kernel()"),
-        ("network.mesh_shape", (4, 4, 1), ".mesh()"),
-    ])
-    def test_override_of_a_workload_parameter_rejected_at_build(self, key, value, method):
-        """An override would run a machine that the recorded kernel, mesh
-        and run id do not describe."""
-        builder = (Experiment.builder().workload("cc-sync", iterations=5, mesh=[2, 1, 1])
-                   .override(key, value))
-        with pytest.raises(ValueError, match=re.escape(method)):
+    @pytest.mark.parametrize("name, key", sorted(PARAM_KEYS.items()))
+    def test_override_of_a_workload_parameter_rejected_at_build(self, name, key):
+        """An override would run a machine that the recorded parameters and
+        run id do not describe; the error names the parameter to set."""
+        spec = next(spec for spec in workload_specs() if name in spec.defaults)
+        builder = Experiment.builder().workload(spec).override(key, spec.defaults[name])
+        method = f".{name}()" if name in ("mesh", "kernel") else f".params({name}=...)"
+        with pytest.raises(ValueError, match=re.escape(f"use {method} instead of overriding")):
             builder.build()
 
     def test_kernel_override_allowed_where_no_parameter_sets_it(self):
@@ -372,14 +372,14 @@ class TestExperimentBuilder:
         with (
             Experiment.builder()
             .workload("flood", messages=4)
-            .override("network.send_credits", 3)
+            .override("cluster.issue_policy", "round-robin")
             .probe(machines.append)
             .build()
         ) as exp:
             result = exp.run()
         assert result.ok
         assert machines, "probe saw no machines"
-        assert all(m.config.network.send_credits == 3 for m in machines)
+        assert all(m.config.cluster.issue_policy == "round-robin" for m in machines)
 
     def test_tags_and_seed_flow_into_provenance(self):
         with (
