@@ -104,8 +104,7 @@ def first_difference(expected: object, actual: object, path: str = "$") -> Optio
 def machine_view(machine: MMachine) -> str:
     """What two runs of one scenario must agree on, as one JSON text:
     :func:`observe` and the machine's ``state_dict()``."""
-    return json.dumps({"observe": observe(machine), "state": machine.state_dict()},
-                      sort_keys=True)
+    return json.dumps({"observe": observe(machine), "state": machine.state_dict()})
 
 
 def view_difference(expected: str, actual: str) -> Optional[str]:
@@ -113,7 +112,8 @@ def view_difference(expected: str, actual: str) -> Optional[str]:
     None."""
     if expected == actual:
         return None
-    return first_difference(json.loads(expected), json.loads(actual)) or "$: texts differ"
+    return (first_difference(json.loads(expected), json.loads(actual))
+            or "$: equal values, different JSON text")
 
 
 def machine_difference(expected: MMachine, actual: MMachine) -> Optional[str]:
