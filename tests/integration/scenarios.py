@@ -88,13 +88,13 @@ def _workload(name: str, policy: Optional[str] = None, **params) -> Scenario:
     machine it builds under the scenario's kernel and issue *policy*."""
     params = {**PARAMS.get(name, {}), **params}
 
-    def configure(config: MachineConfig, kernel: str) -> None:
-        config.sim.kernel = kernel
-        if policy is not None:
-            config.cluster.issue_policy = policy
-
     def scenario(kernel: str) -> None:
-        with construction_hooks(config_hook=lambda config: configure(config, kernel)):
+        def configure(config: MachineConfig) -> None:
+            config.sim.kernel = kernel
+            if policy is not None:
+                config.cluster.issue_policy = policy
+
+        with construction_hooks(config_hook=configure):
             assert get_workload(name).call(params)["verified"]
 
     return scenario
