@@ -65,8 +65,8 @@ def runs_difference(expected: List[MMachine], actual: List[MMachine]) -> Optiona
 # -- registered workloads --------------------------------------------------------
 
 #: Parameters other than the defaults: shorter runs, busy-stencil on four
-#: nodes, four stencil H-Threads, and the two flood workloads at the
-#: settings of the contention and NACK-retransmit runs.
+#: nodes, and the two flood workloads at the settings of the contention and
+#: NACK-retransmit runs.
 PARAMS = {
     "busy-stencil": {"iterations": 12, "mesh": [2, 2, 1]},
     "cc-barrier": {"iterations": 10},
@@ -78,7 +78,6 @@ PARAMS = {
     "nack-flood": {"messages_each": 8, "retransmit_interval": 16},
     "ping-pong": {"rounds": 3},
     "remote-memory": {"repeats": 4},
-    "stencil": {"n_hthreads": 4},
     "vthread-interleave": {"num_threads": 3, "chain_loads": 6},
 }
 
@@ -111,7 +110,9 @@ def _fuzz(seed: int) -> Scenario:
 # -- hand-built machines ---------------------------------------------------------
 
 
-def _config(shape, kernel: str, mode: str = "remote") -> MachineConfig:
+def small_config(shape, kernel: str, mode: str = "remote") -> MachineConfig:
+    """A ``MachineConfig.small(*shape)`` under *kernel* and shared-memory
+    *mode*."""
     config = MachineConfig.small(*shape)
     config.runtime.shared_memory_mode = mode
     config.sim.kernel = kernel
@@ -140,7 +141,7 @@ loop:   ld i4, i4
 def gather_machine(kernel: str) -> MMachine:
     """A 2x2 remote-mode mesh on which every node walks its own chain of
     two-word elements placed on the other nodes (loaded, not run)."""
-    machine = MMachine(_config((2, 2, 1), kernel))
+    machine = MMachine(small_config((2, 2, 1), kernel))
     page = machine.page_size
     rng = random.Random(7)
     for home in range(machine.num_nodes):
@@ -181,7 +182,7 @@ def coherent_share(kernel: str) -> None:
     recalls the dirty block by reading it back; the readers wait on their
     loads.  The coherence handlers are native, with busy charges, directory
     recalls and invalidation round trips."""
-    machine = MMachine(_config((4, 1, 1), kernel, mode="coherent"))
+    machine = MMachine(small_config((4, 1, 1), kernel, mode="coherent"))
     machine.map_on_node(0, REGION, num_pages=1)
     machine.write_word(REGION, 5)
     machine.load_hthread(1, 0, 0, "ld i5, i1\nadd i6, i5, #1\nhalt", registers={"i1": REGION})
@@ -199,7 +200,7 @@ def sync_producer_consumer(kernel: str) -> None:
     """The consumer's ``ld.ff`` faults until the producer's ``st.xf`` sets
     the word's synchronization bit; the sync handler retries it after its
     back-off."""
-    machine = MMachine(_config((1, 1, 1), kernel))
+    machine = MMachine(small_config((1, 1, 1), kernel))
     machine.map_on_node(0, HEAP, num_pages=1)
     machine.write_word(HEAP + 32, 0, sync_bit=0)
     machine.load_hthread(0, 0, 0, "ld.ff i5, i1\nhalt", registers={"i1": HEAP + 32})
@@ -221,7 +222,7 @@ def hep_reason_changes_while_parked(kernel: str) -> None:
     which fills between two of the thread's barrel turns; the idle profile
     then names ``i2``, which a remote load on node 3 fills much later, so
     the node sleeps with a profile whose reason is not the park's."""
-    config = _config((4, 1, 1), kernel)
+    config = small_config((4, 1, 1), kernel)
     config.cluster.issue_policy = "hep"
     machine = MMachine(config)
     page = machine.page_size
@@ -251,7 +252,7 @@ def send_before_empty_operand(kernel: str) -> None:
     node's one credit: the stall flips between the two reasons, and the
     SEND must not park, since another cluster's send can take the credit
     while it waits."""
-    config = _config((2, 1, 1), kernel)
+    config = small_config((2, 1, 1), kernel)
     config.network.send_credits = 1
     machine = MMachine(config)
     machine.map_on_node(1, REGION, num_pages=1)
@@ -276,7 +277,7 @@ def sync_retry_machine(kernel: str = "event") -> MMachine:
     fault is retried after a back-off until slot 1's ``st.ef``, twelve
     cycles late, fills the word (loaded, not run).  No registered workload
     and no fuzz program defers a synchronizing-fault retry."""
-    machine = MMachine(_config((1, 1, 1), kernel))
+    machine = MMachine(small_config((1, 1, 1), kernel))
     machine.map_on_node(0, 0x10000, num_pages=1)
     machine.write_word(0x10000, 0, sync_bit=0)
     machine.load_hthread(0, 0, 0, "ld.fe i4, i1\nhalt", registers={"i1": 0x10000})
@@ -289,7 +290,7 @@ def coherent_contention_machine(kernel: str = "event") -> MMachine:
     """A 2x2x1 coherent machine whose nodes 1 and 2 load, and node 3
     stores to, one block homed on node 0 (loaded, not run).  Its run is the
     only one that holds a pending coherence grant across a cycle."""
-    machine = MMachine(_config((2, 2, 1), kernel, mode="coherent"))
+    machine = MMachine(small_config((2, 2, 1), kernel, mode="coherent"))
     machine.map_on_node(0, 0x40000)
     for node in (1, 2):
         machine.load_hthread(node, 0, 0, "nop\nnop\nnop\nld i4, i1\nhalt",
@@ -307,7 +308,7 @@ def _run_to_end(build: Callable[[str], MMachine], cycles: int) -> Scenario:
 
 def remote_store_exchange(kernel: str) -> None:
     """Nodes 0 and 1 each send eight remote stores into the other's page."""
-    machine = MMachine(_config((2, 1, 1), kernel))
+    machine = MMachine(small_config((2, 1, 1), kernel))
     machine.map_on_node(0, REGION, num_pages=1)
     machine.map_on_node(1, REGION + 0x1000, num_pages=1)
     dip = machine.runtime.dip("remote_store")
@@ -321,7 +322,7 @@ def remote_store_exchange(kernel: str) -> None:
 
 def remote_store_ltlb_miss(kernel: str) -> None:
     """A remote store whose home node misses in its LTLB."""
-    machine = MMachine(_config((2, 1, 1), kernel))
+    machine = MMachine(small_config((2, 1, 1), kernel))
     machine.map_on_node(1, REGION, num_pages=1, preload_ltlb=False)
     machine.load_hthread(0, 0, 0, "st i6, i1\nhalt", registers={"i1": REGION + 9, "i6": 2718})
     machine.run_until_quiescent(max_cycles=10_000)
@@ -330,6 +331,7 @@ def remote_store_ltlb_miss(kernel: str) -> None:
 
 SCENARIOS: Dict[str, Scenario] = {
     **{name: _workload(name) for name in workload_names()},
+    "stencil-4": _workload("stencil", n_hthreads=4),
     "stencil-27pt": _workload("stencil", kind="27pt", n_hthreads=2),
     "stencil-hep": _workload("stencil", policy="hep", n_hthreads=2, max_cycles=60_000),
     "vthread-interleave-round-robin": _workload("vthread-interleave", policy="round-robin"),

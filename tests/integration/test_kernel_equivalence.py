@@ -21,18 +21,9 @@ import pytest
 from repro import MMachine, MachineConfig
 from repro.core.scheduler import NaiveKernel, SimulationKernel
 from repro.fuzz.harness import machine_difference
-from scenarios import SCENARIOS, run_scenario, runs_difference
-
-REGION = 0x40000
+from scenarios import REGION, SCENARIOS, run_scenario, runs_difference, small_config
 
 KERNELS = ("naive", "event")
-
-
-def _config(shape=(2, 1, 1), mode="remote", kernel="event"):
-    config = MachineConfig.small(*shape)
-    config.runtime.shared_memory_mode = mode
-    config.sim.kernel = kernel
-    return config
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -57,7 +48,7 @@ class TestKernelMechanics:
     def test_naive_kernel_ticks_every_node_every_cycle(self):
         """The reference driver never skips: its node ticks are always
         cycles times nodes, the count the event kernel is measured against."""
-        machine = MMachine(_config(shape=(2, 2, 1), kernel="naive"))
+        machine = MMachine(small_config((2, 2, 1), "naive"))
         machine.map_on_node(3, REGION, num_pages=1)
         machine.write_word(REGION, 1)
         machine.load_hthread(0, 0, 0, "ld i5, i1\nhalt", registers={"i1": REGION})
@@ -70,7 +61,7 @@ class TestKernelMechanics:
     @pytest.mark.parametrize("kernel, driver", [("naive", NaiveKernel),
                                                 ("event", SimulationKernel)])
     def test_restore_rebuilds_the_same_driver(self, kernel, driver):
-        machine = MMachine(_config(kernel=kernel))
+        machine = MMachine(small_config((2, 1, 1), kernel))
         machine.load_hthread(0, 0, 0, "mov i2, #7\nhalt")
         machine.run_until_user_done(max_cycles=1000)
         restored = MMachine.from_snapshot(machine.snapshot_document())
@@ -87,10 +78,10 @@ class TestKernelMechanics:
         blocked = "empty i2\nadd i1, i2, i2\nhalt"
         machines = {}
         for kernel in KERNELS:
-            quiescent = MMachine(_config(kernel=kernel))
+            quiescent = MMachine(small_config((2, 1, 1), kernel))
             quiescent.load_hthread(0, 0, 0, blocked)
             assert quiescent.run_until_quiescent(max_cycles=300) == 5
-            user_done = MMachine(_config(kernel=kernel))
+            user_done = MMachine(small_config((2, 1, 1), kernel))
             user_done.load_hthread(0, 0, 0, blocked)
             with pytest.raises(TimeoutError) as raised:
                 user_done.run_until_user_done(max_cycles=300)
@@ -109,7 +100,7 @@ class TestKernelMechanics:
     def test_event_kernel_skips_node_ticks(self):
         """The point of the refactor: an idle-heavy remote access must cost
         far fewer node ticks than cycles x nodes."""
-        machine = MMachine(_config(shape=(2, 2, 1)))
+        machine = MMachine(small_config((2, 2, 1), "event"))
         machine.map_on_node(3, REGION, num_pages=1)
         machine.write_word(REGION, 1)
         machine.load_hthread(0, 0, 0, "ld i5, i1\nhalt", registers={"i1": REGION})
@@ -123,7 +114,7 @@ class TestKernelMechanics:
         event kernel reports the same final cycle."""
         results = {}
         for kernel in KERNELS:
-            config = _config(shape=(1, 1, 1), mode="none", kernel=kernel)
+            config = small_config((1, 1, 1), kernel, mode="none")
             machine = MMachine(config)
             machine.map_on_node(0, REGION, num_pages=1, preload_ltlb=False)
             # The LTLB miss raises an event that no handler ever consumes, so
@@ -142,7 +133,7 @@ class TestKernelMechanics:
         exactly as under the naive loop."""
 
         def scenario(kernel):
-            machine = MMachine(_config(kernel=kernel))
+            machine = MMachine(small_config((2, 1, 1), kernel))
             machine.map_on_node(1, REGION, num_pages=1)
             machine.write_word(REGION, 2)
             machine.load_hthread(0, 0, 0, "ld i5, i1\nhalt", registers={"i1": REGION})
@@ -159,7 +150,7 @@ class TestKernelMechanics:
         same final state."""
 
         def scenario(kernel):
-            machine = MMachine(_config(kernel=kernel))
+            machine = MMachine(small_config((2, 1, 1), kernel))
             machine.map_on_node(1, REGION, num_pages=1)
             machine.write_word(REGION, 5)
             machine.load_hthread(0, 0, 0, "ld i5, i1\nadd i6, i5, #100\nhalt",
@@ -176,7 +167,7 @@ class TestKernelMechanics:
         with external mutation between steps."""
         machines = {}
         for kernel in KERNELS:
-            machine = MMachine(_config(kernel=kernel))
+            machine = MMachine(small_config((2, 1, 1), kernel))
             machine.map_on_node(1, REGION, num_pages=1)
             machine.write_word(REGION, 9)
             machine.load_hthread(0, 0, 0, "ld i5, i1\nhalt", registers={"i1": REGION})
