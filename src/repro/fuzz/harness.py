@@ -5,7 +5,7 @@ kernel and the naive reference loop — and every observable the repository's
 equivalence suites guard must be identical: final cycle, machine
 statistics, per-context microarchitectural state including the per-reason
 stall strings, SECDED error counters, the full event trace and the snapshot
-state (:func:`machine_difference`).  A third
+state (:func:`machine_view`).  A third
 run snapshot-round-trips at a seeded mid-run cycle and must land on the
 same final state (the bit-exact-resume guarantee).
 
@@ -187,29 +187,30 @@ def check_program(
     if baseline is None:
         return outcome
     outcome.cycles = baseline.cycle
+    expected = machine_view(baseline)
 
     for kernel in VARIANTS:
         machine = run_grid_point(kernel)
         if machine is None:
             continue
-        diff = machine_difference(baseline, machine)
+        diff = view_difference(expected, machine_view(machine))
         if diff is not None:
             outcome.fail(f"differential[{kernel}]", diff)
 
-    _check_snapshot_roundtrip(program, baseline, outcome, _mutate)
+    _check_snapshot_roundtrip(program, baseline.cycle, expected, outcome, _mutate)
     return outcome
 
 
 def _check_snapshot_roundtrip(
     program: GeneratedProgram,
-    baseline: MMachine,
+    final_cycle: int,
+    expected: str,
     outcome: FuzzOutcome,
     _mutate: Optional[Mutator],
 ) -> None:
     """Snapshot at the seeded mid-run cycle, restore from the JSON document,
     run the exact remaining cycle budget, and compare against the
-    uninterrupted baseline."""
-    final_cycle = baseline.cycle
+    uninterrupted baseline's *expected* view."""
     snapshot_cycle = max(1, min(int(final_cycle * program.snapshot_fraction), final_cycle))
     machine = program.build_machine(BASELINE)
     machine.run(snapshot_cycle)
@@ -226,7 +227,7 @@ def _check_snapshot_roundtrip(
         restored.run(remaining)
     if _mutate is not None:
         _mutate(restored, "snapshot")
-    diff = view_difference(machine_view(baseline), machine_view(restored))
+    diff = view_difference(expected, machine_view(restored))
     if diff is not None:
         outcome.fail(f"snapshot[cycle={snapshot_cycle}]", diff)
 
