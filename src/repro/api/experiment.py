@@ -6,11 +6,10 @@ This is the documented way to define and run one experiment::
 
     with (
         Experiment.builder()
-        .workload("ping-pong", rounds=8)
+        .workload("flood", messages=16, send_credits=4)
         .mesh(2, 2, 1)
         .kernel("event")
-        .override("network.send_credits", 4)
-        .tag(figure="fig7")
+        .tag(figure="a4")
         .build()
     ) as experiment:
         result = experiment.run()
@@ -22,7 +21,8 @@ config-override keys (:func:`repro.core.config.validate_override_key`) —
 so a typo fails at build time, not as a dead attribute on a live machine.
 ``build()`` also refuses an override of a key that one of the workload's
 parameters sets (:data:`repro.core.config.PARAM_KEYS`), naming the
-parameter to set instead.
+parameter to set instead, and of a key that the workload fixes itself
+(``coherence``'s shared-memory mode).
 
 Because workload factories construct their machines internally, builder
 features that need the machine itself (config overrides, disk traces, probes) are
@@ -189,6 +189,11 @@ class ExperimentBuilder:
         # An override of a key that a parameter sets would run a machine
         # that the parameters and run id do not describe.
         for name, key in PARAM_KEYS.items():
+            if key in self._overrides and name in spec.fixed_params:
+                raise ValueError(
+                    f"workload {spec.name!r} fixes its {name!r}, which sets {key}; "
+                    f"{key!r} cannot be overridden"
+                )
             if key in self._overrides and name in spec.defaults:
                 method = f".{name}()" if name in ("mesh", "kernel") else f".params({name}=...)"
                 raise ValueError(

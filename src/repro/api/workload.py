@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol
+from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Tuple
 
 Metrics = Dict[str, object]
 
@@ -74,6 +74,9 @@ class WorkloadSpec:
     description: str = ""
     #: Which part of the paper the workload reproduces (e.g. ``"Figure 5"``).
     section: str = ""
+    #: :data:`~repro.core.config.PARAM_KEYS` parameters that the workload
+    #: sets to a value of its own instead of taking them.
+    fixed_params: Tuple[str, ...] = ()
 
     def __call__(self, **params: Any) -> Metrics:
         """Run the underlying callable directly (satisfies :class:`Workload`)."""
@@ -86,6 +89,7 @@ class WorkloadSpec:
         func: Callable[..., Metrics],
         description: Optional[str] = None,
         section: str = "",
+        fixed_params: Tuple[str, ...] = (),
     ) -> "WorkloadSpec":
         """Build a spec by introspecting *func* (defaults, docstring)."""
         if description is None:
@@ -97,6 +101,7 @@ class WorkloadSpec:
             defaults=_signature_defaults(func),
             description=description,
             section=section,
+            fixed_params=fixed_params,
         )
 
     def param_names(self) -> List[str]:
@@ -147,6 +152,7 @@ def workload(
     *,
     description: Optional[str] = None,
     section: str = "",
+    fixed_params: Tuple[str, ...] = (),
     register: bool = True,
 ) -> Callable[[Callable[..., Metrics]], WorkloadSpec]:
     """Decorator: wrap a factory function as a (usually registered) spec.
@@ -167,7 +173,8 @@ def workload(
     def wrap(func: Callable[..., Metrics]) -> WorkloadSpec:
         spec_name = name if name is not None else func.__name__.replace("_", "-")
         spec = WorkloadSpec.from_callable(
-            spec_name, func, description=description, section=section
+            spec_name, func, description=description, section=section,
+            fixed_params=fixed_params,
         )
         if register:
             register_spec(spec)

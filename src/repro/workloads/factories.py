@@ -508,7 +508,7 @@ loop:   ld i4, i1          ; read the same remote word
     return metrics
 
 
-@workload("coherence", section="Ablation A3 (Section 4.3)")
+@workload("coherence", section="Ablation A3 (Section 4.3)", fixed_params=("mode",))
 def coherence(
     repeats: int = 16,
     mesh: Sequence[int] = (2, 1, 1),

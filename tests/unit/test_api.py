@@ -329,6 +329,14 @@ class TestExperimentBuilder:
         with pytest.raises(ValueError, match=re.escape(f"use {method} instead of overriding")):
             builder.build()
 
+    def test_override_of_a_fixed_parameter_rejected_at_build(self):
+        """``coherence`` is ``remote-memory`` with its mode fixed: a mode
+        override would run a remote machine under a coherent result."""
+        builder = Experiment.builder().workload("coherence").override(
+            "runtime.shared_memory_mode", "remote")
+        with pytest.raises(ValueError, match="workload 'coherence' fixes its 'mode'"):
+            builder.build()
+
     def test_kernel_override_allowed_where_no_parameter_sets_it(self):
         experiment = Experiment.builder().workload("area-model").override("sim.kernel", "naive")
         assert experiment.build().overrides == {"sim.kernel": "naive"}
