@@ -65,8 +65,7 @@ def runs_difference(expected: List[MMachine], actual: List[MMachine]) -> Optiona
 # -- registered workloads --------------------------------------------------------
 
 #: Parameters other than the defaults: shorter runs, busy-stencil on four
-#: nodes, and the two flood workloads at the settings of the contention and
-#: NACK-retransmit runs.
+#: nodes, and many-to-one-flood at the settings of the contention run.
 PARAMS = {
     "busy-stencil": {"iterations": 12, "mesh": [2, 2, 1]},
     "cc-barrier": {"iterations": 10},
@@ -75,7 +74,6 @@ PARAMS = {
     "many-to-one-flood": {"messages_each": 12, "queue_words": 128,
                           "retransmit_interval": 32},
     "message-stream": {"count": 16},
-    "nack-flood": {"messages_each": 8, "retransmit_interval": 16},
     "ping-pong": {"rounds": 3},
     "remote-memory": {"repeats": 4},
     "vthread-interleave": {"num_threads": 3, "chain_loads": 6},
@@ -336,6 +334,7 @@ SCENARIOS: Dict[str, Scenario] = {
     "stencil-hep": _workload("stencil", policy="hep", n_hthreads=2, max_cycles=60_000),
     "vthread-interleave-round-robin": _workload("vthread-interleave", policy="round-robin"),
     "vthread-interleave-hep": _workload("vthread-interleave", policy="hep"),
+    "nack-flood-16": _workload("nack-flood", messages_each=8, retransmit_interval=16),
     **{f"fuzz-{seed}": _fuzz(seed) for seed in range(25)},
     "remote-gather": remote_gather,
     "gather-resumed": gather_resumed,
