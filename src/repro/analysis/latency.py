@@ -50,18 +50,17 @@ def measure_load_latency(tracer: Tracer, node: int, slot: int, cluster: int,
     """
     issue_event = None
     for event in tracer.iter_filter("mem_issue", node=node, since=since):
-        if (not event.info.get("store")) and event.info.get("cluster") == cluster \
-                and event.info.get("slot") == slot:
+        info = event.info
+        if not info.get("store") and info.get("cluster") == cluster \
+                and info.get("slot") == slot:
             issue_event = event
             break
     if issue_event is None:
         raise LookupError("no load issue found in the trace")
     for event in tracer.iter_filter("reg_write", node=node, since=issue_event.cycle):
-        if (
-            event.info.get("cluster") == cluster
-            and event.info.get("slot") == slot
-            and event.info.get("reg") == register
-        ):
+        info = event.info
+        if info.get("cluster") == cluster and info.get("slot") == slot \
+                and info.get("reg") == register:
             return event.cycle - issue_event.cycle
     raise LookupError(f"load to {register} never completed (issued at {issue_event.cycle})")
 
@@ -72,8 +71,9 @@ def measure_store_latency(tracer: Tracer, issue_node: int, home_node: int, addre
     its home (*home_node*).  Streams like :func:`measure_load_latency`."""
     issue_event = None
     for event in tracer.iter_filter("mem_issue", node=issue_node, since=since):
-        if event.info.get("store") and event.info.get("cluster") == cluster \
-                and event.info.get("slot") == slot:
+        info = event.info
+        if info.get("store") and info.get("cluster") == cluster \
+                and info.get("slot") == slot:
             issue_event = event
             break
     if issue_event is None:

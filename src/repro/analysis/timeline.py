@@ -83,7 +83,8 @@ def _first(tracer: Tracer, category: str, node: int, since: int = 0, **match) ->
     # Streamed (iter_filter), so the extraction works out-of-core on a
     # disk-backed trace of an arbitrarily long run.
     for event in tracer.iter_filter(category=category, node=node, since=since):
-        if all(event.info.get(key) == value for key, value in match.items()):
+        info = event.info
+        if all(info.get(key) == value for key, value in match.items()):
             return event
     return None
 
@@ -146,8 +147,8 @@ def extract_remote_access_timeline(
                      "reply message received")
         final = None
         for candidate in tracer.iter_filter("reg_write", node=REQUESTING_NODE, since=start):
-            if candidate.info.get("reg") == DESTINATION_REGISTER and \
-                    candidate.info.get("origin") == "xregwr":
+            info = candidate.info
+            if info.get("reg") == DESTINATION_REGISTER and info.get("origin") == "xregwr":
                 final = candidate
                 break
         timeline.add(final.cycle if final else None, REQUESTING_NODE,

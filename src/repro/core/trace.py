@@ -28,8 +28,7 @@ skip whole chunks), so analyses never need the full trace in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.values import decode_value, encode_value
 
@@ -67,42 +66,92 @@ TRACE_CATEGORIES = frozenset({
 HANDLER_CATEGORY_PREFIX = "handler_"
 
 
-@dataclass
+#: Every distinct sequence of info keys, interned: all events recorded with
+#: the same keys in the same order share one key tuple.  Derived state like
+#: ``dispatch._FACTORIES``: module-level, filled on first use, never
+#: serialised.
+_KEYS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
 class TraceEvent:
-    cycle: int
-    node: int
-    category: str
-    info: Dict[str, object] = field(default_factory=dict)
+    """One trace event: ``cycle``, ``node``, ``category`` and the ``info``
+    fields it was recorded with.
+
+    An event stores its info as a shared key tuple and a tuple of values, in
+    recording order, so it holds no dict of its own.  ``info`` builds a
+    fresh dict on every access (read it; mutating it changes nothing), and
+    ``event.<field>`` reads one info field.  Equality compares the cycle,
+    node, category and info, ignoring the key order; events are unhashable.
+    """
+
+    __slots__ = ("cycle", "node", "category", "_keys", "_values")
+
+    def __init__(self, cycle: int, node: int, category: str,
+                 info: Optional[Mapping[str, object]] = None) -> None:
+        self.cycle = cycle
+        self.node = node
+        self.category = category
+        if info is None:
+            info = {}
+        keys = tuple(info)
+        self._keys = _KEYS.setdefault(keys, keys)
+        self._values = tuple(info.values())
+
+    @property
+    def info(self) -> Dict[str, object]:
+        return dict(zip(self._keys, self._values))
 
     def __getattr__(self, name: str):
+        # Reached only for a name that is no slot, method or property: an
+        # info field.
         try:
-            return self.info[name]
-        except KeyError:
+            return self._values[self._keys.index(name)]
+        except ValueError:
             raise AttributeError(name) from None
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.cycle, self.node, self.category) != (other.cycle, other.node, other.category):
+            return False
+        if self._keys is other._keys:
+            return self._values == other._values
+        return self.info == other.info
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return (self.__class__, (self.cycle, self.node, self.category, self.info))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(cycle={self.cycle!r}, node={self.node!r}, "
+                f"category={self.category!r}, info={self.info!r})")
+
     def __str__(self) -> str:
-        details = ", ".join(f"{key}={value}" for key, value in sorted(self.info.items()))
+        details = ", ".join(f"{key}={value}" for key, value in sorted(zip(self._keys, self._values)))
         return f"[{self.cycle:6d}] node {self.node} {self.category}: {details}"
 
 
 def encode_event(event: TraceEvent) -> list:
     """Encode one event into its serialised row ``[cycle, node, category,
     info]`` — the format shared by snapshots and on-disk trace chunks."""
-    info = event.info
-    # Fast path: almost every info dict holds only plain scalars.
-    for value in info.values():
+    values = event._values
+    # Fast path: almost every event holds only plain scalars.
+    for value in values:
         value_type = type(value)
         if not (value_type is int or value_type is str
                 or value_type is bool or value is None):
-            return [event.cycle, event.node, event.category, encode_value(info)]
-    return [event.cycle, event.node, event.category, dict(info)]
+            return [event.cycle, event.node, event.category, encode_value(event.info)]
+    return [event.cycle, event.node, event.category, dict(zip(event._keys, values))]
 
 
 def decode_event(row: Iterable) -> TraceEvent:
     """Inverse of :func:`encode_event`."""
     cycle, node, category, info = row
-    return TraceEvent(cycle=cycle, node=node, category=category,
-                      info=decode_value(info))
+    info = decode_value(info)
+    if not isinstance(info, dict):
+        raise ValueError(f"trace event info is a {type(info).__name__}, not an object")
+    return TraceEvent(cycle, node, category, info)
 
 
 def _match(event: TraceEvent, category, node, since) -> bool:
@@ -226,7 +275,7 @@ class Tracer:
     def record(self, cycle: int, node: int, category: str, **info) -> None:
         if not self.enabled:
             return
-        self._append(TraceEvent(cycle=cycle, node=node, category=category, info=info))
+        self._append(TraceEvent(cycle, node, category, info))
 
     # -- queries -----------------------------------------------------------------
 
@@ -256,7 +305,8 @@ class Tracer:
 
     def first(self, category: str, **match) -> Optional[TraceEvent]:
         for event in self._sink.iter_events(category=category):
-            if all(event.info.get(key) == value for key, value in match.items()):
+            info = event.info
+            if all(info.get(key) == value for key, value in match.items()):
                 return event
         return None
 

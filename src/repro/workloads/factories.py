@@ -203,8 +203,8 @@ def remote_store_latency(
     machine.run_until_quiescent(max_cycles=max_cycles)
     send = machine.tracer.first("send", cluster=0)
     complete = None
-    for event in machine.tracer.filter("store_complete", node=far):
-        if event.info.get("address") == REGION + 1:
+    for event in machine.tracer.iter_filter("store_complete", node=far):
+        if event.address == REGION + 1:
             complete = event
             break
     verified = complete is not None and machine.read_word(REGION + 1) == 99
