@@ -20,6 +20,7 @@ interleavings the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from repro.core.component import StatefulComponent
@@ -67,15 +68,23 @@ class GtlbEntry:
             raise ValueError("start node coordinates must be non-negative")
 
     # -- geometry ----------------------------------------------------------------
+    # Computed on first use and kept in the instance ``__dict__``, which the
+    # dataclass's fields, ``==``, ``repr`` and the snapshot record do not
+    # read.  Not in ``__post_init__``, which would change which malformed
+    # snapshot entries load (``snapshot_record_mutants.json``).
 
-    @property
+    @cached_property
     def region_shape(self) -> Tuple[int, int, int]:
         return tuple(1 << e for e in self.extent)
 
-    @property
+    @cached_property
     def region_size(self) -> int:
         dx, dy, dz = self.region_shape
         return dx * dy * dz
+
+    @cached_property
+    def _limit_page(self) -> int:
+        return self.base_page + self.page_group_length
 
     @property
     def base_address(self) -> int:
@@ -87,7 +96,7 @@ class GtlbEntry:
 
     def covers(self, address: int) -> bool:
         page = address // self.page_size_words
-        return self.base_page <= page < self.base_page + self.page_group_length
+        return self.base_page <= page < self._limit_page
 
     # -- translation -------------------------------------------------------------
 

@@ -68,6 +68,15 @@ class TestGtlbEntry:
         entry = self._entry(start_node=(3, 2, 1), extent=(2, 1, 0), pages_per_node=2)
         assert GtlbEntry.unpack(entry.pack(), page_size_words=512) == entry
 
+    def test_geometry_is_computed_once_and_leaves_the_value_alone(self):
+        entry = self._entry(start_node=(3, 2, 1), extent=(2, 1, 0), pages_per_node=2)
+        fresh = self._entry(start_node=(3, 2, 1), extent=(2, 1, 0), pages_per_node=2)
+        assert entry.node_coords_of(17 * 512) == (3, 2, 1)
+        assert entry.region_shape is entry.region_shape
+        assert (entry == fresh, hash(entry) == hash(fresh)) == (True, True)
+        assert (repr(entry), entry.pack()) == (repr(fresh), fresh.pack())
+        assert GtlbEntry.unpack(entry.pack(), page_size_words=512) == entry
+
     def test_non_power_of_two_length_rejected(self):
         with pytest.raises(ValueError):
             self._entry(page_group_length=6)
