@@ -298,7 +298,7 @@ class Experiment:
     @property
     def run_id(self) -> str:
         """The deterministic run id of this experiment's configuration."""
-        return run_id_for(self.spec.name, self.params)
+        return run_id_for(self.spec.name, self.params, self.overrides)
 
     # -- execution ---------------------------------------------------------------
 
@@ -339,6 +339,7 @@ class Experiment:
             wall_seconds=time.perf_counter() - start,
             tags=self.tags,
             resumed_from_cycle=resumed_from,
+            overrides=self.overrides,
         )
         self.results.append(result)
         return result

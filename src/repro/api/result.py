@@ -27,6 +27,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional
 
 from repro.api.schema import (
+    OVERRIDE_TAG_PREFIX,
     SCHEMA_VERSION,
     VERIFICATION_FAILED,
     config_fingerprint,
@@ -88,26 +89,31 @@ class RunResult:
         wall_seconds: float = 0.0,
         tags: Optional[Mapping[str, str]] = None,
         resumed_from_cycle: Optional[int] = None,
+        overrides: Optional[Mapping[str, object]] = None,
     ) -> "RunResult":
         """Wrap a completed workload's metrics dict.
 
         ``status`` derives from the workload's own correctness check exactly
         the way the sweep runner always has: ``metrics["verified"]`` absent
         or true means ``"ok"``, anything else a ``"failed"`` result carrying
-        :data:`VERIFICATION_FAILED`.
+        :data:`VERIFICATION_FAILED`.  Each config override the machines were
+        built with becomes an ``override.<key>`` tag, and the run id covers
+        them.
         """
         params = dict(params)
         status = "ok" if metrics.get("verified", True) else "failed"
         merged_tags = dict(tags or {})
         if resumed_from_cycle is not None:
             merged_tags["resumed_from_cycle"] = str(resumed_from_cycle)
+        for key, value in (overrides or {}).items():
+            merged_tags[OVERRIDE_TAG_PREFIX + key] = str(value)
         return cls(
             workload=workload,
             params=params,
             status=status,
             metrics=dict(metrics),
             wall_seconds=round(float(wall_seconds), 6),
-            run_id=run_id_for(workload, params),
+            run_id=run_id_for(workload, params, overrides),
             error=None if status == "ok" else VERIFICATION_FAILED,
             tags=merged_tags,
         )
@@ -188,11 +194,21 @@ class RunResult:
         return int(value) if isinstance(value, int) and not isinstance(value, bool) else None
 
     @property
+    def overrides(self) -> Dict[str, str]:
+        """The dotted config overrides the run's machines were built with,
+        each value as a string, read from the ``override.<key>`` tags."""
+        return {
+            key[len(OVERRIDE_TAG_PREFIX):]: value
+            for key, value in self.tags.items()
+            if key.startswith(OVERRIDE_TAG_PREFIX)
+        }
+
+    @property
     def fingerprint(self) -> str:
-        """8-hex-digit digest of ``(workload, params)`` — equal fingerprints
-        mean the same experiment configuration (it is also the hash suffix
-        of :attr:`run_id`)."""
-        return config_fingerprint(self.workload, self.params)
+        """8-hex-digit digest of ``(workload, params)`` and the
+        :attr:`overrides` — equal fingerprints mean the same experiment
+        configuration (it is also the hash suffix of :attr:`run_id`)."""
+        return config_fingerprint(self.workload, self.params, self.overrides)
 
     @property
     def summary(self) -> Dict[str, object]:

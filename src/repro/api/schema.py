@@ -13,16 +13,18 @@ through :func:`validate_results`, and ``repro validate --roundtrip``
 additionally checks that every record survives the
 ``record -> RunResult -> record`` round-trip byte-identically.
 
-A run's identity is a pure function of its workload and explicit
-parameters: :func:`run_id_for` names its record file and
-:func:`config_fingerprint` is the hash in that name.
+A run's identity is a pure function of its workload, its explicit
+parameters and the config overrides its machines were built with:
+:func:`run_id_for` names its record file and :func:`config_fingerprint` is
+the hash in that name.  A result records each override as a tag
+(:data:`OVERRIDE_TAG_PREFIX`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 #: Bump when the record shape changes incompatibly.
 SCHEMA_VERSION = 1
@@ -46,6 +48,10 @@ _STATUSES = ("ok", "failed")
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
+#: Prefix of the result tags that record a config override, followed by the
+#: dotted key: ``override.network.send_credits``.
+OVERRIDE_TAG_PREFIX = "override."
+
 
 def _slug(value: object) -> str:
     """A filesystem-safe fragment for one parameter value."""
@@ -59,22 +65,33 @@ def _canonical(params: Dict[str, object]) -> str:
     return json.dumps(params, sort_keys=True, separators=(",", ":"), default=str)
 
 
-def config_fingerprint(workload: str, params: Dict[str, object]) -> str:
-    """The 8-hex-digit digest of one ``(workload, params)`` configuration.
+def config_fingerprint(workload: str, params: Dict[str, object],
+                       overrides: Optional[Mapping[str, object]] = None) -> str:
+    """The 8-hex-digit digest of one ``(workload, params)`` configuration,
+    and of the dotted config *overrides* its machines were built with, if
+    any (each value as its string, the form its result tag holds).
 
     This is the hash suffix of :attr:`repro.sweep.RunSpec.run_id` and the
     ``fingerprint`` of a :class:`repro.api.RunResult`: equal fingerprints
-    mean the same workload ran with the same explicit parameters.
+    mean the same workload ran with the same explicit parameters and
+    overrides.
     """
-    return hashlib.sha256((workload + _canonical(params)).encode()).hexdigest()[:8]
+    text = workload + _canonical(params)
+    if overrides:
+        text += _canonical({key: str(value) for key, value in overrides.items()})
+    return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 
-def run_id_for(workload: str, params: Dict[str, object]) -> str:
-    """The deterministic run id of one ``(workload, params)`` pair."""
+def run_id_for(workload: str, params: Dict[str, object],
+               overrides: Optional[Mapping[str, object]] = None) -> str:
+    """The deterministic run id of one ``(workload, params)`` pair and its
+    config *overrides*; without overrides, the id the pair always had."""
     parts = [workload]
     for key in sorted(params):
         parts.append(f"{key}-{_slug(params[key])}")
-    return "_".join(parts)[:96] + "_" + config_fingerprint(workload, params)
+    for key, value in sorted((overrides or {}).items()):
+        parts.append(f"{key}-{_slug(str(value))}")
+    return "_".join(parts)[:96] + "_" + config_fingerprint(workload, params, overrides)
 
 
 def make_record(

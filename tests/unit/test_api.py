@@ -388,6 +388,34 @@ class TestExperimentBuilder:
         assert result.ok
         assert machines, "probe saw no machines"
         assert all(m.config.cluster.issue_policy == "round-robin" for m in machines)
+        assert result.overrides == {"cluster.issue_policy": "round-robin"}
+
+        # An override that no parameter sets builds a different machine, so
+        # its result records it and gets a run id of its own; a run without
+        # one keeps the run id it always had.
+        machines = []
+
+        def run(**overrides):
+            builder = Experiment.builder().workload("ping-pong", rounds=2)
+            builder.probe(machines.append).config(overrides)
+            with builder.build() as exp:
+                return exp.run(), exp.run_id
+
+        plain, plain_id = run()
+        credits, credits_id = run(**{"network.send_credits": 2})
+        assert machines[-1].config.network.send_credits == 2
+        assert machines[0].config.network.send_credits != 2
+        assert plain.run_id == plain_id == "ping-pong_rounds-2_061eae25"
+        assert (plain.tags, plain.overrides) == ({}, {})
+        assert "tags" not in plain.to_record()
+        assert credits.params == plain.params == {"rounds": 2}
+        assert credits.tags == {"override.network.send_credits": "2"}
+        assert credits.overrides == {"network.send_credits": "2"}
+        assert credits.run_id == credits_id != plain_id
+        assert credits.run_id.startswith("ping-pong_rounds-2_network.send_credits-2_")
+        assert credits.fingerprint == credits.run_id[-8:] != plain.fingerprint
+        parsed = RunResult.from_record(credits.to_record())
+        assert parsed == credits and parsed.fingerprint == credits.fingerprint
 
     def test_tags_and_seed_flow_into_provenance(self):
         with (
