@@ -16,10 +16,12 @@ ratio; ``test_event_kernel_speedup`` asserts the >= 2x floor from the
 issue's acceptance criteria (in practice the ratio is far higher).
 """
 
+import gc
 import os
 import random
 import sys
 import time
+import tracemalloc
 
 from conftest import record_trajectory, report
 from repro import MMachine, MachineConfig
@@ -44,6 +46,9 @@ MESH_MATRIX = ((4, 4, 1, 120), (8, 8, 1, 120), (16, 16, 1, 120))
 
 #: Words written and read back by the SDRAM/SECDED throughput benchmark.
 SDRAM_WORDS = 4096
+
+#: Remote reads of the remote-memory run the trace-memory benchmark keeps.
+TRACE_MEMORY_REPEATS = 300
 
 
 def _remote_read_chain(repeats: int = REPEATS) -> str:
@@ -421,4 +426,57 @@ def test_sdram_secded_throughput():
         f"words                   {SDRAM_WORDS}",
         f"write                   {write_rate:>12.0f} words/s",
         f"read                    {read_rate:>12.0f} words/s",
+    ])
+
+
+def _retained_heap(trace_enabled):
+    """Bytes that one remote-memory run leaves allocated while its machine
+    is kept, with the trace on or off (tracemalloc), and the events its
+    trace holds."""
+    machines = []
+    experiment = (
+        ExperimentBuilder()
+        .workload("remote-memory", repeats=TRACE_MEMORY_REPEATS)
+        .override("trace_enabled", trace_enabled)
+        .probe(machines.append)
+        .build()
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = experiment.run()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.verified, "remote-memory checksum mismatch"
+    return retained, sum(len(machine.tracer) for machine in machines)
+
+
+def test_trace_memory():
+    """Memory-sink layer: the bytes the default trace sink retains per
+    event, as the heap of a traced run minus that of the same run untraced,
+    divided by its events.  Recorded in the trajectory without a floor; the
+    ratio test in tests/unit/test_trace_events.py gates the event
+    representation.  A first untraced run fills the per-process caches
+    (compiled plans, assembled handlers) before either heap is measured."""
+    _retained_heap(False)
+    traced, events = _retained_heap(True)
+    untraced, untraced_events = _retained_heap(False)
+    assert events > 0 and untraced_events == 0
+    per_event = (traced - untraced) / events
+    record_trajectory(
+        "trace_memory",
+        workload="remote-memory",
+        repeats=TRACE_MEMORY_REPEATS,
+        events=events,
+        traced_heap_bytes=traced,
+        untraced_heap_bytes=untraced,
+        bytes_per_event=round(per_event, 1),
+    )
+    report("Trace memory (remote-memory, memory sink, tracemalloc)", [
+        f"events                  {events}",
+        f"heap, trace on          {traced:>12d} B",
+        f"heap, trace off         {untraced:>12d} B",
+        f"retained per event      {per_event:>12.1f} B",
     ])
