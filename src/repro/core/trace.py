@@ -128,7 +128,8 @@ class TraceEvent:
                 f"category={self.category!r}, info={self.info!r})")
 
     def __str__(self) -> str:
-        details = ", ".join(f"{key}={value}" for key, value in sorted(zip(self._keys, self._values)))
+        fields = sorted(zip(self._keys, self._values))
+        details = ", ".join(f"{key}={value}" for key, value in fields)
         return f"[{self.cycle:6d}] node {self.node} {self.category}: {details}"
 
 
