@@ -1,33 +1,20 @@
-"""Shared fixtures/utilities for the benchmark harness.
+"""Shared hooks of the host-performance benchmarks.
 
-Every benchmark regenerates one of the paper's tables or figures (or one of
-the ablations the ``paper-figures`` sweep also runs, see docs/sweeps.md) and
-prints the corresponding rows next to the paper's published values, so
-running
+``benchmarks/`` measures the simulator's host-side cost (kernel and
+issue-stage throughput, mesh scaling, the trace sinks, snapshots, SDRAM
+words/second, trace memory; see ``test_perf_kernel.py``), and each session
+appends what it measured to the benchmark trajectory.  The paper's own
+claims are checked elsewhere: ``repro sweep paper-figures`` followed by
+``repro report --check`` (docs/sweeps.md).
 
-    pytest benchmarks/ --benchmark-only -s
-
-produces a paper-vs-measured report.  The same comparison for a sweep is the
-report ``repro report`` renders (the smoke sweep's is committed under
-docs/reports/smoke/); docs/architecture.md maps the modules to the paper.
-
-The machine-driving benchmarks execute their scenarios through the shared
-workload factories (:mod:`repro.workloads.factories`) and ``Experiment.run``
-— the same code path ``repro sweep paper-figures`` uses — so sweep results
-and pytest results report identical cycle counts.  Set ``REPRO_RECORD_DIR``
-to a directory to additionally emit one schema-valid JSON record per
-benchmark run, mergeable with sweep output.
+    PYTHONPATH=src python -m pytest benchmarks -q -s
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro.api.experiment import run_workload
 from repro.report.trajectory import append_session
-from repro.sweep.runner import store_record
 
 #: Machine-readable benchmark trajectory, appended to ``BENCH_kernel.json``
 #: (or ``$REPRO_BENCH_JSON``) at session end.  Benchmarks record named
@@ -67,29 +54,3 @@ def report(title: str, lines) -> None:
     for line in lines:
         print(line)
 
-
-def run_and_record(workload: str, **params):
-    """Run a workload factory; emit a sweep-schema record when recording.
-
-    This is the entry point the benchmark files use, so a pytest run and a
-    ``repro sweep`` run of the same (workload, params) execute the same code
-    (both run an ``Experiment``, and the emitted record is the serialised
-    ``RunResult`` form).
-    """
-    result = run_workload(workload, params, tags={"harness": "pytest-benchmarks"})
-    record_dir = os.environ.get("REPRO_RECORD_DIR")
-    if record_dir:
-        store_record(result.to_record(), record_dir)
-    return result.metrics
-
-
-@pytest.fixture
-def single_run_benchmark(benchmark):
-    """A pytest-benchmark wrapper for heavyweight whole-machine simulations:
-    one warm-up-free round, one iteration."""
-
-    def run(function, *args, **kwargs):
-        return benchmark.pedantic(function, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1, warmup_rounds=0)
-
-    return run

@@ -1,8 +1,8 @@
 """Simulation-kernel throughput: event kernel vs naive loop.
 
 Not a paper figure -- this benchmark tracks the *host-side* cost of the
-simulator itself, which gates how large a mesh and how long a workload the
-paper-reproduction benchmarks can afford.  The workload is deliberately
+simulator itself, which gates how large a mesh and how long a workload a
+paper-reproduction sweep can afford.  The workload is deliberately
 idle-heavy: one node on a 4x4x1 mesh performs a chain of dependent remote
 loads from the diagonally-opposite corner, so on almost every cycle almost
 every node is waiting -- the regime the paper's Figures 5-9 scenarios live

@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-mmachine",
-    version="12.3.0",
+    version="12.4.0",
     description=(
         "Cycle-level simulator reproducing 'The M-Machine Multicomputer' "
         "(Fillo, Keckler, Dally, Carter, Chang, Gurevich & Lee, MICRO-28 1995)"

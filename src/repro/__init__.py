@@ -70,7 +70,7 @@ from repro.isa import Program, assemble, AssemblyError
 from repro.memory.guarded_pointer import GuardedPointer, PointerPermission, ProtectionError
 from repro.memory.page_table import BlockStatus
 
-__version__ = "12.3.0"
+__version__ = "12.4.0"
 
 __all__ = [
     "Experiment",

@@ -1,12 +1,12 @@
 """``RunResult``: the one interchange type for experiment outcomes.
 
 Every harness that runs a workload — ``repro run``, the sweep runner, the
-pytest benchmarks, the ``Experiment`` facade — produces a
-:class:`RunResult`.  Its serialised form *is* the sweep record
-schema (:mod:`repro.api.schema`): :meth:`RunResult.to_record` emits a
-schema-valid record dict byte-compatible with what the sweep runner has
-always written, and :meth:`RunResult.from_record` parses one back, so
-manifests round-trip losslessly through the typed API
+``Experiment`` facade — produces a :class:`RunResult`.  Its serialised
+form *is* the sweep record schema (:mod:`repro.api.schema`):
+:meth:`RunResult.to_record` emits a schema-valid record dict
+byte-compatible with what the sweep runner has always written, and
+:meth:`RunResult.from_record` parses one back, so manifests round-trip
+losslessly through the typed API
 (:func:`roundtrip_problems` is the checker CI runs via
 ``repro validate --roundtrip``).
 

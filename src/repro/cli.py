@@ -670,7 +670,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         with open(args.results, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
+    except (OSError, ValueError) as error:
         print(f"repro validate: cannot read {args.results}: {error}", file=sys.stderr)
         return 2
     problems = validate_results(document, allow_failed=args.allow_failed)

@@ -149,11 +149,13 @@ class Manifest:
             for name in sorted(os.listdir(runs_dir)):
                 if not name.endswith(".json"):
                     continue
-                with open(os.path.join(runs_dir, name), "r", encoding="utf-8") as handle:
-                    try:
+                try:
+                    with open(os.path.join(runs_dir, name), "r", encoding="utf-8") as handle:
                         raw.append(json.load(handle))
-                    except json.JSONDecodeError as error:
-                        unreadable.append(f"{name}: not valid JSON ({error})")
+                except OSError as error:
+                    unreadable.append(f"{name}: cannot read ({error})")
+                except ValueError as error:
+                    unreadable.append(f"{name}: not valid JSON ({error})")
             manifest = cls._from_raw_records(raw, source=path)
             manifest.problems.extend(unreadable)
             return manifest
@@ -162,7 +164,7 @@ class Manifest:
                 document = json.load(handle)
         except OSError as error:
             raise ManifestError(f"cannot read {path}: {error}") from error
-        except json.JSONDecodeError as error:
+        except ValueError as error:
             raise ManifestError(f"{path} is not valid JSON: {error}") from error
         if not isinstance(document, dict):
             raise ManifestError(f"{path} does not contain a results object")

@@ -135,7 +135,7 @@ def load_sessions(path: str) -> List[Dict[str, object]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return []
     if not isinstance(document, dict) or document.get("schema_version") != SCHEMA_VERSION:
         return []
@@ -176,7 +176,7 @@ def check_file(path: str, require_nonempty: bool = False) -> List[str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
+    except (OSError, ValueError) as error:
         return [f"cannot read {path}: {error}"]
     problems = validate_trajectory(document)
     if problems:

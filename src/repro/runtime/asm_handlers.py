@@ -18,7 +18,7 @@ implement transparent non-cached access to remote memory:
 
 The handlers are genuine MAP assembly assembled by :mod:`repro.isa.assembler`
 and executed by the simulator, so every latency reported by the Table 1 /
-Figure 9 benchmarks is measured, not asserted.
+Figure 9 workloads is measured, not asserted.
 """
 
 from __future__ import annotations

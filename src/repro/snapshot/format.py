@@ -26,6 +26,7 @@ import dataclasses
 import gzip
 import json
 import os
+import zlib
 from typing import Any, Dict
 
 from repro.cluster import icache
@@ -285,7 +286,7 @@ def read_snapshot(path: str) -> Dict[str, object]:
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
-    except (OSError, json.JSONDecodeError, EOFError) as error:
+    except (OSError, ValueError, EOFError, zlib.error) as error:
         raise SnapshotError(f"cannot read snapshot {path}: {error}") from error
     validate_document(document)
     return document

@@ -172,7 +172,7 @@ class SweepRunner:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
         if validate_record(record) or record.get("status") != "ok":
             return None

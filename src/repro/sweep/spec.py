@@ -141,11 +141,10 @@ class SweepSpec:
     @classmethod
     def from_file(cls, path: str) -> "SweepSpec":
         """Load a spec from a JSON file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except ValueError as error:
             raise ValueError(f"sweep spec {path} is not valid JSON: {error}") from error
         if not isinstance(data, dict):
             raise ValueError(f"sweep spec {path} must contain a mapping")

@@ -1,10 +1,12 @@
 """Built-in sweep specifications.
 
-``paper-figures`` regenerates every figure, table and ablation of the
-``benchmarks/`` suite through the shared workload factories, so its cycle
-counts match the pytest runs exactly.  ``scenario-matrix`` is the expanded
-grid the ROADMAP asks for (mesh sizes 2x2 to 8x8, five communication
-workloads, event vs naive kernel).  ``smoke`` is a CI-sized mini-matrix.
+``paper-figures`` runs every figure, table and ablation of the paper
+through the shared workload factories: its records are what
+``repro report --check`` holds against the paper's claims
+(:mod:`repro.report.expected`).  ``scenario-matrix`` is the expanded grid
+of mesh sizes 2x2 to 8x8, five communication workloads and the
+fault-injection family, event vs naive kernel.  ``smoke`` is a CI-sized
+mini-matrix.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def _paper_figures() -> SweepSpec:
     return SweepSpec(
         name="paper-figures",
         description=(
-            "Every figure, table and ablation of the benchmarks/ suite "
+            "Every figure, table and ablation of the paper "
             "(Figures 5-9, Table 1, Sections 1/5, A1-A4)."
         ),
         groups=[
@@ -155,7 +157,7 @@ def _scenario_matrix() -> SweepSpec:
                 params={"repeats": 12},
                 axes={"mesh": _MESHES, "kernel": _KERNELS},
             ),
-            # Fault-injection & multiprogramming family (ROADMAP item 3).
+            # Fault-injection & multiprogramming family.
             AxesGroup(
                 "multitenant-timeshare",
                 params={"seed": 0, "jobs": 8},

@@ -1,11 +1,11 @@
 """Parameterised workload factories, reusable outside pytest.
 
-Every paper figure, table and ablation the ``benchmarks/`` suite regenerates
-is also expressible as a *named workload*: a plain function that builds a
-machine, runs a scenario, verifies the result and returns a flat metrics
-dict.  The benchmark tests and the ``repro sweep`` subsystem both call these
-factories, so a sweep run and the corresponding pytest run execute the exact
-same code path and therefore report the exact same cycle counts.
+Every paper figure, table and ablation is a *named workload*: a plain
+function that builds a machine, runs a scenario, verifies the result and
+returns a flat metrics dict.  ``repro run``, ``repro sweep`` (its
+``paper-figures`` spec runs them all) and the tests call these factories
+through ``Experiment.run``, so every caller of the same workload and
+parameters executes the same code path and reports the same cycle counts.
 
 Conventions:
 
@@ -675,7 +675,7 @@ def area_model(num_nodes: int = 32) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Fault-injection & multiprogramming family (ROADMAP item 3)
+# Fault-injection & multiprogramming family
 # ---------------------------------------------------------------------------
 
 

@@ -1,12 +1,15 @@
 """Unit tests for the ``repro`` CLI: parsing, list/run/validate commands."""
 
+import gzip
 import json
 import os
 
 import pytest
 
 from repro.cli import build_parser, main, parse_param, parse_params
+from repro.report import trajectory
 from repro.sweep import SCHEMA_VERSION, make_record
+from repro.sweep.runner import RESULTS_FILENAME, RUNS_DIRNAME
 
 
 class TestArgParsing:
@@ -395,3 +398,110 @@ class TestSnapshotResumeCommands:
         assert ("repro resume: snapshot config section is malformed: ValueError: "
                 "cluster.icache_words must be 1024, the value this build runs, "
                 "got -1") in capsys.readouterr().err
+
+
+def _bad_deflate():
+    """A gzip member with a sound header and a deflate stream that starts
+    with an invalid block type."""
+    data = bytearray(gzip.compress(b"{}", mtime=0))
+    data[10] = 0xFF
+    return bytes(data)
+
+
+#: Bytes no reader can decode: a UTF-16 byte-order mark, a UTF-8 lead byte
+#: without its continuation inside a JSON string, and a gzip member with a
+#: corrupt deflate stream (not UTF-8 either).
+UNDECODABLE = {
+    "utf16-bom": b"\xff\xfe{\x00}\x00",
+    "cut-utf8": b'{"runs": ["\xc3"]}',
+    "bad-deflate": _bad_deflate(),
+}
+
+
+def _write(path, data):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return str(path)
+
+
+def _tiny_sweep(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "tiny", "groups": [{"workload": "area-model"}]}))
+    return ["sweep", "--spec-file", str(spec), "--results-dir", str(tmp_path / "out")]
+
+
+def _report_file(tmp_path, data, capsys):
+    path = _write(tmp_path / RESULTS_FILENAME, data)
+    assert main(["report", path]) == 2
+    assert f"repro report: {path} is not valid JSON" in capsys.readouterr().err
+
+
+def _report_dir(tmp_path, data, capsys):
+    assert main(_tiny_sweep(tmp_path)) == 0
+    os.remove(tmp_path / "out" / RESULTS_FILENAME)
+    _write(tmp_path / "out" / RUNS_DIRNAME / "x.json", data)
+    assert main(["report", str(tmp_path / "out")]) == 0
+    assert "skipped invalid record: x.json: not valid JSON" in capsys.readouterr().err
+
+
+def _validate(tmp_path, data, capsys):
+    path = _write(tmp_path / RESULTS_FILENAME, data)
+    assert main(["validate", path]) == 2
+    assert f"repro validate: cannot read {path}" in capsys.readouterr().err
+
+
+def _resume(tmp_path, data, capsys):
+    for name in ("s.json", "s.json.gz"):
+        path = _write(tmp_path / name, data)
+        assert main(["resume", path]) == 2
+        assert f"repro resume: cannot read snapshot {path}" in capsys.readouterr().err
+
+
+def _sweep_record(tmp_path, data, capsys):
+    args = _tiny_sweep(tmp_path)
+    assert main(args) == 0
+    [record] = (tmp_path / "out" / RUNS_DIRNAME).iterdir()
+    record.write_bytes(data)
+    assert main(args) == 0
+    document = json.loads((tmp_path / "out" / RESULTS_FILENAME).read_text())
+    assert document["counts"]["executed"] == 1
+
+
+def _sweep_spec_file(tmp_path, data, capsys):
+    path = _write(tmp_path / "spec.json", data)
+    assert main(["sweep", "--spec-file", path]) == 2
+    assert f"repro sweep: sweep spec {path} is not valid JSON" in capsys.readouterr().err
+
+
+def _trajectory(tmp_path, data, capsys):
+    path = _write(tmp_path / "BENCH_kernel.json", data)
+    assert trajectory.load_sessions(path) == []
+    assert trajectory.main([path]) == 1
+    assert f"trajectory: cannot read {path}" in capsys.readouterr().err
+
+
+#: Every reader of an on-disk JSON input, and the clean outcome it must
+#: give on bytes it cannot decode: a named error, a listed problem, a re-run.
+READERS = {
+    "report-file": _report_file,
+    "report-dir": _report_dir,
+    "validate": _validate,
+    "resume": _resume,
+    "sweep-record": _sweep_record,
+    "sweep-spec-file": _sweep_spec_file,
+    "trajectory": _trajectory,
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(UNDECODABLE))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_undecodable_input_fails_cleanly(tmp_path, capsys, reader, pattern):
+    READERS[reader](tmp_path, UNDECODABLE[pattern], capsys)
+
+
+def test_report_dir_lists_a_directory_named_like_a_record(tmp_path, capsys):
+    assert main(_tiny_sweep(tmp_path)) == 0
+    os.remove(tmp_path / "out" / RESULTS_FILENAME)
+    (tmp_path / "out" / RUNS_DIRNAME / "x.json").mkdir()
+    assert main(["report", str(tmp_path / "out")]) == 0
+    assert "skipped invalid record: x.json: cannot read" in capsys.readouterr().err

@@ -529,7 +529,7 @@ class TestTracerAndStats:
 
 
 class TestAreaModel:
-    """Benchmark E7's claims, unit-level."""
+    """The area and peak-performance claims of Sections 1 and 5."""
 
     def test_processor_fraction_of_chip(self):
         assert TECH_1993.processor_fraction_of_chip == pytest.approx(0.11, abs=0.01)
@@ -549,6 +549,11 @@ class TestAreaModel:
         assert comparison["peak_ratio"] == 128
         assert comparison["area_ratio"] == pytest.approx(1.5, abs=0.1)
         assert comparison["peak_per_area_improvement"] == pytest.approx(85, rel=0.05)
+        # More nodes add compute linearly while the per-node area premium over
+        # plain DRAM stays fixed, so the improvement grows with machine size.
+        improvements = [AreaModel().comparison(num_nodes=n)["peak_per_area_improvement"]
+                        for n in (8, 16, 32, 64)]
+        assert improvements == sorted(improvements)
 
 
 

@@ -64,6 +64,16 @@ class TestGtlbEntry:
         assert entry.pages_on_node((0, 0, 0)) == [16, 18, 20, 22]
         assert entry.pages_on_node((1, 0, 0)) == [17, 19, 21, 23]
 
+    @pytest.mark.parametrize("pages_per_node", [1, 2, 4, 8])
+    def test_64_page_group_spreads_evenly_over_2x2x2(self, pages_per_node):
+        """Figure 8's interleavings, from cyclic to block: each of the eight
+        nodes homes 8 pages, in runs of ``pages_per_node``."""
+        entry = self._entry(base_page=0, page_group_length=64, extent=(1, 1, 1),
+                            pages_per_node=pages_per_node)
+        homes = [entry.node_coords_of(page * 512) for page in range(64)]
+        assert sorted(homes.count(node) for node in set(homes)) == [8] * 8
+        assert homes[0] == homes[pages_per_node - 1] != homes[pages_per_node]
+
     def test_pack_unpack_roundtrip(self):
         entry = self._entry(start_node=(3, 2, 1), extent=(2, 1, 0), pages_per_node=2)
         assert GtlbEntry.unpack(entry.pack(), page_size_words=512) == entry

@@ -40,6 +40,28 @@ def _document(records):
     }
 
 
+def _table1_record(**cells):
+    """A Table 1 record with this repository's measured cells, overridden by
+    ``cells`` (``remote_cache_miss=(read, write)``)."""
+    measured = {
+        "local_cache_hit": (3, 2), "local_cache_miss": (13, 19),
+        "local_ltlb_miss": (50, 55), "remote_cache_hit": (59, 42),
+        "remote_cache_miss": (68, 59), "remote_ltlb_miss": (105, 95),
+    }
+    measured.update(cells)
+    metrics = {"verified": True}
+    for scenario, (read, write) in measured.items():
+        metrics[f"{scenario}_read"] = read
+        metrics[f"{scenario}_write"] = write
+    return _record("table1-access-times", {}, metrics)
+
+
+def _pair(workload, key, values, cycles, **params):
+    return [_record(workload, {**params, key: value},
+                    {"verified": True, "cycles": count, key: value})
+            for value, count in zip(values, cycles)]
+
+
 @pytest.fixture
 def sample_records():
     timeline = [[0, 0, "LOAD issues"], [5, 0, "LTLB miss"], [20, 1, "execute load"],
@@ -77,16 +99,8 @@ def manifest(sample_records):
 @pytest.fixture
 def full_manifest(sample_records):
     """Synthetic records for every section the paper-figures sweep covers."""
-    table1 = {"verified": True}
-    for scenario, (read, write) in {
-        "local_cache_hit": (3, 2), "local_cache_miss": (13, 19),
-        "local_ltlb_miss": (50, 55), "remote_cache_hit": (59, 42),
-        "remote_cache_miss": (68, 59), "remote_ltlb_miss": (105, 95),
-    }.items():
-        table1[f"{scenario}_read"] = read
-        table1[f"{scenario}_write"] = write
     records = sample_records + [
-        _record("table1-access-times", {}, table1),
+        _table1_record(),
         _record("cc-sync", {"iterations": 50},
                 {"verified": True, "cycles": 408, "cycles_per_iteration": 8.16}),
         _record("cc-barrier", {"iterations": 50, "clusters": 4},
@@ -346,7 +360,32 @@ class TestRender:
         assert not any(name.startswith("fig9") for name, _ in charts)
 
 
+#: Manifests that the paper's claims reject though a looser catalogue passed
+#: them, each with the row that must fail: an A1 4-vs-1 V-Thread ratio of
+#: 2.5, an A2 HEP slowdown of 2.5, an A3 coherent/remote ratio of 0.6, and a
+#: remote cache-miss read below the remote cache-hit read.
+STRICTER_CHECKS = [
+    ("ablation-a1/4-threads-vs-1",
+     _pair("vthread-interleave", "num_threads", (1, 4), (200, 500))),
+    ("ablation-a2/hep-vs-event-priority",
+     _pair("issue-policy", "policy", ("event-priority", "hep"), (400, 1000))),
+    ("ablation-a3/coherent-vs-remote",
+     _pair("remote-memory", "mode", ("remote", "coherent"), (1000, 600), repeats=16)),
+    ("table1/remote-miss-read-vs-remote-hit-read",
+     [_table1_record(remote_cache_hit=(68, 42), remote_cache_miss=(59, 50))]),
+]
+
+
 class TestReportCli:
+    @pytest.mark.parametrize("key,records", STRICTER_CHECKS,
+                             ids=[key for key, _ in STRICTER_CHECKS])
+    def test_check_fails_what_the_paper_rejects(self, tmp_path, capsys, key, records):
+        rows = evaluate(Manifest.from_document(_document(records)))
+        assert [row.key for row in rows if row.status == FAIL] == [key]
+        path = self._write_manifest(tmp_path, records)
+        assert cli.main(["report", path, "--check"]) == 1
+        assert f"repro report: {key}: measured" in capsys.readouterr().err
+
     def _write_manifest(self, tmp_path, records):
         path = tmp_path / "sweep-results.json"
         path.write_text(json.dumps(_document(records)))
