@@ -7,9 +7,11 @@ The sweep executes in worker *processes*, so the record comparison checks
 that the simulator is deterministic across process boundaries.
 
 The paper's claims are the expectation catalogue (``repro/report/expected.py``)
-that ``repro report --check`` evaluates; the golden pins its verdicts.  The
-few claims that are no band on one record or one same-workload pair are the
-tests at the end, over the records this module's sweep already holds.
+that ``repro report --check`` evaluates; the golden pins its verdicts, and
+``test_paper_claim_holds`` checks each row on its own, so a claim that no
+longer holds fails under its catalogue key.  The few claims that are no band
+on one record or one same-workload pair are the tests at the end, over the
+records this module's sweep already holds.
 """
 
 import json
@@ -19,7 +21,9 @@ import pytest
 
 from repro.api import get_workload
 from repro.cli import main
-from repro.report import Manifest, render_report
+from repro.report import Manifest, evaluate, render_report
+from repro.report.compare import OK
+from repro.report.expected import EXPECTATIONS
 from repro.sweep import get_spec, validate_results
 from repro.sweep.runner import RESULTS_FILENAME
 
@@ -86,6 +90,20 @@ def test_report_matches_committed_golden(sweep_results, tmp_path):
 @pytest.fixture(scope="module")
 def manifest(sweep_results):
     return Manifest.from_document(sweep_results["document"])
+
+
+@pytest.fixture(scope="module")
+def check_rows(manifest):
+    return {row.key: row for row in evaluate(manifest)}
+
+
+@pytest.mark.parametrize("key", [spec.key for spec in EXPECTATIONS])
+def test_paper_claim_holds(check_rows, key):
+    """The sweep measures every catalogue row, and each measurement is
+    inside the row's band: ``repro report --check`` passes with no row
+    skipped."""
+    row = check_rows[key]
+    assert row.status == OK, (row.measured, row.lo, row.hi)
 
 
 def _metrics(manifest, workload, **params):
